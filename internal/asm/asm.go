@@ -26,7 +26,7 @@ package asm
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
+	"math"
 	"strings"
 
 	"twolevel/internal/isa"
@@ -55,17 +55,35 @@ func (p *Program) Entry() uint32 { return p.Base }
 // Size returns the image size in bytes.
 func (p *Program) Size() int { return len(p.Image) }
 
+// stmtKind says what a statement emits.
+type stmtKind uint8
+
+const (
+	stmtInst  stmtKind = iota // one instruction word
+	stmtWord                  // a .word value list
+	stmtSpace                 // a .space block of zero bytes
+)
+
+// fixup says how pass 2 patches an instruction from its target.
+type fixup uint8
+
+const (
+	fixBranch fixup = iota // word displacement from the instruction to target
+	fixHi                  // upper half of the target label's address (la)
+	fixLo                  // lower half of the target label's address (la)
+)
+
 type statement struct {
 	line int // 1-based source line
-	// one of:
-	inst   *isa.Inst
-	target string // label operand for branch instructions (resolved pass 2)
-	word   *wordDirective
-	space  int
-}
-
-type wordDirective struct {
-	values []string // numbers or labels, resolved pass 2
+	kind stmtKind
+	fix  fixup
+	inst isa.Inst
+	// arg is an instruction's target (a label, or a number for
+	// branches; resolved in pass 2, ignored when empty) or the raw value
+	// list of a .word.
+	arg string
+	// size is the number of bytes the statement emits.
+	size uint32
 }
 
 type assembler struct {
@@ -80,12 +98,20 @@ type assembler struct {
 
 // Assemble assembles source into a Program.
 func Assemble(src string) (*Program, error) {
-	a := &assembler{labels: make(map[string]uint32)}
+	a := &assembler{
+		labels: make(map[string]uint32, strings.Count(src, ":")),
+		stmts:  make([]statement, 0, strings.Count(src, "\n")+1),
+	}
 	// Pass 1: parse, size, collect labels.
-	for i, raw := range strings.Split(src, "\n") {
-		if err := a.parseLine(i+1, raw); err != nil {
-			return nil, fmt.Errorf("asm: line %d: %v (%q)", i+1, err, strings.TrimSpace(raw))
+	for line, rest := 1, src; ; line++ {
+		raw, next, more := strings.Cut(rest, "\n")
+		if err := a.parseLine(line, raw); err != nil {
+			return nil, fmt.Errorf("asm: line %d: %v (%q)", line, err, strings.TrimSpace(raw))
 		}
+		if !more {
+			break
+		}
+		rest = next
 	}
 	if !a.baseSet {
 		a.base = DefaultBase
@@ -96,26 +122,27 @@ func Assemble(src string) (*Program, error) {
 	// Pass 2: resolve and encode.
 	image := make([]byte, a.pc)
 	off := uint32(0)
-	for _, st := range a.stmts {
-		switch {
-		case st.inst != nil:
-			in := *st.inst
-			if st.target != "" {
-				switch {
-				case strings.HasPrefix(st.target, "hi:"):
-					addr, err := a.resolve(st.target[3:])
+	for i := range a.stmts {
+		st := &a.stmts[i]
+		switch st.kind {
+		case stmtInst:
+			in := st.inst
+			if st.arg != "" {
+				switch st.fix {
+				case fixHi:
+					addr, err := a.resolve(st.arg)
 					if err != nil {
 						return nil, fmt.Errorf("asm: line %d: %v", st.line, err)
 					}
 					in.Imm = int32(int16(addr >> 16))
-				case strings.HasPrefix(st.target, "lo:"):
-					addr, err := a.resolve(st.target[3:])
+				case fixLo:
+					addr, err := a.resolve(st.arg)
 					if err != nil {
 						return nil, fmt.Errorf("asm: line %d: %v", st.line, err)
 					}
 					in.Imm = int32(int16(addr))
 				default:
-					addr, err := a.resolveValue(st.target)
+					addr, err := a.resolveValue(st.arg)
 					if err != nil {
 						return nil, fmt.Errorf("asm: line %d: %v", st.line, err)
 					}
@@ -131,19 +158,20 @@ func Assemble(src string) (*Program, error) {
 				return nil, fmt.Errorf("asm: line %d: %v", st.line, err)
 			}
 			binary.LittleEndian.PutUint32(image[off:], w)
-			off += 4
-		case st.word != nil:
-			for _, v := range st.word.values {
-				val, err := a.resolveValue(v)
+		case stmtWord:
+			at := off
+			for rest, more := st.arg, true; more; {
+				var v string
+				v, rest, more = strings.Cut(rest, ",")
+				val, err := a.resolveValue(strings.TrimSpace(v))
 				if err != nil {
 					return nil, fmt.Errorf("asm: line %d: %v", st.line, err)
 				}
-				binary.LittleEndian.PutUint32(image[off:], val)
-				off += 4
+				binary.LittleEndian.PutUint32(image[at:], val)
+				at += 4
 			}
-		default:
-			off += uint32(st.space)
 		}
+		off += st.size
 	}
 	return &Program{Base: a.base, Image: image, Labels: a.labels, TextEnd: a.textEnd}, nil
 }
@@ -166,7 +194,7 @@ func (a *assembler) resolve(label string) (uint32, error) {
 }
 
 func (a *assembler) resolveValue(v string) (uint32, error) {
-	if n, err := parseNum(v); err == nil {
+	if n, ok := number(v); ok {
 		return uint32(n), nil
 	}
 	return a.resolve(v)
@@ -200,12 +228,8 @@ func (a *assembler) parseLine(line int, raw string) error {
 	if s == "" {
 		return nil
 	}
-	fields := strings.SplitN(s, " ", 2)
-	mnemonic := fields[0]
-	var rest string
-	if len(fields) == 2 {
-		rest = strings.TrimSpace(fields[1])
-	}
+	mnemonic, rest, _ := strings.Cut(s, " ")
+	rest = strings.TrimSpace(rest)
 	if strings.HasPrefix(mnemonic, ".") {
 		return a.directive(line, mnemonic, rest)
 	}
@@ -234,12 +258,12 @@ func (a *assembler) directive(line int, name, rest string) error {
 		return nil
 	case ".word":
 		a.markData()
-		values := splitOperands(rest)
-		if len(values) == 0 {
+		if strings.TrimSpace(rest) == "" {
 			return fmt.Errorf(".word needs at least one value")
 		}
-		a.stmts = append(a.stmts, statement{line: line, word: &wordDirective{values: values}})
-		a.pc += uint32(4 * len(values))
+		size := uint32(4 * (strings.Count(rest, ",") + 1))
+		a.stmts = append(a.stmts, statement{line: line, kind: stmtWord, arg: rest, size: size})
+		a.pc += size
 		return nil
 	case ".space":
 		a.markData()
@@ -250,7 +274,7 @@ func (a *assembler) directive(line int, name, rest string) error {
 		if n <= 0 || n%4 != 0 {
 			return fmt.Errorf(".space size %d must be a positive multiple of 4", n)
 		}
-		a.stmts = append(a.stmts, statement{line: line, space: int(n)})
+		a.stmts = append(a.stmts, statement{line: line, kind: stmtSpace, size: uint32(n)})
 		a.pc += uint32(n)
 		return nil
 	default:
@@ -270,8 +294,15 @@ func (a *assembler) markData() {
 	}
 }
 
+// emit appends one instruction; target, when not empty, is patched into
+// it in pass 2 as a branch displacement.
 func (a *assembler) emit(line int, in isa.Inst, target string) {
-	a.stmts = append(a.stmts, statement{line: line, inst: &in, target: target})
+	a.emitFix(line, in, fixBranch, target)
+}
+
+// emitFix is emit with the fixup given.
+func (a *assembler) emitFix(line int, in isa.Inst, fix fixup, target string) {
+	a.stmts = append(a.stmts, statement{line: line, kind: stmtInst, fix: fix, inst: in, arg: target, size: 4})
 	a.pc += 4
 }
 
@@ -280,40 +311,40 @@ func (a *assembler) instruction(line int, mnemonic, rest string) error {
 	// Pseudo-instructions first.
 	switch mnemonic {
 	case "nop":
-		if len(ops) != 0 {
+		if ops.n != 0 {
 			return fmt.Errorf("nop takes no operands")
 		}
 		a.emit(line, isa.Inst{Op: isa.ADDI}, "")
 		return nil
 	case "rts":
-		if len(ops) != 0 {
+		if ops.n != 0 {
 			return fmt.Errorf("rts takes no operands")
 		}
 		a.emit(line, isa.Inst{Op: isa.JMP, Rs1: isa.RLink}, "")
 		return nil
 	case "mv":
-		if len(ops) != 2 {
+		if ops.n != 2 {
 			return fmt.Errorf("mv wants 2 operands")
 		}
-		rd, err := parseReg(ops[0])
+		rd, err := parseReg(ops.v[0])
 		if err != nil {
 			return err
 		}
-		rs, err := parseReg(ops[1])
+		rs, err := parseReg(ops.v[1])
 		if err != nil {
 			return err
 		}
 		a.emit(line, isa.Inst{Op: isa.ADDI, Rd: rd, Rs1: rs}, "")
 		return nil
 	case "li":
-		if len(ops) != 2 {
+		if ops.n != 2 {
 			return fmt.Errorf("li wants 2 operands")
 		}
-		rd, err := parseReg(ops[0])
+		rd, err := parseReg(ops.v[0])
 		if err != nil {
 			return err
 		}
-		v64, err := parseNum(ops[1])
+		v64, err := parseNum(ops.v[1])
 		if err != nil {
 			return err
 		}
@@ -329,20 +360,20 @@ func (a *assembler) instruction(line int, mnemonic, rest string) error {
 		a.emit(line, isa.Inst{Op: isa.ORI, Rd: rd, Rs1: rd, Imm: int32(int16(v))}, "")
 		return nil
 	case "la":
-		if len(ops) != 2 {
+		if ops.n != 2 {
 			return fmt.Errorf("la wants 2 operands")
 		}
-		rd, err := parseReg(ops[0])
+		rd, err := parseReg(ops.v[0])
 		if err != nil {
 			return err
 		}
-		if !validLabel(ops[1]) {
-			return fmt.Errorf("la wants a label, got %q", ops[1])
+		if !validLabel(ops.v[1]) {
+			return fmt.Errorf("la wants a label, got %q", ops.v[1])
 		}
 		// Always two instructions so pass-1 sizing is deterministic;
-		// the halves are patched in pass 2 via synthetic hi/lo targets.
-		a.emit(line, isa.Inst{Op: isa.LUI, Rd: rd}, "hi:"+ops[1])
-		a.emit(line, isa.Inst{Op: isa.ORI, Rd: rd, Rs1: rd}, "lo:"+ops[1])
+		// pass 2 patches in the halves of the label's address.
+		a.emitFix(line, isa.Inst{Op: isa.LUI, Rd: rd}, fixHi, ops.v[1])
+		a.emitFix(line, isa.Inst{Op: isa.ORI, Rd: rd, Rs1: rd}, fixLo, ops.v[1])
 		return nil
 	}
 
@@ -353,75 +384,75 @@ func (a *assembler) instruction(line int, mnemonic, rest string) error {
 	in := isa.Inst{Op: op}
 	switch op {
 	case isa.JMP, isa.JSR:
-		if len(ops) != 1 {
+		if ops.n != 1 {
 			return fmt.Errorf("%s wants 1 operand", op)
 		}
-		in.Rs1, err = parseReg(ops[0])
+		in.Rs1, err = parseReg(ops.v[0])
 		if err != nil {
 			return err
 		}
 		a.emit(line, in, "")
 		return nil
 	case isa.BR, isa.BSR:
-		if len(ops) != 1 {
+		if ops.n != 1 {
 			return fmt.Errorf("%s wants 1 operand", op)
 		}
-		a.emit(line, in, ops[0])
+		a.emit(line, in, ops.v[0])
 		return nil
 	case isa.BCND:
-		if len(ops) != 3 {
+		if ops.n != 3 {
 			return fmt.Errorf("bcnd wants cond, reg, target")
 		}
-		in.Cond, err = isa.ParseCond(ops[0])
+		in.Cond, err = isa.ParseCond(ops.v[0])
 		if err != nil {
 			return err
 		}
-		in.Rs1, err = parseReg(ops[1])
+		in.Rs1, err = parseReg(ops.v[1])
 		if err != nil {
 			return err
 		}
-		a.emit(line, in, ops[2])
+		a.emit(line, in, ops.v[2])
 		return nil
 	case isa.LW, isa.SW, isa.LB, isa.SB:
-		if len(ops) != 2 {
+		if ops.n != 2 {
 			return fmt.Errorf("%s wants reg, imm(reg)", op)
 		}
-		in.Rd, err = parseReg(ops[0])
+		in.Rd, err = parseReg(ops.v[0])
 		if err != nil {
 			return err
 		}
-		in.Imm, in.Rs1, err = parseMem(ops[1])
+		in.Imm, in.Rs1, err = parseMem(ops.v[1])
 		if err != nil {
 			return err
 		}
 		a.emit(line, in, "")
 		return nil
 	case isa.LUI:
-		if len(ops) != 2 {
+		if ops.n != 2 {
 			return fmt.Errorf("lui wants reg, imm")
 		}
-		in.Rd, err = parseReg(ops[0])
+		in.Rd, err = parseReg(ops.v[0])
 		if err != nil {
 			return err
 		}
-		in.Imm, err = parseImm(ops[1])
+		in.Imm, err = parseImm(ops.v[1])
 		if err != nil {
 			return err
 		}
 		a.emit(line, in, "")
 		return nil
 	case isa.TRAP:
-		if len(ops) != 1 {
+		if ops.n != 1 {
 			return fmt.Errorf("trap wants a code")
 		}
-		in.Imm, err = parseImm(ops[0])
+		in.Imm, err = parseImm(ops.v[0])
 		if err != nil {
 			return err
 		}
 		a.emit(line, in, "")
 		return nil
 	case isa.HALT:
-		if len(ops) != 0 {
+		if ops.n != 0 {
 			return fmt.Errorf("halt takes no operands")
 		}
 		a.emit(line, in, "")
@@ -429,29 +460,29 @@ func (a *assembler) instruction(line int, mnemonic, rest string) error {
 	}
 	switch op.Format() {
 	case isa.FormatR:
-		if len(ops) != 3 {
+		if ops.n != 3 {
 			return fmt.Errorf("%s wants rd, rs1, rs2", op)
 		}
-		if in.Rd, err = parseReg(ops[0]); err != nil {
+		if in.Rd, err = parseReg(ops.v[0]); err != nil {
 			return err
 		}
-		if in.Rs1, err = parseReg(ops[1]); err != nil {
+		if in.Rs1, err = parseReg(ops.v[1]); err != nil {
 			return err
 		}
-		if in.Rs2, err = parseReg(ops[2]); err != nil {
+		if in.Rs2, err = parseReg(ops.v[2]); err != nil {
 			return err
 		}
 	case isa.FormatI:
-		if len(ops) != 3 {
+		if ops.n != 3 {
 			return fmt.Errorf("%s wants rd, rs1, imm", op)
 		}
-		if in.Rd, err = parseReg(ops[0]); err != nil {
+		if in.Rd, err = parseReg(ops.v[0]); err != nil {
 			return err
 		}
-		if in.Rs1, err = parseReg(ops[1]); err != nil {
+		if in.Rs1, err = parseReg(ops.v[1]); err != nil {
 			return err
 		}
-		if in.Imm, err = parseImm(ops[2]); err != nil {
+		if in.Imm, err = parseImm(ops.v[2]); err != nil {
 			return err
 		}
 	default:
@@ -477,66 +508,125 @@ func validLabel(s string) bool {
 		}
 	}
 	// Register names and mnemonics could collide; forbid rN forms.
-	if _, err := parseReg(s); err == nil {
-		return false
-	}
-	return true
+	_, isReg := register(s)
+	return !isReg
 }
 
-func splitOperands(s string) []string {
+// operands is an instruction's comma-separated operand list, split
+// without allocating. n counts every operand, including any beyond the
+// three an instruction can take; v holds the first three, trimmed.
+type operands struct {
+	n int
+	v [3]string
+}
+
+func splitOperands(s string) operands {
+	var ops operands
 	if strings.TrimSpace(s) == "" {
-		return nil
+		return ops
 	}
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		out = append(out, strings.TrimSpace(p))
+	for more := true; more; ops.n++ {
+		var part string
+		part, s, more = strings.Cut(s, ",")
+		if ops.n < len(ops.v) {
+			ops.v[ops.n] = strings.TrimSpace(part)
+		}
 	}
-	return out
+	return ops
 }
 
 func parseReg(s string) (uint8, error) {
-	switch s {
-	case "zero":
-		return isa.R0, nil
-	case "sp":
-		return isa.RSP, nil
-	case "ra":
-		return isa.RLink, nil
-	}
-	if len(s) >= 2 && s[0] == 'r' {
-		n, err := strconv.Atoi(s[1:])
-		if err == nil && n >= 0 && n < isa.NumRegs {
-			return uint8(n), nil
-		}
+	if r, ok := register(s); ok {
+		return r, nil
 	}
 	return 0, fmt.Errorf("invalid register %q", s)
 }
 
+// register parses a register name: zero, sp, ra, or r followed by a
+// decimal number below isa.NumRegs with an optional sign (the forms
+// strconv.Atoi accepts).
+func register(s string) (uint8, bool) {
+	switch s {
+	case "zero":
+		return isa.R0, true
+	case "sp":
+		return isa.RSP, true
+	case "ra":
+		return isa.RLink, true
+	}
+	if len(s) < 2 || s[0] != 'r' {
+		return 0, false
+	}
+	d := s[1:]
+	neg := d[0] == '-'
+	if d[0] == '+' || neg {
+		d = d[1:]
+	}
+	n, ok := digits(d, 10, isa.NumRegs-1)
+	if !ok || neg && n != 0 {
+		return 0, false
+	}
+	return uint8(n), true
+}
+
+// digits parses a non-empty string of digits in base (10 or 16) whose
+// value is at most max.
+func digits(s string, base, max uint64) (uint64, bool) {
+	if s == "" {
+		return 0, false
+	}
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		var d uint64
+		switch c := s[i]; {
+		case c >= '0' && c <= '9':
+			d = uint64(c - '0')
+		case c >= 'a' && c <= 'f':
+			d = uint64(c-'a') + 10
+		case c >= 'A' && c <= 'F':
+			d = uint64(c-'A') + 10
+		default:
+			return 0, false
+		}
+		if d >= base {
+			return 0, false
+		}
+		if v = v*base + d; v > max {
+			return 0, false
+		}
+	}
+	return v, true
+}
+
 func parseNum(s string) (int64, error) {
+	if n, ok := number(s); ok {
+		return n, nil
+	}
 	s = strings.TrimSpace(s)
-	neg := false
-	if strings.HasPrefix(s, "-") {
-		neg = true
+	return 0, fmt.Errorf("invalid number %q", strings.TrimPrefix(s, "-"))
+}
+
+// number parses an optionally negative decimal or 0x-prefixed
+// hexadecimal number of at most 32 bits.
+func number(s string) (int64, bool) {
+	s = strings.TrimSpace(s)
+	neg := strings.HasPrefix(s, "-")
+	if neg {
 		s = s[1:]
 	}
-	var (
-		v   uint64
-		err error
-	)
+	base := uint64(10)
 	if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
-		v, err = strconv.ParseUint(s[2:], 16, 32)
-	} else {
-		v, err = strconv.ParseUint(s, 10, 32)
+		base, s = 16, s[2:]
 	}
-	if err != nil {
-		return 0, fmt.Errorf("invalid number %q", s)
+	v, ok := digits(s, base, math.MaxUint32)
+	if !ok {
+		return 0, false
 	}
 	n := int64(v)
 	if neg {
 		n = -n
 	}
-	return n, nil
+	return n, true
 }
 
 func parseImm(s string) (int32, error) {

@@ -1,10 +1,14 @@
 // Package cpu implements the instruction-level simulator that generates
 // branch traces — the stand-in for the paper's Motorola 88100 simulator.
 //
-// The CPU executes an assembled Program from package asm, retiring one
-// instruction per Step. Control-transfer instructions and traps produce
-// trace events carrying the number of instructions retired since the
-// previous event, which is all the branch-prediction simulator needs.
+// The CPU executes an assembled Program from package asm. Control-transfer
+// instructions and traps produce trace events carrying the number of
+// instructions retired since the previous event, which is all the
+// branch-prediction simulator needs. Step (one instruction), Run (many,
+// events discarded) and Source.Next (up to the next event) all drive one
+// execution core that runs until an event, HALT, a fault or an
+// instruction limit. Reset restores only the memory pages written since
+// the previous reset.
 //
 // Semantics notes:
 //   - r0 is hardwired to zero; writes to it are discarded.
@@ -23,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"twolevel/internal/asm"
@@ -48,6 +53,14 @@ const DefaultMemSize = 1 << 22
 // into their data-generation seeds).
 const RunCounterAddr = 0x0FF0
 
+// pageShift sizes the pages Reset tracks (4 KiB): every store marks its
+// page dirty, and Reset restores only the marked pages.
+const pageShift = 12
+
+// undecodable marks an icache slot whose word does not decode. The
+// decode error is raised when the program reaches the slot, not at New.
+const undecodable = isa.Op(0xFF)
+
 // CPU is one processor executing one program.
 type CPU struct {
 	prog    *asm.Program
@@ -59,7 +72,9 @@ type CPU struct {
 
 	textStart, textEnd uint32
 	icache             []isa.Inst
-	idecoded           []bool
+
+	// dirty holds one bit per memory page written since the last Reset.
+	dirty []uint64
 
 	sinceEvent uint32
 
@@ -92,28 +107,77 @@ func New(prog *asm.Program, memSize int) (*CPU, error) {
 	if end > int64(memSize) {
 		return nil, fmt.Errorf("cpu: program [%#x,%#x) exceeds memory size %#x", prog.Base, end, memSize)
 	}
+	if prog.Base%4 != 0 || prog.TextEnd < prog.Base || int64(prog.TextEnd) > end || prog.TextEnd%4 != 0 {
+		return nil, fmt.Errorf("cpu: text [%#x,%#x) is not a word-aligned part of the program [%#x,%#x)", prog.Base, prog.TextEnd, prog.Base, end)
+	}
 	constructions.Add(1)
-	nText := (prog.TextEnd - prog.Base) / 4
+	pages := (memSize + 1<<pageShift - 1) >> pageShift
 	c := &CPU{
 		prog:      prog,
 		mem:       make([]byte, memSize),
 		textStart: prog.Base,
 		textEnd:   prog.TextEnd,
-		icache:    make([]isa.Inst, nText),
-		idecoded:  make([]bool, nText),
+		icache:    make([]isa.Inst, (prog.TextEnd-prog.Base)/4),
+		dirty:     make([]uint64, (pages+63)/64),
 	}
-	c.Reset()
+	copy(c.mem[prog.Base:], prog.Image)
+	c.predecode(c.textStart, c.textEnd)
+	c.restart()
 	return c, nil
 }
 
 // Reset reloads the program image, clears registers and restarts at the
-// entry point. The decoded-instruction cache is retained (text is
-// immutable). The stack pointer is set to the top of memory.
+// entry point. Only the pages written since the last reset are restored;
+// the rest still hold their load-time contents. The stack pointer is set
+// to the top of memory.
 func (c *CPU) Reset() {
-	for i := range c.mem {
-		c.mem[i] = 0
+	for w, set := range c.dirty {
+		for set != 0 {
+			c.restorePage(w<<6 + bits.TrailingZeros64(set))
+			set &= set - 1
+		}
+		c.dirty[w] = 0
 	}
-	copy(c.mem[c.prog.Base:], c.prog.Image)
+	c.restart()
+}
+
+// restorePage returns one page to its load-time contents: zeroes,
+// overlaid with the part of the program image that falls inside it.
+func (c *CPU) restorePage(page int) {
+	lo := page << pageShift
+	hi := min(lo+1<<pageShift, len(c.mem))
+	clear(c.mem[lo:hi])
+	base := int(c.prog.Base)
+	if from, to := max(lo, base), min(hi, base+len(c.prog.Image)); from < to {
+		copy(c.mem[from:to], c.prog.Image[from-base:to-base])
+	}
+	c.predecode(uint32(lo), uint32(hi))
+}
+
+// predecode refreshes the icache slots of the text words in [lo,hi)
+// (lo word-aligned) from memory. New decodes the whole text once;
+// StoreWord and Reset refresh what they overwrite, so the cache always
+// matches memory (programs themselves cannot store into text).
+func (c *CPU) predecode(lo, hi uint32) {
+	lo, hi = max(lo, c.textStart), min(hi, c.textEnd)
+	for pc := lo; pc < hi; pc += 4 {
+		in, err := isa.Decode(binary.LittleEndian.Uint32(c.mem[pc:]))
+		if err != nil {
+			in = isa.Inst{Op: undecodable}
+		}
+		c.icache[(pc-c.textStart)/4] = in
+	}
+}
+
+// markDirty records a write to the page holding addr.
+func (c *CPU) markDirty(addr uint32) {
+	page := addr >> pageShift
+	c.dirty[page>>6] |= 1 << (page & 63)
+}
+
+// restart clears the registers and execution state and points the CPU
+// at the entry point.
+func (c *CPU) restart() {
 	c.regs = [isa.NumRegs]uint32{}
 	c.regs[isa.RSP] = uint32(len(c.mem) - 16)
 	c.pc = c.prog.Entry()
@@ -147,6 +211,8 @@ func (c *CPU) StoreWord(addr, v uint32) error {
 		return fmt.Errorf("cpu: StoreWord address %#x invalid", addr)
 	}
 	binary.LittleEndian.PutUint32(c.mem[addr:], v)
+	c.markDirty(addr)
+	c.predecode(addr, addr+4)
 	return nil
 }
 
@@ -158,55 +224,21 @@ func (c *CPU) LoadWord(addr uint32) (uint32, error) {
 	return binary.LittleEndian.Uint32(c.mem[addr:]), nil
 }
 
-// fetch returns the decoded instruction at pc.
-func (c *CPU) fetch(pc uint32) (isa.Inst, error) {
-	if pc < c.textStart || pc >= c.textEnd {
-		return isa.Inst{}, fmt.Errorf("cpu: pc %#x outside text [%#x,%#x)", pc, c.textStart, c.textEnd)
+// Fault constructors keep error formatting out of the execution loop.
+
+func pcFault(pc, textStart, textEnd uint32) error {
+	if pc < textStart || pc >= textEnd {
+		return fmt.Errorf("cpu: pc %#x outside text [%#x,%#x)", pc, textStart, textEnd)
 	}
-	if pc%4 != 0 {
-		return isa.Inst{}, fmt.Errorf("cpu: unaligned pc %#x", pc)
-	}
-	idx := (pc - c.textStart) / 4
-	if !c.idecoded[idx] {
-		in, err := isa.Decode(binary.LittleEndian.Uint32(c.mem[pc:]))
-		if err != nil {
-			return isa.Inst{}, fmt.Errorf("cpu: at pc %#x: %v", pc, err)
-		}
-		c.icache[idx] = in
-		c.idecoded[idx] = true
-	}
-	return c.icache[idx], nil
+	return fmt.Errorf("cpu: unaligned pc %#x", pc)
 }
 
-func (c *CPU) load(addr uint32, size int) (uint32, error) {
-	if int64(addr)+int64(size) > int64(len(c.mem)) {
-		return 0, fmt.Errorf("cpu: load beyond memory at %#x", addr)
-	}
-	if size == 4 {
-		if addr%4 != 0 {
-			return 0, fmt.Errorf("cpu: unaligned word load at %#x", addr)
-		}
-		return binary.LittleEndian.Uint32(c.mem[addr:]), nil
-	}
-	return uint32(c.mem[addr]), nil
+func memFault(what string, addr, pc uint32) error {
+	return fmt.Errorf("cpu: %s at %#x (pc %#x)", what, addr, pc)
 }
 
-func (c *CPU) store(addr uint32, size int, v uint32) error {
-	if int64(addr)+int64(size) > int64(len(c.mem)) {
-		return fmt.Errorf("cpu: store beyond memory at %#x", addr)
-	}
-	if addr+uint32(size) > c.textStart && addr < c.textEnd {
-		return fmt.Errorf("cpu: store into text segment at %#x (self-modifying code is unsupported)", addr)
-	}
-	if size == 4 {
-		if addr%4 != 0 {
-			return fmt.Errorf("cpu: unaligned word store at %#x", addr)
-		}
-		binary.LittleEndian.PutUint32(c.mem[addr:], v)
-	} else {
-		c.mem[addr] = byte(v)
-	}
-	return nil
+func textStoreFault(addr, pc uint32) error {
+	return fmt.Errorf("cpu: store into text segment at %#x (self-modifying code is unsupported) (pc %#x)", addr, pc)
 }
 
 func f32(v uint32) float32    { return math.Float32frombits(v) }
@@ -216,192 +248,253 @@ func bits32(f float32) uint32 { return math.Float32bits(f) }
 // event (a branch or a trap) it is returned with emitted true. After HALT
 // (or on a halted CPU) Step returns emitted false and no error.
 func (c *CPU) Step() (ev trace.Event, emitted bool, err error) {
+	return c.run(1)
+}
+
+// run is the execution core behind Step, Run and Source.Next. It
+// executes instructions until one emits a trace event (returned with
+// emitted true), HALT retires, an instruction faults, or limit
+// instructions have retired (0 = no limit). pc and the count of
+// instructions retired by this call live in locals; every exit writes
+// them back through retire or emit.
+//
+// An instruction that faults during execution counts as retired (instret,
+// sinceEvent and the profile include it) but leaves pc on it; a fetch
+// fault retires nothing.
+func (c *CPU) run(limit uint64) (trace.Event, bool, error) {
 	if c.halted {
 		return trace.Event{}, false, nil
 	}
-	in, err := c.fetch(c.pc)
-	if err != nil {
-		return trace.Event{}, false, err
+	if limit == 0 {
+		limit = math.MaxUint64
 	}
-	c.instret++
-	c.sinceEvent++
-	if c.profile != nil {
-		c.profile[in.Op]++
-	}
-	next := c.pc + 4
-	r := &c.regs
-	rs1 := r[in.Rs1]
-	rs2 := r[in.Rs2]
+	var (
+		r         = &c.regs
+		mem       = c.mem
+		icache    = c.icache
+		textStart = c.textStart
+		pc        = c.pc
+		n         uint64 // instructions retired by this call
+	)
+	for {
+		off := pc - textStart
+		idx := off >> 2
+		if idx >= uint32(len(icache)) || off&3 != 0 {
+			c.retire(pc, n)
+			return trace.Event{}, false, pcFault(pc, textStart, c.textEnd)
+		}
+		in := &icache[idx]
+		if in.Op == undecodable {
+			c.retire(pc, n)
+			_, err := isa.Decode(binary.LittleEndian.Uint32(mem[pc:]))
+			return trace.Event{}, false, fmt.Errorf("cpu: at pc %#x: %v", pc, err)
+		}
+		n++
+		if c.profile != nil {
+			c.profile[in.Op]++
+		}
+		// Decoded register fields are below 32; the masks only spare the
+		// bounds checks.
+		rs1 := r[in.Rs1&31]
+		rs2 := r[in.Rs2&31]
+		rd := &r[in.Rd&31]
 
-	setRd := func(v uint32) {
-		if in.Rd != isa.R0 {
-			r[in.Rd] = v
-		}
-	}
-	branchEvent := func(target uint32, class trace.Class, taken bool) trace.Event {
-		e := trace.Event{
-			Instrs: c.sinceEvent,
-			Branch: trace.Branch{PC: c.pc, Target: target, Class: class, Taken: taken},
-		}
-		c.sinceEvent = 0
-		return e
-	}
+		switch in.Op {
+		case isa.ADD:
+			*rd = rs1 + rs2
+		case isa.SUB:
+			*rd = rs1 - rs2
+		case isa.MUL:
+			*rd = rs1 * rs2
+		case isa.DIV:
+			if rs2 == 0 {
+				*rd = 0
+			} else if int32(rs1) == math.MinInt32 && int32(rs2) == -1 {
+				*rd = rs1 // overflow wraps
+			} else {
+				*rd = uint32(int32(rs1) / int32(rs2))
+			}
+		case isa.REM:
+			if rs2 == 0 || int32(rs1) == math.MinInt32 && int32(rs2) == -1 {
+				*rd = 0
+			} else {
+				*rd = uint32(int32(rs1) % int32(rs2))
+			}
+		case isa.AND:
+			*rd = rs1 & rs2
+		case isa.OR:
+			*rd = rs1 | rs2
+		case isa.XOR:
+			*rd = rs1 ^ rs2
+		case isa.SLL:
+			*rd = rs1 << (rs2 & 31)
+		case isa.SRL:
+			*rd = rs1 >> (rs2 & 31)
+		case isa.SRA:
+			*rd = uint32(int32(rs1) >> (rs2 & 31))
+		case isa.SLT:
+			*rd = b2u(int32(rs1) < int32(rs2))
+		case isa.SLTU:
+			*rd = b2u(rs1 < rs2)
+		case isa.FADD:
+			*rd = bits32(f32(rs1) + f32(rs2))
+		case isa.FSUB:
+			*rd = bits32(f32(rs1) - f32(rs2))
+		case isa.FMUL:
+			*rd = bits32(f32(rs1) * f32(rs2))
+		case isa.FDIV:
+			*rd = bits32(f32(rs1) / f32(rs2))
+		case isa.FCMP:
+			a, b := f32(rs1), f32(rs2)
+			switch {
+			case a < b:
+				*rd = 0xFFFFFFFF // -1
+			case a > b:
+				*rd = 1
+			default:
+				*rd = 0 // equal or unordered
+			}
+		case isa.CVTIF:
+			*rd = bits32(float32(int32(rs1)))
+		case isa.CVTFI:
+			// Compare in float64: float32(MaxInt32) rounds UP to 2^31, so a
+			// float32 comparison would let 2^31 through to an out-of-range
+			// (implementation-defined) conversion.
+			f := float64(f32(rs1))
+			if f != f || f >= 1<<31 || f < -(1<<31) {
+				*rd = 0
+			} else {
+				*rd = uint32(int32(f))
+			}
 
-	switch in.Op {
-	case isa.ADD:
-		setRd(rs1 + rs2)
-	case isa.SUB:
-		setRd(rs1 - rs2)
-	case isa.MUL:
-		setRd(rs1 * rs2)
-	case isa.DIV:
-		if rs2 == 0 {
-			setRd(0)
-		} else if int32(rs1) == math.MinInt32 && int32(rs2) == -1 {
-			setRd(rs1) // overflow wraps
-		} else {
-			setRd(uint32(int32(rs1) / int32(rs2)))
-		}
-	case isa.REM:
-		if rs2 == 0 {
-			setRd(0)
-		} else if int32(rs1) == math.MinInt32 && int32(rs2) == -1 {
-			setRd(0)
-		} else {
-			setRd(uint32(int32(rs1) % int32(rs2)))
-		}
-	case isa.AND:
-		setRd(rs1 & rs2)
-	case isa.OR:
-		setRd(rs1 | rs2)
-	case isa.XOR:
-		setRd(rs1 ^ rs2)
-	case isa.SLL:
-		setRd(rs1 << (rs2 & 31))
-	case isa.SRL:
-		setRd(rs1 >> (rs2 & 31))
-	case isa.SRA:
-		setRd(uint32(int32(rs1) >> (rs2 & 31)))
-	case isa.SLT:
-		setRd(b2u(int32(rs1) < int32(rs2)))
-	case isa.SLTU:
-		setRd(b2u(rs1 < rs2))
-	case isa.FADD:
-		setRd(bits32(f32(rs1) + f32(rs2)))
-	case isa.FSUB:
-		setRd(bits32(f32(rs1) - f32(rs2)))
-	case isa.FMUL:
-		setRd(bits32(f32(rs1) * f32(rs2)))
-	case isa.FDIV:
-		setRd(bits32(f32(rs1) / f32(rs2)))
-	case isa.FCMP:
-		a, b := f32(rs1), f32(rs2)
-		switch {
-		case a < b:
-			setRd(uint32(0xFFFFFFFF)) // -1
-		case a > b:
-			setRd(1)
+		case isa.ADDI:
+			*rd = rs1 + uint32(in.Imm)
+		case isa.ANDI:
+			*rd = rs1 & uint32(uint16(in.Imm))
+		case isa.ORI:
+			*rd = rs1 | uint32(uint16(in.Imm))
+		case isa.XORI:
+			*rd = rs1 ^ uint32(uint16(in.Imm))
+		case isa.SLLI:
+			*rd = rs1 << (uint32(in.Imm) & 31)
+		case isa.SRLI:
+			*rd = rs1 >> (uint32(in.Imm) & 31)
+		case isa.SRAI:
+			*rd = uint32(int32(rs1) >> (uint32(in.Imm) & 31))
+		case isa.SLTI:
+			*rd = b2u(int32(rs1) < in.Imm)
+		case isa.LUI:
+			*rd = uint32(uint16(in.Imm)) << 16
+		case isa.LW:
+			a := rs1 + uint32(in.Imm)
+			if uint64(a)+4 > uint64(len(mem)) {
+				c.retire(pc, n)
+				return trace.Event{}, false, memFault("load beyond memory", a, pc)
+			}
+			if a&3 != 0 {
+				c.retire(pc, n)
+				return trace.Event{}, false, memFault("unaligned word load", a, pc)
+			}
+			*rd = binary.LittleEndian.Uint32(mem[a:])
+		case isa.LB:
+			a := rs1 + uint32(in.Imm)
+			if uint64(a) >= uint64(len(mem)) {
+				c.retire(pc, n)
+				return trace.Event{}, false, memFault("load beyond memory", a, pc)
+			}
+			*rd = uint32(mem[a])
+		case isa.SW:
+			a := rs1 + uint32(in.Imm)
+			if uint64(a)+4 > uint64(len(mem)) {
+				c.retire(pc, n)
+				return trace.Event{}, false, memFault("store beyond memory", a, pc)
+			}
+			if a+4 > textStart && a < c.textEnd {
+				c.retire(pc, n)
+				return trace.Event{}, false, textStoreFault(a, pc)
+			}
+			if a&3 != 0 {
+				c.retire(pc, n)
+				return trace.Event{}, false, memFault("unaligned word store", a, pc)
+			}
+			binary.LittleEndian.PutUint32(mem[a:], *rd)
+			c.markDirty(a)
+		case isa.SB:
+			a := rs1 + uint32(in.Imm)
+			if uint64(a) >= uint64(len(mem)) {
+				c.retire(pc, n)
+				return trace.Event{}, false, memFault("store beyond memory", a, pc)
+			}
+			if a+1 > textStart && a < c.textEnd {
+				c.retire(pc, n)
+				return trace.Event{}, false, textStoreFault(a, pc)
+			}
+			mem[a] = byte(*rd)
+			c.markDirty(a)
+
+		case isa.BCND:
+			target := pc + uint32(in.Imm)*4
+			next := pc + 4
+			taken := in.Cond.Holds(rs1)
+			if taken {
+				next = target
+			}
+			return c.emit(n, next, trace.Branch{PC: pc, Target: target, Class: trace.Cond, Taken: taken}), true, nil
+		case isa.BR:
+			target := pc + uint32(in.Imm)*4
+			return c.emit(n, target, trace.Branch{PC: pc, Target: target, Class: trace.Uncond, Taken: true}), true, nil
+		case isa.BSR:
+			target := pc + uint32(in.Imm)*4
+			r[isa.RLink] = pc + 4
+			return c.emit(n, target, trace.Branch{PC: pc, Target: target, Class: trace.Call, Taken: true}), true, nil
+		case isa.JMP:
+			class := trace.Indirect
+			if in.Rs1 == isa.RLink {
+				class = trace.Return
+			}
+			return c.emit(n, rs1, trace.Branch{PC: pc, Target: rs1, Class: class, Taken: true}), true, nil
+		case isa.JSR:
+			r[isa.RLink] = pc + 4
+			return c.emit(n, rs1, trace.Branch{PC: pc, Target: rs1, Class: trace.Call, Taken: true}), true, nil
+		case isa.TRAP:
+			ev := c.emit(n, pc+4, trace.Branch{})
+			ev.Trap = true
+			return ev, true, nil
+
+		case isa.HALT:
+			c.halted = true
+			c.retire(pc, n)
+			return trace.Event{}, false, nil
 		default:
-			setRd(0) // equal or unordered
+			c.retire(pc, n)
+			return trace.Event{}, false, fmt.Errorf("cpu: unimplemented opcode %v at pc %#x", in.Op, pc)
 		}
-	case isa.CVTIF:
-		setRd(bits32(float32(int32(rs1))))
-	case isa.CVTFI:
-		// Compare in float64: float32(MaxInt32) rounds UP to 2^31, so a
-		// float32 comparison would let 2^31 through to an out-of-range
-		// (implementation-defined) conversion.
-		f := float64(f32(rs1))
-		if f != f || f >= 1<<31 || f < -(1<<31) {
-			setRd(0)
-		} else {
-			setRd(uint32(int32(f)))
+		r[isa.R0] = 0
+		pc += 4
+		if n == limit {
+			c.retire(pc, n)
+			return trace.Event{}, false, nil
 		}
-
-	case isa.ADDI:
-		setRd(rs1 + uint32(in.Imm))
-	case isa.ANDI:
-		setRd(rs1 & uint32(uint16(in.Imm)))
-	case isa.ORI:
-		setRd(rs1 | uint32(uint16(in.Imm)))
-	case isa.XORI:
-		setRd(rs1 ^ uint32(uint16(in.Imm)))
-	case isa.SLLI:
-		setRd(rs1 << (uint32(in.Imm) & 31))
-	case isa.SRLI:
-		setRd(rs1 >> (uint32(in.Imm) & 31))
-	case isa.SRAI:
-		setRd(uint32(int32(rs1) >> (uint32(in.Imm) & 31)))
-	case isa.SLTI:
-		setRd(b2u(int32(rs1) < in.Imm))
-	case isa.LUI:
-		setRd(uint32(uint16(in.Imm)) << 16)
-	case isa.LW:
-		v, err := c.load(rs1+uint32(in.Imm), 4)
-		if err != nil {
-			return trace.Event{}, false, fmt.Errorf("%v (pc %#x)", err, c.pc)
-		}
-		setRd(v)
-	case isa.LB:
-		v, err := c.load(rs1+uint32(in.Imm), 1)
-		if err != nil {
-			return trace.Event{}, false, fmt.Errorf("%v (pc %#x)", err, c.pc)
-		}
-		setRd(v)
-	case isa.SW:
-		if err := c.store(rs1+uint32(in.Imm), 4, r[in.Rd]); err != nil {
-			return trace.Event{}, false, fmt.Errorf("%v (pc %#x)", err, c.pc)
-		}
-	case isa.SB:
-		if err := c.store(rs1+uint32(in.Imm), 1, r[in.Rd]); err != nil {
-			return trace.Event{}, false, fmt.Errorf("%v (pc %#x)", err, c.pc)
-		}
-
-	case isa.BCND:
-		target := c.pc + uint32(in.Imm)*4
-		taken := in.Cond.Holds(rs1)
-		ev = branchEvent(target, trace.Cond, taken)
-		emitted = true
-		if taken {
-			next = target
-		}
-	case isa.BR:
-		target := c.pc + uint32(in.Imm)*4
-		ev = branchEvent(target, trace.Uncond, true)
-		emitted = true
-		next = target
-	case isa.BSR:
-		target := c.pc + uint32(in.Imm)*4
-		r[isa.RLink] = c.pc + 4
-		ev = branchEvent(target, trace.Call, true)
-		emitted = true
-		next = target
-	case isa.JMP:
-		class := trace.Indirect
-		if in.Rs1 == isa.RLink {
-			class = trace.Return
-		}
-		ev = branchEvent(rs1, class, true)
-		emitted = true
-		next = rs1
-	case isa.JSR:
-		target := rs1
-		r[isa.RLink] = c.pc + 4
-		ev = branchEvent(target, trace.Call, true)
-		emitted = true
-		next = target
-
-	case isa.TRAP:
-		ev = trace.Event{Instrs: c.sinceEvent, Trap: true}
-		c.sinceEvent = 0
-		emitted = true
-	case isa.HALT:
-		c.halted = true
-		return trace.Event{}, false, nil
-	default:
-		return trace.Event{}, false, fmt.Errorf("cpu: unimplemented opcode %v at pc %#x", in.Op, c.pc)
 	}
+}
+
+// retire writes the execution core's state back after n instructions
+// that emitted no event, leaving the CPU at pc.
+func (c *CPU) retire(pc uint32, n uint64) {
+	c.pc = pc
+	c.instret += n
+	c.sinceEvent += uint32(n)
+}
+
+// emit is retire for an exit on an event: the event carries the
+// instructions retired since the previous one, and the CPU continues at
+// next.
+func (c *CPU) emit(n uint64, next uint32, br trace.Branch) trace.Event {
+	ev := trace.Event{Instrs: c.sinceEvent + uint32(n), Branch: br}
 	c.pc = next
-	return ev, emitted, nil
+	c.instret += n
+	c.sinceEvent = 0
+	return ev
 }
 
 func b2u(b bool) uint32 {
@@ -417,10 +510,15 @@ func b2u(b bool) uint32 {
 func (c *CPU) Run(maxInstrs uint64) (uint64, error) {
 	start := c.instret
 	for !c.halted {
-		if maxInstrs > 0 && c.instret-start >= maxInstrs {
-			break
+		var limit uint64
+		if maxInstrs > 0 {
+			done := c.instret - start
+			if done >= maxInstrs {
+				break
+			}
+			limit = maxInstrs - done
 		}
-		if _, _, err := c.Step(); err != nil {
+		if _, _, err := c.run(limit); err != nil {
 			return c.instret - start, err
 		}
 	}
@@ -465,7 +563,7 @@ func (s *Source) Next() (trace.Event, error) {
 			}
 			s.eventsAtReset = s.events
 		}
-		ev, emitted, err := s.cpu.Step()
+		ev, emitted, err := s.cpu.run(0)
 		if err != nil {
 			return trace.Event{}, err
 		}

@@ -197,12 +197,19 @@ func (o Op) Format() Format {
 	return opTable[o].format
 }
 
+// opByName indexes opTable by mnemonic for ParseOp.
+var opByName = func() map[string]Op {
+	m := make(map[string]Op, numOps)
+	for o := Op(0); o < numOps; o++ {
+		m[opTable[o].name] = o
+	}
+	return m
+}()
+
 // ParseOp parses an opcode mnemonic.
 func ParseOp(s string) (Op, error) {
-	for o := Op(0); o < numOps; o++ {
-		if opTable[o].name == s {
-			return o, nil
-		}
+	if o, ok := opByName[s]; ok {
+		return o, nil
 	}
 	return 0, fmt.Errorf("isa: unknown mnemonic %q", s)
 }

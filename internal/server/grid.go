@@ -326,7 +326,7 @@ func (s *Server) execute(ctx context.Context, job *gridJob, emit func(idx int, c
 		end := min(start+batchMax, nCells)
 		batch := job.cells[start:end]
 
-		releaseTenant, ok := t.acquireCells(len(batch), ctx.Done())
+		releaseTenant, ok := t.cells.acquire(len(batch), ctx.Done())
 		if !ok {
 			s.failRemaining(job, out, start, ctx.Err())
 			return out, ctx.Err()
@@ -409,26 +409,11 @@ func (s *Server) failRemaining(job *gridJob, out []Cell, idx int, err error) {
 	}
 }
 
-// acquireWork takes n global worker-pool slots (or aborts on done).
+// acquireWork takes n global worker-pool slots at once (or aborts on
+// done).
 func (s *Server) acquireWork(n int, done <-chan struct{}) (func(), bool) {
-	if n > cap(s.workSem) {
-		n = cap(s.workSem) // a batch may be wider than the pool; cap, don't deadlock
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case s.workSem <- struct{}{}:
-		case <-done:
-			for j := 0; j < i; j++ {
-				<-s.workSem
-			}
-			return nil, false
-		}
-	}
-	return func() {
-		for i := 0; i < n; i++ {
-			<-s.workSem
-		}
-	}, true
+	// A batch may be wider than the pool; cap, don't deadlock.
+	return s.workSem.acquire(min(n, s.cfg.Workers), done)
 }
 
 // runBatchGuarded runs one batch through sim.RunMany behind a recover

@@ -7,6 +7,7 @@
 package server
 
 import (
+	"container/list"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,13 +61,86 @@ func (b *tokenBucket) take() (bool, time.Duration) {
 	return false, wait
 }
 
+// semaphore is a counting semaphore whose acquisitions are
+// all-or-nothing: a batch takes its n slots in one step or waits holding
+// none, so two batches can never each hold part of a full pool and wait
+// on each other. Waiters are served in arrival order, so a wide batch is
+// not starved by narrower ones that arrive after it.
+type semaphore struct {
+	mu      sync.Mutex
+	size    int
+	used    int
+	waiters list.List // of *semWaiter, in arrival order
+}
+
+type semWaiter struct {
+	n     int
+	ready chan struct{} // closed once the n slots are granted
+}
+
+func newSemaphore(size int) *semaphore { return &semaphore{size: size} }
+
+// acquire blocks until n slots (at most the semaphore's size) are
+// granted together or done is closed. It returns a release func on
+// success.
+func (s *semaphore) acquire(n int, done <-chan struct{}) (func(), bool) {
+	release := func() {
+		s.mu.Lock()
+		s.used -= n
+		s.grant()
+		s.mu.Unlock()
+	}
+	s.mu.Lock()
+	if s.waiters.Len() == 0 && s.used+n <= s.size {
+		s.used += n
+		s.mu.Unlock()
+		return release, true
+	}
+	w := &semWaiter{n: n, ready: make(chan struct{})}
+	elem := s.waiters.PushBack(w)
+	s.mu.Unlock()
+
+	select {
+	case <-w.ready:
+		return release, true
+	case <-done:
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case <-w.ready:
+		// Granted as done closed: hand the slots back.
+		s.used -= n
+	default:
+		s.waiters.Remove(elem)
+	}
+	// Either way the queue head may have changed; waiters behind it can
+	// now fit.
+	s.grant()
+	return nil, false
+}
+
+// grant hands slots to waiters from the front of the queue while their
+// batches fit. The caller holds s.mu.
+func (s *semaphore) grant() {
+	for e := s.waiters.Front(); e != nil; e = s.waiters.Front() {
+		w := e.Value.(*semWaiter)
+		if s.used+w.n > s.size {
+			return
+		}
+		s.used += w.n
+		s.waiters.Remove(e)
+		close(w.ready)
+	}
+}
+
 // tenant bundles everything the server tracks per X-Tenant value.
 type tenant struct {
 	name   string
 	mon    *Monitor             // request-level counters for this tenant
 	grid   *experiments.Monitor // cell-level counters (progress, events, retries)
 	bucket *tokenBucket
-	cells  chan struct{} // concurrent-cell semaphore
+	cells  *semaphore // concurrent-cell slots
 
 	// cacheHits/cacheMisses attribute shared capture-cache traffic to the
 	// tenant whose request triggered it (the cache itself only keeps
@@ -92,26 +166,6 @@ func (t *tenant) cacheMetrics() []telemetry.Metric {
 		telemetry.CounterMetric("twolevel_serve_trace_cache_misses_total",
 			"Capture requests by this tenant that opened or extended a capture.", t.cacheMisses.Load()),
 	}
-}
-
-// acquireCells blocks until n cell slots are free or done is closed
-// (request context expired). It returns a release func on success.
-func (t *tenant) acquireCells(n int, done <-chan struct{}) (func(), bool) {
-	for i := 0; i < n; i++ {
-		select {
-		case t.cells <- struct{}{}:
-		case <-done:
-			for j := 0; j < i; j++ {
-				<-t.cells
-			}
-			return nil, false
-		}
-	}
-	return func() {
-		for i := 0; i < n; i++ {
-			<-t.cells
-		}
-	}, true
 }
 
 // tenants is the registry; tenants are created on first use and live

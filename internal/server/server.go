@@ -176,7 +176,7 @@ type Server struct {
 
 	slots    chan struct{} // admitted-request concurrency
 	queued   atomic.Int64  // requests holding or waiting for a slot
-	workSem  chan struct{} // simulator cells in flight, all tenants
+	workSem  *semaphore    // simulator cells in flight, all tenants
 	draining atomic.Bool
 	uploads  sync.Map // upload key -> uploadInfo; the grid path 404s keys not here
 	mux      *http.ServeMux
@@ -193,7 +193,7 @@ func New(cfg Config) *Server {
 		grid:    experiments.NewMonitor(),
 		tracer:  span.NewWithClock(cfg.clock),
 		slots:   make(chan struct{}, cfg.MaxConcurrent),
-		workSem: make(chan struct{}, cfg.Workers),
+		workSem: newSemaphore(cfg.Workers),
 	}
 	s.grid.AttachTracer(s.tracer)
 	// Every metrics surface renders from one registry: the process scope
@@ -210,7 +210,7 @@ func New(cfg Config) *Server {
 			mon:    &Monitor{},
 			grid:   experiments.NewMonitor(),
 			bucket: newTokenBucket(cfg.TenantRate, cfg.TenantBurst, cfg.clock),
-			cells:  make(chan struct{}, cfg.TenantCells),
+			cells:  newSemaphore(cfg.TenantCells),
 		}
 		s.reg.RegisterTenant(name, func() []telemetry.Metric { return t.mon.Snapshot().Metrics() })
 		s.reg.RegisterTenant(name, func() []telemetry.Metric { return t.grid.Snapshot().Metrics() })
