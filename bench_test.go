@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"twolevel"
+	"twolevel/internal/sim"
 )
 
 // benchBudget returns the per-benchmark conditional branch budget for
@@ -337,6 +338,51 @@ func BenchmarkKernelSharded(b *testing.B) {
 			}
 			b.ReportMetric(events*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 		})
+	}
+}
+
+// BenchmarkKernelTap measures what kernel-native telemetry costs per
+// loop shape: each shape replays the same snapshot plain and with a
+// Telemetry sink (an interval series plus the top-8 per-PC mispredict
+// profile, the tap the sweep grid attaches), reporting events/sec and
+// allocs/op. The arms' Results are bit-identical; only the tap differs.
+func BenchmarkKernelTap(b *testing.B) {
+	const conds = 100_000
+	src, err := twolevel.NewBenchmarkSource("espresso", false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap, err := twolevel.PackTrace(twolevel.LimitConditional(src, conds))
+	if err != nil {
+		b.Fatal(err)
+	}
+	events := float64(snap.Len())
+	arm := func(b *testing.B, specStr string, tap bool) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p, err := twolevel.NewPredictor(specStr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := twolevel.SimOptions{MaxCondBranches: conds}
+			if tap {
+				opts.Telemetry = &sim.Telemetry{Interval: conds / 20, TopK: 8}
+			}
+			if _, err := twolevel.Simulate(p, snap.Reader(), opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(events*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+	}
+	for _, c := range []struct{ name, spec string }{
+		{"GAg", "GAg(HR(1,,12-sr),1xPHT(2^12,A2))"},
+		{"PAg", "PAg(BHT(512,4,12-sr),1xPHT(2^12,A2))"},
+		{"PAp", "PAp(BHT(512,4,6-sr),512xPHT(2^6,A2))"},
+		{"SAs", "SAs(SHT(64,,8-sr),16xPHT(2^8,A2))"},
+		{"AlwaysTaken", "AlwaysTaken"},
+	} {
+		b.Run(c.name+"/plain", func(b *testing.B) { arm(b, c.spec, false) })
+		b.Run(c.name+"/tap", func(b *testing.B) { arm(b, c.spec, true) })
 	}
 }
 

@@ -74,6 +74,15 @@ type Config struct {
 	Warmup uint64
 }
 
+// bhtClock is the state a BHT lookup advances besides the shared mirror
+// arrays: the LRU clock and the hit-rate counter deltas. The serial
+// kernel owns one; each shard worker owns a private one, so the same
+// lookupAllocCache body serves both paths.
+type bhtClock struct {
+	clock           uint64
+	lookups, misses uint64
+}
+
 // Counters mirrors sim.Result for the depth-0 base model (Repredictions
 // is structurally zero on this path). Package sim converts.
 type Counters struct {
@@ -171,7 +180,6 @@ type Kernel struct {
 	perAddrPHT bool
 	assoc      int
 	setMask    uint32
-	clock      uint64
 	valid      []bool
 	ever       []bool
 	pcs        []uint32
@@ -182,10 +190,11 @@ type Kernel struct {
 	phtTables  []*pht.Table
 	phtStates  [][]automaton.State
 	phtTouched [][]uint64
-	idealIdx   map[uint32]int32
+	phtInit    []automaton.State // a fresh slot PHT's states, copied over a recycled one
+	idealIdx   pcIndex
 	idealPCs   []uint32
 
-	lookups, misses uint64 // BHT counter deltas, written back after the run
+	bhtClock // serial LRU clock and BHT counter deltas, written back after the run
 
 	c       Counters
 	sinceCS uint64
@@ -300,6 +309,12 @@ func (k *Kernel) seed() {
 			k.phtTables = make([]*pht.Table, n)
 			k.phtStates = make([][]automaton.State, n)
 			k.phtTouched = make([][]uint64, n)
+			if !cfg.InheritPHTOnReplace {
+				k.phtInit = make([]automaton.State, 1<<k.kbits)
+				for i := range k.phtInit {
+					k.phtInit[i] = k.initState
+				}
+			}
 		}
 		for i := 0; i < n; i++ {
 			e := st.At(i)
@@ -321,10 +336,8 @@ func (k *Kernel) seed() {
 		}
 	case *bht.Ideal:
 		k.ideal = st
-		k.idealIdx = make(map[uint32]int32, st.Touched())
 		st.Range(func(e *bht.Entry) {
-			i := int32(len(k.idealPCs))
-			k.idealIdx[e.PC()] = i
+			k.idealIdx.add(e.PC()) // dense index == len(k.idealPCs)
 			k.idealPCs = append(k.idealPCs, e.PC())
 			k.valid = append(k.valid, e.Valid())
 			k.hists = append(k.hists, encodeHist(&e.Hist))
@@ -405,12 +418,15 @@ func (k *Kernel) writeback() {
 	*v.BHTMisses += k.misses
 }
 
-// stopIndex returns the exclusive end index of the replay: the index
-// just past the max-th conditional branch after start (the interpretive
-// runner's budget semantics — it stops before consuming the event after
-// the one that met the budget), or len(meta) when the budget is 0 or the
-// snapshot ends first.
-func stopIndex(meta []uint8, start int, max uint64) int {
+// StopIndex returns the exclusive end index of a replay of snap from
+// start under budget max: the index just past the max-th conditional
+// branch after start (the interpretive runner's budget semantics — it
+// stops before consuming the event after the one that met the budget),
+// or snap.Len() when the budget is 0 or the snapshot ends first. Run
+// computes it per kernel; sim.RunMany resolves it once per distinct
+// budget of a batch and hands it to RunTo.
+func StopIndex(snap trace.Snapshot, start int, max uint64) int {
+	_, _, _, meta := snap.Columns()
 	if max == 0 {
 		return len(meta)
 	}
@@ -433,8 +449,14 @@ func stopIndex(meta []uint8, start int, max uint64) int {
 // count collected so far are returned with ctx's error; the predictor
 // state is still written back so the caller sees a consistent prefix.
 func (k *Kernel) Run(snap trace.Snapshot, start int) (Counters, int, error) {
+	return k.RunTo(snap, start, StopIndex(snap, start, k.cfg.MaxCondBranches))
+}
+
+// RunTo is Run with the stop index already resolved: end must be
+// StopIndex(snap, start, cfg.MaxCondBranches) for the result to honour
+// the kernel's budget.
+func (k *Kernel) RunTo(snap trace.Snapshot, start, end int) (Counters, int, error) {
 	instrs, pcs, targets, meta := snap.Columns()
-	end := stopIndex(meta, start, k.cfg.MaxCondBranches)
 	var consumed int
 	var err error
 	switch {

@@ -310,20 +310,23 @@ func (k *Kernel) runGAgTap(instrs, pcs []uint32, meta []uint8, start, end int) (
 // lookupAllocCache finds or allocates pc's slot in the mirrored
 // practical BHT, reproducing the interpretive entry() semantics: LRU
 // victim selection, §4.2 payload initialisation, and PAp per-slot
-// pattern-table materialise/reset rules. Counts one lookup (and a miss
-// when allocating) toward the BHT hit-rate counters.
-func (k *Kernel) lookupAllocCache(pc uint32) int {
-	k.lookups++
+// pattern-table materialise/reset rules. It advances bc — the serial
+// kernel's own clock and counters, or a shard worker's private ones
+// (each worker touches only its partition's slots, so the shared mirror
+// arrays see disjoint writes) — counting one lookup (and a miss when
+// allocating) toward the BHT hit-rate counters.
+func (k *Kernel) lookupAllocCache(bc *bhtClock, pc uint32) int {
+	bc.lookups++
 	base := int(pc>>2&k.setMask) * k.assoc
 	for w := 0; w < k.assoc; w++ {
 		j := base + w
 		if k.valid[j] && k.pcs[j] == pc {
-			k.clock++
-			k.stamps[j] = k.clock
+			bc.clock++
+			k.stamps[j] = bc.clock
 			return j
 		}
 	}
-	k.misses++
+	bc.misses++
 	victim := base
 	for w := 0; w < k.assoc; w++ {
 		j := base + w
@@ -336,11 +339,11 @@ func (k *Kernel) lookupAllocCache(pc uint32) int {
 		}
 	}
 	recycled := k.valid[victim] && k.pcs[victim] != pc
-	k.clock++
+	bc.clock++
 	k.ever[victim] = true
 	k.valid[victim] = true
 	k.pcs[victim] = pc
-	k.stamps[victim] = k.clock
+	k.stamps[victim] = bc.clock
 	k.hists[victim] = k.freshHist
 	k.preds[victim] = true
 	if k.perAddrPHT {
@@ -350,15 +353,9 @@ func (k *Kernel) lookupAllocCache(pc uint32) int {
 			k.phtTables[victim] = t
 			k.phtStates[victim] = t.RawStates()
 			k.phtTouched[victim] = t.RawTouched()
-		case recycled && !k.view.Config.InheritPHTOnReplace:
-			st := k.phtStates[victim]
-			for i := range st {
-				st[i] = k.initState
-			}
-			tt := k.phtTouched[victim]
-			for i := range tt {
-				tt[i] = 0
-			}
+		case recycled && k.phtInit != nil:
+			copy(k.phtStates[victim], k.phtInit)
+			clear(k.phtTouched[victim])
 		}
 	}
 	return victim
@@ -368,14 +365,12 @@ func (k *Kernel) lookupAllocCache(pc uint32) int {
 // no replacement, flushed entries revive with their pattern table intact.
 func (k *Kernel) lookupAllocIdeal(pc uint32) int {
 	k.lookups++
-	if idx, ok := k.idealIdx[pc]; ok && k.valid[idx] {
+	idx, added := k.idealIdx.add(pc)
+	if !added && k.valid[idx] {
 		return int(idx)
 	}
 	k.misses++
-	idx, ok := k.idealIdx[pc]
-	if !ok {
-		idx = int32(len(k.idealPCs))
-		k.idealIdx[pc] = idx
+	if added {
 		k.idealPCs = append(k.idealPCs, pc)
 		k.valid = append(k.valid, false)
 		k.hists = append(k.hists, 0)
@@ -484,7 +479,7 @@ func (k *Kernel) runPAgCachePlain(instrs, pcs, targets []uint32, meta []uint8, s
 			c.TakenCond++
 		}
 		pc := pcs[i]
-		slot := k.lookupAllocCache(pc)
+		slot := k.lookupAllocCache(&k.bhtClock, pc)
 		h := k.hists[slot]
 		pat := h & histMask
 		s := states[pat]
@@ -579,7 +574,7 @@ func (k *Kernel) runPAgCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 			c.TakenCond++
 		}
 		pc := pcs[i]
-		slot := k.lookupAllocCache(pc)
+		slot := k.lookupAllocCache(&k.bhtClock, pc)
 		h := k.hists[slot]
 		pat := h & histMask
 		s := states[pat]
@@ -678,7 +673,7 @@ func (k *Kernel) runPApCachePlain(instrs, pcs, targets []uint32, meta []uint8, s
 			c.TakenCond++
 		}
 		pc := pcs[i]
-		slot := k.lookupAllocCache(pc)
+		slot := k.lookupAllocCache(&k.bhtClock, pc)
 		states := k.phtStates[slot]
 		touched := k.phtTouched[slot]
 		h := k.hists[slot]
@@ -774,7 +769,7 @@ func (k *Kernel) runPApCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 			c.TakenCond++
 		}
 		pc := pcs[i]
-		slot := k.lookupAllocCache(pc)
+		slot := k.lookupAllocCache(&k.bhtClock, pc)
 		states := k.phtStates[slot]
 		touched := k.phtTouched[slot]
 		h := k.hists[slot]
@@ -876,7 +871,7 @@ func (k *Kernel) runGenericPlain(instrs, pcs, targets []uint32, meta []uint8, st
 		slot := -1
 		if hasStore {
 			if useCache {
-				slot = k.lookupAllocCache(pc)
+				slot = k.lookupAllocCache(&k.bhtClock, pc)
 			} else {
 				slot = k.lookupAllocIdeal(pc)
 			}
@@ -995,7 +990,7 @@ func (k *Kernel) runGenericTap(instrs, pcs, targets []uint32, meta []uint8, star
 		slot := -1
 		if hasStore {
 			if useCache {
-				slot = k.lookupAllocCache(pc)
+				slot = k.lookupAllocCache(&k.bhtClock, pc)
 			} else {
 				slot = k.lookupAllocIdeal(pc)
 			}

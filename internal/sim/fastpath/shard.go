@@ -64,11 +64,10 @@ func (k *Kernel) shardCount() int {
 // not be shared — the LRU clock, the counters, the context-switch
 // phase — lives here.
 type shardWorker struct {
-	c               Counters
-	clock           uint64
-	lookups, misses uint64
-	sinceCS         uint64
-	tap             *Tap // private telemetry fork; nil when telemetry is off
+	bhtClock
+	c       Counters
+	sinceCS uint64
+	tap     *Tap // private telemetry fork; nil when telemetry is off
 	// stop is the event index the worker halted at: end after a full
 	// pass, the aligned poll index where cancellation was observed
 	// otherwise. Polls fire at identical indices in every worker (the
@@ -231,7 +230,7 @@ func (k *Kernel) runShardPlain(sw *shardWorker, w, partMask uint32, instrs, pcs,
 		}
 		slot := -1
 		if useCache {
-			slot = k.lookupAllocCacheSharded(sw, pc)
+			slot = k.lookupAllocCache(&sw.bhtClock, pc)
 		}
 		var hp *uint32
 		if k.hAxis == predictor.AxisPerSet {
@@ -366,7 +365,7 @@ func (k *Kernel) runShardTap(sw *shardWorker, w, partMask uint32, instrs, pcs, t
 		}
 		slot := -1
 		if useCache {
-			slot = k.lookupAllocCacheSharded(sw, pc)
+			slot = k.lookupAllocCache(&sw.bhtClock, pc)
 		}
 		var hp *uint32
 		if k.hAxis == predictor.AxisPerSet {
@@ -416,62 +415,6 @@ func (k *Kernel) runShardTap(sw *shardWorker, w, partMask uint32, instrs, pcs, t
 	}
 	sw.stop = end
 	sw.sinceCS = sinceCS
-}
-
-// lookupAllocCacheSharded is lookupAllocCache against the shared mirror
-// with the worker's private clock and counters. Only slots in the
-// worker's partition are ever touched, so the shared arrays see disjoint
-// writes.
-func (k *Kernel) lookupAllocCacheSharded(sw *shardWorker, pc uint32) int {
-	sw.lookups++
-	base := int(pc>>2&k.setMask) * k.assoc
-	for w := 0; w < k.assoc; w++ {
-		j := base + w
-		if k.valid[j] && k.pcs[j] == pc {
-			sw.clock++
-			k.stamps[j] = sw.clock
-			return j
-		}
-	}
-	sw.misses++
-	victim := base
-	for w := 0; w < k.assoc; w++ {
-		j := base + w
-		if !k.valid[j] {
-			victim = j
-			break
-		}
-		if k.stamps[j] < k.stamps[victim] {
-			victim = j
-		}
-	}
-	recycled := k.valid[victim] && k.pcs[victim] != pc
-	sw.clock++
-	k.ever[victim] = true
-	k.valid[victim] = true
-	k.pcs[victim] = pc
-	k.stamps[victim] = sw.clock
-	k.hists[victim] = k.freshHist
-	k.preds[victim] = true
-	if k.perAddrPHT {
-		switch {
-		case k.phtStates[victim] == nil:
-			t := k.newSlotPHT()
-			k.phtTables[victim] = t
-			k.phtStates[victim] = t.RawStates()
-			k.phtTouched[victim] = t.RawTouched()
-		case recycled && !k.view.Config.InheritPHTOnReplace:
-			st := k.phtStates[victim]
-			for i := range st {
-				st[i] = k.initState
-			}
-			tt := k.phtTouched[victim]
-			for i := range tt {
-				tt[i] = 0
-			}
-		}
-	}
-	return victim
 }
 
 // flushShard invalidates the worker's partition of the BHT mirror and

@@ -4,10 +4,11 @@ package fastpath
 // and the per-PC mispredict profile directly in the flat loops, so a run
 // that wants live telemetry stays on the kernel instead of falling back
 // to the interpretive runner's Observer callbacks. The accumulators are
-// plain per-shard arrays and maps merged deterministically at writeback;
-// every hot-loop call site is nil-guarded (one predictable branch when
-// telemetry is off — the same zero-cost-when-disabled contract Observer
-// carries, enforced by the obsnilguard analyzer).
+// plain per-shard arrays behind a pcIndex directory, merged
+// deterministically at writeback; every hot-loop call site is
+// nil-guarded (one predictable branch when telemetry is off — the same
+// zero-cost-when-disabled contract Observer carries, enforced by the
+// obsnilguard analyzer).
 
 import (
 	"sort"
@@ -26,19 +27,49 @@ type Tap struct {
 	topk   int    // per-PC profile rows to report (0 = no profile)
 
 	total   uint64   // resolved conditional branches seen so far
+	edge    uint64   // resolution index where interval bin ends
+	bin     int      // interval index of resolutions in [edge-every, edge)
 	preds   []uint64 // per-interval prediction counts
 	correct []uint64 // per-interval correct counts
 
 	recordSwitches bool
 	switches       []uint64 // resolution index at each context switch
 
-	pcm map[uint32]*pcTap // nil when the per-PC profile is off
+	pcIdx pcIndex // PC → index into pcs (topk > 0 only)
+	pcs   pcTaps  // per-PC counters at pcIdx's dense indices
 }
 
 // pcTap mirrors telemetry.HotBranches' per-PC counters plus the
 // warmup-miss split the streaming verdict classifier consumes.
 type pcTap struct {
 	exec, taken, miss, warmupMiss uint64
+	pc                            uint32
+}
+
+// pcChunk is the pcTaps chunk length (5 KiB of counters).
+const pcChunk = 128
+
+// pcTaps is a dense per-PC counter array that grows one fixed-size chunk
+// at a time. Growth never copies, so a tapped run allocates about one
+// row per distinct PC; a doubling slice would leave up to its final size
+// again behind as garbage.
+type pcTaps struct {
+	chunks []*[pcChunk]pcTap
+	n      int
+}
+
+// at returns row i (0 <= i < n).
+func (p *pcTaps) at(i int) *pcTap {
+	return &p.chunks[uint(i)/pcChunk][uint(i)%pcChunk]
+}
+
+// push appends a zeroed row for pc at index n.
+func (p *pcTaps) push(pc uint32) {
+	if p.n%pcChunk == 0 {
+		p.chunks = append(p.chunks, new([pcChunk]pcTap)) //lint:allow hotalloc one chunk per pcChunk distinct PCs, not per event
+	}
+	p.at(p.n).pc = pc
+	p.n++
 }
 
 // newTap returns the accumulator cfg asks for, or nil when telemetry is
@@ -47,52 +78,50 @@ func newTap(cfg Config) *Tap {
 	if cfg.Interval == 0 && cfg.TopPCs <= 0 {
 		return nil
 	}
-	t := &Tap{
+	return &Tap{
 		every:          cfg.Interval,
 		warmup:         cfg.Warmup,
 		topk:           cfg.TopPCs,
 		recordSwitches: true,
 	}
-	if t.topk > 0 {
-		t.pcm = make(map[uint32]*pcTap)
-	}
-	return t
 }
 
 // fork returns worker w's private accumulator for a sharded run. Only
 // worker 0 records context switches (it owns the global accounting).
 func (t *Tap) fork(w int) *Tap {
-	f := &Tap{ //lint:allow hotalloc per-worker fork: O(shards) setup, not per-event work
+	return &Tap{ //lint:allow hotalloc per-worker fork: O(shards) setup, not per-event work
 		every:          t.every,
 		warmup:         t.warmup,
 		topk:           t.topk,
 		recordSwitches: w == 0,
 	}
-	if t.pcm != nil {
-		f.pcm = make(map[uint32]*pcTap) //lint:allow hotalloc per-worker fork: O(shards) setup, not per-event work
-	}
-	return f
 }
 
-// resolve folds one resolved conditional branch owned by this tap.
+// resolve folds one resolved conditional branch owned by this tap. The
+// interval bin is cached: the division runs only when the resolution
+// index reaches the bin's edge, which also re-lands a sharded fork that
+// skip()ped across whole bins in total/every.
 func (t *Tap) resolve(pc uint32, taken, correct bool) {
 	if t.every > 0 {
-		j := int(t.total / t.every)
-		for len(t.preds) <= j {
-			t.preds = append(t.preds, 0)     //lint:allow hotalloc amortised interval-array growth: one extension per interval, not per event
-			t.correct = append(t.correct, 0) //lint:allow hotalloc amortised interval-array growth: one extension per interval, not per event
+		if t.total >= t.edge {
+			j := t.total / t.every
+			t.bin, t.edge = int(j), (j+1)*t.every
+			for len(t.preds) <= t.bin {
+				t.preds = append(t.preds, 0)     //lint:allow hotalloc amortised interval-array growth: one extension per interval, not per event
+				t.correct = append(t.correct, 0) //lint:allow hotalloc amortised interval-array growth: one extension per interval, not per event
+			}
 		}
-		t.preds[j]++
+		t.preds[t.bin]++
 		if correct {
-			t.correct[j]++
+			t.correct[t.bin]++
 		}
 	}
-	if t.pcm != nil {
-		st := t.pcm[pc]
-		if st == nil {
-			st = &pcTap{}  //lint:allow hotalloc lazy per-PC init: one allocation per distinct PC, amortised over its executions
-			t.pcm[pc] = st //lint:allow hotalloc lazy per-PC init: the map grows once per distinct PC, not per event
+	if t.topk > 0 {
+		i, added := t.pcIdx.add(pc)
+		if added {
+			t.pcs.push(pc)
 		}
+		st := t.pcs.at(int(i))
 		st.exec++
 		if taken {
 			st.taken++
@@ -136,10 +165,17 @@ func (t *Tap) absorb(o *Tap) {
 		t.correct[j] += o.correct[j]
 	}
 	t.switches = append(t.switches, o.switches...) //lint:allow hotalloc per-worker merge at writeback, outside the per-event path
-	if t.pcm != nil {
-		for pc, st := range o.pcm {
-			t.pcm[pc] = st //lint:allow hotalloc per-worker merge at writeback, outside the per-event path
+	for j := 0; j < o.pcs.n; j++ {
+		st := o.pcs.at(j)
+		i, added := t.pcIdx.add(st.pc)
+		if added {
+			t.pcs.push(st.pc)
 		}
+		d := t.pcs.at(int(i))
+		d.exec += st.exec
+		d.taken += st.taken
+		d.miss += st.miss
+		d.warmupMiss += st.warmupMiss
 	}
 }
 
@@ -165,15 +201,29 @@ func (k *Kernel) Telemetry() ([]telemetry.Sample, []uint64, []telemetry.PCStats)
 		})
 	}
 	var profile []telemetry.PCStats
-	if t.pcm != nil {
+	if t.topk > 0 {
+		// Rank dense indices, then materialise only the reported rows.
 		var misses uint64
-		for _, st := range t.pcm {
-			misses += st.miss
+		order := make([]int32, t.pcs.n)
+		for i := range order {
+			misses += t.pcs.at(i).miss
+			order[i] = int32(i)
 		}
-		profile = make([]telemetry.PCStats, 0, len(t.pcm))
-		for pc, st := range t.pcm {
+		sort.Slice(order, func(i, j int) bool {
+			a, b := t.pcs.at(int(order[i])), t.pcs.at(int(order[j]))
+			if a.miss != b.miss {
+				return a.miss > b.miss
+			}
+			return a.pc < b.pc
+		})
+		if len(order) > t.topk {
+			order = order[:t.topk]
+		}
+		profile = make([]telemetry.PCStats, 0, len(order))
+		for _, i := range order {
+			st := t.pcs.at(int(i))
 			row := telemetry.PCStats{
-				PC:           pc,
+				PC:           st.pc,
 				Executions:   st.exec,
 				Taken:        st.taken,
 				Mispredicts:  st.miss,
@@ -186,16 +236,6 @@ func (k *Kernel) Telemetry() ([]telemetry.Sample, []uint64, []telemetry.PCStats)
 				row.MissShare = float64(st.miss) / float64(misses)
 			}
 			profile = append(profile, row)
-		}
-		sort.Slice(profile, func(i, j int) bool {
-			a, b := profile[i], profile[j]
-			if a.Mispredicts != b.Mispredicts {
-				return a.Mispredicts > b.Mispredicts
-			}
-			return a.PC < b.PC
-		})
-		if len(profile) > t.topk {
-			profile = profile[:t.topk]
 		}
 	}
 	return samples, t.switches, profile

@@ -335,6 +335,88 @@ func TestKernelRunManyMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRunManySharedStopIndex pins the stop index RunMany resolves once
+// per distinct budget and hands to every kernel cell carrying it. The
+// batch starts from a reader already advanced past the snapshot's
+// start and mixes two cells with one budget, a cell with another, tapped
+// cells and, in the second batch, an unbudgeted cell. Every cell (and
+// every telemetry sink) equals a serial Run from the same position, and
+// the reader ends where the furthest serial pass leaves it.
+func TestRunManySharedStopIndex(t *testing.T) {
+	snap := kernelSnapshot(24_000)
+	const from = 1234
+	type cell struct {
+		spec string
+		opts Options
+		tap  bool
+	}
+	shared := []cell{
+		{"GAg(HR(1,,8-sr),1xPHT(2^8,A2))", Options{MaxCondBranches: 2500}, false},
+		{"PAp(BHT(512,4,6-sr),512xPHT(2^6,A2))", Options{MaxCondBranches: 2500}, true},
+		{"PAg(BHT(512,4,10-sr),1xPHT(2^10,A2))", Options{MaxCondBranches: 6000, ContextSwitches: true, CSInterval: 1009}, true},
+		{"BTFN", Options{MaxCondBranches: 2500}, true},
+	}
+	unbudgeted := cell{"SAs(SHT(64,,8-sr),16xPHT(2^8,A2))", Options{}, false}
+	for _, batch := range [][]cell{shared, append(append([]cell(nil), shared...), unbudgeted)} {
+		var preds []predictor.Predictor
+		var opts []Options
+		var want []Result
+		var wantSinks []*Telemetry
+		wantPos := from
+		for _, c := range batch {
+			sink := func() *Telemetry {
+				if !c.tap {
+					return nil
+				}
+				return &Telemetry{Interval: 300, TopK: 6}
+			}
+			o := c.opts
+			o.Telemetry = sink()
+			src := snap.Reader()
+			src.Seek(from)
+			res, err := Run(buildKernelSpec(t, spec.MustParse(c.spec), snap), src, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if src.Pos() > wantPos {
+				wantPos = src.Pos()
+			}
+			want = append(want, res)
+			wantSinks = append(wantSinks, o.Telemetry)
+
+			p := buildKernelSpec(t, spec.MustParse(c.spec), snap)
+			o.Telemetry = sink()
+			if !FastpathEligible(p, snap.Reader(), o) {
+				t.Fatalf("%s: expected fast-path eligibility", c.spec)
+			}
+			preds = append(preds, p)
+			opts = append(opts, o)
+		}
+		src := snap.Reader()
+		src.Seek(from)
+		got, err := RunMany(preds, src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range batch {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%d cells, %s: RunMany result differs from serial Run:\n got %+v\nwant %+v",
+					len(batch), c.spec, got[i], want[i])
+			}
+			if !reflect.DeepEqual(opts[i].Telemetry, wantSinks[i]) {
+				t.Errorf("%d cells, %s: RunMany telemetry differs from serial Run:\n got %+v\nwant %+v",
+					len(batch), c.spec, opts[i].Telemetry, wantSinks[i])
+			}
+		}
+		if src.Pos() != wantPos {
+			t.Errorf("%d cells: RunMany left reader at %d, serial passes at %d", len(batch), src.Pos(), wantPos)
+		}
+		if len(batch) == len(shared) && wantPos == snap.Len() {
+			t.Errorf("budgeted batch drained the snapshot; the position check is vacuous")
+		}
+	}
+}
+
 // TestFastpathEligibility is the dispatch table: which (predictor,
 // source, options) combinations select the kernel.
 func TestFastpathEligibility(t *testing.T) {

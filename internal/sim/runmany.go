@@ -94,6 +94,20 @@ func RunMany(preds []predictor.Predictor, src trace.Source, opts []Options) ([]R
 	var consumedFast int
 	if len(kernels) > 0 {
 		snap := sr.Snapshot()
+		// Every kernel cell replays from the same start, so each distinct
+		// budget's stop index is one scan of the metadata column, shared
+		// by the cells that carry it.
+		ends := make([]int, len(kernels))
+		stops := make(map[uint64]int)
+		for j, i := range fastIdx {
+			budget := opts[i].MaxCondBranches
+			end, ok := stops[budget]
+			if !ok {
+				end = fastpath.StopIndex(snap, start, budget)
+				stops[budget] = end
+			}
+			ends[j] = end
+		}
 		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 		errs := make([]error, len(kernels))
 		consumed := make([]int, len(kernels))
@@ -105,7 +119,7 @@ func RunMany(preds []predictor.Predictor, src trace.Source, opts []Options) ([]R
 				sem <- struct{}{}
 				defer func() { <-sem }()
 				var c fastpath.Counters
-				c, consumed[j], errs[j] = kernels[j].Run(snap, start)
+				c, consumed[j], errs[j] = kernels[j].RunTo(snap, start, ends[j])
 				out[fastIdx[j]] = countersToResult(c)
 				opts[fastIdx[j]].Telemetry.fillFromKernel(kernels[j].Telemetry())
 			}(j)
