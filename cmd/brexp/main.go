@@ -82,7 +82,7 @@ func run() error {
 		interval   = flag.Uint64("interval", 0, "accuracy sampling interval in the metrics document (0 = budget/20)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file")
-		workersN   = flag.Int("j", 0, "worker-pool size for the experiment grid (0 = GOMAXPROCS)")
+		workersN   = flag.Int("j", 0, "worker-pool size for every experiment's per-benchmark work (0 = GOMAXPROCS)")
 		traceReuse = flag.Bool("trace-reuse", true, "capture each benchmark trace once and replay it (false = live interpreter per run)")
 		noFastpath = flag.Bool("no-fastpath", false, "force the interpretive simulator even where the flat replay kernel qualifies (results are identical; this is a speed escape hatch)")
 		benchJSON  = flag.String("benchjson", "", "run the suite benchmark protocol and write its JSON document to this file")

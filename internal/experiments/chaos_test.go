@@ -13,6 +13,8 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"twolevel/internal/faultinject"
@@ -444,5 +446,35 @@ func TestChaosChecksumMismatchDetected(t *testing.T) {
 	_, err = chaosGrid(t, chaosRows, o2)
 	if !errors.Is(err, ErrCaptureMismatch) {
 		t.Fatalf("err = %v, want ErrCaptureMismatch", err)
+	}
+}
+
+// ext-interleave's multiplexed run reads live sources rather than the
+// capture cache; they must still open through the fault-injection seam,
+// so a broken gcc stream fails the experiment with an attributed error.
+func TestChaosInterleaveLiveSourceFault(t *testing.T) {
+	ResetCaches()
+	t.Cleanup(ResetCaches)
+	boom := errors.New("torn live stream")
+	var gccOpens atomic.Int32
+	o := Options{CondBranches: 2000, Workers: 1}
+	o.openSource = func(b *prog.Benchmark, ds prog.DataSet) (trace.Source, error) {
+		src, err := newSource(b, ds)
+		// With one worker the gcc rows run first and capture gcc once;
+		// the multiplexed run's live source is the second open.
+		if b.Name == "gcc" && gccOpens.Add(1) > 1 {
+			return &faultinject.ErrorAfter{Src: src, N: 500, Err: boom}, err
+		}
+		return src, err
+	}
+	rep, err := Run("ext-interleave", o)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the injected fault", err)
+	}
+	if !strings.Contains(err.Error(), "gcc+espresso interleaved") {
+		t.Fatalf("error %q not attributed to the multiplexed run", err)
+	}
+	if rep != nil {
+		t.Fatal("failed run returned a report")
 	}
 }

@@ -50,8 +50,11 @@ type Options struct {
 	// predictor run and accumulates per-run metrics (timing, throughput,
 	// hot branches, interval accuracy) for a metrics.json document.
 	Telemetry *Telemetry
-	// Workers bounds the worker pool that executes the spec×benchmark
-	// grid (0 = GOMAXPROCS).
+	// Workers bounds the worker pool that runs every per-benchmark loop:
+	// the spec×benchmark grid of the accuracy figures and the
+	// one-unit-per-benchmark loops of table1, fig4, ext-residual and
+	// ext-interleave (0 = GOMAXPROCS). Reports are byte-identical at any
+	// size; 1 runs everything inline on the calling goroutine.
 	Workers int
 	// DisableTraceCache turns off the capture-once trace cache and the
 	// single-pass multi-predictor batching: every run then re-executes
@@ -65,8 +68,8 @@ type Options struct {
 	// benchmarking and as an escape hatch (brexp -no-fastpath).
 	DisableFastpath bool
 	// Context, when non-nil, bounds the whole experiment: trace
-	// captures, training passes and measured runs poll it and the grid
-	// scheduler stops dispatching once it is cancelled. The experiment
+	// captures, training passes and measured runs poll it and the worker
+	// pool stops dispatching once it is cancelled. The experiment
 	// returns ctx.Err() (wrapped with the cells it interrupted).
 	Context context.Context
 	// KeepGoing degrades failures gracefully: instead of aborting on the
@@ -102,9 +105,11 @@ type Options struct {
 	// brexp -listen.
 	Monitor *Monitor
 	// Span, when non-nil, is the parent span experiment latency is
-	// attributed under: Run opens an "exp:<id>" child, the grid
-	// scheduler opens task/cell children tagged with benchmark, spec,
-	// worker id and retry count, and captures, replay passes and
+	// attributed under: Run opens an "exp:<id>" child, the worker pool
+	// opens a task child per unit of work (a grid task, or one benchmark
+	// of table1/fig4/ext-residual/ext-interleave) tagged with benchmark
+	// and worker id, the grid adds cell children tagged with spec and
+	// retry count, and captures, replay passes and
 	// forensics assembly open phase children below those. A nil Span
 	// disables tracing at zero cost (the telemetry nil-guard contract).
 	// brexp -trace-out / -span-summary wire it to a root "suite" span.
@@ -119,10 +124,6 @@ type Options struct {
 	// measured grid run — the chaos tests inject panicking observers
 	// through it.
 	cellObserver func(sp spec.Spec, b *prog.Benchmark) telemetry.Observer
-	// worker is the grid-pool worker index executing the current task;
-	// the scheduler stamps it into task spans so a trace file shows the
-	// pool's real concurrency.
-	worker int
 }
 
 // DefaultCondBranches is the default per-benchmark conditional branch

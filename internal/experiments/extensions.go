@@ -6,6 +6,7 @@ import (
 	"twolevel/internal/analysis"
 	"twolevel/internal/prog"
 	"twolevel/internal/sim"
+	"twolevel/internal/span"
 	"twolevel/internal/spec"
 	"twolevel/internal/trace"
 )
@@ -68,87 +69,114 @@ func ExtInterleave(o Options) (*Report, error) {
 		},
 	}
 	pair := [2]string{"gcc", "espresso"}
-
-	addRow := func(label string, res sim.Result) {
-		r.Series = append(r.Series, Series{
+	var benches [2]*prog.Benchmark
+	for i, name := range pair {
+		b, err := prog.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		benches[i] = b
+	}
+	row := func(label string, res sim.Result) Series {
+		return Series{
 			Label:  label,
 			Values: []Cell{res.Accuracy.Rate(), float64(res.ContextSwitches)},
+		}
+	}
+	// Three independent units — each benchmark's isolated and flush-model
+	// rows, and the multiplexed run — each filling its own slot.
+	var rows [3][]Series
+	units := make([]unit, 0, len(rows))
+	for i, b := range benches {
+		units = append(units, unit{
+			state: b.Name,
+			attrs: []span.Attr{span.Str("bench", b.Name)},
+			run: func(o Options) error {
+				iso, err := runIsolated(sp, b, sim.Options{MaxCondBranches: o.CondBranches}, o)
+				if err != nil {
+					return fmt.Errorf("%s isolated: %w", b.Name, err)
+				}
+				// Flush model at the interleaving quantum.
+				flush, err := runIsolated(sp, b, sim.Options{
+					MaxCondBranches: o.CondBranches,
+					ContextSwitches: true,
+					CSInterval:      extInterleaveQuantum,
+				}, o)
+				if err != nil {
+					return fmt.Errorf("%s flush-model: %w", b.Name, err)
+				}
+				rows[i] = []Series{row(b.Name+" isolated", iso), row(b.Name+" flush-model", flush)}
+				return nil
+			},
 		})
 	}
-
-	for _, name := range pair {
-		b, err := prog.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		// Isolated, no switches.
-		p, err := spec.Build(sp, nil)
-		if err != nil {
-			return nil, err
-		}
-		src, err := o.source(b, b.Testing, o.CondBranches)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.Run(p, src, sim.Options{MaxCondBranches: o.CondBranches})
-		if err != nil {
-			return nil, err
-		}
-		addRow(name+" isolated", res)
-
-		// Flush model at the interleaving quantum.
-		p, err = spec.Build(sp, nil)
-		if err != nil {
-			return nil, err
-		}
-		src, err = o.source(b, b.Testing, o.CondBranches)
-		if err != nil {
-			return nil, err
-		}
-		res, err = sim.Run(p, src, sim.Options{
-			MaxCondBranches: o.CondBranches,
-			ContextSwitches: true,
-			CSInterval:      extInterleaveQuantum,
-		})
-		if err != nil {
-			return nil, err
-		}
-		addRow(name+" flush-model", res)
+	mixed := pair[0] + "+" + pair[1]
+	units = append(units, unit{
+		state: mixed,
+		attrs: []span.Attr{span.Str("bench", mixed)},
+		run: func(o Options) error {
+			res, err := runInterleaved(sp, benches, o)
+			if err != nil {
+				return fmt.Errorf("%s interleaved: %w", mixed, err)
+			}
+			rows[2] = []Series{row(mixed+" interleaved", res)}
+			return nil
+		},
+	})
+	if err := runUnits(units, o); err != nil {
+		return nil, err
 	}
+	for _, rs := range rows {
+		r.Series = append(r.Series, rs...)
+	}
+	return r, nil
+}
 
-	// Real interleaving of the two processes. The multiplexed run stays on
-	// live interpreter sources: its per-process consumption depends on the
-	// interleaving, so no cond-branch budget bounds how far each stream is
-	// read, and a capture sized up front could come up short.
+// runIsolated runs a fresh, untrained sp over b's testing trace with the
+// given simulator options, polling o.Context.
+func runIsolated(sp spec.Spec, b *prog.Benchmark, so sim.Options, o Options) (sim.Result, error) {
+	p, err := spec.Build(sp, nil)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	src, err := o.source(b, b.Testing, o.CondBranches)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	so.Context = o.Context
+	return sim.Run(p, src, so)
+}
+
+// runInterleaved runs sp over the benchmarks' testing traces multiplexed
+// at the interleave quantum. The multiplexed run stays on live sources:
+// its per-process consumption depends on the interleaving, so no
+// cond-branch budget bounds how far each stream is read, and a capture
+// sized up front could come up short.
+func runInterleaved(sp spec.Spec, benches [2]*prog.Benchmark, o Options) (sim.Result, error) {
 	var sources []trace.Source
-	for _, name := range pair {
-		b, err := prog.ByName(name)
+	for _, b := range benches {
+		src, err := o.liveSource(b, b.Testing)
 		if err != nil {
-			return nil, err
-		}
-		src, err := newSource(b, b.Testing)
-		if err != nil {
-			return nil, err
+			return sim.Result{}, err
 		}
 		sources = append(sources, src)
 	}
 	mux, err := sim.NewMultiplex(sources, extInterleaveQuantum)
 	if err != nil {
-		return nil, err
+		return sim.Result{}, err
 	}
 	p, err := spec.Build(sp, nil)
 	if err != nil {
-		return nil, err
+		return sim.Result{}, err
 	}
 	// The multiplexer emits its own switch traps; the simulator's flush
 	// is disabled so only genuine pollution is measured.
-	res, err := sim.Run(p, mux, sim.Options{MaxCondBranches: 2 * o.CondBranches})
+	res, err := sim.Run(p, mux, sim.Options{MaxCondBranches: 2 * o.CondBranches, Context: o.Context})
 	if err != nil {
-		return nil, err
+		return sim.Result{}, err
 	}
 	res.ContextSwitches = mux.Switches
-	addRow("gcc+espresso interleaved", res)
-	return r, nil
+	return res, nil
 }
 
 // ExtResidual characterises the residual mispredictions of the paper's
@@ -167,20 +195,24 @@ func ExtResidual(o Options) (*Report, error) {
 			"interference is the share PAp's per-address pattern tables would remove (§2.2)",
 		},
 	}
-	for _, b := range o.Benchmarks {
+	rows, err := perBenchmark(o, func(b *prog.Benchmark, o Options) (Series, error) {
 		src, err := o.source(b, b.Testing, o.CondBranches)
 		if err != nil {
-			return nil, err
+			return Series{}, err
 		}
 		bd, err := analysis.Analyze(src, 12, 512, 4, o.CondBranches)
 		if err != nil {
-			return nil, err
+			return Series{}, err
 		}
 		row := Series{Label: b.Name, Values: []Cell{bd.Accuracy()}}
 		for c := analysis.Category(0); c < analysis.Category(analysis.NumCategories); c++ {
 			row.Values = append(row.Values, bd.Share(c))
 		}
-		r.Series = append(r.Series, row)
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	r.Series = rows
 	return r, nil
 }

@@ -1,8 +1,11 @@
 // Grid scheduler: experiments measure a rows×benchmarks grid of
-// simulation runs. runGrid executes the grid over a bounded worker pool,
-// batching same-benchmark rows into single-pass multi-predictor replays
-// (sim.RunMany) over the shared capture so the CPU interpreter's event
-// stream is decoded once per pass instead of once per cell.
+// simulation runs. runGrid executes the grid over the bounded worker pool
+// (dispatch), batching same-benchmark rows into single-pass
+// multi-predictor replays (sim.RunMany) over the shared capture so the
+// CPU interpreter's event stream is decoded once per pass instead of once
+// per cell. The experiments whose per-benchmark work is not a grid
+// (table1, fig4, ext-residual, ext-interleave) run on the same pool, one
+// unit per benchmark.
 //
 // The scheduler is the pipeline's fault boundary. Every failure leaving
 // it is a *CellError naming the exact (spec, benchmark) cell: panics in
@@ -84,76 +87,64 @@ func runGrid(rows []labeledSpec, o Options) ([][]sim.Result, error) {
 	}
 	cellErrs := make([][]*CellError, len(tasks))
 	var (
-		failed   atomic.Bool
 		flushMu  sync.Mutex
 		flushErr error
 	)
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, len(tasks)); w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			state := o.Monitor.workerHandle(w)
-			defer setWorkerState(state, "done")
-			// Each worker carries its index so task spans land on a
-			// per-worker trace lane.
-			wo := o
-			wo.worker = w
-			for ti := range work {
-				t := tasks[ti]
-				setWorkerState(state, fmt.Sprintf("%s (%d rows)", o.Benchmarks[t.bi].Name, len(t.rows)))
-				cellErrs[ti] = runTask(t, rows, grid, wo)
+	units := make([]unit, len(tasks))
+	for ti, t := range tasks {
+		b := o.Benchmarks[t.bi]
+		units[ti] = unit{
+			state: fmt.Sprintf("%s (%d rows)", b.Name, len(t.rows)),
+			attrs: []span.Attr{span.Str("bench", b.Name), span.Int("rows", len(t.rows))},
+			run: func(uo Options) error {
+				cellErrs[ti] = runTask(t, rows, grid, uo)
+				var err error
 				if len(cellErrs[ti]) > 0 {
-					failed.Store(true)
 					o.Monitor.cellsFailedAdd(len(cellErrs[ti]))
+					err = &GridError{Cells: cellErrs[ti]}
 				}
 				if o.Checkpoint != nil {
-					if err := o.Checkpoint.Flush(); err != nil {
+					if ferr := o.Checkpoint.Flush(); ferr != nil {
 						flushMu.Lock()
 						if flushErr == nil {
-							flushErr = err
+							flushErr = ferr
 						}
 						flushMu.Unlock()
-						failed.Store(true)
-						log.Error("checkpoint flush failed", "err", err)
+						log.Error("checkpoint flush failed", "err", ferr)
+						err = errors.Join(err, ferr)
 					} else {
 						o.Monitor.checkpointFlush()
-						log.Debug("checkpoint flushed", "bench", o.Benchmarks[t.bi].Name)
+						log.Debug("checkpoint flushed", "bench", b.Name)
 					}
 				}
-				setWorkerState(state, idleState)
-			}
-		}(w)
+				return err
+			},
+		}
 	}
-	next := 0
-	for ; next < len(tasks); next++ {
-		if o.Context != nil && o.Context.Err() != nil {
-			break
+	errs, started := dispatch(units, o)
+	// Cells whose tasks never started because of cancellation are
+	// failures too — attributed, so resume knows what is missing — and
+	// so are the cells of a task whose panic escaped runTask's fences.
+	undispatched := 0
+	for ti, t := range tasks {
+		if cellErrs[ti] != nil {
+			continue
 		}
-		if failed.Load() && !o.KeepGoing {
-			// Fail fast: in-flight tasks finish, the rest never start.
-			break
+		var pe *PanicError
+		switch {
+		case ti >= started && o.Context != nil && o.Context.Err() != nil:
+			cellErrs[ti] = taskErrors(t, rows, o.Benchmarks[t.bi], o.Context.Err())
+			undispatched++
+		case errors.As(errs[ti], &pe):
+			cellErrs[ti] = taskErrors(t, rows, o.Benchmarks[t.bi], errs[ti])
+		default:
+			continue
 		}
-		work <- next
+		o.Monitor.cellsFailedAdd(len(cellErrs[ti]))
 	}
-	close(work)
-	wg.Wait()
-	// Cells whose tasks were never dispatched because of cancellation
-	// are failures too — attributed, so resume knows what is missing.
-	if o.Context != nil && o.Context.Err() != nil {
-		undispatched := 0
-		for ti := next; ti < len(tasks); ti++ {
-			if cellErrs[ti] == nil {
-				cellErrs[ti] = cancelErrors(tasks[ti], rows, o.Benchmarks[tasks[ti].bi], o.Context.Err())
-				o.Monitor.cellsFailedAdd(len(cellErrs[ti]))
-				undispatched++
-			}
-		}
-		if undispatched > 0 {
-			log.Warn("grid cancelled before dispatch completed",
-				"undispatched_tasks", undispatched, "err", o.Context.Err())
-		}
+	if undispatched > 0 {
+		log.Warn("grid cancelled before dispatch completed",
+			"undispatched_tasks", undispatched, "err", o.Context.Err())
 	}
 	var cells []*CellError
 	for _, errs := range cellErrs {
@@ -169,6 +160,135 @@ func runGrid(rows []labeledSpec, o Options) ([][]sim.Result, error) {
 	return grid, err
 }
 
+// unit is one piece of pool work for dispatch: a grid task, or one
+// benchmark's row of a per-benchmark experiment.
+type unit struct {
+	// state is the worker's live state (Monitor, /progress) while the
+	// unit runs.
+	state string
+	// attrs annotate the unit's task span; dispatch appends the worker.
+	attrs []span.Attr
+	// run does the work. Its Options carry the task span; a non-nil
+	// error fails the unit.
+	run func(o Options) error
+}
+
+// dispatch runs units over the bounded worker pool: the one pool every
+// experiment's per-benchmark work goes through. It owns the worker
+// goroutines, each worker's Monitor state, the units' task spans on
+// per-worker trace lanes, and when to stop: once o.Context is cancelled,
+// or once a unit has failed and o.KeepGoing is off (fail fast), no
+// further unit starts, while units already running finish. Units start
+// in index order; with one worker they run inline on the calling
+// goroutine, one after another. A panicking unit fails with a
+// *PanicError.
+//
+// errs[i] is unit i's error; units[started:] never started.
+func dispatch(units []unit, o Options) (errs []error, started int) {
+	errs = make([]error, len(units))
+	if len(units) == 0 {
+		return errs, 0
+	}
+	var failed atomic.Bool
+	exec := func(i, w int, state *atomic.Pointer[string]) {
+		setWorkerState(state, units[i].state)
+		if errs[i] = runUnit(units[i], w, o); errs[i] != nil {
+			failed.Store(true)
+		}
+		setWorkerState(state, idleState)
+	}
+	stop := func() bool {
+		if o.Context != nil && o.Context.Err() != nil {
+			return true
+		}
+		return failed.Load() && !o.KeepGoing
+	}
+	workers := min(o.workers(), len(units))
+	if workers == 1 {
+		state := o.Monitor.workerHandle(0)
+		for ; started < len(units) && !stop(); started++ {
+			exec(started, 0, state)
+		}
+		setWorkerState(state, "done")
+		return errs, started
+	}
+	work := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			state := o.Monitor.workerHandle(w)
+			defer setWorkerState(state, "done")
+			for i := range work {
+				exec(i, w, state)
+			}
+		}(w)
+	}
+	for ; started < len(units) && !stop(); started++ {
+		work <- started
+	}
+	close(work)
+	wg.Wait()
+	return errs, started
+}
+
+// runUnit runs one unit of worker w under its task span, behind a panic
+// fence.
+func runUnit(u unit, w int, o Options) (err error) {
+	if parent := o.Span; parent != nil {
+		attrs := append(u.attrs[:len(u.attrs):len(u.attrs)], span.Int("worker", w))
+		tsp := parent.Child("task", attrs...)
+		tsp.SetTID(w + 1)
+		o.Span = tsp
+		defer tsp.End()
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return u.run(o)
+}
+
+// runUnits dispatches units and folds the outcome into one error: the
+// first failure in unit order, or the Context's error when cancellation
+// kept units from starting.
+func runUnits(units []unit, o Options) error {
+	errs, started := dispatch(units, o)
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	if started < len(units) && o.Context != nil {
+		return o.Context.Err()
+	}
+	return nil
+}
+
+// perBenchmark computes one report row per benchmark, each row its own
+// dispatch unit, and returns the rows in benchmark order, so the report
+// is byte-identical at any worker count.
+func perBenchmark(o Options, row func(b *prog.Benchmark, o Options) (Series, error)) ([]Series, error) {
+	out := make([]Series, len(o.Benchmarks))
+	units := make([]unit, len(o.Benchmarks))
+	for i, b := range o.Benchmarks {
+		units[i] = unit{
+			state: b.Name,
+			attrs: []span.Attr{span.Str("bench", b.Name)},
+			run: func(uo Options) (err error) {
+				out[i], err = row(b, uo)
+				return err
+			},
+		}
+	}
+	if err := runUnits(units, o); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // runTask measures one task's rows on its benchmark: batched replay
 // first, with a per-cell isolation fallback when the batch fails.
 func runTask(t gridTask, rows []labeledSpec, grid [][]sim.Result, o Options) []*CellError {
@@ -176,15 +296,8 @@ func runTask(t gridTask, rows []labeledSpec, grid [][]sim.Result, o Options) []*
 	b := o.Benchmarks[t.bi]
 	if o.Context != nil {
 		if err := o.Context.Err(); err != nil {
-			return cancelErrors(t, rows, b, err)
+			return taskErrors(t, rows, b, err)
 		}
-	}
-	if parent := o.Span; parent != nil {
-		tsp := parent.Child("task",
-			span.Str("bench", b.Name), span.Int("rows", len(t.rows)), span.Int("worker", o.worker))
-		tsp.SetTID(o.worker + 1)
-		o.Span = tsp
-		defer tsp.End()
 	}
 	batch := make([]labeledSpec, len(t.rows))
 	for i, ri := range t.rows {
@@ -205,7 +318,7 @@ func runTask(t gridTask, rows []labeledSpec, grid [][]sim.Result, o Options) []*
 		return nil
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return cancelErrors(t, rows, b, err)
+		return taskErrors(t, rows, b, err)
 	}
 	// Isolation fallback: the batch shares one replay pass, so a single
 	// poisoned cell (panicking predictor/observer, broken config) fails
@@ -262,9 +375,9 @@ func logCellDone(log *slog.Logger, label string, b *prog.Benchmark, res sim.Resu
 		"accuracy", res.Accuracy.Rate())
 }
 
-// cancelErrors marks every cell of a task failed with the cancellation
-// cause.
-func cancelErrors(t gridTask, rows []labeledSpec, b *prog.Benchmark, err error) []*CellError {
+// taskErrors marks every cell of a task failed with err: the
+// cancellation cause, or a panic that escaped the task.
+func taskErrors(t gridTask, rows []labeledSpec, b *prog.Benchmark, err error) []*CellError {
 	out := make([]*CellError, 0, len(t.rows))
 	for _, ri := range t.rows {
 		out = append(out, &CellError{Spec: rows[ri].label, Benchmark: b.Name, Attempts: 1, Err: err})

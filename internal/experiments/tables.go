@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"twolevel/internal/prog"
 	"twolevel/internal/spec"
 	"twolevel/internal/trace"
 )
@@ -21,7 +22,7 @@ func Table1(o Options) (*Report, error) {
 			fmt.Sprintf("budget: %d conditional branches per benchmark (gcc/li/eqntott get 4x: large site sets surface slowly)", o.CondBranches),
 		},
 	}
-	for _, b := range o.Benchmarks {
+	rows, err := perBenchmark(o, func(b *prog.Benchmark, o Options) (Series, error) {
 		budget := o.CondBranches
 		switch b.Name {
 		case "gcc", "li", "eqntott":
@@ -31,13 +32,13 @@ func Table1(o Options) (*Report, error) {
 		}
 		src, err := o.source(b, b.Testing, budget)
 		if err != nil {
-			return nil, err
+			return Series{}, err
 		}
 		s, err := trace.Summarize(&trace.LimitSource{Src: src, N: budget})
 		if err != nil {
-			return nil, err
+			return Series{}, err
 		}
-		r.Series = append(r.Series, Series{
+		return Series{
 			Label: b.Name,
 			Values: []Cell{
 				float64(s.StaticCond()),
@@ -45,8 +46,12 @@ func Table1(o Options) (*Report, error) {
 				float64(s.ByClass[trace.Cond]),
 				s.CondTakenRate(),
 			},
-		})
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	r.Series = rows
 	return r, nil
 }
 
@@ -138,17 +143,17 @@ func Figure4(o Options) (*Report, error) {
 		Percent: true,
 		Notes:   []string{"paper: ~80% of dynamic branches are conditional"},
 	}
-	for _, b := range o.Benchmarks {
+	rows, err := perBenchmark(o, func(b *prog.Benchmark, o Options) (Series, error) {
 		src, err := o.source(b, b.Testing, o.CondBranches/4)
 		if err != nil {
-			return nil, err
+			return Series{}, err
 		}
 		s, err := trace.Summarize(&trace.LimitSource{Src: src, N: o.CondBranches / 4})
 		if err != nil {
-			return nil, err
+			return Series{}, err
 		}
 		total := float64(s.Branches())
-		r.Series = append(r.Series, Series{
+		return Series{
 			Label: b.Name,
 			Values: []Cell{
 				float64(s.ByClass[trace.Cond]) / total,
@@ -158,7 +163,11 @@ func Figure4(o Options) (*Report, error) {
 				float64(s.ByClass[trace.Indirect]) / total,
 				total / float64(s.Instructions),
 			},
-		})
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	r.Series = rows
 	return r, nil
 }

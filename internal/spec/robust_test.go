@@ -7,42 +7,46 @@ import (
 )
 
 // Robustness: the parser must never panic, whatever the input — it is
-// fed directly from command-line flags.
+// fed directly from command-line flags and grid requests.
 
-func randomSpecString(r *rng.RNG) string {
-	alphabet := []byte("GAPSBTbpgs(),^x0123456789-srinfHRLc ")
-	n := r.Intn(60)
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = alphabet[r.Intn(len(alphabet))]
+// FuzzParse feeds arbitrary strings to the parser. Anything it accepts
+// must round-trip through its canonical form, and Validate must not
+// panic on whatever Parse hands back, accepted or not.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		// Table 3's configurations and the taxonomy extensions.
+		"GAg(HR(1,,12-sr),1xPHT(2^12,A2))",
+		"PAg(BHT(256,1,12-sr),1xPHT(2^12,A2))",
+		"PAg(BHT(512,4,12-sr),1xPHT(2^12,LT))",
+		"PAg(IBHT(inf,,12-sr),1xPHT(2^12,A2))",
+		"PAp(BHT(512,4,12-sr),512xPHT(2^12,A2))",
+		"PAp(IBHT(inf,,6-sr),infxPHT(2^6,A2))",
+		"GSg(HR(1,,12-sr),1xPHT(2^12,PB))",
+		"PSg(BHT(512,4,12-sr),1xPHT(2^12,PB))",
+		"BTB(BHT(512,4,A2),)",
+		"BTB(BHT(512,4,LT),)",
+		"SAs(SHT(64,,6-sr),16xPHT(2^6,A2))",
+		"GAp(HR(1,,8-sr),512xPHT(2^8,A2))",
+		"PAg(BHT(512,4,12-sr),1xPHT(2^12,A2),c)",
+		"Profiling", "BTFN", "AlwaysTaken",
+		"", "PAg(", "GAg(HR(1,,99-sr),1xPHT(2^99,A2))",
+	} {
+		f.Add(s)
 	}
-	return string(out)
-}
-
-func TestParseNeverPanicsOnRandomInput(t *testing.T) {
-	r := rng.New(20260705)
-	for i := 0; i < 20000; i++ {
-		s := randomSpecString(r)
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					t.Fatalf("Parse(%q) panicked: %v", s, p)
-				}
-			}()
-			sp, err := Parse(s)
-			if err == nil {
-				// Anything accepted must round-trip through its own
-				// canonical form.
-				again, err2 := Parse(sp.String())
-				if err2 != nil {
-					t.Fatalf("canonical form %q of %q does not re-parse: %v", sp.String(), s, err2)
-				}
-				if again.String() != sp.String() {
-					t.Fatalf("canonical form not a fixed point: %q -> %q", sp.String(), again.String())
-				}
-			}
-		}()
-	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sp, err := Parse(s)
+		_ = sp.Validate()
+		if err != nil {
+			return
+		}
+		again, err := Parse(sp.String())
+		if err != nil {
+			t.Fatalf("canonical form %q of %q does not re-parse: %v", sp.String(), s, err)
+		}
+		if again.String() != sp.String() {
+			t.Fatalf("canonical form not a fixed point: %q -> %q", sp.String(), again.String())
+		}
+	})
 }
 
 func TestParseNeverPanicsOnMutatedValidSpecs(t *testing.T) {
