@@ -10,6 +10,10 @@
 // instruction limit. Reset restores only the memory pages written since
 // the previous reset.
 //
+// Memory is an anonymous mapping where the platform has one (see
+// region): the address space is the full memory size, but only the
+// pages a program touches are resident.
+//
 // Semantics notes:
 //   - r0 is hardwired to zero; writes to it are discarded.
 //   - ANDI/ORI/XORI zero-extend their 16-bit immediate (so la/li can
@@ -28,6 +32,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"runtime"
 	"sync/atomic"
 
 	"twolevel/internal/asm"
@@ -63,8 +68,11 @@ const undecodable = isa.Op(0xFF)
 
 // CPU is one processor executing one program.
 type CPU struct {
-	prog    *asm.Program
+	prog *asm.Program
+	// mem is region.mem. The region owns the memory, and on unix
+	// unmaps it once the CPU is unreachable.
 	mem     []byte
+	region  *region
 	regs    [isa.NumRegs]uint32
 	pc      uint32
 	halted  bool
@@ -110,11 +118,16 @@ func New(prog *asm.Program, memSize int) (*CPU, error) {
 	if prog.Base%4 != 0 || prog.TextEnd < prog.Base || int64(prog.TextEnd) > end || prog.TextEnd%4 != 0 {
 		return nil, fmt.Errorf("cpu: text [%#x,%#x) is not a word-aligned part of the program [%#x,%#x)", prog.Base, prog.TextEnd, prog.Base, end)
 	}
+	region, err := newRegion(memSize)
+	if err != nil {
+		return nil, err
+	}
 	constructions.Add(1)
 	pages := (memSize + 1<<pageShift - 1) >> pageShift
 	c := &CPU{
 		prog:      prog,
-		mem:       make([]byte, memSize),
+		mem:       region.mem,
+		region:    region,
 		textStart: prog.Base,
 		textEnd:   prog.TextEnd,
 		icache:    make([]isa.Inst, (prog.TextEnd-prog.Base)/4),
@@ -221,7 +234,9 @@ func (c *CPU) LoadWord(addr uint32) (uint32, error) {
 	if addr%4 != 0 || int64(addr)+4 > int64(len(c.mem)) {
 		return 0, fmt.Errorf("cpu: LoadWord address %#x invalid", addr)
 	}
-	return binary.LittleEndian.Uint32(c.mem[addr:]), nil
+	v := binary.LittleEndian.Uint32(c.mem[addr:])
+	runtime.KeepAlive(c)
+	return v, nil
 }
 
 // Fault constructors keep error formatting out of the execution loop.
@@ -248,7 +263,9 @@ func bits32(f float32) uint32 { return math.Float32bits(f) }
 // event (a branch or a trap) it is returned with emitted true. After HALT
 // (or on a halted CPU) Step returns emitted false and no error.
 func (c *CPU) Step() (ev trace.Event, emitted bool, err error) {
-	return c.run(1)
+	ev, emitted, err = c.run(1)
+	runtime.KeepAlive(c)
+	return ev, emitted, err
 }
 
 // run is the execution core behind Step, Run and Source.Next. It
@@ -261,6 +278,10 @@ func (c *CPU) Step() (ev trace.Event, emitted bool, err error) {
 // An instruction that faults during execution counts as retired (instret,
 // sinceEvent and the profile include it) but leaves pc on it; a fetch
 // fault retires nothing.
+//
+// run reaches memory through a local copy of c.mem, which does not keep
+// the mapping alive: every caller holds c with runtime.KeepAlive until
+// run returns.
 func (c *CPU) run(limit uint64) (trace.Event, bool, error) {
 	if c.halted {
 		return trace.Event{}, false, nil
@@ -518,7 +539,9 @@ func (c *CPU) Run(maxInstrs uint64) (uint64, error) {
 			}
 			limit = maxInstrs - done
 		}
-		if _, _, err := c.run(limit); err != nil {
+		_, _, err := c.run(limit)
+		runtime.KeepAlive(c)
+		if err != nil {
 			return c.instret - start, err
 		}
 	}
@@ -564,6 +587,7 @@ func (s *Source) Next() (trace.Event, error) {
 			s.eventsAtReset = s.events
 		}
 		ev, emitted, err := s.cpu.run(0)
+		runtime.KeepAlive(s.cpu)
 		if err != nil {
 			return trace.Event{}, err
 		}

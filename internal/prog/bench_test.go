@@ -29,3 +29,18 @@ func BenchmarkCaptureCold(b *testing.B) {
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "trace-ev/s")
 }
+
+// BenchmarkBuild measures program generation and assembly: one op is a
+// Build of every (benchmark, data set) pair.
+func BenchmarkBuild(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, bm := range All {
+			for _, ds := range []DataSet{bm.Testing, bm.Training} {
+				if _, err := bm.Build(ds); err != nil {
+					b.Fatalf("%s/%s: %v", bm.Name, ds.Name, err)
+				}
+			}
+		}
+	}
+}

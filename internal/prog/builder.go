@@ -2,6 +2,7 @@ package prog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"twolevel/internal/cpu"
@@ -37,16 +38,65 @@ func newBuilder(seed uint64) *builder {
 	return &builder{gen: rng.New(seed)}
 }
 
-// f emits one line.
-func (b *builder) f(format string, args ...any) {
-	fmt.Fprintf(&b.sb, format, args...)
-	b.sb.WriteByte('\n')
+// f emits one line (see line for the verbs it takes).
+func (b *builder) f(format string, args ...any) { line(&b.sb, format, args) }
+
+// line appends format, expanded with args, and a newline to sb. Program
+// text is generated line by line, so this skips fmt: it knows only %s
+// (a string) and %d (an integer), which is all the generators use. Any
+// other verb or argument type is a generator bug and panics.
+func line(sb *strings.Builder, format string, args []any) {
+	var buf [128]byte
+	out := buf[:0]
+	for i := 0; i < len(format); i++ {
+		if format[i] != '%' || i+1 == len(format) {
+			out = append(out, format[i])
+			continue
+		}
+		i++
+		if len(args) == 0 {
+			panic("prog: missing argument in " + strconv.Quote(format))
+		}
+		verb := format[i]
+		if v, ok := args[0].(string); ok && verb == 's' {
+			out = append(out, v...)
+		} else if v, ok := integer(args[0]); ok && verb == 'd' {
+			out = strconv.AppendInt(out, v, 10)
+		} else {
+			panic("prog: unsupported argument for %" + string(verb) + " in " + strconv.Quote(format))
+		}
+		args = args[1:]
+	}
+	if len(args) > 0 {
+		panic("prog: extra arguments for " + strconv.Quote(format))
+	}
+	sb.Write(append(out, '\n'))
+}
+
+// integer returns a as an int64 if it is one of the integer types the
+// generators format.
+func integer(a any) (int64, bool) {
+	switch v := a.(type) {
+	case int:
+		return int64(v), true
+	case int32:
+		return int64(v), true
+	case int64:
+		return v, true
+	}
+	return 0, false
+}
+
+// numbered joins prefix, sep and n: the generated label spelling.
+func numbered(prefix, sep string, n int) string {
+	var buf [64]byte
+	return string(strconv.AppendInt(append(append(buf[:0], prefix...), sep...), int64(n), 10))
 }
 
 // label returns a fresh unique label with the given prefix.
 func (b *builder) label(prefix string) string {
 	b.nlabel++
-	return fmt.Sprintf("%s_%d", prefix, b.nlabel)
+	return numbered(prefix, "_", b.nlabel)
 }
 
 // at emits a label definition.
@@ -66,7 +116,7 @@ func (b *builder) String() string { return b.sb.String() }
 // prologue seeds the data generator from the data-set seed and the run
 // counter and zeroes the benchmark registers.
 func (b *builder) prologue(ds DataSet) {
-	b.f("; generated benchmark prologue (data set %s, seed %#x)", ds.Name, ds.Seed)
+	fmt.Fprintf(&b.sb, "; generated benchmark prologue (data set %s, seed %#x)\n", ds.Name, ds.Seed)
 	b.liWide("r10", ds.Seed)
 	// r26 is a small data-set fingerprint (0..3). Pattern periods are
 	// perturbed by it, so different data sets exhibit genuinely
@@ -238,10 +288,7 @@ type dataSegment struct {
 	sb strings.Builder
 }
 
-func (d *dataSegment) f(format string, args ...any) {
-	fmt.Fprintf(&d.sb, format, args...)
-	d.sb.WriteByte('\n')
-}
+func (d *dataSegment) f(format string, args ...any) { line(&d.sb, format, args) }
 
 // word emits a labelled word.
 func (d *dataSegment) word(label string, value uint32) {
@@ -306,11 +353,11 @@ func (b *builder) mixBlocks(data *dataSegment, prefix string, n int, periodicFra
 		// removes and PAg/GAg pay for (§2.2).
 		switch r := b.gen.Float64(); {
 		case r < periodicFrac:
-			lbl := fmt.Sprintf("%s_ctr_%d", prefix, i)
+			lbl := numbered(prefix, "_ctr_", i)
 			data.word(lbl, uint32(b.gen.Intn(64)))
 			b.periodicBranch(lbl, 2+b.gen.Intn(5))
 		case r < periodicFrac+dutyFrac:
-			lbl := fmt.Sprintf("%s_dctr_%d", prefix, i)
+			lbl := numbered(prefix, "_dctr_", i)
 			data.word(lbl, uint32(b.gen.Intn(256)))
 			b.dutyBranch(lbl, []int{1, 2, 3, 5, 6, 11, 13}[b.gen.Intn(7)])
 		default:
@@ -354,7 +401,7 @@ func (b *builder) dispatchTable(data *dataSegment, name string, n int, handler f
 	b.f("\trts")
 	labels := make([]string, n)
 	for i := 0; i < n; i++ {
-		labels[i] = fmt.Sprintf("%s_h%d", name, i)
+		labels[i] = numbered(name, "_h", i)
 		b.at(labels[i])
 		b.pad()
 		handler(i)
@@ -435,7 +482,7 @@ func (b *builder) rotatingBlocks(data *dataSegment, prefix string, n, groups int
 	var labels []string
 	emitted := 0
 	for g := 0; g < groups; g++ {
-		lbl := fmt.Sprintf("%s_g%d", prefix, g)
+		lbl := numbered(prefix, "_g", g)
 		labels = append(labels, lbl)
 		b.at(lbl)
 		cnt := per

@@ -35,7 +35,7 @@ func buildDoduc(ds DataSet) string {
 	// each) and one biased escape branch each.
 	b.f("\tbr dd_main")
 	for k := 0; k < 3; k++ {
-		b.at(fmt.Sprintf("dd_phys%d", k))
+		b.at(numbered("dd_phys", "", k))
 		b.biasedBranch([]int{13, 14, 15}[k])
 		b.countedLoop("r18", 4+2*k, func() {
 			b.flops(3)

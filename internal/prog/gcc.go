@@ -43,7 +43,7 @@ func buildGcc(ds DataSet) string {
 	// fold, emit): small loops and decisions reached from many handlers.
 	nShared := 8
 	for s := 0; s < nShared; s++ {
-		b.at(fmt.Sprintf("cc_shared%d", s))
+		b.at(numbered("cc_shared", "", s))
 		b.countedLoop("r21", 2+s%4, func() {
 			b.iops(3)
 		})
@@ -73,11 +73,11 @@ func buildGcc(ds DataSet) string {
 		// pattern, or an accumulated-state test.
 		switch b.gen.Intn(5) {
 		case 0:
-			lbl := fmt.Sprintf("cc_ctr_%d", i)
+			lbl := numbered("cc", "_ctr_", i)
 			data.word(lbl, 0)
 			b.periodicBranch(lbl, 2+b.gen.Intn(4))
 		case 1, 2, 3:
-			lbl := fmt.Sprintf("cc_dctr_%d", i)
+			lbl := numbered("cc", "_dctr_", i)
 			data.word(lbl, 0)
 			b.dutyBranch(lbl, []int{1, 2, 3, 5, 11, 13}[b.gen.Intn(6)])
 		default:

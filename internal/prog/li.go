@@ -150,11 +150,11 @@ func buildLi(ds DataSet) string {
 		b.at(skip)
 		switch b.gen.Intn(6) {
 		case 0:
-			lbl := fmt.Sprintf("li_ctr_%d", i)
+			lbl := numbered("li", "_ctr_", i)
 			data.word(lbl, 0)
 			b.periodicBranch(lbl, 2+b.gen.Intn(4))
 		case 1, 2, 3:
-			lbl := fmt.Sprintf("li_dctr_%d", i)
+			lbl := numbered("li", "_dctr_", i)
 			data.word(lbl, 0)
 			b.dutyBranch(lbl, []int{1, 2, 3, 5, 11}[b.gen.Intn(5)])
 		default:

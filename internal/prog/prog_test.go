@@ -2,6 +2,8 @@ package prog
 
 import (
 	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 
 	"twolevel/internal/cpu"
@@ -379,5 +381,44 @@ func BenchmarkTraceGeneration(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestLineMatchesFmt pins the program-text formatter to fmt's output for
+// the verbs it takes, and to a panic for anything else.
+func TestLineMatchesFmt(t *testing.T) {
+	for _, tc := range []struct {
+		format string
+		args   []any
+	}{
+		{"\tli %s, %d", []any{"r3", -40000}},
+		{"\tori %s, %s, %d", []any{"r10", "r10", int32(-1)}},
+		{"%s:\n\t.word %d", []any{"cc_ctr_7", int64(4294967295)}},
+	} {
+		var sb strings.Builder
+		line(&sb, tc.format, tc.args)
+		if want := fmt.Sprintf(tc.format, tc.args...) + "\n"; sb.String() != want {
+			t.Errorf("line(%q) = %q, want %q", tc.format, sb.String(), want)
+		}
+	}
+	for _, tc := range []struct {
+		format string
+		args   []any
+	}{
+		{"seed %#x", []any{uint32(1)}},
+		{"%d", []any{"r1"}},
+		{"%d", []any{uint32(1)}},
+		{"%s %s", []any{"r1"}},
+		{"%s", []any{"r1", "r2"}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("line(%q, %v) did not panic", tc.format, tc.args)
+				}
+			}()
+			var sb strings.Builder
+			line(&sb, tc.format, tc.args)
+		}()
 	}
 }

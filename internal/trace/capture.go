@@ -19,12 +19,24 @@ import (
 // immutable and may be read from any number of goroutines, including
 // while the Packed keeps growing (appends never mutate the prefix a
 // snapshot covers).
+//
+// The four columns always share one capacity: growth is a single
+// decision that reallocates all of them (see grow).
 type Packed struct {
 	instrs  []uint32
 	pcs     []uint32
 	targets []uint32
 	meta    []uint8
 	conds   int
+
+	// budget is the conditional-branch count the appends are heading
+	// for (0 when unknown); CaptureCache sets it so growth can size the
+	// columns for the whole capture instead of growing blindly.
+	budget uint64
+	// mark and markConds are Len and Conds at the last growth: the
+	// events appended since then give the current events-per-branch
+	// ratio.
+	mark, markConds int
 }
 
 // Metadata bit layout: trap flag, taken flag, branch class. Exported so
@@ -57,6 +69,9 @@ func (p *Packed) Append(e Event) {
 		m |= metaTaken
 	}
 	m |= uint8(e.Branch.Class) << metaClass
+	if len(p.meta) == cap(p.meta) {
+		p.grow()
+	}
 	p.instrs = append(p.instrs, e.Instrs)
 	p.pcs = append(p.pcs, e.Branch.PC)
 	p.targets = append(p.targets, e.Branch.Target)
@@ -66,14 +81,71 @@ func (p *Packed) Append(e Event) {
 	}
 }
 
+// Column growth bounds, in events.
+const (
+	// growMin is the smallest budgeted growth step.
+	growMin = 64
+	// firstReserve caps the first reservation of a budgeted capture. A
+	// budget is a lower bound on events only while the source lasts,
+	// and "everything" requests pass ^uint64(0).
+	firstReserve = 1 << 12
+)
+
+// grow makes room for more events in all four columns at once. Without
+// a budget it grows each column as append does (by a quarter for large
+// slices, leaving the copied prefix unzeroed: this is the path PackTrace
+// and the pack probe take) and keeps the smallest capacity of the four.
+// With one, it estimates the events still to come from the events per
+// conditional branch since the last growth (at least one each) plus a
+// 1/32 margin, grows by at least an eighth, and at most quadruples the
+// capacity, so an over-large budget over a short source cannot
+// over-allocate.
+func (p *Packed) grow() {
+	n := len(p.meta)
+	if p.budget <= uint64(p.conds) {
+		instrs, pcs, targets, meta := append(p.instrs, 0), append(p.pcs, 0), append(p.targets, 0), append(p.meta, 0)
+		c := min(cap(instrs), cap(pcs), cap(targets), cap(meta))
+		p.instrs, p.pcs, p.targets, p.meta = instrs[:n:c], pcs[:n:c], targets[:n:c], meta[:n:c]
+		return
+	}
+	limit := max(3*n, firstReserve)
+	left := min(p.budget-uint64(p.conds), uint64(limit))
+	est := left
+	if seen := p.conds - p.markConds; seen > 0 {
+		est = left * uint64(n-p.mark) / uint64(seen)
+	}
+	p.mark, p.markConds = n, p.conds
+	p.resize(n + min(max(int(est+est/32), n/8, growMin), limit))
+}
+
+// resize moves the columns to fresh arrays of capacity c (c >= Len()).
+// Snapshots keep the old arrays.
+func (p *Packed) resize(c int) {
+	p.instrs = append(make([]uint32, 0, c), p.instrs...)
+	p.pcs = append(make([]uint32, 0, c), p.pcs...)
+	p.targets = append(make([]uint32, 0, c), p.targets...)
+	p.meta = append(make([]uint8, 0, c), p.meta...)
+}
+
+// trim drops spare capacity beyond a quarter of the stored events, for a
+// source that ended before the budget its growth was sized for.
+func (p *Packed) trim() {
+	if n := len(p.meta); cap(p.meta)-n > n/4 {
+		p.resize(n)
+	}
+}
+
 // Len returns the number of stored events.
 func (p *Packed) Len() int { return len(p.meta) }
 
 // Conds returns the number of stored conditional branch events.
 func (p *Packed) Conds() int { return p.conds }
 
-// Bytes returns the approximate heap footprint of the stored columns.
-func (p *Packed) Bytes() int64 { return int64(cap(p.meta)) * 13 }
+// Bytes returns the heap footprint of the stored columns: each column's
+// capacity times its element size.
+func (p *Packed) Bytes() int64 {
+	return 4*int64(cap(p.instrs)+cap(p.pcs)+cap(p.targets)) + int64(cap(p.meta))
+}
 
 // eventsForConds returns the prefix length that covers the first n
 // conditional branches (the index just past the nth one), or Len() when
@@ -336,6 +408,7 @@ func (c *CaptureCache) CaptureWithStatus(ctx context.Context, key string, conds 
 		extended = true
 	}
 	var sinceCheck uint32
+	e.packed.budget = conds
 	for uint64(e.packed.Conds()) < conds && !e.exhausted {
 		extended = true
 		if ctx != nil {
@@ -350,6 +423,7 @@ func (c *CaptureCache) CaptureWithStatus(ctx context.Context, key string, conds 
 		ev, err := e.src.Next()
 		if err == io.EOF {
 			e.exhausted = true
+			e.packed.trim()
 			break
 		}
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -402,5 +403,109 @@ func TestPackedViewClampsBounds(t *testing.T) {
 	}
 	if got := p.View(-5).Len(); got != 0 {
 		t.Fatalf("View(-5) = %d events, want 0", got)
+	}
+}
+
+// phasedSource generates events without allocating, so a test can charge
+// every byte allocated during a capture to the packed columns. Event i
+// is a conditional branch on every second event for the first half of
+// the stream and on every fifth after that, so the events-per-branch
+// ratio a budgeted capture sizes itself by shifts mid-capture. n bounds
+// the stream (0 = endless).
+type phasedSource struct{ i, n int }
+
+func (s *phasedSource) Next() (Event, error) {
+	if s.n > 0 && s.i >= s.n {
+		return Event{}, io.EOF
+	}
+	i := s.i
+	s.i++
+	every := 2
+	if i >= 100_000 {
+		every = 5
+	}
+	class := Uncond
+	if i%every == 0 {
+		class = Cond
+	}
+	return Event{Instrs: uint32(i%7 + 1), Branch: Branch{PC: uint32(i), Target: uint32(i + 4), Class: class, Taken: i%3 == 0}}, nil
+}
+
+func TestPackedBytesExact(t *testing.T) {
+	columns := func(p *Packed) int64 {
+		return int64(cap(p.instrs))*4 + int64(cap(p.pcs))*4 + int64(cap(p.targets))*4 + int64(cap(p.meta))
+	}
+	check := func(name string, p *Packed) {
+		t.Helper()
+		if got, want := p.Bytes(), columns(p); got != want {
+			t.Errorf("%s: Bytes() = %d, columns hold %d", name, got, want)
+		}
+		if c := cap(p.meta); cap(p.instrs) != c || cap(p.pcs) != c || cap(p.targets) != c {
+			t.Errorf("%s: column capacities %d/%d/%d/%d differ", name, cap(p.instrs), cap(p.pcs), cap(p.targets), c)
+		}
+	}
+	for _, n := range []int{1, 100_000, 119_066} {
+		var p Packed
+		src := &phasedSource{}
+		for p.Len() < n {
+			e, _ := src.Next()
+			p.Append(e)
+		}
+		check("unbudgeted", &p)
+	}
+
+	c := NewCaptureCache()
+	for _, conds := range []uint64{1, 5_000, 80_000, 200_000} {
+		if _, err := c.Capture(nil, "k", conds, func() (Source, error) { return &phasedSource{}, nil }); err != nil {
+			t.Fatal(err)
+		}
+		e := c.entries["k"]
+		check("budgeted", &e.packed)
+		if got := c.Stats().Bytes; got != columns(&e.packed) {
+			t.Errorf("CaptureStats.Bytes = %d, columns hold %d", got, columns(&e.packed))
+		}
+	}
+}
+
+// TestPackedAllocationBounded holds a capture's column growth to its
+// bounds: spare capacity at most a quarter of the live bytes, and, for a
+// source that lasts the budget, at most three times the final footprint
+// allocated along the way. A source that ends first is only held to the
+// slack bound: its length is unknown until it ends.
+func TestPackedAllocationBounded(t *testing.T) {
+	everything := ^uint64(0)
+	cases := []struct {
+		name    string
+		budgets []uint64
+		events  int // source length (0 = endless)
+	}{
+		{"one budget", []uint64{200_000}, 0},
+		{"extended budgets", []uint64{20_000, 60_000, 200_000}, 0},
+		{"small budget", []uint64{3_000}, 0},
+		{"everything from a finite source", []uint64{everything}, 50_000},
+		{"budget past a finite source", []uint64{1_000_000}, 30_000},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCaptureCache()
+			src := &phasedSource{n: tc.events}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for _, conds := range tc.budgets {
+				if _, err := c.Capture(nil, "k", conds, func() (Source, error) { return src, nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			p := &c.entries["k"].packed
+			live := int64(p.Len()) * 13
+			if slack := p.Bytes() - live; slack > live/4 {
+				t.Errorf("%d events: %d spare column bytes, over a quarter of the %d live", p.Len(), slack, live)
+			}
+			if alloc := int64(after.TotalAlloc - before.TotalAlloc); tc.events == 0 && alloc > 3*p.Bytes() {
+				t.Errorf("%d events: capture allocated %d bytes, over 3x the final %d", p.Len(), alloc, p.Bytes())
+			}
+		})
 	}
 }
