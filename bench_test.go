@@ -191,8 +191,8 @@ func BenchmarkExtensionResidual(b *testing.B) {
 //	              specs replay the shared capture in batched passes
 //	cached-warm — captures already materialised: pure replay
 //
-// BENCH_experiments.json records the measured ratios; cached-cold is the
-// end-to-end speedup a fresh process sees.
+// EXPERIMENTS.md ("Performance") records the measured ratios; cached-cold
+// is the end-to-end speedup a fresh process sees.
 func BenchmarkFigure6TraceCache(b *testing.B) {
 	opts := twolevel.ExperimentOptions{CondBranches: benchBudget()}
 	b.Run("live", func(b *testing.B) {

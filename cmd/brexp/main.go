@@ -12,7 +12,6 @@
 //	brexp -exp fig5 -cpuprofile cpu.pprof # profile the run
 //	brexp -exp fig9 -j 4             # bound the worker pool
 //	brexp -exp all -trace-reuse=false # force live interpreter runs
-//	brexp -benchjson BENCH.json      # suite benchmark document
 //	brexp -list                      # show experiment IDs
 //	brexp -version                   # build provenance
 //
@@ -58,7 +57,6 @@ import (
 	"time"
 
 	"twolevel"
-	"twolevel/internal/bench"
 )
 
 func main() {
@@ -84,8 +82,6 @@ func run() error {
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file")
 		workersN   = flag.Int("j", 0, "worker-pool size for every experiment's per-benchmark work (0 = GOMAXPROCS)")
 		traceReuse = flag.Bool("trace-reuse", true, "capture each benchmark trace once and replay it (false = live interpreter per run)")
-		noFastpath = flag.Bool("no-fastpath", false, "force the interpretive simulator even where the flat replay kernel qualifies (results are identical; this is a speed escape hatch)")
-		benchJSON  = flag.String("benchjson", "", "run the suite benchmark protocol and write its JSON document to this file")
 		timeout    = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 		keepGoing  = flag.Bool("keep-going", false, "on cell failure, finish the rest and print partial tables (failed cells as \"-\"); still exits non-zero")
 		retries    = flag.Int("retries", 0, "retry budget per grid cell for transient failures")
@@ -144,7 +140,6 @@ func run() error {
 		TrainBranches:     *train,
 		Workers:           *workersN,
 		DisableTraceCache: !*traceReuse,
-		DisableFastpath:   *noFastpath,
 		Context:           ctx,
 		KeepGoing:         *keepGoing,
 		Retries:           *retries,
@@ -284,12 +279,6 @@ func run() error {
 		ids = twolevel.ExperimentIDs()
 	}
 
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, opts); err != nil {
-			return err
-		}
-		return flushSpans()
-	}
 	var reports []*twolevel.Report
 	var failures []error
 	for _, id := range ids {
@@ -416,26 +405,4 @@ func saveScrape(url, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// runBenchJSON executes the suite benchmark protocol (internal/bench)
-// and writes the BENCH_experiments.json document to path.
-func runBenchJSON(path string, opts twolevel.ExperimentOptions) error {
-	doc, err := bench.RunProtocol(opts)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := doc.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Println(doc.Summary())
-	return nil
 }

@@ -62,11 +62,6 @@ type Options struct {
 	// Results are identical either way; this exists for benchmarking
 	// the cache itself and as an escape hatch.
 	DisableTraceCache bool
-	// DisableFastpath forces every measured run onto the interpretive
-	// simulator even when the flat replay kernel qualifies. Results are
-	// bit-identical either way; this exists for kernel-vs-runner
-	// benchmarking and as an escape hatch (brexp -no-fastpath).
-	DisableFastpath bool
 	// Context, when non-nil, bounds the whole experiment: trace
 	// captures, training passes and measured runs poll it and the worker
 	// pool stops dispatching once it is cancelled. The experiment
@@ -403,7 +398,6 @@ func runSpec(sp spec.Spec, b *prog.Benchmark, o Options) (sim.Result, error) {
 		MaxCondBranches: o.CondBranches,
 		Context:         o.Context,
 		Span:            o.Span,
-		DisableFastpath: o.DisableFastpath,
 	}
 	var record recordFunc
 	if o.Telemetry != nil {

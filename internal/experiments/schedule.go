@@ -501,7 +501,6 @@ func runBatch(rows []labeledSpec, b *prog.Benchmark, o Options) ([]sim.Result, e
 			MaxCondBranches: o.CondBranches,
 			Context:         o.Context,
 			Span:            o.Span,
-			DisableFastpath: o.DisableFastpath,
 		}
 		if o.Telemetry != nil {
 			simOpts[i].Observer, simOpts[i].Telemetry, records[i] = o.Telemetry.instrument(o.CondBranches)

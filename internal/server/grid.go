@@ -44,7 +44,8 @@ type GridRequest struct {
 	// default; capped by the server's MaxBranches).
 	Branches uint64 `json:"branches,omitempty"`
 	// TrainBranches is the profiling/static training budget for specs
-	// that need one (0 = same as Branches). Benchmark grids train on
+	// that need one (0 = same as Branches; capped by the server's
+	// MaxBranches). Benchmark grids train on
 	// the benchmark's training data set; uploaded-trace grids train on
 	// the first TrainBranches conditional branches of the upload.
 	TrainBranches uint64 `json:"train_branches,omitempty"`
@@ -165,6 +166,9 @@ func (s *Server) prepare(ctx context.Context, t *tenant, req GridRequest, parent
 	}
 	if branches > s.cfg.MaxBranches {
 		return nil, badRequest("branch budget %d exceeds the per-request cap of %d", branches, s.cfg.MaxBranches)
+	}
+	if req.TrainBranches > s.cfg.MaxBranches {
+		return nil, badRequest("training branch budget %d exceeds the per-request cap of %d", req.TrainBranches, s.cfg.MaxBranches)
 	}
 	if !req.Stream && (req.Interval > 0 || req.TopMispredicted > 0) {
 		return nil, badRequest("interval and top_mispredicted require stream: true")

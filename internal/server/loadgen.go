@@ -1,8 +1,6 @@
 // Load generator: sustained concurrent grid requests against one
 // brserve process, counting what the server's admission machinery did
-// with them. cmd/brserve -loadgen drives it from the CLI and the
-// saturation benchmark (internal/bench) runs it in-process; both gate
-// on the same LoadReport numbers.
+// with them. cmd/brserve -loadgen drives it from the CLI.
 package server
 
 import (

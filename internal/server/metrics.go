@@ -33,7 +33,7 @@ type Monitor struct {
 	uploadBytes atomic.Uint64 // trace upload payload bytes accepted
 
 	// latency is the admitted-request service-time histogram (admission
-	// wait included): the p95 the saturation benchmark gates.
+	// wait included) behind the snapshot's latency quantiles.
 	latency span.Histogram
 }
 

@@ -64,9 +64,10 @@ type Config struct {
 	TenantCells int
 	// MaxCells caps the per-request grid size (default 256).
 	MaxCells int
-	// MaxBranches caps the per-request conditional-branch budget
-	// (default 10,000,000); DefaultBranches is used when a request
-	// omits its budget (default 100,000).
+	// MaxBranches caps both per-request conditional-branch budgets,
+	// branches and train_branches (default 10,000,000);
+	// DefaultBranches is used when a request omits its budget
+	// (default 100,000).
 	MaxBranches     uint64
 	DefaultBranches uint64
 	// MaxUploadBytes caps a trace upload payload (default 64 MiB).
