@@ -87,7 +87,6 @@ func run() error {
 		retries    = flag.Int("retries", 0, "retry budget per grid cell for transient failures")
 		backoff    = flag.Duration("retry-backoff", 50*time.Millisecond, "wait before the first retry, doubled per attempt")
 		resume     = flag.String("resume", "", "checkpoint manifest path: completed cells are recorded there and restored on re-run")
-		nativeTel  = flag.Bool("native-telemetry", false, "collect -hot/-interval metrics with kernel-side counters instead of observers: runs keep fastpath speed, but per-run wall-clock stats are omitted (forced off by -forensics)")
 		forensics  = flag.String("forensics", "", "write a mispredict-forensics document (forensics.json) to this file")
 		forensicsK = flag.Int("forensics-top", 8, "top-K hard-to-predict branches per run in the forensics document")
 		listen     = flag.String("listen", "", "serve live monitoring on this address while the run executes (/metrics, /progress, /debug/pprof, /spans)")
@@ -266,7 +265,6 @@ func run() error {
 			}
 			tel.HotK = *hotK
 			tel.Interval = iv
-			tel.Native = *nativeTel
 		}
 		if *forensics != "" {
 			tel.ForensicsTopK = *forensicsK

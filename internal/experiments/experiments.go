@@ -401,7 +401,7 @@ func runSpec(sp spec.Spec, b *prog.Benchmark, o Options) (sim.Result, error) {
 	}
 	var record recordFunc
 	if o.Telemetry != nil {
-		simOpts.Observer, simOpts.Telemetry, record = o.Telemetry.instrument(o.CondBranches)
+		simOpts.Observer, simOpts.Telemetry, record = o.Telemetry.instrument(p, o.CondBranches)
 	}
 	if o.cellObserver != nil {
 		if extra := o.cellObserver(sp, b); extra != nil {

@@ -1,10 +1,13 @@
 package experiments
 
 import (
-	"sort"
+	"cmp"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
 
+	"twolevel/internal/predictor"
 	"twolevel/internal/prog"
 	"twolevel/internal/sim"
 	"twolevel/internal/spec"
@@ -12,8 +15,7 @@ import (
 )
 
 // RunMetrics is the per-run unit of the metrics document: one predictor
-// measured on one benchmark, with the telemetry the attached observers
-// collected.
+// measured on one benchmark, with the telemetry Telemetry collected.
 type RunMetrics struct {
 	// Experiment is the experiment ID the run belongs to (empty for
 	// direct RunSpec calls outside an experiment).
@@ -61,9 +63,13 @@ type ExperimentMetrics struct {
 
 // Telemetry configures and accumulates per-run telemetry across
 // experiments. Attach one to Options.Telemetry; every measured predictor
-// run then carries a RunStats observer (plus HotBranches and
-// IntervalSeries when requested) and lands in Runs. The collector is
-// goroutine-safe: experiments fan runs out across benchmarks.
+// run then lands in Runs with its Stats, plus hot branches and an
+// interval series when requested. HotK and Interval ride the simulator's
+// sim.Telemetry sink, which keeps runs on the replay kernel; only
+// ForensicsTopK attaches an observer, which sends its runs to the
+// interpretive runner (the flight recorder has no kernel counterpart).
+// The collector is goroutine-safe: experiments fan runs out across
+// benchmarks.
 type Telemetry struct {
 	// HotK, when positive, collects the top-K static branches by
 	// mispredictions for every run.
@@ -78,15 +84,6 @@ type Telemetry struct {
 	// ForensicsHistoryBits overrides the forensic shadow history length
 	// (default per telemetry.ForensicsConfig).
 	ForensicsHistoryBits int
-	// Native routes HotK and Interval collection through the simulator's
-	// kernel-side telemetry sink instead of attaching observers. Runs
-	// stay fastpath-eligible, so instrumented sweeps replay at kernel
-	// speed; the interval series and hot-branch tables are bit-identical
-	// to the observer path (equivalence suite). The trade-off: Stats in
-	// each RunMetrics stays zero (RunStats needs an observer), and
-	// ForensicsTopK > 0 forces the observer path regardless (the flight
-	// recorder has no kernel counterpart).
-	Native bool
 
 	mu          sync.Mutex
 	current     string // experiment ID runs are stamped with
@@ -113,55 +110,45 @@ type ForensicsRun struct {
 // run); batched runs are stamped so per-run timing can be interpreted.
 type recordFunc func(sp spec.Spec, b *prog.Benchmark, res sim.Result, batch int)
 
-// instrument returns the instrumentation for one simulation run and the
-// record function to call once the run completed: either an observer
-// chain (legacy path) or a kernel telemetry sink (Native path) — never
-// both. budget is the run's conditional-branch budget; the forensics
-// observer uses it for the warmup-vs-steady miss split. The record
-// function is nil-safe on the result side but must only be called once.
-func (t *Telemetry) instrument(budget uint64) (telemetry.Observer, *sim.Telemetry, recordFunc) {
-	if t.Native && t.ForensicsTopK == 0 {
-		sink, record := t.instrumentNative()
-		return nil, sink, record
+// instrument returns the instrumentation for one simulation run of p and
+// the record function to call once the run completed: a telemetry sink
+// when HotK or Interval asks for one, and an observer only for
+// forensics. budget is the run's conditional-branch budget; the
+// forensics observer uses it for the warmup-vs-steady miss split. Stats
+// are derived from the run's Result, and their time and allocation
+// figures span instrument to record. The record function must only be
+// called once.
+func (t *Telemetry) instrument(p predictor.Predictor, budget uint64) (telemetry.Observer, *sim.Telemetry, recordFunc) {
+	var sink *sim.Telemetry
+	if t.HotK > 0 || t.Interval > 0 {
+		sink = &sim.Telemetry{Interval: t.Interval, TopK: t.HotK}
 	}
-	rs := telemetry.NewRunStats()
-	var hot *telemetry.HotBranches
-	var iv *telemetry.IntervalSeries
+	var obs telemetry.Observer
 	var fo *telemetry.Forensics
-	obs := []telemetry.Observer{rs}
-	if t.HotK > 0 {
-		hot = telemetry.NewHotBranches(t.HotK)
-		obs = append(obs, hot)
-	}
-	if t.Interval > 0 {
-		iv = telemetry.NewIntervalSeries(t.Interval)
-		obs = append(obs, iv)
-	}
 	if t.ForensicsTopK > 0 {
 		fo = telemetry.NewForensics(telemetry.ForensicsConfig{
 			TopK:        t.ForensicsTopK,
 			HistoryBits: t.ForensicsHistoryBits,
 			Budget:      budget,
 		})
-		obs = append(obs, fo)
+		obs = fo
 	}
+	start := readCost()
 	record := func(sp spec.Spec, b *prog.Benchmark, res sim.Result, batch int) {
 		rm := RunMetrics{
 			Spec:      sp.String(),
 			Benchmark: b.Name,
 			Accuracy:  res.Accuracy.Rate(),
-			Stats:     rs.Metrics(),
+			Stats:     runStats(res, p, start, readCost()),
 		}
 		if batch > 1 {
 			rm.Batched = true
 			rm.BatchSize = batch
 		}
-		if hot != nil {
-			rm.HotBranches = hot.Report()
-		}
-		if iv != nil {
-			rm.Intervals = iv.Samples()
-			rm.Switches = iv.Switches()
+		if sink != nil {
+			rm.HotBranches = hotBranches(sink.TopMispredicted)
+			rm.Intervals = sink.Samples
+			rm.Switches = sink.Switches
 		}
 		t.mu.Lock()
 		rm.Experiment = t.current
@@ -176,49 +163,77 @@ func (t *Telemetry) instrument(budget uint64) (telemetry.Observer, *sim.Telemetr
 		}
 		t.mu.Unlock()
 	}
-	return telemetry.Multi(obs...), nil, record
+	return obs, sink, record
 }
 
-// instrumentNative builds the kernel-sink counterpart of instrument: the
-// sink rides sim.Options.Telemetry (which never costs fastpath
-// eligibility) and the record function translates its outputs into the
-// same RunMetrics shape the observer path produces. Stats is left zero —
-// wall-clock and allocation profiling require an observer.
-func (t *Telemetry) instrumentNative() (*sim.Telemetry, recordFunc) {
-	sink := &sim.Telemetry{Interval: t.Interval, TopK: t.HotK}
-	record := func(sp spec.Spec, b *prog.Benchmark, res sim.Result, batch int) {
-		rm := RunMetrics{
-			Spec:      sp.String(),
-			Benchmark: b.Name,
-			Accuracy:  res.Accuracy.Rate(),
-		}
-		if batch > 1 {
-			rm.Batched = true
-			rm.BatchSize = batch
-		}
-		if len(sink.TopMispredicted) > 0 {
-			hot := make([]telemetry.HotBranch, len(sink.TopMispredicted))
-			for i, p := range sink.TopMispredicted {
-				hot[i] = telemetry.HotBranch{
-					PC:          p.PC,
-					Mispredicts: p.Mispredicts,
-					Executions:  p.Executions,
-					TakenRate:   p.TakenRate,
-					MissShare:   p.MissShare,
-				}
-			}
-			rm.HotBranches = hot
-		}
-		if t.Interval > 0 {
-			rm.Intervals = sink.Samples
-			rm.Switches = sink.Switches
-		}
-		t.mu.Lock()
-		rm.Experiment = t.current
-		t.runs = append(t.runs, rm)
-		t.mu.Unlock()
+// hotBranches renders the sink's per-PC profile as the HotBranches
+// report rows (nil when the profile is empty).
+func hotBranches(profile []telemetry.PCStats) []telemetry.HotBranch {
+	if len(profile) == 0 {
+		return nil
 	}
-	return sink, record
+	hot := make([]telemetry.HotBranch, len(profile))
+	for i, p := range profile {
+		hot[i] = telemetry.HotBranch{
+			PC:          p.PC,
+			Mispredicts: p.Mispredicts,
+			Executions:  p.Executions,
+			TakenRate:   p.TakenRate,
+			MissShare:   p.MissShare,
+		}
+	}
+	return hot
+}
+
+// costStamp is one reading of the clock and the allocation counters;
+// Stats' time and allocation figures are the difference of two.
+type costStamp struct {
+	at             time.Time
+	alloc, mallocs uint64
+}
+
+func readCost() costStamp {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return costStamp{
+		at:      time.Now(), //lint:allow determinism Stats measure wall-clock cost; excluded from byte-identical report surfaces
+		alloc:   m.TotalAlloc,
+		mallocs: m.Mallocs,
+	}
+}
+
+// runStats builds a run's Stats: the counts from resultCounts, and the
+// time and allocation figures between two cost stamps.
+func runStats(res sim.Result, p predictor.Predictor, from, to costStamp) telemetry.RunMetrics {
+	m := resultCounts(res, p)
+	m.WallClockSeconds = to.at.Sub(from.at).Seconds()
+	m.AllocBytes = to.alloc - from.alloc
+	m.Mallocs = to.mallocs - from.mallocs
+	if m.WallClockSeconds > 0 {
+		m.EventsPerSec = float64(m.Events) / m.WallClockSeconds
+	}
+	return m
+}
+
+// resultCounts derives the count fields a telemetry.RunStats observer
+// would report for a completed run of p — events, predictions (squashed
+// re-predictions included), resolutions, mispredictions, traps, context
+// switches and the predictor's final table occupancy — from its Result
+// alone, so collecting them costs the run no observer.
+func resultCounts(res sim.Result, p predictor.Predictor) telemetry.RunMetrics {
+	m := telemetry.RunMetrics{
+		Events:          resultEvents(res),
+		Predictions:     res.Accuracy.Predictions + res.Repredictions,
+		Resolutions:     res.Accuracy.Predictions,
+		Mispredictions:  res.Accuracy.Predictions - res.Accuracy.Correct,
+		Traps:           res.Traps,
+		ContextSwitches: res.ContextSwitches,
+	}
+	if insp, ok := p.(predictor.Inspector); ok {
+		occ := insp.Inspect()
+		m.Occupancy = &occ
+	}
+	return m
 }
 
 // ForensicsRuns returns the recorded per-run forensics reports, sorted by
@@ -228,15 +243,9 @@ func (t *Telemetry) ForensicsRuns() []ForensicsRun {
 	t.mu.Lock()
 	out := append([]ForensicsRun(nil), t.forensics...)
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Experiment != b.Experiment {
-			return a.Experiment < b.Experiment
-		}
-		if a.Spec != b.Spec {
-			return a.Spec < b.Spec
-		}
-		return a.Benchmark < b.Benchmark
+	slices.SortFunc(out, func(a, b ForensicsRun) int {
+		return cmp.Or(cmp.Compare(a.Experiment, b.Experiment),
+			cmp.Compare(a.Spec, b.Spec), cmp.Compare(a.Benchmark, b.Benchmark))
 	})
 	return out
 }
@@ -270,11 +279,18 @@ func (t *Telemetry) endExperiment(id string, start time.Time) {
 	t.current = ""
 }
 
-// Runs returns a copy of the recorded per-run metrics.
+// Runs returns a copy of the recorded per-run metrics, sorted by
+// (experiment, spec, benchmark) like ForensicsRuns, so the document does
+// not depend on the order the grid's workers finished in.
 func (t *Telemetry) Runs() []RunMetrics {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]RunMetrics(nil), t.runs...)
+	out := append([]RunMetrics(nil), t.runs...)
+	t.mu.Unlock()
+	slices.SortStableFunc(out, func(a, b RunMetrics) int {
+		return cmp.Or(cmp.Compare(a.Experiment, b.Experiment),
+			cmp.Compare(a.Spec, b.Spec), cmp.Compare(a.Benchmark, b.Benchmark))
+	})
+	return out
 }
 
 // Experiments returns a copy of the per-experiment summaries.

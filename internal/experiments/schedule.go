@@ -502,18 +502,23 @@ func runBatch(rows []labeledSpec, b *prog.Benchmark, o Options) ([]sim.Result, e
 			Context:         o.Context,
 			Span:            o.Span,
 		}
+	}
+	src, err := o.source(b, b.Testing, o.CondBranches)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", b.Name, err)
+	}
+	// Instrument after every predictor is built and the source is open,
+	// so each cell's Stats span the shared pass, not its neighbours'
+	// training.
+	for i, row := range rows {
 		if o.Telemetry != nil {
-			simOpts[i].Observer, simOpts[i].Telemetry, records[i] = o.Telemetry.instrument(o.CondBranches)
+			simOpts[i].Observer, simOpts[i].Telemetry, records[i] = o.Telemetry.instrument(preds[i], o.CondBranches)
 		}
 		if o.cellObserver != nil {
 			if extra := o.cellObserver(row.sp, b); extra != nil {
 				simOpts[i].Observer = telemetry.Multi(simOpts[i].Observer, extra)
 			}
 		}
-	}
-	src, err := o.source(b, b.Testing, o.CondBranches)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	results, err := sim.RunMany(preds, src, simOpts)
 	if err != nil {

@@ -25,7 +25,8 @@ func TestRunHonoursCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	src := &endlessSource{}
-	res, err := Run(pagA2(6), src, Options{Context: ctx})
+	sink := &Telemetry{Interval: 1000}
+	res, err := Run(pagA2(6), src, Options{Context: ctx, Telemetry: sink})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -35,6 +36,9 @@ func TestRunHonoursCancelledContext(t *testing.T) {
 	}
 	if res.Accuracy.Predictions == 0 {
 		t.Fatal("cancelled run should return the partial result collected so far")
+	}
+	if n := len(sink.Samples); n == 0 || sink.Samples[n-1].Branches != res.Accuracy.Predictions {
+		t.Fatalf("cancelled run's sink does not cover the consumed prefix: %+v", sink.Samples)
 	}
 }
 
@@ -91,7 +95,7 @@ func TestRunManyHonoursCancelledContext(t *testing.T) {
 	// Only one of the two option sets carries the context: the pass is
 	// shared, so cancellation aborts the whole batch.
 	preds := []predictor.Predictor{pagA2(6), pagA2(8)}
-	opts := []Options{{Context: ctx}, {}}
+	opts := []Options{{Context: ctx}, {Telemetry: &Telemetry{TopK: 1}}}
 	results, err := RunMany(preds, src, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -101,6 +105,9 @@ func TestRunManyHonoursCancelledContext(t *testing.T) {
 	}
 	if src.n > 2*cancelCheckInterval {
 		t.Fatalf("batch consumed %d events after cancellation", src.n)
+	}
+	if prof := opts[1].Telemetry.TopMispredicted; len(prof) != 1 || prof[0].Executions != results[1].Accuracy.Predictions {
+		t.Fatalf("cancelled batch's sink does not cover the consumed prefix: %+v", prof)
 	}
 }
 

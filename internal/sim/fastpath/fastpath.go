@@ -210,14 +210,14 @@ func New(p predictor.Predictor, cfg Config) (*Kernel, bool) {
 	}
 	switch tp := p.(type) {
 	case predictor.AlwaysTaken:
-		return &Kernel{kind: kindAlwaysTaken, cfg: cfg, tap: newTap(cfg)}, true
+		return &Kernel{kind: kindAlwaysTaken, cfg: cfg, tap: NewTap(cfg)}, true
 	case predictor.BTFN:
-		return &Kernel{kind: kindBTFN, cfg: cfg, tap: newTap(cfg)}, true
+		return &Kernel{kind: kindBTFN, cfg: cfg, tap: NewTap(cfg)}, true
 	case *predictor.TwoLevel:
 		if tp == nil || tp.Config().SpeculativeHistory {
 			return nil, false
 		}
-		k := &Kernel{kind: kindTwoLevel, cfg: cfg, view: tp.FlatView(), tap: newTap(cfg)}
+		k := &Kernel{kind: kindTwoLevel, cfg: cfg, view: tp.FlatView(), tap: NewTap(cfg)}
 		k.seed()
 		return k, true
 	default:

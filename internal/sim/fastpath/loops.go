@@ -110,7 +110,7 @@ func (k *Kernel) runStaticTap(instrs, pcs, targets []uint32, meta []uint8, start
 				c.ContextSwitches++
 				sinceCS = 0
 				if tap != nil {
-					tap.onSwitch()
+					tap.Switch()
 				}
 			}
 			continue
@@ -119,7 +119,7 @@ func (k *Kernel) runStaticTap(instrs, pcs, targets []uint32, meta []uint8, start
 			c.ContextSwitches++
 			sinceCS = 0
 			if tap != nil {
-				tap.onSwitch()
+				tap.Switch()
 			}
 		}
 		cls := m >> trace.MetaClassShift
@@ -140,7 +140,7 @@ func (k *Kernel) runStaticTap(instrs, pcs, targets []uint32, meta []uint8, start
 			c.Correct++
 		}
 		if tap != nil {
-			tap.resolve(pcs[i], taken, pred == taken)
+			tap.Resolve(pcs[i], taken, pred == taken)
 		}
 	}
 	k.sinceCS = sinceCS
@@ -260,7 +260,7 @@ func (k *Kernel) runGAgTap(instrs, pcs []uint32, meta []uint8, start, end int) (
 				c.ContextSwitches++
 				sinceCS = 0
 				if tap != nil {
-					tap.onSwitch()
+					tap.Switch()
 				}
 			}
 			continue
@@ -270,7 +270,7 @@ func (k *Kernel) runGAgTap(instrs, pcs []uint32, meta []uint8, start, end int) (
 			c.ContextSwitches++
 			sinceCS = 0
 			if tap != nil {
-				tap.onSwitch()
+				tap.Switch()
 			}
 		}
 		cls := m >> trace.MetaClassShift
@@ -292,7 +292,7 @@ func (k *Kernel) runGAgTap(instrs, pcs []uint32, meta []uint8, start, end int) (
 			c.Correct++
 		}
 		if tap != nil {
-			tap.resolve(pcs[i], taken, pred == taken)
+			tap.Resolve(pcs[i], taken, pred == taken)
 		}
 		states[pat] = delta[uint32(s)<<1|o]
 		touched[pat>>6] |= 1 << (pat & 63)
@@ -546,7 +546,7 @@ func (k *Kernel) runPAgCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 				c.ContextSwitches++
 				sinceCS = 0
 				if tap != nil {
-					tap.onSwitch()
+					tap.Switch()
 				}
 			}
 			continue
@@ -559,7 +559,7 @@ func (k *Kernel) runPAgCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 			c.ContextSwitches++
 			sinceCS = 0
 			if tap != nil {
-				tap.onSwitch()
+				tap.Switch()
 			}
 		}
 		cls := m >> trace.MetaClassShift
@@ -584,7 +584,7 @@ func (k *Kernel) runPAgCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 			c.Correct++
 		}
 		if tap != nil {
-			tap.resolve(pc, taken, pred == taken)
+			tap.Resolve(pc, taken, pred == taken)
 		}
 		if pred && taken {
 			c.TargetPredictions++
@@ -741,7 +741,7 @@ func (k *Kernel) runPApCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 				c.ContextSwitches++
 				sinceCS = 0
 				if tap != nil {
-					tap.onSwitch()
+					tap.Switch()
 				}
 			}
 			continue
@@ -754,7 +754,7 @@ func (k *Kernel) runPApCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 			c.ContextSwitches++
 			sinceCS = 0
 			if tap != nil {
-				tap.onSwitch()
+				tap.Switch()
 			}
 		}
 		cls := m >> trace.MetaClassShift
@@ -781,7 +781,7 @@ func (k *Kernel) runPApCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 			c.Correct++
 		}
 		if tap != nil {
-			tap.resolve(pc, taken, pred == taken)
+			tap.Resolve(pc, taken, pred == taken)
 		}
 		if pred && taken {
 			c.TargetPredictions++
@@ -962,7 +962,7 @@ func (k *Kernel) runGenericTap(instrs, pcs, targets []uint32, meta []uint8, star
 				c.ContextSwitches++
 				sinceCS = 0
 				if tap != nil {
-					tap.onSwitch()
+					tap.Switch()
 				}
 			}
 			continue
@@ -972,7 +972,7 @@ func (k *Kernel) runGenericTap(instrs, pcs, targets []uint32, meta []uint8, star
 			c.ContextSwitches++
 			sinceCS = 0
 			if tap != nil {
-				tap.onSwitch()
+				tap.Switch()
 			}
 		}
 		cls := m >> trace.MetaClassShift
@@ -1024,7 +1024,7 @@ func (k *Kernel) runGenericTap(instrs, pcs, targets []uint32, meta []uint8, star
 			c.Correct++
 		}
 		if tap != nil {
-			tap.resolve(pc, taken, pred == taken)
+			tap.Resolve(pc, taken, pred == taken)
 		}
 		if hasStore && pred && taken {
 			c.TargetPredictions++

@@ -323,7 +323,7 @@ func (k *Kernel) runShardTap(sw *shardWorker, w, partMask uint32, instrs, pcs, t
 				}
 				sinceCS = 0
 				if tap != nil {
-					tap.onSwitch()
+					tap.Switch()
 				}
 			}
 			continue
@@ -335,7 +335,7 @@ func (k *Kernel) runShardTap(sw *shardWorker, w, partMask uint32, instrs, pcs, t
 			}
 			sinceCS = 0
 			if tap != nil {
-				tap.onSwitch()
+				tap.Switch()
 			}
 		}
 		cls := m >> trace.MetaClassShift
@@ -390,7 +390,7 @@ func (k *Kernel) runShardTap(sw *shardWorker, w, partMask uint32, instrs, pcs, t
 			c.Correct++
 		}
 		if tap != nil {
-			tap.resolve(pc, taken, pred == taken)
+			tap.Resolve(pc, taken, pred == taken)
 		}
 		if useCache && pred && taken {
 			c.TargetPredictions++

@@ -1,9 +1,10 @@
 package fastpath
 
-// Kernel-native telemetry: a Tap accumulates the interval accuracy series
-// and the per-PC mispredict profile directly in the flat loops, so a run
-// that wants live telemetry stays on the kernel instead of falling back
-// to the interpretive runner's Observer callbacks. The accumulators are
+// Run telemetry: a Tap accumulates the interval accuracy series and the
+// per-PC mispredict profile. The flat loops feed it directly, so a run
+// that wants live telemetry stays on the kernel; the interpretive runner
+// feeds the same accumulator through the exported Resolve and Switch, so
+// both replay engines share one implementation. The accumulators are
 // plain per-shard arrays behind a pcIndex directory, merged
 // deterministically at writeback; every hot-loop call site is
 // nil-guarded (one predictable branch when telemetry is off — the same
@@ -72,9 +73,10 @@ func (p *pcTaps) push(pc uint32) {
 	p.n++
 }
 
-// newTap returns the accumulator cfg asks for, or nil when telemetry is
-// off entirely.
-func newTap(cfg Config) *Tap {
+// NewTap returns the accumulator cfg's Interval, TopPCs and Warmup ask
+// for, or nil when telemetry is off entirely. Context switches are
+// recorded only alongside an interval series.
+func NewTap(cfg Config) *Tap {
 	if cfg.Interval == 0 && cfg.TopPCs <= 0 {
 		return nil
 	}
@@ -82,7 +84,7 @@ func newTap(cfg Config) *Tap {
 		every:          cfg.Interval,
 		warmup:         cfg.Warmup,
 		topk:           cfg.TopPCs,
-		recordSwitches: true,
+		recordSwitches: cfg.Interval > 0,
 	}
 }
 
@@ -93,15 +95,15 @@ func (t *Tap) fork(w int) *Tap {
 		every:          t.every,
 		warmup:         t.warmup,
 		topk:           t.topk,
-		recordSwitches: w == 0,
+		recordSwitches: t.recordSwitches && w == 0,
 	}
 }
 
-// resolve folds one resolved conditional branch owned by this tap. The
+// Resolve folds one resolved conditional branch owned by this tap. The
 // interval bin is cached: the division runs only when the resolution
 // index reaches the bin's edge, which also re-lands a sharded fork that
 // skip()ped across whole bins in total/every.
-func (t *Tap) resolve(pc uint32, taken, correct bool) {
+func (t *Tap) Resolve(pc uint32, taken, correct bool) {
 	if t.every > 0 {
 		if t.total >= t.edge {
 			j := t.total / t.every
@@ -142,8 +144,8 @@ func (t *Tap) skip() {
 	t.total++
 }
 
-// onSwitch records the resolution index of a context switch.
-func (t *Tap) onSwitch() {
+// Switch records the resolution index of a context switch.
+func (t *Tap) Switch() {
 	if t.recordSwitches {
 		t.switches = append(t.switches, t.total) //lint:allow hotalloc one append per context switch, not per event
 	}
@@ -179,16 +181,15 @@ func (t *Tap) absorb(o *Tap) {
 	}
 }
 
+// Tap returns the kernel's telemetry accumulator (nil when off).
+func (k *Kernel) Tap() *Tap { return k.tap }
+
 // Telemetry materialises the tap's outputs: the interval accuracy series
 // (bit-identical to telemetry.IntervalSeries over the same run), the
 // context-switch resolution indices, and the top-K per-PC mispredict
 // profile ordered like telemetry.HotBranches.Report (mispredicts
-// descending, PC ascending). All nil when the respective mode was off.
-func (k *Kernel) Telemetry() ([]telemetry.Sample, []uint64, []telemetry.PCStats) {
-	t := k.tap
-	if t == nil {
-		return nil, nil, nil
-	}
+// descending, PC ascending). Each is nil when its mode was off.
+func (t *Tap) Telemetry() ([]telemetry.Sample, []uint64, []telemetry.PCStats) {
 	var samples []telemetry.Sample
 	var cum uint64
 	for j := range t.preds {

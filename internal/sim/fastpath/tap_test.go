@@ -180,11 +180,6 @@ func tapStream(n int) []tapEvent {
 	return evs
 }
 
-// telemetryOf materialises t's outputs through Kernel.Telemetry.
-func telemetryOf(t *Tap) ([]telemetry.Sample, []uint64, []telemetry.PCStats) {
-	return (&Kernel{tap: t}).Telemetry()
-}
-
 // TestTapForkAbsorbMatchesSerial is the sharded telemetry merge in
 // isolation: four forks, each resolving its own PC partition and
 // skipping the rest, absorbed into the parent, equal one serial Tap fed
@@ -197,26 +192,26 @@ func TestTapForkAbsorbMatchesSerial(t *testing.T) {
 		{Interval: 1},
 		{TopPCs: 5},
 	} {
-		serial := newTap(cfg)
+		serial := NewTap(cfg)
 		for _, e := range evs {
 			if e.sw {
-				serial.onSwitch()
+				serial.Switch()
 			} else {
-				serial.resolve(e.pc, e.taken, e.ok)
+				serial.Resolve(e.pc, e.taken, e.ok)
 			}
 		}
 
 		const shards = 4
-		parent := newTap(cfg)
+		parent := NewTap(cfg)
 		forks := make([]*Tap, shards)
 		for w := range forks {
 			forks[w] = parent.fork(w)
 			for _, e := range evs {
 				switch {
 				case e.sw:
-					forks[w].onSwitch()
+					forks[w].Switch()
 				case e.pc>>2&(shards-1) == uint32(w):
-					forks[w].resolve(e.pc, e.taken, e.ok)
+					forks[w].Resolve(e.pc, e.taken, e.ok)
 				default:
 					forks[w].skip()
 				}
@@ -226,8 +221,8 @@ func TestTapForkAbsorbMatchesSerial(t *testing.T) {
 			parent.absorb(f)
 		}
 
-		ws, wsw, wp := telemetryOf(serial)
-		gs, gsw, gp := telemetryOf(parent)
+		ws, wsw, wp := serial.Telemetry()
+		gs, gsw, gp := parent.Telemetry()
 		if !reflect.DeepEqual(gs, ws) {
 			t.Errorf("%+v: absorbed samples differ from serial:\n got %+v\nwant %+v", cfg, gs, ws)
 		}
@@ -248,15 +243,15 @@ func TestTapForkAbsorbMatchesSerial(t *testing.T) {
 // partial, and a fork that skip()s across whole bins lands its next
 // resolution in bin total/every.
 func TestTapIntervalBins(t *testing.T) {
-	tap := newTap(Config{Interval: 4})
+	tap := NewTap(Config{Interval: 4})
 	for i := 0; i < 8; i++ {
-		tap.resolve(0x100, true, i%2 == 0)
+		tap.Resolve(0x100, true, i%2 == 0)
 	}
 	if want := []uint64{4, 4}; !reflect.DeepEqual(tap.preds, want) {
 		t.Fatalf("after 8 resolutions preds = %v, want %v", tap.preds, want)
 	}
-	tap.resolve(0x100, true, true)
-	samples, _, _ := telemetryOf(tap)
+	tap.Resolve(0x100, true, true)
+	samples, _, _ := tap.Telemetry()
 	want := []telemetry.Sample{
 		{Branches: 4, Predictions: 4, Correct: 2, Accuracy: 0.5},
 		{Branches: 8, Predictions: 4, Correct: 2, Accuracy: 0.5},
@@ -266,22 +261,22 @@ func TestTapIntervalBins(t *testing.T) {
 		t.Errorf("samples = %+v, want %+v", samples, want)
 	}
 
-	every1 := newTap(Config{Interval: 1})
+	every1 := NewTap(Config{Interval: 1})
 	for i := 0; i < 3; i++ {
-		every1.resolve(0x100, false, true)
+		every1.Resolve(0x100, false, true)
 	}
 	if want := []uint64{1, 1, 1}; !reflect.DeepEqual(every1.preds, want) {
 		t.Errorf("every=1 preds = %v, want %v", every1.preds, want)
 	}
 
-	fork := newTap(Config{Interval: 4}).fork(1)
-	fork.resolve(0x104, true, true) // index 0, bin 0
+	fork := NewTap(Config{Interval: 4}).fork(1)
+	fork.Resolve(0x104, true, true) // index 0, bin 0
 	for i := 0; i < 9; i++ {
 		fork.skip() // indices 1..9: bin 1 entirely, bin 2 partly
 	}
-	fork.resolve(0x104, true, false) // index 10, bin 2
+	fork.Resolve(0x104, true, false) // index 10, bin 2
 	fork.skip()                      // index 11
-	fork.resolve(0x104, true, true)  // index 12, bin 3 (exact multiple)
+	fork.Resolve(0x104, true, true)  // index 12, bin 3 (exact multiple)
 	if want := []uint64{1, 0, 1, 1}; !reflect.DeepEqual(fork.preds, want) {
 		t.Errorf("fork preds = %v, want %v", fork.preds, want)
 	}
@@ -294,7 +289,7 @@ func TestTapIntervalBins(t *testing.T) {
 // counts: mispredicts descending, then PC ascending, independent of the
 // order PCs were first seen, with top-k truncation after sorting.
 func TestTapTelemetryTieOrder(t *testing.T) {
-	tap := newTap(Config{TopPCs: 3})
+	tap := NewTap(Config{TopPCs: 3})
 	// Inserted in descending PC order; 0x10, 0x20, 0x30 and 0x40 each
 	// miss twice, 0x50 misses three times, 0x05 once.
 	for _, pc := range []uint32{0x50, 0x40, 0x30, 0x20, 0x10, 0x05} {
@@ -306,11 +301,11 @@ func TestTapTelemetryTieOrder(t *testing.T) {
 			misses = 1
 		}
 		for i := 0; i < misses; i++ {
-			tap.resolve(pc, true, false)
+			tap.Resolve(pc, true, false)
 		}
-		tap.resolve(pc, false, true)
+		tap.Resolve(pc, false, true)
 	}
-	_, _, profile := telemetryOf(tap)
+	_, _, profile := tap.Telemetry()
 	var got []uint32
 	for _, row := range profile {
 		got = append(got, row.PC)

@@ -121,7 +121,7 @@ func RunMany(preds []predictor.Predictor, src trace.Source, opts []Options) ([]R
 				var c fastpath.Counters
 				c, consumed[j], errs[j] = kernels[j].RunTo(snap, start, ends[j])
 				out[fastIdx[j]] = countersToResult(c)
-				opts[fastIdx[j]].Telemetry.fillFromKernel(kernels[j].Telemetry())
+				opts[fastIdx[j]].Telemetry.fill(kernels[j].Tap())
 			}(j)
 		}
 		wg.Wait()
@@ -143,20 +143,13 @@ func RunMany(preds []predictor.Predictor, src trace.Source, opts []Options) ([]R
 	}
 
 	runners := make([]runner, len(slowIdx))
-	slowOpts := make([]Options, len(slowIdx))
-	var harvests []func()
 	var ctxs []context.Context
 	for si, i := range slowIdx {
-		o, harvest := attachTelemetry(opts[i])
-		if harvest != nil {
-			harvests = append(harvests, harvest)
-		}
-		slowOpts[si] = o
-		runners[si] = newRunner(preds[i], o)
-		if obs := o.Observer; obs != nil {
+		runners[si] = newRunner(preds[i], opts[i])
+		if obs := opts[i].Observer; obs != nil {
 			obs.Start(telemetry.RunInfo{Predictor: preds[i]})
 		}
-		if ctx := o.Context; ctx != nil {
+		if ctx := opts[i].Context; ctx != nil {
 			dup := false
 			for _, c := range ctxs {
 				if c == ctx {
@@ -169,22 +162,17 @@ func RunMany(preds []predictor.Predictor, src trace.Source, opts []Options) ([]R
 			}
 		}
 	}
-	results := func() []Result {
+	// finish closes every interpretive cell on each return path: results
+	// land in out, observers see Finish and sinks are filled.
+	finish := func() []Result {
 		for si, i := range slowIdx {
 			out[i] = runners[si].res
-		}
-		return out
-	}
-	finishObservers := func() {
-		for si := range slowIdx {
-			if obs := slowOpts[si].Observer; obs != nil {
+			if obs := opts[i].Observer; obs != nil {
 				obs.Finish()
 			}
+			opts[i].Telemetry.fill(runners[si].tap)
 		}
-		// Harvest after Finish so the final partial interval is flushed.
-		for _, h := range harvests {
-			h()
-		}
+		return out
 	}
 	var sinceCheck uint32
 	for {
@@ -204,9 +192,8 @@ func RunMany(preds []predictor.Predictor, src trace.Source, opts []Options) ([]R
 				sinceCheck = 0
 				for _, ctx := range ctxs {
 					if err := ctx.Err(); err != nil {
-						finishObservers()
 						seekPast(sr, start+consumedFast)
-						return results(), err
+						return finish(), err
 					}
 				}
 			}
@@ -216,9 +203,8 @@ func RunMany(preds []predictor.Predictor, src trace.Source, opts []Options) ([]R
 			break
 		}
 		if err != nil {
-			finishObservers()
 			seekPast(sr, start+consumedFast)
-			return results(), err
+			return finish(), err
 		}
 		for i := range runners {
 			if !runners[i].done {
@@ -229,9 +215,8 @@ func RunMany(preds []predictor.Predictor, src trace.Source, opts []Options) ([]R
 	for i := range runners {
 		runners[i].finish()
 	}
-	finishObservers()
 	seekPast(sr, start+consumedFast)
-	return results(), nil
+	return finish(), nil
 }
 
 // seekPast advances sr to pos when the interpretive pass stopped short of

@@ -77,13 +77,12 @@ type Options struct {
 	// bit-identical to the serial kernel. Ignored on the interpretive
 	// path.
 	Shards int
-	// Telemetry, when non-nil, requests the kernel-native interval
-	// accuracy series and per-PC mispredict profile. Unlike Observer it
-	// does not cost fastpath eligibility: the flat kernel accumulates
-	// the counters in its hot loops, and the interpretive runner serves
-	// the same sink (bit-identically) through internal observers when
-	// the kernel declines the run. Outputs land in the sink when the
-	// run returns; a sink is single-use.
+	// Telemetry, when non-nil, requests the interval accuracy series
+	// and per-PC mispredict profile. Unlike Observer it does not cost
+	// fastpath eligibility: the flat kernel accumulates the counters in
+	// its hot loops, and the interpretive runner feeds the same
+	// fastpath.Tap when the kernel declines the run. Outputs land in the
+	// sink when the run returns; a sink is single-use.
 	Telemetry *Telemetry
 }
 
@@ -142,14 +141,6 @@ func Run(p predictor.Predictor, src trace.Source, opts Options) (Result, error) 
 		sr, _ = src.(*trace.SnapshotReader)
 		k, _ = fastpath.New(p, fastpathConfig(opts))
 	}
-	if k == nil {
-		// The kernel declined (or was never eligible): a Telemetry sink
-		// is served by internal observers harvested after Finish.
-		var harvest func()
-		if opts, harvest = attachTelemetry(opts); harvest != nil {
-			defer harvest()
-		}
-	}
 	if obs := opts.Observer; obs != nil {
 		obs.Start(telemetry.RunInfo{Predictor: p})
 		defer obs.Finish()
@@ -164,10 +155,11 @@ func Run(p predictor.Predictor, src trace.Source, opts Options) (Result, error) 
 		start := sr.Pos()
 		c, consumed, err := k.Run(sr.Snapshot(), start)
 		sr.Seek(start + consumed)
-		opts.Telemetry.fillFromKernel(k.Telemetry())
+		opts.Telemetry.fill(k.Tap())
 		return countersToResult(c), err
 	}
 	r := newRunner(p, opts)
+	defer opts.Telemetry.fill(r.tap)
 	ctx := opts.Context
 	var sinceCheck uint32
 	for r.ready() {
@@ -213,6 +205,7 @@ type inflight struct {
 type runner struct {
 	p        predictor.Predictor
 	obs      telemetry.Observer
+	tap      *fastpath.Tap // Options.Telemetry's accumulator; nil when off
 	tp       predictor.TargetPredictor
 	max      uint64
 	cs       bool
@@ -237,6 +230,7 @@ func newRunner(p predictor.Predictor, opts Options) runner {
 	r := runner{
 		p:        p,
 		obs:      opts.Observer,
+		tap:      fastpath.NewTap(fastpathConfig(opts)),
 		max:      opts.MaxCondBranches,
 		cs:       opts.ContextSwitches,
 		interval: opts.CSInterval,
@@ -317,6 +311,9 @@ func (r *runner) step(e trace.Event) {
 	if r.obs != nil {
 		r.obs.OnResolve(b, pred, pred == outcome)
 	}
+	if r.tap != nil {
+		r.tap.Resolve(b.PC, outcome, pred == outcome)
+	}
 }
 
 // contextSwitch drains the pipeline and flushes the predictor.
@@ -329,6 +326,9 @@ func (r *runner) contextSwitch() {
 	r.sinceCS = 0
 	if r.obs != nil {
 		r.obs.OnContextSwitch()
+	}
+	if r.tap != nil {
+		r.tap.Switch()
 	}
 }
 
@@ -354,6 +354,9 @@ func (r *runner) resolve() {
 	r.p.Update(f.branch, f.pred)
 	if r.obs != nil {
 		r.obs.OnResolve(f.branch, f.pred, correct)
+	}
+	if r.tap != nil {
+		r.tap.Resolve(f.branch.PC, f.branch.Taken, correct)
 	}
 	if !correct {
 		// Squash: younger in-flight branches are refetched and

@@ -1,29 +1,26 @@
-// Kernel-native run telemetry: the Options.Telemetry sink requests the
-// interval accuracy series and the per-PC mispredict profile without
-// costing fastpath eligibility. On the kernel path the flat loops
-// accumulate the counters natively (fastpath.Tap); on the interpretive
-// path Run/RunMany attach the legacy observers internally and harvest
-// them into the same sink, so both paths produce bit-identical outputs.
+// Run telemetry: the Options.Telemetry sink requests the interval
+// accuracy series and the per-PC mispredict profile without costing
+// fastpath eligibility. Both replay engines accumulate them in one
+// fastpath.Tap — the flat loops natively, the interpretive runner through
+// Tap.Resolve and Tap.Switch — so the two paths share one implementation.
 package sim
 
 import (
-	"sort"
-
+	"twolevel/internal/sim/fastpath"
 	"twolevel/internal/telemetry"
-	"twolevel/internal/trace"
 )
 
 // telemetryWarmupFrac matches ForensicsConfig's default warmup share of
 // the branch budget for the per-PC warmup-miss split.
 const telemetryWarmupFrac = 0.1
 
-// Telemetry requests kernel-native run telemetry. Unlike Options.Observer
-// it does not forfeit fastpath eligibility: the flat kernel accumulates
-// the samples in its hot loops, and the interpretive runner serves the
-// same sink through internal observers when the kernel declines the run.
-// Outputs are populated when Run (or RunMany, per cell) returns —
-// including on cancellation, where they describe the consumed prefix. A
-// Telemetry value is single-use; attach a fresh one per run.
+// Telemetry requests run telemetry. Unlike Options.Observer it does not
+// forfeit fastpath eligibility: the flat kernel accumulates the samples
+// in its hot loops, and the interpretive runner feeds the same
+// fastpath.Tap when the kernel declines the run. Outputs are populated
+// when Run (or RunMany, per cell) returns — including on cancellation,
+// where they describe the consumed prefix. A Telemetry value is
+// single-use; attach a fresh one per run.
 type Telemetry struct {
 	// Interval, when > 0, samples prediction accuracy every Interval
 	// resolved conditional branches (telemetry.IntervalSeries
@@ -43,128 +40,16 @@ type Telemetry struct {
 	TopMispredicted []telemetry.PCStats
 }
 
-// enabled reports whether the sink requests any accumulation.
-func (t *Telemetry) enabled() bool {
-	return t != nil && (t.Interval > 0 || t.TopK > 0)
-}
-
 // warmupBoundary is the resolved-branch index bounding the warmup-miss
 // split, mirroring Forensics' default (0 when the budget is unknown).
 func warmupBoundary(budget uint64) uint64 {
 	return uint64(float64(budget) * telemetryWarmupFrac)
 }
 
-// fillFromKernel harvests the kernel tap's materialised outputs.
-func (t *Telemetry) fillFromKernel(samples []telemetry.Sample, switches []uint64, profile []telemetry.PCStats) {
-	if t == nil {
-		return
+// fill materialises tap's outputs into the sink (a nil sink or tap is a
+// no-op).
+func (t *Telemetry) fill(tap *fastpath.Tap) {
+	if t != nil && tap != nil {
+		t.Samples, t.Switches, t.TopMispredicted = tap.Telemetry()
 	}
-	t.Samples, t.Switches, t.TopMispredicted = samples, switches, profile
-}
-
-// attachTelemetry rewires opts for an interpretive run serving a
-// Telemetry sink: the legacy observers are joined onto opts.Observer and
-// a harvest function transfers their outputs into the sink. The caller
-// must invoke harvest after the observers' Finish (which flushes the
-// final partial interval). Returns opts unchanged and a nil harvest when
-// the sink is absent or empty.
-func attachTelemetry(opts Options) (Options, func()) {
-	t := opts.Telemetry
-	if !t.enabled() {
-		return opts, nil
-	}
-	var iv *telemetry.IntervalSeries
-	var ps *pcProfiler
-	obs := []telemetry.Observer{opts.Observer}
-	if t.Interval > 0 {
-		iv = telemetry.NewIntervalSeries(t.Interval)
-		obs = append(obs, iv)
-	}
-	if t.TopK > 0 {
-		ps = newPCProfiler(warmupBoundary(opts.MaxCondBranches))
-		obs = append(obs, ps)
-	}
-	opts.Observer = telemetry.Multi(obs...)
-	return opts, func() {
-		if iv != nil {
-			t.Samples, t.Switches = iv.Samples(), iv.Switches()
-		}
-		if ps != nil {
-			t.TopMispredicted = ps.report(t.TopK)
-		}
-	}
-}
-
-// pcProfiler is the interpretive twin of the kernel tap's per-PC
-// profile: telemetry.HotBranches' counters plus the warmup-miss split,
-// with identical report semantics so both paths are bit-identical.
-type pcProfiler struct {
-	telemetry.NopObserver
-	warmup uint64
-	seq    uint64
-	counts map[uint32]*pcCount
-}
-
-type pcCount struct {
-	exec, taken, miss, warmupMiss uint64
-}
-
-func newPCProfiler(warmup uint64) *pcProfiler {
-	return &pcProfiler{warmup: warmup, counts: make(map[uint32]*pcCount)}
-}
-
-// OnResolve implements telemetry.Observer.
-func (p *pcProfiler) OnResolve(b trace.Branch, predicted, correct bool) {
-	p.seq++
-	c := p.counts[b.PC]
-	if c == nil {
-		c = &pcCount{}
-		p.counts[b.PC] = c
-	}
-	c.exec++
-	if b.Taken {
-		c.taken++
-	}
-	if !correct {
-		c.miss++
-		if p.warmup > 0 && p.seq <= p.warmup {
-			c.warmupMiss++
-		}
-	}
-}
-
-// report renders the top-k rows (mispredicts descending, PC ascending).
-func (p *pcProfiler) report(k int) []telemetry.PCStats {
-	var misses uint64
-	for _, c := range p.counts {
-		misses += c.miss
-	}
-	all := make([]telemetry.PCStats, 0, len(p.counts))
-	for pc, c := range p.counts {
-		row := telemetry.PCStats{
-			PC:           pc,
-			Executions:   c.exec,
-			Taken:        c.taken,
-			Mispredicts:  c.miss,
-			WarmupMisses: c.warmupMiss,
-		}
-		if c.exec > 0 {
-			row.TakenRate = float64(c.taken) / float64(c.exec)
-		}
-		if misses > 0 {
-			row.MissShare = float64(c.miss) / float64(misses)
-		}
-		all = append(all, row)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Mispredicts != b.Mispredicts {
-			return a.Mispredicts > b.Mispredicts
-		}
-		return a.PC < b.PC
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
 }

@@ -100,9 +100,9 @@ func TestKernelTelemetryMatchesIntervalSeries(t *testing.T) {
 				}
 			}
 
-			// Interpretive sink path: same sink type served by internal
-			// observers must agree with the kernel field for field
-			// (including the warmup-miss split the legacy observers lack).
+			// Interpretive sink path: the runner feeding the same Tap
+			// must agree with the kernel field for field (including the
+			// warmup-miss split the legacy observers lack).
 			slowSink := &Telemetry{Interval: interval, TopK: topk}
 			slowOpts := os.opts
 			slowOpts.DisableFastpath = true

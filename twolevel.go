@@ -440,7 +440,9 @@ type (
 	PredictorInspector = predictor.Inspector
 
 	// ExperimentTelemetry collects per-run metrics across experiment
-	// runs; attach one to ExperimentOptions.Telemetry.
+	// runs; attach one to ExperimentOptions.Telemetry. Hot branches,
+	// interval series and stats cost a run no observer, so instrumented
+	// runs stay on the replay kernel; only forensics attaches one.
 	ExperimentTelemetry = experiments.Telemetry
 	// ExperimentRunMetrics is one instrumented run in a metrics
 	// document.
