@@ -1,0 +1,240 @@
+// Package reference is a deliberately naive model of the Two-Level
+// Adaptive predictors, written from the paper's text alone and imported
+// only by tests, as an oracle that shares no code with the simulator.
+//
+// Everything is the plainest possible data structure: a pattern table is
+// a byte slice, a history register is a shift register with a "not yet
+// written" flag, a branch history table entry is {tag, shiftRegister}
+// plus its slot's pattern table, and LRU order is an explicit
+// most-recent-first list of ways. The Figure 2 automata are written out
+// below as tables instead of being imported. The rules are those of
+// §2.1, §3.3, §4.2 and §5.1.4:
+//
+//   - history registers start all ones, and the first resolved outcome
+//     is extended through the whole register;
+//   - pattern table entries start in the automaton's taken-side initial
+//     state and are never flushed, not even by a context switch;
+//   - a context switch invalidates every branch history table entry and
+//     reinitialises every history register;
+//   - a practical table replaces the least recently used way of a set,
+//     taking an invalid way (lowest first) before any valid one;
+//   - a per-address pattern table is reinitialised when its slot is
+//     taken from a different, still-resident branch.
+package reference
+
+// automaton is one Figure 2 machine: λ as taken[state], δ as
+// next[state][outcome].
+type automaton struct {
+	init  byte
+	taken []bool
+	next  [][2]byte
+}
+
+// automata are the Figure 2 machines, keyed by the paper's names.
+var automata = map[string]automaton{
+	// Last-Time: the state is the last outcome.
+	"LT": {init: 1, taken: []bool{false, true}, next: [][2]byte{{0, 1}, {0, 1}}},
+	// A1: the last two outcomes; not taken only after two not-takens.
+	"A1": {init: 3, taken: []bool{false, true, true, true},
+		next: [][2]byte{{0, 1}, {2, 3}, {0, 1}, {2, 3}}},
+	// A2: the 2-bit saturating up-down counter.
+	"A2": {init: 3, taken: []bool{false, false, true, true},
+		next: [][2]byte{{0, 1}, {0, 2}, {1, 3}, {2, 3}}},
+	// A3: A2 whose weak states jump to the strong state when confirmed.
+	"A3": {init: 3, taken: []bool{false, false, true, true},
+		next: [][2]byte{{0, 1}, {0, 3}, {0, 3}, {2, 3}}},
+	// A4: A2 whose taken side recovers in one step.
+	"A4": {init: 3, taken: []bool{false, false, true, true},
+		next: [][2]byte{{0, 1}, {0, 3}, {1, 3}, {2, 3}}},
+}
+
+// Config describes one predictor. Scheme is the paper's three-letter
+// name: its first letter (G, P or S) is the history level, its last (g,
+// p or s) the pattern level.
+type Config struct {
+	Scheme    string
+	K         int    // history register length
+	Automaton string // "LT", "A1" … "A4"
+	// Entries and Assoc size the per-address branch history table,
+	// which P* schemes use for history and *p schemes for pattern table
+	// binding. Entries 0 is the ideal table: one entry per branch.
+	Entries, Assoc int
+	HistSets       int // per-set history registers (S*)
+	PatSets        int // per-set pattern tables (*s)
+}
+
+// shiftRegister is a k-bit branch history register.
+type shiftRegister struct {
+	bits  uint32
+	fresh bool // no outcome shifted in since (re)initialisation
+}
+
+// entry is one branch history table entry.
+type entry struct {
+	valid bool
+	tag   uint32
+	shiftRegister
+	pht []byte // this slot's pattern table (*p schemes)
+}
+
+// Predictor is the reference model.
+type Predictor struct {
+	cfg  Config
+	atm  automaton
+	mask uint32
+
+	ghr     shiftRegister
+	setRegs []shiftRegister
+	gpht    []byte
+	setPHTs [][]byte
+
+	sets  [][]entry // practical table: sets of ways
+	order [][]int   // per set, way numbers most recently used first
+	ideal map[uint32]*entry
+}
+
+// New builds a reference predictor. It trusts cfg.
+func New(cfg Config) *Predictor {
+	p := &Predictor{cfg: cfg, atm: automata[cfg.Automaton], mask: 1<<cfg.K - 1}
+	p.ghr = p.freshRegister()
+	for i := 0; i < cfg.HistSets; i++ {
+		p.setRegs = append(p.setRegs, p.freshRegister())
+	}
+	p.gpht = p.newPHT()
+	for i := 0; i < cfg.PatSets; i++ {
+		p.setPHTs = append(p.setPHTs, p.newPHT())
+	}
+	if cfg.Entries == 0 {
+		p.ideal = map[uint32]*entry{}
+	}
+	for s := 0; s < cfg.Entries/max(cfg.Assoc, 1); s++ {
+		ways := make([]entry, cfg.Assoc)
+		var order []int
+		for w := range ways {
+			ways[w].pht = p.newPHT()
+			order = append(order, w)
+		}
+		p.sets = append(p.sets, ways)
+		p.order = append(p.order, order)
+	}
+	return p
+}
+
+func (p *Predictor) freshRegister() shiftRegister {
+	return shiftRegister{bits: p.mask, fresh: true}
+}
+
+func (p *Predictor) newPHT() []byte {
+	t := make([]byte, 1<<p.cfg.K)
+	for i := range t {
+		t[i] = p.atm.init
+	}
+	return t
+}
+
+// Step predicts the conditional branch at pc, then trains the predictor
+// with its outcome, and returns the prediction.
+func (p *Predictor) Step(pc uint32, taken bool) bool {
+	var e *entry
+	if p.cfg.Scheme[0] == 'P' || p.cfg.Scheme[2] == 'p' {
+		e = p.lookup(pc)
+	}
+	reg := &p.ghr
+	switch p.cfg.Scheme[0] {
+	case 'S':
+		reg = &p.setRegs[pc>>2%uint32(p.cfg.HistSets)]
+	case 'P':
+		reg = &e.shiftRegister
+	}
+	pht := p.gpht
+	switch p.cfg.Scheme[2] {
+	case 's':
+		pht = p.setPHTs[pc>>2%uint32(p.cfg.PatSets)]
+	case 'p':
+		pht = e.pht
+	}
+	state := pht[reg.bits]
+	pred := p.atm.taken[state]
+	outcome := uint32(0)
+	if taken {
+		outcome = 1
+	}
+	pht[reg.bits] = p.atm.next[state][outcome]
+	if reg.fresh {
+		reg.bits = p.mask * outcome // extend the first outcome
+		reg.fresh = false
+	} else {
+		reg.bits = (reg.bits<<1 | outcome) & p.mask
+	}
+	return pred
+}
+
+// lookup returns pc's entry, allocating it on a miss.
+func (p *Predictor) lookup(pc uint32) *entry {
+	if p.ideal != nil {
+		e := p.ideal[pc]
+		if e == nil {
+			e = &entry{tag: pc, pht: p.newPHT()}
+			p.ideal[pc] = e
+		}
+		if !e.valid {
+			e.valid = true
+			e.shiftRegister = p.freshRegister()
+		}
+		return e
+	}
+	set := int(pc >> 2 % uint32(len(p.sets)))
+	ways := p.sets[set]
+	for w := range ways {
+		if ways[w].valid && ways[w].tag == pc {
+			p.use(set, w)
+			return &ways[w]
+		}
+	}
+	victim := -1
+	for w := range ways {
+		if !ways[w].valid {
+			victim = w
+			break
+		}
+	}
+	if victim < 0 {
+		victim = p.order[set][len(ways)-1]
+	}
+	e := &ways[victim]
+	if e.valid && e.tag != pc {
+		for i := range e.pht {
+			e.pht[i] = p.atm.init
+		}
+	}
+	e.valid, e.tag, e.shiftRegister = true, pc, p.freshRegister()
+	p.use(set, victim)
+	return e
+}
+
+// use moves way w of set to the front of the set's LRU order.
+func (p *Predictor) use(set, w int) {
+	order := p.order[set]
+	i := 0
+	for order[i] != w {
+		i++
+	}
+	copy(order[1:i+1], order[:i])
+	order[0] = w
+}
+
+// ContextSwitch flushes the first level (§5.1.4).
+func (p *Predictor) ContextSwitch() {
+	p.ghr = p.freshRegister()
+	for i := range p.setRegs {
+		p.setRegs[i] = p.freshRegister()
+	}
+	for _, ways := range p.sets {
+		for w := range ways {
+			ways[w].valid = false
+		}
+	}
+	for _, e := range p.ideal {
+		e.valid = false
+	}
+}
