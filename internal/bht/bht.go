@@ -1,6 +1,7 @@
-// Package bht implements the per-address branch history table (first
-// level) used by the PAg and PAp schemes and by the Branch Target Buffer
-// designs, per §3.3 of the paper.
+// Package bht implements the branch history table of §3.3 as a keyed
+// store of entry objects, used by the Branch Target Buffer designs and
+// the branch-behaviour analyses. (The two-level predictors keep their
+// table in the flat layout of package flat.)
 //
 // Two implementations are provided:
 //
@@ -10,10 +11,9 @@
 //   - Ideal: the Ideal Branch History Table (IBHT) — one entry per static
 //     conditional branch, no capacity or conflict misses.
 //
-// An Entry carries every per-branch field any scheme needs: the k-bit
-// history register (PAg/PAp), a cached prediction bit (§3.1), a per-branch
-// automaton state (BTB designs), the cached target address (§3.2) and, for
-// PAp, the per-address pattern history table bound to the entry's slot.
+// An Entry carries the per-branch fields its users need: a k-bit history
+// register, a per-branch automaton state (BTB designs) and the cached
+// target address (§3.2).
 package bht
 
 import (
@@ -22,12 +22,11 @@ import (
 
 	"twolevel/internal/automaton"
 	"twolevel/internal/history"
-	"twolevel/internal/pht"
 )
 
 // Entry is one branch history table entry. The bookkeeping fields (tag,
 // validity, LRU stamp) are managed by the Store; the payload fields are
-// owned by the predictor using the table.
+// owned by the table's user.
 type Entry struct {
 	valid bool
 	ever  bool   // slot has been allocated at least once (occupancy telemetry)
@@ -36,40 +35,16 @@ type Entry struct {
 
 	// Hist is the branch's k-bit history register.
 	Hist history.Register
-	// Pred caches the prediction fetched from the pattern history table
-	// when the branch last resolved, so the next prediction is available
-	// in one cycle (§3.1).
-	Pred bool
 	// State is the per-branch automaton state used by BTB designs,
 	// which keep the counter in the entry itself instead of a second
 	// level.
 	State automaton.State
 	// Target caches the branch target address (§3.2).
 	Target uint32
-	// PHT is the per-address pattern history table bound to this entry
-	// slot in PAp schemes; nil for other schemes. The predictor decides
-	// whether a newly allocated branch gets a reinitialised table
-	// (default, per-address semantics) or inherits the previous
-	// occupant's contents (the InheritPHTOnReplace ablation).
-	PHT *pht.Table
 }
 
 // PC returns the full address of the branch owning this entry.
 func (e *Entry) PC() uint32 { return e.pc }
-
-// Valid reports whether the entry currently holds a resident branch.
-func (e *Entry) Valid() bool { return e.valid }
-
-// Ever reports whether the slot has been allocated at least once.
-func (e *Entry) Ever() bool { return e.ever }
-
-// Stamp returns the entry's LRU timestamp.
-func (e *Entry) Stamp() uint64 { return e.stamp }
-
-// SetValid forces the residency flag. Flat replay kernels
-// (internal/sim/fastpath) mirror table bookkeeping into packed arrays and
-// write the final state back through this and the store import seams.
-func (e *Entry) SetValid(v bool) { e.valid = v }
 
 // Store is a branch history table: either a practical Cache or the Ideal
 // table.
@@ -82,8 +57,7 @@ type Store interface {
 	// branch (its payload holds a stranger's history). The caller must
 	// reinitialise the payload fields it uses.
 	Allocate(pc uint32) (e *Entry, recycled bool)
-	// Flush invalidates every entry (context switch, §5.1.4). Pattern
-	// history tables bound to entries are deliberately not reset.
+	// Flush invalidates every entry (context switch, §5.1.4).
 	Flush()
 	// Entries returns the table capacity (0 means unbounded).
 	Entries() int
@@ -91,10 +65,6 @@ type Store interface {
 	// since construction — table occupancy telemetry. Flush does not
 	// reset the count.
 	Touched() int
-	// Range calls f for every slot ever allocated, including entries
-	// invalidated by Flush (their payload — notably a PAp pattern table —
-	// survives the flush). Iteration order is unspecified.
-	Range(f func(e *Entry))
 }
 
 // Cache is the practical set-associative branch history table.
@@ -189,50 +159,6 @@ func (c *Cache) Allocate(pc uint32) (*Entry, bool) {
 // Touched implements Store.
 func (c *Cache) Touched() int { return c.touched }
 
-// At returns slot i in physical order (set-major, way-minor), or nil when
-// i is out of range. Flat replay kernels use it with SetSlot to mirror
-// the table into packed arrays and restore it afterwards.
-func (c *Cache) At(i int) *Entry {
-	if i < 0 || i >= len(c.entries) {
-		return nil
-	}
-	return &c.entries[i]
-}
-
-// Clock returns the LRU clock. Stamps are meaningful only relative to
-// each other within a set; the clock is the exclusive upper bound.
-func (c *Cache) Clock() uint64 { return c.clock }
-
-// SetClock forces the LRU clock. Kernel state-import seam; the caller is
-// responsible for keeping it at least as large as every live stamp.
-func (c *Cache) SetClock(v uint64) { c.clock = v }
-
-// SetSlot overwrites slot i's bookkeeping fields (payload fields are
-// untouched), keeping the touched-slot count consistent when ever rises.
-// Out-of-range indices are ignored. Kernel state-import seam.
-func (c *Cache) SetSlot(i int, valid, ever bool, pc uint32, stamp uint64) {
-	if i < 0 || i >= len(c.entries) {
-		return
-	}
-	e := &c.entries[i]
-	if ever && !e.ever {
-		c.touched++
-	}
-	e.valid = valid
-	e.ever = e.ever || ever
-	e.pc = pc
-	e.stamp = stamp
-}
-
-// Range implements Store.
-func (c *Cache) Range(f func(e *Entry)) {
-	for i := range c.entries {
-		if c.entries[i].ever {
-			f(&c.entries[i])
-		}
-	}
-}
-
 // Flush implements Store.
 func (c *Cache) Flush() {
 	for i := range c.entries {
@@ -267,8 +193,7 @@ func (t *Ideal) Lookup(pc uint32) *Entry {
 }
 
 // Allocate implements Store. A flushed entry for the same branch is
-// revived with its slot state (notably its PAp pattern table) intact, so
-// a context-switch flush does not reset pattern history.
+// revived with its payload intact.
 func (t *Ideal) Allocate(pc uint32) (*Entry, bool) {
 	if e, ok := t.entries[pc]; ok {
 		e.valid = true
@@ -288,23 +213,3 @@ func (t *Ideal) Flush() {
 
 // Touched implements Store: every static branch seen has its own entry.
 func (t *Ideal) Touched() int { return len(t.entries) }
-
-// Slot returns pc's entry regardless of validity, creating an invalid
-// one when the branch has never been tracked. Unlike Allocate it does not
-// revive a flushed entry. Kernel state-import seam: the caller restores
-// payload fields and sets validity explicitly via Entry.SetValid.
-func (t *Ideal) Slot(pc uint32) *Entry {
-	if e, ok := t.entries[pc]; ok {
-		return e
-	}
-	e := &Entry{ever: true, pc: pc}
-	t.entries[pc] = e
-	return e
-}
-
-// Range implements Store.
-func (t *Ideal) Range(f func(e *Entry)) {
-	for _, e := range t.entries {
-		f(e)
-	}
-}

@@ -161,12 +161,12 @@ func TestIdealNeverForgets(t *testing.T) {
 	if recycled {
 		t.Fatal("ideal allocation reported recycled")
 	}
-	e.Pred = true
+	e.Target = 0x80
 	for i := uint32(0); i < 10000; i++ {
 		id.Allocate(0x1000 + i*4)
 	}
 	got := id.Lookup(0x10)
-	if got == nil || !got.Pred {
+	if got == nil || got.Target != 0x80 {
 		t.Fatal("ideal table lost an entry under pressure")
 	}
 	if id.Known() != 10001 {
@@ -190,7 +190,7 @@ func TestIdealFlushRevivesSameSlot(t *testing.T) {
 		t.Fatal("revival must not report recycled")
 	}
 	if revived != e || revived.State != 2 {
-		t.Fatal("revived entry lost its slot state (PAp pattern history must survive flushes)")
+		t.Fatal("revived entry lost its payload across the flush")
 	}
 }
 

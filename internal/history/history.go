@@ -92,15 +92,6 @@ func (r *Register) Set(pattern uint32) {
 // Fresh reports whether the register still awaits its first real outcome.
 func (r Register) Fresh() bool { return r.fresh }
 
-// Restore forces both the pattern and the freshness flag. Flat replay
-// kernels (internal/sim/fastpath) mirror registers as packed integers and
-// write the final state back through this; the pattern is masked to k
-// bits, so any mirrored value round-trips safely.
-func (r *Register) Restore(pattern uint32, fresh bool) {
-	r.bits = pattern & r.mask
-	r.fresh = fresh
-}
-
 // String renders the pattern as a k-character bit string, oldest first.
 func (r Register) String() string {
 	buf := make([]byte, r.k)

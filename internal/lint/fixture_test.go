@@ -138,6 +138,14 @@ func TestHotAllocFixture(t *testing.T) {
 	runFixture(t, HotAlloc, "hotalloc/fastpath")
 }
 
+func TestFlatLoopFlatFixture(t *testing.T) {
+	runFixture(t, FlatLoop, "flatloop/flat")
+}
+
+func TestHotAllocFlatFixture(t *testing.T) {
+	runFixture(t, HotAlloc, "hotalloc/flat")
+}
+
 func TestLockHeldFixture(t *testing.T) {
 	runFixture(t, LockHeld, "lockheld/server")
 }

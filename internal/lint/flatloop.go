@@ -7,29 +7,35 @@ import (
 )
 
 // FlatLoop enforces the fast-path kernel contract: the hot replay
-// functions in the fastpath package (run*, lookup*, flush*) replay packed
-// traces over flattened state tables, so their bodies must not make
-// dynamic dispatch through an interface — a predictor.Predictor,
-// bht.Store, or history.Scheme method call in the hot loop would
-// reintroduce exactly the per-event indirection the kernel exists to
-// eliminate, and would silently erode the benchmarked events/sec without
-// failing any correctness test. Interface dispatch belongs in the
-// cold setup/teardown paths (New, seed, writeback). The one sanctioned
+// functions in the fastpath package (run*, lookup*, flush*) and the
+// flat state package's step functions they call per event (Lookup*,
+// alloc*/Allocate, Flush) replay packed traces over flattened state
+// tables, so their bodies must not make dynamic dispatch through an
+// interface — a predictor.Predictor, bht.Store, or history.Scheme method
+// call in the hot loop would reintroduce exactly the per-event
+// indirection the kernel exists to eliminate, and would silently erode
+// the benchmarked events/sec without failing any correctness test.
+// Interface dispatch belongs in cold setup (New). The one sanctioned
 // exception is context.Context: the amortised ctx.Err() cancellation poll
 // is part of the hot loop by design (ctxpoll contract).
 var FlatLoop = &Analyzer{
 	Name: "flatloop",
-	Doc: "fastpath hot functions (run*/lookup*/flush*) must not call " +
+	Doc: "fastpath/flat hot functions (run*/lookup*/flush*/alloc*) must not call " +
 		"interface methods other than context.Context",
-	Packages: []string{"fastpath"},
+	Packages: []string{"fastpath", "flat"},
 	Run:      runFlatLoop,
 }
 
 // hotPrefixes marks the function-name prefixes that form the kernel's
-// per-event replay path.
-var hotPrefixes = []string{"run", "lookup", "flush"}
+// per-event replay path. The first letter matches in either case, so the
+// exported step functions (LookupCache, Flush, Allocate) count too.
+var hotPrefixes = []string{"run", "lookup", "flush", "alloc"}
 
 func isHotFuncName(name string) bool {
+	if name == "" {
+		return false
+	}
+	name = strings.ToLower(name[:1]) + name[1:]
 	for _, p := range hotPrefixes {
 		if strings.HasPrefix(name, p) {
 			return true

@@ -13,7 +13,9 @@ import (
 // replay loop would erode events/sec without failing any correctness
 // test. The analyzer builds the CFG of every hot function in the
 // fastpath package (run*/lookup*/flush*, which covers the tap-free and
-// Tap twin loops alike) and flags, inside natural loops only, the
+// Tap twin loops alike) and in the flat state package whose step
+// functions those loops call (Lookup*/alloc*/Flush), and flags, inside
+// natural loops only, the
 // constructs that heap-allocate or can: make/new/append, composite
 // literals, map inserts, closures, string↔[]byte/[]rune conversions,
 // fmt formatting, and implicit interface boxing. Calls from a hot loop
@@ -24,9 +26,9 @@ import (
 // clears every hot caller at once).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc: "fastpath hot loops (run*/lookup*/flush*) must not heap-allocate: " +
+	Doc: "fastpath/flat hot loops (run*/lookup*/flush*/alloc*) must not heap-allocate: " +
 		"no make/append/closures/boxing inside the per-event loop",
-	Packages: []string{"fastpath"},
+	Packages: []string{"fastpath", "flat"},
 	Run:      runHotAlloc,
 }
 

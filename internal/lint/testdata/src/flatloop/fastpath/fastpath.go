@@ -76,8 +76,8 @@ func (k *Kernel) flushMirror() {
 	k.pred.Update(0, false) // want "interface method call Predictor.Update"
 }
 
-// seed is cold setup: interface dispatch is the point of the
-// seed/writeback boundary, not a finding.
+// seed is cold setup: interface dispatch outside the replay path is not
+// a finding.
 func (k *Kernel) seed() {
 	for pc := uint32(0); pc < 16; pc += 4 {
 		k.pred.Update(pc, true)

@@ -103,20 +103,6 @@ func (t *Table) Touched() int {
 	return n
 }
 
-// RawStates exposes the table's backing state slice (indexed by pattern)
-// for flat replay kernels: updating states through the slice is exactly
-// Update minus the touched-bit store, and writes are visible to the table
-// immediately (the slice aliases, not copies). Callers taking this fast
-// path must keep RawTouched in sync to preserve occupancy telemetry.
-func (t *Table) RawStates() []automaton.State { return t.entries }
-
-// RawTouched exposes the touched-pattern bitset backing Touched, one bit
-// per pattern, for flat replay kernels updating states via RawStates.
-func (t *Table) RawTouched() []uint64 { return t.touched }
-
-// InitState returns the state a Reset restores every entry to.
-func (t *Table) InitState() automaton.State { return t.init }
-
 // State returns the raw pattern history bits for pattern (for inspection
 // and tests).
 func (t *Table) State(pattern uint32) automaton.State {

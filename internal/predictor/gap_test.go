@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"twolevel/internal/automaton"
+	"twolevel/internal/flat"
 	"twolevel/internal/trace"
 )
 
@@ -62,7 +63,7 @@ func TestGApContextSwitch(t *testing.T) {
 	p := gapPredictor(8, 512)
 	run(p, alternating(0x40, 100))
 	p.ContextSwitch()
-	if p.ghr.Pattern() != 0xFF {
+	if p.st.GHR != 0xFF|flat.FreshBit {
 		t.Fatal("GAp context switch should reinitialise the global register")
 	}
 	// Predict after flush: binding table was flushed too, so this is a

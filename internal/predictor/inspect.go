@@ -1,6 +1,6 @@
 package predictor
 
-import "twolevel/internal/bht"
+import "twolevel/internal/flat"
 
 // Occupancy reports how much of a predictor's tables a run actually
 // exercised — the telemetry behind the "how warm were the tables" half of
@@ -39,30 +39,33 @@ type Inspector interface {
 // Inspect implements Inspector for every Two-Level Adaptive variation and
 // the Static Training structures sharing them.
 func (p *TwoLevel) Inspect() Occupancy {
+	st := &p.st
 	var o Occupancy
-	if p.store != nil {
-		o.BHTCapacity = p.store.Entries()
-		o.BHTTouched = p.store.Touched()
+	if st.BHT != flat.NoBHT {
+		o.BHTTouched = st.BHTTouched()
+	}
+	if st.BHT == flat.CacheBHT {
+		o.BHTCapacity = len(st.Valid)
 	}
 	o.PHTEntriesPerTable = 1 << p.cfg.HistoryBits
-	switch {
-	case p.gpht != nil:
+	switch st.PatternAxis {
+	case AxisGlobal:
 		o.PHTTables = 1
-		o.PHTTouched = p.gpht.Touched()
-	case p.setPHTs != nil:
-		o.PHTTables = len(p.setPHTs)
-		for _, t := range p.setPHTs {
-			o.PHTTouched += t.Touched()
+		o.PHTTouched = flat.Ones(st.GTouched)
+	case AxisPerSet:
+		o.PHTTables = len(st.SetTouched)
+		for _, t := range st.SetTouched {
+			o.PHTTouched += flat.Ones(t)
 		}
 	default:
-		// Per-address pattern tables live in the BHT entries; count the
+		// Per-address pattern tables are bound to BHT slots; count the
 		// materialised ones (flushed entries keep their tables, §5.1.4).
-		p.store.Range(func(e *bht.Entry) {
-			if e.PHT != nil {
+		for _, t := range st.PHTTouched {
+			if t != nil {
 				o.PHTTables++
-				o.PHTTouched += e.PHT.Touched()
+				o.PHTTouched += flat.Ones(t)
 			}
-		})
+		}
 	}
 	return o
 }

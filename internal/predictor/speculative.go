@@ -1,7 +1,7 @@
 package predictor
 
 import (
-	"twolevel/internal/bht"
+	"twolevel/internal/flat"
 	"twolevel/internal/trace"
 )
 
@@ -32,11 +32,9 @@ type checkpoint struct {
 // specShift performs the speculative history shift for b's register and
 // pushes a repair checkpoint.
 func (p *TwoLevel) specShift(b trace.Branch, pred bool) {
-	cp := checkpoint{pc: b.PC, pred: pred}
-	r := p.regFor(b.PC, true)
-	cp.before = r.Pattern()
-	r.Shift(pred)
-	p.inflight = append(p.inflight, cp)
+	r := p.register(b.PC, true)
+	p.inflight = append(p.inflight, checkpoint{pc: b.PC, before: *r & p.st.HistMask, pred: pred})
+	*r = flat.Shift(*r, bit(pred), p.st.HistMask)
 }
 
 // specUpdate resolves the oldest in-flight branch. It returns false if the
@@ -52,13 +50,12 @@ func (p *TwoLevel) specUpdate(b trace.Branch) bool {
 	// The pattern table is updated with the pre-shift pattern — the one
 	// the prediction was made from (its update timing "is not as
 	// critical", so it waits for the real outcome).
-	var e *bht.Entry
-	if p.needEntry() {
-		e = p.entry(b.PC, false)
-	}
-	p.tableFor(b.PC, e).Update(cp.before, b.Taken)
-	if e != nil && b.Taken {
-		e.Target = b.Target
+	st := &p.st
+	j := p.slot(b.PC, false)
+	states, touched := st.Tables(b.PC, j)
+	st.Train(states, touched, cp.before, bit(b.Taken))
+	if j >= 0 && b.Taken {
+		st.Targets[j] = b.Target
 	}
 
 	if cp.pred == b.Taken {
@@ -68,16 +65,17 @@ func (p *TwoLevel) specUpdate(b trace.Branch) bool {
 	// Misprediction: the younger speculative shifts belong to squashed
 	// wrong-path work. Roll them back newest-to-oldest so each register
 	// ends at its oldest checkpointed pattern, then install the actual
-	// outcome of the mispredicted branch.
+	// outcome of the mispredicted branch. A repaired register holds live
+	// history (no fresh bit).
 	for i := len(p.inflight) - 1; i >= 0; i-- {
 		young := p.inflight[i]
-		if r := p.regFor(young.pc, false); r != nil {
-			r.Set(young.before)
+		if r := p.register(young.pc, false); r != nil {
+			*r = young.before
 		}
 	}
 	p.inflight = p.inflight[:0]
-	if r := p.regFor(b.PC, false); r != nil {
-		r.Set(cp.before<<1 | bit(b.Taken))
+	if r := p.register(b.PC, false); r != nil {
+		*r = (cp.before<<1 | bit(b.Taken)) & st.HistMask
 	}
 	return true
 }

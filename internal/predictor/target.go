@@ -1,5 +1,7 @@
 package predictor
 
+import "twolevel/internal/flat"
+
 // Target address caching (§3.2).
 //
 // After the direction of a branch is predicted there is still a pipeline
@@ -24,20 +26,21 @@ type TargetPredictor interface {
 
 // PredictTarget implements TargetPredictor for the per-address two-level
 // schemes. GAg keeps no per-branch state and never predicts a target.
+// The read leaves the entry's LRU position alone.
 func (p *TwoLevel) PredictTarget(pc uint32) (uint32, bool) {
-	if p.cfg.Variation == GAg || p.store == nil {
+	if p.st.BHT == flat.NoBHT {
 		return 0, false
 	}
-	e := p.store.Lookup(pc)
-	if e == nil || e.Target == 0 {
+	j := p.st.Peek(pc)
+	if j < 0 || p.st.Targets[j] == 0 {
 		return 0, false
 	}
-	return e.Target, true
+	return p.st.Targets[j], true
 }
 
 // CachesTargets implements TargetPredictor: every variation with a
 // per-branch table caches targets; GAg has none.
-func (p *TwoLevel) CachesTargets() bool { return p.store != nil }
+func (p *TwoLevel) CachesTargets() bool { return p.st.BHT != flat.NoBHT }
 
 // PredictTarget implements TargetPredictor for BTB designs.
 func (p *BTB) PredictTarget(pc uint32) (uint32, bool) {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"twolevel/internal/automaton"
-	"twolevel/internal/bht"
+	"twolevel/internal/flat"
 	"twolevel/internal/history"
 	"twolevel/internal/pht"
 	"twolevel/internal/trace"
@@ -45,14 +45,14 @@ const (
 )
 
 // Axis is one level's association granularity: global, per-address or
-// per-set. Exported so the flat replay kernel (internal/sim/fastpath) can
-// classify variations without duplicating the taxonomy.
-type Axis uint8
+// per-set. It is the flat state layout's own axis, so the predictor and
+// the flat replay kernel classify variations the same way.
+type Axis = flat.Axis
 
 const (
-	AxisGlobal Axis = iota
-	AxisPerAddress
-	AxisPerSet
+	AxisGlobal     = flat.Global
+	AxisPerAddress = flat.PerAddress
+	AxisPerSet     = flat.PerSet
 )
 
 // HistoryAxis returns the first level's association granularity.
@@ -224,27 +224,17 @@ func (c TwoLevelConfig) Validate() error {
 }
 
 // TwoLevel is a Two-Level Adaptive Branch Predictor (or a Static Training
-// predictor sharing its structure).
+// predictor sharing its structure). Its tables are a flat.State, the
+// layout the flat replay kernel also runs on in place.
 type TwoLevel struct {
-	cfg     TwoLevelConfig
-	machine *automaton.Machine
-	name    string
+	cfg  TwoLevelConfig
+	name string
 
-	ghr  history.Register // global history (GAg/GSg/GAp/GAs)
-	gpht *pht.Table       // global pattern table (*Ag and static training)
-
-	store bht.Store // per-address history and/or pattern binding
-
-	setHists []history.Register // per-set history registers (SA*)
-	setPHTs  []*pht.Table       // per-set pattern tables (*As)
+	st flat.State
 
 	// inflight holds the repair checkpoints of unresolved speculative
 	// predictions (SpeculativeHistory only).
 	inflight []checkpoint
-
-	// statistics
-	bhtLookups uint64
-	bhtMisses  uint64
 }
 
 // NewTwoLevel builds a predictor from cfg.
@@ -256,33 +246,36 @@ func NewTwoLevel(cfg TwoLevelConfig) (*TwoLevel, error) {
 	if machine == nil {
 		machine = automaton.New(cfg.Automaton)
 	}
-	p := &TwoLevel{cfg: cfg, machine: machine}
-	switch {
-	case cfg.Preset != nil:
-		p.gpht = cfg.Preset
-		p.machine = cfg.Preset.Machine()
-	case cfg.Variation.PatternAxis() == AxisGlobal:
-		p.gpht = p.newPHT()
-	case cfg.Variation.PatternAxis() == AxisPerSet:
-		p.setPHTs = make([]*pht.Table, cfg.PatternSets)
-		for i := range p.setPHTs {
-			p.setPHTs[i] = p.newPHT()
-		}
+	if cfg.Preset != nil {
+		machine = cfg.Preset.Machine()
 	}
-	if p.needEntry() {
+	p := &TwoLevel{cfg: cfg}
+	fc := flat.Config{
+		HistoryAxis:         cfg.Variation.HistoryAxis(),
+		PatternAxis:         cfg.Variation.PatternAxis(),
+		HistoryBits:         cfg.HistoryBits,
+		Machine:             machine,
+		Init:                machine.Initial(),
+		ColdHistoryZero:     cfg.ColdHistoryZero,
+		InheritPHTOnReplace: cfg.InheritPHTOnReplace,
+		Entries:             cfg.Entries,
+		Assoc:               cfg.Assoc,
+		HistorySets:         cfg.HistorySets,
+		PatternSets:         cfg.PatternSets,
+	}
+	if cfg.PatternInit != nil {
+		fc.Init = *cfg.PatternInit
+	}
+	if fc.HistoryAxis == AxisPerAddress || fc.PatternAxis == AxisPerAddress {
+		fc.BHT = flat.CacheBHT
 		if cfg.Ideal {
-			p.store = bht.NewIdeal()
-		} else {
-			p.store = bht.NewCache(cfg.Entries, cfg.Assoc)
+			fc.BHT = flat.IdealBHT
 		}
 	}
-	switch cfg.Variation.HistoryAxis() {
-	case AxisGlobal:
-		p.ghr = history.New(cfg.HistoryBits)
-	case AxisPerSet:
-		p.setHists = make([]history.Register, cfg.HistorySets)
-		for i := range p.setHists {
-			p.setHists[i] = history.New(cfg.HistoryBits)
+	p.st = flat.New(fc)
+	if cfg.Preset != nil {
+		for i := range p.st.GStates {
+			p.st.GStates[i] = cfg.Preset.State(uint32(i))
 		}
 	}
 	p.name = cfg.DisplayName
@@ -290,14 +283,6 @@ func NewTwoLevel(cfg TwoLevelConfig) (*TwoLevel, error) {
 		p.name = cfg.defaultName()
 	}
 	return p, nil
-}
-
-// newPHT builds a pattern table honouring the PatternInit ablation.
-func (p *TwoLevel) newPHT() *pht.Table {
-	if p.cfg.PatternInit != nil {
-		return pht.NewInit(p.cfg.HistoryBits, p.machine, *p.cfg.PatternInit)
-	}
-	return pht.New(p.cfg.HistoryBits, p.machine)
 }
 
 // MustTwoLevel is NewTwoLevel that panics on error; for tests and tables
@@ -310,69 +295,46 @@ func MustTwoLevel(cfg TwoLevelConfig) *TwoLevel {
 	return p
 }
 
-// globalHistory reports whether the variation keeps one global history
-// register instead of per-address or per-set registers.
-func (p *TwoLevel) globalHistory() bool {
-	return p.cfg.Variation.HistoryAxis() == AxisGlobal
-}
+// State returns the predictor's tables. The flat replay kernel
+// (internal/sim/fastpath) replays on them in place, so a kernel run
+// leaves the predictor exactly as the interpretive runner would.
+func (p *TwoLevel) State() *flat.State { return &p.st }
 
-// needEntry reports whether predictions must look up a branch history
-// table entry (per-address history and/or per-address pattern binding).
-func (p *TwoLevel) needEntry() bool {
-	return p.cfg.Variation.HistoryAxis() == AxisPerAddress ||
-		p.cfg.Variation.PatternAxis() == AxisPerAddress
-}
-
-// setIdx selects the per-set history register for pc.
-func (p *TwoLevel) setIdx(pc uint32) int {
-	return int(pc >> 2 & uint32(len(p.setHists)-1))
-}
-
-// patIdx selects the per-set pattern table for pc.
-func (p *TwoLevel) patIdx(pc uint32) int {
-	return int(pc >> 2 & uint32(len(p.setPHTs)-1))
-}
-
-// regFor returns the history register consulted for pc: the global
-// register, the per-set register, or the per-address entry's register
-// (nil when the entry is not resident and allocate is false).
-func (p *TwoLevel) regFor(pc uint32, allocate bool) *history.Register {
-	switch p.cfg.Variation.HistoryAxis() {
-	case AxisGlobal:
-		return &p.ghr
-	case AxisPerSet:
-		return &p.setHists[p.setIdx(pc)]
+// slot returns pc's BHT slot, allocating on a miss, or -1 when the
+// variation has no BHT. count charges the lookup to the hit-rate
+// counters (predictions do; updates and speculative shifts do not).
+func (p *TwoLevel) slot(pc uint32, count bool) int {
+	st := &p.st
+	switch {
+	case st.BHT == flat.NoBHT:
+		return -1
+	case !count:
+		if j := st.Find(pc); j >= 0 {
+			return j
+		}
+		return st.Allocate(pc)
+	case st.BHT == flat.IdealBHT:
+		return st.LookupIdeal(&st.Clock, pc)
 	default:
-		if allocate {
-			return &p.entry(pc, false).Hist
-		}
-		if e := p.store.Lookup(pc); e != nil {
-			return &e.Hist
-		}
+		return st.LookupCache(&st.Clock, pc, 1)
+	}
+}
+
+// register returns the history register consulted for pc. A per-address
+// register lives in pc's BHT entry, which is allocated when allocate is
+// true; otherwise register returns nil for a non-resident branch.
+func (p *TwoLevel) register(pc uint32, allocate bool) *uint32 {
+	st := &p.st
+	if st.HistoryAxis != AxisPerAddress {
+		return st.History(pc, -1)
+	}
+	var j int
+	if allocate {
+		j = p.slot(pc, false)
+	} else if j = st.Find(pc); j < 0 {
 		return nil
 	}
-}
-
-// regVia returns the history register for pc, using the already-resolved
-// entry when the history level is per-address.
-func (p *TwoLevel) regVia(e *bht.Entry, pc uint32) *history.Register {
-	if p.cfg.Variation.HistoryAxis() == AxisPerAddress {
-		return &e.Hist
-	}
-	return p.regFor(pc, false)
-}
-
-// tableFor returns the pattern table consulted for pc. e may be nil when
-// the variation needs no entry.
-func (p *TwoLevel) tableFor(pc uint32, e *bht.Entry) *pht.Table {
-	switch p.cfg.Variation.PatternAxis() {
-	case AxisPerAddress:
-		return e.PHT
-	case AxisPerSet:
-		return p.setPHTs[p.patIdx(pc)]
-	default:
-		return p.gpht
-	}
+	return &st.Hists[j]
 }
 
 func (c TwoLevelConfig) defaultName() string {
@@ -426,50 +388,18 @@ func (p *TwoLevel) Config() TwoLevelConfig { return p.cfg }
 // BHTMissRate returns the fraction of predictions that missed in the
 // branch history table (0 for GAg).
 func (p *TwoLevel) BHTMissRate() float64 {
-	if p.bhtLookups == 0 {
+	if p.st.Lookups == 0 {
 		return 0
 	}
-	return float64(p.bhtMisses) / float64(p.bhtLookups)
-}
-
-// entry finds or allocates the branch history table entry for pc,
-// initialising per §3.3/§4.2 on a miss.
-func (p *TwoLevel) entry(pc uint32, countLookup bool) *bht.Entry {
-	if countLookup {
-		p.bhtLookups++
-	}
-	e := p.store.Lookup(pc)
-	if e != nil {
-		return e
-	}
-	if countLookup {
-		p.bhtMisses++
-	}
-	e, recycled := p.store.Allocate(pc)
-	e.Hist = history.New(p.cfg.HistoryBits)
-	e.Pred = true // all-ones pattern starts on the taken side
-	if p.cfg.ColdHistoryZero {
-		e.Hist.Set(0)
-	}
-	if p.cfg.Variation.PatternAxis() == AxisPerAddress {
-		switch {
-		case e.PHT == nil:
-			e.PHT = p.newPHT()
-		case recycled && !p.cfg.InheritPHTOnReplace:
-			e.PHT.Reset()
-		}
-	}
-	return e
+	return float64(p.st.Misses) / float64(p.st.Lookups)
 }
 
 // Predict implements Predictor.
 func (p *TwoLevel) Predict(b trace.Branch) bool {
-	var e *bht.Entry
-	if p.needEntry() {
-		e = p.entry(b.PC, true)
-	}
-	pattern := p.regVia(e, b.PC).Pattern()
-	pred := p.tableFor(b.PC, e).Predict(pattern)
+	st := &p.st
+	j := p.slot(b.PC, true)
+	states, _ := st.Tables(b.PC, j)
+	pred := st.Taken(states[*st.History(b.PC, j)&st.HistMask])
 	if p.cfg.SpeculativeHistory {
 		p.specShift(b, pred)
 	}
@@ -483,20 +413,19 @@ func (p *TwoLevel) Update(b trace.Branch, predicted bool) {
 	if p.cfg.SpeculativeHistory && p.specUpdate(b) {
 		return
 	}
-	var e *bht.Entry
-	if p.needEntry() {
-		e = p.entry(b.PC, false)
-	}
-	t := p.tableFor(b.PC, e)
-	r := p.regVia(e, b.PC)
-	t.Update(r.Pattern(), b.Taken)
-	r.Shift(b.Taken)
-	if e != nil {
+	st := &p.st
+	j := p.slot(b.PC, false)
+	states, touched := st.Tables(b.PC, j)
+	r := st.History(b.PC, j)
+	o := bit(b.Taken)
+	st.Train(states, touched, *r&st.HistMask, o)
+	*r = flat.Shift(*r, o, st.HistMask)
+	if j >= 0 {
 		// Cache the next prediction and the target address in the
 		// entry, as the one-cycle pipeline of §3.1-3.2 would.
-		e.Pred = t.Predict(r.Pattern())
+		st.Preds[j] = st.Taken(states[*r])
 		if b.Taken {
-			e.Target = b.Target
+			st.Targets[j] = b.Target
 		}
 	}
 }
@@ -505,64 +434,5 @@ func (p *TwoLevel) Update(b trace.Branch, predicted bool) {
 // flushed and reinitialised; pattern tables are retained (§5.1.4).
 func (p *TwoLevel) ContextSwitch() {
 	p.inflight = p.inflight[:0]
-	if p.globalHistory() {
-		p.ghr.Reset()
-	}
-	for i := range p.setHists {
-		p.setHists[i].Reset()
-	}
-	if p.store != nil {
-		p.store.Flush()
-	}
-}
-
-// DebugHist returns the current history pattern of pc's entry as a bit
-// string, or "-" when the branch is not resident. Testing/diagnostics.
-func (p *TwoLevel) DebugHist(pc uint32) string {
-	if r := p.regFor(pc, false); r != nil {
-		return r.String()
-	}
-	return "-"
-}
-
-// FlatView exposes the predictor's internal structures to the flat
-// replay kernel (internal/sim/fastpath): the kernel seeds its packed
-// mirrors from these, replays, and writes the final state back, so a
-// kernel run leaves the predictor exactly as the interpretive path would
-// (modulo LRU stamp absolute values, whose relative order is preserved).
-// Fields are nil when the variation does not use the structure.
-type FlatView struct {
-	// Config is the predictor's validated configuration.
-	Config TwoLevelConfig
-	// Machine is the shared pattern automaton.
-	Machine *automaton.Machine
-	// GHR is the global history register (G* variations).
-	GHR *history.Register
-	// GPHT is the global pattern table (*g variations, incl. presets).
-	GPHT *pht.Table
-	// Store is the branch history table (per-address variations).
-	Store bht.Store
-	// SetHists are the per-set history registers (S* variations). The
-	// slice aliases the predictor's registers; index writes are visible.
-	SetHists []history.Register
-	// SetPHTs are the per-set pattern tables (*s variations).
-	SetPHTs []*pht.Table
-	// BHTLookups and BHTMisses point at the predictor's BHT hit-rate
-	// counters so the kernel can account its lookups.
-	BHTLookups, BHTMisses *uint64
-}
-
-// FlatView returns the kernel seam described on the FlatView type.
-func (p *TwoLevel) FlatView() FlatView {
-	return FlatView{
-		Config:     p.cfg,
-		Machine:    p.machine,
-		GHR:        &p.ghr,
-		GPHT:       p.gpht,
-		Store:      p.store,
-		SetHists:   p.setHists,
-		SetPHTs:    p.setPHTs,
-		BHTLookups: &p.bhtLookups,
-		BHTMisses:  &p.bhtMisses,
-	}
+	p.st.Flush()
 }

@@ -1,10 +1,12 @@
 package predictor
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"twolevel/internal/automaton"
+	"twolevel/internal/flat"
 	"twolevel/internal/trace"
 )
 
@@ -197,12 +199,12 @@ func TestContextSwitchFlushesHistoryNotPatterns(t *testing.T) {
 	p := pag(6, 512, 4)
 	branches := alternating(0x300, 200)
 	run(p, branches)
-	missesBefore := p.bhtMisses
+	missesBefore := p.st.Misses
 	p.ContextSwitch()
 	// Immediately after the switch, the BHT misses again...
 	b := trace.Branch{PC: 0x300, Class: trace.Cond}
 	p.Predict(b)
-	if p.bhtMisses != missesBefore+1 {
+	if p.st.Misses != missesBefore+1 {
 		t.Fatal("context switch did not flush the BHT")
 	}
 	// ...but the pattern table still remembers: after the per-address
@@ -229,8 +231,8 @@ func TestGAgContextSwitchResetsGlobalRegister(t *testing.T) {
 	p := gag(8)
 	run(p, alternating(0x40, 100))
 	p.ContextSwitch()
-	if p.ghr.Pattern() != 0xFF {
-		t.Fatalf("GHR not reinitialised: %08b", p.ghr.Pattern())
+	if p.st.GHR != 0xFF|flat.FreshBit {
+		t.Fatalf("GHR not reinitialised: %#x", p.st.GHR)
 	}
 }
 
@@ -334,9 +336,29 @@ func TestUpdateCachesTargetAddress(t *testing.T) {
 	p := pag(6, 512, 4)
 	b := trace.Branch{PC: 0x700, Target: 0x660, Class: trace.Cond, Taken: true}
 	p.Update(b, p.Predict(b))
-	e := p.store.Lookup(0x700)
-	if e == nil || e.Target != 0x660 {
+	if target, ok := p.PredictTarget(0x700); !ok || target != 0x660 {
 		t.Fatal("target address not cached on taken update")
+	}
+}
+
+// TestPredictTargetLeavesLRUAlone pins the clock rule the flat kernel
+// relies on: only Predict and Update touch a BHT entry, so a target read
+// changes no stamp and leaves the clock where it was.
+func TestPredictTargetLeavesLRUAlone(t *testing.T) {
+	p := pag(6, 16, 4)
+	for pc := uint32(0x100); pc < 0x140; pc += 4 {
+		b := trace.Branch{PC: pc, Target: pc - 0x40, Class: trace.Cond, Taken: true}
+		p.Update(b, p.Predict(b))
+	}
+	stamps := append([]uint64(nil), p.State().Stamps...)
+	now := p.State().Now
+	for pc := uint32(0x100); pc < 0x140; pc += 4 {
+		if target, ok := p.PredictTarget(pc); !ok || target != pc-0x40 {
+			t.Fatalf("PredictTarget(%#x) = (%#x, %v)", pc, target, ok)
+		}
+	}
+	if p.State().Now != now || !reflect.DeepEqual(p.State().Stamps, stamps) {
+		t.Fatal("PredictTarget moved the LRU clock or a stamp")
 	}
 }
 

@@ -10,8 +10,7 @@ package fastpath
 // state, trading a few predictable branches for generality.
 
 import (
-	"twolevel/internal/automaton"
-	"twolevel/internal/predictor"
+	"twolevel/internal/flat"
 	"twolevel/internal/trace"
 )
 
@@ -161,10 +160,11 @@ func (k *Kernel) runGAgPlain(instrs, pcs []uint32, meta []uint8, start, end int)
 	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
 	ctx := k.cfg.Context
 	c := &k.c
-	histMask, resetHist := k.histMask, k.resetHist
-	delta, predMask := k.delta, k.predMask
-	states, touched := k.gStates, k.gTouched
-	ghr := k.ghr
+	st := k.st
+	histMask, resetHist := st.HistMask, st.ResetHist
+	delta, predMask := st.Delta, st.PredMask
+	states, touched := st.GStates, st.GTouched
+	ghr := st.GHR
 	sinceCS := k.sinceCS
 	var sinceCheck uint32
 	i := start
@@ -216,13 +216,9 @@ func (k *Kernel) runGAgPlain(instrs, pcs []uint32, meta []uint8, start, end int)
 		}
 		states[pat] = delta[uint32(s)<<1|o]
 		touched[pat>>6] |= 1 << (pat & 63)
-		if ghr&freshBit != 0 {
-			ghr = o * histMask // smear the first outcome (§4.2)
-		} else {
-			ghr = (ghr<<1 | o) & histMask
-		}
+		ghr = flat.Shift(ghr, o, histMask)
 	}
-	k.ghr = ghr
+	st.GHR = ghr
 	k.sinceCS = sinceCS
 	return i - start, err
 }
@@ -231,11 +227,12 @@ func (k *Kernel) runGAgTap(instrs, pcs []uint32, meta []uint8, start, end int) (
 	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
 	ctx := k.cfg.Context
 	c := &k.c
+	st := k.st
 	tap := k.tap
-	histMask, resetHist := k.histMask, k.resetHist
-	delta, predMask := k.delta, k.predMask
-	states, touched := k.gStates, k.gTouched
-	ghr := k.ghr
+	histMask, resetHist := st.HistMask, st.ResetHist
+	delta, predMask := st.Delta, st.PredMask
+	states, touched := st.GStates, st.GTouched
+	ghr := st.GHR
 	sinceCS := k.sinceCS
 	var sinceCheck uint32
 	i := start
@@ -296,123 +293,15 @@ func (k *Kernel) runGAgTap(instrs, pcs []uint32, meta []uint8, start, end int) (
 		}
 		states[pat] = delta[uint32(s)<<1|o]
 		touched[pat>>6] |= 1 << (pat & 63)
-		if ghr&freshBit != 0 {
-			ghr = o * histMask // smear the first outcome (§4.2)
-		} else {
-			ghr = (ghr<<1 | o) & histMask
-		}
+		ghr = flat.Shift(ghr, o, histMask)
 	}
-	k.ghr = ghr
+	st.GHR = ghr
 	k.sinceCS = sinceCS
 	return i - start, err
 }
 
-// lookupAllocCache finds or allocates pc's slot in the mirrored
-// practical BHT, reproducing the interpretive entry() semantics: LRU
-// victim selection, §4.2 payload initialisation, and PAp per-slot
-// pattern-table materialise/reset rules. It advances bc — the serial
-// kernel's own clock and counters, or a shard worker's private ones
-// (each worker touches only its partition's slots, so the shared mirror
-// arrays see disjoint writes) — counting one lookup (and a miss when
-// allocating) toward the BHT hit-rate counters.
-func (k *Kernel) lookupAllocCache(bc *bhtClock, pc uint32) int {
-	bc.lookups++
-	base := int(pc>>2&k.setMask) * k.assoc
-	for w := 0; w < k.assoc; w++ {
-		j := base + w
-		if k.valid[j] && k.pcs[j] == pc {
-			bc.clock++
-			k.stamps[j] = bc.clock
-			return j
-		}
-	}
-	bc.misses++
-	victim := base
-	for w := 0; w < k.assoc; w++ {
-		j := base + w
-		if !k.valid[j] {
-			victim = j
-			break
-		}
-		if k.stamps[j] < k.stamps[victim] {
-			victim = j
-		}
-	}
-	recycled := k.valid[victim] && k.pcs[victim] != pc
-	bc.clock++
-	k.ever[victim] = true
-	k.valid[victim] = true
-	k.pcs[victim] = pc
-	k.stamps[victim] = bc.clock
-	k.hists[victim] = k.freshHist
-	k.preds[victim] = true
-	if k.perAddrPHT {
-		switch {
-		case k.phtStates[victim] == nil:
-			t := k.newSlotPHT()
-			k.phtTables[victim] = t
-			k.phtStates[victim] = t.RawStates()
-			k.phtTouched[victim] = t.RawTouched()
-		case recycled && k.phtInit != nil:
-			copy(k.phtStates[victim], k.phtInit)
-			clear(k.phtTouched[victim])
-		}
-	}
-	return victim
-}
-
-// lookupAllocIdeal is lookupAllocCache for the Ideal table: no capacity,
-// no replacement, flushed entries revive with their pattern table intact.
-func (k *Kernel) lookupAllocIdeal(pc uint32) int {
-	k.lookups++
-	idx, added := k.idealIdx.add(pc)
-	if !added && k.valid[idx] {
-		return int(idx)
-	}
-	k.misses++
-	if added {
-		k.idealPCs = append(k.idealPCs, pc)
-		k.valid = append(k.valid, false)
-		k.hists = append(k.hists, 0)
-		k.preds = append(k.preds, false)
-		k.targets = append(k.targets, 0)
-		if k.perAddrPHT {
-			k.phtTables = append(k.phtTables, nil)
-			k.phtStates = append(k.phtStates, nil)
-			k.phtTouched = append(k.phtTouched, nil)
-		}
-	}
-	k.valid[idx] = true
-	k.hists[idx] = k.freshHist
-	k.preds[idx] = true
-	if k.perAddrPHT && k.phtStates[idx] == nil {
-		t := k.newSlotPHT()
-		k.phtTables[idx] = t
-		k.phtStates[idx] = t.RawStates()
-		k.phtTouched[idx] = t.RawTouched()
-	}
-	return int(idx)
-}
-
-// flushState is the predictor-side half of a context switch: invalidate
-// the BHT mirror and reinitialise the first-level history, retaining
-// pattern tables (§5.1.4).
-func (k *Kernel) flushState() {
-	for i := range k.valid {
-		k.valid[i] = false
-	}
-	switch k.hAxis {
-	case predictor.AxisGlobal:
-		k.ghr = k.resetHist
-	case predictor.AxisPerSet:
-		for i := range k.setHists {
-			k.setHists[i] = k.resetHist
-		}
-	}
-}
-
 // runPAgCache replays PAg/PSg on the practical BHT: per-address history
-// registers in the mirrored cache, one global pattern table. The
+// registers in the practical BHT, one global pattern table. The
 // tap-free twin exists so a run without telemetry pays nothing — not
 // even a per-event nil check — keeping the headline kernel throughput
 // where it was before the tap existed.
@@ -427,9 +316,10 @@ func (k *Kernel) runPAgCachePlain(instrs, pcs, targets []uint32, meta []uint8, s
 	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
 	ctx := k.cfg.Context
 	c := &k.c
-	histMask := k.histMask
-	delta, predMask := k.delta, k.predMask
-	states, touched := k.gStates, k.gTouched
+	st := k.st
+	histMask := st.HistMask
+	delta, predMask := st.Delta, st.PredMask
+	states, touched := st.GStates, st.GTouched
 	sinceCS := k.sinceCS
 	var sinceCheck uint32
 	i := start
@@ -450,20 +340,14 @@ func (k *Kernel) runPAgCachePlain(instrs, pcs, targets []uint32, meta []uint8, s
 		if m&trace.MetaTrap != 0 {
 			c.Traps++
 			if cs {
-				valid := k.valid
-				for j := range valid {
-					valid[j] = false
-				}
+				st.Flush()
 				c.ContextSwitches++
 				sinceCS = 0
 			}
 			continue
 		}
 		if cs && sinceCS >= interval {
-			valid := k.valid
-			for j := range valid {
-				valid[j] = false
-			}
+			st.Flush()
 			c.ContextSwitches++
 			sinceCS = 0
 		}
@@ -479,8 +363,8 @@ func (k *Kernel) runPAgCachePlain(instrs, pcs, targets []uint32, meta []uint8, s
 			c.TakenCond++
 		}
 		pc := pcs[i]
-		slot := k.lookupAllocCache(&k.bhtClock, pc)
-		h := k.hists[slot]
+		slot := st.LookupCache(&st.Clock, pc, flat.BranchTouches)
+		h := st.Hists[slot]
 		pat := h & histMask
 		s := states[pat]
 		pred := predMask>>s&1 != 0
@@ -490,21 +374,17 @@ func (k *Kernel) runPAgCachePlain(instrs, pcs, targets []uint32, meta []uint8, s
 		}
 		if pred && taken {
 			c.TargetPredictions++
-			if t := k.targets[slot]; t != 0 && t == targets[i] {
+			if t := st.Targets[slot]; t != 0 && t == targets[i] {
 				c.TargetCorrect++
 			}
 		}
 		states[pat] = delta[uint32(s)<<1|o]
 		touched[pat>>6] |= 1 << (pat & 63)
-		if h&freshBit != 0 {
-			h = o * histMask
-		} else {
-			h = (h<<1 | o) & histMask
-		}
-		k.hists[slot] = h
-		k.preds[slot] = predMask>>states[h]&1 != 0
+		h = flat.Shift(h, o, histMask)
+		st.Hists[slot] = h
+		st.Preds[slot] = predMask>>states[h]&1 != 0
 		if taken {
-			k.targets[slot] = targets[i]
+			st.Targets[slot] = targets[i]
 		}
 	}
 	k.sinceCS = sinceCS
@@ -515,10 +395,11 @@ func (k *Kernel) runPAgCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
 	ctx := k.cfg.Context
 	c := &k.c
+	st := k.st
 	tap := k.tap
-	histMask := k.histMask
-	delta, predMask := k.delta, k.predMask
-	states, touched := k.gStates, k.gTouched
+	histMask := st.HistMask
+	delta, predMask := st.Delta, st.PredMask
+	states, touched := st.GStates, st.GTouched
 	sinceCS := k.sinceCS
 	var sinceCheck uint32
 	i := start
@@ -539,10 +420,7 @@ func (k *Kernel) runPAgCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 		if m&trace.MetaTrap != 0 {
 			c.Traps++
 			if cs {
-				valid := k.valid
-				for j := range valid {
-					valid[j] = false
-				}
+				st.Flush()
 				c.ContextSwitches++
 				sinceCS = 0
 				if tap != nil {
@@ -552,10 +430,7 @@ func (k *Kernel) runPAgCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 			continue
 		}
 		if cs && sinceCS >= interval {
-			valid := k.valid
-			for j := range valid {
-				valid[j] = false
-			}
+			st.Flush()
 			c.ContextSwitches++
 			sinceCS = 0
 			if tap != nil {
@@ -574,8 +449,8 @@ func (k *Kernel) runPAgCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 			c.TakenCond++
 		}
 		pc := pcs[i]
-		slot := k.lookupAllocCache(&k.bhtClock, pc)
-		h := k.hists[slot]
+		slot := st.LookupCache(&st.Clock, pc, flat.BranchTouches)
+		h := st.Hists[slot]
 		pat := h & histMask
 		s := states[pat]
 		pred := predMask>>s&1 != 0
@@ -588,21 +463,17 @@ func (k *Kernel) runPAgCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 		}
 		if pred && taken {
 			c.TargetPredictions++
-			if t := k.targets[slot]; t != 0 && t == targets[i] {
+			if t := st.Targets[slot]; t != 0 && t == targets[i] {
 				c.TargetCorrect++
 			}
 		}
 		states[pat] = delta[uint32(s)<<1|o]
 		touched[pat>>6] |= 1 << (pat & 63)
-		if h&freshBit != 0 {
-			h = o * histMask
-		} else {
-			h = (h<<1 | o) & histMask
-		}
-		k.hists[slot] = h
-		k.preds[slot] = predMask>>states[h]&1 != 0
+		h = flat.Shift(h, o, histMask)
+		st.Hists[slot] = h
+		st.Preds[slot] = predMask>>states[h]&1 != 0
 		if taken {
-			k.targets[slot] = targets[i]
+			st.Targets[slot] = targets[i]
 		}
 	}
 	k.sinceCS = sinceCS
@@ -610,7 +481,7 @@ func (k *Kernel) runPAgCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 }
 
 // runPApCache replays PAp on the practical BHT: per-address history and
-// a per-slot pattern table, both in the mirrored cache.
+// a per-slot pattern table, both bound to the practical BHT's slots.
 func (k *Kernel) runPApCache(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
 	if k.tap == nil {
 		return k.runPApCachePlain(instrs, pcs, targets, meta, start, end)
@@ -622,8 +493,9 @@ func (k *Kernel) runPApCachePlain(instrs, pcs, targets []uint32, meta []uint8, s
 	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
 	ctx := k.cfg.Context
 	c := &k.c
-	histMask := k.histMask
-	delta, predMask := k.delta, k.predMask
+	st := k.st
+	histMask := st.HistMask
+	delta, predMask := st.Delta, st.PredMask
 	sinceCS := k.sinceCS
 	var sinceCheck uint32
 	i := start
@@ -644,20 +516,14 @@ func (k *Kernel) runPApCachePlain(instrs, pcs, targets []uint32, meta []uint8, s
 		if m&trace.MetaTrap != 0 {
 			c.Traps++
 			if cs {
-				valid := k.valid
-				for j := range valid {
-					valid[j] = false
-				}
+				st.Flush()
 				c.ContextSwitches++
 				sinceCS = 0
 			}
 			continue
 		}
 		if cs && sinceCS >= interval {
-			valid := k.valid
-			for j := range valid {
-				valid[j] = false
-			}
+			st.Flush()
 			c.ContextSwitches++
 			sinceCS = 0
 		}
@@ -673,10 +539,10 @@ func (k *Kernel) runPApCachePlain(instrs, pcs, targets []uint32, meta []uint8, s
 			c.TakenCond++
 		}
 		pc := pcs[i]
-		slot := k.lookupAllocCache(&k.bhtClock, pc)
-		states := k.phtStates[slot]
-		touched := k.phtTouched[slot]
-		h := k.hists[slot]
+		slot := st.LookupCache(&st.Clock, pc, flat.BranchTouches)
+		states := st.PHTStates[slot]
+		touched := st.PHTTouched[slot]
+		h := st.Hists[slot]
 		pat := h & histMask
 		s := states[pat]
 		pred := predMask>>s&1 != 0
@@ -686,21 +552,17 @@ func (k *Kernel) runPApCachePlain(instrs, pcs, targets []uint32, meta []uint8, s
 		}
 		if pred && taken {
 			c.TargetPredictions++
-			if t := k.targets[slot]; t != 0 && t == targets[i] {
+			if t := st.Targets[slot]; t != 0 && t == targets[i] {
 				c.TargetCorrect++
 			}
 		}
 		states[pat] = delta[uint32(s)<<1|o]
 		touched[pat>>6] |= 1 << (pat & 63)
-		if h&freshBit != 0 {
-			h = o * histMask
-		} else {
-			h = (h<<1 | o) & histMask
-		}
-		k.hists[slot] = h
-		k.preds[slot] = predMask>>states[h]&1 != 0
+		h = flat.Shift(h, o, histMask)
+		st.Hists[slot] = h
+		st.Preds[slot] = predMask>>states[h]&1 != 0
 		if taken {
-			k.targets[slot] = targets[i]
+			st.Targets[slot] = targets[i]
 		}
 	}
 	k.sinceCS = sinceCS
@@ -711,9 +573,10 @@ func (k *Kernel) runPApCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
 	ctx := k.cfg.Context
 	c := &k.c
+	st := k.st
 	tap := k.tap
-	histMask := k.histMask
-	delta, predMask := k.delta, k.predMask
+	histMask := st.HistMask
+	delta, predMask := st.Delta, st.PredMask
 	sinceCS := k.sinceCS
 	var sinceCheck uint32
 	i := start
@@ -734,10 +597,7 @@ func (k *Kernel) runPApCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 		if m&trace.MetaTrap != 0 {
 			c.Traps++
 			if cs {
-				valid := k.valid
-				for j := range valid {
-					valid[j] = false
-				}
+				st.Flush()
 				c.ContextSwitches++
 				sinceCS = 0
 				if tap != nil {
@@ -747,10 +607,7 @@ func (k *Kernel) runPApCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 			continue
 		}
 		if cs && sinceCS >= interval {
-			valid := k.valid
-			for j := range valid {
-				valid[j] = false
-			}
+			st.Flush()
 			c.ContextSwitches++
 			sinceCS = 0
 			if tap != nil {
@@ -769,10 +626,10 @@ func (k *Kernel) runPApCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 			c.TakenCond++
 		}
 		pc := pcs[i]
-		slot := k.lookupAllocCache(&k.bhtClock, pc)
-		states := k.phtStates[slot]
-		touched := k.phtTouched[slot]
-		h := k.hists[slot]
+		slot := st.LookupCache(&st.Clock, pc, flat.BranchTouches)
+		states := st.PHTStates[slot]
+		touched := st.PHTTouched[slot]
+		h := st.Hists[slot]
 		pat := h & histMask
 		s := states[pat]
 		pred := predMask>>s&1 != 0
@@ -785,21 +642,17 @@ func (k *Kernel) runPApCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 		}
 		if pred && taken {
 			c.TargetPredictions++
-			if t := k.targets[slot]; t != 0 && t == targets[i] {
+			if t := st.Targets[slot]; t != 0 && t == targets[i] {
 				c.TargetCorrect++
 			}
 		}
 		states[pat] = delta[uint32(s)<<1|o]
 		touched[pat>>6] |= 1 << (pat & 63)
-		if h&freshBit != 0 {
-			h = o * histMask
-		} else {
-			h = (h<<1 | o) & histMask
-		}
-		k.hists[slot] = h
-		k.preds[slot] = predMask>>states[h]&1 != 0
+		h = flat.Shift(h, o, histMask)
+		st.Hists[slot] = h
+		st.Preds[slot] = predMask>>states[h]&1 != 0
 		if taken {
-			k.targets[slot] = targets[i]
+			st.Targets[slot] = targets[i]
 		}
 	}
 	k.sinceCS = sinceCS
@@ -821,10 +674,11 @@ func (k *Kernel) runGenericPlain(instrs, pcs, targets []uint32, meta []uint8, st
 	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
 	ctx := k.cfg.Context
 	c := &k.c
-	histMask := k.histMask
-	delta, predMask := k.delta, k.predMask
-	hasStore := k.store != nil
-	useCache := k.cache != nil
+	st := k.st
+	histMask := st.HistMask
+	delta, predMask := st.Delta, st.PredMask
+	hasStore := st.BHT != flat.NoBHT
+	useCache := st.BHT == flat.CacheBHT
 	sinceCS := k.sinceCS
 	var sinceCheck uint32
 	i := start
@@ -845,14 +699,14 @@ func (k *Kernel) runGenericPlain(instrs, pcs, targets []uint32, meta []uint8, st
 		if m&trace.MetaTrap != 0 {
 			c.Traps++
 			if cs {
-				k.flushState()
+				st.Flush()
 				c.ContextSwitches++
 				sinceCS = 0
 			}
 			continue
 		}
 		if cs && sinceCS >= interval {
-			k.flushState()
+			st.Flush()
 			c.ContextSwitches++
 			sinceCS = 0
 		}
@@ -871,31 +725,13 @@ func (k *Kernel) runGenericPlain(instrs, pcs, targets []uint32, meta []uint8, st
 		slot := -1
 		if hasStore {
 			if useCache {
-				slot = k.lookupAllocCache(&k.bhtClock, pc)
+				slot = st.LookupCache(&st.Clock, pc, flat.BranchTouches)
 			} else {
-				slot = k.lookupAllocIdeal(pc)
+				slot = st.LookupIdeal(&st.Clock, pc)
 			}
 		}
-		var hp *uint32
-		switch k.hAxis {
-		case predictor.AxisGlobal:
-			hp = &k.ghr
-		case predictor.AxisPerSet:
-			hp = &k.setHists[pc>>2&k.histSetMask]
-		default:
-			hp = &k.hists[slot]
-		}
-		var states []automaton.State
-		var touched []uint64
-		switch k.pAxis {
-		case predictor.AxisGlobal:
-			states, touched = k.gStates, k.gTouched
-		case predictor.AxisPerSet:
-			si := pc >> 2 & k.patSetMask
-			states, touched = k.setStates[si], k.setTouched[si]
-		default:
-			states, touched = k.phtStates[slot], k.phtTouched[slot]
-		}
+		hp := st.History(pc, slot)
+		states, touched := st.Tables(pc, slot)
 		h := *hp
 		pat := h & histMask
 		s := states[pat]
@@ -906,22 +742,18 @@ func (k *Kernel) runGenericPlain(instrs, pcs, targets []uint32, meta []uint8, st
 		}
 		if hasStore && pred && taken {
 			c.TargetPredictions++
-			if t := k.targets[slot]; t != 0 && t == targets[i] {
+			if t := st.Targets[slot]; t != 0 && t == targets[i] {
 				c.TargetCorrect++
 			}
 		}
 		states[pat] = delta[uint32(s)<<1|o]
 		touched[pat>>6] |= 1 << (pat & 63)
-		if h&freshBit != 0 {
-			h = o * histMask
-		} else {
-			h = (h<<1 | o) & histMask
-		}
+		h = flat.Shift(h, o, histMask)
 		*hp = h
 		if slot >= 0 {
-			k.preds[slot] = predMask>>states[h]&1 != 0
+			st.Preds[slot] = predMask>>states[h]&1 != 0
 			if taken {
-				k.targets[slot] = targets[i]
+				st.Targets[slot] = targets[i]
 			}
 		}
 	}
@@ -933,11 +765,12 @@ func (k *Kernel) runGenericTap(instrs, pcs, targets []uint32, meta []uint8, star
 	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
 	ctx := k.cfg.Context
 	c := &k.c
+	st := k.st
 	tap := k.tap
-	histMask := k.histMask
-	delta, predMask := k.delta, k.predMask
-	hasStore := k.store != nil
-	useCache := k.cache != nil
+	histMask := st.HistMask
+	delta, predMask := st.Delta, st.PredMask
+	hasStore := st.BHT != flat.NoBHT
+	useCache := st.BHT == flat.CacheBHT
 	sinceCS := k.sinceCS
 	var sinceCheck uint32
 	i := start
@@ -958,7 +791,7 @@ func (k *Kernel) runGenericTap(instrs, pcs, targets []uint32, meta []uint8, star
 		if m&trace.MetaTrap != 0 {
 			c.Traps++
 			if cs {
-				k.flushState()
+				st.Flush()
 				c.ContextSwitches++
 				sinceCS = 0
 				if tap != nil {
@@ -968,7 +801,7 @@ func (k *Kernel) runGenericTap(instrs, pcs, targets []uint32, meta []uint8, star
 			continue
 		}
 		if cs && sinceCS >= interval {
-			k.flushState()
+			st.Flush()
 			c.ContextSwitches++
 			sinceCS = 0
 			if tap != nil {
@@ -990,31 +823,13 @@ func (k *Kernel) runGenericTap(instrs, pcs, targets []uint32, meta []uint8, star
 		slot := -1
 		if hasStore {
 			if useCache {
-				slot = k.lookupAllocCache(&k.bhtClock, pc)
+				slot = st.LookupCache(&st.Clock, pc, flat.BranchTouches)
 			} else {
-				slot = k.lookupAllocIdeal(pc)
+				slot = st.LookupIdeal(&st.Clock, pc)
 			}
 		}
-		var hp *uint32
-		switch k.hAxis {
-		case predictor.AxisGlobal:
-			hp = &k.ghr
-		case predictor.AxisPerSet:
-			hp = &k.setHists[pc>>2&k.histSetMask]
-		default:
-			hp = &k.hists[slot]
-		}
-		var states []automaton.State
-		var touched []uint64
-		switch k.pAxis {
-		case predictor.AxisGlobal:
-			states, touched = k.gStates, k.gTouched
-		case predictor.AxisPerSet:
-			si := pc >> 2 & k.patSetMask
-			states, touched = k.setStates[si], k.setTouched[si]
-		default:
-			states, touched = k.phtStates[slot], k.phtTouched[slot]
-		}
+		hp := st.History(pc, slot)
+		states, touched := st.Tables(pc, slot)
 		h := *hp
 		pat := h & histMask
 		s := states[pat]
@@ -1028,22 +843,18 @@ func (k *Kernel) runGenericTap(instrs, pcs, targets []uint32, meta []uint8, star
 		}
 		if hasStore && pred && taken {
 			c.TargetPredictions++
-			if t := k.targets[slot]; t != 0 && t == targets[i] {
+			if t := st.Targets[slot]; t != 0 && t == targets[i] {
 				c.TargetCorrect++
 			}
 		}
 		states[pat] = delta[uint32(s)<<1|o]
 		touched[pat>>6] |= 1 << (pat & 63)
-		if h&freshBit != 0 {
-			h = o * histMask
-		} else {
-			h = (h<<1 | o) & histMask
-		}
+		h = flat.Shift(h, o, histMask)
 		*hp = h
 		if slot >= 0 {
-			k.preds[slot] = predMask>>states[h]&1 != 0
+			st.Preds[slot] = predMask>>states[h]&1 != 0
 			if taken {
-				k.targets[slot] = targets[i]
+				st.Targets[slot] = targets[i]
 			}
 		}
 	}

@@ -5,7 +5,7 @@ package fastpath
 // every mutable structure is indexed by pc>>2 modulo a power-of-two set
 // count, so partitioning branches by the low bits of pc>>2 gives each
 // worker a disjoint slice of BHT sets, history registers and pattern
-// tables: workers share the mirror arrays but write disjoint indices.
+// tables: workers share the predictor's tables but write disjoint indices.
 // Every worker walks the whole event stream (the context-switch quantum
 // is timed by the global instruction count), predicting only its own
 // partition; worker 0 additionally owns the global counters
@@ -16,18 +16,19 @@ package fastpath
 import (
 	"sync"
 
-	"twolevel/internal/automaton"
-	"twolevel/internal/predictor"
+	"twolevel/internal/flat"
 	"twolevel/internal/trace"
 )
 
 // shardable reports whether PC partitioning preserves semantics: both
 // levels non-global (no cross-partition state) and no Ideal table (whose
-// directory map cannot be shared without synchronisation).
+// directory and slot arrays grow on insert, so they cannot be shared
+// without synchronisation).
 func (k *Kernel) shardable() bool {
+	st := k.st
 	return k.kind == kindTwoLevel &&
-		k.hAxis != predictor.AxisGlobal && k.pAxis != predictor.AxisGlobal &&
-		k.ideal == nil
+		st.HistoryAxis != flat.Global && st.PatternAxis != flat.Global &&
+		st.BHT != flat.IdealBHT
 }
 
 // shardCount resolves the partition count: the largest power of two not
@@ -43,14 +44,15 @@ func (k *Kernel) shardCount() int {
 			n = v
 		}
 	}
-	if k.cache != nil {
-		lim(int(k.setMask) + 1)
+	st := k.st
+	if st.BHT == flat.CacheBHT {
+		lim(int(st.SetMask) + 1)
 	}
-	if k.hAxis == predictor.AxisPerSet {
-		lim(int(k.histSetMask) + 1)
+	if st.HistoryAxis == flat.PerSet {
+		lim(int(st.HistSetMask) + 1)
 	}
-	if k.pAxis == predictor.AxisPerSet {
-		lim(int(k.patSetMask) + 1)
+	if st.PatternAxis == flat.PerSet {
+		lim(int(st.PatSetMask) + 1)
 	}
 	g := 1
 	for g*2 <= n {
@@ -59,12 +61,12 @@ func (k *Kernel) shardCount() int {
 	return g
 }
 
-// shardWorker is one partition's private replay state. The mirror arrays
-// are shared with the Kernel (disjoint index sets); everything that must
-// not be shared — the LRU clock, the counters, the context-switch
-// phase — lives here.
+// shardWorker is one partition's private replay state. The predictor's
+// tables are shared (disjoint index sets); everything that must not be
+// shared — the LRU clock, the counters, the context-switch phase —
+// lives here.
 type shardWorker struct {
-	bhtClock
+	flat.Clock
 	c       Counters
 	sinceCS uint64
 	tap     *Tap // private telemetry fork; nil when telemetry is off
@@ -82,7 +84,7 @@ type shardWorker struct {
 // A cancelled pass still yields a well-defined prefix: workers observe
 // cancellation at aligned poll indices, and the catch-up phase below
 // advances every worker to the furthest stop, so the consumed count and
-// the written-back state describe the exact prefix [start, stop) — an
+// the predictor's state describe the exact prefix [start, stop) — an
 // interpretive continuation from there is bit-identical to a run that
 // was never sharded.
 func (k *Kernel) runSharded(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
@@ -96,7 +98,7 @@ func (k *Kernel) runSharded(instrs, pcs, targets []uint32, meta []uint8, start, 
 		wg.Add(1)
 		go func(w int) { //lint:allow hotalloc per-worker spawn: O(shards) setup, not per-event work
 			defer wg.Done()
-			workers[w].clock = k.clock
+			workers[w].Now = k.st.Now
 			k.runShard(&workers[w], uint32(w), uint32(g-1), instrs, pcs, targets, meta, start, end, k.sinceCS, true)
 		}(w)
 	}
@@ -121,19 +123,20 @@ func (k *Kernel) runSharded(instrs, pcs, targets []uint32, meta []uint8, start, 
 			}
 		}
 	}
-	maxClock := k.clock
+	st := k.st
+	maxClock := st.Now
 	for w := range workers {
 		k.c.merge(workers[w].c)
-		k.lookups += workers[w].lookups
-		k.misses += workers[w].misses
-		if workers[w].clock > maxClock {
-			maxClock = workers[w].clock
+		st.Lookups += workers[w].Lookups
+		st.Misses += workers[w].Misses
+		if workers[w].Now > maxClock {
+			maxClock = workers[w].Now
 		}
 		if k.tap != nil {
 			k.tap.absorb(workers[w].tap)
 		}
 	}
-	k.clock = maxClock
+	st.Now = maxClock
 	k.sinceCS = workers[0].sinceCS
 	return stop - start, err
 }
@@ -161,10 +164,11 @@ func (k *Kernel) runShardPlain(sw *shardWorker, w, partMask uint32, instrs, pcs,
 		ctx = nil
 	}
 	c := &sw.c
+	st := k.st
 	global := w == 0
-	histMask := k.histMask
-	delta, predMask := k.delta, k.predMask
-	useCache := k.cache != nil
+	histMask := st.HistMask
+	delta, predMask := st.Delta, st.PredMask
+	useCache := st.BHT == flat.CacheBHT
 	g := partMask + 1
 	sinceCS := startSinceCS // all workers see the same instruction stream
 	var sinceCheck uint32
@@ -230,22 +234,10 @@ func (k *Kernel) runShardPlain(sw *shardWorker, w, partMask uint32, instrs, pcs,
 		}
 		slot := -1
 		if useCache {
-			slot = k.lookupAllocCache(&sw.bhtClock, pc)
+			slot = st.LookupCache(&sw.Clock, pc, flat.BranchTouches)
 		}
-		var hp *uint32
-		if k.hAxis == predictor.AxisPerSet {
-			hp = &k.setHists[pc>>2&k.histSetMask]
-		} else {
-			hp = &k.hists[slot]
-		}
-		var states []automaton.State
-		var touched []uint64
-		if k.pAxis == predictor.AxisPerSet {
-			si := pc >> 2 & k.patSetMask
-			states, touched = k.setStates[si], k.setTouched[si]
-		} else {
-			states, touched = k.phtStates[slot], k.phtTouched[slot]
-		}
+		hp := st.History(pc, slot)
+		states, touched := st.Tables(pc, slot)
 		h := *hp
 		pat := h & histMask
 		s := states[pat]
@@ -256,22 +248,18 @@ func (k *Kernel) runShardPlain(sw *shardWorker, w, partMask uint32, instrs, pcs,
 		}
 		if useCache && pred && taken {
 			c.TargetPredictions++
-			if t := k.targets[slot]; t != 0 && t == targets[i] {
+			if t := st.Targets[slot]; t != 0 && t == targets[i] {
 				c.TargetCorrect++
 			}
 		}
 		states[pat] = delta[uint32(s)<<1|o]
 		touched[pat>>6] |= 1 << (pat & 63)
-		if h&freshBit != 0 {
-			h = o * histMask
-		} else {
-			h = (h<<1 | o) & histMask
-		}
+		h = flat.Shift(h, o, histMask)
 		*hp = h
 		if slot >= 0 {
-			k.preds[slot] = predMask>>states[h]&1 != 0
+			st.Preds[slot] = predMask>>states[h]&1 != 0
 			if taken {
-				k.targets[slot] = targets[i]
+				st.Targets[slot] = targets[i]
 			}
 		}
 	}
@@ -286,11 +274,12 @@ func (k *Kernel) runShardTap(sw *shardWorker, w, partMask uint32, instrs, pcs, t
 		ctx = nil
 	}
 	c := &sw.c
+	st := k.st
 	tap := sw.tap
 	global := w == 0
-	histMask := k.histMask
-	delta, predMask := k.delta, k.predMask
-	useCache := k.cache != nil
+	histMask := st.HistMask
+	delta, predMask := st.Delta, st.PredMask
+	useCache := st.BHT == flat.CacheBHT
 	g := partMask + 1
 	sinceCS := startSinceCS // all workers see the same instruction stream
 	var sinceCheck uint32
@@ -365,22 +354,10 @@ func (k *Kernel) runShardTap(sw *shardWorker, w, partMask uint32, instrs, pcs, t
 		}
 		slot := -1
 		if useCache {
-			slot = k.lookupAllocCache(&sw.bhtClock, pc)
+			slot = st.LookupCache(&sw.Clock, pc, flat.BranchTouches)
 		}
-		var hp *uint32
-		if k.hAxis == predictor.AxisPerSet {
-			hp = &k.setHists[pc>>2&k.histSetMask]
-		} else {
-			hp = &k.hists[slot]
-		}
-		var states []automaton.State
-		var touched []uint64
-		if k.pAxis == predictor.AxisPerSet {
-			si := pc >> 2 & k.patSetMask
-			states, touched = k.setStates[si], k.setTouched[si]
-		} else {
-			states, touched = k.phtStates[slot], k.phtTouched[slot]
-		}
+		hp := st.History(pc, slot)
+		states, touched := st.Tables(pc, slot)
 		h := *hp
 		pat := h & histMask
 		s := states[pat]
@@ -394,22 +371,18 @@ func (k *Kernel) runShardTap(sw *shardWorker, w, partMask uint32, instrs, pcs, t
 		}
 		if useCache && pred && taken {
 			c.TargetPredictions++
-			if t := k.targets[slot]; t != 0 && t == targets[i] {
+			if t := st.Targets[slot]; t != 0 && t == targets[i] {
 				c.TargetCorrect++
 			}
 		}
 		states[pat] = delta[uint32(s)<<1|o]
 		touched[pat>>6] |= 1 << (pat & 63)
-		if h&freshBit != 0 {
-			h = o * histMask
-		} else {
-			h = (h<<1 | o) & histMask
-		}
+		h = flat.Shift(h, o, histMask)
 		*hp = h
 		if slot >= 0 {
-			k.preds[slot] = predMask>>states[h]&1 != 0
+			st.Preds[slot] = predMask>>states[h]&1 != 0
 			if taken {
-				k.targets[slot] = targets[i]
+				st.Targets[slot] = targets[i]
 			}
 		}
 	}
@@ -417,21 +390,17 @@ func (k *Kernel) runShardTap(sw *shardWorker, w, partMask uint32, instrs, pcs, t
 	sw.sinceCS = sinceCS
 }
 
-// flushShard invalidates the worker's partition of the BHT mirror and
+// flushShard invalidates the worker's partition of the BHT and
 // reinitialises its history registers (context switch, §5.1.4).
 func (k *Kernel) flushShard(w, g uint32) {
-	if k.cache != nil {
-		sets := int(k.setMask) + 1
+	st := k.st
+	if st.BHT == flat.CacheBHT {
+		sets := int(st.SetMask) + 1
 		for set := int(w); set < sets; set += int(g) {
-			base := set * k.assoc
-			for j := base; j < base+k.assoc; j++ {
-				k.valid[j] = false
-			}
+			clear(st.Valid[set*st.Assoc : (set+1)*st.Assoc])
 		}
 	}
-	if k.hAxis == predictor.AxisPerSet {
-		for i := int(w); i < len(k.setHists); i += int(g) {
-			k.setHists[i] = k.resetHist
-		}
+	for i := int(w); i < len(st.SetHists); i += int(g) {
+		st.SetHists[i] = st.ResetHist
 	}
 }

@@ -5,8 +5,8 @@ package fastpath
 // that wants live telemetry stays on the kernel; the interpretive runner
 // feeds the same accumulator through the exported Resolve and Switch, so
 // both replay engines share one implementation. The accumulators are
-// plain per-shard arrays behind a pcIndex directory, merged
-// deterministically at writeback; every hot-loop call site is
+// plain per-shard arrays behind a flat.PCIndex directory, merged
+// deterministically after a sharded pass; every hot-loop call site is
 // nil-guarded (one predictable branch when telemetry is off — the same
 // zero-cost-when-disabled contract Observer carries, enforced by the
 // obsnilguard analyzer).
@@ -14,6 +14,7 @@ package fastpath
 import (
 	"sort"
 
+	"twolevel/internal/flat"
 	"twolevel/internal/telemetry"
 )
 
@@ -36,8 +37,8 @@ type Tap struct {
 	recordSwitches bool
 	switches       []uint64 // resolution index at each context switch
 
-	pcIdx pcIndex // PC → index into pcs (topk > 0 only)
-	pcs   pcTaps  // per-PC counters at pcIdx's dense indices
+	pcIdx flat.PCIndex // PC → index into pcs (topk > 0 only)
+	pcs   pcTaps       // per-PC counters at pcIdx's dense indices
 }
 
 // pcTap mirrors telemetry.HotBranches' per-PC counters plus the
@@ -119,7 +120,7 @@ func (t *Tap) Resolve(pc uint32, taken, correct bool) {
 		}
 	}
 	if t.topk > 0 {
-		i, added := t.pcIdx.add(pc)
+		i, added := t.pcIdx.Add(pc)
 		if added {
 			t.pcs.push(pc)
 		}
@@ -159,17 +160,17 @@ func (t *Tap) absorb(o *Tap) {
 		t.total = o.total
 	}
 	for len(t.preds) < len(o.preds) {
-		t.preds = append(t.preds, 0)     //lint:allow hotalloc per-worker merge at writeback, outside the per-event path
-		t.correct = append(t.correct, 0) //lint:allow hotalloc per-worker merge at writeback, outside the per-event path
+		t.preds = append(t.preds, 0)     //lint:allow hotalloc per-worker merge after the sharded pass, outside the per-event path
+		t.correct = append(t.correct, 0) //lint:allow hotalloc per-worker merge after the sharded pass, outside the per-event path
 	}
 	for j := range o.preds {
 		t.preds[j] += o.preds[j]
 		t.correct[j] += o.correct[j]
 	}
-	t.switches = append(t.switches, o.switches...) //lint:allow hotalloc per-worker merge at writeback, outside the per-event path
+	t.switches = append(t.switches, o.switches...) //lint:allow hotalloc per-worker merge after the sharded pass, outside the per-event path
 	for j := 0; j < o.pcs.n; j++ {
 		st := o.pcs.at(j)
-		i, added := t.pcIdx.add(st.pc)
+		i, added := t.pcIdx.Add(st.pc)
 		if added {
 			t.pcs.push(st.pc)
 		}

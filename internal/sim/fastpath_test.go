@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"twolevel/internal/automaton"
+	"twolevel/internal/flat"
 	"twolevel/internal/predictor"
 	"twolevel/internal/sim/fastpath"
 	"twolevel/internal/span"
@@ -95,6 +96,56 @@ var kernelEquivSpecs = []string{
 	"BTFN",
 }
 
+// assertSameState fails t unless the two predictors hold the same state.
+// A sharded kernel run keeps a private LRU clock per worker, so with
+// byRank the BHT stamps are compared by their order within each set and
+// the clock's value is ignored.
+func assertSameState(t *testing.T, name string, got, want predictor.Predictor, byRank bool) {
+	t.Helper()
+	gp, ok := got.(*predictor.TwoLevel)
+	wp, ok2 := want.(*predictor.TwoLevel)
+	if !ok || !ok2 {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: final predictors differ:\n got %+v\nwant %+v", name, got, want)
+		}
+		return
+	}
+	gs, ws := *gp.State(), *wp.State()
+	if byRank {
+		gs.Stamps, ws.Stamps = stampRanks(&gs), stampRanks(&ws)
+		gs.Now, ws.Now = 0, 0
+	} else if reflect.DeepEqual(gp, wp) {
+		return
+	}
+	gv, wv := reflect.ValueOf(gs), reflect.ValueOf(ws)
+	for i := 0; i < gv.NumField(); i++ {
+		f := gv.Type().Field(i)
+		if f.IsExported() && !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
+			t.Errorf("%s: predictor state %s differs:\n got %v\nwant %v",
+				name, f.Name, gv.Field(i).Interface(), wv.Field(i).Interface())
+			return
+		}
+	}
+	if !byRank {
+		t.Errorf("%s: final predictors differ in an unexported field", name)
+	}
+}
+
+// stampRanks replaces each practical-BHT slot's LRU stamp with the
+// number of ways in its set holding an older stamp.
+func stampRanks(st *flat.State) []uint64 {
+	ranks := make([]uint64, len(st.Stamps))
+	for i := range st.Stamps {
+		base := i - i%st.Assoc
+		for j := base; j < base+st.Assoc; j++ {
+			if st.Stamps[j] < st.Stamps[i] {
+				ranks[i]++
+			}
+		}
+	}
+	return ranks
+}
+
 // buildKernelSpec constructs sp's predictor, running a training pass
 // over snap for the static-training schemes.
 func buildKernelSpec(t *testing.T, sp spec.Spec, snap trace.Snapshot) predictor.Predictor {
@@ -146,8 +197,9 @@ func replaySpanAttr(t *testing.T, p predictor.Predictor, snap trace.Snapshot, op
 // TestKernelMatchesInterpretive is the headline bit-identity property:
 // for every flattenable spec, under plain, context-switch, budgeted and
 // sharded options, the fast kernel's Result deep-equals the interpretive
-// runner's, the two paths leave the reader at the same position, and the
-// replay span proves the kernel actually served the fast leg.
+// runner's, the two paths leave the predictor in the same state (LRU
+// stamps compared by rank after a sharded run), and the replay span
+// proves the kernel actually served the fast leg.
 func TestKernelMatchesInterpretive(t *testing.T) {
 	snap := kernelSnapshot(24_000)
 	conds := uint64(0)
@@ -174,7 +226,8 @@ func TestKernelMatchesInterpretive(t *testing.T) {
 			slowOpts := os.opts
 			slowOpts.DisableFastpath = true
 			slowSrc := snap.Reader()
-			want, err := Run(buildKernelSpec(t, sp, snap), slowSrc, slowOpts)
+			slowP := buildKernelSpec(t, sp, snap)
+			want, err := Run(slowP, slowSrc, slowOpts)
 			if err != nil {
 				t.Fatalf("%s/%s interpretive: %v", s, os.name, err)
 			}
@@ -192,16 +245,17 @@ func TestKernelMatchesInterpretive(t *testing.T) {
 				t.Errorf("%s/%s: kernel result differs from interpretive runner:\n got %+v\nwant %+v",
 					s, os.name, got, want)
 			}
+			assertSameState(t, s+"/"+os.name, p, slowP, os.opts.Shards > 1)
 		}
 	}
 }
 
-// TestKernelWritebackResumes proves the kernel's state writeback is
-// complete: a budgeted kernel run followed by an interpretive
+// TestKernelWritebackResumes proves a kernel run leaves the predictor
+// resumable: a budgeted kernel run followed by an interpretive
 // continuation over the same reader must land exactly where two
-// interpretive runs do. Any predictor state the kernel failed to restore
-// (histories, pattern tables, BHT residency, cached predictions or
-// targets) would diverge in the second leg.
+// interpretive runs do, with identical predictor state after each leg.
+// Any state the kernel kept to itself (histories, pattern tables, BHT
+// residency and stamps, cached predictions or targets) would diverge.
 func TestKernelWritebackResumes(t *testing.T) {
 	snap := kernelSnapshot(24_000)
 	first := Options{MaxCondBranches: 4000, ContextSwitches: true, CSInterval: 1711}
@@ -215,19 +269,19 @@ func TestKernelWritebackResumes(t *testing.T) {
 		if _, err := Run(slowP, slowSrc, slowOpts); err != nil {
 			t.Fatalf("%s interpretive leg 1: %v", s, err)
 		}
-		slowPos := slowSrc.Pos()
-		want, err := Run(slowP, slowSrc, Options{DisableFastpath: true})
-		if err != nil {
-			t.Fatalf("%s interpretive leg 2: %v", s, err)
-		}
-
 		fastSrc := snap.Reader()
 		fastP := buildKernelSpec(t, sp, snap)
 		if _, err := Run(fastP, fastSrc, first); err != nil {
 			t.Fatalf("%s kernel leg 1: %v", s, err)
 		}
-		if fastPos := fastSrc.Pos(); slowPos != fastPos {
+		if slowPos, fastPos := slowSrc.Pos(), fastSrc.Pos(); slowPos != fastPos {
 			t.Errorf("%s: kernel consumed %d events, interpretive %d", s, fastPos, slowPos)
+		}
+		assertSameState(t, s+" after leg 1", fastP, slowP, false)
+
+		want, err := Run(slowP, slowSrc, Options{DisableFastpath: true})
+		if err != nil {
+			t.Fatalf("%s interpretive leg 2: %v", s, err)
 		}
 		got, err := Run(fastP, fastSrc, Options{DisableFastpath: true})
 		if err != nil {
@@ -237,6 +291,7 @@ func TestKernelWritebackResumes(t *testing.T) {
 			t.Errorf("%s: interpretive continuation after kernel leg differs:\n got %+v\nwant %+v",
 				s, got, want)
 		}
+		assertSameState(t, s+" after leg 2", fastP, slowP, false)
 	}
 }
 
@@ -493,6 +548,20 @@ func TestKernelSupportedCoverage(t *testing.T) {
 		}
 		if _, ok := fastpath.New(p, fastpathConfig(Options{})); !ok {
 			t.Errorf("%s: fastpath.New declined", s)
+		}
+	}
+}
+
+// TestKernelNewAllocatesOnce pins the single state layout: the
+// kernel replays on the predictor's own tables, so building one costs a
+// single allocation (the Kernel) whatever the table sizes.
+func TestKernelNewAllocatesOnce(t *testing.T) {
+	snap := kernelSnapshot(256)
+	for _, s := range kernelEquivSpecs {
+		p := buildKernelSpec(t, spec.MustParse(s), snap)
+		cfg := fastpathConfig(Options{})
+		if allocs := testing.AllocsPerRun(10, func() { fastpath.New(p, cfg) }); allocs > 1 {
+			t.Errorf("%s: fastpath.New made %.0f allocations, want 1", s, allocs)
 		}
 	}
 }

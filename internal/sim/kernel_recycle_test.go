@@ -5,67 +5,13 @@ import (
 	"testing"
 
 	"twolevel/internal/automaton"
-	"twolevel/internal/bht"
 	"twolevel/internal/predictor"
 )
 
-// bhtSlotState is one practical-BHT slot as the predictor holds it after
-// a run. Rank replaces the raw LRU stamp: the kernel's clock ticks once
-// per branch rather than once per Lookup/Allocate touch, so only the
-// within-set stamp order — all that replacement consults — is comparable.
-type bhtSlotState struct {
-	Valid, Ever bool
-	PC          uint32
-	Rank        int
-	Hist        uint32
-	Fresh       bool
-	Pred        bool
-	Target      uint32
-	PHT         []automaton.State
-	Touched     []uint64
-}
-
-// cacheState is the final state of a two-level predictor on the
-// practical BHT with per-slot pattern tables: every slot, plus the BHT
-// hit-rate counters.
-type cacheState struct {
-	Slots           []bhtSlotState
-	Lookups, Misses uint64
-}
-
-func papCacheState(t *testing.T, p *predictor.TwoLevel) cacheState {
-	t.Helper()
-	v := p.FlatView()
-	c, ok := v.Store.(*bht.Cache)
-	if !ok {
-		t.Fatalf("%s: not a practical BHT", p.Name())
-	}
-	st := cacheState{Lookups: *v.BHTLookups, Misses: *v.BHTMisses}
-	for i := 0; i < c.Entries(); i++ {
-		e := c.At(i)
-		s := bhtSlotState{
-			Valid: e.Valid(), Ever: e.Ever(), PC: e.PC(),
-			Hist: e.Hist.Pattern(), Fresh: e.Hist.Fresh(),
-			Pred: e.Pred, Target: e.Target,
-		}
-		base := i - i%c.Assoc()
-		for j := base; j < base+c.Assoc(); j++ {
-			if c.At(j).Stamp() < e.Stamp() {
-				s.Rank++
-			}
-		}
-		if e.PHT != nil {
-			s.PHT = append([]automaton.State(nil), e.PHT.RawStates()...)
-			s.Touched = append([]uint64(nil), e.PHT.RawTouched()...)
-		}
-		st.Slots = append(st.Slots, s)
-	}
-	return st
-}
-
 // TestKernelSlotRecycleMatchesInterpretive pins the PAp slot-recycle
-// path — the kernel resets a recycled slot's pattern table by copying a
-// template built at seed — against the interpretive runner. The
+// path — a recycled slot's pattern table is reinitialised, or inherited
+// under InheritPHTOnReplace — on the kernel against the interpretive
+// runner, down to every slot's LRU stamp. The
 // configurations are built from predictor.TwoLevelConfig because spec
 // strings cannot express a non-default PatternInit or
 // InheritPHTOnReplace. A 64-entry, 2-way BHT under the 709-site trace
@@ -118,24 +64,11 @@ func TestKernelSlotRecycleMatchesInterpretive(t *testing.T) {
 				t.Errorf("%s/%s: kernel result differs from interpretive runner:\n got %+v\nwant %+v",
 					c.name, os.name, got, want)
 			}
-			wantState, gotState := papCacheState(t, slowP), papCacheState(t, fastP)
-			if wantState.Misses <= 709 {
+			if misses := slowP.State().Misses; misses <= 709 {
 				t.Fatalf("%s/%s: %d BHT misses over 709 sites: no slot was recycled",
-					c.name, os.name, wantState.Misses)
+					c.name, os.name, misses)
 			}
-			if !reflect.DeepEqual(gotState, wantState) {
-				for i := range wantState.Slots {
-					if !reflect.DeepEqual(gotState.Slots[i], wantState.Slots[i]) {
-						t.Errorf("%s/%s: slot %d differs:\n got %+v\nwant %+v",
-							c.name, os.name, i, gotState.Slots[i], wantState.Slots[i])
-						break
-					}
-				}
-				if gotState.Lookups != wantState.Lookups || gotState.Misses != wantState.Misses {
-					t.Errorf("%s/%s: BHT counters %d/%d, want %d/%d", c.name, os.name,
-						gotState.Lookups, gotState.Misses, wantState.Lookups, wantState.Misses)
-				}
-			}
+			assertSameState(t, c.name+"/"+os.name, fastP, slowP, false)
 		}
 	}
 }
