@@ -304,6 +304,8 @@ func BenchmarkKernelVsRunner(b *testing.B) {
 		{"PAp-A2", "PAp(BHT(512,4,6-sr),512xPHT(2^6,A2))"},
 		{"PAp-A4", "PAp(BHT(512,4,6-sr),512xPHT(2^6,A4))"},
 		{"SAs-A2", "SAs(SHT(64,,8-sr),16xPHT(2^8,A2))"},
+		{"BTB-A2", "BTB(BHT(512,4,A2),)"},
+		{"BTB-LT", "BTB(BHT(512,4,LT),)"},
 		{"AlwaysTaken", "AlwaysTaken"},
 	} {
 		b.Run(c.name+"/kernel", func(b *testing.B) { arm(b, c.spec, false) })

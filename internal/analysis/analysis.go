@@ -118,6 +118,10 @@ func New(k, entries, assoc int) (*Analyzer, error) {
 	if k < 1 || k > history.MaxBits {
 		return nil, fmt.Errorf("analysis: history length %d out of range", k)
 	}
+	if entries != 0 && (entries < 0 || entries&(entries-1) != 0 ||
+		assoc <= 0 || assoc&(assoc-1) != 0 || assoc > entries) {
+		return nil, fmt.Errorf("analysis: branch history table %d entries, %d-way invalid", entries, assoc)
+	}
 	m := automaton.New(automaton.A2)
 	a := &Analyzer{
 		k:       k,

@@ -14,6 +14,11 @@ func TestValidation(t *testing.T) {
 	if _, err := New(0, 512, 4); err == nil {
 		t.Fatal("k=0 accepted")
 	}
+	for _, bad := range [][2]int{{100, 4}, {512, 3}, {4, 8}, {-8, 1}} {
+		if _, err := New(6, bad[0], bad[1]); err == nil {
+			t.Errorf("accepted a %d-entry %d-way table", bad[0], bad[1])
+		}
+	}
 	if _, err := New(6, 0, 0); err != nil {
 		t.Fatalf("ideal table rejected: %v", err)
 	}

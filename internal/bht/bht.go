@@ -1,6 +1,6 @@
 // Package bht implements the branch history table of §3.3 as a keyed
-// store of entry objects, used by the Branch Target Buffer designs and
-// the branch-behaviour analyses. (The two-level predictors keep their
+// store of entry objects, used by the branch-behaviour analyses. (The
+// two-level predictors and the Branch Target Buffer designs keep their
 // table in the flat layout of package flat.)
 //
 // Two implementations are provided:
@@ -11,16 +11,13 @@
 //   - Ideal: the Ideal Branch History Table (IBHT) — one entry per static
 //     conditional branch, no capacity or conflict misses.
 //
-// An Entry carries the per-branch fields its users need: a k-bit history
-// register, a per-branch automaton state (BTB designs) and the cached
-// target address (§3.2).
+// An Entry's payload is the branch's k-bit history register.
 package bht
 
 import (
 	"fmt"
 	"math/bits"
 
-	"twolevel/internal/automaton"
 	"twolevel/internal/history"
 )
 
@@ -35,12 +32,6 @@ type Entry struct {
 
 	// Hist is the branch's k-bit history register.
 	Hist history.Register
-	// State is the per-branch automaton state used by BTB designs,
-	// which keep the counter in the entry itself instead of a second
-	// level.
-	State automaton.State
-	// Target caches the branch target address (§3.2).
-	Target uint32
 }
 
 // PC returns the full address of the branch owning this entry.
@@ -83,11 +74,11 @@ type Cache struct {
 // assoc must be a power of two >= 1 (assoc == 1 is direct-mapped).
 func NewCache(entries, assoc int) *Cache {
 	if entries <= 0 || entries&(entries-1) != 0 {
-		//lint:allow nopanic programmer-error guard below the validated-constructor layer (predictor.NewBTB validates first); contract-tested
+		//lint:allow nopanic programmer-error guard below the validated-constructor layer (analysis.New validates first); contract-tested
 		panic(fmt.Sprintf("bht: entries %d must be a positive power of two", entries))
 	}
 	if assoc <= 0 || assoc&(assoc-1) != 0 || assoc > entries {
-		//lint:allow nopanic programmer-error guard below the validated-constructor layer (predictor.NewBTB validates first); contract-tested
+		//lint:allow nopanic programmer-error guard below the validated-constructor layer (analysis.New validates first); contract-tested
 		panic(fmt.Sprintf("bht: associativity %d invalid for %d entries", assoc, entries))
 	}
 	sets := entries / assoc

@@ -161,12 +161,13 @@ func TestIdealNeverForgets(t *testing.T) {
 	if recycled {
 		t.Fatal("ideal allocation reported recycled")
 	}
-	e.Target = 0x80
+	e.Hist = history.New(6)
+	e.Hist.Shift(true)
 	for i := uint32(0); i < 10000; i++ {
 		id.Allocate(0x1000 + i*4)
 	}
 	got := id.Lookup(0x10)
-	if got == nil || got.Target != 0x80 {
+	if got == nil || got.Hist.Pattern() != 63 {
 		t.Fatal("ideal table lost an entry under pressure")
 	}
 	if id.Known() != 10001 {
@@ -180,7 +181,8 @@ func TestIdealNeverForgets(t *testing.T) {
 func TestIdealFlushRevivesSameSlot(t *testing.T) {
 	id := NewIdeal()
 	e, _ := id.Allocate(0x20)
-	e.State = 2
+	e.Hist = history.New(6)
+	e.Hist.Shift(true)
 	id.Flush()
 	if id.Lookup(0x20) != nil {
 		t.Fatal("flushed entry still hits")
@@ -189,7 +191,7 @@ func TestIdealFlushRevivesSameSlot(t *testing.T) {
 	if recycled {
 		t.Fatal("revival must not report recycled")
 	}
-	if revived != e || revived.State != 2 {
+	if revived != e || revived.Hist.Pattern() != 63 {
 		t.Fatal("revived entry lost its payload across the flush")
 	}
 }
@@ -199,9 +201,8 @@ func TestEntryPayloadSurvivesLookups(t *testing.T) {
 	e, _ := c.Allocate(0x100)
 	e.Hist = history.New(6)
 	e.Hist.Shift(false)
-	e.Target = 0xdeadbee0
 	got := c.Lookup(0x100)
-	if got.Target != 0xdeadbee0 || got.Hist.Pattern() != 0 {
+	if got.Hist.Pattern() != 0 {
 		t.Fatal("payload fields did not survive")
 	}
 }

@@ -146,8 +146,9 @@ func TestRunsIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// statsSpecs is sim's kernelEquivSpecs: every flattenable predictor
-// family, the static-training schemes and the static schemes.
+// statsSpecs is sim's kernelEquivSpecs less its API-built BTB: every
+// flattenable predictor family, the static-training schemes, the BTB
+// designs, Profiling and the static schemes.
 var statsSpecs = []string{
 	"GAg(HR(1,,8-sr),1xPHT(2^8,A2))",
 	"GAg(HR(1,,12-sr),1xPHT(2^12,A3))",
@@ -165,6 +166,10 @@ var statsSpecs = []string{
 	"PAs(BHT(512,4,8-sr),16xPHT(2^8,A2))",
 	"GSg(HR(1,,8-sr),1xPHT(2^8,PB))",
 	"PSg(BHT(512,4,8-sr),1xPHT(2^8,PB))",
+	"BTB(BHT(512,4,A2),)",
+	"BTB(BHT(256,1,LT),)",
+	"BTB(BHT(64,4,A3),,c)",
+	"Profiling",
 	"AlwaysTaken",
 	"BTFN",
 }

@@ -21,7 +21,11 @@
 //   - a pattern table is a []automaton.State indexed by pattern plus a
 //     touched bitset (occupancy telemetry). There is one global table,
 //     one per set, or one per BHT slot, materialised on the slot's first
-//     allocation.
+//     allocation;
+//   - a Branch Target Buffer (J. Smith) is the practical table alone,
+//     each slot holding its branch's automaton state in Autos instead of
+//     a history register bound to a pattern table. predictor.BTB drives
+//     it through LookupBTB and TrainBTB.
 //
 // The hot step functions (Lookup*, alloc*/Allocate, Flush) are held to
 // the same no-interface-call, no-allocation-in-loops contract as the
@@ -80,6 +84,11 @@ type Config struct {
 	Entries, Assoc      int // practical BHT shape
 	HistorySets         int // per-set history registers
 	PatternSets         int // per-set pattern tables
+	// BTB makes the practical table a Branch Target Buffer: its entries
+	// keep a per-branch automaton state, and there are no history
+	// registers or pattern tables. MissBTFN selects the prediction on a
+	// miss: backward-taken/forward-not-taken instead of taken.
+	BTB, MissBTFN bool
 }
 
 // Clock is what a BHT lookup advances besides the tables: the LRU clock
@@ -131,6 +140,9 @@ type State struct {
 	Targets     []uint32
 	dir         PCIndex // Ideal table: PC → slot
 
+	Autos    []automaton.State // per-slot automaton state (BTB only)
+	missBTFN bool
+
 	Clock
 }
 
@@ -167,10 +179,13 @@ func New(cfg Config) State {
 			s.SetHists[i] = s.ResetHist
 		}
 	}
-	switch cfg.PatternAxis {
-	case Global:
+	switch {
+	case cfg.BTB:
+		s.Autos = make([]automaton.State, cfg.Entries)
+		s.missBTFN = cfg.MissBTFN
+	case cfg.PatternAxis == Global:
 		s.GStates, s.GTouched = s.newPHT()
-	case PerSet:
+	case cfg.PatternAxis == PerSet:
 		s.PatSetMask = uint32(cfg.PatternSets - 1)
 		s.SetStates = make([][]automaton.State, cfg.PatternSets)
 		s.SetTouched = make([][]uint64, cfg.PatternSets)
@@ -293,6 +308,48 @@ func (s *State) LookupIdeal(c *Clock, pc uint32) int {
 	return s.allocIdeal(int(idx), pc, added)
 }
 
+// LookupBTB is a Branch Target Buffer's predict step: a counted lookup
+// of pc that allocates nothing. A hit advances the slot's LRU stamp by
+// touches ticks of c and predicts λ of its automaton state; a miss
+// returns slot -1 and predicts by the miss policy, taken or
+// backward-taken/forward-not-taken from the branch's target.
+func (s *State) LookupBTB(c *Clock, pc, target uint32, touches uint64) (slot int, taken bool) {
+	c.Lookups++
+	if j := s.way(pc); j >= 0 {
+		c.Now += touches
+		s.Stamps[j] = c.Now
+		return j, s.PredMask>>s.Autos[j]&1 != 0
+	}
+	c.Misses++
+	return -1, !s.missBTFN || target < pc
+}
+
+// TrainBTB is a Branch Target Buffer's update step for pc at slot j, or
+// j = -1 when pc is not resident: a missing branch is allocated a slot
+// (one touch of the State's own clock) with its automaton at the initial
+// state. δ then applies outcome o (0 or 1), and a taken branch's target
+// is cached; a not-taken one leaves whatever target the slot held.
+func (s *State) TrainBTB(j int, pc, o, target uint32) {
+	if j < 0 {
+		j = s.allocCache(&s.Clock, pc, 1)
+	}
+	s.Autos[j] = s.Delta[uint32(s.Autos[j])<<1|o]
+	if o != 0 {
+		s.Targets[j] = target
+	}
+}
+
+// CachedTarget returns the target address cached in pc's resident entry
+// (§3.2); ok is false on a miss or before the entry saw a taken outcome.
+// It is a read: neither the LRU order nor any counter moves.
+func (s *State) CachedTarget(pc uint32) (target uint32, ok bool) {
+	j := s.Peek(pc)
+	if j < 0 || s.Targets[j] == 0 {
+		return 0, false
+	}
+	return s.Targets[j], true
+}
+
 // Find returns pc's resident slot, or -1, without counting a lookup. A
 // practical-table hit is one touch of the State's own clock.
 func (s *State) Find(pc uint32) int {
@@ -341,7 +398,9 @@ func (s *State) Allocate(pc uint32) int {
 // recently used one (§3.3), and initialises it per §4.2: a fresh
 // history and a taken cached prediction. A per-slot pattern table is
 // materialised on the slot's first allocation and reinitialised when
-// the slot is taken from another resident branch (unless inherited).
+// the slot is taken from another resident branch (unless inherited). A
+// BTB slot's automaton restarts at the initial state on every
+// allocation.
 func (s *State) allocCache(c *Clock, pc uint32, touches uint64) int {
 	base := int(pc>>2&s.SetMask) * s.Assoc
 	victim := base
@@ -362,6 +421,9 @@ func (s *State) allocCache(c *Clock, pc uint32, touches uint64) int {
 	s.Stamps[victim] = c.Now
 	s.Hists[victim] = s.freshHist
 	s.Preds[victim] = true
+	if s.Autos != nil {
+		s.Autos[victim] = s.initState
+	}
 	if s.PatternAxis == PerAddress {
 		switch {
 		case s.PHTStates[victim] == nil:

@@ -57,6 +57,11 @@ func (x *PCIndex) Get(pc uint32) (idx int32, ok bool) {
 	return s.idx - 1, s.idx != 0
 }
 
+// Clone returns an independent copy of x with the same dense indices.
+func (x *PCIndex) Clone() PCIndex {
+	return PCIndex{slots: append([]pcSlot(nil), x.slots...), shift: x.shift, n: x.n}
+}
+
 // Add returns pc's dense index, inserting pc with the next index (the
 // number of keys before the call) when it is absent; added reports the
 // insertion.

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"twolevel/internal/automaton"
-	"twolevel/internal/bht"
+	"twolevel/internal/flat"
 	"twolevel/internal/trace"
 )
 
@@ -36,12 +36,12 @@ type BTBConfig struct {
 	DisplayName string
 }
 
-// BTB is a Branch Target Buffer predictor.
+// BTB is a Branch Target Buffer predictor. Its table is a flat.State
+// in BTB form, the layout the flat replay kernel also runs on in place.
 type BTB struct {
-	cfg     BTBConfig
-	machine *automaton.Machine
-	store   *bht.Cache
-	name    string
+	cfg  BTBConfig
+	name string
+	st   flat.State
 }
 
 // NewBTB builds a Branch Target Buffer predictor from cfg.
@@ -58,7 +58,16 @@ func NewBTB(cfg BTBConfig) (*BTB, error) {
 	if cfg.Automaton == automaton.PB {
 		return nil, fmt.Errorf("predictor: BTB cannot use the preset-bit automaton")
 	}
-	p := &BTB{cfg: cfg, machine: automaton.New(cfg.Automaton), store: bht.NewCache(cfg.Entries, cfg.Assoc)}
+	machine := automaton.New(cfg.Automaton)
+	p := &BTB{cfg: cfg, st: flat.New(flat.Config{
+		Machine:  machine,
+		Init:     machine.Initial(),
+		BHT:      flat.CacheBHT,
+		Entries:  cfg.Entries,
+		Assoc:    cfg.Assoc,
+		BTB:      true,
+		MissBTFN: cfg.MissPolicy == BTBMissBTFN,
+	})}
 	p.name = cfg.DisplayName
 	if p.name == "" {
 		p.name = fmt.Sprintf("BTB(BHT(%d,%d,%s),)", cfg.Entries, cfg.Assoc, cfg.Automaton)
@@ -75,38 +84,28 @@ func MustBTB(cfg BTBConfig) *BTB {
 	return p
 }
 
+// State returns the predictor's table. The flat replay kernel
+// (internal/sim/fastpath) replays on it in place.
+func (p *BTB) State() *flat.State { return &p.st }
+
 // Name implements Predictor.
 func (p *BTB) Name() string { return p.name }
 
 // Predict implements Predictor. A hit predicts from the entry's
-// automaton; a miss uses the static fallback policy.
+// automaton; a miss uses the static fallback policy and allocates
+// nothing.
 func (p *BTB) Predict(b trace.Branch) bool {
-	if e := p.store.Lookup(b.PC); e != nil {
-		return p.machine.Predict(e.State)
-	}
-	switch p.cfg.MissPolicy {
-	case BTBMissBTFN:
-		return b.Backward()
-	default:
-		return true
-	}
+	_, taken := p.st.LookupBTB(&p.st.Clock, b.PC, b.Target, 1)
+	return taken
 }
 
-// Update implements Predictor. Missing branches are allocated with the
+// Update implements Predictor. A missing branch is allocated with the
 // automaton's initial state before the outcome is applied.
 func (p *BTB) Update(b trace.Branch, predicted bool) {
-	e := p.store.Lookup(b.PC)
-	if e == nil {
-		e, _ = p.store.Allocate(b.PC)
-		e.State = p.machine.Initial()
-	}
-	e.State = p.machine.Next(e.State, b.Taken)
-	if b.Taken {
-		e.Target = b.Target
-	}
+	p.st.TrainBTB(p.st.Find(b.PC), b.PC, bit(b.Taken), b.Target)
 }
 
-// ContextSwitch implements Predictor.
-func (p *BTB) ContextSwitch() { p.store.Flush() }
+// ContextSwitch implements Predictor: every entry is invalidated.
+func (p *BTB) ContextSwitch() { p.st.Flush() }
 
 var _ Predictor = (*BTB)(nil)

@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"reflect"
 	"testing"
 
 	"twolevel/internal/automaton"
@@ -136,8 +137,65 @@ func TestBTBCachesTarget(t *testing.T) {
 	p := MustBTB(BTBConfig{Entries: 512, Assoc: 4, Automaton: automaton.A2})
 	b := trace.Branch{PC: 0x44, Target: 0x20, Class: trace.Cond, Taken: true}
 	p.Update(b, true)
-	if e := p.store.Lookup(0x44); e == nil || e.Target != 0x20 {
+	if target, ok := p.PredictTarget(0x44); !ok || target != 0x20 {
 		t.Fatal("BTB should cache the taken target")
+	}
+	// A not-taken outcome leaves the cached target in place.
+	b.Taken = false
+	p.Update(b, p.Predict(b))
+	if target, ok := p.PredictTarget(0x44); !ok || target != 0x20 {
+		t.Fatal("a not-taken outcome dropped the cached target")
+	}
+}
+
+// TestBTBAllocatesAtUpdate pins the miss rules: a miss predicts by the
+// miss policy without allocating, the entry appears only when the
+// branch resolves, and a flushed branch comes back with its automaton
+// at the initial state.
+func TestBTBAllocatesAtUpdate(t *testing.T) {
+	p := MustBTB(BTBConfig{Entries: 16, Assoc: 2, Automaton: automaton.A2, MissPolicy: BTBMissBTFN})
+	b := trace.Branch{PC: 0x100, Target: 0x200, Class: trace.Cond, Taken: false}
+	if p.Predict(b) {
+		t.Fatal("forward miss under BTFN policy predicted taken")
+	}
+	if p.Inspect().BHTTouched != 0 {
+		t.Fatal("a predict-time miss allocated an entry")
+	}
+	for i := 0; i < 3; i++ {
+		p.Update(b, p.Predict(b))
+	}
+	if p.Inspect().BHTTouched != 1 || p.Predict(b) {
+		t.Fatal("update did not allocate and train the entry")
+	}
+	p.ContextSwitch()
+	b.Taken = true
+	p.Update(b, p.Predict(b))
+	// Reallocated at the initial state (strongly taken) and trained
+	// taken: a single not-taken outcome cannot flip it.
+	b.Taken = false
+	p.Update(b, p.Predict(b))
+	if !p.Predict(b) {
+		t.Fatal("a reallocated entry kept its pre-flush automaton state")
+	}
+}
+
+// TestBTBPredictTargetLeavesLRUAlone pins the clock rule the flat
+// kernel relies on: a target read moves no stamp and no clock.
+func TestBTBPredictTargetLeavesLRUAlone(t *testing.T) {
+	p := MustBTB(BTBConfig{Entries: 8, Assoc: 4, Automaton: automaton.LastTime})
+	for pc := uint32(0x40); pc < 0x60; pc += 4 {
+		b := trace.Branch{PC: pc, Target: pc - 0x20, Class: trace.Cond, Taken: true}
+		p.Update(b, p.Predict(b))
+	}
+	before := *p.State()
+	before.Stamps = append([]uint64(nil), before.Stamps...)
+	for pc := uint32(0x40); pc < 0x60; pc += 4 {
+		if target, ok := p.PredictTarget(pc); !ok || target != pc-0x20 {
+			t.Fatalf("PredictTarget(%#x) = (%#x, %v)", pc, target, ok)
+		}
+	}
+	if after := p.State(); after.Now != before.Now || !reflect.DeepEqual(after.Stamps, before.Stamps) {
+		t.Fatal("PredictTarget moved the LRU clock or a stamp")
 	}
 }
 

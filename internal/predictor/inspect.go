@@ -74,8 +74,8 @@ func (p *TwoLevel) Inspect() Occupancy {
 // entry itself — no second level, so only BHT occupancy is reported.
 func (p *BTB) Inspect() Occupancy {
 	return Occupancy{
-		BHTCapacity: p.store.Entries(),
-		BHTTouched:  p.store.Touched(),
+		BHTCapacity: len(p.st.Valid),
+		BHTTouched:  p.st.BHTTouched(),
 	}
 }
 

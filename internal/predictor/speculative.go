@@ -15,17 +15,26 @@ import (
 //
 // With SpeculativeHistory enabled, Predict shifts its own prediction into
 // the affected history register and records a repair checkpoint (the
-// pre-shift pattern). Update consumes checkpoints in FIFO order — branches
-// resolve in program order — updates the pattern table with the
-// checkpointed (pre-shift) pattern, and on a misprediction rolls every
-// younger speculative shift back before installing the actual outcome.
-// The driver (sim.Run with PipelineDepth > 0) then re-predicts the
-// squashed younger branches, exactly as a refetched pipeline would.
+// pre-shift register, fresh bit included). Update consumes checkpoints in
+// FIFO order — branches resolve in program order — updates the pattern
+// table with the checkpointed (pre-shift) pattern, and on a
+// misprediction rolls every younger speculative shift back before
+// shifting the actual outcome into the checkpointed register with the
+// base model's flat.Shift, so a register still awaiting its first
+// outcome is smeared as §4.2 prescribes. The driver (sim.Run with
+// PipelineDepth > 0) then re-predicts the squashed younger branches,
+// exactly as a refetched pipeline would.
+//
+// The register reads and writes of the speculative path (the shift, the
+// rollback, the repair) leave the BHT's LRU order alone: only Predict's
+// and Update's own lookups touch an entry, as in the base model. At
+// pipeline depth 0 a speculative predictor therefore ends in exactly the
+// base model's state.
 
 // checkpoint is one speculatively-predicted, unresolved branch.
 type checkpoint struct {
 	pc     uint32 // branch address (unused for GAg/GSg)
-	before uint32 // history pattern before the speculative shift
+	before uint32 // history register before the speculative shift, fresh bit included
 	pred   bool   // the speculative outcome shifted in
 }
 
@@ -33,7 +42,7 @@ type checkpoint struct {
 // pushes a repair checkpoint.
 func (p *TwoLevel) specShift(b trace.Branch, pred bool) {
 	r := p.register(b.PC, true)
-	p.inflight = append(p.inflight, checkpoint{pc: b.PC, before: *r & p.st.HistMask, pred: pred})
+	p.inflight = append(p.inflight, checkpoint{pc: b.PC, before: *r, pred: pred})
 	*r = flat.Shift(*r, bit(pred), p.st.HistMask)
 }
 
@@ -53,29 +62,31 @@ func (p *TwoLevel) specUpdate(b trace.Branch) bool {
 	st := &p.st
 	j := p.slot(b.PC, false)
 	states, touched := st.Tables(b.PC, j)
-	st.Train(states, touched, cp.before, bit(b.Taken))
+	st.Train(states, touched, cp.before&st.HistMask, bit(b.Taken))
 	if j >= 0 && b.Taken {
 		st.Targets[j] = b.Target
 	}
 
-	if cp.pred == b.Taken {
-		return true
-	}
-
-	// Misprediction: the younger speculative shifts belong to squashed
-	// wrong-path work. Roll them back newest-to-oldest so each register
-	// ends at its oldest checkpointed pattern, then install the actual
-	// outcome of the mispredicted branch. A repaired register holds live
-	// history (no fresh bit).
-	for i := len(p.inflight) - 1; i >= 0; i-- {
-		young := p.inflight[i]
-		if r := p.register(young.pc, false); r != nil {
-			*r = young.before
+	if cp.pred != b.Taken {
+		// Misprediction: the younger speculative shifts belong to
+		// squashed wrong-path work. Roll them back newest-to-oldest so
+		// each register ends at its oldest checkpoint, then shift the
+		// actual outcome of the mispredicted branch into its
+		// checkpointed register.
+		for i := len(p.inflight) - 1; i >= 0; i-- {
+			young := p.inflight[i]
+			if r := p.register(young.pc, false); r != nil {
+				*r = young.before
+			}
+		}
+		p.inflight = p.inflight[:0]
+		if r := p.register(b.PC, false); r != nil {
+			*r = flat.Shift(cp.before, bit(b.Taken), st.HistMask)
 		}
 	}
-	p.inflight = p.inflight[:0]
-	if r := p.register(b.PC, false); r != nil {
-		*r = (cp.before<<1 | bit(b.Taken)) & st.HistMask
+	if j >= 0 {
+		// Cache the next prediction, as Update does.
+		st.Preds[j] = st.Taken(states[*st.History(b.PC, j)&st.HistMask])
 	}
 	return true
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"twolevel/internal/flat"
 	"twolevel/internal/history"
 	"twolevel/internal/pht"
 	"twolevel/internal/trace"
@@ -115,30 +116,31 @@ func NewPSg(t *StaticTrainer, entries, assoc int, ideal bool) (*TwoLevel, error)
 
 // Profile is the per-branch profiling static scheme (§4.2): each static
 // branch is predicted in the direction it took most frequently during the
-// training run; branches unseen in training are predicted taken.
+// training run; branches unseen in training are predicted taken. The
+// profile is a flat.PCIndex directory over a dense direction array, which
+// the flat replay kernel reads in place.
 type Profile struct {
-	taken map[uint32]bool
+	dir   flat.PCIndex
+	taken []bool // per dense index
 	name  string
 }
 
 // ProfileTrainer counts per-branch outcomes during a training run.
 type ProfileTrainer struct {
-	taken    map[uint32]uint64
-	notTaken map[uint32]uint64
+	dir    flat.PCIndex
+	counts [][2]uint64 // per dense index: not-taken, taken
 }
 
 // NewProfileTrainer returns an empty profile trainer.
-func NewProfileTrainer() *ProfileTrainer {
-	return &ProfileTrainer{taken: make(map[uint32]uint64), notTaken: make(map[uint32]uint64)}
-}
+func NewProfileTrainer() *ProfileTrainer { return &ProfileTrainer{} }
 
 // Observe records one resolved conditional branch.
 func (t *ProfileTrainer) Observe(b trace.Branch) {
-	if b.Taken {
-		t.taken[b.PC]++
-	} else {
-		t.notTaken[b.PC]++
+	i, added := t.dir.Add(b.PC)
+	if added {
+		t.counts = append(t.counts, [2]uint64{})
 	}
+	t.counts[i][bit(b.Taken)]++
 }
 
 // ObserveTrace drains a trace source, observing every conditional branch.
@@ -157,16 +159,12 @@ func (t *ProfileTrainer) ObserveTrace(src trace.Source) error {
 	}
 }
 
-// Build freezes the profile into a predictor. Ties predict taken.
+// Build freezes the profile into a predictor. Ties predict taken. The
+// predictor owns its tables: later observations do not change it.
 func (t *ProfileTrainer) Build() *Profile {
-	p := &Profile{taken: make(map[uint32]bool, len(t.taken)+len(t.notTaken)), name: "Profiling"}
-	for pc, n := range t.taken {
-		p.taken[pc] = n >= t.notTaken[pc]
-	}
-	for pc := range t.notTaken {
-		if _, seen := t.taken[pc]; !seen {
-			p.taken[pc] = false
-		}
+	p := &Profile{dir: t.dir.Clone(), taken: make([]bool, len(t.counts)), name: "Profiling"}
+	for i, n := range t.counts {
+		p.taken[i] = n[1] >= n[0]
 	}
 	return p
 }
@@ -174,13 +172,17 @@ func (t *ProfileTrainer) Build() *Profile {
 // Name implements Predictor.
 func (p *Profile) Name() string { return p.name }
 
-// Predict implements Predictor.
-func (p *Profile) Predict(b trace.Branch) bool {
-	if taken, ok := p.taken[b.PC]; ok {
-		return taken
+// Direction returns the profiled direction of the branch at pc: its
+// training majority, or taken when training never saw it.
+func (p *Profile) Direction(pc uint32) bool {
+	if i, ok := p.dir.Get(pc); ok {
+		return p.taken[i]
 	}
 	return true
 }
+
+// Predict implements Predictor.
+func (p *Profile) Predict(b trace.Branch) bool { return p.Direction(b.PC) }
 
 // Update implements Predictor; profiles are static.
 func (p *Profile) Update(trace.Branch, bool) {}

@@ -27,29 +27,15 @@ type TargetPredictor interface {
 // PredictTarget implements TargetPredictor for the per-address two-level
 // schemes. GAg keeps no per-branch state and never predicts a target.
 // The read leaves the entry's LRU position alone.
-func (p *TwoLevel) PredictTarget(pc uint32) (uint32, bool) {
-	if p.st.BHT == flat.NoBHT {
-		return 0, false
-	}
-	j := p.st.Peek(pc)
-	if j < 0 || p.st.Targets[j] == 0 {
-		return 0, false
-	}
-	return p.st.Targets[j], true
-}
+func (p *TwoLevel) PredictTarget(pc uint32) (uint32, bool) { return p.st.CachedTarget(pc) }
 
 // CachesTargets implements TargetPredictor: every variation with a
 // per-branch table caches targets; GAg has none.
 func (p *TwoLevel) CachesTargets() bool { return p.st.BHT != flat.NoBHT }
 
-// PredictTarget implements TargetPredictor for BTB designs.
-func (p *BTB) PredictTarget(pc uint32) (uint32, bool) {
-	e := p.store.Lookup(pc)
-	if e == nil || e.Target == 0 {
-		return 0, false
-	}
-	return e.Target, true
-}
+// PredictTarget implements TargetPredictor for BTB designs. Like the
+// two-level read it leaves the entry's LRU position alone.
+func (p *BTB) PredictTarget(pc uint32) (uint32, bool) { return p.st.CachedTarget(pc) }
 
 // CachesTargets implements TargetPredictor.
 func (p *BTB) CachesTargets() bool { return true }

@@ -320,19 +320,22 @@ func (p *TwoLevel) slot(pc uint32, count bool) int {
 	}
 }
 
-// register returns the history register consulted for pc. A per-address
-// register lives in pc's BHT entry, which is allocated when allocate is
-// true; otherwise register returns nil for a non-resident branch.
+// register returns the history register consulted for pc by the
+// speculative path. A per-address register lives in pc's BHT entry,
+// which is allocated when allocate is true; otherwise register returns
+// nil for a non-resident branch. Finding a resident entry does not touch
+// its LRU stamp.
 func (p *TwoLevel) register(pc uint32, allocate bool) *uint32 {
 	st := &p.st
 	if st.HistoryAxis != AxisPerAddress {
 		return st.History(pc, -1)
 	}
-	var j int
-	if allocate {
-		j = p.slot(pc, false)
-	} else if j = st.Find(pc); j < 0 {
-		return nil
+	j := st.Peek(pc)
+	if j < 0 {
+		if !allocate {
+			return nil
+		}
+		j = st.Allocate(pc)
 	}
 	return &st.Hists[j]
 }

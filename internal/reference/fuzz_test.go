@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"twolevel/internal/predictor"
 	"twolevel/internal/rng"
 	"twolevel/internal/sim"
 	"twolevel/internal/spec"
@@ -151,12 +152,19 @@ func (o *resolutions) OnResolve(_ trace.Branch, predicted, _ bool) {
 	o.preds = append(o.preds, predicted)
 }
 
+// model is a reference predictor driven one conditional branch at a
+// time: step predicts, trains and returns the prediction.
+type model struct {
+	step          func(pc, target uint32, taken bool) bool
+	contextSwitch func()
+}
+
 // replayReference drives the reference over snap with the simulator's
 // schedule: a trap switches context when switching is on, otherwise a
 // switch comes before the first event that completes the quantum, and
 // the run stops once budget conditional branches have been predicted.
 // It returns every prediction and outcome in resolution order.
-func replayReference(p *Predictor, snap trace.Snapshot, opts sim.Options) (preds, outcomes []bool) {
+func replayReference(m model, snap trace.Snapshot, opts sim.Options) (preds, outcomes []bool) {
 	var sinceCS uint64
 	for i := 0; i < snap.Len(); i++ {
 		if opts.MaxCondBranches > 0 && uint64(len(preds)) >= opts.MaxCondBranches {
@@ -166,28 +174,128 @@ func replayReference(p *Predictor, snap trace.Snapshot, opts sim.Options) (preds
 		sinceCS += uint64(e.Instrs)
 		if e.Trap {
 			if opts.ContextSwitches {
-				p.ContextSwitch()
+				m.contextSwitch()
 				sinceCS = 0
 			}
 			continue
 		}
 		if opts.ContextSwitches && sinceCS >= opts.CSInterval {
-			p.ContextSwitch()
+			m.contextSwitch()
 			sinceCS = 0
 		}
 		if e.Branch.Class != trace.Cond {
 			continue
 		}
-		preds = append(preds, p.Step(e.Branch.PC, e.Branch.Taken))
+		preds = append(preds, m.step(e.Branch.PC, e.Branch.Target, e.Branch.Taken))
 		outcomes = append(outcomes, e.Branch.Taken)
 	}
 	return preds, outcomes
 }
 
+// drawCase draws one fuzz case from r: a spec name, the simulator
+// options, the reference model and a constructor for fresh simulator
+// predictors. Two in three cases are two-level configurations
+// (randomSpec); the rest are BTB designs over every automaton, either
+// miss policy and practical tables from direct-mapped to fully
+// associative, and Profiling trained on a second random trace, so some
+// branches of the replayed trace are unprofiled.
+func drawCase(t *testing.T, r *rng.RNG) (string, trace.Snapshot, sim.Options, model, func() predictor.Predictor) {
+	kind := r.Intn(6)
+	var name string
+	if kind >= 2 {
+		name = randomSpec(r)
+	}
+	snap := randomTrace(r)
+	var opts sim.Options
+	if r.Intn(2) == 0 {
+		opts.ContextSwitches = true
+		opts.CSInterval = 5 + uint64(r.Intn(300))
+	}
+	if r.Intn(3) == 0 {
+		opts.MaxCondBranches = 1 + uint64(r.Intn(snap.Len()))
+	}
+	cs := ""
+	if opts.ContextSwitches {
+		cs = ",c"
+	}
+	switch kind {
+	case 0:
+		entries := 1 << r.Intn(7)
+		assoc := 1
+		for assoc < entries && r.Intn(2) == 0 {
+			assoc *= 2
+		}
+		atm := []string{"LT", "A1", "A2", "A3", "A4"}[r.Intn(5)]
+		missBTFN := r.Intn(2) == 0
+		name = fmt.Sprintf("BTB(BHT(%d,%d,%s),%s)", entries, assoc, atm, cs)
+		sp := mustParse(t, name)
+		policy := predictor.BTBMissTaken
+		if missBTFN {
+			policy = predictor.BTBMissBTFN
+			name += " miss=BTFN"
+		}
+		ref := NewBTB(entries, assoc, atm, missBTFN)
+		return name, snap, opts, model{ref.Step, ref.ContextSwitch}, func() predictor.Predictor {
+			p, err := predictor.NewBTB(predictor.BTBConfig{
+				Entries: sp.HistEntries, Assoc: sp.HistAssoc, Automaton: sp.Automaton, MissPolicy: policy,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return p
+		}
+	case 1:
+		name = "Profiling"
+		if opts.ContextSwitches {
+			name = "Profiling(,,c)"
+		}
+		sp := mustParse(t, name)
+		train := randomTrace(r)
+		ref := NewProfile()
+		for i := 0; i < train.Len(); i++ {
+			if e := train.At(i); !e.Trap && e.Branch.Class == trace.Cond {
+				ref.Train(e.Branch.PC, e.Branch.Taken)
+			}
+		}
+		step := func(pc, _ uint32, _ bool) bool { return ref.Predict(pc) }
+		return name, snap, opts, model{step, func() {}}, func() predictor.Predictor {
+			trainer := predictor.NewProfileTrainer()
+			if err := trainer.ObserveTrace(train.Reader()); err != nil {
+				t.Fatal(err)
+			}
+			p, err := spec.Build(sp, &spec.TrainingData{Profile: trainer})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return p
+		}
+	}
+	sp := mustParse(t, name)
+	ref := New(refConfig(sp))
+	step := func(pc, _ uint32, taken bool) bool { return ref.Step(pc, taken) }
+	return name, snap, opts, model{step, ref.ContextSwitch}, func() predictor.Predictor {
+		p, err := spec.Build(sp, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return p
+	}
+}
+
+func mustParse(t *testing.T, name string) spec.Spec {
+	t.Helper()
+	sp, err := spec.Parse(name)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return sp
+}
+
 // FuzzPredictorVsReference checks the simulator's predictions, branch
-// by branch, against the reference model: the interpretive runner, the
-// serial flat kernel and the kernel sharded 2 and 4 ways, over a random
-// spec, trace and context-switch schedule drawn from seed. Kernel
+// by branch, against the reference models: the interpretive runner, the
+// serial flat kernel and the kernel asked for 2 and 4 shards, over a
+// random scheme (two-level, BTB or Profiling), trace and context-switch
+// schedule drawn from seed. Kernel
 // predictions are read back from an Interval 1 telemetry series, whose
 // samples hold one resolution each in resolution order.
 func FuzzPredictorVsReference(f *testing.F) {
@@ -195,23 +303,8 @@ func FuzzPredictorVsReference(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
-		r := rng.New(seed)
-		name := randomSpec(r)
-		sp, err := spec.Parse(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		snap := randomTrace(r)
-		var opts sim.Options
-		if r.Intn(2) == 0 {
-			opts.ContextSwitches = true
-			opts.CSInterval = 5 + uint64(r.Intn(300))
-		}
-		if r.Intn(3) == 0 {
-			opts.MaxCondBranches = 1 + uint64(r.Intn(snap.Len()))
-		}
-
-		want, outcomes := replayReference(New(refConfig(sp)), snap, opts)
+		name, snap, opts, ref, build := drawCase(t, rng.New(seed))
+		want, outcomes := replayReference(ref, snap, opts)
 
 		check := func(path string, got []bool) {
 			t.Helper()
@@ -225,10 +318,7 @@ func FuzzPredictorVsReference(f *testing.F) {
 			}
 		}
 
-		p, err := spec.Build(sp, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		p := build()
 		rec := &resolutions{}
 		slowOpts := opts
 		slowOpts.DisableFastpath = true
@@ -241,10 +331,7 @@ func FuzzPredictorVsReference(f *testing.F) {
 
 		for _, shards := range []int{1, 2, 4} {
 			path := fmt.Sprintf("kernel/shards=%d", shards)
-			p, err := spec.Build(sp, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := build()
 			fastOpts := opts
 			fastOpts.Shards = shards
 			fastOpts.Telemetry = &sim.Telemetry{Interval: 1}

@@ -1,6 +1,8 @@
 // Package reference is a deliberately naive model of the Two-Level
-// Adaptive predictors, written from the paper's text alone and imported
-// only by tests, as an oracle that shares no code with the simulator.
+// Adaptive predictors and of the schemes the paper compares them with
+// (the Branch Target Buffer designs and Profiling), written from the
+// paper's text alone and imported only by tests, as an oracle that
+// shares no code with the simulator.
 //
 // Everything is the plainest possible data structure: a pattern table is
 // a byte slice, a history register is a shift register with a "not yet
@@ -20,6 +22,9 @@
 //     taking an invalid way (lowest first) before any valid one;
 //   - a per-address pattern table is reinitialised when its slot is
 //     taken from a different, still-resident branch.
+//
+// The comparison schemes of §5.2 follow the same plain style; their rules
+// are given with BTB and Profile below.
 package reference
 
 // automaton is one Figure 2 machine: λ as taken[state], δ as
@@ -187,7 +192,7 @@ func (p *Predictor) lookup(pc uint32) *entry {
 	ways := p.sets[set]
 	for w := range ways {
 		if ways[w].valid && ways[w].tag == pc {
-			p.use(set, w)
+			toFront(p.order[set], w)
 			return &ways[w]
 		}
 	}
@@ -208,13 +213,13 @@ func (p *Predictor) lookup(pc uint32) *entry {
 		}
 	}
 	e.valid, e.tag, e.shiftRegister = true, pc, p.freshRegister()
-	p.use(set, victim)
+	toFront(p.order[set], victim)
 	return e
 }
 
-// use moves way w of set to the front of the set's LRU order.
-func (p *Predictor) use(set, w int) {
-	order := p.order[set]
+// toFront moves way w to the front of a set's most-recent-first LRU
+// order.
+func toFront(order []int, w int) {
 	i := 0
 	for order[i] != w {
 		i++
@@ -238,3 +243,114 @@ func (p *Predictor) ContextSwitch() {
 		e.valid = false
 	}
 }
+
+// BTB is the reference Branch Target Buffer (J. Smith; §5.2): a tagged,
+// set-associative table whose entries hold one automaton state per
+// branch. Its rules:
+//
+//   - a hit predicts from the entry's automaton; a miss predicts taken,
+//     or backward-taken/forward-not-taken under the BTFN miss policy;
+//   - a missing branch gets an entry only when it resolves: the first
+//     invalid way of its set (lowest first), else the least recently
+//     used one, with the automaton at its initial state;
+//   - each branch, hit or miss, becomes its set's most recently used
+//     entry;
+//   - a context switch invalidates every entry.
+type BTB struct {
+	atm      automaton
+	missBTFN bool
+	sets     [][]btbEntry
+	order    [][]int // per set, way numbers most recently used first
+}
+
+// btbEntry is one BTB entry.
+type btbEntry struct {
+	valid bool
+	tag   uint32
+	state byte
+}
+
+// NewBTB builds a reference BTB of entries slots, assoc ways per set,
+// with the named Figure 2 automaton.
+func NewBTB(entries, assoc int, automatonName string, missBTFN bool) *BTB {
+	p := &BTB{atm: automata[automatonName], missBTFN: missBTFN}
+	for s := 0; s < entries/assoc; s++ {
+		var order []int
+		for w := 0; w < assoc; w++ {
+			order = append(order, w)
+		}
+		p.sets = append(p.sets, make([]btbEntry, assoc))
+		p.order = append(p.order, order)
+	}
+	return p
+}
+
+// Step predicts the conditional branch at pc with the given target,
+// then trains the buffer with its outcome, and returns the prediction.
+func (p *BTB) Step(pc, target uint32, taken bool) bool {
+	set := int(pc >> 2 % uint32(len(p.sets)))
+	ways := p.sets[set]
+	w := -1
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == pc {
+			w = i
+		}
+	}
+	var pred bool
+	if w >= 0 {
+		pred = p.atm.taken[ways[w].state]
+	} else {
+		pred = !p.missBTFN || target < pc
+		for i := range ways {
+			if !ways[i].valid {
+				w = i
+				break
+			}
+		}
+		if w < 0 {
+			w = p.order[set][len(ways)-1]
+		}
+		ways[w] = btbEntry{valid: true, tag: pc, state: p.atm.init}
+	}
+	toFront(p.order[set], w)
+	outcome := 0
+	if taken {
+		outcome = 1
+	}
+	ways[w].state = p.atm.next[ways[w].state][outcome]
+	return pred
+}
+
+// ContextSwitch invalidates every entry.
+func (p *BTB) ContextSwitch() {
+	for _, ways := range p.sets {
+		for w := range ways {
+			ways[w].valid = false
+		}
+	}
+}
+
+// Profile is the reference Profiling scheme (§4.2): a training run
+// counts each branch's outcomes, and the branch is then always predicted
+// in its more frequent direction, taken on a tie and for a branch the
+// training run never executed.
+type Profile struct {
+	taken, notTaken map[uint32]int
+}
+
+// NewProfile returns an empty profile.
+func NewProfile() *Profile {
+	return &Profile{taken: map[uint32]int{}, notTaken: map[uint32]int{}}
+}
+
+// Train records one outcome of the training run.
+func (p *Profile) Train(pc uint32, taken bool) {
+	if taken {
+		p.taken[pc]++
+	} else {
+		p.notTaken[pc]++
+	}
+}
+
+// Predict returns the profiled direction of the branch at pc.
+func (p *Profile) Predict(pc uint32) bool { return p.taken[pc] >= p.notTaken[pc] }

@@ -6,21 +6,25 @@
 //
 // The kernel runs only when a replay cell qualifies (see Supported and
 // sim's dispatch): depth-0 base model, no Observer, a *trace.SnapshotReader
-// source, and a predictor whose state flattens — the static AlwaysTaken
-// and BTFN schemes, or a *predictor.TwoLevel of any taxonomy variation
-// (GAg/PAg/PAp plus the GAp/GAs/PAs/SAg/SAs/SAp extensions, practical or
-// ideal BHT, custom machines, Static Training presets) without
-// speculative history. Everything else falls back to the interpretive
-// runner.
+// source, and a predictor whose state flattens — every scheme of the
+// paper's comparison: the static AlwaysTaken, BTFN and Profiling schemes,
+// the Branch Target Buffer designs (either miss policy), and a
+// *predictor.TwoLevel of any taxonomy variation (GAg/PAg/PAp plus the
+// GAp/GAs/PAs/SAg/SAs/SAp extensions, practical or ideal BHT, custom
+// machines, Static Training presets) without speculative history.
+// Everything else falls back to the interpretive runner.
 //
 // Mechanics: a two-level predictor already keeps its tables in the flat
 // layout of package flat — δ/λ as a packed [state<<1|outcome] transition
 // array and a λ bitmask, history registers as raw uint32 values with a
 // spare freshness bit (§4.2), the branch history table as parallel
 // arrays, pattern tables as state slices — so the kernel replays on the
-// predictor's own flat.State in place, with nothing to copy in or out.
-// Per event the hot loop does a handful of array loads and stores — no
-// interface calls, no Event struct materialisation.
+// predictor's own flat.State in place, with nothing to copy in or out. A
+// BTB is a flat.State too (the practical table with a per-slot automaton
+// state), and a Profile is a flat.PCIndex over a dense direction array;
+// runGeneric and runStatic serve them on the same objects. Per event the
+// hot loop does a handful of array loads and stores — no interface
+// calls, no Event struct materialisation.
 //
 // Fidelity: a kernel run is bit-identical to the interpretive runner —
 // the same Result counters and the same final predictor state, LRU
@@ -109,6 +113,10 @@ func Supported(p predictor.Predictor) bool {
 	switch tp := p.(type) {
 	case predictor.AlwaysTaken, predictor.BTFN:
 		return true
+	case *predictor.Profile:
+		return tp != nil
+	case *predictor.BTB:
+		return tp != nil
 	case *predictor.TwoLevel:
 		return tp != nil && !tp.Config().SpeculativeHistory
 	default:
@@ -122,7 +130,9 @@ type kernelKind uint8
 const (
 	kindAlwaysTaken kernelKind = iota
 	kindBTFN
+	kindProfile
 	kindTwoLevel
+	kindBTB
 )
 
 // Kernel is one flattened replay cell. Build one with New and drive it
@@ -132,7 +142,8 @@ type Kernel struct {
 	kind kernelKind
 	cfg  Config
 
-	st *flat.State // the predictor's own tables (kindTwoLevel only)
+	st   *flat.State        // the predictor's own tables (kindTwoLevel, kindBTB)
+	prof *predictor.Profile // kindProfile only
 
 	c       Counters
 	sinceCS uint64
@@ -152,8 +163,12 @@ func New(p predictor.Predictor, cfg Config) (*Kernel, bool) {
 	switch tp := p.(type) {
 	case predictor.BTFN:
 		k.kind = kindBTFN
+	case *predictor.Profile:
+		k.kind, k.prof = kindProfile, tp
 	case *predictor.TwoLevel:
 		k.kind, k.st = kindTwoLevel, tp.State()
+	case *predictor.BTB:
+		k.kind, k.st = kindBTB, tp.State()
 	}
 	return k, true
 }
@@ -197,7 +212,7 @@ func (k *Kernel) Run(snap trace.Snapshot, start int) (Counters, int, error) {
 // the kernel's budget.
 func (k *Kernel) RunTo(snap trace.Snapshot, start, end int) (Counters, int, error) {
 	instrs, pcs, targets, meta := snap.Columns()
-	if k.kind == kindAlwaysTaken || k.kind == kindBTFN {
+	if k.st == nil {
 		consumed, err := k.runStatic(instrs, pcs, targets, meta, start, end)
 		return k.c, consumed, err
 	}
@@ -205,6 +220,8 @@ func (k *Kernel) RunTo(snap trace.Snapshot, start, end int) (Counters, int, erro
 	var consumed int
 	var err error
 	switch {
+	case k.kind == kindBTB:
+		consumed, err = k.runGeneric(instrs, pcs, targets, meta, start, end)
 	case k.shardable() && k.shardCount() > 1:
 		consumed, err = k.runSharded(instrs, pcs, targets, meta, start, end)
 	case st.HistoryAxis == flat.Global && st.PatternAxis == flat.Global:

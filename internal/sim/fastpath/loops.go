@@ -6,15 +6,17 @@ package fastpath
 // method other than context.Context cancellation polling is called from
 // these functions. Specialized loops cover the paper's three
 // implementations (GAg, PAg, PAp on the practical BHT); runGeneric
-// covers the taxonomy extensions and the Ideal table with the same flat
-// state, trading a few predictable branches for generality.
+// covers the taxonomy extensions, the Ideal table and the BTB designs
+// with the same flat state, trading a few predictable branches for
+// generality.
 
 import (
 	"twolevel/internal/flat"
 	"twolevel/internal/trace"
 )
 
-// runStatic replays the stateless static schemes (AlwaysTaken, BTFN).
+// runStatic replays the static schemes: AlwaysTaken, BTFN and
+// Profiling, whose per-branch directions are fixed before the run.
 // Like every hot loop here it has a tap-free twin: with telemetry off
 // the loop carries no tap branch at all (see runPAgCache).
 func (k *Kernel) runStatic(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
@@ -25,7 +27,7 @@ func (k *Kernel) runStatic(instrs, pcs, targets []uint32, meta []uint8, start, e
 }
 
 func (k *Kernel) runStaticPlain(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
-	btfn := k.kind == kindBTFN
+	btfn, prof := k.kind == kindBTFN, k.prof
 	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
 	ctx := k.cfg.Context
 	c := &k.c
@@ -68,8 +70,11 @@ func (k *Kernel) runStaticPlain(instrs, pcs, targets []uint32, meta []uint8, sta
 			c.TakenCond++
 		}
 		pred := true
-		if btfn {
+		switch {
+		case btfn:
 			pred = targets[i] < pcs[i]
+		case prof != nil:
+			pred = prof.Direction(pcs[i])
 		}
 		c.Predictions++
 		if pred == taken {
@@ -81,7 +86,7 @@ func (k *Kernel) runStaticPlain(instrs, pcs, targets []uint32, meta []uint8, sta
 }
 
 func (k *Kernel) runStaticTap(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
-	btfn := k.kind == kindBTFN
+	btfn, prof := k.kind == kindBTFN, k.prof
 	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
 	ctx := k.cfg.Context
 	c := &k.c
@@ -131,8 +136,11 @@ func (k *Kernel) runStaticTap(instrs, pcs, targets []uint32, meta []uint8, start
 			c.TakenCond++
 		}
 		pred := true
-		if btfn {
+		switch {
+		case btfn:
 			pred = targets[i] < pcs[i]
+		case prof != nil:
+			pred = prof.Direction(pcs[i])
 		}
 		c.Predictions++
 		if pred == taken {
@@ -659,10 +667,35 @@ func (k *Kernel) runPApCacheTap(instrs, pcs, targets []uint32, meta []uint8, sta
 	return i - start, err
 }
 
+// lookupBTB is one Branch Target Buffer step for the conditional branch
+// at pc with outcome o (0 or 1): it predicts, scores the direction and,
+// when a taken prediction meets a taken branch, the cached target, then
+// trains the entry. It reports whether the direction was right.
+func (k *Kernel) lookupBTB(pc, target, o uint32) bool {
+	st, c := k.st, &k.c
+	slot, pred := st.LookupBTB(&st.Clock, pc, target, flat.BranchTouches)
+	taken := o != 0
+	c.Predictions++
+	if pred == taken {
+		c.Correct++
+	}
+	if pred && taken {
+		c.TargetPredictions++
+		if slot >= 0 && st.Targets[slot] != 0 && st.Targets[slot] == target {
+			c.TargetCorrect++
+		}
+	}
+	st.TrainBTB(slot, pc, o, target)
+	return pred == taken
+}
+
 // runGeneric replays every remaining flattened variation — the taxonomy
 // extensions (GAp/GAs/PAs/SAg/SAs/SAp) and any variation on the Ideal
 // BHT — resolving the history and pattern levels per branch from the
-// same flat state the specialized loops use.
+// same flat state the specialized loops use. It also serves the Branch
+// Target Buffer designs, whose one level is the practical table: a hit
+// advances the LRU clock by flat.BranchTouches, a miss predicts by the
+// miss policy and allocates only when TrainBTB resolves the branch.
 func (k *Kernel) runGeneric(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
 	if k.tap == nil {
 		return k.runGenericPlain(instrs, pcs, targets, meta, start, end)
@@ -679,6 +712,7 @@ func (k *Kernel) runGenericPlain(instrs, pcs, targets []uint32, meta []uint8, st
 	delta, predMask := st.Delta, st.PredMask
 	hasStore := st.BHT != flat.NoBHT
 	useCache := st.BHT == flat.CacheBHT
+	btb := k.kind == kindBTB
 	sinceCS := k.sinceCS
 	var sinceCheck uint32
 	i := start
@@ -722,6 +756,10 @@ func (k *Kernel) runGenericPlain(instrs, pcs, targets []uint32, meta []uint8, st
 			c.TakenCond++
 		}
 		pc := pcs[i]
+		if btb {
+			k.lookupBTB(pc, targets[i], o)
+			continue
+		}
 		slot := -1
 		if hasStore {
 			if useCache {
@@ -771,6 +809,7 @@ func (k *Kernel) runGenericTap(instrs, pcs, targets []uint32, meta []uint8, star
 	delta, predMask := st.Delta, st.PredMask
 	hasStore := st.BHT != flat.NoBHT
 	useCache := st.BHT == flat.CacheBHT
+	btb := k.kind == kindBTB
 	sinceCS := k.sinceCS
 	var sinceCheck uint32
 	i := start
@@ -820,6 +859,13 @@ func (k *Kernel) runGenericTap(instrs, pcs, targets []uint32, meta []uint8, star
 			c.TakenCond++
 		}
 		pc := pcs[i]
+		if btb {
+			hit := k.lookupBTB(pc, targets[i], o)
+			if tap != nil {
+				tap.Resolve(pc, taken, hit)
+			}
+			continue
+		}
 		slot := -1
 		if hasStore {
 			if useCache {

@@ -23,7 +23,8 @@ import (
 // shardable reports whether PC partitioning preserves semantics: both
 // levels non-global (no cross-partition state) and no Ideal table (whose
 // directory and slot arrays grow on insert, so they cannot be shared
-// without synchronisation).
+// without synchronisation). Only two-level predictors shard; a BTB
+// replays serially.
 func (k *Kernel) shardable() bool {
 	st := k.st
 	return k.kind == kindTwoLevel &&

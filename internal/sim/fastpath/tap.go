@@ -12,7 +12,7 @@ package fastpath
 // obsnilguard analyzer).
 
 import (
-	"sort"
+	"container/heap"
 
 	"twolevel/internal/flat"
 	"twolevel/internal/telemetry"
@@ -72,6 +72,56 @@ func (p *pcTaps) push(pc uint32) {
 	}
 	p.at(p.n).pc = pc
 	p.n++
+}
+
+// before reports whether row i precedes row j in the profile order:
+// mispredicts descending, then PC ascending. Rows hold distinct PCs, so
+// the order is total.
+func (p *pcTaps) before(i, j int32) bool {
+	a, b := p.at(int(i)), p.at(int(j))
+	if a.miss != b.miss {
+		return a.miss > b.miss
+	}
+	return a.pc < b.pc
+}
+
+// top returns the indices of the first k rows in the profile order, in
+// that order. It is a bounded selection: a heap keeps the best k rows
+// seen so far, so ranking n rows costs O(n log k) rather than a sort of
+// all n.
+func (p *pcTaps) top(k int) []int32 {
+	r := &ranking{p: p, rows: make([]int32, 0, min(k, p.n))}
+	for i := int32(0); int(i) < p.n; i++ {
+		switch {
+		case r.Len() < k:
+			heap.Push(r, i)
+		case p.before(i, r.rows[0]):
+			r.rows[0] = i
+			heap.Fix(r, 0)
+		}
+	}
+	out := make([]int32, r.Len())
+	for j := len(out) - 1; j >= 0; j-- {
+		out[j] = heap.Pop(r).(int32)
+	}
+	return out
+}
+
+// ranking is a heap of row indices whose root is the kept row that comes
+// last in the profile order.
+type ranking struct {
+	p    *pcTaps
+	rows []int32
+}
+
+func (r *ranking) Len() int           { return len(r.rows) }
+func (r *ranking) Less(i, j int) bool { return r.p.before(r.rows[j], r.rows[i]) }
+func (r *ranking) Swap(i, j int)      { r.rows[i], r.rows[j] = r.rows[j], r.rows[i] }
+func (r *ranking) Push(x any)         { r.rows = append(r.rows, x.(int32)) }
+func (r *ranking) Pop() any {
+	x := r.rows[len(r.rows)-1]
+	r.rows = r.rows[:len(r.rows)-1]
+	return x
 }
 
 // NewTap returns the accumulator cfg's Interval, TopPCs and Warmup ask
@@ -204,23 +254,12 @@ func (t *Tap) Telemetry() ([]telemetry.Sample, []uint64, []telemetry.PCStats) {
 	}
 	var profile []telemetry.PCStats
 	if t.topk > 0 {
-		// Rank dense indices, then materialise only the reported rows.
+		// Select the reported rows, then materialise only those.
 		var misses uint64
-		order := make([]int32, t.pcs.n)
-		for i := range order {
+		for i := 0; i < t.pcs.n; i++ {
 			misses += t.pcs.at(i).miss
-			order[i] = int32(i)
 		}
-		sort.Slice(order, func(i, j int) bool {
-			a, b := t.pcs.at(int(order[i])), t.pcs.at(int(order[j]))
-			if a.miss != b.miss {
-				return a.miss > b.miss
-			}
-			return a.pc < b.pc
-		})
-		if len(order) > t.topk {
-			order = order[:t.topk]
-		}
+		order := t.pcs.top(t.topk)
 		profile = make([]telemetry.PCStats, 0, len(order))
 		for _, i := range order {
 			st := t.pcs.at(int(i))

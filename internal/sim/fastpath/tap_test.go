@@ -1,7 +1,9 @@
 package fastpath
 
 import (
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"twolevel/internal/telemetry"
@@ -181,5 +183,91 @@ func TestTapTelemetryTieOrder(t *testing.T) {
 	if row := profile[1]; row.Executions != 3 || row.Taken != 2 || row.Mispredicts != 2 ||
 		row.MissShare != 2.0/12 || row.TakenRate != 2.0/3 {
 		t.Errorf("row for 0x10 = %+v", row)
+	}
+}
+
+// TestTapTopPCsMatchesFullSort checks the bounded top-K selection
+// against a full sort of every row under the same order, over more than
+// 2,000 PCs whose mispredict counts tie heavily, for K from 1 past the
+// PC count.
+func TestTapTopPCsMatchesFullSort(t *testing.T) {
+	rng := uint32(0x9E3779B9)
+	next := func() uint32 {
+		rng ^= rng << 13
+		rng ^= rng >> 17
+		rng ^= rng << 5
+		return rng
+	}
+	const sites = 2_311
+	var evs []tapEvent
+	for i := 0; i < 40_000; i++ {
+		r := next()
+		// Few misses per site, so many sites share a count.
+		evs = append(evs, tapEvent{pc: 0x1000 + 4*(r%sites), taken: r>>12&1 == 0, ok: r>>13%4 != 0})
+	}
+	for _, k := range []int{1, 2, 7, 64, 1000, sites - 1, sites, sites + 9} {
+		tap := NewTap(Config{TopPCs: k})
+		for _, e := range evs {
+			tap.Resolve(e.pc, e.taken, e.ok)
+		}
+		if tap.pcs.n <= 2000 {
+			t.Fatalf("only %d PCs resolved", tap.pcs.n)
+		}
+		want := fullSortTop(&tap.pcs, k)
+		if got := tap.pcs.top(k); !reflect.DeepEqual(got, want) {
+			t.Errorf("k=%d: bounded selection differs from the full sort", k)
+		}
+		ties := 0
+		for i := 1; i < len(want); i++ {
+			if tap.pcs.at(int(want[i])).miss == tap.pcs.at(int(want[i-1])).miss {
+				ties++
+			}
+		}
+		if k >= 64 && ties == 0 {
+			t.Errorf("k=%d: no tied mispredict counts among the top rows", k)
+		}
+	}
+}
+
+// fullSortTop is the reference top-K: a sort of every row, cut to k.
+func fullSortTop(p *pcTaps, k int) []int32 {
+	all := make([]int32, p.n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		a, b := p.at(int(all[i])), p.at(int(all[j]))
+		if a.miss != b.miss {
+			return a.miss > b.miss
+		}
+		return a.pc < b.pc
+	})
+	return all[:min(k, len(all))]
+}
+
+// BenchmarkTapTopPCs ranks a top-8 profile, as a perfbench sweep-warm
+// cell asks for, by the bounded selection and by the full sort. The PC
+// counts are the distinct conditional branch sites eqntott, doduc and
+// gcc resolve in a 100,000-branch testing trace (brexp -exp table1).
+func BenchmarkTapTopPCs(b *testing.B) {
+	for _, sites := range []uint32{277, 1_149, 4_018} {
+		tap := NewTap(Config{TopPCs: 8})
+		rng := uint32(0x9E3779B9)
+		for i := 0; i < 100_000; i++ {
+			rng ^= rng << 13
+			rng ^= rng >> 17
+			rng ^= rng << 5
+			tap.Resolve(0x1000+4*(rng%sites), rng>>12&1 == 0, rng>>13%4 != 0)
+		}
+		b.Run(fmt.Sprintf("select/pcs=%d", sites), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tap.pcs.top(8)
+			}
+		})
+		b.Run(fmt.Sprintf("fullsort/pcs=%d", sites), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				fullSortTop(&tap.pcs, 8)
+			}
+		})
 	}
 }

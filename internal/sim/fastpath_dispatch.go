@@ -23,7 +23,8 @@ import (
 //     calls the kernel exists to remove (a Telemetry sink does NOT cost
 //     eligibility: the kernel accumulates it natively);
 //   - a predictor whose state flattens (fastpath.Supported): the static
-//     schemes, or a two-level predictor without speculative history.
+//     schemes (AlwaysTaken, BTFN, Profiling), the BTB designs, or a
+//     two-level predictor without speculative history.
 //
 // Even when eligible, kernel construction can still decline
 // (fastpath.New), in which case the interpretive runner serves the run.

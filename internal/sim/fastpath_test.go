@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"twolevel/internal/automaton"
@@ -71,10 +72,16 @@ func kernelSnapshot(events int) trace.Snapshot {
 	return p.View(p.Len())
 }
 
+// missBTFN marks a kernelEquivSpecs BTB entry that buildEquivSpec builds
+// through the predictor API with predictor.BTBMissBTFN, a miss policy
+// the spec grammar cannot name.
+const missBTFN = " +missBTFN"
+
 // kernelEquivSpecs span every flattenable family: the paper's three
 // primary variations under several automata and table shapes, the ideal
-// BHT, the six taxonomy extensions, static training, and the static
-// predictors.
+// BHT, the six taxonomy extensions, static training, the BTB designs
+// (both miss policies, direct-mapped and set-associative), Profiling and
+// the static predictors.
 var kernelEquivSpecs = []string{
 	"GAg(HR(1,,8-sr),1xPHT(2^8,A2))",
 	"GAg(HR(1,,12-sr),1xPHT(2^12,A3))",
@@ -92,6 +99,11 @@ var kernelEquivSpecs = []string{
 	"PAs(BHT(512,4,8-sr),16xPHT(2^8,A2))",
 	"GSg(HR(1,,8-sr),1xPHT(2^8,PB))",
 	"PSg(BHT(512,4,8-sr),1xPHT(2^8,PB))",
+	"BTB(BHT(512,4,A2),)",
+	"BTB(BHT(256,1,LT),)",
+	"BTB(BHT(64,4,A3),,c)",
+	"BTB(BHT(128,2,A1),)" + missBTFN,
+	"Profiling",
 	"AlwaysTaken",
 	"BTFN",
 }
@@ -147,11 +159,20 @@ func stampRanks(st *flat.State) []uint64 {
 }
 
 // buildKernelSpec constructs sp's predictor, running a training pass
-// over snap for the static-training schemes.
+// over snap for the static-training schemes. Profiling trains on the
+// first 2,000 events of kernelSnapshot only, so some of snap's branches
+// are unprofiled.
 func buildKernelSpec(t *testing.T, sp spec.Spec, snap trace.Snapshot) predictor.Predictor {
 	t.Helper()
 	var td *spec.TrainingData
-	if sp.NeedsTraining() {
+	switch {
+	case sp.Scheme == spec.SchemeProfiling:
+		trainer := predictor.NewProfileTrainer()
+		if err := trainer.ObserveTrace(kernelSnapshot(2000).Reader()); err != nil {
+			t.Fatal(err)
+		}
+		td = &spec.TrainingData{Profile: trainer}
+	case sp.NeedsTraining():
 		trainer, err := spec.NewTrainer(sp)
 		if err != nil {
 			t.Fatal(err)
@@ -162,6 +183,27 @@ func buildKernelSpec(t *testing.T, sp spec.Spec, snap trace.Snapshot) predictor.
 		td = &spec.TrainingData{Static: trainer}
 	}
 	p, err := spec.Build(sp, td)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// buildEquivSpec is buildKernelSpec for a kernelEquivSpecs entry,
+// building the missBTFN-marked BTB through the predictor API.
+func buildEquivSpec(t *testing.T, s string, snap trace.Snapshot) predictor.Predictor {
+	t.Helper()
+	name, btfn := strings.CutSuffix(s, missBTFN)
+	sp := spec.MustParse(name)
+	if !btfn {
+		return buildKernelSpec(t, sp, snap)
+	}
+	p, err := predictor.NewBTB(predictor.BTBConfig{
+		Entries:    sp.HistEntries,
+		Assoc:      sp.HistAssoc,
+		Automaton:  sp.Automaton,
+		MissPolicy: predictor.BTBMissBTFN,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,19 +263,18 @@ func TestKernelMatchesInterpretive(t *testing.T) {
 		{"cs-sharded", Options{ContextSwitches: true, CSInterval: 1009, Shards: 4}},
 	}
 	for _, s := range kernelEquivSpecs {
-		sp := spec.MustParse(s)
 		for _, os := range optionSets {
 			slowOpts := os.opts
 			slowOpts.DisableFastpath = true
 			slowSrc := snap.Reader()
-			slowP := buildKernelSpec(t, sp, snap)
+			slowP := buildEquivSpec(t, s, snap)
 			want, err := Run(slowP, slowSrc, slowOpts)
 			if err != nil {
 				t.Fatalf("%s/%s interpretive: %v", s, os.name, err)
 			}
 
 			fastSrc := snap.Reader()
-			p := buildKernelSpec(t, sp, snap)
+			p := buildEquivSpec(t, s, snap)
 			if !FastpathEligible(p, fastSrc, os.opts) {
 				t.Fatalf("%s/%s: expected fast-path eligibility", s, os.name)
 			}
@@ -260,17 +301,15 @@ func TestKernelWritebackResumes(t *testing.T) {
 	snap := kernelSnapshot(24_000)
 	first := Options{MaxCondBranches: 4000, ContextSwitches: true, CSInterval: 1711}
 	for _, s := range kernelEquivSpecs {
-		sp := spec.MustParse(s)
-
 		slowSrc := snap.Reader()
-		slowP := buildKernelSpec(t, sp, snap)
+		slowP := buildEquivSpec(t, s, snap)
 		slowOpts := first
 		slowOpts.DisableFastpath = true
 		if _, err := Run(slowP, slowSrc, slowOpts); err != nil {
 			t.Fatalf("%s interpretive leg 1: %v", s, err)
 		}
 		fastSrc := snap.Reader()
-		fastP := buildKernelSpec(t, sp, snap)
+		fastP := buildEquivSpec(t, s, snap)
 		if _, err := Run(fastP, fastSrc, first); err != nil {
 			t.Fatalf("%s kernel leg 1: %v", s, err)
 		}
@@ -493,6 +532,12 @@ func TestFastpathEligibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	btfnBTB, err := predictor.NewBTB(predictor.BTBConfig{Entries: 64, Assoc: 1, Automaton: automaton.LastTime,
+		MissPolicy: predictor.BTBMissBTFN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := predictor.NewProfileTrainer().Build()
 	packed := snap.Reader()
 	live := (&trace.Trace{}).Reader()
 	cases := []struct {
@@ -511,7 +556,12 @@ func TestFastpathEligibility(t *testing.T) {
 		{"observer attached", twoLevel(pag), packed, Options{Observer: &countingObserver{}}, false},
 		{"pipelined timing model", twoLevel(pag), packed, Options{PipelineDepth: 4}, false},
 		{"speculative history", twoLevel(specPAg), packed, Options{}, false},
-		{"btb design", btb, packed, Options{}, false},
+		{"btb design", btb, packed, Options{}, true},
+		{"btb with btfn miss policy", btfnBTB, packed, Options{}, true},
+		{"btb over unpacked source", btb, live, Options{}, false},
+		{"btb with observer", btb, packed, Options{Observer: &countingObserver{}}, false},
+		{"profiling", profile, packed, Options{}, true},
+		{"profiling pipelined", profile, packed, Options{PipelineDepth: 2}, false},
 	}
 	for _, c := range cases {
 		if got := FastpathEligible(c.p, c.src, c.opts); got != c.want {
@@ -536,12 +586,18 @@ func TestReplaySpanFastpathAttr(t *testing.T) {
 // TestKernelSupportedCoverage guards against silent fallbacks: every
 // equivalence spec must flatten (fastpath.New accepts it), or the
 // bit-identity suite would be testing the interpretive runner against
-// itself.
+// itself. It also pins the suite's reach, so the test cannot pass on a
+// list that lost a family: every scheme the spec grammar names, and the
+// BTB's non-default miss policy, has an equivalence spec.
 func TestKernelSupportedCoverage(t *testing.T) {
 	snap := kernelSnapshot(256)
+	covered := map[spec.Scheme]bool{}
+	var btfnMiss bool
 	for _, s := range kernelEquivSpecs {
-		sp := spec.MustParse(s)
-		p := buildKernelSpec(t, sp, snap)
+		name, btfn := strings.CutSuffix(s, missBTFN)
+		covered[spec.MustParse(name).Scheme] = true
+		btfnMiss = btfnMiss || btfn
+		p := buildEquivSpec(t, s, snap)
 		if !fastpath.Supported(p) {
 			t.Errorf("%s: fastpath.Supported = false", s)
 			continue
@@ -549,6 +605,69 @@ func TestKernelSupportedCoverage(t *testing.T) {
 		if _, ok := fastpath.New(p, fastpathConfig(Options{})); !ok {
 			t.Errorf("%s: fastpath.New declined", s)
 		}
+	}
+	for _, sc := range []spec.Scheme{
+		spec.SchemeGAg, spec.SchemePAg, spec.SchemePAp,
+		spec.SchemeGAp, spec.SchemeGAs, spec.SchemePAs,
+		spec.SchemeSAg, spec.SchemeSAs, spec.SchemeSAp,
+		spec.SchemeGSg, spec.SchemePSg, spec.SchemeBTB,
+		spec.SchemeAlwaysTaken, spec.SchemeBTFN, spec.SchemeProfiling,
+	} {
+		if !covered[sc] {
+			t.Errorf("no kernelEquivSpecs entry for %s", sc)
+		}
+	}
+	if !btfnMiss {
+		t.Error("no kernelEquivSpecs BTB entry with the BTFN miss policy")
+	}
+}
+
+// TestSpeculativeDepth0MatchesBase pins the speculative history path
+// against the base model: with branches resolving immediately, a
+// speculative two-level predictor makes the same predictions and ends in
+// the same flat state, LRU stamps and hit counters included, for every
+// two-level equivalence spec. A mispredicted register that still awaits
+// its first outcome must be repaired by smearing, as the base model
+// shifts it.
+func TestSpeculativeDepth0MatchesBase(t *testing.T) {
+	snap := kernelSnapshot(24_000)
+	optionSets := []Options{
+		{DisableFastpath: true},
+		{DisableFastpath: true, ContextSwitches: true, CSInterval: 1009},
+		{DisableFastpath: true, MaxCondBranches: 5000},
+	}
+	checked := 0
+	for _, s := range kernelEquivSpecs {
+		if _, ok := buildEquivSpec(t, s, snap).(*predictor.TwoLevel); !ok {
+			continue
+		}
+		for _, opts := range optionSets {
+			base := buildEquivSpec(t, s, snap).(*predictor.TwoLevel)
+			cfg := base.Config()
+			cfg.SpeculativeHistory = true
+			specP, err := predictor.NewTwoLevel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Run(base, snap.Reader(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(specP, snap.Reader(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %+v: speculative result differs from base:\n got %+v\nwant %+v", s, opts, got, want)
+			}
+			if !reflect.DeepEqual(specP.State(), base.State()) {
+				t.Errorf("%s %+v: speculative state differs from base", s, opts)
+			}
+		}
+		checked++
+	}
+	if checked < 10 {
+		t.Fatalf("only %d two-level specs checked", checked)
 	}
 }
 
@@ -558,7 +677,7 @@ func TestKernelSupportedCoverage(t *testing.T) {
 func TestKernelNewAllocatesOnce(t *testing.T) {
 	snap := kernelSnapshot(256)
 	for _, s := range kernelEquivSpecs {
-		p := buildKernelSpec(t, spec.MustParse(s), snap)
+		p := buildEquivSpec(t, s, snap)
 		cfg := fastpathConfig(Options{})
 		if allocs := testing.AllocsPerRun(10, func() { fastpath.New(p, cfg) }); allocs > 1 {
 			t.Errorf("%s: fastpath.New made %.0f allocations, want 1", s, allocs)

@@ -47,7 +47,6 @@ func TestKernelTelemetryMatchesIntervalSeries(t *testing.T) {
 	}
 	const interval, topk = 512, 8
 	for _, s := range kernelEquivSpecs {
-		sp := spec.MustParse(s)
 		for _, os := range telemetryOptionSets(conds) {
 			// Reference: the legacy observers on the interpretive runner.
 			iv := telemetry.NewIntervalSeries(interval)
@@ -55,7 +54,7 @@ func TestKernelTelemetryMatchesIntervalSeries(t *testing.T) {
 			refOpts := os.opts
 			refOpts.DisableFastpath = true
 			refOpts.Observer = telemetry.Multi(iv, hot)
-			refRes, err := Run(buildKernelSpec(t, sp, snap), snap.Reader(), refOpts)
+			refRes, err := Run(buildEquivSpec(t, s, snap), snap.Reader(), refOpts)
 			if err != nil {
 				t.Fatalf("%s/%s reference: %v", s, os.name, err)
 			}
@@ -64,7 +63,7 @@ func TestKernelTelemetryMatchesIntervalSeries(t *testing.T) {
 			sink := &Telemetry{Interval: interval, TopK: topk}
 			fastOpts := os.opts
 			fastOpts.Telemetry = sink
-			p := buildKernelSpec(t, sp, snap)
+			p := buildEquivSpec(t, s, snap)
 			if !FastpathEligible(p, snap.Reader(), fastOpts) {
 				t.Fatalf("%s/%s: Telemetry sink cost fastpath eligibility", s, os.name)
 			}
@@ -107,7 +106,7 @@ func TestKernelTelemetryMatchesIntervalSeries(t *testing.T) {
 			slowOpts := os.opts
 			slowOpts.DisableFastpath = true
 			slowOpts.Telemetry = slowSink
-			if _, err := Run(buildKernelSpec(t, sp, snap), snap.Reader(), slowOpts); err != nil {
+			if _, err := Run(buildEquivSpec(t, s, snap), snap.Reader(), slowOpts); err != nil {
 				t.Fatalf("%s/%s interpretive sink: %v", s, os.name, err)
 			}
 			if !reflect.DeepEqual(slowSink, sink) {
