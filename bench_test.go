@@ -388,6 +388,89 @@ func BenchmarkKernelTap(b *testing.B) {
 	}
 }
 
+// BenchmarkRunManyShared measures the shared pass against single runs:
+// one 11-cell batch — one cell per kernel loop shape (static, GAg, PAg,
+// PAp, generic) plus a BTB and Profiling, and the static and three
+// two-level shapes again with a Telemetry sink — replayed by one
+// SimulateMany call, which builds one replay plan, against the same 11
+// cells run as 11 single Simulate calls, which build one plan each. The
+// Results are bit-identical; events/sec counts the snapshot's events
+// once per cell.
+func BenchmarkRunManyShared(b *testing.B) {
+	const conds = 100_000
+	pack := func(training bool) twolevel.TraceSnapshot {
+		src, err := twolevel.NewBenchmarkSource("espresso", training)
+		if err != nil {
+			b.Fatal(err)
+		}
+		snap, err := twolevel.PackTrace(twolevel.LimitConditional(src, conds))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return snap
+	}
+	snap, train := pack(false), pack(true)
+	cells := []struct {
+		spec string
+		tap  bool
+	}{
+		{"AlwaysTaken", false},
+		{"GAg(HR(1,,12-sr),1xPHT(2^12,A2))", false},
+		{"PAg(BHT(512,4,12-sr),1xPHT(2^12,A2))", false},
+		{"PAp(BHT(512,4,6-sr),512xPHT(2^6,A2))", false},
+		{"SAs(SHT(64,,8-sr),16xPHT(2^8,A2))", false},
+		{"BTB(BHT(512,4,A2),)", false},
+		{"Profiling", false},
+		{"BTFN", true},
+		{"GAg(HR(1,,12-sr),1xPHT(2^12,A2))", true},
+		{"PAg(BHT(512,4,12-sr),1xPHT(2^12,A2))", true},
+		{"PAp(BHT(512,4,6-sr),512xPHT(2^6,A2))", true},
+	}
+	build := func(b *testing.B) ([]twolevel.Predictor, []twolevel.SimOptions) {
+		preds := make([]twolevel.Predictor, len(cells))
+		opts := make([]twolevel.SimOptions, len(cells))
+		for i, c := range cells {
+			var err error
+			if c.spec == "Profiling" {
+				preds[i], err = twolevel.NewTrainedPredictor(c.spec, train.Reader())
+			} else {
+				preds[i], err = twolevel.NewPredictor(c.spec)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts[i] = twolevel.SimOptions{MaxCondBranches: conds}
+			if c.tap {
+				opts[i].Telemetry = &sim.Telemetry{Interval: conds / 20, TopK: 8}
+			}
+		}
+		return preds, opts
+	}
+	events := float64(snap.Len() * len(cells))
+	arm := func(b *testing.B, batch bool) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			preds, opts := build(b)
+			b.StartTimer()
+			if batch {
+				if _, err := twolevel.SimulateMany(preds, snap.Reader(), opts); err != nil {
+					b.Fatal(err)
+				}
+				continue
+			}
+			for j := range preds {
+				if _, err := twolevel.Simulate(preds[j], snap.Reader(), opts[j]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(events*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+	}
+	b.Run("batch", func(b *testing.B) { arm(b, true) })
+	b.Run("single", func(b *testing.B) { arm(b, false) })
+}
+
 // BenchmarkSimObserverOverhead measures the telemetry hook cost in the
 // simulator loop over a prerecorded trace: the nil-observer arm is the
 // baseline the hooks must not slow down (and must not allocate); the

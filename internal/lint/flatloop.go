@@ -7,7 +7,8 @@ import (
 )
 
 // FlatLoop enforces the fast-path kernel contract: the hot replay
-// functions in the fastpath package (run*, lookup*, flush*) and the
+// functions in the fastpath package (run*, lookup*, flush*, the plan
+// builder's plan* and the telemetry fold's fold*) and the
 // flat state package's step functions they call per event (Lookup*,
 // alloc*/Allocate, Flush) replay packed traces over flattened state
 // tables, so their bodies must not make dynamic dispatch through an
@@ -20,16 +21,18 @@ import (
 // is part of the hot loop by design (ctxpoll contract).
 var FlatLoop = &Analyzer{
 	Name: "flatloop",
-	Doc: "fastpath/flat hot functions (run*/lookup*/flush*/alloc*) must not call " +
+	Doc: "fastpath/flat hot functions (run*/lookup*/flush*/alloc*/plan*/fold*) must not call " +
 		"interface methods other than context.Context",
 	Packages: []string{"fastpath", "flat"},
 	Run:      runFlatLoop,
 }
 
 // hotPrefixes marks the function-name prefixes that form the kernel's
-// per-event replay path. The first letter matches in either case, so the
-// exported step functions (LookupCache, Flush, Allocate) count too.
-var hotPrefixes = []string{"run", "lookup", "flush", "alloc"}
+// per-event replay path: the loops and step functions, the replay plan's
+// snapshot walk (plan*) and the telemetry fold over mispredict bits
+// (fold*). The first letter matches in either case, so the exported
+// step functions (LookupCache, Flush, Allocate) count too.
+var hotPrefixes = []string{"run", "lookup", "flush", "alloc", "plan", "fold"}
 
 func isHotFuncName(name string) bool {
 	if name == "" {

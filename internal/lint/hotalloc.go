@@ -12,21 +12,21 @@ import (
 // loops being allocation-free, and a heap allocation smuggled into a
 // replay loop would erode events/sec without failing any correctness
 // test. The analyzer builds the CFG of every hot function in the
-// fastpath package (run*/lookup*/flush*, which covers the tap-free and
-// Tap twin loops alike) and in the flat state package whose step
-// functions those loops call (Lookup*/alloc*/Flush), and flags, inside
-// natural loops only, the
+// fastpath package (run*/lookup*/flush*, plus the replay plan's
+// snapshot walk plan* and the telemetry fold fold*) and in the flat
+// state package whose step functions those loops call
+// (Lookup*/alloc*/Flush), and flags, inside natural loops only, the
 // constructs that heap-allocate or can: make/new/append, composite
 // literals, map inserts, closures, string↔[]byte/[]rune conversions,
 // fmt formatting, and implicit interface boxing. Calls from a hot loop
 // to a same-package helper are checked one level deep: the call is
 // flagged if the helper's body contains an allocation site that does
 // not carry its own //lint:allow hotalloc justification (amortised
-// growth like the Tap's interval arrays is annotated at the site, which
-// clears every hot caller at once).
+// growth like the replay plan's site directory is annotated at the
+// site, which clears every hot caller at once).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc: "fastpath/flat hot loops (run*/lookup*/flush*/alloc*) must not heap-allocate: " +
+	Doc: "fastpath/flat hot loops (run*/lookup*/flush*/alloc*/plan*/fold*) must not heap-allocate: " +
 		"no make/append/closures/boxing inside the per-event loop",
 	Packages: []string{"fastpath", "flat"},
 	Run:      runHotAlloc,

@@ -76,6 +76,26 @@ func (k *Kernel) flushMirror() {
 	k.pred.Update(0, false) // want "interface method call Predictor.Update"
 }
 
+// planColumns is a plan builder, hot by prefix: it walks every event of
+// the snapshot once per batch, so interface dispatch is a finding.
+func (k *Kernel) planColumns(meta []uint8) int {
+	n := 0
+	for _, m := range meta {
+		if k.pred.Predict(uint32(m)) { // want "interface method call Predictor.Predict"
+			n++
+		}
+	}
+	return n
+}
+
+// foldMisses is a telemetry fold, hot by prefix: it walks a replay's
+// mispredict bits, so interface dispatch is a finding.
+func (k *Kernel) foldMisses(miss []uint64) {
+	for i := range miss {
+		k.pred.Update(uint32(i), miss[i] != 0) // want "interface method call Predictor.Update"
+	}
+}
+
 // seed is cold setup: interface dispatch outside the replay path is not
 // a finding.
 func (k *Kernel) seed() {

@@ -33,17 +33,17 @@ func (k *kernel) runReplay(pcs []uint32) int {
 	scratch := make([]byte, 8) // hoisted out of the loop: clean
 	correct := 0
 	for i, pc := range pcs {
-		buf := make([]byte, 4) // want "make allocation"
-		p := new(event)        // want "new allocation"
-		e := &event{pc: pc}    // want "composite literal allocation"
-		fn := func() {}        // want "closure creation"
+		buf := make([]byte, 4)                // want "make allocation"
+		p := new(event)                       // want "new allocation"
+		e := &event{pc: pc}                   // want "composite literal allocation"
+		fn := func() {}                       // want "closure creation"
 		k.preds = append(k.preds, uint64(pc)) // want "append"
 		k.pcm[pc] = uint64(i)                 // want "map insert"
 		name := string(k.tag)                 // want "conversion \(copies the data\)"
 		msg := fmt.Sprintf("pc=%d", pc)       // want "fmt\.Sprintf call"
 		sink(pc)                              // want "interface boxing of argument"
 		var v any
-		v = pc // want "interface boxing in assignment"
+		v = pc            // want "interface boxing in assignment"
 		k.grow()          // want "call to grow, which allocates"
 		k.growJustified() // clean: the callee's site is annotated
 		k.pcm[pc] = 0     //lint:allow hotalloc fixture-sanctioned amortised insert
@@ -59,6 +59,24 @@ func (k *kernel) flushTap(out []uint64) {
 	for range out {
 		k.preds = append(k.preds, 0) // want "append"
 	}
+}
+
+// planPass is a plan builder, hot by prefix: its per-event loop must not
+// allocate.
+func (k *kernel) planPass(meta []uint8) {
+	for _, m := range meta {
+		k.preds = append(k.preds, uint64(m)) // want "append"
+	}
+}
+
+// foldSamples is a telemetry fold, hot by prefix: its per-interval loop
+// must not allocate either.
+func (k *kernel) foldSamples(n int) [][]uint64 {
+	out := make([][]uint64, n) // hoisted out of the loop: clean
+	for i := range out {
+		out[i] = make([]uint64, 1) // want "make allocation"
+	}
+	return out
 }
 
 // merge is not hot: the same constructs in a cold loop are clean.

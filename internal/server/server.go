@@ -32,6 +32,7 @@ import (
 	"twolevel/internal/logx"
 	"twolevel/internal/predictor"
 	"twolevel/internal/prog"
+	"twolevel/internal/sim"
 	"twolevel/internal/span"
 	"twolevel/internal/spec"
 	"twolevel/internal/telemetry"
@@ -198,13 +199,15 @@ func New(cfg Config) *Server {
 	}
 	s.grid.AttachTracer(s.tracer)
 	// Every metrics surface renders from one registry: the process scope
-	// (request aggregate, admission/cache gauges, server-wide grid), then
+	// (request aggregate, admission/cache gauges, server-wide grid, kernel
+	// declines by reason), then
 	// each tenant's request counters, grid progress and cache attribution
 	// registered as the tenant is first seen.
 	s.reg = telemetry.NewRegistry()
 	s.reg.Register(func() []telemetry.Metric { return s.agg.Snapshot().Metrics() })
 	s.reg.Register(s.serverMetrics)
 	s.reg.Register(func() []telemetry.Metric { return s.grid.Snapshot().Metrics() })
+	s.reg.Register(sim.DeclineMetrics)
 	s.ten = newTenants(func(name string) *tenant {
 		t := &tenant{
 			name:   name,

@@ -11,8 +11,17 @@
 // the Branch Target Buffer designs (either miss policy), and a
 // *predictor.TwoLevel of any taxonomy variation (GAg/PAg/PAp plus the
 // GAp/GAs/PAs/SAg/SAs/SAp extensions, practical or ideal BHT, custom
-// machines, Static Training presets) without speculative history.
-// Everything else falls back to the interpretive runner.
+// machines, Static Training presets, speculative history, which at depth
+// 0 is the base model). Everything else falls back to the interpretive
+// runner.
+//
+// Plans: everything a replay computes that does not depend on the
+// predictor is computed once per batch, in a Plan (plan.go): the
+// conditional branches' PCs, targets and outcomes as columns indexed by
+// resolution index, and per distinct budget and context-switch
+// configuration the instruction, trap, class and taken counts and the
+// branch index of every context switch. sim.RunMany builds one plan for
+// all its kernel cells; Run, RunTo and sim.Run build a plan of one cell.
 //
 // Mechanics: a two-level predictor already keeps its tables in the flat
 // layout of package flat — δ/λ as a packed [state<<1|outcome] transition
@@ -22,9 +31,12 @@
 // predictor's own flat.State in place, with nothing to copy in or out. A
 // BTB is a flat.State too (the practical table with a per-slot automaton
 // state), and a Profile is a flat.PCIndex over a dense direction array;
-// runGeneric and runStatic serve them on the same objects. Per event the
-// hot loop does a handful of array loads and stores — no interface
-// calls, no Event struct materialisation.
+// runGeneric and runStatic serve them on the same objects. Per branch a
+// hot loop does only its predictor step, stores one bit in the cell's
+// mispredict bitset and keeps its target counters — no event decode, no
+// interface calls, no telemetry work. Correct is the bitset's zeros;
+// telemetry (tap.go) is folded from the bitset after the replay. There
+// is one loop body per loop shape, with or without telemetry.
 //
 // Fidelity: a kernel run is bit-identical to the interpretive runner —
 // the same Result counters and the same final predictor state, LRU
@@ -38,6 +50,7 @@ package fastpath
 
 import (
 	"context"
+	"errors"
 
 	"twolevel/internal/flat"
 	"twolevel/internal/predictor"
@@ -62,13 +75,13 @@ type Config struct {
 	// variations whose first and second levels are both non-global; the
 	// kernel silently runs serial otherwise.
 	Shards int
-	// Interval, when > 0, accumulates an accuracy sample every Interval
+	// Interval, when > 0, folds an accuracy sample every Interval
 	// resolved conditional branches — the kernel-native equivalent of
 	// the telemetry.IntervalSeries observer, bit-identical by the
 	// equivalence suite.
 	Interval uint64
-	// TopPCs, when > 0, accumulates a per-PC mispredict profile and
-	// reports the TopPCs worst branches (telemetry.HotBranches order).
+	// TopPCs, when > 0, folds a per-PC mispredict profile and reports
+	// the TopPCs worst branches (telemetry.HotBranches order).
 	TopPCs int
 	// Warmup is the resolved-branch index bounding the warmup-miss
 	// split of the per-PC profile (0 = attribute every miss to steady
@@ -118,13 +131,13 @@ func Supported(p predictor.Predictor) bool {
 	case *predictor.BTB:
 		return tp != nil
 	case *predictor.TwoLevel:
-		return tp != nil && !tp.Config().SpeculativeHistory
+		return tp != nil
 	default:
 		return false
 	}
 }
 
-// kernelKind selects the hot loop.
+// kernelKind selects the predictor step.
 type kernelKind uint8
 
 const (
@@ -135,11 +148,23 @@ const (
 	kindBTB
 )
 
+// loopShape selects the serial hot loop.
+type loopShape uint8
+
+const (
+	loopStatic loopShape = iota
+	loopGAg
+	loopPAgCache
+	loopPApCache
+	loopGeneric
+)
+
 // Kernel is one flattened replay cell. Build one with New and drive it
-// with Run; the predictor's state is updated in place as it goes. A
-// Kernel is single-use.
+// with Run, RunTo or Replay; the predictor's state is updated in place
+// as it goes, and the counters accumulate across calls.
 type Kernel struct {
 	kind kernelKind
+	loop loopShape
 	cfg  Config
 
 	st   *flat.State        // the predictor's own tables (kindTwoLevel, kindBTB)
@@ -167,71 +192,90 @@ func New(p predictor.Predictor, cfg Config) (*Kernel, bool) {
 		k.kind, k.prof = kindProfile, tp
 	case *predictor.TwoLevel:
 		k.kind, k.st = kindTwoLevel, tp.State()
+		k.loop = shapeOf(k.st)
 	case *predictor.BTB:
-		k.kind, k.st = kindBTB, tp.State()
+		k.kind, k.st, k.loop = kindBTB, tp.State(), loopGeneric
 	}
 	return k, true
 }
 
-// StopIndex returns the exclusive end index of a replay of snap from
-// start under budget max: the index just past the max-th conditional
-// branch after start (the interpretive runner's budget semantics — it
-// stops before consuming the event after the one that met the budget),
-// or snap.Len() when the budget is 0 or the snapshot ends first. Run
-// computes it per kernel; sim.RunMany resolves it once per distinct
-// budget of a batch and hands it to RunTo.
-func StopIndex(snap trace.Snapshot, start int, max uint64) int {
-	_, _, _, meta := snap.Columns()
-	if max == 0 {
-		return len(meta)
+// shapeOf picks the serial loop for a two-level predictor's state:
+// specialized loops for the paper's three implementations on the
+// practical BHT, the generic one for the rest.
+func shapeOf(st *flat.State) loopShape {
+	switch {
+	case st.HistoryAxis == flat.Global && st.PatternAxis == flat.Global:
+		return loopGAg
+	case st.BHT == flat.CacheBHT && st.HistoryAxis == flat.PerAddress && st.PatternAxis == flat.Global:
+		return loopPAgCache
+	case st.BHT == flat.CacheBHT && st.HistoryAxis == flat.PerAddress && st.PatternAxis == flat.PerAddress:
+		return loopPApCache
 	}
-	var seen uint64
-	for i := start; i < len(meta); i++ {
-		m := meta[i]
-		if m&trace.MetaTrap == 0 && trace.Class(m>>trace.MetaClassShift) == trace.Cond {
-			if seen++; seen == max {
-				return i + 1
-			}
-		}
-	}
-	return len(meta)
+	return loopGeneric
 }
+
+// errUnplanned reports a Replay over a plan built without the kernel.
+var errUnplanned = errors.New("fastpath: kernel replayed over a plan that has no view for it")
 
 // Run replays snap from event index start, honouring the kernel's
 // budget, context-switch and cancellation configuration, and returns the
-// counters plus the number of events consumed. On cancellation the
-// partial counters and consumed count collected so far are returned with
-// ctx's error; the predictor's state then describes exactly the consumed
-// prefix.
+// counters plus the number of events consumed. It builds a plan of one
+// cell. On cancellation the partial counters and consumed count
+// collected so far are returned with ctx's error; the predictor's state
+// then describes exactly the consumed prefix.
 func (k *Kernel) Run(snap trace.Snapshot, start int) (Counters, int, error) {
-	return k.RunTo(snap, start, StopIndex(snap, start, k.cfg.MaxCondBranches))
+	return k.runOne(snap, start, k.viewKey(snap.Len(), k.cfg.MaxCondBranches))
 }
 
-// RunTo is Run with the stop index already resolved: end must be
-// StopIndex(snap, start, cfg.MaxCondBranches) for the result to honour
-// the kernel's budget.
+// RunTo is Run over events [start, end) without the branch budget: the
+// caller has resolved where the replay stops.
 func (k *Kernel) RunTo(snap trace.Snapshot, start, end int) (Counters, int, error) {
-	instrs, pcs, targets, meta := snap.Columns()
-	if k.st == nil {
-		consumed, err := k.runStatic(instrs, pcs, targets, meta, start, end)
-		return k.c, consumed, err
+	return k.runOne(snap, start, k.viewKey(end, 0))
+}
+
+// runOne replays the view key over a plan of this kernel alone. The
+// plan's storage is recycled at once unless the kernel's Tap borrowed it.
+func (k *Kernel) runOne(snap trace.Snapshot, start int, key viewKey) (Counters, int, error) {
+	p := newPlan(snap, start, []viewKey{key}, k.cfg.TopPCs > 0)
+	c, n, err := k.replay(p, p.view(key))
+	if k.tap == nil {
+		p.Release()
 	}
-	st := k.st
-	var consumed int
+	return c, n, err
+}
+
+// Replay is Run over a plan NewPlan built with this kernel among its
+// kernels, from the plan's start.
+func (k *Kernel) Replay(p *Plan) (Counters, int, error) {
+	v := p.view(k.viewKey(p.snap.Len(), k.cfg.MaxCondBranches))
+	if v == nil {
+		return k.c, 0, errUnplanned
+	}
+	return k.replay(p, v)
+}
+
+// replay runs the kernel over view v of p. The loops resolve branches
+// and record each misprediction in a bitset; everything else comes from
+// the view, or, when cancellation stopped the loops short, from a tally
+// of the consumed prefix.
+func (k *Kernel) replay(p *Plan, v *view) (Counters, int, error) {
+	miss := make([]uint64, (v.conds+63)/64)
+	var n int
 	var err error
-	switch {
-	case k.kind == kindBTB:
-		consumed, err = k.runGeneric(instrs, pcs, targets, meta, start, end)
-	case k.shardable() && k.shardCount() > 1:
-		consumed, err = k.runSharded(instrs, pcs, targets, meta, start, end)
-	case st.HistoryAxis == flat.Global && st.PatternAxis == flat.Global:
-		consumed, err = k.runGAg(instrs, pcs, meta, start, end)
-	case st.BHT == flat.CacheBHT && st.HistoryAxis == flat.PerAddress && st.PatternAxis == flat.Global:
-		consumed, err = k.runPAgCache(instrs, pcs, targets, meta, start, end)
-	case st.BHT == flat.CacheBHT && st.HistoryAxis == flat.PerAddress && st.PatternAxis == flat.PerAddress:
-		consumed, err = k.runPApCache(instrs, pcs, targets, meta, start, end)
-	default:
-		consumed, err = k.runGeneric(instrs, pcs, targets, meta, start, end)
+	if k.shardable() && k.shardCount() > 1 {
+		n, err = k.runSharded(p, v, miss)
+	} else {
+		n, err = k.runSerial(p, v, miss)
 	}
-	return k.c, consumed, err
+	done := *v
+	if n < v.conds {
+		done = p.prefix(v, n)
+	}
+	done.c.Correct = uint64(n) - uint64(flat.Ones(miss))
+	k.c.merge(done.c)
+	k.sinceCS = done.sinceCS
+	if k.tap != nil {
+		k.tap.bind(p, miss, n, done.switches)
+	}
+	return k.c, done.end - p.start, err
 }

@@ -1,909 +1,324 @@
 package fastpath
 
-// The hot loops. Each run* function walks the packed columns by index
-// with the predict→verify→update step fused into straight-line array
-// code; the flatloop analyzer in cmd/brlint enforces that no interface
-// method other than context.Context cancellation polling is called from
-// these functions. Specialized loops cover the paper's three
-// implementations (GAg, PAg, PAp on the practical BHT); runGeneric
-// covers the taxonomy extensions, the Ideal table and the BTB designs
-// with the same flat state, trading a few predictable branches for
-// generality.
+// The hot loops. Each run* loop walks a stretch of a plan's
+// conditional-branch columns with the predict→verify→update step fused
+// into straight-line array code: the plan has already decoded the
+// events and counted everything that does not depend on the predictor,
+// so per branch a loop does its predictor step, stores one mispredict
+// bit and keeps its target counters. runSegments cuts a replay into the
+// stretches between context switches and cancellation polls. The
+// flatloop analyzer in cmd/brlint enforces that no interface method
+// other than context.Context cancellation polling is called from these
+// functions. Specialized loops cover the paper's three implementations
+// (GAg, PAg, PAp on the practical BHT); runGeneric covers the taxonomy
+// extensions, the Ideal table and the BTB designs with the same flat
+// state, trading a few predictable branches for generality.
+//
+// Mispredict bits: a loop accumulates the bits of one 64-branch word in
+// a register and stores the word when it fills or the stretch ends, so
+// a stretch that starts mid-word first reloads the bits stored before.
 
 import (
+	"context"
+
 	"twolevel/internal/flat"
-	"twolevel/internal/trace"
 )
 
-// runStatic replays the static schemes: AlwaysTaken, BTFN and
+// runSerial resolves view v's branches with the kernel's serial loop.
+func (k *Kernel) runSerial(p *Plan, v *view, miss []uint64) (int, error) {
+	seg := func(j0, j1 int) {
+		switch k.loop {
+		case loopStatic:
+			k.runStatic(p, miss, j0, j1)
+		case loopGAg:
+			k.runGAg(p, miss, j0, j1)
+		case loopPAgCache:
+			k.runPAgCache(p, miss, j0, j1)
+		case loopPApCache:
+			k.runPApCache(p, miss, j0, j1)
+		default:
+			k.runGeneric(p, miss, j0, j1)
+		}
+	}
+	flush := func() {
+		if k.st != nil {
+			k.st.Flush()
+		}
+	}
+	return runSegments(p, v, 0, v.conds, k.cfg.Context, seg, flush)
+}
+
+// runSegments drives branches [j0, j1) of view v: it runs seg over each
+// stretch between the view's context switches (calling flush at each)
+// and, when ctx is non-nil, the plan's cancellation polls. It returns
+// the branch index it stopped at: j1, or the poll where ctx reported an
+// error. The switches that precede branch j1 are applied only when j1
+// completes the view; otherwise they belong to whatever resumes there.
+func runSegments(p *Plan, v *view, j0, j1 int, ctx context.Context, seg func(j0, j1 int), flush func()) (int, error) {
+	sw, polls := v.switches, p.polls
+	for len(sw) > 0 && int(sw[0]) < j0 {
+		sw = sw[1:]
+	}
+	for len(polls) > 0 && int(polls[0]) < j0 {
+		polls = polls[1:]
+	}
+	j := j0
+	for {
+		if j == j1 {
+			for ; j1 == v.conds && len(sw) > 0; sw = sw[1:] {
+				flush()
+			}
+			return j, nil
+		}
+		for ; ctx != nil && len(polls) > 0 && int(polls[0]) == j; polls = polls[1:] {
+			if err := ctx.Err(); err != nil {
+				return j, err
+			}
+		}
+		for ; len(sw) > 0 && int(sw[0]) == j; sw = sw[1:] {
+			flush()
+		}
+		next := j1
+		if len(sw) > 0 && int(sw[0]) < next {
+			next = int(sw[0])
+		}
+		if ctx != nil && len(polls) > 0 && int(polls[0]) < next {
+			next = int(polls[0])
+		}
+		seg(j, next)
+		j = next
+	}
+}
+
+// runStatic resolves the static schemes: AlwaysTaken, BTFN and
 // Profiling, whose per-branch directions are fixed before the run.
-// Like every hot loop here it has a tap-free twin: with telemetry off
-// the loop carries no tap branch at all (see runPAgCache).
-func (k *Kernel) runStatic(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
-	if k.tap == nil {
-		return k.runStaticPlain(instrs, pcs, targets, meta, start, end)
-	}
-	return k.runStaticTap(instrs, pcs, targets, meta, start, end)
-}
-
-func (k *Kernel) runStaticPlain(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
+func (k *Kernel) runStatic(p *Plan, miss []uint64, j0, j1 int) {
 	btfn, prof := k.kind == kindBTFN, k.prof
-	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
-	ctx := k.cfg.Context
-	c := &k.c
-	sinceCS := k.sinceCS
-	var sinceCheck uint32
-	i := start
-	var err error
-	for ; i < end; i++ {
-		if ctx != nil {
-			if sinceCheck++; sinceCheck >= checkInterval {
-				sinceCheck = 0
-				if err = ctx.Err(); err != nil {
-					break
-				}
-			}
+	pcs, targets, outs := p.pcs, p.targets, p.outs
+	w := miss[j0>>6]
+	for j := j0; j < j1; j++ {
+		pred := uint32(1)
+		if btfn {
+			pred = b2u(targets[j] < pcs[j])
+		} else if prof != nil {
+			pred = b2u(prof.Direction(pcs[j]))
 		}
-		m := meta[i]
-		ins := uint64(instrs[i])
-		c.Instructions += ins
-		sinceCS += ins
-		if m&trace.MetaTrap != 0 {
-			c.Traps++
-			if cs {
-				c.ContextSwitches++
-				sinceCS = 0
-			}
-			continue
-		}
-		if cs && sinceCS >= interval {
-			c.ContextSwitches++
-			sinceCS = 0
-		}
-		cls := m >> trace.MetaClassShift
-		c.ByClass[cls]++
-		if trace.Class(cls) != trace.Cond {
-			continue
-		}
-		taken := m&trace.MetaTaken != 0
-		if taken {
-			c.TakenCond++
-		}
-		pred := true
-		switch {
-		case btfn:
-			pred = targets[i] < pcs[i]
-		case prof != nil:
-			pred = prof.Direction(pcs[i])
-		}
-		c.Predictions++
-		if pred == taken {
-			c.Correct++
+		w |= uint64(pred^uint32(outs[j])) << (j & 63)
+		if j&63 == 63 {
+			miss[j>>6] = w
+			w = 0
 		}
 	}
-	k.sinceCS = sinceCS
-	return i - start, err
-}
-
-func (k *Kernel) runStaticTap(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
-	btfn, prof := k.kind == kindBTFN, k.prof
-	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
-	ctx := k.cfg.Context
-	c := &k.c
-	tap := k.tap
-	sinceCS := k.sinceCS
-	var sinceCheck uint32
-	i := start
-	var err error
-	for ; i < end; i++ {
-		if ctx != nil {
-			if sinceCheck++; sinceCheck >= checkInterval {
-				sinceCheck = 0
-				if err = ctx.Err(); err != nil {
-					break
-				}
-			}
-		}
-		m := meta[i]
-		ins := uint64(instrs[i])
-		c.Instructions += ins
-		sinceCS += ins
-		if m&trace.MetaTrap != 0 {
-			c.Traps++
-			if cs {
-				c.ContextSwitches++
-				sinceCS = 0
-				if tap != nil {
-					tap.Switch()
-				}
-			}
-			continue
-		}
-		if cs && sinceCS >= interval {
-			c.ContextSwitches++
-			sinceCS = 0
-			if tap != nil {
-				tap.Switch()
-			}
-		}
-		cls := m >> trace.MetaClassShift
-		c.ByClass[cls]++
-		if trace.Class(cls) != trace.Cond {
-			continue
-		}
-		taken := m&trace.MetaTaken != 0
-		if taken {
-			c.TakenCond++
-		}
-		pred := true
-		switch {
-		case btfn:
-			pred = targets[i] < pcs[i]
-		case prof != nil:
-			pred = prof.Direction(pcs[i])
-		}
-		c.Predictions++
-		if pred == taken {
-			c.Correct++
-		}
-		if tap != nil {
-			tap.Resolve(pcs[i], taken, pred == taken)
-		}
+	if j1&63 != 0 {
+		miss[j1>>6] = w
 	}
-	k.sinceCS = sinceCS
-	return i - start, err
 }
 
-// runGAg replays the global/global variations (GAg, GSg presets): one
+// runGAg resolves the global/global variations (GAg, GSg presets): one
 // shared history register, one shared pattern table — the entire
 // predictor state is a uint32 and two slices.
-func (k *Kernel) runGAg(instrs, pcs []uint32, meta []uint8, start, end int) (int, error) {
-	if k.tap == nil {
-		return k.runGAgPlain(instrs, pcs, meta, start, end)
-	}
-	return k.runGAgTap(instrs, pcs, meta, start, end)
-}
-
-func (k *Kernel) runGAgPlain(instrs, pcs []uint32, meta []uint8, start, end int) (int, error) {
-	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
-	ctx := k.cfg.Context
-	c := &k.c
-	st := k.st
-	histMask, resetHist := st.HistMask, st.ResetHist
-	delta, predMask := st.Delta, st.PredMask
-	states, touched := st.GStates, st.GTouched
-	ghr := st.GHR
-	sinceCS := k.sinceCS
-	var sinceCheck uint32
-	i := start
-	var err error
-	for ; i < end; i++ {
-		if ctx != nil {
-			if sinceCheck++; sinceCheck >= checkInterval {
-				sinceCheck = 0
-				if err = ctx.Err(); err != nil {
-					break
-				}
-			}
-		}
-		m := meta[i]
-		ins := uint64(instrs[i])
-		c.Instructions += ins
-		sinceCS += ins
-		if m&trace.MetaTrap != 0 {
-			c.Traps++
-			if cs {
-				ghr = resetHist
-				c.ContextSwitches++
-				sinceCS = 0
-			}
-			continue
-		}
-		if cs && sinceCS >= interval {
-			ghr = resetHist
-			c.ContextSwitches++
-			sinceCS = 0
-		}
-		cls := m >> trace.MetaClassShift
-		c.ByClass[cls]++
-		if trace.Class(cls) != trace.Cond {
-			continue
-		}
-		taken := m&trace.MetaTaken != 0
-		var o uint32
-		if taken {
-			o = 1
-			c.TakenCond++
-		}
-		pat := ghr & histMask
-		s := states[pat]
-		pred := predMask>>s&1 != 0
-		c.Predictions++
-		if pred == taken {
-			c.Correct++
-		}
-		states[pat] = delta[uint32(s)<<1|o]
-		touched[pat>>6] |= 1 << (pat & 63)
-		ghr = flat.Shift(ghr, o, histMask)
-	}
-	st.GHR = ghr
-	k.sinceCS = sinceCS
-	return i - start, err
-}
-
-func (k *Kernel) runGAgTap(instrs, pcs []uint32, meta []uint8, start, end int) (int, error) {
-	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
-	ctx := k.cfg.Context
-	c := &k.c
-	st := k.st
-	tap := k.tap
-	histMask, resetHist := st.HistMask, st.ResetHist
-	delta, predMask := st.Delta, st.PredMask
-	states, touched := st.GStates, st.GTouched
-	ghr := st.GHR
-	sinceCS := k.sinceCS
-	var sinceCheck uint32
-	i := start
-	var err error
-	for ; i < end; i++ {
-		if ctx != nil {
-			if sinceCheck++; sinceCheck >= checkInterval {
-				sinceCheck = 0
-				if err = ctx.Err(); err != nil {
-					break
-				}
-			}
-		}
-		m := meta[i]
-		ins := uint64(instrs[i])
-		c.Instructions += ins
-		sinceCS += ins
-		if m&trace.MetaTrap != 0 {
-			c.Traps++
-			if cs {
-				ghr = resetHist
-				c.ContextSwitches++
-				sinceCS = 0
-				if tap != nil {
-					tap.Switch()
-				}
-			}
-			continue
-		}
-		if cs && sinceCS >= interval {
-			ghr = resetHist
-			c.ContextSwitches++
-			sinceCS = 0
-			if tap != nil {
-				tap.Switch()
-			}
-		}
-		cls := m >> trace.MetaClassShift
-		c.ByClass[cls]++
-		if trace.Class(cls) != trace.Cond {
-			continue
-		}
-		taken := m&trace.MetaTaken != 0
-		var o uint32
-		if taken {
-			o = 1
-			c.TakenCond++
-		}
-		pat := ghr & histMask
-		s := states[pat]
-		pred := predMask>>s&1 != 0
-		c.Predictions++
-		if pred == taken {
-			c.Correct++
-		}
-		if tap != nil {
-			tap.Resolve(pcs[i], taken, pred == taken)
-		}
-		states[pat] = delta[uint32(s)<<1|o]
-		touched[pat>>6] |= 1 << (pat & 63)
-		ghr = flat.Shift(ghr, o, histMask)
-	}
-	st.GHR = ghr
-	k.sinceCS = sinceCS
-	return i - start, err
-}
-
-// runPAgCache replays PAg/PSg on the practical BHT: per-address history
-// registers in the practical BHT, one global pattern table. The
-// tap-free twin exists so a run without telemetry pays nothing — not
-// even a per-event nil check — keeping the headline kernel throughput
-// where it was before the tap existed.
-func (k *Kernel) runPAgCache(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
-	if k.tap == nil {
-		return k.runPAgCachePlain(instrs, pcs, targets, meta, start, end)
-	}
-	return k.runPAgCacheTap(instrs, pcs, targets, meta, start, end)
-}
-
-func (k *Kernel) runPAgCachePlain(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
-	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
-	ctx := k.cfg.Context
-	c := &k.c
+func (k *Kernel) runGAg(p *Plan, miss []uint64, j0, j1 int) {
 	st := k.st
 	histMask := st.HistMask
 	delta, predMask := st.Delta, st.PredMask
 	states, touched := st.GStates, st.GTouched
-	sinceCS := k.sinceCS
-	var sinceCheck uint32
-	i := start
-	var err error
-	for ; i < end; i++ {
-		if ctx != nil {
-			if sinceCheck++; sinceCheck >= checkInterval {
-				sinceCheck = 0
-				if err = ctx.Err(); err != nil {
-					break
-				}
-			}
-		}
-		m := meta[i]
-		ins := uint64(instrs[i])
-		c.Instructions += ins
-		sinceCS += ins
-		if m&trace.MetaTrap != 0 {
-			c.Traps++
-			if cs {
-				st.Flush()
-				c.ContextSwitches++
-				sinceCS = 0
-			}
-			continue
-		}
-		if cs && sinceCS >= interval {
-			st.Flush()
-			c.ContextSwitches++
-			sinceCS = 0
-		}
-		cls := m >> trace.MetaClassShift
-		c.ByClass[cls]++
-		if trace.Class(cls) != trace.Cond {
-			continue
-		}
-		taken := m&trace.MetaTaken != 0
-		var o uint32
-		if taken {
-			o = 1
-			c.TakenCond++
-		}
-		pc := pcs[i]
-		slot := st.LookupCache(&st.Clock, pc, flat.BranchTouches)
-		h := st.Hists[slot]
-		pat := h & histMask
+	ghr := st.GHR
+	outs := p.outs
+	w := miss[j0>>6]
+	for j := j0; j < j1; j++ {
+		o := uint32(outs[j])
+		pat := ghr & histMask
 		s := states[pat]
-		pred := predMask>>s&1 != 0
-		c.Predictions++
-		if pred == taken {
-			c.Correct++
-		}
-		if pred && taken {
-			c.TargetPredictions++
-			if t := st.Targets[slot]; t != 0 && t == targets[i] {
-				c.TargetCorrect++
-			}
+		w |= uint64(uint32(predMask>>(s&63)&1)^o) << (j & 63)
+		if j&63 == 63 {
+			miss[j>>6] = w
+			w = 0
 		}
 		states[pat] = delta[uint32(s)<<1|o]
-		touched[pat>>6] |= 1 << (pat & 63)
-		h = flat.Shift(h, o, histMask)
-		st.Hists[slot] = h
-		st.Preds[slot] = predMask>>states[h]&1 != 0
-		if taken {
-			st.Targets[slot] = targets[i]
-		}
+		touch(touched, pat)
+		ghr = flat.Shift(ghr, o, histMask)
 	}
-	k.sinceCS = sinceCS
-	return i - start, err
+	if j1&63 != 0 {
+		miss[j1>>6] = w
+	}
+	st.GHR = ghr
 }
 
-func (k *Kernel) runPAgCacheTap(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
-	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
-	ctx := k.cfg.Context
-	c := &k.c
+// runPAgCache resolves PAg/PSg on the practical BHT: per-address history
+// registers in the practical BHT, one global pattern table.
+func (k *Kernel) runPAgCache(p *Plan, miss []uint64, j0, j1 int) {
 	st := k.st
-	tap := k.tap
 	histMask := st.HistMask
 	delta, predMask := st.Delta, st.PredMask
 	states, touched := st.GStates, st.GTouched
-	sinceCS := k.sinceCS
-	var sinceCheck uint32
-	i := start
-	var err error
-	for ; i < end; i++ {
-		if ctx != nil {
-			if sinceCheck++; sinceCheck >= checkInterval {
-				sinceCheck = 0
-				if err = ctx.Err(); err != nil {
-					break
-				}
-			}
-		}
-		m := meta[i]
-		ins := uint64(instrs[i])
-		c.Instructions += ins
-		sinceCS += ins
-		if m&trace.MetaTrap != 0 {
-			c.Traps++
-			if cs {
-				st.Flush()
-				c.ContextSwitches++
-				sinceCS = 0
-				if tap != nil {
-					tap.Switch()
-				}
-			}
-			continue
-		}
-		if cs && sinceCS >= interval {
-			st.Flush()
-			c.ContextSwitches++
-			sinceCS = 0
-			if tap != nil {
-				tap.Switch()
-			}
-		}
-		cls := m >> trace.MetaClassShift
-		c.ByClass[cls]++
-		if trace.Class(cls) != trace.Cond {
-			continue
-		}
-		taken := m&trace.MetaTaken != 0
-		var o uint32
-		if taken {
-			o = 1
-			c.TakenCond++
-		}
-		pc := pcs[i]
-		slot := st.LookupCache(&st.Clock, pc, flat.BranchTouches)
-		h := st.Hists[slot]
+	hists, preds, tgts := st.Hists, st.Preds, st.Targets
+	pcs, targets, outs := p.pcs, p.targets, p.outs
+	var tp, tc uint64
+	w := miss[j0>>6]
+	for j := j0; j < j1; j++ {
+		o := uint32(outs[j])
+		slot := st.LookupCache(&st.Clock, pcs[j], flat.BranchTouches)
+		h := hists[slot]
 		pat := h & histMask
 		s := states[pat]
-		pred := predMask>>s&1 != 0
-		c.Predictions++
-		if pred == taken {
-			c.Correct++
+		pred := uint32(predMask >> (s & 63) & 1)
+		w |= uint64(pred^o) << (j & 63)
+		if j&63 == 63 {
+			miss[j>>6] = w
+			w = 0
 		}
-		if tap != nil {
-			tap.Resolve(pc, taken, pred == taken)
-		}
-		if pred && taken {
-			c.TargetPredictions++
-			if t := st.Targets[slot]; t != 0 && t == targets[i] {
-				c.TargetCorrect++
-			}
-		}
+		t, nt := tgts[slot], targets[j]
+		both := pred & o
+		tp += uint64(both)
+		tc += uint64(both & b2u(t != 0) & b2u(t == nt))
+		tgts[slot] = pick(o, nt, t)
 		states[pat] = delta[uint32(s)<<1|o]
-		touched[pat>>6] |= 1 << (pat & 63)
+		touch(touched, pat)
 		h = flat.Shift(h, o, histMask)
-		st.Hists[slot] = h
-		st.Preds[slot] = predMask>>states[h]&1 != 0
-		if taken {
-			st.Targets[slot] = targets[i]
-		}
+		hists[slot] = h
+		preds[slot] = predMask>>(states[h]&63)&1 != 0
 	}
-	k.sinceCS = sinceCS
-	return i - start, err
+	if j1&63 != 0 {
+		miss[j1>>6] = w
+	}
+	k.c.TargetPredictions += tp
+	k.c.TargetCorrect += tc
 }
 
-// runPApCache replays PAp on the practical BHT: per-address history and
+// runPApCache resolves PAp on the practical BHT: per-address history and
 // a per-slot pattern table, both bound to the practical BHT's slots.
-func (k *Kernel) runPApCache(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
-	if k.tap == nil {
-		return k.runPApCachePlain(instrs, pcs, targets, meta, start, end)
-	}
-	return k.runPApCacheTap(instrs, pcs, targets, meta, start, end)
-}
-
-func (k *Kernel) runPApCachePlain(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
-	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
-	ctx := k.cfg.Context
-	c := &k.c
+func (k *Kernel) runPApCache(p *Plan, miss []uint64, j0, j1 int) {
 	st := k.st
 	histMask := st.HistMask
 	delta, predMask := st.Delta, st.PredMask
-	sinceCS := k.sinceCS
-	var sinceCheck uint32
-	i := start
-	var err error
-	for ; i < end; i++ {
-		if ctx != nil {
-			if sinceCheck++; sinceCheck >= checkInterval {
-				sinceCheck = 0
-				if err = ctx.Err(); err != nil {
-					break
-				}
-			}
-		}
-		m := meta[i]
-		ins := uint64(instrs[i])
-		c.Instructions += ins
-		sinceCS += ins
-		if m&trace.MetaTrap != 0 {
-			c.Traps++
-			if cs {
-				st.Flush()
-				c.ContextSwitches++
-				sinceCS = 0
-			}
-			continue
-		}
-		if cs && sinceCS >= interval {
-			st.Flush()
-			c.ContextSwitches++
-			sinceCS = 0
-		}
-		cls := m >> trace.MetaClassShift
-		c.ByClass[cls]++
-		if trace.Class(cls) != trace.Cond {
-			continue
-		}
-		taken := m&trace.MetaTaken != 0
-		var o uint32
-		if taken {
-			o = 1
-			c.TakenCond++
-		}
-		pc := pcs[i]
-		slot := st.LookupCache(&st.Clock, pc, flat.BranchTouches)
+	hists, preds, tgts := st.Hists, st.Preds, st.Targets
+	pcs, targets, outs := p.pcs, p.targets, p.outs
+	var tp, tc uint64
+	w := miss[j0>>6]
+	for j := j0; j < j1; j++ {
+		o := uint32(outs[j])
+		slot := st.LookupCache(&st.Clock, pcs[j], flat.BranchTouches)
 		states := st.PHTStates[slot]
-		touched := st.PHTTouched[slot]
-		h := st.Hists[slot]
+		h := hists[slot]
 		pat := h & histMask
 		s := states[pat]
-		pred := predMask>>s&1 != 0
-		c.Predictions++
-		if pred == taken {
-			c.Correct++
+		pred := uint32(predMask >> (s & 63) & 1)
+		w |= uint64(pred^o) << (j & 63)
+		if j&63 == 63 {
+			miss[j>>6] = w
+			w = 0
 		}
-		if pred && taken {
-			c.TargetPredictions++
-			if t := st.Targets[slot]; t != 0 && t == targets[i] {
-				c.TargetCorrect++
-			}
-		}
+		t, nt := tgts[slot], targets[j]
+		both := pred & o
+		tp += uint64(both)
+		tc += uint64(both & b2u(t != 0) & b2u(t == nt))
+		tgts[slot] = pick(o, nt, t)
 		states[pat] = delta[uint32(s)<<1|o]
-		touched[pat>>6] |= 1 << (pat & 63)
+		touch(st.PHTTouched[slot], pat)
 		h = flat.Shift(h, o, histMask)
-		st.Hists[slot] = h
-		st.Preds[slot] = predMask>>states[h]&1 != 0
-		if taken {
-			st.Targets[slot] = targets[i]
-		}
+		hists[slot] = h
+		preds[slot] = predMask>>(states[h]&63)&1 != 0
 	}
-	k.sinceCS = sinceCS
-	return i - start, err
+	if j1&63 != 0 {
+		miss[j1>>6] = w
+	}
+	k.c.TargetPredictions += tp
+	k.c.TargetCorrect += tc
 }
 
-func (k *Kernel) runPApCacheTap(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
-	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
-	ctx := k.cfg.Context
-	c := &k.c
-	st := k.st
-	tap := k.tap
-	histMask := st.HistMask
-	delta, predMask := st.Delta, st.PredMask
-	sinceCS := k.sinceCS
-	var sinceCheck uint32
-	i := start
-	var err error
-	for ; i < end; i++ {
-		if ctx != nil {
-			if sinceCheck++; sinceCheck >= checkInterval {
-				sinceCheck = 0
-				if err = ctx.Err(); err != nil {
-					break
-				}
-			}
-		}
-		m := meta[i]
-		ins := uint64(instrs[i])
-		c.Instructions += ins
-		sinceCS += ins
-		if m&trace.MetaTrap != 0 {
-			c.Traps++
-			if cs {
-				st.Flush()
-				c.ContextSwitches++
-				sinceCS = 0
-				if tap != nil {
-					tap.Switch()
-				}
-			}
-			continue
-		}
-		if cs && sinceCS >= interval {
-			st.Flush()
-			c.ContextSwitches++
-			sinceCS = 0
-			if tap != nil {
-				tap.Switch()
-			}
-		}
-		cls := m >> trace.MetaClassShift
-		c.ByClass[cls]++
-		if trace.Class(cls) != trace.Cond {
-			continue
-		}
-		taken := m&trace.MetaTaken != 0
-		var o uint32
-		if taken {
-			o = 1
-			c.TakenCond++
-		}
-		pc := pcs[i]
-		slot := st.LookupCache(&st.Clock, pc, flat.BranchTouches)
-		states := st.PHTStates[slot]
-		touched := st.PHTTouched[slot]
-		h := st.Hists[slot]
-		pat := h & histMask
-		s := states[pat]
-		pred := predMask>>s&1 != 0
-		c.Predictions++
-		if pred == taken {
-			c.Correct++
-		}
-		if tap != nil {
-			tap.Resolve(pc, taken, pred == taken)
-		}
-		if pred && taken {
-			c.TargetPredictions++
-			if t := st.Targets[slot]; t != 0 && t == targets[i] {
-				c.TargetCorrect++
-			}
-		}
-		states[pat] = delta[uint32(s)<<1|o]
-		touched[pat>>6] |= 1 << (pat & 63)
-		h = flat.Shift(h, o, histMask)
-		st.Hists[slot] = h
-		st.Preds[slot] = predMask>>states[h]&1 != 0
-		if taken {
-			st.Targets[slot] = targets[i]
-		}
-	}
-	k.sinceCS = sinceCS
-	return i - start, err
-}
-
-// lookupBTB is one Branch Target Buffer step for the conditional branch
-// at pc with outcome o (0 or 1): it predicts, scores the direction and,
-// when a taken prediction meets a taken branch, the cached target, then
-// trains the entry. It reports whether the direction was right.
-func (k *Kernel) lookupBTB(pc, target, o uint32) bool {
-	st, c := k.st, &k.c
-	slot, pred := st.LookupBTB(&st.Clock, pc, target, flat.BranchTouches)
-	taken := o != 0
-	c.Predictions++
-	if pred == taken {
-		c.Correct++
-	}
-	if pred && taken {
-		c.TargetPredictions++
-		if slot >= 0 && st.Targets[slot] != 0 && st.Targets[slot] == target {
-			c.TargetCorrect++
-		}
-	}
-	st.TrainBTB(slot, pc, o, target)
-	return pred == taken
-}
-
-// runGeneric replays every remaining flattened variation — the taxonomy
+// runGeneric resolves every remaining flattened variation — the taxonomy
 // extensions (GAp/GAs/PAs/SAg/SAs/SAp) and any variation on the Ideal
 // BHT — resolving the history and pattern levels per branch from the
 // same flat state the specialized loops use. It also serves the Branch
 // Target Buffer designs, whose one level is the practical table: a hit
 // advances the LRU clock by flat.BranchTouches, a miss predicts by the
 // miss policy and allocates only when TrainBTB resolves the branch.
-func (k *Kernel) runGeneric(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
-	if k.tap == nil {
-		return k.runGenericPlain(instrs, pcs, targets, meta, start, end)
-	}
-	return k.runGenericTap(instrs, pcs, targets, meta, start, end)
-}
-
-func (k *Kernel) runGenericPlain(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
-	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
-	ctx := k.cfg.Context
-	c := &k.c
+func (k *Kernel) runGeneric(p *Plan, miss []uint64, j0, j1 int) {
 	st := k.st
 	histMask := st.HistMask
 	delta, predMask := st.Delta, st.PredMask
 	hasStore := st.BHT != flat.NoBHT
 	useCache := st.BHT == flat.CacheBHT
 	btb := k.kind == kindBTB
-	sinceCS := k.sinceCS
-	var sinceCheck uint32
-	i := start
-	var err error
-	for ; i < end; i++ {
-		if ctx != nil {
-			if sinceCheck++; sinceCheck >= checkInterval {
-				sinceCheck = 0
-				if err = ctx.Err(); err != nil {
-					break
+	pcs, targets, outs := p.pcs, p.targets, p.outs
+	var tp, tc uint64
+	w := miss[j0>>6]
+	for j := j0; j < j1; j++ {
+		o := uint32(outs[j])
+		pc, nt := pcs[j], targets[j]
+		var pred uint32
+		if btb {
+			slot, taken := st.LookupBTB(&st.Clock, pc, nt, flat.BranchTouches)
+			pred = b2u(taken)
+			if slot >= 0 {
+				t := st.Targets[slot]
+				both := pred & o
+				tp += uint64(both)
+				tc += uint64(both & b2u(t != 0) & b2u(t == nt))
+			} else {
+				tp += uint64(pred & o)
+			}
+			st.TrainBTB(slot, pc, o, nt)
+		} else {
+			slot := -1
+			if hasStore {
+				if useCache {
+					slot = st.LookupCache(&st.Clock, pc, flat.BranchTouches)
+				} else {
+					slot = st.LookupIdeal(&st.Clock, pc)
 				}
 			}
-		}
-		m := meta[i]
-		ins := uint64(instrs[i])
-		c.Instructions += ins
-		sinceCS += ins
-		if m&trace.MetaTrap != 0 {
-			c.Traps++
-			if cs {
-				st.Flush()
-				c.ContextSwitches++
-				sinceCS = 0
-			}
-			continue
-		}
-		if cs && sinceCS >= interval {
-			st.Flush()
-			c.ContextSwitches++
-			sinceCS = 0
-		}
-		cls := m >> trace.MetaClassShift
-		c.ByClass[cls]++
-		if trace.Class(cls) != trace.Cond {
-			continue
-		}
-		taken := m&trace.MetaTaken != 0
-		var o uint32
-		if taken {
-			o = 1
-			c.TakenCond++
-		}
-		pc := pcs[i]
-		if btb {
-			k.lookupBTB(pc, targets[i], o)
-			continue
-		}
-		slot := -1
-		if hasStore {
-			if useCache {
-				slot = st.LookupCache(&st.Clock, pc, flat.BranchTouches)
-			} else {
-				slot = st.LookupIdeal(&st.Clock, pc)
+			hp := st.History(pc, slot)
+			states, touched := st.Tables(pc, slot)
+			h := *hp
+			pat := h & histMask
+			s := states[pat]
+			pred = uint32(predMask >> (s & 63) & 1)
+			states[pat] = delta[uint32(s)<<1|o]
+			touch(touched, pat)
+			h = flat.Shift(h, o, histMask)
+			*hp = h
+			if slot >= 0 {
+				t := st.Targets[slot]
+				both := pred & o
+				tp += uint64(both)
+				tc += uint64(both & b2u(t != 0) & b2u(t == nt))
+				st.Targets[slot] = pick(o, nt, t)
+				st.Preds[slot] = predMask>>(states[h]&63)&1 != 0
 			}
 		}
-		hp := st.History(pc, slot)
-		states, touched := st.Tables(pc, slot)
-		h := *hp
-		pat := h & histMask
-		s := states[pat]
-		pred := predMask>>s&1 != 0
-		c.Predictions++
-		if pred == taken {
-			c.Correct++
-		}
-		if hasStore && pred && taken {
-			c.TargetPredictions++
-			if t := st.Targets[slot]; t != 0 && t == targets[i] {
-				c.TargetCorrect++
-			}
-		}
-		states[pat] = delta[uint32(s)<<1|o]
-		touched[pat>>6] |= 1 << (pat & 63)
-		h = flat.Shift(h, o, histMask)
-		*hp = h
-		if slot >= 0 {
-			st.Preds[slot] = predMask>>states[h]&1 != 0
-			if taken {
-				st.Targets[slot] = targets[i]
-			}
+		w |= uint64(pred^o) << (j & 63)
+		if j&63 == 63 {
+			miss[j>>6] = w
+			w = 0
 		}
 	}
-	k.sinceCS = sinceCS
-	return i - start, err
+	if j1&63 != 0 {
+		miss[j1>>6] = w
+	}
+	k.c.TargetPredictions += tp
+	k.c.TargetCorrect += tc
 }
 
-func (k *Kernel) runGenericTap(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
-	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
-	ctx := k.cfg.Context
-	c := &k.c
-	st := k.st
-	tap := k.tap
-	histMask := st.HistMask
-	delta, predMask := st.Delta, st.PredMask
-	hasStore := st.BHT != flat.NoBHT
-	useCache := st.BHT == flat.CacheBHT
-	btb := k.kind == kindBTB
-	sinceCS := k.sinceCS
-	var sinceCheck uint32
-	i := start
-	var err error
-	for ; i < end; i++ {
-		if ctx != nil {
-			if sinceCheck++; sinceCheck >= checkInterval {
-				sinceCheck = 0
-				if err = ctx.Err(); err != nil {
-					break
-				}
-			}
-		}
-		m := meta[i]
-		ins := uint64(instrs[i])
-		c.Instructions += ins
-		sinceCS += ins
-		if m&trace.MetaTrap != 0 {
-			c.Traps++
-			if cs {
-				st.Flush()
-				c.ContextSwitches++
-				sinceCS = 0
-				if tap != nil {
-					tap.Switch()
-				}
-			}
-			continue
-		}
-		if cs && sinceCS >= interval {
-			st.Flush()
-			c.ContextSwitches++
-			sinceCS = 0
-			if tap != nil {
-				tap.Switch()
-			}
-		}
-		cls := m >> trace.MetaClassShift
-		c.ByClass[cls]++
-		if trace.Class(cls) != trace.Cond {
-			continue
-		}
-		taken := m&trace.MetaTaken != 0
-		var o uint32
-		if taken {
-			o = 1
-			c.TakenCond++
-		}
-		pc := pcs[i]
-		if btb {
-			hit := k.lookupBTB(pc, targets[i], o)
-			if tap != nil {
-				tap.Resolve(pc, taken, hit)
-			}
-			continue
-		}
-		slot := -1
-		if hasStore {
-			if useCache {
-				slot = st.LookupCache(&st.Clock, pc, flat.BranchTouches)
-			} else {
-				slot = st.LookupIdeal(&st.Clock, pc)
-			}
-		}
-		hp := st.History(pc, slot)
-		states, touched := st.Tables(pc, slot)
-		h := *hp
-		pat := h & histMask
-		s := states[pat]
-		pred := predMask>>s&1 != 0
-		c.Predictions++
-		if pred == taken {
-			c.Correct++
-		}
-		if tap != nil {
-			tap.Resolve(pc, taken, pred == taken)
-		}
-		if hasStore && pred && taken {
-			c.TargetPredictions++
-			if t := st.Targets[slot]; t != 0 && t == targets[i] {
-				c.TargetCorrect++
-			}
-		}
-		states[pat] = delta[uint32(s)<<1|o]
-		touched[pat>>6] |= 1 << (pat & 63)
-		h = flat.Shift(h, o, histMask)
-		*hp = h
-		if slot >= 0 {
-			st.Preds[slot] = predMask>>states[h]&1 != 0
-			if taken {
-				st.Targets[slot] = targets[i]
-			}
-		}
+// b2u converts a bool to a 0/1 bit without a branch.
+func b2u(b bool) uint32 {
+	if b {
+		return 1
 	}
-	k.sinceCS = sinceCS
-	return i - start, err
+	return 0
+}
+
+// pick returns a when bit o is 1 and b when it is 0, without a branch.
+func pick(o, a, b uint32) uint32 {
+	m := -o
+	return a&m | b&^m
+}
+
+// touch marks pattern pat in a touched bitset. It stores only when the
+// bit is clear, so a loop that keeps revisiting a pattern does not chain
+// each iteration's load of the word to the previous iteration's store.
+func touch(touched []uint64, pat uint32) {
+	if bit := uint64(1) << (pat & 63); touched[pat>>6]&bit == 0 {
+		touched[pat>>6] |= bit
+	}
 }

@@ -6,18 +6,19 @@ package fastpath
 // count, so partitioning branches by the low bits of pc>>2 gives each
 // worker a disjoint slice of BHT sets, history registers and pattern
 // tables: workers share the predictor's tables but write disjoint indices.
-// Every worker walks the whole event stream (the context-switch quantum
-// is timed by the global instruction count), predicting only its own
-// partition; worker 0 additionally owns the global counters
-// (instructions, traps, classes, context switches). Counter merging is
-// plain field addition — deterministic regardless of scheduling — and
-// the merged Counters equal the serial kernel's bit for bit.
+// Every worker walks the plan's whole branch column, flushing its own
+// partition at every context switch, and resolves only its own
+// partition's branches into a private mispredict bitset. The plan
+// already holds every predictor-independent counter, so the merge is an
+// OR of the bitsets plus sums of the target and lookup counters —
+// deterministic regardless of scheduling — and equals the serial
+// kernel's result bit for bit.
 
 import (
+	"context"
 	"sync"
 
 	"twolevel/internal/flat"
-	"twolevel/internal/trace"
 )
 
 // shardable reports whether PC partitioning preserves semantics: both
@@ -64,331 +65,140 @@ func (k *Kernel) shardCount() int {
 
 // shardWorker is one partition's private replay state. The predictor's
 // tables are shared (disjoint index sets); everything that must not be
-// shared — the LRU clock, the counters, the context-switch phase —
+// shared — the LRU clock, the mispredict bitset, the target counters —
 // lives here.
 type shardWorker struct {
 	flat.Clock
-	c       Counters
-	sinceCS uint64
-	tap     *Tap // private telemetry fork; nil when telemetry is off
-	// stop is the event index the worker halted at: end after a full
-	// pass, the aligned poll index where cancellation was observed
-	// otherwise. Polls fire at identical indices in every worker (the
-	// poll counter starts at zero at start for all of them), so stop
-	// values from a cancelled pass lie on a common lattice and the
-	// catch-up phase can align every worker to the furthest one.
+	miss   []uint64
+	tp, tc uint64 // target predictions and correct targets
+	// stop is the branch index the worker halted at: the view's end
+	// after a full pass, the poll where cancellation was observed
+	// otherwise. Every worker polls at the plan's poll indices, so the
+	// catch-up phase can align every worker to the furthest stop.
 	stop int
 	err  error
 }
 
-// runSharded replays [start, end) with shardCount workers and merges.
-// A cancelled pass still yields a well-defined prefix: workers observe
-// cancellation at aligned poll indices, and the catch-up phase below
-// advances every worker to the furthest stop, so the consumed count and
-// the predictor's state describe the exact prefix [start, stop) — an
-// interpretive continuation from there is bit-identical to a run that
-// was never sharded.
-func (k *Kernel) runSharded(instrs, pcs, targets []uint32, meta []uint8, start, end int) (int, error) {
+// runSharded resolves view v with shardCount workers and merges their
+// bitsets into miss. A cancelled pass still yields a well-defined
+// prefix: workers observe cancellation at poll indices, and the catch-up
+// phase below advances every worker to the furthest stop, so the
+// resolved count and the predictor's state describe the exact prefix of
+// branches [0, stop) — an interpretive continuation from there is
+// bit-identical to a run that was never sharded.
+func (k *Kernel) runSharded(p *Plan, v *view, miss []uint64) (int, error) {
 	g := k.shardCount()
 	workers := make([]shardWorker, g)
+	work := func(w, j0, j1 int, ctx context.Context) {
+		sw := &workers[w]
+		seg := func(j0, j1 int) { k.runShard(sw, uint32(w), uint32(g-1), p, j0, j1) }
+		flush := func() { k.flushShard(uint32(w), uint32(g)) }
+		sw.stop, sw.err = runSegments(p, v, j0, j1, ctx, seg, flush)
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < g; w++ {
-		if k.tap != nil {
-			workers[w].tap = k.tap.fork(w)
+	for w := range workers {
+		workers[w].Now = k.st.Now
+		workers[w].miss = miss
+		if w > 0 {
+			workers[w].miss = make([]uint64, len(miss)) //lint:allow hotalloc per-worker bitset: O(shards) setup, not per-event work
 		}
 		wg.Add(1)
 		go func(w int) { //lint:allow hotalloc per-worker spawn: O(shards) setup, not per-event work
 			defer wg.Done()
-			workers[w].Now = k.st.Now
-			k.runShard(&workers[w], uint32(w), uint32(g-1), instrs, pcs, targets, meta, start, end, k.sinceCS, true)
+			work(w, 0, v.conds, k.cfg.Context)
 		}(w)
 	}
 	wg.Wait()
 	var err error
-	stop := start
+	stop := 0
 	for w := range workers {
-		if workers[w].stop > stop {
-			stop = workers[w].stop
-		}
+		stop = max(stop, workers[w].stop)
 		if err == nil && workers[w].err != nil {
 			err = workers[w].err
 		}
 	}
 	if err != nil {
-		// Catch-up: workers behind the furthest poll index replay their
+		// Catch-up: workers behind the furthest poll index resolve their
 		// own partition (disjoint state, no polling) up to it. At most
-		// one poll window of events per worker, run serially.
+		// one poll window of branches per worker, run serially.
 		for w := range workers {
 			if workers[w].stop < stop {
-				k.runShard(&workers[w], uint32(w), uint32(g-1), instrs, pcs, targets, meta, workers[w].stop, stop, workers[w].sinceCS, false)
+				work(w, workers[w].stop, stop, nil)
 			}
 		}
 	}
 	st := k.st
 	maxClock := st.Now
 	for w := range workers {
-		k.c.merge(workers[w].c)
-		st.Lookups += workers[w].Lookups
-		st.Misses += workers[w].Misses
-		if workers[w].Now > maxClock {
-			maxClock = workers[w].Now
+		sw := &workers[w]
+		if w > 0 {
+			for i, x := range sw.miss {
+				miss[i] |= x
+			}
 		}
-		if k.tap != nil {
-			k.tap.absorb(workers[w].tap)
-		}
+		k.c.TargetPredictions += sw.tp
+		k.c.TargetCorrect += sw.tc
+		st.Lookups += sw.Lookups
+		st.Misses += sw.Misses
+		maxClock = max(maxClock, sw.Now)
 	}
 	st.Now = maxClock
-	k.sinceCS = workers[0].sinceCS
-	return stop - start, err
+	return stop, err
 }
 
 // runShard is the per-worker loop: the generic flat branch step applied
-// only to branches whose pc>>2 low bits select partition w, with global
-// accounting (instructions, traps, classes, context-switch count) owned
-// by worker 0. startSinceCS seeds the context-switch phase (the pass
-// start's value, or the worker's own on a catch-up resume); poll=false
-// disables cancellation polling for the bounded catch-up leg. As in
-// loops.go, a tap-free twin keeps the telemetry-off path free of
-// per-event tap branches.
-func (k *Kernel) runShard(sw *shardWorker, w, partMask uint32, instrs, pcs, targets []uint32, meta []uint8, start, end int, startSinceCS uint64, poll bool) {
-	if sw.tap == nil {
-		k.runShardPlain(sw, w, partMask, instrs, pcs, targets, meta, start, end, startSinceCS, poll)
-		return
-	}
-	k.runShardTap(sw, w, partMask, instrs, pcs, targets, meta, start, end, startSinceCS, poll)
-}
-
-func (k *Kernel) runShardPlain(sw *shardWorker, w, partMask uint32, instrs, pcs, targets []uint32, meta []uint8, start, end int, startSinceCS uint64, poll bool) {
-	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
-	ctx := k.cfg.Context
-	if !poll {
-		ctx = nil
-	}
-	c := &sw.c
+// only to branches whose pc>>2 low bits select partition w, over branches
+// [j0, j1) of the plan.
+func (k *Kernel) runShard(sw *shardWorker, w, partMask uint32, p *Plan, j0, j1 int) {
 	st := k.st
-	global := w == 0
 	histMask := st.HistMask
 	delta, predMask := st.Delta, st.PredMask
 	useCache := st.BHT == flat.CacheBHT
-	g := partMask + 1
-	sinceCS := startSinceCS // all workers see the same instruction stream
-	var sinceCheck uint32
-	for i := start; i < end; i++ {
-		if ctx != nil {
-			if sinceCheck++; sinceCheck >= checkInterval {
-				sinceCheck = 0
-				if err := ctx.Err(); err != nil {
-					sw.err = err
-					sw.stop = i
-					sw.sinceCS = sinceCS
-					return
+	pcs, targets, outs := p.pcs, p.targets, p.outs
+	miss := sw.miss
+	var tp, tc uint64
+	wd := miss[j0>>6]
+	for j := j0; j < j1; j++ {
+		if pc := pcs[j]; pc>>2&partMask == w {
+			o := uint32(outs[j])
+			slot := -1
+			if useCache {
+				slot = st.LookupCache(&sw.Clock, pc, flat.BranchTouches)
+			}
+			hp := st.History(pc, slot)
+			states, touched := st.Tables(pc, slot)
+			h := *hp
+			pat := h & histMask
+			s := states[pat]
+			pred := uint32(predMask >> s & 1)
+			wd |= uint64(pred^o) << (j & 63)
+			if useCache && pred&o != 0 {
+				tp++
+				if t := st.Targets[slot]; t != 0 && t == targets[j] {
+					tc++
+				}
+			}
+			states[pat] = delta[uint32(s)<<1|o]
+			touched[pat>>6] |= 1 << (pat & 63)
+			h = flat.Shift(h, o, histMask)
+			*hp = h
+			if slot >= 0 {
+				st.Preds[slot] = predMask>>states[h]&1 != 0
+				if o != 0 {
+					st.Targets[slot] = targets[j]
 				}
 			}
 		}
-		m := meta[i]
-		ins := uint64(instrs[i])
-		sinceCS += ins
-		if global {
-			c.Instructions += ins
-		}
-		if m&trace.MetaTrap != 0 {
-			if global {
-				c.Traps++
-			}
-			if cs {
-				k.flushShard(w, g)
-				if global {
-					c.ContextSwitches++
-				}
-				sinceCS = 0
-			}
-			continue
-		}
-		if cs && sinceCS >= interval {
-			k.flushShard(w, g)
-			if global {
-				c.ContextSwitches++
-			}
-			sinceCS = 0
-		}
-		cls := m >> trace.MetaClassShift
-		if trace.Class(cls) != trace.Cond {
-			if global {
-				c.ByClass[cls]++
-			}
-			continue
-		}
-		taken := m&trace.MetaTaken != 0
-		if global {
-			c.ByClass[cls]++
-			if taken {
-				c.TakenCond++
-			}
-		}
-		pc := pcs[i]
-		if pc>>2&partMask != w {
-			continue
-		}
-		var o uint32
-		if taken {
-			o = 1
-		}
-		slot := -1
-		if useCache {
-			slot = st.LookupCache(&sw.Clock, pc, flat.BranchTouches)
-		}
-		hp := st.History(pc, slot)
-		states, touched := st.Tables(pc, slot)
-		h := *hp
-		pat := h & histMask
-		s := states[pat]
-		pred := predMask>>s&1 != 0
-		c.Predictions++
-		if pred == taken {
-			c.Correct++
-		}
-		if useCache && pred && taken {
-			c.TargetPredictions++
-			if t := st.Targets[slot]; t != 0 && t == targets[i] {
-				c.TargetCorrect++
-			}
-		}
-		states[pat] = delta[uint32(s)<<1|o]
-		touched[pat>>6] |= 1 << (pat & 63)
-		h = flat.Shift(h, o, histMask)
-		*hp = h
-		if slot >= 0 {
-			st.Preds[slot] = predMask>>states[h]&1 != 0
-			if taken {
-				st.Targets[slot] = targets[i]
-			}
+		if j&63 == 63 {
+			miss[j>>6] = wd
+			wd = 0
 		}
 	}
-	sw.stop = end
-	sw.sinceCS = sinceCS
-}
-
-func (k *Kernel) runShardTap(sw *shardWorker, w, partMask uint32, instrs, pcs, targets []uint32, meta []uint8, start, end int, startSinceCS uint64, poll bool) {
-	cs, interval := k.cfg.ContextSwitches, k.cfg.CSInterval
-	ctx := k.cfg.Context
-	if !poll {
-		ctx = nil
+	if j1&63 != 0 {
+		miss[j1>>6] = wd
 	}
-	c := &sw.c
-	st := k.st
-	tap := sw.tap
-	global := w == 0
-	histMask := st.HistMask
-	delta, predMask := st.Delta, st.PredMask
-	useCache := st.BHT == flat.CacheBHT
-	g := partMask + 1
-	sinceCS := startSinceCS // all workers see the same instruction stream
-	var sinceCheck uint32
-	for i := start; i < end; i++ {
-		if ctx != nil {
-			if sinceCheck++; sinceCheck >= checkInterval {
-				sinceCheck = 0
-				if err := ctx.Err(); err != nil {
-					sw.err = err
-					sw.stop = i
-					sw.sinceCS = sinceCS
-					return
-				}
-			}
-		}
-		m := meta[i]
-		ins := uint64(instrs[i])
-		sinceCS += ins
-		if global {
-			c.Instructions += ins
-		}
-		if m&trace.MetaTrap != 0 {
-			if global {
-				c.Traps++
-			}
-			if cs {
-				k.flushShard(w, g)
-				if global {
-					c.ContextSwitches++
-				}
-				sinceCS = 0
-				if tap != nil {
-					tap.Switch()
-				}
-			}
-			continue
-		}
-		if cs && sinceCS >= interval {
-			k.flushShard(w, g)
-			if global {
-				c.ContextSwitches++
-			}
-			sinceCS = 0
-			if tap != nil {
-				tap.Switch()
-			}
-		}
-		cls := m >> trace.MetaClassShift
-		if trace.Class(cls) != trace.Cond {
-			if global {
-				c.ByClass[cls]++
-			}
-			continue
-		}
-		taken := m&trace.MetaTaken != 0
-		if global {
-			c.ByClass[cls]++
-			if taken {
-				c.TakenCond++
-			}
-		}
-		pc := pcs[i]
-		if pc>>2&partMask != w {
-			if tap != nil {
-				tap.skip()
-			}
-			continue
-		}
-		var o uint32
-		if taken {
-			o = 1
-		}
-		slot := -1
-		if useCache {
-			slot = st.LookupCache(&sw.Clock, pc, flat.BranchTouches)
-		}
-		hp := st.History(pc, slot)
-		states, touched := st.Tables(pc, slot)
-		h := *hp
-		pat := h & histMask
-		s := states[pat]
-		pred := predMask>>s&1 != 0
-		c.Predictions++
-		if pred == taken {
-			c.Correct++
-		}
-		if tap != nil {
-			tap.Resolve(pc, taken, pred == taken)
-		}
-		if useCache && pred && taken {
-			c.TargetPredictions++
-			if t := st.Targets[slot]; t != 0 && t == targets[i] {
-				c.TargetCorrect++
-			}
-		}
-		states[pat] = delta[uint32(s)<<1|o]
-		touched[pat>>6] |= 1 << (pat & 63)
-		h = flat.Shift(h, o, histMask)
-		*hp = h
-		if slot >= 0 {
-			st.Preds[slot] = predMask>>states[h]&1 != 0
-			if taken {
-				st.Targets[slot] = targets[i]
-			}
-		}
-	}
-	sw.stop = end
-	sw.sinceCS = sinceCS
+	sw.tp += tp
+	sw.tc += tc
 }
 
 // flushShard invalidates the worker's partition of the BHT and

@@ -1,127 +1,39 @@
 package fastpath
 
-// Run telemetry: a Tap accumulates the interval accuracy series and the
-// per-PC mispredict profile. The flat loops feed it directly, so a run
-// that wants live telemetry stays on the kernel; the interpretive runner
-// feeds the same accumulator through the exported Resolve and Switch, so
-// both replay engines share one implementation. The accumulators are
-// plain per-shard arrays behind a flat.PCIndex directory, merged
-// deterministically after a sharded pass; every hot-loop call site is
-// nil-guarded (one predictable branch when telemetry is off — the same
-// zero-cost-when-disabled contract Observer carries, enforced by the
-// obsnilguard analyzer).
+// Run telemetry: a Tap folds the interval accuracy series and the per-PC
+// mispredict profile out of a replay's mispredict bitset, one bit per
+// resolved conditional branch. A kernel replay hands the Tap its plan —
+// whose columns hold every branch's PC and outcome — and the bitset its
+// loops stored; the loops themselves do no telemetry work at all. The
+// interpretive runner feeds the same bitset through the exported Resolve
+// and Switch, plus a small log of PCs and outcomes the Tap owns, so both
+// replay engines share one implementation. Nothing is folded until
+// Telemetry is called: the series is a popcount per interval, the
+// profile a walk over the set bits only, so a profile costs work per
+// misprediction, not per branch.
 
 import (
 	"container/heap"
+	"math/bits"
 
-	"twolevel/internal/flat"
 	"twolevel/internal/telemetry"
 )
 
-// Tap is one replay's telemetry accumulator. In a sharded run every
-// worker owns a private fork; each fork counts every resolved conditional
-// branch (the global resolution index times interval bins and the warmup
-// split) but bins only its own partition's predictions, so absorbing the
-// forks reproduces the serial series bit for bit.
+// Tap is one replay's telemetry accumulator.
 type Tap struct {
 	every  uint64 // interval size in resolved branches (0 = no series)
 	warmup uint64 // resolutions attributed to warmup (0 = no split)
 	topk   int    // per-PC profile rows to report (0 = no profile)
 
-	total   uint64   // resolved conditional branches seen so far
-	edge    uint64   // resolution index where interval bin ends
-	bin     int      // interval index of resolutions in [edge-every, edge)
-	preds   []uint64 // per-interval prediction counts
-	correct []uint64 // per-interval correct counts
-
 	recordSwitches bool
 	switches       []uint64 // resolution index at each context switch
 
-	pcIdx flat.PCIndex // PC → index into pcs (topk > 0 only)
-	pcs   pcTaps       // per-PC counters at pcIdx's dense indices
-}
-
-// pcTap mirrors telemetry.HotBranches' per-PC counters plus the
-// warmup-miss split the streaming verdict classifier consumes.
-type pcTap struct {
-	exec, taken, miss, warmupMiss uint64
-	pc                            uint32
-}
-
-// pcChunk is the pcTaps chunk length (5 KiB of counters).
-const pcChunk = 128
-
-// pcTaps is a dense per-PC counter array that grows one fixed-size chunk
-// at a time. Growth never copies, so a tapped run allocates about one
-// row per distinct PC; a doubling slice would leave up to its final size
-// again behind as garbage.
-type pcTaps struct {
-	chunks []*[pcChunk]pcTap
-	n      int
-}
-
-// at returns row i (0 <= i < n).
-func (p *pcTaps) at(i int) *pcTap {
-	return &p.chunks[uint(i)/pcChunk][uint(i)%pcChunk]
-}
-
-// push appends a zeroed row for pc at index n.
-func (p *pcTaps) push(pc uint32) {
-	if p.n%pcChunk == 0 {
-		p.chunks = append(p.chunks, new([pcChunk]pcTap)) //lint:allow hotalloc one chunk per pcChunk distinct PCs, not per event
-	}
-	p.at(p.n).pc = pc
-	p.n++
-}
-
-// before reports whether row i precedes row j in the profile order:
-// mispredicts descending, then PC ascending. Rows hold distinct PCs, so
-// the order is total.
-func (p *pcTaps) before(i, j int32) bool {
-	a, b := p.at(int(i)), p.at(int(j))
-	if a.miss != b.miss {
-		return a.miss > b.miss
-	}
-	return a.pc < b.pc
-}
-
-// top returns the indices of the first k rows in the profile order, in
-// that order. It is a bounded selection: a heap keeps the best k rows
-// seen so far, so ranking n rows costs O(n log k) rather than a sort of
-// all n.
-func (p *pcTaps) top(k int) []int32 {
-	r := &ranking{p: p, rows: make([]int32, 0, min(k, p.n))}
-	for i := int32(0); int(i) < p.n; i++ {
-		switch {
-		case r.Len() < k:
-			heap.Push(r, i)
-		case p.before(i, r.rows[0]):
-			r.rows[0] = i
-			heap.Fix(r, 0)
-		}
-	}
-	out := make([]int32, r.Len())
-	for j := len(out) - 1; j >= 0; j-- {
-		out[j] = heap.Pop(r).(int32)
-	}
-	return out
-}
-
-// ranking is a heap of row indices whose root is the kept row that comes
-// last in the profile order.
-type ranking struct {
-	p    *pcTaps
-	rows []int32
-}
-
-func (r *ranking) Len() int           { return len(r.rows) }
-func (r *ranking) Less(i, j int) bool { return r.p.before(r.rows[j], r.rows[i]) }
-func (r *ranking) Swap(i, j int)      { r.rows[i], r.rows[j] = r.rows[j], r.rows[i] }
-func (r *ranking) Push(x any)         { r.rows = append(r.rows, x.(int32)) }
-func (r *ranking) Pop() any {
-	x := r.rows[len(r.rows)-1]
-	r.rows = r.rows[:len(r.rows)-1]
-	return x
+	// log holds the resolved branches' PCs and outcomes: a kernel's plan
+	// (borrowed), or the Tap's own, which Resolve appends to.
+	log  *Plan
+	own  bool
+	miss []uint64 // mispredict bit per resolved branch
+	n    int      // resolved conditional branches
 }
 
 // NewTap returns the accumulator cfg's Interval, TopPCs and Warmup ask
@@ -139,96 +51,72 @@ func NewTap(cfg Config) *Tap {
 	}
 }
 
-// fork returns worker w's private accumulator for a sharded run. Only
-// worker 0 records context switches (it owns the global accounting).
-func (t *Tap) fork(w int) *Tap {
-	return &Tap{ //lint:allow hotalloc per-worker fork: O(shards) setup, not per-event work
-		every:          t.every,
-		warmup:         t.warmup,
-		topk:           t.topk,
-		recordSwitches: t.recordSwitches && w == 0,
-	}
-}
-
-// Resolve folds one resolved conditional branch owned by this tap. The
-// interval bin is cached: the division runs only when the resolution
-// index reaches the bin's edge, which also re-lands a sharded fork that
-// skip()ped across whole bins in total/every.
+// Resolve records one resolved conditional branch.
 func (t *Tap) Resolve(pc uint32, taken, correct bool) {
-	if t.every > 0 {
-		if t.total >= t.edge {
-			j := t.total / t.every
-			t.bin, t.edge = int(j), (j+1)*t.every
-			for len(t.preds) <= t.bin {
-				t.preds = append(t.preds, 0)     //lint:allow hotalloc amortised interval-array growth: one extension per interval, not per event
-				t.correct = append(t.correct, 0) //lint:allow hotalloc amortised interval-array growth: one extension per interval, not per event
-			}
-		}
-		t.preds[t.bin]++
-		if correct {
-			t.correct[t.bin]++
-		}
+	if t == nil {
+		return
+	}
+	if t.n&63 == 0 {
+		t.miss = append(t.miss, 0)
+	}
+	if !correct {
+		t.miss[t.n>>6] |= 1 << (t.n & 63)
 	}
 	if t.topk > 0 {
-		i, added := t.pcIdx.Add(pc)
-		if added {
-			t.pcs.push(pc)
-		}
-		st := t.pcs.at(int(i))
-		st.exec++
-		if taken {
-			st.taken++
-		}
-		if !correct {
-			st.miss++
-			if t.warmup > 0 && t.total < t.warmup {
-				st.warmupMiss++
-			}
-		}
+		t.ownLog().push(pc, taken)
 	}
-	t.total++
-}
-
-// skip advances the global resolution index past a conditional branch
-// another partition owns (sharded runs only).
-func (t *Tap) skip() {
-	t.total++
+	t.n++
 }
 
 // Switch records the resolution index of a context switch.
 func (t *Tap) Switch() {
 	if t.recordSwitches {
-		t.switches = append(t.switches, t.total) //lint:allow hotalloc one append per context switch, not per event
+		t.switches = append(t.switches, uint64(t.n))
 	}
 }
 
-// absorb merges worker fork o into t: elementwise interval sums, switch
-// indices from the recording worker, and a union of the (disjoint,
-// PC-partitioned) profiles. Deterministic regardless of scheduling.
-func (t *Tap) absorb(o *Tap) {
-	if o.total > t.total {
-		t.total = o.total
+// ownLog returns the Tap's own log, first copying a borrowed plan's
+// resolved branches into it.
+func (t *Tap) ownLog() *Plan {
+	if t.own {
+		return t.log
 	}
-	for len(t.preds) < len(o.preds) {
-		t.preds = append(t.preds, 0)     //lint:allow hotalloc per-worker merge after the sharded pass, outside the per-event path
-		t.correct = append(t.correct, 0) //lint:allow hotalloc per-worker merge after the sharded pass, outside the per-event path
-	}
-	for j := range o.preds {
-		t.preds[j] += o.preds[j]
-		t.correct[j] += o.correct[j]
-	}
-	t.switches = append(t.switches, o.switches...) //lint:allow hotalloc per-worker merge after the sharded pass, outside the per-event path
-	for j := 0; j < o.pcs.n; j++ {
-		st := o.pcs.at(j)
-		i, added := t.pcIdx.Add(st.pc)
-		if added {
-			t.pcs.push(st.pc)
+	borrowed := t.log
+	t.log, t.own = &Plan{}, true
+	if borrowed != nil {
+		for j := 0; j < t.n; j++ {
+			t.log.push(borrowed.pcs[j], borrowed.outs[j] != 0)
 		}
-		d := t.pcs.at(int(i))
-		d.exec += st.exec
-		d.taken += st.taken
-		d.miss += st.miss
-		d.warmupMiss += st.warmupMiss
+	}
+	return t.log
+}
+
+// bind records a kernel replay that resolved branches [0, n) of plan p
+// with mispredict bitset miss, after the context switches at the given
+// branch indices. A first replay is borrowed as is; a later one (a
+// kernel resumed over another plan) is appended branch by branch.
+func (t *Tap) bind(p *Plan, miss []uint64, n int, switches []int32) {
+	if t == nil {
+		return
+	}
+	if t.n == 0 && len(t.switches) == 0 && !t.own {
+		t.log, t.miss, t.n = p, miss, n
+		if t.recordSwitches {
+			for _, s := range switches {
+				t.switches = append(t.switches, uint64(s))
+			}
+		}
+		return
+	}
+	t.miss = t.miss[:(t.n+63)/64]
+	for j := 0; j < n; j++ {
+		for ; len(switches) > 0 && int(switches[0]) == j; switches = switches[1:] {
+			t.Switch()
+		}
+		t.Resolve(p.pcs[j], p.outs[j] != 0, miss[j>>6]>>(j&63)&1 == 0)
+	}
+	for range switches {
+		t.Switch()
 	}
 }
 
@@ -241,43 +129,166 @@ func (k *Kernel) Tap() *Tap { return k.tap }
 // profile ordered like telemetry.HotBranches.Report (mispredicts
 // descending, PC ascending). Each is nil when its mode was off.
 func (t *Tap) Telemetry() ([]telemetry.Sample, []uint64, []telemetry.PCStats) {
-	var samples []telemetry.Sample
-	var cum uint64
-	for j := range t.preds {
-		cum += t.preds[j]
-		samples = append(samples, telemetry.Sample{
-			Branches:    cum,
-			Predictions: t.preds[j],
-			Correct:     t.correct[j],
-			Accuracy:    float64(t.correct[j]) / float64(t.preds[j]),
-		})
+	if t == nil {
+		return nil, nil, nil
 	}
 	var profile []telemetry.PCStats
 	if t.topk > 0 {
-		// Select the reported rows, then materialise only those.
-		var misses uint64
-		for i := 0; i < t.pcs.n; i++ {
-			misses += t.pcs.at(i).miss
-		}
-		order := t.pcs.top(t.topk)
-		profile = make([]telemetry.PCStats, 0, len(order))
-		for _, i := range order {
-			st := t.pcs.at(int(i))
-			row := telemetry.PCStats{
-				PC:           st.pc,
-				Executions:   st.exec,
-				Taken:        st.taken,
-				Mispredicts:  st.miss,
-				WarmupMisses: st.warmupMiss,
+		profile = foldProfile(t.log, t.miss, t.n, t.topk, t.warmup)
+	}
+	return foldSamples(t.miss, t.n, t.every), t.switches, profile
+}
+
+// foldSamples cuts branches [0, n) into intervals of every and counts
+// each interval's mispredicts in bitset miss by popcount.
+func foldSamples(miss []uint64, n int, every uint64) []telemetry.Sample {
+	if every == 0 || n == 0 {
+		return nil
+	}
+	samples := make([]telemetry.Sample, (uint64(n)-1)/every+1)
+	for i := range samples {
+		lo := uint64(i) * every
+		hi := lo + min(every, uint64(n)-lo)
+		preds := hi - lo
+		correct := preds - onesIn(miss, int(lo), int(hi))
+		sm := &samples[i]
+		sm.Branches, sm.Predictions, sm.Correct = hi, preds, correct
+		sm.Accuracy = float64(correct) / float64(preds)
+	}
+	return samples
+}
+
+// onesIn counts the set bits of set in bit range [lo, hi).
+func onesIn(set []uint64, lo, hi int) uint64 {
+	if lo >= hi {
+		return 0
+	}
+	first, last := lo>>6, (hi-1)>>6
+	loMask := ^uint64(0) << (lo & 63)
+	hiMask := ^uint64(0) >> (63 - (hi-1)&63)
+	if first == last {
+		return uint64(bits.OnesCount64(set[first] & loMask & hiMask))
+	}
+	n := bits.OnesCount64(set[first]&loMask) + bits.OnesCount64(set[last]&hiMask)
+	for _, w := range set[first+1 : last] {
+		n += bits.OnesCount64(w)
+	}
+	return uint64(n)
+}
+
+// pcTap is one site's row of the per-PC profile: its mispredicts and the
+// warmup-miss split the streaming verdict classifier consumes.
+type pcTap struct {
+	miss, warmupMiss uint64
+	pc               uint32
+}
+
+// profileRows returns one profile row per site that branches [0, n) of
+// log reach, indexed by site id, with the mispredicts of bitset miss
+// counted by walking only its set bits.
+func profileRows(log *Plan, miss []uint64, n int, warmup uint64) []pcTap {
+	if log == nil {
+		return nil
+	}
+	rows := make([]pcTap, log.seen(n))
+	for i := range rows {
+		rows[i].pc = log.sites[i]
+	}
+	foldMisses(rows, log.ids, miss[:(n+63)/64], warmup)
+	return rows
+}
+
+// foldMisses adds each mispredicted branch of bitset miss to its site's
+// row.
+func foldMisses(rows []pcTap, ids []int32, miss []uint64, warmup uint64) {
+	for wi, w := range miss {
+		for ; w != 0; w &= w - 1 {
+			j := wi<<6 | bits.TrailingZeros64(w)
+			r := &rows[ids[j]]
+			r.miss++
+			if uint64(j) < warmup {
+				r.warmupMiss++
 			}
-			if st.exec > 0 {
-				row.TakenRate = float64(st.taken) / float64(st.exec)
-			}
-			if misses > 0 {
-				row.MissShare = float64(st.miss) / float64(misses)
-			}
-			profile = append(profile, row)
 		}
 	}
-	return samples, t.switches, profile
+}
+
+// foldProfile ranks the rows and materialises the topk reported ones,
+// taking their executions and taken counts from the log's per-site
+// profile.
+func foldProfile(log *Plan, miss []uint64, n, topk int, warmup uint64) []telemetry.PCStats {
+	rows := profileRows(log, miss, n, warmup)
+	var misses uint64
+	for i := range rows {
+		misses += rows[i].miss
+	}
+	order := top(rows, topk)
+	profile := make([]telemetry.PCStats, len(order))
+	if len(order) == 0 {
+		return profile
+	}
+	sc := log.siteCounts(n)
+	for i, id := range order {
+		r, row := &rows[id], &profile[i]
+		row.PC, row.Mispredicts, row.WarmupMisses = r.pc, r.miss, r.warmupMiss
+		row.Executions, row.Taken = sc.exec[id], sc.taken[id]
+		if row.Executions > 0 {
+			row.TakenRate = float64(row.Taken) / float64(row.Executions)
+		}
+		if misses > 0 {
+			row.MissShare = float64(r.miss) / float64(misses)
+		}
+	}
+	return profile
+}
+
+// before reports whether row a precedes row b in the profile order:
+// mispredicts descending, then PC ascending. Rows hold distinct PCs, so
+// the order is total.
+func before(a, b *pcTap) bool {
+	if a.miss != b.miss {
+		return a.miss > b.miss
+	}
+	return a.pc < b.pc
+}
+
+// top returns the indices of the first k rows in the profile order, in
+// that order. It is a bounded selection: a heap keeps the best k rows
+// seen so far, so ranking n rows costs O(n log k) rather than a sort of
+// all n.
+func top(rows []pcTap, k int) []int32 {
+	r := &ranking{rows: rows, kept: make([]int32, 0, min(k, len(rows)))}
+	for i := range rows {
+		switch {
+		case r.Len() < k:
+			heap.Push(r, int32(i))
+		case before(&rows[i], &rows[r.kept[0]]):
+			r.kept[0] = int32(i)
+			heap.Fix(r, 0)
+		}
+	}
+	out := make([]int32, r.Len())
+	for j := len(out) - 1; j >= 0; j-- {
+		out[j] = heap.Pop(r).(int32)
+	}
+	return out
+}
+
+// ranking is a heap of row indices whose root is the kept row that comes
+// last in the profile order.
+type ranking struct {
+	rows []pcTap
+	kept []int32
+}
+
+func (r *ranking) Len() int { return len(r.kept) }
+func (r *ranking) Less(i, j int) bool {
+	return before(&r.rows[r.kept[j]], &r.rows[r.kept[i]])
+}
+func (r *ranking) Swap(i, j int) { r.kept[i], r.kept[j] = r.kept[j], r.kept[i] }
+func (r *ranking) Push(x any)    { r.kept = append(r.kept, x.(int32)) }
+func (r *ranking) Pop() any {
+	x := r.kept[len(r.kept)-1]
+	r.kept = r.kept[:len(r.kept)-1]
+	return x
 }

@@ -18,8 +18,8 @@ type tapEvent struct {
 
 // tapStream is a deterministic resolution stream over 709 branch sites
 // with context switches sprinkled in, plus a run of branches that all
-// fall in one shard partition, so the other forks skip() across whole
-// interval bins.
+// fall in one shard partition, so the other partitions' bitsets hold no
+// bits across whole interval bins.
 func tapStream(n int) []tapEvent {
 	rng := uint32(0x2545F491)
 	next := func() uint32 {
@@ -47,10 +47,36 @@ func tapStream(n int) []tapEvent {
 	return evs
 }
 
+// logOf returns a plan whose columns hold evs' resolutions in order,
+// the mispredict bitset of those resolutions, and the resolution index
+// of each context switch — what a kernel replay hands its Tap.
+func logOf(evs []tapEvent) (*Plan, []uint64, []int32) {
+	p := &Plan{}
+	var miss []uint64
+	var switches []int32
+	for _, e := range evs {
+		if e.sw {
+			switches = append(switches, int32(len(p.pcs)))
+			continue
+		}
+		j := len(p.pcs)
+		if j&63 == 0 {
+			miss = append(miss, 0)
+		}
+		if !e.ok {
+			miss[j>>6] |= 1 << (j & 63)
+		}
+		p.pcs = append(p.pcs, e.pc)
+		p.push(e.pc, e.taken)
+	}
+	return p, miss, switches
+}
+
 // TestTapForkAbsorbMatchesSerial is the sharded telemetry merge in
-// isolation: four forks, each resolving its own PC partition and
-// skipping the rest, absorbed into the parent, equal one serial Tap fed
-// the whole stream — samples, switch indices and the full profile.
+// isolation: four workers' mispredict bitsets, each holding only its own
+// PC partition's bits, OR-merged and folded over the plan's columns,
+// equal one Tap fed the whole stream through Resolve and Switch —
+// samples, switch indices and the full profile.
 func TestTapForkAbsorbMatchesSerial(t *testing.T) {
 	evs := tapStream(6000)
 	for _, cfg := range []Config{
@@ -69,35 +95,32 @@ func TestTapForkAbsorbMatchesSerial(t *testing.T) {
 		}
 
 		const shards = 4
-		parent := NewTap(cfg)
-		forks := make([]*Tap, shards)
-		for w := range forks {
-			forks[w] = parent.fork(w)
-			for _, e := range evs {
-				switch {
-				case e.sw:
-					forks[w].Switch()
-				case e.pc>>2&(shards-1) == uint32(w):
-					forks[w].Resolve(e.pc, e.taken, e.ok)
-				default:
-					forks[w].skip()
+		plan, full, switches := logOf(evs)
+		merged := make([]uint64, len(full))
+		for w := uint32(0); w < shards; w++ {
+			part := make([]uint64, len(full))
+			for j, pc := range plan.pcs {
+				if pc>>2&(shards-1) == w {
+					part[j>>6] |= full[j>>6] & (1 << (j & 63))
 				}
 			}
+			for i, x := range part {
+				merged[i] |= x
+			}
 		}
-		for _, f := range forks {
-			parent.absorb(f)
-		}
+		kernel := NewTap(cfg)
+		kernel.bind(plan, merged, len(plan.pcs), switches)
 
 		ws, wsw, wp := serial.Telemetry()
-		gs, gsw, gp := parent.Telemetry()
+		gs, gsw, gp := kernel.Telemetry()
 		if !reflect.DeepEqual(gs, ws) {
-			t.Errorf("%+v: absorbed samples differ from serial:\n got %+v\nwant %+v", cfg, gs, ws)
+			t.Errorf("%+v: merged samples differ from serial:\n got %+v\nwant %+v", cfg, gs, ws)
 		}
 		if !reflect.DeepEqual(gsw, wsw) {
-			t.Errorf("%+v: absorbed switches %v, serial %v", cfg, gsw, wsw)
+			t.Errorf("%+v: merged switches %v, serial %v", cfg, gsw, wsw)
 		}
 		if !reflect.DeepEqual(gp, wp) {
-			t.Errorf("%+v: absorbed profile differs from serial:\n got %+v\nwant %+v", cfg, gp, wp)
+			t.Errorf("%+v: merged profile differs from serial:\n got %+v\nwant %+v", cfg, gp, wp)
 		}
 		if cfg.TopPCs > 0 && len(wp) == 0 {
 			t.Errorf("%+v: serial profile is empty", cfg)
@@ -105,17 +128,15 @@ func TestTapForkAbsorbMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestTapIntervalBins pins the cached interval edge: resolutions landing
+// TestTapIntervalBins pins the interval fold: resolutions landing
 // exactly on multiples of every open a new bin, the last bin may be
-// partial, and a fork that skip()s across whole bins lands its next
-// resolution in bin total/every.
+// partial, and bins that straddle bitset words count their mispredicts
+// by popcount across the word edge. A Tap resumed over a second plan
+// continues the first replay's resolution index.
 func TestTapIntervalBins(t *testing.T) {
 	tap := NewTap(Config{Interval: 4})
 	for i := 0; i < 8; i++ {
 		tap.Resolve(0x100, true, i%2 == 0)
-	}
-	if want := []uint64{4, 4}; !reflect.DeepEqual(tap.preds, want) {
-		t.Fatalf("after 8 resolutions preds = %v, want %v", tap.preds, want)
 	}
 	tap.Resolve(0x100, true, true)
 	samples, _, _ := tap.Telemetry()
@@ -132,23 +153,41 @@ func TestTapIntervalBins(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		every1.Resolve(0x100, false, true)
 	}
-	if want := []uint64{1, 1, 1}; !reflect.DeepEqual(every1.preds, want) {
-		t.Errorf("every=1 preds = %v, want %v", every1.preds, want)
+	if samples, _, _ := every1.Telemetry(); len(samples) != 3 || samples[2].Branches != 3 {
+		t.Errorf("every=1 samples = %+v, want 3 one-branch bins", samples)
 	}
 
-	fork := NewTap(Config{Interval: 4}).fork(1)
-	fork.Resolve(0x104, true, true) // index 0, bin 0
-	for i := 0; i < 9; i++ {
-		fork.skip() // indices 1..9: bin 1 entirely, bin 2 partly
+	// 200 resolutions, every third mispredicted, over bins of 50: bins
+	// straddle the bitset's 64-bit words.
+	var evs []tapEvent
+	for j := 0; j < 200; j++ {
+		evs = append(evs, tapEvent{pc: 0x104, taken: true, ok: j%3 != 0})
 	}
-	fork.Resolve(0x104, true, false) // index 10, bin 2
-	fork.skip()                      // index 11
-	fork.Resolve(0x104, true, true)  // index 12, bin 3 (exact multiple)
-	if want := []uint64{1, 0, 1, 1}; !reflect.DeepEqual(fork.preds, want) {
-		t.Errorf("fork preds = %v, want %v", fork.preds, want)
+	plan, miss, _ := logOf(evs)
+	bound := NewTap(Config{Interval: 50})
+	bound.bind(plan, miss, 150, nil) // a replay stopped at branch 150
+	bound.bind(plan, miss, 50, []int32{0, 50})
+	samples, switches, _ := bound.Telemetry()
+	var wantMiss []uint64
+	for lo := 0; lo < 200; lo += 50 {
+		var m uint64
+		for j := lo; j < lo+50; j++ {
+			if j%150%3 == 0 {
+				m++
+			}
+		}
+		wantMiss = append(wantMiss, m)
 	}
-	if want := []uint64{1, 0, 0, 1}; !reflect.DeepEqual(fork.correct, want) {
-		t.Errorf("fork correct = %v, want %v", fork.correct, want)
+	if len(samples) != 4 {
+		t.Fatalf("resumed tap folded %d bins, want 4", len(samples))
+	}
+	for i, s := range samples {
+		if s.Branches != uint64(50*(i+1)) || s.Predictions != 50 || s.Correct != 50-wantMiss[i] {
+			t.Errorf("bin %d = %+v, want %d mispredicts", i, s, wantMiss[i])
+		}
+	}
+	if want := []uint64{150, 200}; !reflect.DeepEqual(switches, want) {
+		t.Errorf("resumed switches = %v, want %v", switches, want)
 	}
 }
 
@@ -210,16 +249,17 @@ func TestTapTopPCsMatchesFullSort(t *testing.T) {
 		for _, e := range evs {
 			tap.Resolve(e.pc, e.taken, e.ok)
 		}
-		if tap.pcs.n <= 2000 {
-			t.Fatalf("only %d PCs resolved", tap.pcs.n)
+		rows := profileRows(tap.log, tap.miss, tap.n, tap.warmup)
+		if len(rows) <= 2000 {
+			t.Fatalf("only %d PCs resolved", len(rows))
 		}
-		want := fullSortTop(&tap.pcs, k)
-		if got := tap.pcs.top(k); !reflect.DeepEqual(got, want) {
+		want := fullSortTop(rows, k)
+		if got := top(rows, k); !reflect.DeepEqual(got, want) {
 			t.Errorf("k=%d: bounded selection differs from the full sort", k)
 		}
 		ties := 0
 		for i := 1; i < len(want); i++ {
-			if tap.pcs.at(int(want[i])).miss == tap.pcs.at(int(want[i-1])).miss {
+			if rows[want[i]].miss == rows[want[i-1]].miss {
 				ties++
 			}
 		}
@@ -230,13 +270,13 @@ func TestTapTopPCsMatchesFullSort(t *testing.T) {
 }
 
 // fullSortTop is the reference top-K: a sort of every row, cut to k.
-func fullSortTop(p *pcTaps, k int) []int32 {
-	all := make([]int32, p.n)
+func fullSortTop(rows []pcTap, k int) []int32 {
+	all := make([]int32, len(rows))
 	for i := range all {
 		all[i] = int32(i)
 	}
 	sort.Slice(all, func(i, j int) bool {
-		a, b := p.at(int(all[i])), p.at(int(all[j]))
+		a, b := rows[all[i]], rows[all[j]]
 		if a.miss != b.miss {
 			return a.miss > b.miss
 		}
@@ -259,14 +299,15 @@ func BenchmarkTapTopPCs(b *testing.B) {
 			rng ^= rng << 5
 			tap.Resolve(0x1000+4*(rng%sites), rng>>12&1 == 0, rng>>13%4 != 0)
 		}
+		rows := profileRows(tap.log, tap.miss, tap.n, tap.warmup)
 		b.Run(fmt.Sprintf("select/pcs=%d", sites), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tap.pcs.top(8)
+				top(rows, 8)
 			}
 		})
 		b.Run(fmt.Sprintf("fullsort/pcs=%d", sites), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				fullSortTop(&tap.pcs, 8)
+				fullSortTop(rows, 8)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"twolevel/internal/sim/fastpath"
 	"twolevel/internal/span"
 	"twolevel/internal/spec"
+	"twolevel/internal/telemetry"
 	"twolevel/internal/trace"
 )
 
@@ -555,7 +557,7 @@ func TestFastpathEligibility(t *testing.T) {
 		{"explicit opt-out", twoLevel(pag), packed, Options{DisableFastpath: true}, false},
 		{"observer attached", twoLevel(pag), packed, Options{Observer: &countingObserver{}}, false},
 		{"pipelined timing model", twoLevel(pag), packed, Options{PipelineDepth: 4}, false},
-		{"speculative history", twoLevel(specPAg), packed, Options{}, false},
+		{"speculative history", twoLevel(specPAg), packed, Options{}, true},
 		{"btb design", btb, packed, Options{}, true},
 		{"btb with btfn miss policy", btfnBTB, packed, Options{}, true},
 		{"btb over unpacked source", btb, live, Options{}, false},
@@ -628,7 +630,9 @@ func TestKernelSupportedCoverage(t *testing.T) {
 // the same flat state, LRU stamps and hit counters included, for every
 // two-level equivalence spec. A mispredicted register that still awaits
 // its first outcome must be repaired by smearing, as the base model
-// shifts it.
+// shifts it. The kernel arm replays the speculative predictor on the
+// flat kernel, which serves it as the base model, and holds it to the
+// base runner's Result and flat.State as well.
 func TestSpeculativeDepth0MatchesBase(t *testing.T) {
 	snap := kernelSnapshot(24_000)
 	optionSets := []Options{
@@ -662,6 +666,26 @@ func TestSpeculativeDepth0MatchesBase(t *testing.T) {
 			}
 			if !reflect.DeepEqual(specP.State(), base.State()) {
 				t.Errorf("%s %+v: speculative state differs from base", s, opts)
+			}
+
+			kernelP, err := predictor.NewTwoLevel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kernelOpts := opts
+			kernelOpts.DisableFastpath = false
+			if !FastpathEligible(kernelP, snap.Reader(), kernelOpts) {
+				t.Fatalf("%s: speculative history at depth 0 declined by the kernel", s)
+			}
+			got, err = Run(kernelP, snap.Reader(), kernelOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %+v: kernel speculative result differs from base:\n got %+v\nwant %+v", s, opts, got, want)
+			}
+			if !reflect.DeepEqual(kernelP.State(), base.State()) {
+				t.Errorf("%s %+v: kernel speculative state differs from base", s, opts)
 			}
 		}
 		checked++
@@ -730,5 +754,76 @@ func BenchmarkPipelinedReplay(b *testing.B) {
 		if _, err := Run(p, rd, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFastpathDeclineCounters pins decline visibility: a pipelined cell
+// and an observer cell, run alone and then inside one RunMany batch with
+// a kernel cell, each bump only their own reason's counter; the registry
+// renders the counters, and the replay spans name the reasons.
+func TestFastpathDeclineCounters(t *testing.T) {
+	snap := kernelSnapshot(4096)
+	sp := spec.MustParse("PAg(BHT(512,4,10-sr),1xPHT(2^10,A2))")
+	counts := func() (c [numDeclines]uint64) {
+		for d := range c {
+			c[d] = declines[d].Load()
+		}
+		return c
+	}
+	pipelined := Options{PipelineDepth: 2}
+	observed := Options{Observer: &countingObserver{}}
+	before := counts()
+
+	tracer := span.New()
+	root := tracer.Root("test")
+	for _, o := range []Options{pipelined, observed} {
+		o.Span = root
+		if _, err := Run(buildKernelSpec(t, sp, snap), snap.Reader(), o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	preds := []predictor.Predictor{buildKernelSpec(t, sp, snap), buildKernelSpec(t, sp, snap), buildKernelSpec(t, sp, snap)}
+	batch := []Options{{Span: root}, pipelined, observed}
+	if _, err := RunMany(preds, snap.Reader(), batch); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+
+	after := counts()
+	for d := Served + 1; d < numDeclines; d++ {
+		want := uint64(0)
+		if d == DeclinePipeline || d == DeclineObserver {
+			want = 2
+		}
+		if got := after[d] - before[d]; got != want {
+			t.Errorf("%s declines grew by %d, want %d", d, got, want)
+		}
+	}
+
+	reg := telemetry.NewRegistry()
+	reg.Register(DeclineMetrics)
+	var buf strings.Builder
+	reg.WriteAll(&buf)
+	for _, d := range []Decline{DeclinePipeline, DeclineObserver} {
+		line := fmt.Sprintf("twolevel_fastpath_declines_total{reason=%q} %d", d, after[d])
+		if !strings.Contains(buf.String(), line) {
+			t.Errorf("registry exposition lacks %q:\n%s", line, buf.String())
+		}
+	}
+
+	var attrs []string
+	for _, rec := range tracer.Snapshot() {
+		if rec.Name != "replay" {
+			continue
+		}
+		for _, a := range rec.Attrs {
+			if strings.HasPrefix(a.Key, "decline") {
+				attrs = append(attrs, a.Key+"="+a.Value)
+			}
+		}
+	}
+	want := []string{"decline=pipeline", "decline=observer", "decline.observer=1", "decline.pipeline=1"}
+	if !reflect.DeepEqual(attrs, want) {
+		t.Errorf("replay span decline attrs = %v, want %v", attrs, want)
 	}
 }

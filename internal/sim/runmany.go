@@ -48,15 +48,17 @@ func RunMany(preds []predictor.Predictor, src trace.Source, opts []Options) ([]R
 	sr, _ := src.(*trace.SnapshotReader)
 	var fastIdx []int
 	var kernels []*fastpath.Kernel
-	if sr != nil {
-		for i, p := range preds {
-			if !FastpathEligible(p, src, opts[i]) {
-				continue
-			}
-			if k, ok := fastpath.New(p, fastpathConfig(opts[i])); ok {
-				fastIdx = append(fastIdx, i)
-				kernels = append(kernels, k)
-			}
+	var declined [numDeclines]int
+	for i, p := range preds {
+		d := FastpathDecline(p, src, opts[i])
+		countDecline(d)
+		declined[d]++
+		if d != Served {
+			continue
+		}
+		if k, ok := fastpath.New(p, fastpathConfig(opts[i])); ok {
+			fastIdx = append(fastIdx, i)
+			kernels = append(kernels, k)
 		}
 	}
 	var slowIdx []int
@@ -82,6 +84,11 @@ func RunMany(preds []predictor.Predictor, src trace.Source, opts []Options) ([]R
 				span.Int("batch", len(preds)),
 				span.Int("fastcells", len(fastIdx)),
 				span.Bool("fastpath", len(fastIdx) == len(preds)))
+			for d := Served + 1; d < numDeclines; d++ {
+				if declined[d] > 0 {
+					passSpan.SetAttr(span.Int("decline."+d.String(), declined[d]))
+				}
+			}
 			break
 		}
 	}
@@ -93,21 +100,10 @@ func RunMany(preds []predictor.Predictor, src trace.Source, opts []Options) ([]R
 	}
 	var consumedFast int
 	if len(kernels) > 0 {
-		snap := sr.Snapshot()
-		// Every kernel cell replays from the same start, so each distinct
-		// budget's stop index is one scan of the metadata column, shared
-		// by the cells that carry it.
-		ends := make([]int, len(kernels))
-		stops := make(map[uint64]int)
-		for j, i := range fastIdx {
-			budget := opts[i].MaxCondBranches
-			end, ok := stops[budget]
-			if !ok {
-				end = fastpath.StopIndex(snap, start, budget)
-				stops[budget] = end
-			}
-			ends[j] = end
-		}
+		// One plan serves every kernel cell: the snapshot range is decoded
+		// once, and each distinct budget and context-switch configuration
+		// is tallied once, whatever the batch size.
+		plan := fastpath.NewPlan(sr.Snapshot(), start, kernels...)
 		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 		errs := make([]error, len(kernels))
 		consumed := make([]int, len(kernels))
@@ -119,12 +115,13 @@ func RunMany(preds []predictor.Predictor, src trace.Source, opts []Options) ([]R
 				sem <- struct{}{}
 				defer func() { <-sem }()
 				var c fastpath.Counters
-				c, consumed[j], errs[j] = kernels[j].RunTo(snap, start, ends[j])
+				c, consumed[j], errs[j] = kernels[j].Replay(plan)
 				out[fastIdx[j]] = countersToResult(c)
 				opts[fastIdx[j]].Telemetry.fill(kernels[j].Tap())
 			}(j)
 		}
 		wg.Wait()
+		plan.Release()
 		for j := range kernels {
 			if consumed[j] > consumedFast {
 				consumedFast = consumed[j]

@@ -79,10 +79,10 @@ type Options struct {
 	Shards int
 	// Telemetry, when non-nil, requests the interval accuracy series
 	// and per-PC mispredict profile. Unlike Observer it does not cost
-	// fastpath eligibility: the flat kernel accumulates the counters in
-	// its hot loops, and the interpretive runner feeds the same
-	// fastpath.Tap when the kernel declines the run. Outputs land in the
-	// sink when the run returns; a sink is single-use.
+	// fastpath eligibility: the flat kernel folds them from its
+	// mispredict bits after the run, and the interpretive runner feeds
+	// the same fastpath.Tap when the kernel declines the run. Outputs
+	// land in the sink when the run returns; a sink is single-use.
 	Telemetry *Telemetry
 }
 
@@ -137,10 +137,12 @@ func measureTarget(res *Result, tp predictor.TargetPredictor, b trace.Branch, pr
 func Run(p predictor.Predictor, src trace.Source, opts Options) (Result, error) {
 	var k *fastpath.Kernel
 	var sr *trace.SnapshotReader
-	if FastpathEligible(p, src, opts) {
+	decline := FastpathDecline(p, src, opts)
+	if decline == Served {
 		sr, _ = src.(*trace.SnapshotReader)
 		k, _ = fastpath.New(p, fastpathConfig(opts))
 	}
+	countDecline(decline)
 	if obs := opts.Observer; obs != nil {
 		obs.Start(telemetry.RunInfo{Predictor: p})
 		defer obs.Finish()
@@ -149,13 +151,19 @@ func Run(p predictor.Predictor, src trace.Source, opts Options) (Result, error) 
 		sp := parent.Child("replay",
 			span.Uint64("budget", opts.MaxCondBranches),
 			span.Bool("fastpath", k != nil))
+		if decline != Served {
+			sp.SetAttr(span.Str("decline", decline.String()))
+		}
 		defer sp.End()
 	}
 	if k != nil {
+		// A replay plan of one cell, released once the sink is filled.
 		start := sr.Pos()
-		c, consumed, err := k.Run(sr.Snapshot(), start)
+		plan := fastpath.NewPlan(sr.Snapshot(), start, k)
+		c, consumed, err := k.Replay(plan)
 		sr.Seek(start + consumed)
 		opts.Telemetry.fill(k.Tap())
+		plan.Release()
 		return countersToResult(c), err
 	}
 	r := newRunner(p, opts)

@@ -1,7 +1,8 @@
 // Run telemetry: the Options.Telemetry sink requests the interval
 // accuracy series and the per-PC mispredict profile without costing
-// fastpath eligibility. Both replay engines accumulate them in one
-// fastpath.Tap — the flat loops natively, the interpretive runner through
+// fastpath eligibility. Both replay engines produce them through one
+// fastpath.Tap — the kernel folds them from its replay plan and
+// mispredict bits after the run, the interpretive runner feeds
 // Tap.Resolve and Tap.Switch — so the two paths share one implementation.
 package sim
 
@@ -15,9 +16,9 @@ import (
 const telemetryWarmupFrac = 0.1
 
 // Telemetry requests run telemetry. Unlike Options.Observer it does not
-// forfeit fastpath eligibility: the flat kernel accumulates the samples
-// in its hot loops, and the interpretive runner feeds the same
-// fastpath.Tap when the kernel declines the run. Outputs are populated
+// forfeit fastpath eligibility: the flat kernel folds the samples from
+// the mispredict bits its loops store, and the interpretive runner feeds
+// the same fastpath.Tap when the kernel declines the run. Outputs are populated
 // when Run (or RunMany, per cell) returns — including on cancellation,
 // where they describe the consumed prefix. A Telemetry value is
 // single-use; attach a fresh one per run.
