@@ -18,10 +18,11 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# lint runs go vet plus brlint, the repo's own invariant-checker suite
-# (internal/lint). See DESIGN.md "Enforced invariants" for what each
-# analyzer guards and how to suppress a finding.
+# lint checks gofmt formatting and runs go vet plus brlint, the repo's
+# own invariant-checker suite (internal/lint). See DESIGN.md "Enforced
+# invariants" for what each analyzer guards and how to suppress a finding.
 lint:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/brlint ./...
 

@@ -19,8 +19,8 @@ import (
 
 func main() {
 	var (
-		scheme = flag.String("scheme", "", "predictor specification to cost")
-		fig8   = flag.Bool("fig8", false, "cost the three ~equal-accuracy configurations of Figure 8")
+		scheme  = flag.String("scheme", "", "predictor specification to cost")
+		fig8    = flag.Bool("fig8", false, "cost the three ~equal-accuracy configurations of Figure 8")
 		sweep   = flag.String("sweep", "", "sweep history length for a variation: GAg, PAg or PAp")
 		kmax    = flag.Int("kmax", 18, "largest history length in -sweep")
 		version = flag.Bool("version", false, "print build provenance and exit")

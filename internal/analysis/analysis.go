@@ -3,8 +3,9 @@
 // points at ("we are examining that 3 percent to try to characterize
 // it").
 //
-// The analyzer runs an instrumented PAg predictor and attributes every
-// misprediction to one of a small set of causes:
+// The analyzer runs a PAg predictor (predictor.TwoLevel) with its pattern
+// entries instrumented and attributes every misprediction to one of a
+// small set of causes:
 //
 //   - BHTMiss: the branch was not resident in the branch history table
 //     (first encounter, eviction, or context-switch flush), so the
@@ -24,8 +25,7 @@ import (
 	"io"
 
 	"twolevel/internal/automaton"
-	"twolevel/internal/bht"
-	"twolevel/internal/history"
+	"twolevel/internal/predictor"
 	"twolevel/internal/trace"
 )
 
@@ -101,64 +101,46 @@ type patMeta struct {
 }
 
 // Analyzer is an instrumented PAg predictor (k-bit per-address history,
-// shared A2 pattern table).
+// shared A2 pattern table): the predictor's own tables decide, and meta
+// records who last updated each pattern entry and how often.
 type Analyzer struct {
-	k       int
-	mask    uint32
-	machine *automaton.Machine
-	store   bht.Store
-	states  []automaton.State
-	meta    []patMeta
-	result  Breakdown
+	p      *predictor.TwoLevel
+	meta   []patMeta
+	result Breakdown
 }
 
 // New returns an analyzer for a PAg predictor with k history bits and an
 // entries×assoc branch history table (entries 0 selects the ideal table).
 func New(k, entries, assoc int) (*Analyzer, error) {
-	if k < 1 || k > history.MaxBits {
-		return nil, fmt.Errorf("analysis: history length %d out of range", k)
+	p, err := predictor.NewTwoLevel(predictor.TwoLevelConfig{
+		Variation:   predictor.PAg,
+		HistoryBits: k,
+		Automaton:   automaton.A2,
+		Ideal:       entries == 0,
+		Entries:     entries,
+		Assoc:       assoc,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if entries != 0 && (entries < 0 || entries&(entries-1) != 0 ||
-		assoc <= 0 || assoc&(assoc-1) != 0 || assoc > entries) {
-		return nil, fmt.Errorf("analysis: branch history table %d entries, %d-way invalid", entries, assoc)
-	}
-	m := automaton.New(automaton.A2)
-	a := &Analyzer{
-		k:       k,
-		mask:    uint32(1)<<k - 1,
-		machine: m,
-		states:  make([]automaton.State, 1<<k),
-		meta:    make([]patMeta, 1<<k),
-	}
-	for i := range a.states {
-		a.states[i] = m.Initial()
-	}
-	if entries == 0 {
-		a.store = bht.NewIdeal()
-	} else {
-		a.store = bht.NewCache(entries, assoc)
-	}
-	return a, nil
+	return &Analyzer{p: p, meta: make([]patMeta, 1<<k)}, nil
 }
 
 // Record predicts and resolves one conditional branch, attributing a
-// misprediction to its cause.
+// misprediction to its cause. The BHT miss is read off the table's miss
+// counter, and the pattern entry off the branch's register before the
+// update shifts it.
 func (a *Analyzer) Record(b trace.Branch) {
-	missed := false
-	e := a.store.Lookup(b.PC)
-	if e == nil {
-		missed = true
-		e, _ = a.store.Allocate(b.PC)
-		e.Hist = history.New(a.k)
-	}
-	idx := e.Hist.Pattern() & a.mask
-	pred := a.machine.Predict(a.states[idx])
+	st := a.p.State()
+	misses := st.Misses
+	pred := a.p.Predict(b)
+	idx := st.Hists[st.Peek(b.PC)] & st.HistMask
 	a.result.Predictions++
 	if pred != b.Taken {
 		a.result.Mispredictions++
 		meta := a.meta[idx]
 		switch {
-		case missed:
+		case st.Misses != misses:
 			a.result.ByCategory[BHTMiss]++
 		case meta.updates == 0:
 			a.result.ByCategory[PatternCold]++
@@ -170,15 +152,13 @@ func (a *Analyzer) Record(b trace.Branch) {
 			a.result.ByCategory[Inherent]++
 		}
 	}
-	// Resolve.
-	a.states[idx] = a.machine.Next(a.states[idx], b.Taken)
+	a.p.Update(b, pred)
 	a.meta[idx].updates++
 	a.meta[idx].lastPC = b.PC
-	e.Hist.Shift(b.Taken)
 }
 
 // ContextSwitch flushes the branch history table (§5.1.4).
-func (a *Analyzer) ContextSwitch() { a.store.Flush() }
+func (a *Analyzer) ContextSwitch() { a.p.ContextSwitch() }
 
 // Breakdown returns the accumulated result.
 func (a *Analyzer) Breakdown() Breakdown { return a.result }

@@ -2,9 +2,12 @@ package cost
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
+	"twolevel/internal/flat"
+	"twolevel/internal/predictor"
 	"twolevel/internal/spec"
 )
 
@@ -214,5 +217,97 @@ func TestEstimateNeverNegativeProperty(t *testing.T) {
 			b.PHTStorage >= 0 && b.PHTAccess >= 0 && b.PHTUpdate >= 0
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFromSpecMatchesSimulatedStructure pins the §3.4 model to what is
+// simulated: for every Table 3 and ext-taxonomy configuration the model
+// covers, FromSpec's h, j, k, table count and s equal the dimensions of
+// the flat.State the built predictor allocates — its history registers,
+// BHT associativity, HistMask width, pattern tables (each 2^k entries)
+// and log2 of its automaton's states. The configurations outside the
+// model are listed too, so one the model later accepts joins the check.
+func TestFromSpecMatchesSimulatedStructure(t *testing.T) {
+	cases := []struct {
+		spec    string
+		inModel bool
+	}{
+		// Table 3.
+		{"GAg(HR(1,,12-sr),1xPHT(2^12,A2))", true},
+		{"PAg(BHT(256,1,12-sr),1xPHT(2^12,A2))", true},
+		{"PAg(BHT(256,4,12-sr),1xPHT(2^12,A2))", true},
+		{"PAg(BHT(512,1,12-sr),1xPHT(2^12,A2))", true},
+		{"PAg(BHT(512,4,12-sr),1xPHT(2^12,A1))", true},
+		{"PAg(BHT(512,4,12-sr),1xPHT(2^12,A2))", true},
+		{"PAg(BHT(512,4,12-sr),1xPHT(2^12,A3))", true},
+		{"PAg(BHT(512,4,12-sr),1xPHT(2^12,A4))", true},
+		{"PAg(BHT(512,4,12-sr),1xPHT(2^12,LT))", true},
+		{"PAg(IBHT(inf,,12-sr),1xPHT(2^12,A2))", false},
+		{"PAp(BHT(512,4,12-sr),512xPHT(2^12,A2))", true},
+		{"GSg(HR(1,,12-sr),1xPHT(2^12,PB))", true},
+		{"PSg(BHT(512,4,12-sr),1xPHT(2^12,PB))", true},
+		{"BTB(BHT(512,4,A2),)", false},
+		{"BTB(BHT(512,4,LT),)", false},
+		// ext-taxonomy, k = 6.
+		{"GAg(HR(1,,6-sr),1xPHT(2^6,A2))", true},
+		{"GAs(HR(1,,6-sr),16xPHT(2^6,A2))", false},
+		{"GAp(HR(1,,6-sr),512xPHT(2^6,A2))", false},
+		{"SAg(SHT(64,,6-sr),1xPHT(2^6,A2))", false},
+		{"SAs(SHT(64,,6-sr),16xPHT(2^6,A2))", false},
+		{"SAp(SHT(64,,6-sr),512xPHT(2^6,A2))", false},
+		{"PAg(BHT(512,4,6-sr),1xPHT(2^6,A2))", true},
+		{"PAs(BHT(512,4,6-sr),16xPHT(2^6,A2))", false},
+		{"PAp(BHT(512,4,6-sr),512xPHT(2^6,A2))", true},
+	}
+	for _, c := range cases {
+		t.Run(c.spec, func(t *testing.T) {
+			sp := spec.MustParse(c.spec)
+			want, err := FromSpec(sp)
+			if !c.inModel {
+				if err == nil {
+					t.Fatalf("FromSpec accepted a configuration outside the model: %+v", want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			var td *spec.TrainingData
+			if sp.NeedsTraining() {
+				tr, err := spec.NewTrainer(sp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				td = &spec.TrainingData{Static: tr}
+			}
+			p, err := spec.Build(sp, td)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := p.(*predictor.TwoLevel).State()
+			got := Params{
+				AddressBits: DefaultAddressBits,
+				BHTEntries:  1,
+				HistoryBits: bits.Len32(st.HistMask),
+				PatternBits: bits.Len(uint(len(st.Delta)/2 - 1)),
+				PHTSets:     1,
+				Global:      st.HistoryAxis == flat.Global,
+			}
+			if st.BHT == flat.CacheBHT {
+				got.BHTEntries = len(st.Hists)
+				got.AssocLog2 = bits.TrailingZeros(uint(st.Assoc))
+			}
+			table := st.GStates
+			if st.PatternAxis == flat.PerAddress {
+				got.PHTSets = len(st.PHTStates)
+				table = st.PHTStates[st.Allocate(0x40)]
+			}
+			if got != want {
+				t.Fatalf("simulated structure %+v, model %+v", got, want)
+			}
+			if len(table) != 1<<want.HistoryBits {
+				t.Fatalf("pattern table has %d entries, model 2^%d", len(table), want.HistoryBits)
+			}
+		})
 	}
 }

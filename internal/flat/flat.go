@@ -57,8 +57,13 @@ const (
 	IdealBHT
 )
 
+// MaxHistoryBits is the widest supported history register. 30 bits
+// covers every configuration in the paper (the largest is 18) with room
+// for sweeps.
+const MaxHistoryBits = 30
+
 // FreshBit flags a history register that still awaits its first real
-// outcome. history.MaxBits is 30, so bit 31 is free.
+// outcome. MaxHistoryBits is 30, so bit 31 is free.
 const FreshBit = uint32(1) << 31
 
 // BranchTouches is how far one depth-0 branch advances the LRU clock:

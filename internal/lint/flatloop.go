@@ -12,8 +12,8 @@ import (
 // flat state package's step functions they call per event (Lookup*,
 // alloc*/Allocate, Flush) replay packed traces over flattened state
 // tables, so their bodies must not make dynamic dispatch through an
-// interface — a predictor.Predictor, bht.Store, or history.Scheme method
-// call in the hot loop would reintroduce exactly the per-event
+// interface — a predictor.Predictor or trace.Source method call in the
+// hot loop would reintroduce exactly the per-event
 // indirection the kernel exists to eliminate, and would silently erode
 // the benchmarked events/sec without failing any correctness test.
 // Interface dispatch belongs in cold setup (New). The one sanctioned

@@ -7,11 +7,10 @@ import (
 	"strings"
 )
 
-// NoPanic enforces the PR 3 error-not-panic contract on the predictor
+// NoPanic enforces the error-not-panic contract on the predictor
 // construction surface: exported functions and methods in the root
-// twolevel package and in internal/predictor, internal/automaton,
-// internal/bht and internal/pht must not contain a reachable panic —
-// invalid configurations are reported as errors by the validating
+// twolevel package and in internal/predictor and internal/automaton
+// must not contain a reachable panic — invalid configurations are reported as errors by the validating
 // constructors. The serving daemon (internal/server) carries the same
 // contract: a panic in its exported surface would take down every
 // tenant at once. Checking is intraprocedural plus one level of
@@ -23,7 +22,7 @@ var NoPanic = &Analyzer{
 	Name: "nopanic",
 	Doc: "exported APIs in predictor-construction and serving packages must " +
 		"return errors, not panic (Must* helpers exempt)",
-	Packages: []string{"twolevel", "predictor", "automaton", "bht", "pht", "server"},
+	Packages: []string{"twolevel", "predictor", "automaton", "server"},
 	Run:      runNoPanic,
 }
 

@@ -26,8 +26,8 @@
 // can get wrong — sizes, automaton kinds, init states — and never panic
 // on bad input. The Must* variants exist for tables of known-good
 // configurations and panic on the same errors. Deeper internal
-// constructors (pht.New, automaton.New, bht.NewCache) assume validated
-// arguments and panic if handed garbage: reaching such a panic through
+// constructors (automaton.New, flat.New) assume validated arguments
+// and panic if handed garbage: reaching such a panic through
 // an exported constructor is a bug in this package, not the caller.
 package predictor
 

@@ -5,8 +5,6 @@ import (
 	"io"
 
 	"twolevel/internal/flat"
-	"twolevel/internal/history"
-	"twolevel/internal/pht"
 	"twolevel/internal/trace"
 )
 
@@ -19,51 +17,55 @@ import (
 // For GSg the pattern is global history; for PSg it is per-address
 // history tracked with an ideal table ("Lee and A. Smith's Static
 // Training scheme is similar in structure to the Per-address Two-Level
-// Adaptive scheme with an IBHT").
+// Adaptive scheme with an IBHT"). The registers are flat history
+// registers stepped with flat.Shift, so they start all ones and smear
+// their first outcome as the predictors' do.
 type StaticTrainer struct {
 	perAddress bool
 	k          int
-	trainer    *pht.Trainer
-	ghr        history.Register
-	hists      map[uint32]*history.Register
+	mask       uint32
+	ghr        uint32       // GSg's global register
+	dir        flat.PCIndex // PSg: branch PC → index into hists
+	hists      []uint32     // PSg's per-branch registers
+	counts     [][2]uint64  // per pattern: not-taken, taken
 }
 
 // NewStaticTrainer returns a trainer collecting k-bit pattern statistics.
 // perAddress selects PSg-style per-branch history; false is GSg-style
 // global history.
 func NewStaticTrainer(k int, perAddress bool) *StaticTrainer {
-	t := &StaticTrainer{
+	mask := uint32(1)<<k - 1
+	return &StaticTrainer{
 		perAddress: perAddress,
 		k:          k,
-		trainer:    pht.NewTrainer(k),
+		mask:       mask,
+		ghr:        mask | flat.FreshBit,
+		counts:     make([][2]uint64, 1<<k),
 	}
-	if perAddress {
-		t.hists = make(map[uint32]*history.Register)
-	} else {
-		t.ghr = history.New(k)
-	}
-	return t
 }
 
 // Observe records one resolved conditional branch from the training run.
 func (t *StaticTrainer) Observe(b trace.Branch) {
-	if !t.perAddress {
-		t.trainer.Observe(t.ghr.Pattern(), b.Taken)
-		t.ghr.Shift(b.Taken)
-		return
+	r := &t.ghr
+	if t.perAddress {
+		i, added := t.dir.Add(b.PC)
+		if added {
+			t.hists = append(t.hists, t.mask|flat.FreshBit)
+		}
+		r = &t.hists[i]
 	}
-	h := t.hists[b.PC]
-	if h == nil {
-		r := history.New(t.k)
-		h = &r
-		t.hists[b.PC] = h
-	}
-	t.trainer.Observe(h.Pattern(), b.Taken)
-	h.Shift(b.Taken)
+	o := bit(b.Taken)
+	t.counts[*r&t.mask][o]++
+	*r = flat.Shift(*r, o, t.mask)
 }
 
 // ObserveTrace drains a trace source, observing every conditional branch.
 func (t *StaticTrainer) ObserveTrace(src trace.Source) error {
+	return observeConds(src, t.Observe)
+}
+
+// observeConds drains src, passing every conditional branch to observe.
+func observeConds(src trace.Source, observe func(trace.Branch)) error {
 	for {
 		e, err := src.Next()
 		if err == io.EOF {
@@ -73,16 +75,31 @@ func (t *StaticTrainer) ObserveTrace(src trace.Source) error {
 			return err
 		}
 		if !e.Trap && e.Branch.Class == trace.Cond {
-			t.Observe(e.Branch)
+			observe(e.Branch)
 		}
 	}
 }
 
 // Observations returns the number of branches observed so far.
-func (t *StaticTrainer) Observations() uint64 { return t.trainer.Observations() }
+func (t *StaticTrainer) Observations() uint64 {
+	var n uint64
+	for _, c := range t.counts {
+		n += c[0] + c[1]
+	}
+	return n
+}
 
-// Preset freezes the collected statistics into a preset pattern table.
-func (t *StaticTrainer) Preset() *pht.Table { return t.trainer.Preset() }
+// Preset freezes the collected statistics into a preset pattern table:
+// each pattern's majority direction. Ties, and patterns never observed
+// during training, predict taken, consistent with the initialisation
+// bias of §4.2.
+func (t *StaticTrainer) Preset() []bool {
+	preset := make([]bool, len(t.counts))
+	for i, c := range t.counts {
+		preset[i] = c[1] >= c[0]
+	}
+	return preset
+}
 
 // NewGSg builds a Global Static Training predictor (GSg): the GAg
 // structure with the pattern table preset from the trainer.
@@ -145,18 +162,7 @@ func (t *ProfileTrainer) Observe(b trace.Branch) {
 
 // ObserveTrace drains a trace source, observing every conditional branch.
 func (t *ProfileTrainer) ObserveTrace(src trace.Source) error {
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if !e.Trap && e.Branch.Class == trace.Cond {
-			t.Observe(e.Branch)
-		}
-	}
+	return observeConds(src, t.Observe)
 }
 
 // Build freezes the profile into a predictor. Ties predict taken. The

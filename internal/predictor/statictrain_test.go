@@ -3,6 +3,7 @@ package predictor
 import (
 	"testing"
 
+	"twolevel/internal/automaton"
 	"twolevel/internal/trace"
 )
 
@@ -16,6 +17,74 @@ func TestStaticTrainerGlobalVsPerAddress(t *testing.T) {
 	}
 	if g.Observations() != uint64(len(branches)) || p.Observations() != uint64(len(branches)) {
 		t.Fatal("observation counts wrong")
+	}
+}
+
+// TestStaticTrainerPreset checks the frozen table a global-history
+// training pass produces: each pattern's majority direction, taken on a
+// tie and for a pattern training never reached. The register starts all
+// ones and smears its first outcome, so the first branch is counted
+// under the all-ones pattern.
+func TestStaticTrainerPreset(t *testing.T) {
+	const T, N = true, false
+	cases := []struct {
+		name     string
+		k        int
+		outcomes []bool
+		want     []bool
+	}{
+		// Pattern 1 sees N; pattern 0 sees N, N, T.
+		{"MajorityVote", 1, []bool{N, N, N, T}, []bool{N, N}},
+		// Pattern 1 sees T, N; pattern 0 is never reached.
+		{"TieGoesToTaken", 1, []bool{T, N}, []bool{T, T}},
+		// Pattern 3 sees N, pattern 0 sees N four times; 1 and 2 are
+		// never reached.
+		{"UnobservedPatternsTaken", 2, []bool{N, N, N, N, N}, []bool{N, T, T, N}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr := NewStaticTrainer(c.k, false)
+			for _, o := range c.outcomes {
+				tr.Observe(trace.Branch{PC: 0x40, Class: trace.Cond, Taken: o})
+			}
+			if tr.Observations() != uint64(len(c.outcomes)) {
+				t.Fatalf("Observations = %d, want %d", tr.Observations(), len(c.outcomes))
+			}
+			got := tr.Preset()
+			if len(got) != len(c.want) {
+				t.Fatalf("preset has %d patterns, want %d", len(got), len(c.want))
+			}
+			for p := range got {
+				if got[p] != c.want[p] {
+					t.Errorf("pattern %d preset %v, want %v", p, got[p], c.want[p])
+				}
+			}
+		})
+	}
+}
+
+// TestPresetTableIsFrozen: updates at run time change neither the
+// preset pattern table nor its predictions — the defining difference
+// between Static Training and Two-Level Adaptive prediction.
+func TestPresetTableIsFrozen(t *testing.T) {
+	tr := NewStaticTrainer(3, false)
+	tr.Observe(trace.Branch{PC: 0x40, Class: trace.Cond, Taken: false})
+	p, err := NewGSg(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]automaton.State(nil), p.State().GStates...)
+	for i := 0; i < 50; i++ {
+		b := trace.Branch{PC: 0x40, Class: trace.Cond, Taken: i%3 != 0}
+		p.Update(b, p.Predict(b))
+	}
+	for i, st := range p.State().GStates {
+		if st != want[i] {
+			t.Fatalf("pattern %d moved from state %d to %d at run time", i, want[i], st)
+		}
+	}
+	if want[7] != 0 || want[0] != 1 {
+		t.Fatalf("preset states %v: pattern 7 should be not-taken, the rest taken", want)
 	}
 }
 

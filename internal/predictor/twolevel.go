@@ -5,8 +5,6 @@ import (
 
 	"twolevel/internal/automaton"
 	"twolevel/internal/flat"
-	"twolevel/internal/history"
-	"twolevel/internal/pht"
 	"twolevel/internal/trace"
 )
 
@@ -152,10 +150,10 @@ type TwoLevelConfig struct {
 	// register to all zeros instead of the paper's all-ones plus
 	// first-outcome smearing (§4.2). Ablation knob.
 	ColdHistoryZero bool
-	// Preset, when non-nil, freezes the global pattern table to the
-	// given preset table (Static Training GSg/PSg). The table's entries
-	// must use the PB automaton. Invalid for PAp.
-	Preset *pht.Table
+	// Preset, when non-nil, freezes the global pattern table (Static
+	// Training GSg/PSg): one direction per history pattern, 2^k long,
+	// held as the PB automaton's preset bits. Invalid for PAp.
+	Preset []bool
 	// DisplayName overrides the generated configuration name.
 	DisplayName string
 }
@@ -165,8 +163,8 @@ type TwoLevelConfig struct {
 // Validate closes the panic-vs-error contract at the public boundary:
 // every invalid field combination a caller can express — including
 // out-of-range Automaton kinds and PatternInit states, which the
-// internal automaton/pht constructors treat as programmer errors and
-// panic on — is caught here and returned as an error, so NewTwoLevel
+// internal automaton constructor and the flat layout treat as
+// programmer errors — is caught here and returned as an error, so NewTwoLevel
 // never panics on bad configuration.
 func (c TwoLevelConfig) Validate() error {
 	if c.Variation > SAp {
@@ -175,7 +173,7 @@ func (c TwoLevelConfig) Validate() error {
 	if c.Machine == nil && !c.Automaton.Valid() {
 		return fmt.Errorf("predictor: invalid automaton kind %s", c.Automaton)
 	}
-	if c.HistoryBits < 1 || c.HistoryBits > history.MaxBits {
+	if c.HistoryBits < 1 || c.HistoryBits > flat.MaxHistoryBits {
 		return fmt.Errorf("predictor: history length %d out of range", c.HistoryBits)
 	}
 	if c.PatternInit != nil {
@@ -212,12 +210,9 @@ func (c TwoLevelConfig) Validate() error {
 		if c.Variation.PatternAxis() != AxisGlobal {
 			return fmt.Errorf("predictor: preset pattern tables require a global pattern level (GSg/PSg)")
 		}
-		if c.Preset.HistoryBits() != c.HistoryBits {
-			return fmt.Errorf("predictor: preset table is %d-bit, config is %d-bit",
-				c.Preset.HistoryBits(), c.HistoryBits)
-		}
-		if c.Preset.Machine().Kind() != automaton.PB {
-			return fmt.Errorf("predictor: preset table must use the PB automaton")
+		if len(c.Preset) != 1<<c.HistoryBits {
+			return fmt.Errorf("predictor: preset table has %d entries, a %d-bit history needs %d",
+				len(c.Preset), c.HistoryBits, 1<<c.HistoryBits)
 		}
 	}
 	return nil
@@ -247,7 +242,7 @@ func NewTwoLevel(cfg TwoLevelConfig) (*TwoLevel, error) {
 		machine = automaton.New(cfg.Automaton)
 	}
 	if cfg.Preset != nil {
-		machine = cfg.Preset.Machine()
+		machine = automaton.New(automaton.PB)
 	}
 	p := &TwoLevel{cfg: cfg}
 	fc := flat.Config{
@@ -274,8 +269,8 @@ func NewTwoLevel(cfg TwoLevelConfig) (*TwoLevel, error) {
 	}
 	p.st = flat.New(fc)
 	if cfg.Preset != nil {
-		for i := range p.st.GStates {
-			p.st.GStates[i] = cfg.Preset.State(uint32(i))
+		for i, taken := range cfg.Preset {
+			p.st.GStates[i] = automaton.State(bit(taken))
 		}
 	}
 	p.name = cfg.DisplayName

@@ -192,17 +192,38 @@ func replayReference(m model, snap trace.Snapshot, opts sim.Options) (preds, out
 	return preds, outcomes
 }
 
+// randomShape draws a practical table shape: 1 to 64 entries, from
+// direct-mapped to fully associative.
+func randomShape(r *rng.RNG) (entries, assoc int) {
+	entries, assoc = 1<<r.Intn(7), 1
+	for assoc < entries && r.Intn(2) == 0 {
+		assoc *= 2
+	}
+	return entries, assoc
+}
+
+// conds calls f with every conditional branch of snap.
+func conds(snap trace.Snapshot, f func(b trace.Branch)) {
+	for i := 0; i < snap.Len(); i++ {
+		if e := snap.At(i); !e.Trap && e.Branch.Class == trace.Cond {
+			f(e.Branch)
+		}
+	}
+}
+
 // drawCase draws one fuzz case from r: a spec name, the simulator
 // options, the reference model and a constructor for fresh simulator
-// predictors. Two in three cases are two-level configurations
+// predictors. Four in seven cases are two-level configurations
 // (randomSpec); the rest are BTB designs over every automaton, either
 // miss policy and practical tables from direct-mapped to fully
-// associative, and Profiling trained on a second random trace, so some
-// branches of the replayed trace are unprofiled.
+// associative, and the two training schemes, Profiling and Static
+// Training (GSg, or PSg over a practical or ideal table), each trained
+// on a second random trace, so some branches and patterns of the
+// replayed trace are untrained.
 func drawCase(t *testing.T, r *rng.RNG) (string, trace.Snapshot, sim.Options, model, func() predictor.Predictor) {
-	kind := r.Intn(6)
+	kind := r.Intn(7)
 	var name string
-	if kind >= 2 {
+	if kind >= 3 {
 		name = randomSpec(r)
 	}
 	snap := randomTrace(r)
@@ -220,11 +241,7 @@ func drawCase(t *testing.T, r *rng.RNG) (string, trace.Snapshot, sim.Options, mo
 	}
 	switch kind {
 	case 0:
-		entries := 1 << r.Intn(7)
-		assoc := 1
-		for assoc < entries && r.Intn(2) == 0 {
-			assoc *= 2
-		}
+		entries, assoc := randomShape(r)
 		atm := []string{"LT", "A1", "A2", "A3", "A4"}[r.Intn(5)]
 		missBTFN := r.Intn(2) == 0
 		name = fmt.Sprintf("BTB(BHT(%d,%d,%s),%s)", entries, assoc, atm, cs)
@@ -252,11 +269,7 @@ func drawCase(t *testing.T, r *rng.RNG) (string, trace.Snapshot, sim.Options, mo
 		sp := mustParse(t, name)
 		train := randomTrace(r)
 		ref := NewProfile()
-		for i := 0; i < train.Len(); i++ {
-			if e := train.At(i); !e.Trap && e.Branch.Class == trace.Cond {
-				ref.Train(e.Branch.PC, e.Branch.Taken)
-			}
-		}
+		conds(train, func(b trace.Branch) { ref.Train(b.PC, b.Taken) })
 		step := func(pc, _ uint32, _ bool) bool { return ref.Predict(pc) }
 		return name, snap, opts, model{step, func() {}}, func() predictor.Predictor {
 			trainer := predictor.NewProfileTrainer()
@@ -264,6 +277,39 @@ func drawCase(t *testing.T, r *rng.RNG) (string, trace.Snapshot, sim.Options, mo
 				t.Fatal(err)
 			}
 			p, err := spec.Build(sp, &spec.TrainingData{Profile: trainer})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return p
+		}
+	case 2:
+		k := 1 + r.Intn(8)
+		perAddress := r.Intn(2) == 0
+		entries, assoc := 0, 0
+		name = fmt.Sprintf("GSg(HR(1,,%d-sr),1xPHT(2^%d,PB))", k, k)
+		if perAddress {
+			hist := fmt.Sprintf("IBHT(inf,,%d-sr)", k)
+			if r.Intn(3) != 0 {
+				entries, assoc = randomShape(r)
+				hist = fmt.Sprintf("BHT(%d,%d,%d-sr)", entries, assoc, k)
+			}
+			name = fmt.Sprintf("PSg(%s,1xPHT(2^%d,PB))", hist, k)
+		}
+		sp := mustParse(t, name)
+		train := randomTrace(r)
+		static := NewStatic(k, perAddress)
+		conds(train, func(b trace.Branch) { static.Train(b.PC, b.Taken) })
+		ref := static.Predictor(entries, assoc)
+		step := func(pc, _ uint32, taken bool) bool { return ref.Step(pc, taken) }
+		return name, snap, opts, model{step, ref.ContextSwitch}, func() predictor.Predictor {
+			trainer, err := spec.NewTrainer(sp)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := trainer.ObserveTrace(train.Reader()); err != nil {
+				t.Fatal(err)
+			}
+			p, err := spec.Build(sp, &spec.TrainingData{Static: trainer})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -294,10 +340,10 @@ func mustParse(t *testing.T, name string) spec.Spec {
 // FuzzPredictorVsReference checks the simulator's predictions, branch
 // by branch, against the reference models: the interpretive runner, the
 // serial flat kernel and the kernel asked for 2 and 4 shards, over a
-// random scheme (two-level, BTB or Profiling), trace and context-switch
-// schedule drawn from seed. Kernel
-// predictions are read back from an Interval 1 telemetry series, whose
-// samples hold one resolution each in resolution order.
+// random scheme (two-level, BTB, Profiling or Static Training), trace
+// and context-switch schedule drawn from seed. Kernel predictions are
+// read back from an Interval 1 telemetry series, whose samples hold one
+// resolution each in resolution order.
 func FuzzPredictorVsReference(f *testing.F) {
 	for seed := uint64(0); seed < 24; seed++ {
 		f.Add(seed)

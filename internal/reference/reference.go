@@ -1,6 +1,7 @@
 // Package reference is a deliberately naive model of the Two-Level
 // Adaptive predictors and of the schemes the paper compares them with
-// (the Branch Target Buffer designs and Profiling), written from the
+// (the Branch Target Buffer designs, Profiling and Static Training),
+// written from the
 // paper's text alone and imported only by tests, as an oracle that
 // shares no code with the simulator.
 //
@@ -51,6 +52,8 @@ var automata = map[string]automaton{
 	// A4: A2 whose taken side recovers in one step.
 	"A4": {init: 3, taken: []bool{false, false, true, true},
 		next: [][2]byte{{0, 1}, {0, 3}, {1, 3}, {2, 3}}},
+	// PB: Static Training's preset bit, which resolution never changes.
+	"PB": {init: 1, taken: []bool{false, true}, next: [][2]byte{{0, 0}, {1, 1}}},
 }
 
 // Config describes one predictor. Scheme is the paper's three-letter
@@ -59,7 +62,7 @@ var automata = map[string]automaton{
 type Config struct {
 	Scheme    string
 	K         int    // history register length
-	Automaton string // "LT", "A1" … "A4"
+	Automaton string // "LT", "A1" … "A4", "PB"
 	// Entries and Assoc size the per-address branch history table,
 	// which P* schemes use for history and *p schemes for pattern table
 	// binding. Entries 0 is the ideal table: one entry per branch.
@@ -165,13 +168,18 @@ func (p *Predictor) Step(pc uint32, taken bool) bool {
 		outcome = 1
 	}
 	pht[reg.bits] = p.atm.next[state][outcome]
-	if reg.fresh {
-		reg.bits = p.mask * outcome // extend the first outcome
-		reg.fresh = false
-	} else {
-		reg.bits = (reg.bits<<1 | outcome) & p.mask
-	}
+	reg.shift(outcome, p.mask)
 	return pred
+}
+
+// shift records outcome (0 or 1) as the register's newest bit.
+func (r *shiftRegister) shift(outcome, mask uint32) {
+	if r.fresh {
+		r.bits = mask * outcome // extend the first outcome
+		r.fresh = false
+	} else {
+		r.bits = (r.bits<<1 | outcome) & mask
+	}
 }
 
 // lookup returns pc's entry, allocating it on a miss.
@@ -354,3 +362,67 @@ func (p *Profile) Train(pc uint32, taken bool) {
 
 // Predict returns the profiled direction of the branch at pc.
 func (p *Profile) Predict(pc uint32) bool { return p.taken[pc] >= p.notTaken[pc] }
+
+// Static is the reference Static Training scheme (Lee & A. Smith; §4.2).
+// A training run feeds each conditional branch's outcome to the history
+// pattern it follows, under one global register (GSg) or a register per
+// branch (PSg), each starting all ones and extending its first outcome.
+// Each pattern's more frequent outcome, taken on a tie and for a pattern
+// the training run never reached, is then frozen into a table of preset
+// bits, which the testing run reads through a GAg or PAg structure and
+// never changes.
+type Static struct {
+	k               int
+	perAddress      bool
+	ghr             shiftRegister
+	regs            map[uint32]*shiftRegister
+	taken, notTaken []int
+}
+
+// NewStatic returns an untrained k-bit Static Training pass.
+func NewStatic(k int, perAddress bool) *Static {
+	mask := uint32(1)<<k - 1
+	return &Static{
+		k: k, perAddress: perAddress,
+		ghr:   shiftRegister{bits: mask, fresh: true},
+		regs:  map[uint32]*shiftRegister{},
+		taken: make([]int, 1<<k), notTaken: make([]int, 1<<k),
+	}
+}
+
+// Train records one outcome of the training run.
+func (s *Static) Train(pc uint32, taken bool) {
+	mask := uint32(1)<<s.k - 1
+	reg := &s.ghr
+	if s.perAddress {
+		if s.regs[pc] == nil {
+			s.regs[pc] = &shiftRegister{bits: mask, fresh: true}
+		}
+		reg = s.regs[pc]
+	}
+	outcome := uint32(0)
+	if taken {
+		outcome = 1
+		s.taken[reg.bits]++
+	} else {
+		s.notTaken[reg.bits]++
+	}
+	reg.shift(outcome, mask)
+}
+
+// Predictor returns the testing-run predictor: GSg, or PSg with an
+// entries×assoc branch history table (entries 0 is the ideal table).
+func (s *Static) Predictor(entries, assoc int) *Predictor {
+	scheme := "GAg"
+	if s.perAddress {
+		scheme = "PAg"
+	}
+	p := New(Config{Scheme: scheme, K: s.k, Automaton: "PB", Entries: entries, Assoc: assoc})
+	for i := range p.gpht {
+		p.gpht[i] = 0
+		if s.taken[i] >= s.notTaken[i] {
+			p.gpht[i] = 1
+		}
+	}
+	return p
+}

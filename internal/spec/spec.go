@@ -25,7 +25,7 @@ import (
 	"strings"
 
 	"twolevel/internal/automaton"
-	"twolevel/internal/history"
+	"twolevel/internal/flat"
 	"twolevel/internal/predictor"
 )
 
@@ -351,7 +351,7 @@ func (sp *Spec) parseHistory(f string) error {
 		return fmt.Errorf("history entry content %q is not a shift register (k-sr)", content)
 	}
 	bits, err := strconv.Atoi(k)
-	if err != nil || bits < 1 || bits > history.MaxBits {
+	if err != nil || bits < 1 || bits > flat.MaxHistoryBits {
 		return fmt.Errorf("history register length %q", k)
 	}
 	sp.HistoryBits = bits

@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"twolevel/internal/automaton"
-	"twolevel/internal/history"
+	"twolevel/internal/flat"
 	"twolevel/internal/trace"
 )
 
@@ -37,6 +37,7 @@ type Forensics struct {
 	NopObserver
 	cfg     ForensicsConfig
 	machine *automaton.Machine
+	mask    uint32 // HistoryBits ones
 	warmupN uint64 // resolutions counted as warmup
 
 	seq       uint64 // resolutions so far
@@ -79,8 +80,8 @@ func (c ForensicsConfig) withDefaults() ForensicsConfig {
 	if c.HistoryBits <= 0 {
 		c.HistoryBits = 8
 	}
-	if c.HistoryBits > history.MaxBits {
-		c.HistoryBits = history.MaxBits
+	if c.HistoryBits > flat.MaxHistoryBits {
+		c.HistoryBits = flat.MaxHistoryBits
 	}
 	if c.RecorderSize <= 0 {
 		c.RecorderSize = 64
@@ -101,7 +102,7 @@ func (c ForensicsConfig) withDefaults() ForensicsConfig {
 type pcForensics struct {
 	exec, taken, miss uint64
 	warmupMiss        uint64
-	hist              history.Register
+	hist              uint32 // shadow register, stepped with flat.Shift
 	patterns          map[uint32]*patternCount
 	states            map[uint32]automaton.State
 	transitions       [][2]uint64 // [state][outcome] counts
@@ -117,6 +118,7 @@ func NewForensics(cfg ForensicsConfig) *Forensics {
 	f := &Forensics{
 		cfg:     cfg,
 		machine: automaton.New(automaton.A2),
+		mask:    uint32(1)<<cfg.HistoryBits - 1,
 		pcs:     make(map[uint32]*pcForensics),
 		ring:    make([]FlightEvent, 0, cfg.RecorderSize),
 	}
@@ -132,14 +134,14 @@ func (f *Forensics) OnResolve(b trace.Branch, predicted, correct bool) {
 	p := f.pcs[b.PC]
 	if p == nil {
 		p = &pcForensics{
-			hist:        history.New(f.cfg.HistoryBits),
+			hist:        f.mask | flat.FreshBit,
 			patterns:    make(map[uint32]*patternCount),
 			states:      make(map[uint32]automaton.State),
 			transitions: make([][2]uint64, f.machine.States()),
 		}
 		f.pcs[b.PC] = p
 	}
-	pattern := p.hist.Pattern()
+	pattern := p.hist & f.mask
 	pc := p.patterns[pattern]
 	if pc == nil {
 		pc = &patternCount{}
@@ -149,7 +151,7 @@ func (f *Forensics) OnResolve(b trace.Branch, predicted, correct bool) {
 	if !ok {
 		st = f.machine.Initial()
 	}
-	outcome := 0
+	outcome := uint32(0)
 	if b.Taken {
 		outcome = 1
 	}
@@ -171,7 +173,7 @@ func (f *Forensics) OnResolve(b trace.Branch, predicted, correct bool) {
 			p.warmupMiss++
 		}
 	}
-	p.hist.Shift(b.Taken)
+	p.hist = flat.Shift(p.hist, outcome, f.mask)
 
 	f.record(FlightEvent{
 		Seq:       f.seq,
