@@ -71,7 +71,7 @@ func run() error {
 		workersN   = flag.Int("j", 0, "benchmarks simulated in parallel (0 = GOMAXPROCS)")
 		traceReuse = flag.Bool("trace-reuse", true, "capture each training trace once and replay it for every training-based scheme")
 		timeout    = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
-		explainPC  = flag.String("explain", "", "diagnose why this branch PC (hex or decimal) mispredicts: attach a forensics observer and print a post-mortem per run")
+		explainPC  = flag.String("explain", "", "diagnose why this branch PC (hex or decimal) mispredicts: collect a forensics report on each run and print a post-mortem")
 		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON (chrome://tracing, Perfetto) of the run's spans to this file")
 		spanSum    = flag.String("span-summary", "", "write the aggregated span-latency summary tree to this file (\"-\" = stderr)")
 		logFormat  = flag.String("log-format", "text", "log encoding: text or json")
@@ -181,65 +181,35 @@ func run() error {
 	// schemeOut is one (scheme, source) run's harvest; done folds it into
 	// the metrics document and prints the hot table and explanation.
 	type schemeOut struct {
-		res twolevel.SimResult
-		rs  *twolevel.RunStats
-		hot *twolevel.HotBranches
-		iv  *twolevel.IntervalSeries
-		fo  *twolevel.Forensics
-	}
-
-	// instrument attaches the requested observers for one run.
-	instrument := func(o twolevel.SimOptions) (schemeOut, twolevel.SimOptions) {
-		var out schemeOut
-		var obs []twolevel.Observer
-		if *metrics != "" {
-			out.rs = twolevel.NewRunStats()
-			obs = append(obs, out.rs)
-		}
-		if *hotK > 0 {
-			out.hot = twolevel.NewHotBranches(*hotK)
-			obs = append(obs, out.hot)
-		}
-		if *interval > 0 {
-			out.iv = twolevel.NewIntervalSeries(*interval)
-			obs = append(obs, out.iv)
-		}
-		if *explainPC != "" {
-			out.fo = twolevel.NewForensics(twolevel.ForensicsConfig{Budget: *branches})
-			obs = append(obs, out.fo)
-		}
-		o.Observer = twolevel.MultiObserver(obs...)
-		return out, o
+		res   twolevel.SimResult
+		stats twolevel.RunMetrics
+		sink  *twolevel.SimTelemetry // what -hot, -interval and -explain ask for
 	}
 
 	var doc twolevel.MetricsDocument
 	doc.Version = twolevel.ReadBuildInfo()
 	done := func(sp twolevel.Spec, name string, out schemeOut) {
-		if out.rs != nil {
+		sink := out.sink
+		if *metrics != "" {
 			rm := twolevel.ExperimentRunMetrics{
 				Spec:      sp.String(),
 				Benchmark: name,
 				Accuracy:  out.res.Accuracy.Rate(),
-				Stats:     out.rs.Metrics(),
+				Stats:     out.stats,
 			}
 			if len(schemes) > 1 {
 				rm.Batched = true
 				rm.BatchSize = len(schemes)
 			}
-			if out.hot != nil {
-				rm.HotBranches = out.hot.Report()
-			}
-			if out.iv != nil {
-				rm.Intervals = out.iv.Samples()
-				rm.Switches = out.iv.Switches()
-			}
+			rm.HotBranches = sink.HotBranches()
+			rm.Intervals, rm.Switches = sink.Samples, sink.Switches
 			doc.Runs = append(doc.Runs, rm)
 		}
-		if out.hot != nil {
-			printHot(name, out.hot)
+		if *hotK > 0 {
+			printHot(name, out.res, sink)
 		}
-		if out.fo != nil {
-			printExplanation(sp.String(), name, explain, out.fo)
+		if sink.Forensics != nil {
+			printExplanation(sp.String(), name, explain, sink.Forensics)
 		}
 		log.Debug("run done", "scheme", sp.String(), "bench", name,
 			"accuracy", out.res.Accuracy.Rate(), "instructions", out.res.Instructions)
@@ -268,22 +238,28 @@ func run() error {
 			if err != nil {
 				return nil, err
 			}
-			o := twolevel.SimOptions{
+			outs[i].sink = &twolevel.SimTelemetry{Interval: *interval, TopK: max(*hotK, 0)}
+			if *explainPC != "" {
+				outs[i].sink.Forensics = twolevel.NewForensics(twolevel.ForensicsConfig{Budget: *branches})
+			}
+			optsList[i] = twolevel.SimOptions{
 				ContextSwitches: sps[i].ContextSwitch,
 				MaxCondBranches: *branches,
 				PipelineDepth:   *pipeline,
 				Context:         ctx,
 				Span:            rootSpan,
+				Telemetry:       outs[i].sink,
 			}
-			outs[i], o = instrument(o)
-			optsList[i] = o
 		}
+		start := twolevel.ReadCost()
 		results, err := twolevel.SimulateMany(preds, src, optsList)
 		if err != nil {
 			return nil, err
 		}
+		end := twolevel.ReadCost()
 		for i := range outs {
 			outs[i].res = results[i]
+			outs[i].stats = twolevel.RunStatsFor(results[i], preds[i], start, end)
 		}
 		return outs, nil
 	}
@@ -329,7 +305,7 @@ func run() error {
 	// scheme replays the same in-memory trace; without it each scheme
 	// re-runs the interpreter.
 	trainSourceFor := func(b *twolevel.Benchmark) func() (twolevel.Source, error) {
-		var captured *twolevel.Trace
+		var captured *twolevel.TraceSnapshot
 		return func() (twolevel.Source, error) {
 			if captured != nil {
 				return captured.Reader(), nil
@@ -342,19 +318,12 @@ func run() error {
 			if !*traceReuse {
 				return limited, nil
 			}
-			tr := &twolevel.Trace{}
-			for {
-				e, err := limited.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return nil, err
-				}
-				tr.Append(e)
+			snap, err := twolevel.PackTrace(limited)
+			if err != nil {
+				return nil, err
 			}
-			captured = tr
-			return captured.Reader(), nil
+			captured = &snap
+			return snap.Reader(), nil
 		}
 	}
 
@@ -440,14 +409,14 @@ func printExplanation(scheme, name string, pc uint32, fo *twolevel.Forensics) {
 	fmt.Println(twolevel.ExplainBranch(p))
 }
 
-// printHot renders one run's hot-branch table.
-func printHot(name string, hot *twolevel.HotBranches) {
-	rep := hot.Report()
+// printHot renders one run's hot-branch table from its telemetry sink.
+func printHot(name string, res twolevel.SimResult, sink *twolevel.SimTelemetry) {
+	rep := sink.HotBranches()
 	if len(rep) == 0 {
 		return
 	}
 	fmt.Printf("hot branches: %s (%d mispredictions over %d static branches)\n",
-		name, hot.TotalMispredicts(), hot.StaticBranches())
+		name, res.Accuracy.Predictions-res.Accuracy.Correct, sink.StaticBranches)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "  pc\tmispredicts\texecutions\ttaken-rate\tmiss-share\n")
 	for _, h := range rep {

@@ -126,21 +126,19 @@ func New(k, entries, assoc int) (*Analyzer, error) {
 	return &Analyzer{p: p, meta: make([]patMeta, 1<<k)}, nil
 }
 
-// Record predicts and resolves one conditional branch, attributing a
-// misprediction to its cause. The BHT miss is read off the table's miss
-// counter, and the pattern entry off the branch's register before the
-// update shifts it.
+// Record predicts and resolves one conditional branch in one predictor
+// step (a single BHT lookup), attributing a misprediction to its cause.
+// The BHT miss is read off the table's miss counter, and the pattern
+// entry is the one the step predicted from.
 func (a *Analyzer) Record(b trace.Branch) {
-	st := a.p.State()
-	misses := st.Misses
-	pred := a.p.Predict(b)
-	idx := st.Hists[st.Peek(b.PC)] & st.HistMask
+	misses := a.p.State().Misses
+	pred, idx := a.p.Step(b)
 	a.result.Predictions++
 	if pred != b.Taken {
 		a.result.Mispredictions++
 		meta := a.meta[idx]
 		switch {
-		case st.Misses != misses:
+		case a.p.State().Misses != misses:
 			a.result.ByCategory[BHTMiss]++
 		case meta.updates == 0:
 			a.result.ByCategory[PatternCold]++
@@ -152,7 +150,6 @@ func (a *Analyzer) Record(b trace.Branch) {
 			a.result.ByCategory[Inherent]++
 		}
 	}
-	a.p.Update(b, pred)
 	a.meta[idx].updates++
 	a.meta[idx].lastPC = b.PC
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"testing"
 
+	"twolevel/internal/prog"
 	"twolevel/internal/trace"
 )
 
@@ -167,6 +168,35 @@ func TestCategoryString(t *testing.T) {
 	for c, want := range names {
 		if c.String() != want {
 			t.Errorf("%d.String() = %q, want %q", c, c.String(), want)
+		}
+	}
+}
+
+// BenchmarkAnalyze times the residual analysis of the ext-residual
+// experiment's configuration (PAg with 12 history bits on a 512-entry
+// 4-way BHT) over a 400,000-event capture of gcc's testing run.
+func BenchmarkAnalyze(b *testing.B) {
+	bench, err := prog.ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := bench.NewSource(bench.Testing)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var p trace.Packed
+	for p.Len() < 400_000 {
+		e, err := src.Next()
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Append(e)
+	}
+	snap := p.View(p.Len())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Analyze(snap.Reader(), 12, 512, 4, 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package experiments
 
 // Chaos suite: drives the grid scheduler through injected faults —
-// torn sources, panicking observers and sources, flaky openers,
+// torn sources, panicking predictors and sources, flaky openers,
 // truncated streams, mid-run cancellation — and asserts the pipeline's
 // fault contract: failures are attributed to exact cells, siblings
 // survive, retries recover transients, cancellation is prompt and
@@ -18,10 +18,10 @@ import (
 	"testing"
 
 	"twolevel/internal/faultinject"
+	"twolevel/internal/predictor"
 	"twolevel/internal/prog"
 	"twolevel/internal/sim"
 	"twolevel/internal/spec"
-	"twolevel/internal/telemetry"
 	"twolevel/internal/trace"
 )
 
@@ -74,6 +74,46 @@ var chaosRows = mustSpecs(
 	"GAg(HR(1,,6-sr),1xPHT(2^6,A2))",
 	"GAg(HR(1,,8-sr),1xPHT(2^8,A2))",
 )
+
+// panicPredictor panics on its after-th prediction — a buggy predictor.
+type panicPredictor struct {
+	predictor.Predictor
+	after, n int
+	msg      string
+}
+
+func (p *panicPredictor) Predict(b trace.Branch) bool {
+	if p.n++; p.n >= p.after {
+		panic(p.msg)
+	}
+	return p.Predictor.Predict(b)
+}
+
+// hookPredictor calls fn with the number of branches resolved so far
+// after each update.
+type hookPredictor struct {
+	predictor.Predictor
+	n  uint64
+	fn func(resolved uint64)
+}
+
+func (p *hookPredictor) Update(b trace.Branch, predicted bool) {
+	p.Predictor.Update(b, predicted)
+	p.n++
+	p.fn(p.n)
+}
+
+// wrapBuild returns a buildPredictor seam passing every predictor
+// spec.Build makes through wrap.
+func wrapBuild(wrap func(sp spec.Spec, p predictor.Predictor) predictor.Predictor) func(spec.Spec, *spec.TrainingData) (predictor.Predictor, error) {
+	return func(sp spec.Spec, td *spec.TrainingData) (predictor.Predictor, error) {
+		p, err := spec.Build(sp, td)
+		if err != nil {
+			return nil, err
+		}
+		return wrap(sp, p), nil
+	}
+}
 
 func chaosOptions(benchmarks []*prog.Benchmark) Options {
 	return Options{
@@ -171,41 +211,46 @@ func TestChaosNoRetryBudgetFails(t *testing.T) {
 	}
 }
 
-func TestChaosObserverPanicIsolated(t *testing.T) {
+func TestChaosPredictorPanicIsolated(t *testing.T) {
 	benchmarks := chaosBenchmarks("epsilon", "zeta")
 	o := chaosOptions(benchmarks)
 	o.KeepGoing = true
 	poisoned := chaosRows[1].label
-	o.cellObserver = func(sp spec.Spec, b *prog.Benchmark) telemetry.Observer {
-		if sp.String() == poisoned && b.Name == "epsilon" {
-			return &faultinject.PanicObserver{After: 100, Msg: "observer bug"}
+	o.buildPredictor = wrapBuild(func(sp spec.Spec, p predictor.Predictor) predictor.Predictor {
+		if sp.String() == poisoned {
+			return &panicPredictor{Predictor: p, after: 100, msg: "predictor bug"}
 		}
-		return nil
-	}
+		return p
+	})
 	grid, err := chaosGrid(t, chaosRows, o)
 	var ge *GridError
 	if !errors.As(err, &ge) {
 		t.Fatalf("err = %v, want *GridError", err)
 	}
-	if len(ge.Cells) != 1 || ge.Cells[0].Spec != poisoned || ge.Cells[0].Benchmark != "epsilon" {
-		t.Fatalf("failed cells = %v, want exactly %s/epsilon", ge, poisoned)
+	if len(ge.Cells) != len(benchmarks) {
+		t.Fatalf("failed cells = %v, want exactly the %s cells", ge, poisoned)
 	}
-	var pe *PanicError
-	if !errors.As(ge.Cells[0].Err, &pe) || pe.Value != "observer bug" {
-		t.Fatalf("cell error %v is not the recovered panic", ge.Cells[0].Err)
-	}
-	if len(pe.Stack) == 0 {
-		t.Fatal("recovered panic carries no stack")
+	for _, c := range ge.Cells {
+		if c.Spec != poisoned {
+			t.Fatalf("failed cell %s/%s is not a poisoned one", c.Spec, c.Benchmark)
+		}
+		var pe *PanicError
+		if !errors.As(c.Err, &pe) || pe.Value != "predictor bug" {
+			t.Fatalf("cell error %v is not the recovered panic", c.Err)
+		}
+		if len(pe.Stack) == 0 {
+			t.Fatal("recovered panic carries no stack")
+		}
 	}
 	// Every other cell of the grid still produced a result — including
-	// the poisoned cell's replay-pass sibling.
+	// the poisoned cells' replay-pass siblings.
 	for ri := range chaosRows {
 		for bi := range benchmarks {
-			if chaosRows[ri].label == poisoned && bi == 0 {
+			if chaosRows[ri].label == poisoned {
 				continue
 			}
 			if grid[ri][bi].Accuracy.Predictions == 0 {
-				t.Fatalf("cell %s/%s lost to an unrelated observer panic", chaosRows[ri].label, benchmarks[bi].Name)
+				t.Fatalf("cell %s/%s lost to an unrelated predictor panic", chaosRows[ri].label, benchmarks[bi].Name)
 			}
 		}
 	}
@@ -237,13 +282,13 @@ func TestChaosCancellationMidRun(t *testing.T) {
 	o := chaosOptions(benchmarks)
 	o.Workers = 1
 	o.Context = ctx
-	o.cellObserver = func(sp spec.Spec, b *prog.Benchmark) telemetry.Observer {
-		return &faultinject.FuncObserver{Fn: func(resolved uint64) {
+	o.buildPredictor = wrapBuild(func(_ spec.Spec, p predictor.Predictor) predictor.Predictor {
+		return &hookPredictor{Predictor: p, fn: func(resolved uint64) {
 			if resolved == 500 {
 				cancel()
 			}
 		}}
-	}
+	})
 	_, err := chaosGrid(t, chaosRows, o)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled through the grid error", err)
@@ -419,12 +464,12 @@ func TestChaosChecksumMismatchDetected(t *testing.T) {
 	o.Checkpoint = ck
 	o.KeepGoing = true
 	poisoned := chaosRows[1].label
-	o.cellObserver = func(sp spec.Spec, b *prog.Benchmark) telemetry.Observer {
+	o.buildPredictor = wrapBuild(func(sp spec.Spec, p predictor.Predictor) predictor.Predictor {
 		if sp.String() == poisoned {
-			return &faultinject.PanicObserver{After: 50, Msg: "first run bug"}
+			return &panicPredictor{Predictor: p, after: 50, msg: "first run bug"}
 		}
-		return nil
-	}
+		return p
+	})
 	if _, err := chaosGrid(t, chaosRows, o); err == nil {
 		t.Fatal("poisoned first run unexpectedly succeeded")
 	}

@@ -36,7 +36,7 @@ func (e *CellError) Error() string {
 // Unwrap returns the underlying cause.
 func (e *CellError) Unwrap() error { return e.Err }
 
-// PanicError wraps a panic recovered from a predictor, observer or
+// PanicError wraps a panic recovered from a predictor, trainer or
 // source inside a grid worker, turning a crash into an attributable
 // per-cell error. Panics are programmer errors, so they are never
 // retried.

@@ -29,7 +29,6 @@ import (
 	"twolevel/internal/span"
 	"twolevel/internal/spec"
 	"twolevel/internal/stats"
-	"twolevel/internal/telemetry"
 	"twolevel/internal/trace"
 )
 
@@ -46,9 +45,10 @@ type Options struct {
 	TrainBranches uint64
 	// Benchmarks restricts the benchmark set (default: all nine).
 	Benchmarks []*prog.Benchmark
-	// Telemetry, when non-nil, attaches observers to every measured
-	// predictor run and accumulates per-run metrics (timing, throughput,
-	// hot branches, interval accuracy) for a metrics.json document.
+	// Telemetry, when non-nil, attaches a telemetry sink to every
+	// measured predictor run and accumulates per-run metrics (timing,
+	// throughput, hot branches, interval accuracy, forensics) for the
+	// metrics.json and forensics.json documents.
 	Telemetry *Telemetry
 	// Workers bounds the worker pool that runs every per-benchmark loop:
 	// the spec×benchmark grid of the accuracy figures and the
@@ -115,10 +115,9 @@ type Options struct {
 	// feeds the capture cache (or the live path when the cache is
 	// disabled) exactly as newSource would.
 	openSource func(b *prog.Benchmark, ds prog.DataSet) (trace.Source, error)
-	// cellObserver, when non-nil, attaches an extra observer to every
-	// measured grid run — the chaos tests inject panicking observers
-	// through it.
-	cellObserver func(sp spec.Spec, b *prog.Benchmark) telemetry.Observer
+	// buildPredictor, when non-nil, replaces spec.Build for every
+	// measured run — the seam the chaos tests wrap predictors through.
+	buildPredictor func(sp spec.Spec, td *spec.TrainingData) (predictor.Predictor, error)
 }
 
 // DefaultCondBranches is the default per-benchmark conditional branch
@@ -291,6 +290,15 @@ func (o Options) liveSource(b *prog.Benchmark, ds prog.DataSet) (trace.Source, e
 	return newSource(b, ds)
 }
 
+// build constructs sp's predictor through the buildPredictor seam, or
+// with spec.Build when none is set.
+func (o Options) build(sp spec.Spec, td *spec.TrainingData) (predictor.Predictor, error) {
+	if o.buildPredictor != nil {
+		return o.buildPredictor(sp, td)
+	}
+	return spec.Build(sp, td)
+}
+
 // source returns an event source over (b, ds) good for at least n
 // conditional branches: a replay cursor over the shared capture normally,
 // or a live interpreter when the cache is disabled. Replayed and live
@@ -370,7 +378,7 @@ func trainingData(sp spec.Spec, b *prog.Benchmark, o Options) (*spec.TrainingDat
 // data set and returns the full simulation result. Every error is wrapped
 // with the spec and benchmark it belongs to, so failures surfacing from
 // the experiment fan-out stay attributable. When o.Telemetry is set the
-// run carries its observers and is recorded in the collector.
+// run carries its telemetry sink and is recorded in the collector.
 func RunSpec(sp spec.Spec, b *prog.Benchmark, o Options) (sim.Result, error) {
 	o = o.withDefaults()
 	res, err := runSpec(sp, b, o)
@@ -385,7 +393,7 @@ func runSpec(sp spec.Spec, b *prog.Benchmark, o Options) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, fmt.Errorf("training: %w", err)
 	}
-	p, err := spec.Build(sp, td)
+	p, err := o.build(sp, td)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -401,12 +409,7 @@ func runSpec(sp spec.Spec, b *prog.Benchmark, o Options) (sim.Result, error) {
 	}
 	var record recordFunc
 	if o.Telemetry != nil {
-		simOpts.Observer, simOpts.Telemetry, record = o.Telemetry.instrument(p, o.CondBranches)
-	}
-	if o.cellObserver != nil {
-		if extra := o.cellObserver(sp, b); extra != nil {
-			simOpts.Observer = telemetry.Multi(simOpts.Observer, extra)
-		}
+		simOpts.Telemetry, record = o.Telemetry.instrument(p, o.CondBranches)
 	}
 	res, err := sim.Run(p, src, simOpts)
 	if err == nil && record != nil {

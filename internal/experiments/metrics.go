@@ -63,11 +63,10 @@ type ExperimentMetrics struct {
 
 // Telemetry configures and accumulates per-run telemetry across
 // experiments. Attach one to Options.Telemetry; every measured predictor
-// run then lands in Runs with its Stats, plus hot branches and an
-// interval series when requested. HotK and Interval ride the simulator's
-// sim.Telemetry sink, which keeps runs on the replay kernel; only
-// ForensicsTopK attaches an observer, which sends its runs to the
-// interpretive runner (the flight recorder has no kernel counterpart).
+// run then lands in Runs with its Stats, plus hot branches, an interval
+// series and a forensics report when requested. All of them ride the
+// simulator's sim.Telemetry sink and Stats are derived from the run's
+// Result, so an instrumented run replays on the kernel like any other.
 // The collector is goroutine-safe: experiments fan runs out across
 // benchmarks.
 type Telemetry struct {
@@ -77,9 +76,9 @@ type Telemetry struct {
 	// Interval, when positive, samples accuracy every Interval resolved
 	// conditional branches for every run.
 	Interval uint64
-	// ForensicsTopK, when positive, attaches a mispredict-forensics
-	// observer (flight recorder + H2P profiles) to every run; the
-	// resulting per-run reports are collected for ForensicsDocument.
+	// ForensicsTopK, when positive, collects a mispredict-forensics
+	// report (flight recorder + H2P profiles) for every run, for
+	// ForensicsDocument.
 	ForensicsTopK int
 	// ForensicsHistoryBits overrides the forensic shadow history length
 	// (default per telemetry.ForensicsConfig).
@@ -110,101 +109,74 @@ type ForensicsRun struct {
 // run); batched runs are stamped so per-run timing can be interpreted.
 type recordFunc func(sp spec.Spec, b *prog.Benchmark, res sim.Result, batch int)
 
-// instrument returns the instrumentation for one simulation run of p and
-// the record function to call once the run completed: a telemetry sink
-// when HotK or Interval asks for one, and an observer only for
-// forensics. budget is the run's conditional-branch budget; the
-// forensics observer uses it for the warmup-vs-steady miss split. Stats
-// are derived from the run's Result, and their time and allocation
-// figures span instrument to record. The record function must only be
-// called once.
-func (t *Telemetry) instrument(p predictor.Predictor, budget uint64) (telemetry.Observer, *sim.Telemetry, recordFunc) {
-	var sink *sim.Telemetry
-	if t.HotK > 0 || t.Interval > 0 {
-		sink = &sim.Telemetry{Interval: t.Interval, TopK: t.HotK}
-	}
-	var obs telemetry.Observer
-	var fo *telemetry.Forensics
+// instrument returns the telemetry sink for one simulation run of p and
+// the record function to call once the run completed. budget is the
+// run's conditional-branch budget; the forensics report uses it for the
+// warmup-vs-steady miss split. Stats are derived from the run's Result,
+// and their time and allocation figures span instrument to record. The
+// record function must only be called once.
+func (t *Telemetry) instrument(p predictor.Predictor, budget uint64) (*sim.Telemetry, recordFunc) {
+	sink := &sim.Telemetry{Interval: t.Interval, TopK: t.HotK}
 	if t.ForensicsTopK > 0 {
-		fo = telemetry.NewForensics(telemetry.ForensicsConfig{
+		sink.Forensics = telemetry.NewForensics(telemetry.ForensicsConfig{
 			TopK:        t.ForensicsTopK,
 			HistoryBits: t.ForensicsHistoryBits,
 			Budget:      budget,
 		})
-		obs = fo
 	}
-	start := readCost()
+	start := ReadCost()
 	record := func(sp spec.Spec, b *prog.Benchmark, res sim.Result, batch int) {
 		rm := RunMetrics{
 			Spec:      sp.String(),
 			Benchmark: b.Name,
 			Accuracy:  res.Accuracy.Rate(),
-			Stats:     runStats(res, p, start, readCost()),
+			Stats:     RunStats(res, p, start, ReadCost()),
 		}
 		if batch > 1 {
 			rm.Batched = true
 			rm.BatchSize = batch
 		}
-		if sink != nil {
-			rm.HotBranches = hotBranches(sink.TopMispredicted)
-			rm.Intervals = sink.Samples
-			rm.Switches = sink.Switches
-		}
+		rm.HotBranches = sink.HotBranches()
+		rm.Intervals, rm.Switches = sink.Samples, sink.Switches
 		t.mu.Lock()
 		rm.Experiment = t.current
 		t.runs = append(t.runs, rm)
-		if fo != nil {
+		if sink.Forensics != nil {
 			t.forensics = append(t.forensics, ForensicsRun{
 				Experiment: t.current,
 				Spec:       rm.Spec,
 				Benchmark:  rm.Benchmark,
-				Report:     fo.Report(),
+				Report:     sink.Forensics.Report(),
 			})
 		}
 		t.mu.Unlock()
 	}
-	return obs, sink, record
+	return sink, record
 }
 
-// hotBranches renders the sink's per-PC profile as the HotBranches
-// report rows (nil when the profile is empty).
-func hotBranches(profile []telemetry.PCStats) []telemetry.HotBranch {
-	if len(profile) == 0 {
-		return nil
-	}
-	hot := make([]telemetry.HotBranch, len(profile))
-	for i, p := range profile {
-		hot[i] = telemetry.HotBranch{
-			PC:          p.PC,
-			Mispredicts: p.Mispredicts,
-			Executions:  p.Executions,
-			TakenRate:   p.TakenRate,
-			MissShare:   p.MissShare,
-		}
-	}
-	return hot
-}
-
-// costStamp is one reading of the clock and the allocation counters;
+// CostStamp is one reading of the clock and the allocation counters;
 // Stats' time and allocation figures are the difference of two.
-type costStamp struct {
+type CostStamp struct {
 	at             time.Time
 	alloc, mallocs uint64
 }
 
-func readCost() costStamp {
+// ReadCost reads the clock and the allocation counters.
+func ReadCost() CostStamp {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
-	return costStamp{
+	return CostStamp{
 		at:      time.Now(), //lint:allow determinism Stats measure wall-clock cost; excluded from byte-identical report surfaces
 		alloc:   m.TotalAlloc,
 		mallocs: m.Mallocs,
 	}
 }
 
-// runStats builds a run's Stats: the counts from resultCounts, and the
-// time and allocation figures between two cost stamps.
-func runStats(res sim.Result, p predictor.Predictor, from, to costStamp) telemetry.RunMetrics {
+// RunStats builds the Stats of a completed run of p: the counts a
+// telemetry.RunStats observer would report, derived from its Result
+// (resultCounts), and the time and allocation figures between two cost
+// stamps taken around the run.
+func RunStats(res sim.Result, p predictor.Predictor, from, to CostStamp) telemetry.RunMetrics {
 	m := resultCounts(res, p)
 	m.WallClockSeconds = to.at.Sub(from.at).Seconds()
 	m.AllocBytes = to.alloc - from.alloc

@@ -15,6 +15,29 @@ import (
 	"twolevel/internal/trace"
 )
 
+// observedRun replays sp on b's testing capture as RunSpec does, with
+// obs attached: the Observer-fed oracle of the telemetry sink.
+func observedRun(t *testing.T, sp spec.Spec, b *prog.Benchmark, budget uint64, obs telemetry.Observer) sim.Result {
+	t.Helper()
+	p, err := spec.Build(sp, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := Options{}.source(b, b.Testing, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run(p, src, sim.Options{
+		ContextSwitches: sp.ContextSwitch,
+		MaxCondBranches: budget,
+		Observer:        obs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestTelemetryReplaysOnKernel pins the -metrics contract: a run with
 // hot-branch and interval telemetry stays on the replay kernel, its
 // interval series, context-switch marks and hot-branch table equal
@@ -53,13 +76,7 @@ func TestTelemetryReplaysOnKernel(t *testing.T) {
 
 	iv := telemetry.NewIntervalSeries(interval)
 	hot := telemetry.NewHotBranches(hotK)
-	ref, err := RunSpec(sp, b, Options{
-		CondBranches: budget,
-		cellObserver: func(spec.Spec, *prog.Benchmark) telemetry.Observer { return telemetry.Multi(iv, hot) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := observedRun(t, sp, b, budget, telemetry.Multi(iv, hot))
 	if !reflect.DeepEqual(res, ref) {
 		t.Errorf("result differs from the observed run:\n got %+v\nwant %+v", res, ref)
 	}
@@ -77,24 +94,47 @@ func TestTelemetryReplaysOnKernel(t *testing.T) {
 	}
 }
 
-// TestTelemetryForensicsFallback: ForensicsTopK attaches the forensics
-// observer, which sends the run to the interpretive runner; the interval
-// series is still collected there.
-func TestTelemetryForensicsFallback(t *testing.T) {
+// TestTelemetryForensicsOnKernel: ForensicsTopK rides the telemetry
+// sink, so a forensics run stays on the replay kernel, and its report
+// equals a hand-attached Forensics observer's over the same run; the
+// interval series is collected alongside.
+func TestTelemetryForensicsOnKernel(t *testing.T) {
+	const budget = 4000
 	sp := spec.MustParse("GAg(HR(1,,8-sr),1xPHT(2^8,A2))")
 	b, err := prog.ByName("li")
 	if err != nil {
 		t.Fatal(err)
 	}
 	tel := &Telemetry{ForensicsTopK: 2, Interval: 500}
-	if _, err := RunSpec(sp, b, Options{CondBranches: 4000, Telemetry: tel}); err != nil {
+	tracer := span.New()
+	root := tracer.Root("test")
+	res, err := RunSpec(sp, b, Options{CondBranches: budget, Telemetry: tel, Span: root})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if runs := tel.Runs(); len(runs) != 1 || len(runs[0].Intervals) == 0 {
-		t.Fatalf("fallback run did not record intervals: %+v", runs)
+	root.End()
+	fastpath := ""
+	for _, rec := range tracer.Snapshot() {
+		if rec.Name == "replay" {
+			fastpath = spanAttr(rec.Attrs, "fastpath")
+		}
 	}
-	if fr := tel.ForensicsRuns(); len(fr) != 1 {
+	if fastpath != "true" {
+		t.Errorf("forensics run: replay span fastpath=%q, want true", fastpath)
+	}
+	if runs := tel.Runs(); len(runs) != 1 || len(runs[0].Intervals) == 0 {
+		t.Fatalf("forensics run did not record intervals: %+v", runs)
+	}
+	fr := tel.ForensicsRuns()
+	if len(fr) != 1 {
 		t.Fatalf("forensics not collected: %d reports", len(fr))
+	}
+	fo := telemetry.NewForensics(telemetry.ForensicsConfig{TopK: 2, Budget: budget})
+	if ref := observedRun(t, sp, b, budget, fo); !reflect.DeepEqual(res, ref) {
+		t.Errorf("result differs from the observed run:\n got %+v\nwant %+v", res, ref)
+	}
+	if want := fo.Report(); len(want.TopOffenders) == 0 || !reflect.DeepEqual(fr[0].Report, want) {
+		t.Errorf("forensics report differs from the observer's:\n got %+v\nwant %+v", fr[0].Report, want)
 	}
 }
 

@@ -9,7 +9,7 @@
 //
 // The scheduler is the pipeline's fault boundary. Every failure leaving
 // it is a *CellError naming the exact (spec, benchmark) cell: panics in
-// predictors, observers or sources are recovered into attributed errors
+// predictors, trainers or sources are recovered into attributed errors
 // instead of crashing the process; a failed batch falls back to running
 // its rows individually so one poisoned cell cannot take down its
 // replay-pass siblings; transient failures retry with exponential
@@ -34,7 +34,6 @@ import (
 	"twolevel/internal/sim"
 	"twolevel/internal/span"
 	"twolevel/internal/spec"
-	"twolevel/internal/telemetry"
 )
 
 // gridTask is one unit of pool work: a set of rows measured on one
@@ -321,7 +320,7 @@ func runTask(t gridTask, rows []labeledSpec, grid [][]sim.Result, o Options) []*
 		return taskErrors(t, rows, b, err)
 	}
 	// Isolation fallback: the batch shares one replay pass, so a single
-	// poisoned cell (panicking predictor/observer, broken config) fails
+	// poisoned cell (panicking predictor, broken config) fails
 	// every sibling in the pass. Re-run each row on its own — with the
 	// retry budget for transient errors — so the failure attributes to
 	// exactly the broken cell and healthy siblings still yield results.
@@ -448,7 +447,7 @@ func (o Options) backoffWait(attempt int) error {
 }
 
 // runCellGuarded measures one cell, converting panics from anywhere in
-// the run (predictor, observer, source, trainer) into a *PanicError.
+// the run (predictor, source, trainer) into a *PanicError.
 func runCellGuarded(row labeledSpec, b *prog.Benchmark, o Options) (res sim.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -491,7 +490,7 @@ func runBatch(rows []labeledSpec, b *prog.Benchmark, o Options) ([]sim.Result, e
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: training: %w", row.sp, b.Name, err)
 		}
-		p, err := spec.Build(row.sp, td)
+		p, err := o.build(row.sp, td)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", row.sp, b.Name, err)
 		}
@@ -510,14 +509,9 @@ func runBatch(rows []labeledSpec, b *prog.Benchmark, o Options) ([]sim.Result, e
 	// Instrument after every predictor is built and the source is open,
 	// so each cell's Stats span the shared pass, not its neighbours'
 	// training.
-	for i, row := range rows {
-		if o.Telemetry != nil {
-			simOpts[i].Observer, simOpts[i].Telemetry, records[i] = o.Telemetry.instrument(preds[i], o.CondBranches)
-		}
-		if o.cellObserver != nil {
-			if extra := o.cellObserver(row.sp, b); extra != nil {
-				simOpts[i].Observer = telemetry.Multi(simOpts[i].Observer, extra)
-			}
+	if o.Telemetry != nil {
+		for i := range rows {
+			simOpts[i].Telemetry, records[i] = o.Telemetry.instrument(preds[i], o.CondBranches)
 		}
 	}
 	results, err := sim.RunMany(preds, src, simOpts)

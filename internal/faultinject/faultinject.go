@@ -1,14 +1,13 @@
 // Package faultinject provides composable fault-injection wrappers for
 // chaos-testing the simulation pipeline: trace sources that error, end
-// early, stall or panic at chosen points, observers that panic mid-run,
-// and source openers that fail transiently. Every injector is
-// deterministic — faults fire at exact event counts, never randomly —
-// so a chaos test that provokes a failure reproduces it on every run.
+// early, stall or panic at chosen points, and source openers that fail
+// transiently. Every injector is deterministic — faults fire at exact
+// event counts, never randomly — so a chaos test that provokes a failure
+// reproduces it on every run.
 //
-// The wrappers implement the same interfaces the real pipeline uses
-// (trace.Source, telemetry.Observer), so they drop into any seam that
-// accepts one: sim.Run, trace.CaptureCache.Capture, or the experiment
-// harness's source hooks.
+// The wrappers implement the interface the real pipeline reads
+// (trace.Source), so they drop into any seam that accepts one: sim.Run,
+// trace.CaptureCache.Capture, or the experiment harness's source hooks.
 package faultinject
 
 import (
@@ -17,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"twolevel/internal/telemetry"
 	"twolevel/internal/trace"
 )
 
@@ -132,45 +130,6 @@ func (s *PanicSource) Next() (trace.Event, error) {
 	}
 	s.seen++
 	return s.Src.Next()
-}
-
-// PanicObserver panics on the After-th resolved branch — a buggy
-// telemetry consumer crashing inside the hot loop, the worst-placed
-// failure the pipeline must contain.
-type PanicObserver struct {
-	telemetry.NopObserver
-	// After is the 1-based resolution count that triggers the panic.
-	After uint64
-	// Msg is the panic value.
-	Msg string
-
-	resolved uint64
-}
-
-// OnResolve implements telemetry.Observer.
-func (o *PanicObserver) OnResolve(b trace.Branch, predicted, correct bool) {
-	if o.resolved++; o.resolved >= o.After {
-		panic(o.Msg)
-	}
-}
-
-// FuncObserver calls Fn on every resolved branch — the hook chaos tests
-// use to trigger actions (cancel a context, count progress) at an exact,
-// reproducible point mid-run.
-type FuncObserver struct {
-	telemetry.NopObserver
-	// Fn receives the 1-based resolution count.
-	Fn func(resolved uint64)
-
-	resolved uint64
-}
-
-// OnResolve implements telemetry.Observer.
-func (o *FuncObserver) OnResolve(b trace.Branch, predicted, correct bool) {
-	o.resolved++
-	if o.Fn != nil {
-		o.Fn(o.resolved)
-	}
 }
 
 // CtxAfter is a deterministic countdown context: the first N Err polls

@@ -95,29 +95,6 @@ func TestPanicSource(t *testing.T) {
 	t.Fatal("no panic")
 }
 
-func TestPanicObserver(t *testing.T) {
-	obs := &PanicObserver{After: 2, Msg: "observer bug"}
-	obs.OnResolve(trace.Branch{}, true, true)
-	defer func() {
-		if v := recover(); v != "observer bug" {
-			t.Fatalf("recovered %v", v)
-		}
-	}()
-	obs.OnResolve(trace.Branch{}, true, true)
-	t.Fatal("no panic")
-}
-
-func TestFuncObserverCounts(t *testing.T) {
-	var got []uint64
-	obs := &FuncObserver{Fn: func(n uint64) { got = append(got, n) }}
-	for i := 0; i < 3; i++ {
-		obs.OnResolve(trace.Branch{}, false, false)
-	}
-	if len(got) != 3 || got[2] != 3 {
-		t.Fatalf("counts = %v", got)
-	}
-}
-
 func TestFlakyOpener(t *testing.T) {
 	unavailable := errors.New("unavailable")
 	opens := 0

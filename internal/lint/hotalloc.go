@@ -16,9 +16,11 @@ import (
 // snapshot walk plan* and the telemetry fold fold*) and in the flat
 // state package whose step functions those loops call
 // (Lookup*/alloc*/Flush), and flags, inside natural loops only, the
-// constructs that heap-allocate or can: make/new/append, composite
-// literals, map inserts, closures, string↔[]byte/[]rune conversions,
-// fmt formatting, and implicit interface boxing. Calls from a hot loop
+// constructs that heap-allocate or can: make/new/append, &T{…} and
+// slice or map literals, map inserts, closures, string↔[]byte/[]rune
+// conversions, fmt formatting, and implicit interface boxing. A struct
+// or array value literal is a plain value and passes unless it is boxed
+// into an interface. Calls from a hot loop
 // to a same-package helper are checked one level deep: the call is
 // flagged if the helper's body contains an allocation site that does
 // not carry its own //lint:allow hotalloc justification (amortised
@@ -94,57 +96,70 @@ func (h *hotAllocPass) scanNode(node ast.Node, fn string, diags *[]Diagnostic) {
 				"(BenchmarkKernelVsRunner guards this throughput)", what, fn),
 		})
 	}
-	walkLeaf(node, func(n ast.Node) bool {
+	walkLeaf(node, func(n ast.Node) bool { // walkLeaf prunes closure bodies itself
+		h.allocations(n, report)
 		switch n := n.(type) {
-		case *ast.FuncLit:
-			report(n.Pos(), "closure creation (heap-allocates the captured environment)")
-			return true // walkLeaf prunes the body itself
-		case *ast.CompositeLit:
-			report(n.Pos(), "composite literal allocation")
-			return false
 		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-					if t := h.pass.TypesInfo.TypeOf(idx.X); t != nil {
-						if _, isMap := t.Underlying().(*types.Map); isMap {
-							report(idx.Pos(), "map insert (may grow the table)")
-						}
-					}
-				}
-			}
 			h.checkBoxingAssign(n, report)
-			return true
 		case *ast.CallExpr:
-			return h.scanCall(n, report)
+			h.scanCall(n, report)
 		}
 		return true
 	})
 }
 
-// scanCall classifies one call inside a hot loop; the return value
-// feeds walkLeaf's pruning (false = don't descend into arguments,
-// used when the whole call was already reported).
-func (h *hotAllocPass) scanCall(call *ast.CallExpr, report func(token.Pos, string)) bool {
-	// Builtins.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		switch id.Name {
-		case "make":
-			if _, isBuiltin := h.pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-				report(call.Pos(), "make allocation")
-				return false
+// allocations reports the allocation construct node n is, if any,
+// without descending into it: a closure, an &T{…} or slice or map
+// literal, a map insert, or a make/new/append call. Struct and array
+// value literals are plain values; they allocate only when boxed into
+// an interface, which scanNode's boxing checks catch.
+func (h *hotAllocPass) allocations(n ast.Node, report func(token.Pos, string)) {
+	switch n := n.(type) {
+	case *ast.FuncLit:
+		report(n.Pos(), "closure creation (heap-allocates the captured environment)")
+	case *ast.UnaryExpr:
+		if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok && n.Op == token.AND {
+			report(n.Pos(), "composite literal allocation (&T{…} escapes to the heap)")
+		}
+	case *ast.CompositeLit:
+		if t := h.pass.TypesInfo.TypeOf(n); t != nil {
+			switch t.Underlying().(type) {
+			case *types.Slice:
+				report(n.Pos(), "slice literal allocation")
+			case *types.Map:
+				report(n.Pos(), "map literal allocation")
 			}
-		case "new":
-			if _, isBuiltin := h.pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-				report(call.Pos(), "new allocation")
-				return false
+		}
+	case *ast.AssignStmt:
+		for _, lhs := range n.Lhs {
+			if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+				if t := h.pass.TypesInfo.TypeOf(idx.X); t != nil {
+					if _, isMap := t.Underlying().(*types.Map); isMap {
+						report(idx.Pos(), "map insert (may grow the table)")
+					}
+				}
 			}
-		case "append":
+		}
+	case *ast.CallExpr:
+		if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
 			if _, isBuiltin := h.pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-				report(call.Pos(), "append (may grow the backing array)")
-				return true // arguments may allocate too
+				switch id.Name {
+				case "make":
+					report(n.Pos(), "make allocation")
+				case "new":
+					report(n.Pos(), "new allocation")
+				case "append":
+					report(n.Pos(), "append (may grow the backing array)")
+				}
 			}
 		}
 	}
+}
+
+// scanCall checks one call inside a hot loop for the allocations its
+// context decides: copying conversions, fmt formatting, boxed arguments
+// and, one level deep, allocating same-package helpers.
+func (h *hotAllocPass) scanCall(call *ast.CallExpr, report func(token.Pos, string)) {
 	// Conversions: string ↔ []byte/[]rune copies the data.
 	if tv, ok := h.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		dst := tv.Type
@@ -154,12 +169,12 @@ func (h *hotAllocPass) scanCall(call *ast.CallExpr, report func(token.Pos, strin
 				types.TypeString(dst, types.RelativeTo(h.pass.Pkg)),
 				types.TypeString(src, types.RelativeTo(h.pass.Pkg))))
 		}
-		return true
+		return
 	}
 	fn := funcObj(h.pass.TypesInfo, call)
 	if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
 		report(call.Pos(), "fmt."+fn.Name()+" call (formats through interfaces and allocates)")
-		return true
+		return
 	}
 	h.checkBoxingCall(call, report)
 	// One level of same-package helper checking.
@@ -170,7 +185,6 @@ func (h *hotAllocPass) scanCall(call *ast.CallExpr, report func(token.Pos, strin
 				fn.Name(), p.Filename[lastSlash(p.Filename)+1:], p.Line))
 		}
 	}
-	return true
 }
 
 // calleeAllocs returns the unjustified allocation sites in a
@@ -187,40 +201,14 @@ func (h *hotAllocPass) calleeAllocs(fn *types.Func) []token.Pos {
 		return nil
 	}
 	var sites []token.Pos
-	add := func(pos token.Pos) {
-		if !h.pass.Allowed("hotalloc", pos) {
-			sites = append(sites, pos)
-		}
-	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			add(n.Pos())
-			return false
-		case *ast.CompositeLit:
-			add(n.Pos())
-			return false
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
-					if t := h.pass.TypesInfo.TypeOf(idx.X); t != nil {
-						if _, isMap := t.Underlying().(*types.Map); isMap {
-							add(idx.Pos())
-						}
-					}
-				}
+		h.allocations(n, func(pos token.Pos, _ string) {
+			if !h.pass.Allowed("hotalloc", pos) {
+				sites = append(sites, pos)
 			}
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if _, isBuiltin := h.pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-					switch id.Name {
-					case "make", "new", "append":
-						add(n.Pos())
-					}
-				}
-			}
-		}
-		return true
+		})
+		_, closure := n.(*ast.FuncLit)
+		return !closure
 	})
 	h.callee[fn] = sites
 	return sites

@@ -36,6 +36,12 @@ func (k *kernel) runReplay(pcs []uint32) int {
 		buf := make([]byte, 4)                // want "make allocation"
 		p := new(event)                       // want "new allocation"
 		e := &event{pc: pc}                   // want "composite literal allocation"
+		ps := []uint32{pc}                    // want "slice literal allocation"
+		pm := map[uint32]int{pc: i}           // want "map literal allocation"
+		ev := event{pc: pc}                   // clean: a struct value in a local
+		evs[i] = event{pc: pc}                // clean: a struct value stored to a slice element
+		pair := [2]uint32{pc, pc}             // clean: an array value
+		sink(event{pc: pc})                   // want "interface boxing of argument"
 		fn := func() {}                       // want "closure creation"
 		k.preds = append(k.preds, uint64(pc)) // want "append"
 		k.pcm[pc] = uint64(i)                 // want "map insert"
@@ -46,12 +52,23 @@ func (k *kernel) runReplay(pcs []uint32) int {
 		v = pc            // want "interface boxing in assignment"
 		k.grow()          // want "call to grow, which allocates"
 		k.growJustified() // clean: the callee's site is annotated
+		k.store(i, pc)    // clean: the callee stores a value literal
 		k.pcm[pc] = 0     //lint:allow hotalloc fixture-sanctioned amortised insert
 		_, _, _, _, _, _, _ = buf, p, e, fn, name, msg, v
+		_, _, _, _ = ps, pm, ev, pair
 		correct++
 	}
 	_ = scratch
 	return correct
+}
+
+// evs receives struct values from the loops above.
+var evs []event
+
+// store is a cold helper storing a struct value literal, which does not
+// allocate: calls from hot loops are clean.
+func (k *kernel) store(i int, pc uint32) {
+	evs[i] = event{pc: pc}
 }
 
 // flushTap is hot by prefix: the Tap-twin flush loops are covered too.

@@ -411,8 +411,31 @@ func (p *TwoLevel) Update(b trace.Branch, predicted bool) {
 	if p.cfg.SpeculativeHistory && p.specUpdate(b) {
 		return
 	}
+	p.train(b, p.slot(b.PC, false))
+}
+
+// Step is Predict then Update (without speculative history) with one
+// BHT lookup, which advances the LRU clock by flat.BranchTouches as the
+// two calls do. It returns the prediction and the pattern index used.
+func (p *TwoLevel) Step(b trace.Branch) (pred bool, pat uint32) {
 	st := &p.st
-	j := p.slot(b.PC, false)
+	j := -1
+	switch st.BHT {
+	case flat.CacheBHT:
+		j = st.LookupCache(&st.Clock, b.PC, flat.BranchTouches)
+	case flat.IdealBHT:
+		j = st.LookupIdeal(&st.Clock, b.PC)
+	}
+	states, _ := st.Tables(b.PC, j)
+	pat = *st.History(b.PC, j) & st.HistMask
+	pred = st.Taken(states[pat])
+	p.train(b, j)
+	return pred, pat
+}
+
+// train resolves b at BHT slot j (-1 without a BHT): the Update step.
+func (p *TwoLevel) train(b trace.Branch, j int) {
+	st := &p.st
 	states, touched := st.Tables(b.PC, j)
 	r := st.History(b.PC, j)
 	o := bit(b.Taken)

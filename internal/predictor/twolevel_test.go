@@ -389,3 +389,45 @@ func BenchmarkPApPredictUpdate(b *testing.B) {
 		p.Update(br, pred)
 	}
 }
+
+// TestStepMatchesPredictUpdate: Step's single lookup leaves the
+// predictor exactly as Predict then Update do — LRU stamps and miss
+// counters included — and predicts from the same pattern entry, on the
+// practical and the Ideal BHT, under context switches and capacity
+// pressure (a 16-entry table over 64 branch sites).
+func TestStepMatchesPredictUpdate(t *testing.T) {
+	ideal := func() *TwoLevel {
+		return MustTwoLevel(TwoLevelConfig{Variation: PAg, HistoryBits: 6, Automaton: automaton.A2, Ideal: true})
+	}
+	for name, mk := range map[string]func() *TwoLevel{
+		"GAg":       func() *TwoLevel { return gag(8) },
+		"PAg-cache": func() *TwoLevel { return pag(6, 16, 4) },
+		"PAg-ideal": ideal,
+		"PAp-cache": func() *TwoLevel { return pap(4, 16, 2) },
+	} {
+		stepped, split := mk(), mk()
+		x := uint32(12345)
+		for i := 0; i < 20_000; i++ {
+			x = x*1103515245 + 12345
+			pc := 0x1000 + 4*(x>>16%64)
+			b := trace.Branch{PC: pc, Target: pc + 64, Class: trace.Cond, Taken: x>>8%3 != 0}
+			if i%997 == 0 {
+				stepped.ContextSwitch()
+				split.ContextSwitch()
+			}
+			masked := b
+			masked.Taken = false
+			want := split.Predict(masked)
+			st := split.State()
+			pat := *st.History(pc, st.Peek(pc)) & st.HistMask
+			split.Update(b, want)
+			got, gotPat := stepped.Step(b)
+			if got != want || gotPat != pat {
+				t.Fatalf("%s branch %d: Step = (%v, %d), Predict/Update = (%v, %d)", name, i, got, gotPat, want, pat)
+			}
+		}
+		if !reflect.DeepEqual(stepped.State(), split.State()) {
+			t.Errorf("%s: Step left a different state than Predict then Update", name)
+		}
+	}
+}

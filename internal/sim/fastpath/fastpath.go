@@ -87,6 +87,10 @@ type Config struct {
 	// split of the per-PC profile (0 = attribute every miss to steady
 	// state, matching Forensics with an unknown budget).
 	Warmup uint64
+	// Log, when set, keeps the resolved branches' PCs, outcomes and
+	// mispredict bits for Tap.Forensics even when nothing else is
+	// folded.
+	Log bool
 }
 
 // Counters mirrors sim.Result for the depth-0 base model (Repredictions

@@ -413,14 +413,15 @@ func (p *Plan) site(pc uint32, j int) int32 {
 }
 
 // push appends one resolved conditional branch to an owned log: the
-// interpretive runner's feed of a Tap, which records only what the
-// per-PC profile reads.
+// interpretive runner's feed of a Tap, which records what the per-PC
+// profile and Tap.Forensics read.
 func (p *Plan) push(pc uint32, taken bool) {
 	var o uint8
 	if taken {
 		o = 1
 	}
 	p.ids = append(p.ids, p.site(pc, len(p.outs)))
+	p.pcs = append(p.pcs, pc)
 	p.outs = append(p.outs, o)
 }
 

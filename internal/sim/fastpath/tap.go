@@ -2,15 +2,16 @@ package fastpath
 
 // Run telemetry: a Tap folds the interval accuracy series and the per-PC
 // mispredict profile out of a replay's mispredict bitset, one bit per
-// resolved conditional branch. A kernel replay hands the Tap its plan —
+// resolved conditional branch, and feeds a telemetry.Forensics the
+// resolved branches in order. A kernel replay hands the Tap its plan —
 // whose columns hold every branch's PC and outcome — and the bitset its
 // loops stored; the loops themselves do no telemetry work at all. The
 // interpretive runner feeds the same bitset through the exported Resolve
 // and Switch, plus a small log of PCs and outcomes the Tap owns, so both
 // replay engines share one implementation. Nothing is folded until
-// Telemetry is called: the series is a popcount per interval, the
-// profile a walk over the set bits only, so a profile costs work per
-// misprediction, not per branch.
+// Telemetry or Forensics is called: the series is a popcount per
+// interval, the profile a walk over the set bits only, so a profile
+// costs work per misprediction, not per branch.
 
 import (
 	"container/heap"
@@ -24,6 +25,7 @@ type Tap struct {
 	every  uint64 // interval size in resolved branches (0 = no series)
 	warmup uint64 // resolutions attributed to warmup (0 = no split)
 	topk   int    // per-PC profile rows to report (0 = no profile)
+	logged bool   // Resolve appends to the log (a profile or Config.Log)
 
 	recordSwitches bool
 	switches       []uint64 // resolution index at each context switch
@@ -36,17 +38,18 @@ type Tap struct {
 	n    int      // resolved conditional branches
 }
 
-// NewTap returns the accumulator cfg's Interval, TopPCs and Warmup ask
-// for, or nil when telemetry is off entirely. Context switches are
+// NewTap returns the accumulator cfg's Interval, TopPCs, Warmup and Log
+// ask for, or nil when telemetry is off entirely. Context switches are
 // recorded only alongside an interval series.
 func NewTap(cfg Config) *Tap {
-	if cfg.Interval == 0 && cfg.TopPCs <= 0 {
+	if cfg.Interval == 0 && cfg.TopPCs <= 0 && !cfg.Log {
 		return nil
 	}
 	return &Tap{
 		every:          cfg.Interval,
 		warmup:         cfg.Warmup,
 		topk:           cfg.TopPCs,
+		logged:         cfg.TopPCs > 0 || cfg.Log,
 		recordSwitches: cfg.Interval > 0,
 	}
 }
@@ -62,7 +65,7 @@ func (t *Tap) Resolve(pc uint32, taken, correct bool) {
 	if !correct {
 		t.miss[t.n>>6] |= 1 << (t.n & 63)
 	}
-	if t.topk > 0 {
+	if t.logged {
 		t.ownLog().push(pc, taken)
 	}
 	t.n++
@@ -125,18 +128,34 @@ func (k *Kernel) Tap() *Tap { return k.tap }
 
 // Telemetry materialises the tap's outputs: the interval accuracy series
 // (bit-identical to telemetry.IntervalSeries over the same run), the
-// context-switch resolution indices, and the top-K per-PC mispredict
-// profile ordered like telemetry.HotBranches.Report (mispredicts
-// descending, PC ascending). Each is nil when its mode was off.
-func (t *Tap) Telemetry() ([]telemetry.Sample, []uint64, []telemetry.PCStats) {
+// context-switch resolution indices, the top-K per-PC mispredict profile
+// ordered like telemetry.HotBranches.Report (mispredicts descending, PC
+// ascending) and the number of branch sites it ranked. Each is nil or 0
+// when its mode was off.
+func (t *Tap) Telemetry() ([]telemetry.Sample, []uint64, []telemetry.PCStats, int) {
 	if t == nil {
-		return nil, nil, nil
+		return nil, nil, nil, 0
 	}
 	var profile []telemetry.PCStats
+	var sites int
 	if t.topk > 0 {
-		profile = foldProfile(t.log, t.miss, t.n, t.topk, t.warmup)
+		profile, sites = foldProfile(t.log, t.miss, t.n, t.topk, t.warmup)
 	}
-	return foldSamples(t.miss, t.n, t.every), t.switches, profile
+	return foldSamples(t.miss, t.n, t.every), t.switches, profile, sites
+}
+
+// Forensics feeds f every resolved branch in resolution order: its PC,
+// outcome and whether it was predicted correctly, which is all Forensics
+// reads. The Tap must log (a profile or Config.Log), and a kernel's plan
+// must still be live.
+func (t *Tap) Forensics(f *telemetry.Forensics) {
+	if t == nil || t.log == nil {
+		return
+	}
+	outs := t.log.outs[:t.n]
+	for j, pc := range t.log.pcs[:t.n] {
+		f.Resolve(pc, outs[j] != 0, t.miss[j>>6]>>(j&63)&1 == 0)
+	}
 }
 
 // foldSamples cuts branches [0, n) into intervals of every and counts
@@ -151,9 +170,10 @@ func foldSamples(miss []uint64, n int, every uint64) []telemetry.Sample {
 		hi := lo + min(every, uint64(n)-lo)
 		preds := hi - lo
 		correct := preds - onesIn(miss, int(lo), int(hi))
-		sm := &samples[i]
-		sm.Branches, sm.Predictions, sm.Correct = hi, preds, correct
-		sm.Accuracy = float64(correct) / float64(preds)
+		samples[i] = telemetry.Sample{
+			Branches: hi, Predictions: preds, Correct: correct,
+			Accuracy: float64(correct) / float64(preds),
+		}
 	}
 	return samples
 }
@@ -215,8 +235,8 @@ func foldMisses(rows []pcTap, ids []int32, miss []uint64, warmup uint64) {
 
 // foldProfile ranks the rows and materialises the topk reported ones,
 // taking their executions and taken counts from the log's per-site
-// profile.
-func foldProfile(log *Plan, miss []uint64, n, topk int, warmup uint64) []telemetry.PCStats {
+// profile. It also returns the number of rows ranked.
+func foldProfile(log *Plan, miss []uint64, n, topk int, warmup uint64) ([]telemetry.PCStats, int) {
 	rows := profileRows(log, miss, n, warmup)
 	var misses uint64
 	for i := range rows {
@@ -225,7 +245,7 @@ func foldProfile(log *Plan, miss []uint64, n, topk int, warmup uint64) []telemet
 	order := top(rows, topk)
 	profile := make([]telemetry.PCStats, len(order))
 	if len(order) == 0 {
-		return profile
+		return profile, len(rows)
 	}
 	sc := log.siteCounts(n)
 	for i, id := range order {
@@ -239,7 +259,7 @@ func foldProfile(log *Plan, miss []uint64, n, topk int, warmup uint64) []telemet
 			row.MissShare = float64(r.miss) / float64(misses)
 		}
 	}
-	return profile
+	return profile, len(rows)
 }
 
 // before reports whether row a precedes row b in the profile order:

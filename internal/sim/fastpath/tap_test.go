@@ -66,7 +66,6 @@ func logOf(evs []tapEvent) (*Plan, []uint64, []int32) {
 		if !e.ok {
 			miss[j>>6] |= 1 << (j & 63)
 		}
-		p.pcs = append(p.pcs, e.pc)
 		p.push(e.pc, e.taken)
 	}
 	return p, miss, switches
@@ -111,19 +110,31 @@ func TestTapForkAbsorbMatchesSerial(t *testing.T) {
 		kernel := NewTap(cfg)
 		kernel.bind(plan, merged, len(plan.pcs), switches)
 
-		ws, wsw, wp := serial.Telemetry()
-		gs, gsw, gp := kernel.Telemetry()
+		ws, wsw, wp, wn := serial.Telemetry()
+		gs, gsw, gp, gn := kernel.Telemetry()
 		if !reflect.DeepEqual(gs, ws) {
 			t.Errorf("%+v: merged samples differ from serial:\n got %+v\nwant %+v", cfg, gs, ws)
 		}
 		if !reflect.DeepEqual(gsw, wsw) {
 			t.Errorf("%+v: merged switches %v, serial %v", cfg, gsw, wsw)
 		}
+		if gn != wn {
+			t.Errorf("%+v: merged profile ranked %d sites, serial %d", cfg, gn, wn)
+		}
 		if !reflect.DeepEqual(gp, wp) {
 			t.Errorf("%+v: merged profile differs from serial:\n got %+v\nwant %+v", cfg, gp, wp)
 		}
 		if cfg.TopPCs > 0 && len(wp) == 0 {
 			t.Errorf("%+v: serial profile is empty", cfg)
+		}
+		if cfg.TopPCs > 0 {
+			wf := telemetry.NewForensics(telemetry.ForensicsConfig{Budget: 6000})
+			gf := telemetry.NewForensics(telemetry.ForensicsConfig{Budget: 6000})
+			serial.Forensics(wf)
+			kernel.Forensics(gf)
+			if !reflect.DeepEqual(gf.Report(), wf.Report()) {
+				t.Errorf("%+v: merged forensics differ from serial", cfg)
+			}
 		}
 	}
 }
@@ -139,7 +150,7 @@ func TestTapIntervalBins(t *testing.T) {
 		tap.Resolve(0x100, true, i%2 == 0)
 	}
 	tap.Resolve(0x100, true, true)
-	samples, _, _ := tap.Telemetry()
+	samples, _, _, _ := tap.Telemetry()
 	want := []telemetry.Sample{
 		{Branches: 4, Predictions: 4, Correct: 2, Accuracy: 0.5},
 		{Branches: 8, Predictions: 4, Correct: 2, Accuracy: 0.5},
@@ -153,7 +164,7 @@ func TestTapIntervalBins(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		every1.Resolve(0x100, false, true)
 	}
-	if samples, _, _ := every1.Telemetry(); len(samples) != 3 || samples[2].Branches != 3 {
+	if samples, _, _, _ := every1.Telemetry(); len(samples) != 3 || samples[2].Branches != 3 {
 		t.Errorf("every=1 samples = %+v, want 3 one-branch bins", samples)
 	}
 
@@ -167,7 +178,7 @@ func TestTapIntervalBins(t *testing.T) {
 	bound := NewTap(Config{Interval: 50})
 	bound.bind(plan, miss, 150, nil) // a replay stopped at branch 150
 	bound.bind(plan, miss, 50, []int32{0, 50})
-	samples, switches, _ := bound.Telemetry()
+	samples, switches, _, _ := bound.Telemetry()
 	var wantMiss []uint64
 	for lo := 0; lo < 200; lo += 50 {
 		var m uint64
@@ -211,7 +222,7 @@ func TestTapTelemetryTieOrder(t *testing.T) {
 		}
 		tap.Resolve(pc, false, true)
 	}
-	_, _, profile := tap.Telemetry()
+	_, _, profile, _ := tap.Telemetry()
 	var got []uint32
 	for _, row := range profile {
 		got = append(got, row.PC)

@@ -130,6 +130,7 @@ func fastpathConfig(opts Options) fastpath.Config {
 		if t.TopK > 0 {
 			cfg.Warmup = warmupBoundary(opts.MaxCondBranches)
 		}
+		cfg.Log = t.Forensics != nil
 	}
 	return cfg
 }

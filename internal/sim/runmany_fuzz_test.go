@@ -8,6 +8,7 @@ import (
 	"twolevel/internal/predictor"
 	"twolevel/internal/rng"
 	"twolevel/internal/sim/fastpath"
+	"twolevel/internal/telemetry"
 	"twolevel/internal/trace"
 )
 
@@ -50,11 +51,14 @@ func fuzzSnapshot(r *rng.RNG) trace.Snapshot {
 type fuzzCell struct {
 	spec string
 	opts Options
+	// forensics, when non-nil, configures the Forensics the cell's sink
+	// carries.
+	forensics *telemetry.ForensicsConfig
 }
 
 // drawFuzzCell draws a kernelEquivSpecs entry and the options of one
 // batch cell: budget, context-switch mode and quantum, telemetry
-// interval and top-K, and one or two shards.
+// interval, top-K and forensics, and one or two shards.
 func drawFuzzCell(r *rng.RNG, conds int) fuzzCell {
 	c := fuzzCell{spec: kernelEquivSpecs[r.Intn(len(kernelEquivSpecs))]}
 	if r.Intn(3) == 0 {
@@ -72,24 +76,38 @@ func drawFuzzCell(r *rng.RNG, conds int) fuzzCell {
 		if r.Intn(3) != 0 {
 			c.opts.Telemetry.TopK = 1 + r.Intn(10)
 		}
+		if r.Intn(2) == 0 {
+			c.forensics = &telemetry.ForensicsConfig{
+				TopK:         1 + r.Intn(10),
+				HistoryBits:  1 + r.Intn(12),
+				RecorderSize: 4 + r.Intn(60),
+				Budget:       c.opts.MaxCondBranches,
+			}
+		}
 	}
 	c.opts.Shards = 1 + r.Intn(2)
 	return c
 }
 
-// sinkOf returns a fresh sink asking for what t asks for, or nil.
-func sinkOf(t *Telemetry) *Telemetry {
+// sink returns a fresh sink asking for what the cell asks for, or nil.
+func (c fuzzCell) sink() *Telemetry {
+	t := c.opts.Telemetry
 	if t == nil {
 		return nil
 	}
-	return &Telemetry{Interval: t.Interval, TopK: t.TopK}
+	s := &Telemetry{Interval: t.Interval, TopK: t.TopK}
+	if c.forensics != nil {
+		s.Forensics = telemetry.NewForensics(*c.forensics)
+	}
+	return s
 }
 
 // FuzzRunManyVsRunner checks plan sharing differentially: a batch of 2–5
 // kernel cells drawn from seed, with per-cell budgets, context-switch
 // schedules, telemetry and shard counts, replays one shared plan in
 // RunMany; every cell's Result, final predictor state and Telemetry sink
-// must equal the same cell run alone on the interpretive runner, and the
+// (its Forensics included) must equal the same cell run alone on the
+// interpretive runner, and the
 // reader must end where the furthest of those runs ends. One cell is
 // also replayed by a bare kernel through RunTo, split into legs at
 // random event indices, which must land in the same place.
@@ -123,7 +141,7 @@ func FuzzRunManyVsRunner(f *testing.F) {
 		for _, c := range cells {
 			slowOpts := c.opts
 			slowOpts.DisableFastpath = true
-			slowOpts.Telemetry = sinkOf(c.opts.Telemetry)
+			slowOpts.Telemetry = c.sink()
 			slowP := buildEquivSpec(t, c.spec, snap)
 			src := snap.Reader()
 			res, err := Run(slowP, src, slowOpts)
@@ -135,7 +153,7 @@ func FuzzRunManyVsRunner(f *testing.F) {
 			furthest = max(furthest, src.Pos())
 
 			o := c.opts
-			o.Telemetry = sinkOf(c.opts.Telemetry)
+			o.Telemetry = c.sink()
 			p := buildEquivSpec(t, c.spec, snap)
 			if !FastpathEligible(p, snap.Reader(), o) {
 				t.Fatalf("%s: kernel declined", c.spec)
@@ -169,7 +187,7 @@ func FuzzRunManyVsRunner(f *testing.F) {
 		c := cells[ci]
 		p := buildEquivSpec(t, c.spec, snap)
 		o := c.opts
-		o.Telemetry = sinkOf(c.opts.Telemetry)
+		o.Telemetry = c.sink()
 		k, ok := fastpath.New(p, fastpathConfig(o))
 		if !ok {
 			t.Fatalf("%s: fastpath.New declined", c.spec)

@@ -77,12 +77,13 @@ type Options struct {
 	// bit-identical to the serial kernel. Ignored on the interpretive
 	// path.
 	Shards int
-	// Telemetry, when non-nil, requests the interval accuracy series
-	// and per-PC mispredict profile. Unlike Observer it does not cost
-	// fastpath eligibility: the flat kernel folds them from its
-	// mispredict bits after the run, and the interpretive runner feeds
-	// the same fastpath.Tap when the kernel declines the run. Outputs
-	// land in the sink when the run returns; a sink is single-use.
+	// Telemetry, when non-nil, requests the interval accuracy series,
+	// the per-PC mispredict profile and a forensics report. Unlike
+	// Observer it does not cost fastpath eligibility: the flat kernel
+	// folds them from its mispredict bits after the run, and the
+	// interpretive runner feeds the same fastpath.Tap when the kernel
+	// declines the run. Outputs land in the sink when the run returns;
+	// a sink is single-use.
 	Telemetry *Telemetry
 }
 

@@ -1,10 +1,15 @@
 package sim
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"twolevel/internal/faultinject"
 	"twolevel/internal/predictor"
+	"twolevel/internal/sim/fastpath"
 	"twolevel/internal/spec"
 	"twolevel/internal/telemetry"
 	"twolevel/internal/trace"
@@ -84,6 +89,10 @@ func TestKernelTelemetryMatchesIntervalSeries(t *testing.T) {
 					s, os.name, sink.Switches, iv.Switches())
 			}
 			hotRef := hot.Report()
+			if sink.StaticBranches != hot.StaticBranches() {
+				t.Errorf("%s/%s: sink counts %d static branches, HotBranches %d",
+					s, os.name, sink.StaticBranches, hot.StaticBranches())
+			}
 			if len(sink.TopMispredicted) != len(hotRef) {
 				t.Errorf("%s/%s: profile has %d rows, HotBranches %d",
 					s, os.name, len(sink.TopMispredicted), len(hotRef))
@@ -188,5 +197,119 @@ func TestRunManyTelemetry(t *testing.T) {
 			t.Errorf("cell %d (%s): batched sink differs from serial:\n got %+v\nwant %+v",
 				i, cells[i].spec, opts[i].Telemetry, want[i])
 		}
+	}
+}
+
+// foldForensics returns the Forensics the fold oracle compares: a short
+// shadow history and recorder, so bursts are snapshotted on every spec.
+func foldForensics(budget uint64) *telemetry.Forensics {
+	return telemetry.NewForensics(telemetry.ForensicsConfig{
+		TopK: 6, HistoryBits: 6, RecorderSize: 16, Budget: budget,
+	})
+}
+
+// observedForensics replays spec s over src on the interpretive runner
+// with a Forensics attached as an Observer and returns its report.
+func observedForensics(t *testing.T, s string, snap trace.Snapshot, src trace.Source, opts Options) telemetry.ForensicsReport {
+	t.Helper()
+	fo := foldForensics(opts.MaxCondBranches)
+	opts.DisableFastpath, opts.Shards, opts.Observer = true, 0, fo
+	if _, err := Run(buildEquivSpec(t, s, snap), src, opts); err != nil {
+		t.Fatalf("%s observed: %v", s, err)
+	}
+	return fo.Report()
+}
+
+// TestForensicsFoldMatchesObserver is the oracle of the forensics fold:
+// for every flattenable spec, the report of a Telemetry sink's Forensics,
+// fed from the replay's resolved-branch log, deep-equals the report of a
+// Forensics attached as an Observer to the interpretive runner — on the
+// serial and the sharded kernel, the pipelined runner, a RunMany batch,
+// a kernel resumed by RunTo legs, and a cancelled kernel run (against
+// the runner over the prefix it consumed).
+func TestForensicsFoldMatchesObserver(t *testing.T) {
+	snap := kernelSnapshot(24_000)
+	conds := uint64(0)
+	for i := 0; i < snap.Len(); i++ {
+		if e := snap.At(i); !e.Trap && e.Branch.Class == trace.Cond {
+			conds++
+		}
+	}
+	sinkFor := func(o Options) *Telemetry { return &Telemetry{Forensics: foldForensics(o.MaxCondBranches)} }
+	for _, s := range kernelEquivSpecs {
+		check := func(arm string, sink *Telemetry, want telemetry.ForensicsReport) {
+			t.Helper()
+			got := sink.Forensics.Report()
+			if got.Resolutions == 0 || len(got.Snapshots) == 0 {
+				t.Errorf("%s/%s: folded report is empty: %d resolutions, %d snapshots",
+					s, arm, got.Resolutions, len(got.Snapshots))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: folded forensics differ from the observer's:\n got %+v\nwant %+v", s, arm, got, want)
+			}
+		}
+
+		for _, arm := range []struct {
+			name   string
+			opts   Options
+			kernel bool
+		}{
+			{"serial", Options{ContextSwitches: true, CSInterval: 1009, MaxCondBranches: conds / 2}, true},
+			{"sharded", Options{Shards: 4}, true},
+			{"pipelined", Options{PipelineDepth: 4}, false},
+		} {
+			o := arm.opts
+			o.Telemetry = sinkFor(o)
+			p := buildEquivSpec(t, s, snap)
+			if FastpathEligible(p, snap.Reader(), o) != arm.kernel {
+				t.Fatalf("%s/%s: kernel eligibility is not %v", s, arm.name, arm.kernel)
+			}
+			if _, err := Run(p, snap.Reader(), o); err != nil {
+				t.Fatalf("%s/%s: %v", s, arm.name, err)
+			}
+			check(arm.name, o.Telemetry, observedForensics(t, s, snap, snap.Reader(), arm.opts))
+		}
+
+		// A RunMany batch: two kernel cells of the spec share one plan.
+		batch := []Options{{}, {ContextSwitches: true, CSInterval: 1500, MaxCondBranches: conds / 3}}
+		preds := make([]predictor.Predictor, len(batch))
+		opts := make([]Options, len(batch))
+		for i, o := range batch {
+			preds[i], opts[i] = buildEquivSpec(t, s, snap), o
+			opts[i].Telemetry = sinkFor(o)
+		}
+		if _, err := RunMany(preds, snap.Reader(), opts); err != nil {
+			t.Fatalf("%s/batch: %v", s, err)
+		}
+		for i, o := range batch {
+			check(fmt.Sprintf("batch cell %d", i), opts[i].Telemetry, observedForensics(t, s, snap, snap.Reader(), o))
+		}
+
+		// A bare kernel resumed by RunTo across three legs.
+		legs := Options{}
+		legs.Telemetry = sinkFor(legs)
+		k, ok := fastpath.New(buildEquivSpec(t, s, snap), fastpathConfig(legs))
+		if !ok {
+			t.Fatalf("%s/legs: fastpath.New declined", s)
+		}
+		pos := 0
+		for _, cut := range []int{snap.Len() / 5, snap.Len() / 2, snap.Len()} {
+			if _, _, err := k.RunTo(snap, pos, cut); err != nil {
+				t.Fatalf("%s/legs: %v", s, err)
+			}
+			pos = cut
+		}
+		legs.Telemetry.fill(k.Tap())
+		check("legs", legs.Telemetry, observedForensics(t, s, snap, snap.Reader(), Options{}))
+
+		// A kernel run cancelled at its third poll.
+		cancelled := Options{Context: &faultinject.CtxAfter{N: 2}}
+		cancelled.Telemetry = sinkFor(cancelled)
+		src := snap.Reader()
+		if _, err := Run(buildEquivSpec(t, s, snap), src, cancelled); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s/cancelled: err = %v, want context.Canceled", s, err)
+		}
+		prefix := &faultinject.Truncate{Src: snap.Reader(), N: uint64(src.Pos())}
+		check("cancelled", cancelled.Telemetry, observedForensics(t, s, snap, prefix, Options{}))
 	}
 }

@@ -10,11 +10,11 @@ import (
 )
 
 // Forensics is the mispredict flight recorder and hard-to-predict (H2P)
-// branch profiler: an Observer that, beyond counting misses per static
-// branch, records *why* they happen — the per-history-pattern outcome
-// histograms, shadow automaton-state transitions, warmup-vs-steady miss
-// split and history-register entropy that let a report name the dominant
-// miss pattern of a branch instead of just ranking it.
+// branch profiler: beyond counting misses per static branch, it records
+// *why* they happen — the per-history-pattern outcome histograms, shadow
+// automaton-state transitions, warmup-vs-steady miss split and
+// history-register entropy that let a report name the dominant miss
+// pattern of a branch instead of just ranking it.
 //
 // The shadow model is a PAg-style local history register of HistoryBits
 // bits per static branch feeding one A2 (2-bit saturating counter)
@@ -22,8 +22,10 @@ import (
 // predictor under test: it is a fixed forensic reference, so reports from
 // different schemes over the same trace are directly comparable. Miss
 // counts, by contrast, come from the real run (the correct flag of
-// OnResolve), so the report attributes the predictor's actual misses to
-// the history patterns they occurred under.
+// Resolve), so the report attributes the predictor's actual misses to
+// the history patterns they occurred under. The simulator's telemetry
+// sink feeds one on the replay kernel; as an Observer it is that fold's
+// test oracle.
 //
 // A bounded flight recorder keeps the last RecorderSize resolutions; when
 // mispredictions cluster (a burst: at least BurstThreshold misses inside
@@ -44,13 +46,12 @@ type Forensics struct {
 	misses    uint64
 	pcs       map[uint32]*pcForensics
 	ring      []FlightEvent
-	ringStart uint64 // seq of the oldest ring entry
 	ringMiss  int    // mispredicts currently inside the ring
 	lastSnap  uint64 // seq at the last snapshot (0 = none yet)
 	snapshots []FlightSnapshot
 }
 
-// ForensicsConfig configures a Forensics observer. The zero value selects
+// ForensicsConfig configures a Forensics. The zero value selects
 // the defaults documented per field.
 type ForensicsConfig struct {
 	// TopK bounds the offender list of the report (default 8).
@@ -130,8 +131,16 @@ func NewForensics(cfg ForensicsConfig) *Forensics {
 
 // OnResolve implements Observer.
 func (f *Forensics) OnResolve(b trace.Branch, predicted, correct bool) {
+	f.Resolve(b.PC, b.Taken, correct)
+}
+
+// Resolve records one resolved conditional branch: its PC, outcome and
+// whether it was predicted correctly — all a report depends on, so a
+// Forensics fed from a replay's resolved-branch log reports as one fed
+// by OnResolve.
+func (f *Forensics) Resolve(pc uint32, taken, correct bool) {
 	f.seq++
-	p := f.pcs[b.PC]
+	p := f.pcs[pc]
 	if p == nil {
 		p = &pcForensics{
 			hist:        f.mask | flat.FreshBit,
@@ -139,35 +148,35 @@ func (f *Forensics) OnResolve(b trace.Branch, predicted, correct bool) {
 			states:      make(map[uint32]automaton.State),
 			transitions: make([][2]uint64, f.machine.States()),
 		}
-		f.pcs[b.PC] = p
+		f.pcs[pc] = p
 	}
 	pattern := p.hist & f.mask
-	pc := p.patterns[pattern]
-	if pc == nil {
-		pc = &patternCount{}
-		p.patterns[pattern] = pc
+	pat := p.patterns[pattern]
+	if pat == nil {
+		pat = &patternCount{}
+		p.patterns[pattern] = pat
 	}
 	st, ok := p.states[pattern]
 	if !ok {
 		st = f.machine.Initial()
 	}
 	outcome := uint32(0)
-	if b.Taken {
+	if taken {
 		outcome = 1
 	}
 	p.transitions[st][outcome]++
-	p.states[pattern] = f.machine.Next(st, b.Taken)
+	p.states[pattern] = f.machine.Next(st, taken)
 
 	p.exec++
-	if b.Taken {
+	if taken {
 		p.taken++
-		pc.taken++
+		pat.taken++
 	} else {
-		pc.notTaken++
+		pat.notTaken++
 	}
 	if !correct {
 		p.miss++
-		pc.miss++
+		pat.miss++
 		f.misses++
 		if f.warmupN > 0 && f.seq <= f.warmupN {
 			p.warmupMiss++
@@ -177,9 +186,9 @@ func (f *Forensics) OnResolve(b trace.Branch, predicted, correct bool) {
 
 	f.record(FlightEvent{
 		Seq:       f.seq,
-		PC:        b.PC,
-		Taken:     b.Taken,
-		Predicted: predicted,
+		PC:        pc,
+		Taken:     taken,
+		Predicted: taken == correct,
 		Correct:   correct,
 	})
 }
@@ -192,7 +201,6 @@ func (f *Forensics) record(e FlightEvent) {
 		}
 		copy(f.ring, f.ring[1:])
 		f.ring = f.ring[:len(f.ring)-1]
-		f.ringStart++
 	}
 	f.ring = append(f.ring, e)
 	if !e.Correct {
@@ -314,7 +322,7 @@ type PCForensics struct {
 	Transitions []StateTransition `json:"transitions"`
 }
 
-// ForensicsReport is the per-run product of a Forensics observer.
+// ForensicsReport is the per-run product of a Forensics.
 type ForensicsReport struct {
 	// HistoryBits is the shadow history length the report was built with.
 	HistoryBits int `json:"history_bits"`

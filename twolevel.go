@@ -19,10 +19,10 @@
 //   - Estimate hardware cost with the §3.4 model (EstimateCost).
 //   - Regenerate every table and figure of the paper's evaluation
 //     (RunExperiment, ExperimentIDs).
-//   - Attach telemetry observers to any run (SimOptions.Observer):
-//     hot-branch tables, interval accuracy series and run statistics
-//     (NewHotBranches, NewIntervalSeries, NewRunStats), or collect a
-//     metrics document across experiments (ExperimentTelemetry).
+//   - Collect run telemetry on the replay kernel (SimOptions.Telemetry,
+//     a SimTelemetry sink: interval series, hot branches, forensics;
+//     RunStatsFor), or a metrics document across experiments
+//     (ExperimentTelemetry).
 //
 // # Errors and panics
 //
@@ -103,6 +103,9 @@ type (
 	SimOptions = sim.Options
 	// SimResult aggregates a simulation run.
 	SimResult = sim.Result
+	// SimTelemetry is the SimOptions.Telemetry sink: interval series,
+	// per-PC profile and Forensics, collected on the replay kernel.
+	SimTelemetry = sim.Telemetry
 
 	// Benchmark is one of the nine generated SPEC-like programs.
 	Benchmark = prog.Benchmark
@@ -408,8 +411,9 @@ func NewTwoLevel(cfg TwoLevelConfig) (*predictor.TwoLevel, error) {
 }
 
 // Telemetry vocabulary: observers hook the simulator's event loop
-// (SimOptions.Observer) and collect per-run metrics without touching the
-// nil-observer hot path.
+// (SimOptions.Observer) without touching the nil-observer hot path, at
+// the price of the replay kernel. The SimTelemetry sink collects the
+// same series, profiles and forensics on the kernel.
 type (
 	// Observer receives simulator callbacks for one run: Start/Finish
 	// around the run, OnPredict/OnResolve per conditional branch,
@@ -441,8 +445,9 @@ type (
 
 	// ExperimentTelemetry collects per-run metrics across experiment
 	// runs; attach one to ExperimentOptions.Telemetry. Hot branches,
-	// interval series and stats cost a run no observer, so instrumented
-	// runs stay on the replay kernel; only forensics attaches one.
+	// interval series and forensics ride the SimTelemetry sink and stats
+	// are derived from the result, so instrumented runs stay on the
+	// replay kernel.
 	ExperimentTelemetry = experiments.Telemetry
 	// ExperimentRunMetrics is one instrumented run in a metrics
 	// document.
@@ -472,6 +477,18 @@ func NewIntervalSeries(interval uint64) *IntervalSeries {
 // allocations and predictor occupancy.
 func NewRunStats() *RunStats { return telemetry.NewRunStats() }
 
+// CostStamp is one reading of the clock and the allocation counters.
+type CostStamp = experiments.CostStamp
+
+// ReadCost reads the clock and the allocation counters.
+func ReadCost() CostStamp { return experiments.ReadCost() }
+
+// RunStatsFor builds what a RunStats observer reports for a completed
+// run of p from its result and two cost stamps taken around it.
+func RunStatsFor(res SimResult, p Predictor, from, to CostStamp) RunMetrics {
+	return experiments.RunStats(res, p, from, to)
+}
+
 // MultiObserver fans callbacks out to several observers (nils are
 // dropped; the result is nil when none remain).
 func MultiObserver(obs ...Observer) Observer { return telemetry.Multi(obs...) }
@@ -480,16 +497,17 @@ func MultiObserver(obs ...Observer) Observer { return telemetry.Multi(obs...) }
 // observability vocabulary behind brexp -forensics / -listen and
 // brsim -explain.
 type (
-	// Forensics is an Observer building a mispredict post-mortem: a
-	// bounded flight recorder snapshotting mispredict bursts plus per-PC
+	// Forensics builds a mispredict post-mortem: a bounded flight
+	// recorder snapshotting mispredict bursts plus per-PC
 	// hard-to-predict profiles (per-history-pattern outcome histograms,
 	// automaton transition counts, warmup-vs-steady miss split, history
-	// entropy).
+	// entropy). Set one on SimTelemetry.Forensics and the run feeds it
+	// from the replay; it is also an Observer.
 	Forensics = telemetry.Forensics
-	// ForensicsConfig sizes a Forensics observer; the zero value gets
+	// ForensicsConfig sizes a Forensics; the zero value gets
 	// sensible defaults.
 	ForensicsConfig = telemetry.ForensicsConfig
-	// ForensicsReport is the deterministic report a Forensics observer
+	// ForensicsReport is the deterministic report a Forensics
 	// produces.
 	ForensicsReport = telemetry.ForensicsReport
 	// PCForensics is one static branch's forensic profile.
@@ -537,7 +555,8 @@ type (
 	SpanAttr = span.Attr
 )
 
-// NewForensics returns a mispredict-forensics observer.
+// NewForensics returns a mispredict-forensics recorder for a
+// SimTelemetry sink (or as an observer).
 func NewForensics(cfg ForensicsConfig) *Forensics { return telemetry.NewForensics(cfg) }
 
 // ExplainBranch diagnoses why one static branch mispredicts from its
