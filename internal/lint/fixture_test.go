@@ -146,6 +146,14 @@ func TestHotAllocFlatFixture(t *testing.T) {
 	runFixture(t, HotAlloc, "hotalloc/flat")
 }
 
+func TestFlatLoopTraceFixture(t *testing.T) {
+	runFixture(t, FlatLoop, "flatloop/trace")
+}
+
+func TestHotAllocTraceFixture(t *testing.T) {
+	runFixture(t, HotAlloc, "hotalloc/trace")
+}
+
 func TestLockHeldFixture(t *testing.T) {
 	runFixture(t, LockHeld, "lockheld/server")
 }

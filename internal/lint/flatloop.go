@@ -8,9 +8,10 @@ import (
 
 // FlatLoop enforces the fast-path kernel contract: the hot replay
 // functions in the fastpath package (run*, lookup*, flush*, the plan
-// builder's plan* and the telemetry fold's fold*) and the
+// builder's plan* and the telemetry fold's fold*), the
 // flat state package's step functions they call per event (Lookup*,
-// alloc*/Allocate, Flush) replay packed traces over flattened state
+// alloc*/Allocate, Flush) and the trace package's snapshot walks the
+// plan builder calls (Decode*) replay packed traces over flattened state
 // tables, so their bodies must not make dynamic dispatch through an
 // interface — a predictor.Predictor or trace.Source method call in the
 // hot loop would reintroduce exactly the per-event
@@ -21,18 +22,19 @@ import (
 // is part of the hot loop by design (ctxpoll contract).
 var FlatLoop = &Analyzer{
 	Name: "flatloop",
-	Doc: "fastpath/flat hot functions (run*/lookup*/flush*/alloc*/plan*/fold*) must not call " +
+	Doc: "fastpath/flat/trace hot functions (run*/lookup*/flush*/alloc*/plan*/fold*/decode*) must not call " +
 		"interface methods other than context.Context",
-	Packages: []string{"fastpath", "flat"},
+	Packages: []string{"fastpath", "flat", "trace"},
 	Run:      runFlatLoop,
 }
 
 // hotPrefixes marks the function-name prefixes that form the kernel's
 // per-event replay path: the loops and step functions, the replay plan's
-// snapshot walk (plan*) and the telemetry fold over mispredict bits
-// (fold*). The first letter matches in either case, so the exported
-// step functions (LookupCache, Flush, Allocate) count too.
-var hotPrefixes = []string{"run", "lookup", "flush", "alloc", "plan", "fold"}
+// snapshot walk (plan*) and the trace decode it runs on (decode*), and
+// the telemetry fold over mispredict bits (fold*). The first letter
+// matches in either case, so the exported step functions (LookupCache,
+// Flush, Allocate, DecodeTally) count too.
+var hotPrefixes = []string{"run", "lookup", "flush", "alloc", "plan", "fold", "decode"}
 
 func isHotFuncName(name string) bool {
 	if name == "" {

@@ -13,9 +13,10 @@ import (
 // replay loop would erode events/sec without failing any correctness
 // test. The analyzer builds the CFG of every hot function in the
 // fastpath package (run*/lookup*/flush*, plus the replay plan's
-// snapshot walk plan* and the telemetry fold fold*) and in the flat
+// snapshot walk plan* and the telemetry fold fold*), in the flat
 // state package whose step functions those loops call
-// (Lookup*/alloc*/Flush), and flags, inside natural loops only, the
+// (Lookup*/alloc*/Flush) and in the trace package whose snapshot decode
+// the plan walks (Decode*), and flags, inside natural loops only, the
 // constructs that heap-allocate or can: make/new/append, &T{…} and
 // slice or map literals, map inserts, closures, string↔[]byte/[]rune
 // conversions, fmt formatting, and implicit interface boxing. A struct
@@ -28,9 +29,9 @@ import (
 // site, which clears every hot caller at once).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc: "fastpath/flat hot loops (run*/lookup*/flush*/alloc*/plan*/fold*) must not heap-allocate: " +
+	Doc: "fastpath/flat/trace hot loops (run*/lookup*/flush*/alloc*/plan*/fold*/decode*) must not heap-allocate: " +
 		"no make/append/closures/boxing inside the per-event loop",
-	Packages: []string{"fastpath", "flat"},
+	Packages: []string{"fastpath", "flat", "trace"},
 	Run:      runHotAlloc,
 }
 

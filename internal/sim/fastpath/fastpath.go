@@ -1,8 +1,8 @@
 // Package fastpath is the branchless fast-replay kernel: a specialized
-// replay engine that drives flat-table predict+update loops directly over
-// a packed trace snapshot's SoA columns, bypassing the per-event
-// trace.Source / predictor.Predictor interface calls of the interpretive
-// runner in package sim.
+// replay engine that drives flat-table predict+update loops over a packed
+// trace snapshot's conditional branches, decoded once per batch into
+// columns, bypassing the per-event trace.Source / predictor.Predictor
+// interface calls of the interpretive runner in package sim.
 //
 // The kernel runs only when a replay cell qualifies (see Supported and
 // sim's dispatch): depth-0 base model, no Observer, a *trace.SnapshotReader
@@ -51,6 +51,7 @@ package fastpath
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"twolevel/internal/flat"
 	"twolevel/internal/predictor"
@@ -263,7 +264,8 @@ func (k *Kernel) Replay(p *Plan) (Counters, int, error) {
 // the view, or, when cancellation stopped the loops short, from a tally
 // of the consumed prefix.
 func (k *Kernel) replay(p *Plan, v *view) (Counters, int, error) {
-	miss := make([]uint64, (v.conds+63)/64)
+	bits := getBitset(v.conds)
+	miss := *bits
 	var n int
 	var err error
 	if k.shardable() && k.shardCount() > 1 {
@@ -280,6 +282,28 @@ func (k *Kernel) replay(p *Plan, v *view) (Counters, int, error) {
 	k.sinceCS = done.sinceCS
 	if k.tap != nil {
 		k.tap.bind(p, miss, n, done.switches)
+	} else {
+		bitsetPool.Put(bits)
 	}
 	return k.c, done.end - p.start, err
+}
+
+// bitsetPool recycles the mispredict bitsets of kernel cells without a
+// Tap, which nothing reads once Correct is counted, as columnPool
+// recycles a plan's columns.
+var bitsetPool sync.Pool
+
+// getBitset returns a zeroed bitset of one bit per branch for n
+// branches: the loops reload partly filled words, so a reused one must
+// start clear.
+func getBitset(n int) *[]uint64 {
+	words := (n + 63) / 64
+	bits, _ := bitsetPool.Get().(*[]uint64)
+	if bits == nil || cap(*bits) < words {
+		s := make([]uint64, words)
+		return &s
+	}
+	*bits = (*bits)[:words]
+	clear(*bits)
+	return bits
 }

@@ -182,27 +182,24 @@ func (p *Plan) planViews(keys []viewKey) []view {
 // group: a view stops before the event after its budget-th conditional
 // branch, or at its end bound. Context switches follow phase's
 // configuration; they are recorded for the views that ask for them. The
-// walk runs from stop to stop in a tight loop that only counts events
-// per metadata byte; planSettle turns those counts into Counters.
+// walk runs from stop to stop through the snapshot's tally, which only
+// counts events per metadata byte; tallied turns those counts into
+// Counters.
 func (p *Plan) planWalk(group []int, views []view, keys []viewKey, phase viewKey) {
-	instrs, _, _, meta := p.snap.Columns()
 	for _, vi := range group {
 		views[vi].key, views[vi].end = keys[vi], -1
 	}
 	ph := csPhase{interval: phase.interval, since: phase.sinceCS}
-	var byMeta metaCounts
-	var instructions uint64
-	i, j := p.start, 0
+	t := trace.Tally{Event: p.start}
 	for {
-		c := tallied(instructions, &byMeta)
-		open, stopConds, stopEvent := planSettle(views, group, c, j, i, ph.switches, ph.since)
+		open, stopConds, stopEvent := planSettle(views, group, tallied(&t), t.Conds, t.Event, ph.switches, ph.since)
 		if open == 0 {
 			return
 		}
 		if phase.cs {
-			i, j, instructions = ph.planTally(meta, instrs, i, stopEvent, j, stopConds, instructions, &byMeta)
+			ph.planTally(&p.snap, &t, stopEvent, stopConds)
 		} else {
-			i, j, instructions = planTally(meta, instrs, i, stopEvent, j, stopConds, instructions, &byMeta)
+			p.snap.DecodeTally(&t, stopEvent, stopConds)
 		}
 	}
 }
@@ -215,52 +212,16 @@ type csPhase struct {
 	switches        []int32
 }
 
-// metaCounts counts events per metadata byte, which holds an event's
-// trap bit, outcome bit and class together.
-type metaCounts [256]uint64
-
-// planTally counts events [i, end) by metadata byte, stopping early once
-// stopConds conditional branches are counted, and returns where it
-// stopped, the branch count there and the instruction total.
-func planTally(meta []uint8, instrs []uint32, i, end, j, stopConds int, instructions uint64, byMeta *metaCounts) (int, int, uint64) {
-	meta, instrs = meta[:end], instrs[:end]
-	for ; i < len(meta) && j < stopConds; i++ {
-		m := meta[i]
-		instructions += uint64(instrs[i])
-		byMeta[m]++
-		j += isCond(m)
-	}
-	return i, j, instructions
-}
-
-// planTally is the package planTally with context-switch injection: a
+// planTally tallies events up to end, stopping early once stopConds
+// conditional branches are counted, with context-switch injection: a
 // trap, or the first event that completes the quantum, switches before
 // the event's own branch is counted.
-func (ph *csPhase) planTally(meta []uint8, instrs []uint32, i, end, j, stopConds int, instructions uint64, byMeta *metaCounts) (int, int, uint64) {
-	meta, instrs = meta[:end], instrs[:end]
-	since, interval := ph.since, ph.interval
-	for ; i < len(meta) && j < stopConds; i++ {
-		m := meta[i]
-		ins := uint64(instrs[i])
-		instructions += ins
-		since += ins
-		byMeta[m]++
-		if m&trace.MetaTrap != 0 || since >= interval {
-			since = 0
-			ph.switches = append(ph.switches, int32(j)) //lint:allow hotalloc one append per context switch, not per event
+func (ph *csPhase) planTally(snap *trace.Snapshot, t *trace.Tally, end, stopConds int) {
+	for t.Event < min(end, snap.Len()) && t.Conds < stopConds {
+		if switched, cond := snap.DecodeQuantum(t, end, stopConds, ph.interval, &ph.since); switched {
+			ph.switches = append(ph.switches, int32(t.Conds-cond)) //lint:allow hotalloc one append per context switch, not per event
 		}
-		j += isCond(m)
 	}
-	ph.since = since
-	return i, j, instructions
-}
-
-// isCond is 1 for a conditional branch event's metadata byte, else 0.
-func isCond(m uint8) int {
-	if m&^trace.MetaTaken == uint8(trace.Cond)<<trace.MetaClassShift {
-		return 1
-	}
-	return 0
 }
 
 // planSettle closes every open view of group whose replay stops before
@@ -294,86 +255,49 @@ func planSettle(views []view, group []int, c Counters, j, i int, switches []int3
 	return open, stopConds, stopEvent
 }
 
-// tallied turns a walk's instruction total and per-metadata-byte event
-// counts into Counters.
-func tallied(instructions uint64, byMeta *metaCounts) Counters {
+// tallied turns a walk's tally into Counters.
+func tallied(t *trace.Tally) Counters {
 	var c Counters
-	c.Instructions = instructions
-	for m, n := range byMeta {
-		if n == 0 {
-			continue
-		}
-		if m&trace.MetaTrap != 0 {
-			c.Traps += n
-			continue
-		}
-		cls := m >> trace.MetaClassShift
-		if cls < len(c.ByClass) {
-			c.ByClass[cls] += n
-		}
-		if trace.Class(cls) == trace.Cond {
-			c.Predictions += n
-			if m&trace.MetaTaken != 0 {
-				c.TakenCond += n
-			}
-		}
-	}
+	c.Instructions = t.Instructions
+	c.ByClass, c.Traps, c.TakenCond = t.Counts()
+	c.Predictions = c.ByClass[trace.Cond]
 	return c
 }
 
 // planColumns decodes the first bound conditional branches of events
 // [start, limit) into the plan's columns (and, withIDs, the site ids)
-// and places the cancellation polls. Every column is sized up front;
-// only the site directory grows, once per distinct PC.
+// and places the cancellation polls, one per checkInterval events. Every
+// column is sized up front; only the site directory grows, once per
+// distinct PC.
 func (p *Plan) planColumns(limit, bound int, withIDs bool) {
-	_, pcs, targets, meta := p.snap.Columns()
-	meta = meta[p.start:limit]
-	pcs, targets = pcs[p.start:limit], targets[p.start:limit]
-	pcs, targets = pcs[:len(meta)], targets[:len(meta)]
-	// Every event is written at the next branch index, which advances
-	// only past a conditional branch: no data-dependent branch in the
-	// loop, and one spare row for the event after the last branch.
-	rows := bound + 1
 	buf, _ := columnPool.Get().(*columns)
-	if buf == nil || cap(buf.pcs) < rows {
+	if buf == nil || cap(buf.pcs) < bound {
 		buf = &columns{
-			pcs:     make([]uint32, rows),
-			targets: make([]uint32, rows),
-			outs:    make([]uint8, rows),
+			pcs:     make([]uint32, bound),
+			targets: make([]uint32, bound),
+			outs:    make([]uint8, bound),
 		}
 	}
-	if withIDs && cap(buf.ids) < rows {
-		buf.ids = make([]int32, rows)
+	if withIDs && cap(buf.ids) < bound {
+		buf.ids = make([]int32, bound)
 	}
 	p.buf = buf
-	cpcs := buf.pcs[:rows]
-	ctargets, outs := buf.targets[:len(cpcs)], buf.outs[:len(cpcs)]
-	var ids []int32
-	if withIDs {
-		ids = buf.ids[:len(cpcs)]
-	}
-	polls := make([]int32, 0, len(meta)/checkInterval+1)
-	nextPoll := checkInterval
+	pcs, targets, outs := buf.pcs[:bound], buf.targets[:bound], buf.outs[:bound]
+	polls := make([]int32, 0, (limit-p.start)/checkInterval+1)
 	j := 0
-	for i, m := range meta {
-		if j >= bound {
-			break
-		}
-		for ; i >= nextPoll; nextPoll += checkInterval {
+	for from := p.start; from < limit && j < bound; from += checkInterval {
+		if from > p.start {
 			polls = polls[:len(polls)+1]
 			polls[len(polls)-1] = int32(j)
 		}
-		pc := pcs[i]
-		cpcs[j], ctargets[j], outs[j] = pc, targets[i], m&trace.MetaTaken>>1
-		c := isCond(m)
-		if withIDs && c != 0 {
-			ids[j] = p.site(pc, j)
-		}
-		j += c
+		j += p.snap.DecodeBranches(from, min(from+checkInterval, limit), pcs[j:], targets[j:], outs[j:])
 	}
-	p.pcs, p.targets, p.outs, p.polls = cpcs[:j], ctargets[:j], outs[:j], polls
+	p.pcs, p.targets, p.outs, p.polls = pcs[:j], targets[:j], outs[:j], polls
 	if withIDs {
-		p.ids = ids[:j]
+		p.ids = buf.ids[:j]
+		for i, pc := range p.pcs {
+			p.ids[i] = p.site(pc, i)
+		}
 	}
 }
 

@@ -54,8 +54,9 @@ var declines [numDeclines]atomic.Uint64
 //     eligibility: the kernel folds it from its mispredict bits);
 //   - the depth-0 base model — the pipelined timing model interleaves
 //     predict and update in ways flat tables do not express;
-//   - a packed source (*trace.SnapshotReader) — the kernel indexes the
-//     snapshot's SoA columns directly instead of decoding events;
+//   - a packed source (*trace.SnapshotReader) — the kernel's plan
+//     decodes the snapshot's branches into columns once, instead of
+//     decoding event by event;
 //   - a predictor whose state flattens (fastpath.Supported): the static
 //     schemes (AlwaysTaken, BTFN, Profiling), the BTB designs, or any
 //     two-level predictor (speculative history at depth 0 is the base

@@ -9,308 +9,6 @@ import (
 	"twolevel/internal/span"
 )
 
-// Packed is a memory-compact, append-only event store. Events are held in
-// struct-of-arrays form — three uint32 columns plus one metadata byte per
-// event (13 bytes) instead of the padded Event struct (20 bytes) — so a
-// benchmark's full capture stays resident cheaply while many replay
-// cursors walk it.
-//
-// Appending is not safe for concurrent use; snapshots taken with View are
-// immutable and may be read from any number of goroutines, including
-// while the Packed keeps growing (appends never mutate the prefix a
-// snapshot covers).
-//
-// The four columns always share one capacity: growth is a single
-// decision that reallocates all of them (see grow).
-type Packed struct {
-	instrs  []uint32
-	pcs     []uint32
-	targets []uint32
-	meta    []uint8
-	conds   int
-
-	// budget is the conditional-branch count the appends are heading
-	// for (0 when unknown); CaptureCache sets it so growth can size the
-	// columns for the whole capture instead of growing blindly.
-	budget uint64
-	// mark and markConds are Len and Conds at the last growth: the
-	// events appended since then give the current events-per-branch
-	// ratio.
-	mark, markConds int
-}
-
-// Metadata bit layout: trap flag, taken flag, branch class. Exported so
-// flat replay kernels (internal/sim/fastpath) can decode the packed meta
-// column directly instead of paying a per-event At/Next decode.
-const (
-	// MetaTrap marks a trap event (no branch fields).
-	MetaTrap = 1 << 0
-	// MetaTaken is the branch outcome bit.
-	MetaTaken = 1 << 1
-	// MetaClassShift is the bit offset of the branch class field, which
-	// occupies bits 2..4.
-	MetaClassShift = 2
-)
-
-// Private aliases keep the package-internal encode/decode sites short.
-const (
-	metaTrap  = MetaTrap
-	metaTaken = MetaTaken
-	metaClass = MetaClassShift
-)
-
-// Append adds one event.
-func (p *Packed) Append(e Event) {
-	var m uint8
-	if e.Trap {
-		m |= metaTrap
-	}
-	if e.Branch.Taken {
-		m |= metaTaken
-	}
-	m |= uint8(e.Branch.Class) << metaClass
-	if len(p.meta) == cap(p.meta) {
-		p.grow()
-	}
-	p.instrs = append(p.instrs, e.Instrs)
-	p.pcs = append(p.pcs, e.Branch.PC)
-	p.targets = append(p.targets, e.Branch.Target)
-	p.meta = append(p.meta, m)
-	if !e.Trap && e.Branch.Class == Cond {
-		p.conds++
-	}
-}
-
-// Column growth bounds, in events.
-const (
-	// growMin is the smallest budgeted growth step.
-	growMin = 64
-	// firstReserve caps the first reservation of a budgeted capture. A
-	// budget is a lower bound on events only while the source lasts,
-	// and "everything" requests pass ^uint64(0).
-	firstReserve = 1 << 12
-)
-
-// grow makes room for more events in all four columns at once. Without
-// a budget it grows each column as append does (by a quarter for large
-// slices, leaving the copied prefix unzeroed: this is the path PackTrace
-// and the pack probe take) and keeps the smallest capacity of the four.
-// With one, it estimates the events still to come from the events per
-// conditional branch since the last growth (at least one each) plus a
-// 1/32 margin, grows by at least an eighth, and at most quadruples the
-// capacity, so an over-large budget over a short source cannot
-// over-allocate.
-func (p *Packed) grow() {
-	n := len(p.meta)
-	if p.budget <= uint64(p.conds) {
-		instrs, pcs, targets, meta := append(p.instrs, 0), append(p.pcs, 0), append(p.targets, 0), append(p.meta, 0)
-		c := min(cap(instrs), cap(pcs), cap(targets), cap(meta))
-		p.instrs, p.pcs, p.targets, p.meta = instrs[:n:c], pcs[:n:c], targets[:n:c], meta[:n:c]
-		return
-	}
-	limit := max(3*n, firstReserve)
-	left := min(p.budget-uint64(p.conds), uint64(limit))
-	est := left
-	if seen := p.conds - p.markConds; seen > 0 {
-		est = left * uint64(n-p.mark) / uint64(seen)
-	}
-	p.mark, p.markConds = n, p.conds
-	p.resize(n + min(max(int(est+est/32), n/8, growMin), limit))
-}
-
-// resize moves the columns to fresh arrays of capacity c (c >= Len()).
-// Snapshots keep the old arrays.
-func (p *Packed) resize(c int) {
-	p.instrs = append(make([]uint32, 0, c), p.instrs...)
-	p.pcs = append(make([]uint32, 0, c), p.pcs...)
-	p.targets = append(make([]uint32, 0, c), p.targets...)
-	p.meta = append(make([]uint8, 0, c), p.meta...)
-}
-
-// trim drops spare capacity beyond a quarter of the stored events, for a
-// source that ended before the budget its growth was sized for.
-func (p *Packed) trim() {
-	if n := len(p.meta); cap(p.meta)-n > n/4 {
-		p.resize(n)
-	}
-}
-
-// Len returns the number of stored events.
-func (p *Packed) Len() int { return len(p.meta) }
-
-// Conds returns the number of stored conditional branch events.
-func (p *Packed) Conds() int { return p.conds }
-
-// Bytes returns the heap footprint of the stored columns: each column's
-// capacity times its element size.
-func (p *Packed) Bytes() int64 {
-	return 4*int64(cap(p.instrs)+cap(p.pcs)+cap(p.targets)) + int64(cap(p.meta))
-}
-
-// eventsForConds returns the prefix length that covers the first n
-// conditional branches (the index just past the nth one), or Len() when
-// the store holds fewer.
-func (p *Packed) eventsForConds(n uint64) int {
-	if n == 0 {
-		return 0
-	}
-	if uint64(p.conds) < n {
-		return p.Len()
-	}
-	var seen uint64
-	for i, m := range p.meta {
-		if m&metaTrap == 0 && Class(m>>metaClass) == Cond {
-			if seen++; seen == n {
-				return i + 1
-			}
-		}
-	}
-	return p.Len()
-}
-
-// View snapshots the first n events. The snapshot stays valid and
-// immutable across later appends. n is clamped to [0, Len()]: callers
-// computing prefix lengths from untrusted budgets get the whole (or an
-// empty) capture rather than a panic.
-func (p *Packed) View(n int) Snapshot {
-	if n < 0 {
-		n = 0
-	}
-	if n > p.Len() {
-		n = p.Len()
-	}
-	return Snapshot{
-		instrs:  p.instrs[:n:n],
-		pcs:     p.pcs[:n:n],
-		targets: p.targets[:n:n],
-		meta:    p.meta[:n:n],
-	}
-}
-
-// Snapshot is an immutable view of a Packed prefix. Any number of
-// goroutines may take Readers over the same snapshot.
-type Snapshot struct {
-	instrs  []uint32
-	pcs     []uint32
-	targets []uint32
-	meta    []uint8
-}
-
-// Len returns the number of events in the snapshot.
-func (s Snapshot) Len() int { return len(s.meta) }
-
-// Conds returns the number of conditional branch events in the
-// snapshot (a meta-column scan, not a stored counter — snapshots are
-// cheap prefix views and do not carry derived state).
-func (s Snapshot) Conds() int {
-	n := 0
-	for _, m := range s.meta {
-		if m&metaTrap == 0 && Class(m>>metaClass) == Cond {
-			n++
-		}
-	}
-	return n
-}
-
-// At decodes event i.
-func (s Snapshot) At(i int) Event {
-	m := s.meta[i]
-	return Event{
-		Instrs: s.instrs[i],
-		Trap:   m&metaTrap != 0,
-		Branch: Branch{
-			PC:     s.pcs[i],
-			Target: s.targets[i],
-			Class:  Class(m >> metaClass),
-			Taken:  m&metaTaken != 0,
-		},
-	}
-}
-
-// Reader returns a fresh replay cursor positioned at the first event.
-func (s Snapshot) Reader() *SnapshotReader { return &SnapshotReader{s: s} }
-
-// Columns exposes the snapshot's raw packed columns for flat replay
-// kernels: per-event instruction counts, branch addresses, branch targets
-// and the metadata byte (see the Meta* bit layout). The slices alias the
-// snapshot's immutable storage — callers must treat them as read-only.
-func (s Snapshot) Columns() (instrs, pcs, targets []uint32, meta []uint8) {
-	return s.instrs, s.pcs, s.targets, s.meta
-}
-
-// Checksum returns an FNV-1a digest over the snapshot's packed columns
-// (length-prefixed, column order fixed). Two snapshots of the same
-// deterministic generator at the same budget always agree; resume
-// manifests store it to detect a capture that no longer matches the one
-// a checkpoint was written against.
-func (s Snapshot) Checksum() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	word := func(v uint32) {
-		h = (h ^ uint64(v&0xff)) * prime64
-		h = (h ^ uint64(v>>8&0xff)) * prime64
-		h = (h ^ uint64(v>>16&0xff)) * prime64
-		h = (h ^ uint64(v>>24&0xff)) * prime64
-	}
-	word(uint32(len(s.meta)))
-	for _, v := range s.instrs {
-		word(v)
-	}
-	for _, v := range s.pcs {
-		word(v)
-	}
-	for _, v := range s.targets {
-		word(v)
-	}
-	for _, m := range s.meta {
-		h = (h ^ uint64(m)) * prime64
-	}
-	return h
-}
-
-// SnapshotReader replays a Snapshot as a Source. Each reader carries its
-// own position; readers over one snapshot are independent.
-type SnapshotReader struct {
-	s   Snapshot
-	pos int
-}
-
-// Next implements Source.
-func (r *SnapshotReader) Next() (Event, error) {
-	if r.pos >= r.s.Len() {
-		return Event{}, io.EOF
-	}
-	e := r.s.At(r.pos)
-	r.pos++
-	return e, nil
-}
-
-// Reset rewinds the reader to the start of the snapshot.
-func (r *SnapshotReader) Reset() { r.pos = 0 }
-
-// Snapshot returns the snapshot the reader walks.
-func (r *SnapshotReader) Snapshot() Snapshot { return r.s }
-
-// Pos returns the index of the next event Next would return.
-func (r *SnapshotReader) Pos() int { return r.pos }
-
-// Seek positions the reader so the next event is index pos, clamped to
-// [0, Len()]. Flat replay kernels consume events by index over Columns
-// and then Seek the cursor past what they consumed, so interleaved
-// interface-level reads keep working.
-func (r *SnapshotReader) Seek(pos int) {
-	if pos < 0 {
-		pos = 0
-	}
-	if n := r.s.Len(); pos > n {
-		pos = n
-	}
-	r.pos = pos
-}
-
 // CaptureCache materialises event streams exactly once and serves them to
 // any number of replaying consumers. Each key (conventionally a
 // benchmark/data-set pair) owns one generating Source, opened lazily and

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // randomEvents builds a deterministic pseudo-random event stream with
@@ -431,25 +432,53 @@ func (s *phasedSource) Next() (Event, error) {
 	return Event{Instrs: uint32(i%7 + 1), Branch: Branch{PC: uint32(i), Target: uint32(i + 4), Class: class, Taken: i%3 == 0}}, nil
 }
 
+// storage is the heap footprint of p's columns, from each column's
+// capacity and element size; payload counts their lengths instead, the
+// bytes the events encoded so far actually use.
+func storage(p *Packed) int64 {
+	return int64(cap(p.meta))*int64(unsafe.Sizeof(uint8(0))) +
+		int64(cap(p.ins))*int64(unsafe.Sizeof(uint8(0))) +
+		int64(cap(p.sites))*int64(unsafe.Sizeof(uint16(0))) +
+		int64(cap(p.esc))*int64(unsafe.Sizeof(escape{})) +
+		int64(cap(p.keys))*int64(unsafe.Sizeof(uint64(0))) +
+		int64(cap(p.marks))*int64(unsafe.Sizeof(uint32(0))) +
+		int64(cap(p.slots))*int64(unsafe.Sizeof(uint32(0))) +
+		int64(cap(p.raw))*int64(unsafe.Sizeof(rawEvent{}))
+}
+
+func payload(p *Packed) int64 {
+	return int64(len(p.meta)) + int64(len(p.ins)) + 2*int64(len(p.sites)) + 8*int64(len(p.esc)) +
+		8*int64(len(p.keys)) + 4*int64(len(p.marks)) + 4*int64(len(p.slots)) + 12*int64(len(p.raw))
+}
+
 func TestPackedBytesExact(t *testing.T) {
-	columns := func(p *Packed) int64 {
-		return int64(cap(p.instrs))*4 + int64(cap(p.pcs))*4 + int64(cap(p.targets))*4 + int64(cap(p.meta))
-	}
 	check := func(name string, p *Packed) {
 		t.Helper()
-		if got, want := p.Bytes(), columns(p); got != want {
+		if got, want := p.Bytes(), storage(p); got != want {
 			t.Errorf("%s: Bytes() = %d, columns hold %d", name, got, want)
 		}
-		if c := cap(p.meta); cap(p.instrs) != c || cap(p.pcs) != c || cap(p.targets) != c {
-			t.Errorf("%s: column capacities %d/%d/%d/%d differ", name, cap(p.instrs), cap(p.pcs), cap(p.targets), c)
+		c := cap(p.meta)
+		if p.switched {
+			if cap(p.ins) != len(p.ins) || cap(p.sites) != len(p.sites) || len(p.ins)+cap(p.raw) != c || p.slots != nil {
+				t.Errorf("%s: raw store: coded %d/%d/%d, raw cap %d, meta cap %d, index %d slots",
+					name, len(p.ins), cap(p.ins), cap(p.sites), cap(p.raw), c, len(p.slots))
+			}
+		} else if cap(p.ins) != c || cap(p.sites) != c || p.raw != nil {
+			t.Errorf("%s: column capacities %d/%d/%d differ", name, cap(p.ins), cap(p.sites), c)
+		}
+		if max := 13*int64(p.Len()) + dictBytes; p.Bytes() > max {
+			t.Errorf("%s: %d events take %d bytes, over 13 per event plus the site table's %d", name, p.Len(), p.Bytes(), int64(dictBytes))
 		}
 	}
-	for _, n := range []int{1, 100_000, 119_066} {
+	for _, n := range []int{1, 60_000, 100_000, 119_066} {
 		var p Packed
 		src := &phasedSource{}
 		for p.Len() < n {
 			e, _ := src.Next()
 			p.Append(e)
+		}
+		if p.switched != (n > maxSites) {
+			t.Errorf("%d events with a PC each: switched = %v", n, p.switched)
 		}
 		check("unbudgeted", &p)
 	}
@@ -461,17 +490,19 @@ func TestPackedBytesExact(t *testing.T) {
 		}
 		e := c.entries["k"]
 		check("budgeted", &e.packed)
-		if got := c.Stats().Bytes; got != columns(&e.packed) {
-			t.Errorf("CaptureStats.Bytes = %d, columns hold %d", got, columns(&e.packed))
+		if got := c.Stats().Bytes; got != storage(&e.packed) {
+			t.Errorf("CaptureStats.Bytes = %d, columns hold %d", got, storage(&e.packed))
 		}
 	}
 }
 
 // TestPackedAllocationBounded holds a capture's column growth to its
-// bounds: spare capacity at most a quarter of the live bytes, and, for a
-// source that lasts the budget, at most three times the final footprint
-// allocated along the way. A source that ends first is only held to the
-// slack bound: its length is unknown until it ends.
+// bounds: spare capacity at most a quarter of the live bytes (the
+// encoded payload), and, for a source that lasts the budget, at most
+// three times the final footprint allocated along the way. A source that
+// ends first is only held to the slack bound: its length is unknown
+// until it ends. phasedSource gives every event its own PC, so the
+// larger captures switch to raw columns on the way.
 func TestPackedAllocationBounded(t *testing.T) {
 	everything := ^uint64(0)
 	cases := []struct {
@@ -499,12 +530,15 @@ func TestPackedAllocationBounded(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			p := &c.entries["k"].packed
-			live := int64(p.Len()) * 13
+			live := payload(p)
 			if slack := p.Bytes() - live; slack > live/4 {
 				t.Errorf("%d events: %d spare column bytes, over a quarter of the %d live", p.Len(), slack, live)
 			}
 			if alloc := int64(after.TotalAlloc - before.TotalAlloc); tc.events == 0 && alloc > 3*p.Bytes() {
 				t.Errorf("%d events: capture allocated %d bytes, over 3x the final %d", p.Len(), alloc, p.Bytes())
+			}
+			if max := 13*int64(p.Len()) + dictBytes; p.Bytes() > max {
+				t.Errorf("%d events take %d bytes, over 13 per event plus the site table's %d", p.Len(), p.Bytes(), int64(dictBytes))
 			}
 		})
 	}

@@ -5,7 +5,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -205,8 +208,9 @@ func FuzzPackedView(f *testing.F) {
 			t.Fatalf("eventsForConds(%d) = %d out of [0,%d]", conds, prefix, p.Len())
 		}
 		var seen uint64
+		ps := p.View(prefix)
 		for i := 0; i < prefix; i++ {
-			e := p.View(prefix).At(i)
+			e := ps.At(i)
 			if !e.Trap && e.Branch.Class == Cond {
 				seen++
 			}
@@ -218,4 +222,181 @@ func FuzzPackedView(f *testing.F) {
 			t.Fatalf("store holds %d conds but prefix covers only %d of %d", p.Conds(), seen, conds)
 		}
 	})
+}
+
+// fuzzStream expands raw fuzz bytes into events, 6 bytes each: a
+// metadata byte (trap, outcome and a class folded into range), an
+// instruction count that is one byte wide unless the next byte's top bit
+// asks for a wide one (so counts of 255 and more, which the store moves
+// to its side list, appear often), and a PC and target drawn from small
+// ranges, so sites repeat.
+func fuzzStream(data []byte) []Event {
+	var events []Event
+	for ; len(data) >= 6; data = data[6:] {
+		m := data[0]
+		instrs := uint32(data[1])
+		if data[2]&0x80 != 0 {
+			instrs |= uint32(data[2]) << 8
+		}
+		events = append(events, Event{
+			Instrs: instrs,
+			Trap:   m&1 != 0,
+			Branch: Branch{
+				PC:     0x1000 + 4*uint32(data[3]),
+				Target: uint32(data[4])<<8 | uint32(data[5]),
+				Taken:  m&2 != 0,
+				Class:  Class(m>>2) % Class(NumClasses),
+			},
+		})
+	}
+	return events
+}
+
+// referenceChecksum is FNV-1a (hash/fnv) over the logical columns of
+// events: the length, then every instruction count, PC and target as a
+// little-endian uint32, column by column, then one metadata byte per
+// event (trap bit 0, outcome bit 1, class from bit 2).
+func referenceChecksum(events []Event) uint64 {
+	h := fnv.New64a()
+	word := func(v uint32) {
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], v)
+		h.Write(b[:])
+	}
+	word(uint32(len(events)))
+	for _, e := range events {
+		word(e.Instrs)
+	}
+	for _, e := range events {
+		word(e.Branch.PC)
+	}
+	for _, e := range events {
+		word(e.Branch.Target)
+	}
+	for _, e := range events {
+		m := uint8(e.Branch.Class) << 2
+		if e.Trap {
+			m |= 1
+		}
+		if e.Branch.Taken {
+			m |= 2
+		}
+		h.Write([]byte{m})
+	}
+	return h.Sum64()
+}
+
+// checkSnapshot asserts that s holds exactly events: At, a Reader and
+// Checksum against the reference digest.
+func checkSnapshot(t *testing.T, name string, s Snapshot, events []Event) {
+	t.Helper()
+	if s.Len() != len(events) {
+		t.Fatalf("%s: Len %d, want %d", name, s.Len(), len(events))
+	}
+	for i, want := range events {
+		if got := s.At(i); got != want {
+			t.Fatalf("%s: At(%d) = %+v, appended %+v", name, i, got, want)
+		}
+	}
+	got, err := drainEvents(s.Reader())
+	if err != io.EOF || len(got) != len(events) {
+		t.Fatalf("%s: reader yielded %d events and %v", name, len(got), err)
+	}
+	for i := range got {
+		if got[i] != events[i] {
+			t.Fatalf("%s: reader event %d = %+v, appended %+v", name, i, got[i], events[i])
+		}
+	}
+	if got, want := s.Checksum(), referenceChecksum(events); got != want {
+		t.Fatalf("%s: Checksum %#x, reference FNV %#x", name, got, want)
+	}
+}
+
+// FuzzPackedRoundTrip checks the dictionary-coded store against the
+// events appended to it: every At(i) is the appended event, Checksum is
+// the reference FNV over the logical columns, and a view of a prefix
+// taken before the rest was appended is deep-equal to one taken after.
+func FuzzPackedRoundTrip(f *testing.F) {
+	f.Add([]byte{0, 7, 0, 1, 2, 3, 2, 9, 0, 1, 2, 3, 1, 0, 0, 0, 0, 0}, 1)
+	f.Add(bytes.Repeat([]byte{2, 0xff, 0x80, 5, 6, 7}, 40), 20)
+	f.Add(bytes.Repeat([]byte{0, 0xff, 0, 9, 9, 9, 4, 3, 0x81, 8, 1, 2}, 200), 150)
+	f.Fuzz(func(t *testing.T, data []byte, cut int) {
+		events := fuzzStream(data)
+		cut = min(max(cut, 0), len(events))
+		var p Packed
+		for _, e := range events[:cut] {
+			p.Append(e)
+		}
+		early := p.View(cut)
+		for _, e := range events[cut:] {
+			p.Append(e)
+		}
+		checkSnapshot(t, "full", p.View(p.Len()), events)
+		checkSnapshot(t, "early prefix", early, events[:cut])
+		if late := p.View(cut); !reflect.DeepEqual(early, late) {
+			t.Fatalf("views of the first %d events differ before and after later appends", cut)
+		}
+		if max := 13*int64(p.Len()) + dictBytes; p.Bytes() > max {
+			t.Fatalf("%d events take %d bytes, over %d", p.Len(), p.Bytes(), max)
+		}
+	})
+}
+
+// TestPackedSwitchesToRaw drives both switches to raw columns: a capture
+// passing maxSites distinct (PC, target) pairs, with every seventh count
+// escaped, and one whose counts all need escapes. Views taken before the
+// switch still decode after it and stay deep-equal to views of the same
+// prefix taken later.
+func TestPackedSwitchesToRaw(t *testing.T) {
+	sites := make([]Event, maxSites+20_000)
+	for i := range sites {
+		e := Event{Instrs: uint32(i % 200), Branch: Branch{PC: 4 * uint32(i), Target: uint32(i) ^ 0x5a5a, Class: Class(i % NumClasses), Taken: i%3 == 0}}
+		if i%7 == 0 {
+			e.Instrs = 255 + uint32(i)
+		}
+		if i%11 == 0 {
+			e = sites[i/2] // a repeated site
+		}
+		sites[i] = e
+	}
+	dense := make([]Event, 5_000)
+	for i := range dense {
+		dense[i] = Event{Instrs: 255 + uint32(i%3), Branch: Branch{PC: uint32(i % 10), Class: Cond, Taken: i%2 == 0}}
+	}
+	for _, tc := range []struct {
+		name   string
+		events []Event
+		cuts   []int
+	}{
+		{"site table full", sites, []int{0, 1_000, maxSites, len(sites) - 1_000}},
+		{"dense escapes", dense, []int{10, 200, 3_000}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var p Packed
+			var views []Snapshot
+			n := 0
+			for _, cut := range tc.cuts {
+				for ; n < cut; n++ {
+					p.Append(tc.events[n])
+				}
+				views = append(views, p.View(cut))
+			}
+			for ; n < len(tc.events); n++ {
+				p.Append(tc.events[n])
+			}
+			if !p.switched || len(p.ins) == 0 || len(p.raw) == 0 {
+				t.Fatalf("store did not switch part way: %d coded, %d raw events", len(p.ins), len(p.raw))
+			}
+			checkSnapshot(t, "full", p.View(p.Len()), tc.events)
+			for k, cut := range tc.cuts {
+				checkSnapshot(t, fmt.Sprintf("view of %d", cut), views[k], tc.events[:cut])
+				if !reflect.DeepEqual(views[k], p.View(cut)) {
+					t.Fatalf("views of the first %d events differ before and after the switch", cut)
+				}
+			}
+			if max := 13*int64(p.Len()) + dictBytes; p.Bytes() > max {
+				t.Fatalf("%d events take %d bytes, over %d", p.Len(), p.Bytes(), max)
+			}
+		})
+	}
 }
