@@ -9,6 +9,7 @@ import (
 	"hash/fnv"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -310,6 +311,99 @@ func checkSnapshot(t *testing.T, name string, s Snapshot, events []Event) {
 	if got, want := s.Checksum(), referenceChecksum(events); got != want {
 		t.Fatalf("%s: Checksum %#x, reference FNV %#x", name, got, want)
 	}
+	checkDecode(t, name, s, events)
+}
+
+// checkDecode asserts that the replay plan's walks over s agree with a
+// walk over events: DecodeBranches in 7-event windows (so windows
+// straddle a switch to raw columns), DecodeTally to the end and to half
+// the conditional branches, and DecodeQuantum's stops.
+func checkDecode(t *testing.T, name string, s Snapshot, events []Event) {
+	t.Helper()
+	var pcs, targets []uint32
+	var outs []uint8
+	var byClass [NumClasses]uint64
+	var traps, taken, instrs uint64
+	for _, e := range events {
+		instrs += uint64(e.Instrs)
+		if e.Trap {
+			traps++
+			continue
+		}
+		byClass[e.Branch.Class]++
+		if e.Branch.Class != Cond {
+			continue
+		}
+		pcs, targets = append(pcs, e.Branch.PC), append(targets, e.Branch.Target)
+		var o uint8
+		if e.Branch.Taken {
+			o, taken = 1, taken+1
+		}
+		outs = append(outs, o)
+	}
+	gotPCs, gotTargets, gotOuts := make([]uint32, len(outs)), make([]uint32, len(outs)), make([]uint8, len(outs))
+	j := 0
+	for from := 0; from < len(events); from += 7 {
+		j += s.DecodeBranches(from, from+7, gotPCs[j:], gotTargets[j:], gotOuts[j:])
+	}
+	if j != len(outs) || !slices.Equal(gotPCs, pcs) || !slices.Equal(gotTargets, targets) || !slices.Equal(gotOuts, outs) {
+		t.Fatalf("%s: DecodeBranches gave %d branches, want %d, or different columns", name, j, len(outs))
+	}
+
+	var all Tally
+	s.DecodeTally(&all, len(events)+5, len(outs)+1)
+	gotClass, gotTraps, gotTaken := all.Counts()
+	if all.Event != len(events) || all.Conds != len(outs) || all.Instructions != instrs ||
+		gotClass != byClass || gotTraps != traps || gotTaken != taken {
+		t.Fatalf("%s: DecodeTally = %+v %v %d %d, want %d events, %d conds, %d instructions, %v %d %d",
+			name, all, gotClass, gotTraps, gotTaken, len(events), len(outs), instrs, byClass, traps, taken)
+	}
+	if half := len(outs) / 2; half > 0 {
+		var part Tally
+		s.DecodeTally(&part, len(events), half)
+		if part.Conds != half || isCond(metaOf(events[part.Event-1])) != 1 {
+			t.Fatalf("%s: DecodeTally to %d conds stopped at event %d with %d", name, half, part.Event, part.Conds)
+		}
+	}
+
+	const quantum = 700
+	type stop struct{ event, conds int }
+	var want []stop
+	var ran uint64
+	conds := 0
+	for i, e := range events {
+		ran += uint64(e.Instrs)
+		before := conds
+		if !e.Trap && e.Branch.Class == Cond {
+			conds++
+		}
+		if e.Trap || ran >= quantum {
+			want, ran = append(want, stop{i + 1, before}), 0
+		}
+	}
+	var got []stop
+	var q Tally
+	var since uint64
+	for q.Event < len(events) {
+		if switched, cond := s.DecodeQuantum(&q, len(events), len(outs)+1, quantum, &since); switched {
+			got = append(got, stop{q.Event, q.Conds - cond})
+		}
+	}
+	if !reflect.DeepEqual(got, want) || since != ran || q.Instructions != instrs {
+		t.Fatalf("%s: DecodeQuantum stops %v (since %d), want %v (since %d)", name, got, since, want, ran)
+	}
+}
+
+// metaOf is an event's metadata byte.
+func metaOf(e Event) uint8 {
+	m := uint8(e.Branch.Class) << metaClass
+	if e.Trap {
+		m |= metaTrap
+	}
+	if e.Branch.Taken {
+		m |= metaTaken
+	}
+	return m
 }
 
 // FuzzPackedRoundTrip checks the dictionary-coded store against the
