@@ -90,8 +90,8 @@ type GridResponse struct {
 	Bench    string `json:"bench,omitempty"`
 	Trace    string `json:"trace,omitempty"`
 	Branches uint64 `json:"branches"`
-	// Checksum fingerprints the replayed snapshot (FNV-1a over the
-	// packed columns): two responses with equal checksums measured the
+	// Checksum fingerprints the replayed snapshot (FNV-1a over its
+	// logical event columns): two responses with equal checksums measured the
 	// same events, so their cells are directly comparable.
 	Checksum  string `json:"checksum"`
 	Cells     []Cell `json:"cells,omitempty"`

@@ -86,8 +86,8 @@ type (
 	// sites, taken rates).
 	TraceStats = trace.Stats
 	// TraceSnapshot is an immutable packed event sequence. Readers over
-	// a snapshot qualify for the flat replay kernel, which replays the
-	// packed columns directly instead of decoding events one at a time.
+	// a snapshot qualify for the flat replay kernel, which decodes its
+	// branches into columns once instead of event by event.
 	TraceSnapshot = trace.Snapshot
 
 	// Predictor is the interface every scheme implements: Predict,
