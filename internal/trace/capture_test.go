@@ -433,22 +433,28 @@ func (s *phasedSource) Next() (Event, error) {
 }
 
 // storage is the heap footprint of p's columns, from each column's
-// capacity and element size; payload counts their lengths instead, the
-// bytes the events encoded so far actually use.
+// capacity and element size.
 func storage(p *Packed) int64 {
-	return int64(cap(p.meta))*int64(unsafe.Sizeof(uint8(0))) +
-		int64(cap(p.ins))*int64(unsafe.Sizeof(uint8(0))) +
-		int64(cap(p.sites))*int64(unsafe.Sizeof(uint16(0))) +
-		int64(cap(p.esc))*int64(unsafe.Sizeof(escape{})) +
+	_, held := eventColumns(p)
+	return held +
 		int64(cap(p.keys))*int64(unsafe.Sizeof(uint64(0))) +
-		int64(cap(p.marks))*int64(unsafe.Sizeof(uint32(0))) +
-		int64(cap(p.slots))*int64(unsafe.Sizeof(uint32(0))) +
-		int64(cap(p.raw))*int64(unsafe.Sizeof(rawEvent{}))
+		int64(cap(p.slots))*int64(unsafe.Sizeof(uint32(0)))
 }
 
-func payload(p *Packed) int64 {
-	return int64(len(p.meta)) + int64(len(p.ins)) + 2*int64(len(p.sites)) + 8*int64(len(p.esc)) +
-		8*int64(len(p.keys)) + 4*int64(len(p.marks)) + 4*int64(len(p.slots)) + 12*int64(len(p.raw))
+// eventColumns is the footprint of p's per-event columns (the site table
+// and its index excluded): live counts their lengths, the bytes the
+// events stored so far use, and held their capacities.
+func eventColumns(p *Packed) (live, held int64) {
+	size := func(n, c int, elem uintptr) {
+		live += int64(n) * int64(elem)
+		held += int64(c) * int64(elem)
+	}
+	size(len(p.meta), cap(p.meta), unsafe.Sizeof(uint8(0)))
+	size(len(p.ins), cap(p.ins), unsafe.Sizeof(uint8(0)))
+	size(len(p.sites), cap(p.sites), unsafe.Sizeof(uint16(0)))
+	size(len(p.esc), cap(p.esc), unsafe.Sizeof(escape{}))
+	size(len(p.raw), cap(p.raw), unsafe.Sizeof(rawEvent{}))
+	return live, held
 }
 
 func TestPackedBytesExact(t *testing.T) {
@@ -497,12 +503,14 @@ func TestPackedBytesExact(t *testing.T) {
 }
 
 // TestPackedAllocationBounded holds a capture's column growth to its
-// bounds: spare capacity at most a quarter of the live bytes (the
-// encoded payload), and, for a source that lasts the budget, at most
-// three times the final footprint allocated along the way. A source that
-// ends first is only held to the slack bound: its length is unknown
-// until it ends. phasedSource gives every event its own PC, so the
-// larger captures switch to raw columns on the way.
+// bounds: spare per-event column capacity at most a quarter of the live
+// per-event bytes, the site table and its index at most twice and four
+// times the sites they hold (their own growth steps), and, for a source
+// that lasts the budget, at most three times the final footprint
+// allocated along the way. A source that ends first is only held to the
+// slack bounds: its length is unknown until it ends. phasedSource gives
+// every event its own PC, so the larger captures switch to raw columns
+// on the way.
 func TestPackedAllocationBounded(t *testing.T) {
 	everything := ^uint64(0)
 	cases := []struct {
@@ -530,9 +538,12 @@ func TestPackedAllocationBounded(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			p := &c.entries["k"].packed
-			live := payload(p)
-			if slack := p.Bytes() - live; slack > live/4 {
+			live, held := eventColumns(p)
+			if slack := held - live; slack > live/4 {
 				t.Errorf("%d events: %d spare column bytes, over a quarter of the %d live", p.Len(), slack, live)
+			}
+			if sites := len(p.keys); cap(p.keys) > max(2*sites, minSlots) || len(p.slots) > max(4*sites, minSlots) {
+				t.Errorf("%d sites: site table holds %d, index %d slots", sites, cap(p.keys), len(p.slots))
 			}
 			if alloc := int64(after.TotalAlloc - before.TotalAlloc); tc.events == 0 && alloc > 3*p.Bytes() {
 				t.Errorf("%d events: capture allocated %d bytes, over 3x the final %d", p.Len(), alloc, p.Bytes())

@@ -31,7 +31,6 @@ type Packed struct {
 	sites []uint16   // coded events: index into keys
 	esc   []escape   // coded events whose count is escMark, ascending
 	keys  []uint64   // site table: pc<<32 | target, first-seen order
-	marks []uint32   // sites seen before every siteMark-th coded event
 	slots []uint32   // open-addressing index into keys: id+1, 0 = empty
 	raw   []rawEvent // the events after the switch to raw columns
 
@@ -78,9 +77,6 @@ const (
 	// dictBytes bounds the site table and its index: maxSites 8-byte
 	// keys and, at a load of at most one half, 2*maxSites 4-byte slots.
 	dictBytes = maxSites*8 + 2*maxSites*4
-	// siteMark is the stride, in coded events, of the site counts View
-	// starts from.
-	siteMark = 4096
 )
 
 // Append adds one event.
@@ -118,9 +114,6 @@ func (p *Packed) code(e Event) bool {
 		ins = uint8(e.Instrs)
 	} else if len(p.esc) >= len(p.ins)/4+escSlack {
 		return false
-	}
-	if len(p.ins)%siteMark == 0 {
-		p.marks = append(p.marks, uint32(len(p.keys)))
 	}
 	id, ok := p.site(uint64(e.Branch.PC)<<32 | uint64(e.Branch.Target))
 	if !ok {
@@ -280,8 +273,8 @@ func (p *Packed) Conds() int { return p.conds }
 func (p *Packed) Bytes() int64 {
 	const escapeBytes, rawBytes = 8, 12
 	return int64(cap(p.meta)) + int64(cap(p.ins)) + 2*int64(cap(p.sites)) +
-		escapeBytes*int64(cap(p.esc)) + 8*int64(cap(p.keys)) + 4*int64(cap(p.marks)) +
-		4*int64(cap(p.slots)) + rawBytes*int64(cap(p.raw))
+		escapeBytes*int64(cap(p.esc)) + 8*int64(cap(p.keys)) + 4*int64(cap(p.slots)) +
+		rawBytes*int64(cap(p.raw))
 }
 
 // eventsForConds returns the prefix length that covers the first n
@@ -313,11 +306,12 @@ func (p *Packed) eventsForConds(n uint64) int {
 func (p *Packed) View(n int) Snapshot {
 	n = min(max(n, 0), p.Len())
 	coded := min(n, len(p.ins))
+	// Ids are handed out in first-seen order, so the prefix uses exactly
+	// the sites up to its largest id.
 	sites := len(p.keys)
 	if coded < len(p.ins) {
-		k := coded / siteMark
-		sites = int(p.marks[k])
-		for _, id := range p.sites[k*siteMark : coded] {
+		sites = 0
+		for _, id := range p.sites[:coded] {
 			sites = max(sites, int(id)+1)
 		}
 	}
@@ -393,19 +387,22 @@ func (s Snapshot) Conds() int {
 // At decodes event i.
 func (s *Snapshot) At(i int) Event {
 	m := s.meta[i]
-	var ins, pc, target uint32
-	if i < len(s.ins) {
-		if ins = uint32(s.ins[i]); ins == escMark {
-			ins = s.esc[escapesBefore(s.esc, i)].instrs
-		}
-		k := s.keys[s.sites[i]]
-		pc, target = uint32(k>>32), uint32(k)
-	} else {
+	if i >= len(s.ins) {
 		r := &s.raw[i-len(s.ins)]
-		ins, pc, target = r.instrs, r.pc, r.target
+		return event(r.instrs, r.pc, r.target, m)
 	}
+	ins := uint32(s.ins[i])
+	if ins == escMark {
+		ins = s.esc[escapesBefore(s.esc, i)].instrs
+	}
+	k := s.keys[s.sites[i]]
+	return event(ins, uint32(k>>32), uint32(k), m)
+}
+
+// event assembles an Event from its decoded fields.
+func event(instrs, pc, target uint32, m uint8) Event {
 	return Event{
-		Instrs: ins,
+		Instrs: instrs,
 		Trap:   m&metaTrap != 0,
 		Branch: Branch{
 			PC:     pc,
@@ -545,7 +542,7 @@ func (s *Snapshot) DecodeQuantum(t *Tally, end, stopConds int, quantum uint64, s
 	if split := min(end, len(s.ins)); i < split {
 		meta, ins := s.meta[:split], s.ins[:split]
 		esc := s.esc[escapesBefore(s.esc, i):]
-		for i < len(meta) && j < stopConds && !stop {
+		for i < len(meta) && j < stopConds {
 			m := meta[i]
 			v := uint64(ins[i])
 			if v == escMark {
@@ -554,24 +551,30 @@ func (s *Snapshot) DecodeQuantum(t *Tally, end, stopConds int, quantum uint64, s
 			sum += v
 			ran += v
 			byMeta[m]++
-			cond = isCond(m)
-			j += cond
+			c := isCond(m)
+			j += c
 			i++
-			stop = m&metaTrap != 0 || ran >= quantum
+			if m&metaTrap != 0 || ran >= quantum {
+				stop, cond = true, c
+				break
+			}
 		}
 	}
 	if base := len(s.ins); !stop && i >= base && i < end {
 		meta, raw := s.meta[:end], s.raw[:end-base]
-		for i < len(meta) && j < stopConds && !stop {
+		for i < len(meta) && j < stopConds {
 			m := meta[i]
 			v := uint64(raw[i-base].instrs)
 			sum += v
 			ran += v
 			byMeta[m]++
-			cond = isCond(m)
-			j += cond
+			c := isCond(m)
+			j += c
 			i++
-			stop = m&metaTrap != 0 || ran >= quantum
+			if m&metaTrap != 0 || ran >= quantum {
+				stop, cond = true, c
+				break
+			}
 		}
 	}
 	t.Event, t.Conds, t.Instructions = i, j, sum
@@ -589,7 +592,6 @@ func (s *Snapshot) DecodeQuantum(t *Tally, end, stopConds int, quantum uint64, s
 // targets must be at least as long as outs.
 func (s *Snapshot) DecodeBranches(from, to int, pcs, targets []uint32, outs []uint8) int {
 	to = min(to, len(s.meta))
-	pcs, targets = pcs[:len(outs)], targets[:len(outs)]
 	j := 0
 	if split := min(to, len(s.ins)); from < split {
 		j = decodeCoded(s.meta[from:split], s.sites[from:split], s.keys, pcs, targets, outs)
@@ -603,12 +605,15 @@ func (s *Snapshot) DecodeBranches(from, to int, pcs, targets []uint32, outs []ui
 
 // decodeCoded is DecodeBranches over coded events. Every event is written
 // at the next branch index, which advances only past a conditional
-// branch: no data-dependent branch in the loop.
+// branch: no data-dependent branch in the loop. The unsigned room check
+// proves every store in bounds, so the loop checks only the site-table
+// gather.
 func decodeCoded(meta []uint8, sites []uint16, keys []uint64, pcs, targets []uint32, outs []uint8) int {
 	j := 0
 	sites = sites[:len(meta)]
+	pcs, targets = pcs[:len(outs)], targets[:len(outs)]
 	for i, m := range meta {
-		if j == len(outs) {
+		if uint(j) >= uint(len(outs)) {
 			break
 		}
 		k := keys[sites[i]]
@@ -622,8 +627,9 @@ func decodeCoded(meta []uint8, sites []uint16, keys []uint64, pcs, targets []uin
 func decodeRaw(meta []uint8, raw []rawEvent, pcs, targets []uint32, outs []uint8) int {
 	j := 0
 	raw = raw[:len(meta)]
+	pcs, targets = pcs[:len(outs)], targets[:len(outs)]
 	for i, m := range meta {
-		if j == len(outs) {
+		if uint(j) >= uint(len(outs)) {
 			break
 		}
 		pcs[j], targets[j], outs[j] = raw[i].pc, raw[i].target, m&metaTaken>>1
@@ -641,12 +647,18 @@ type SnapshotReader struct {
 
 // Next implements Source.
 func (r *SnapshotReader) Next() (Event, error) {
-	if r.pos >= r.s.Len() {
+	s, i := &r.s, r.pos
+	if i >= len(s.meta) {
 		return Event{}, io.EOF
 	}
-	e := r.s.At(r.pos)
 	r.pos++
-	return e, nil
+	// A coded event with an inline count decodes here; At, which does
+	// not inline, takes escaped counts and raw events.
+	if i < len(s.ins) && s.ins[i] != escMark {
+		k := s.keys[s.sites[i]]
+		return event(uint32(s.ins[i]), uint32(k>>32), uint32(k), s.meta[i]), nil
+	}
+	return s.At(i), nil
 }
 
 // Reset rewinds the reader to the start of the snapshot.
