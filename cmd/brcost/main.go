@@ -39,6 +39,7 @@ func main() {
 	emit := func(s string) {
 		bd, err := twolevel.EstimateCost(s)
 		if err != nil {
+			tw.Flush() // keep the rows already costed
 			fatal(err)
 		}
 		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%.0f\n", s, bd.BHT(), bd.PHT(), bd.Total())

@@ -58,6 +58,19 @@ func TestSweep(t *testing.T) {
 	}
 }
 
+// TestSweepPastBuildCap: costing builds nothing, so the default PAp
+// sweep reaches tables over the predictor's pattern-table cap
+// (512 x 2^16 at k = 16) and still prints every row.
+func TestSweepPastBuildCap(t *testing.T) {
+	out, err := exec.Command(binary, "-sweep", "PAp").CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if c := strings.Count(string(out), "PAp("); c != 9 { // k = 2,4,...,18
+		t.Errorf("sweep rows = %d, want 9:\n%s", c, out)
+	}
+}
+
 func TestRejectsUncostableScheme(t *testing.T) {
 	out, err := exec.Command(binary, "-scheme", "BTFN").CombinedOutput()
 	if err == nil {

@@ -8,7 +8,10 @@ import (
 
 	"twolevel/internal/flat"
 	"twolevel/internal/predictor"
+	"twolevel/internal/prog"
+	"twolevel/internal/sim"
 	"twolevel/internal/spec"
+	"twolevel/internal/trace"
 )
 
 func mustEstimate(t *testing.T, s string) Breakdown {
@@ -220,46 +223,69 @@ func TestEstimateNeverNegativeProperty(t *testing.T) {
 	}
 }
 
-// TestFromSpecMatchesSimulatedStructure pins the §3.4 model to what is
-// simulated: for every Table 3 and ext-taxonomy configuration the model
-// covers, FromSpec's h, j, k, table count and s equal the dimensions of
-// the flat.State the built predictor allocates — its history registers,
-// BHT associativity, HistMask width, pattern tables (each 2^k entries)
-// and log2 of its automaton's states. The configurations outside the
-// model are listed too, so one the model later accepts joins the check.
-func TestFromSpecMatchesSimulatedStructure(t *testing.T) {
-	cases := []struct {
-		spec    string
-		inModel bool
-	}{
-		// Table 3.
-		{"GAg(HR(1,,12-sr),1xPHT(2^12,A2))", true},
-		{"PAg(BHT(256,1,12-sr),1xPHT(2^12,A2))", true},
-		{"PAg(BHT(256,4,12-sr),1xPHT(2^12,A2))", true},
-		{"PAg(BHT(512,1,12-sr),1xPHT(2^12,A2))", true},
-		{"PAg(BHT(512,4,12-sr),1xPHT(2^12,A1))", true},
-		{"PAg(BHT(512,4,12-sr),1xPHT(2^12,A2))", true},
-		{"PAg(BHT(512,4,12-sr),1xPHT(2^12,A3))", true},
-		{"PAg(BHT(512,4,12-sr),1xPHT(2^12,A4))", true},
-		{"PAg(BHT(512,4,12-sr),1xPHT(2^12,LT))", true},
-		{"PAg(IBHT(inf,,12-sr),1xPHT(2^12,A2))", false},
-		{"PAp(BHT(512,4,12-sr),512xPHT(2^12,A2))", true},
-		{"GSg(HR(1,,12-sr),1xPHT(2^12,PB))", true},
-		{"PSg(BHT(512,4,12-sr),1xPHT(2^12,PB))", true},
-		{"BTB(BHT(512,4,A2),)", false},
-		{"BTB(BHT(512,4,LT),)", false},
-		// ext-taxonomy, k = 6.
-		{"GAg(HR(1,,6-sr),1xPHT(2^6,A2))", true},
-		{"GAs(HR(1,,6-sr),16xPHT(2^6,A2))", false},
-		{"GAp(HR(1,,6-sr),512xPHT(2^6,A2))", false},
-		{"SAg(SHT(64,,6-sr),1xPHT(2^6,A2))", false},
-		{"SAs(SHT(64,,6-sr),16xPHT(2^6,A2))", false},
-		{"SAp(SHT(64,,6-sr),512xPHT(2^6,A2))", false},
-		{"PAg(BHT(512,4,6-sr),1xPHT(2^6,A2))", true},
-		{"PAs(BHT(512,4,6-sr),16xPHT(2^6,A2))", false},
-		{"PAp(BHT(512,4,6-sr),512xPHT(2^6,A2))", true},
+// modelSpecs are the Table 3 and ext-taxonomy configurations, marked
+// with whether the §3.4 model covers them. The configurations outside
+// the model are listed too, so one the model later accepts joins the
+// checks below.
+var modelSpecs = []struct {
+	spec    string
+	inModel bool
+}{
+	// Table 3.
+	{"GAg(HR(1,,12-sr),1xPHT(2^12,A2))", true},
+	{"PAg(BHT(256,1,12-sr),1xPHT(2^12,A2))", true},
+	{"PAg(BHT(256,4,12-sr),1xPHT(2^12,A2))", true},
+	{"PAg(BHT(512,1,12-sr),1xPHT(2^12,A2))", true},
+	{"PAg(BHT(512,4,12-sr),1xPHT(2^12,A1))", true},
+	{"PAg(BHT(512,4,12-sr),1xPHT(2^12,A2))", true},
+	{"PAg(BHT(512,4,12-sr),1xPHT(2^12,A3))", true},
+	{"PAg(BHT(512,4,12-sr),1xPHT(2^12,A4))", true},
+	{"PAg(BHT(512,4,12-sr),1xPHT(2^12,LT))", true},
+	{"PAg(IBHT(inf,,12-sr),1xPHT(2^12,A2))", false},
+	{"PAp(BHT(512,4,12-sr),512xPHT(2^12,A2))", true},
+	{"GSg(HR(1,,12-sr),1xPHT(2^12,PB))", true},
+	{"PSg(BHT(512,4,12-sr),1xPHT(2^12,PB))", true},
+	{"BTB(BHT(512,4,A2),)", false},
+	{"BTB(BHT(512,4,LT),)", false},
+	// ext-taxonomy, k = 6.
+	{"GAg(HR(1,,6-sr),1xPHT(2^6,A2))", true},
+	{"GAs(HR(1,,6-sr),16xPHT(2^6,A2))", false},
+	{"GAp(HR(1,,6-sr),512xPHT(2^6,A2))", false},
+	{"SAg(SHT(64,,6-sr),1xPHT(2^6,A2))", false},
+	{"SAs(SHT(64,,6-sr),16xPHT(2^6,A2))", false},
+	{"SAp(SHT(64,,6-sr),512xPHT(2^6,A2))", false},
+	{"PAg(BHT(512,4,6-sr),1xPHT(2^6,A2))", true},
+	{"PAs(BHT(512,4,6-sr),16xPHT(2^6,A2))", false},
+	{"PAp(BHT(512,4,6-sr),512xPHT(2^6,A2))", true},
+}
+
+// buildTwoLevel builds sp's predictor, with an untrained static trainer
+// for the Static Training structures.
+func buildTwoLevel(t *testing.T, sp spec.Spec) *predictor.TwoLevel {
+	t.Helper()
+	var td *spec.TrainingData
+	if sp.NeedsTraining() {
+		tr, err := spec.NewTrainer(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		td = &spec.TrainingData{Static: tr}
 	}
-	for _, c := range cases {
+	p, err := spec.Build(sp, td)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.(*predictor.TwoLevel)
+}
+
+// TestFromSpecMatchesSimulatedStructure pins the §3.4 model to what is
+// simulated: for every modelSpecs configuration the model covers,
+// FromSpec's h, j, k, table count and s equal the dimensions of the
+// flat.State the built predictor allocates — its history registers, BHT
+// associativity, HistMask width, pattern tables (each 2^k entries) and
+// log2 of its automaton's states.
+func TestFromSpecMatchesSimulatedStructure(t *testing.T) {
+	for _, c := range modelSpecs {
 		t.Run(c.spec, func(t *testing.T) {
 			sp := spec.MustParse(c.spec)
 			want, err := FromSpec(sp)
@@ -272,19 +298,7 @@ func TestFromSpecMatchesSimulatedStructure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var td *spec.TrainingData
-			if sp.NeedsTraining() {
-				tr, err := spec.NewTrainer(sp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				td = &spec.TrainingData{Static: tr}
-			}
-			p, err := spec.Build(sp, td)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := p.(*predictor.TwoLevel).State()
+			st := buildTwoLevel(t, sp).State()
 			got := Params{
 				AddressBits: DefaultAddressBits,
 				BHTEntries:  1,
@@ -310,4 +324,90 @@ func TestFromSpecMatchesSimulatedStructure(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestStorageBitsMatchState counts each modelled configuration's
+// storage bits from the flat.State it simulates, in the paper's terms,
+// and pins Estimate's storage terms to the count. A BHT entry holds a
+// tag of a − log2(sets) address bits, k history bits, one prediction
+// bit and an LRU rank of j = bits.Len(assoc−1) bits; the global
+// register of GAg/GSg is one entry with neither tag nor rank. A pattern
+// table holds 2^k entries of s bits, s the bits of an automaton state.
+// Each configuration then replays a gcc capture with context switches,
+// after which every set's ranks must still be a permutation of
+// 0..assoc−1, so every rank fits the j bits counted.
+func TestStorageBitsMatchState(t *testing.T) {
+	snap := gccCapture(t, 100_000)
+	for _, c := range modelSpecs {
+		if !c.inModel {
+			continue
+		}
+		t.Run(c.spec, func(t *testing.T) {
+			sp := spec.MustParse(c.spec)
+			params, err := FromSpec(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Estimate(params, Defaults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := buildTwoLevel(t, sp)
+			st := p.State()
+			k := bits.OnesCount32(st.HistMask)
+			entries, tag, j := 1, 0, 0
+			if st.BHT == flat.CacheBHT {
+				entries = len(st.Valid)
+				tag = DefaultAddressBits - bits.TrailingZeros(uint(st.SetMask+1))
+				j = bits.Len(uint(st.Assoc - 1))
+			}
+			tables := 1
+			if st.PatternAxis == flat.PerAddress {
+				tables = len(st.PHTStates)
+			}
+			bht := entries * (tag + k + 1 + j)
+			pht := tables * int(st.HistMask+1) * bits.Len(uint(len(st.Delta)/2-1))
+			if float64(bht) != want.BHTStorage/Defaults.Storage || float64(pht) != want.PHTStorage/Defaults.Storage {
+				t.Fatalf("state holds %d BHT and %d pattern bits; Estimate stores %v and %v",
+					bht, pht, want.BHTStorage/Defaults.Storage, want.PHTStorage/Defaults.Storage)
+			}
+
+			if _, err := sim.Run(p, snap.Reader(), sim.Options{ContextSwitches: true}); err != nil {
+				t.Fatal(err)
+			}
+			for base := 0; base < len(st.Ranks); base += st.Assoc {
+				seen := make([]bool, st.Assoc)
+				for _, r := range st.Ranks[base : base+st.Assoc] {
+					if int(r) >= st.Assoc || seen[r] {
+						t.Fatalf("set %d ranks %v are not a permutation of 0..%d",
+							base/st.Assoc, st.Ranks[base:base+st.Assoc], st.Assoc-1)
+					}
+					seen[r] = true
+				}
+			}
+		})
+	}
+}
+
+// gccCapture packs the first events of gcc's testing run, the benchmark
+// with the most static branches and so the most BHT replacement.
+func gccCapture(t *testing.T, events int) trace.Snapshot {
+	t.Helper()
+	bench, err := prog.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := bench.NewSource(bench.Testing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p trace.Packed
+	for p.Len() < events {
+		e, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Append(e)
+	}
+	return p.View(p.Len())
 }

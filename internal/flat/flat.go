@@ -14,8 +14,9 @@
 //     extends through the whole register (§4.2);
 //   - the practical branch history table (§3.3) is parallel per-slot
 //     arrays in set-major, way-minor order: validity, ever-allocated,
-//     tag (the full PC), Stamps (true-LRU timestamps), Hists, Preds (the
-//     cached next prediction, §3.1) and Targets (§3.2);
+//     tag (the full PC), Ranks (true LRU as hardware keeps it: a set's
+//     ranks permute 0..assoc−1, 0 the most recently used), Hists, Preds
+//     (the cached next prediction, §3.1) and Targets (§3.2);
 //   - the Ideal table uses the same payload arrays, one slot per branch
 //     in first-seen order, with a PCIndex as its directory;
 //   - a pattern table is a []automaton.State indexed by pattern plus a
@@ -66,11 +67,8 @@ const MaxHistoryBits = 30
 // outcome. MaxHistoryBits is 30, so bit 31 is free.
 const FreshBit = uint32(1) << 31
 
-// BranchTouches is how far one depth-0 branch advances the LRU clock:
-// Predict's lookup and Update's each touch the branch's entry. The
-// kernel fuses both into one lookup that advances the clock by this
-// much, so its stamps equal the interpretive runner's.
-const BranchTouches = 2
+// MaxAssoc is the widest set a uint16 LRU rank can order.
+const MaxAssoc = 1 << 16
 
 // Config sizes a State.
 type Config struct {
@@ -96,11 +94,9 @@ type Config struct {
 	BTB, MissBTFN bool
 }
 
-// Clock is what a BHT lookup advances besides the tables: the LRU clock
-// and the hit-rate counters. A State embeds the serial one; each worker
-// of a sharded kernel run owns a private one.
-type Clock struct {
-	Now             uint64
+// LookupCounts are a BHT's hit-rate counters. A State embeds the serial
+// ones; each worker of a sharded kernel run counts into private ones.
+type LookupCounts struct {
 	Lookups, Misses uint64
 }
 
@@ -139,7 +135,7 @@ type State struct {
 	SetMask     uint32
 	Valid, ever []bool
 	pcs         []uint32
-	Stamps      []uint64
+	Ranks       []uint16 // LRU rank within the set, 0 = most recent
 	Hists       []uint32
 	Preds       []bool
 	Targets     []uint32
@@ -148,7 +144,7 @@ type State struct {
 	Autos    []automaton.State // per-slot automaton state (BTB only)
 	missBTFN bool
 
-	Clock
+	LookupCounts
 }
 
 // New returns the initial state cfg describes: every history register
@@ -205,7 +201,10 @@ func New(cfg Config) State {
 		s.Valid = make([]bool, n)
 		s.ever = make([]bool, n)
 		s.pcs = make([]uint32, n)
-		s.Stamps = make([]uint64, n)
+		s.Ranks = make([]uint16, n)
+		for j := range s.Ranks {
+			s.Ranks[j] = uint16(j % cfg.Assoc)
+		}
 		s.Hists = make([]uint32, n)
 		s.Preds = make([]bool, n)
 		s.Targets = make([]uint32, n)
@@ -287,23 +286,35 @@ func (s *State) Tables(pc uint32, slot int) ([]automaton.State, []uint64) {
 }
 
 // LookupCache is a counted lookup in the practical table: pc's resident
-// slot, or a newly allocated one on a miss. The slot's LRU stamp
-// advances by touches ticks of c.
-func (s *State) LookupCache(c *Clock, pc uint32, touches uint64) int {
+// slot, or a newly allocated one on a miss, made its set's most recently
+// used way.
+func (s *State) LookupCache(c *LookupCounts, pc uint32) int {
 	c.Lookups++
 	if j := s.way(pc); j >= 0 {
-		c.Now += touches
-		s.Stamps[j] = c.Now
+		s.touch(j)
 		return j
 	}
 	c.Misses++
-	return s.allocCache(c, pc, touches)
+	return s.allocCache(pc)
+}
+
+// touch makes slot j its set's most recently used way. Each more recent
+// way ages one rank, branchlessly, as which ones age is data-dependent.
+func (s *State) touch(j int) {
+	if r := s.Ranks[j]; r != 0 {
+		base := j &^ (s.Assoc - 1)
+		set := s.Ranks[base : base+s.Assoc]
+		for i, x := range set {
+			set[i] = x + uint16((uint32(x)-uint32(r))>>31)
+		}
+		s.Ranks[j] = 0
+	}
 }
 
 // LookupIdeal is LookupCache for the Ideal table: no capacity, no
 // replacement, and a flushed branch revives its own slot with its
 // pattern table intact.
-func (s *State) LookupIdeal(c *Clock, pc uint32) int {
+func (s *State) LookupIdeal(c *LookupCounts, pc uint32) int {
 	c.Lookups++
 	idx, added := s.dir.Add(pc)
 	if !added && s.Valid[idx] {
@@ -314,15 +325,14 @@ func (s *State) LookupIdeal(c *Clock, pc uint32) int {
 }
 
 // LookupBTB is a Branch Target Buffer's predict step: a counted lookup
-// of pc that allocates nothing. A hit advances the slot's LRU stamp by
-// touches ticks of c and predicts λ of its automaton state; a miss
+// of pc that allocates nothing. A hit makes the slot its set's most
+// recently used way and predicts λ of its automaton state; a miss
 // returns slot -1 and predicts by the miss policy, taken or
 // backward-taken/forward-not-taken from the branch's target.
-func (s *State) LookupBTB(c *Clock, pc, target uint32, touches uint64) (slot int, taken bool) {
+func (s *State) LookupBTB(c *LookupCounts, pc, target uint32) (slot int, taken bool) {
 	c.Lookups++
 	if j := s.way(pc); j >= 0 {
-		c.Now += touches
-		s.Stamps[j] = c.Now
+		s.touch(j)
 		return j, s.PredMask>>s.Autos[j]&1 != 0
 	}
 	c.Misses++
@@ -331,12 +341,12 @@ func (s *State) LookupBTB(c *Clock, pc, target uint32, touches uint64) (slot int
 
 // TrainBTB is a Branch Target Buffer's update step for pc at slot j, or
 // j = -1 when pc is not resident: a missing branch is allocated a slot
-// (one touch of the State's own clock) with its automaton at the initial
-// state. δ then applies outcome o (0 or 1), and a taken branch's target
-// is cached; a not-taken one leaves whatever target the slot held.
+// with its automaton at the initial state. δ then applies outcome o (0
+// or 1), and a taken branch's target is cached; a not-taken one leaves
+// whatever target the slot held.
 func (s *State) TrainBTB(j int, pc, o, target uint32) {
 	if j < 0 {
-		j = s.allocCache(&s.Clock, pc, 1)
+		j = s.allocCache(pc)
 	}
 	s.Autos[j] = s.Delta[uint32(s.Autos[j])<<1|o]
 	if o != 0 {
@@ -356,12 +366,11 @@ func (s *State) CachedTarget(pc uint32) (target uint32, ok bool) {
 }
 
 // Find returns pc's resident slot, or -1, without counting a lookup. A
-// practical-table hit is one touch of the State's own clock.
+// practical-table hit makes the slot its set's most recently used way.
 func (s *State) Find(pc uint32) int {
 	j := s.Peek(pc)
 	if j >= 0 && s.BHT == CacheBHT {
-		s.Now++
-		s.Stamps[j] = s.Now
+		s.touch(j)
 	}
 	return j
 }
@@ -390,23 +399,23 @@ func (s *State) way(pc uint32) int {
 }
 
 // Allocate gives pc, which must not be resident, a slot without
-// counting a lookup (one touch of the State's own clock).
+// counting a lookup.
 func (s *State) Allocate(pc uint32) int {
 	if s.BHT == IdealBHT {
 		idx, added := s.dir.Add(pc)
 		return s.allocIdeal(int(idx), pc, added)
 	}
-	return s.allocCache(&s.Clock, pc, 1)
+	return s.allocCache(pc)
 }
 
 // allocCache takes pc's set's first invalid way, else its least
-// recently used one (§3.3), and initialises it per §4.2: a fresh
-// history and a taken cached prediction. A per-slot pattern table is
-// materialised on the slot's first allocation and reinitialised when
-// the slot is taken from another resident branch (unless inherited). A
-// BTB slot's automaton restarts at the initial state on every
-// allocation.
-func (s *State) allocCache(c *Clock, pc uint32, touches uint64) int {
+// recently used one (§3.3), makes it the most recently used, and
+// initialises it per §4.2: a fresh history and a taken cached
+// prediction. A per-slot pattern table is materialised on the slot's
+// first allocation and reinitialised when the slot is taken from another
+// resident branch (unless inherited). A BTB slot's automaton restarts at
+// the initial state on every allocation.
+func (s *State) allocCache(pc uint32) int {
 	base := int(pc>>2&s.SetMask) * s.Assoc
 	victim := base
 	for j := base; j < base+s.Assoc; j++ {
@@ -414,16 +423,15 @@ func (s *State) allocCache(c *Clock, pc uint32, touches uint64) int {
 			victim = j
 			break
 		}
-		if s.Stamps[j] < s.Stamps[victim] {
+		if int(s.Ranks[j]) == s.Assoc-1 {
 			victim = j
 		}
 	}
 	recycled := s.Valid[victim] && s.pcs[victim] != pc
-	c.Now += touches
+	s.touch(victim)
 	s.ever[victim] = true
 	s.Valid[victim] = true
 	s.pcs[victim] = pc
-	s.Stamps[victim] = c.Now
 	s.Hists[victim] = s.freshHist
 	s.Preds[victim] = true
 	if s.Autos != nil {

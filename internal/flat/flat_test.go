@@ -157,9 +157,9 @@ func TestLookup(t *testing.T) {
 		// resident.
 		{"WorkingSetSmallerThanWayFitsEntirely", CacheBHT, 64, 4, cat(
 			repeat(1, false, seq(0, 4, 16)...), repeat(10, true, seq(0, 4, 16)...))},
-		// A fully associative set keeps its four branches over many
-		// stamps.
-		{"LRUStampOverflowResistance", CacheBHT, 4, 4, cat(
+		// A fully associative set keeps its four branches however often
+		// a round-robin over them reorders the set.
+		{"FullyAssociativeSetKeepsItsBranches", CacheBHT, 4, 4, cat(
 			repeat(1, false, seq(0, 4, 4)...), repeat(25000, true, seq(0, 4, 4)...))},
 		{"IdealNeverForgets", IdealBHT, 0, 0, cat(
 			repeat(1, false, 0x10), repeat(1, false, seq(0x1000, 4, 10000)...), repeat(1, true, 0x10))},
@@ -178,9 +178,9 @@ func TestLookup(t *testing.T) {
 				lookups++
 				misses := s.Misses
 				if c.bht == IdealBHT {
-					s.LookupIdeal(&s.Clock, step.pc)
+					s.LookupIdeal(&s.LookupCounts, step.pc)
 				} else {
-					s.LookupCache(&s.Clock, step.pc, BranchTouches)
+					s.LookupCache(&s.LookupCounts, step.pc)
 				}
 				if hit := s.Misses == misses; hit != step.hit {
 					t.Fatalf("step %d: lookup of %#x hit = %v, want %v", i, step.pc, hit, step.hit)
@@ -203,7 +203,7 @@ func TestCacheNeverExceedsCapacityProperty(t *testing.T) {
 		seen := map[uint32]bool{}
 		for i := 0; i < 500; i++ {
 			pc := uint32(r.Intn(4096)) << 2
-			j := s.LookupCache(&s.Clock, pc, 1)
+			j := s.LookupCache(&s.LookupCounts, pc)
 			if int(pc>>2&s.SetMask) != j/s.Assoc {
 				return false
 			}
@@ -254,9 +254,9 @@ func TestSlotReallocation(t *testing.T) {
 			})
 			look := func(pc uint32) int {
 				if c.bht == IdealBHT {
-					return s.LookupIdeal(&s.Clock, pc)
+					return s.LookupIdeal(&s.LookupCounts, pc)
 				}
-				return s.LookupCache(&s.Clock, pc, 1)
+				return s.LookupCache(&s.LookupCounts, pc)
 			}
 			j := look(c.a)
 			s.Train(s.PHTStates[j], s.PHTTouched[j], 5, 0)
@@ -296,7 +296,7 @@ func TestNewPatternTables(t *testing.T) {
 				HistoryAxis: PerAddress, PatternAxis: pat, HistoryBits: 6,
 				Machine: m, Init: m.Initial(), BHT: CacheBHT, Entries: 8, Assoc: 2, PatternSets: 4,
 			})
-			j := s.LookupCache(&s.Clock, 0x40, 1)
+			j := s.LookupCache(&s.LookupCounts, 0x40)
 			var tables [][]automaton.State
 			switch pat {
 			case Global:
@@ -409,7 +409,7 @@ func TestFlush(t *testing.T) {
 			const pc = 0x44
 			j := -1
 			if c.bht != NoBHT {
-				j = s.LookupCache(&s.Clock, pc, 1)
+				j = s.LookupCache(&s.LookupCounts, pc)
 			}
 			r := s.History(pc, j)
 			*r = Shift(Shift(*r, 1, s.HistMask), 0, s.HistMask)

@@ -49,7 +49,7 @@ func NewBTB(cfg BTBConfig) (*BTB, error) {
 	if cfg.Entries <= 0 || cfg.Entries&(cfg.Entries-1) != 0 {
 		return nil, fmt.Errorf("predictor: BTB entries %d must be a power of two", cfg.Entries)
 	}
-	if cfg.Assoc <= 0 || cfg.Assoc&(cfg.Assoc-1) != 0 || cfg.Assoc > cfg.Entries {
+	if cfg.Assoc <= 0 || cfg.Assoc&(cfg.Assoc-1) != 0 || cfg.Assoc > cfg.Entries || cfg.Assoc > flat.MaxAssoc {
 		return nil, fmt.Errorf("predictor: BTB associativity %d invalid", cfg.Assoc)
 	}
 	if !cfg.Automaton.Valid() {
@@ -95,7 +95,7 @@ func (p *BTB) Name() string { return p.name }
 // automaton; a miss uses the static fallback policy and allocates
 // nothing.
 func (p *BTB) Predict(b trace.Branch) bool {
-	_, taken := p.st.LookupBTB(&p.st.Clock, b.PC, b.Target, 1)
+	_, taken := p.st.LookupBTB(&p.st.LookupCounts, b.PC, b.Target)
 	return taken
 }
 

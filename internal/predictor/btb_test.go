@@ -14,11 +14,15 @@ func TestBTBValidation(t *testing.T) {
 		{Entries: 100, Assoc: 4, Automaton: automaton.A2},
 		{Entries: 512, Assoc: 3, Automaton: automaton.A2},
 		{Entries: 512, Assoc: 4, Automaton: automaton.PB},
+		{Entries: 1 << 17, Assoc: 1 << 17, Automaton: automaton.A2}, // over a 16-bit LRU rank
 	}
 	for i, cfg := range bad {
 		if _, err := NewBTB(cfg); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+	if _, err := NewBTB(BTBConfig{Entries: 1 << 16, Assoc: 1 << 16, Automaton: automaton.A2}); err != nil {
+		t.Errorf("a fully associative BTB at the rank width rejected: %v", err)
 	}
 }
 
@@ -179,8 +183,10 @@ func TestBTBAllocatesAtUpdate(t *testing.T) {
 	}
 }
 
-// TestBTBPredictTargetLeavesLRUAlone pins the clock rule the flat
-// kernel relies on: a target read moves no stamp and no clock.
+// TestBTBPredictTargetLeavesLRUAlone pins the rule the flat kernel
+// relies on: a target read moves no LRU rank. The reads run in the
+// reverse of the update order, so a read that touched would reorder
+// every set.
 func TestBTBPredictTargetLeavesLRUAlone(t *testing.T) {
 	p := MustBTB(BTBConfig{Entries: 8, Assoc: 4, Automaton: automaton.LastTime})
 	for pc := uint32(0x40); pc < 0x60; pc += 4 {
@@ -188,14 +194,14 @@ func TestBTBPredictTargetLeavesLRUAlone(t *testing.T) {
 		p.Update(b, p.Predict(b))
 	}
 	before := *p.State()
-	before.Stamps = append([]uint64(nil), before.Stamps...)
-	for pc := uint32(0x40); pc < 0x60; pc += 4 {
+	before.Ranks = append([]uint16(nil), before.Ranks...)
+	for pc := uint32(0x5c); pc >= 0x40; pc -= 4 {
 		if target, ok := p.PredictTarget(pc); !ok || target != pc-0x20 {
 			t.Fatalf("PredictTarget(%#x) = (%#x, %v)", pc, target, ok)
 		}
 	}
-	if after := p.State(); after.Now != before.Now || !reflect.DeepEqual(after.Stamps, before.Stamps) {
-		t.Fatal("PredictTarget moved the LRU clock or a stamp")
+	if after := p.State(); !reflect.DeepEqual(after.Ranks, before.Ranks) {
+		t.Fatal("PredictTarget moved an LRU rank")
 	}
 }
 

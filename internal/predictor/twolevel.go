@@ -158,6 +158,12 @@ type TwoLevelConfig struct {
 	DisplayName string
 }
 
+// MaxPatternEntries caps a configuration's pattern-table entries, its
+// table count times 2^k. The largest in the paper's grids is PAp's
+// 512 tables of 2^12; a 2^30-entry table would hold a gigabyte of state.
+// Behind an Ideal BHT the count is per branch; see CheckPatternTables.
+const MaxPatternEntries = 1 << 24
+
 // Validate reports whether the configuration is well-formed.
 //
 // Validate closes the panic-vs-error contract at the public boundary:
@@ -192,7 +198,7 @@ func (c TwoLevelConfig) Validate() error {
 		if c.Entries <= 0 || c.Entries&(c.Entries-1) != 0 {
 			return fmt.Errorf("predictor: BHT entries %d must be a power of two", c.Entries)
 		}
-		if c.Assoc <= 0 || c.Assoc&(c.Assoc-1) != 0 || c.Assoc > c.Entries {
+		if c.Assoc <= 0 || c.Assoc&(c.Assoc-1) != 0 || c.Assoc > c.Entries || c.Assoc > flat.MaxAssoc {
 			return fmt.Errorf("predictor: BHT associativity %d invalid", c.Assoc)
 		}
 	}
@@ -206,6 +212,9 @@ func (c TwoLevelConfig) Validate() error {
 			return fmt.Errorf("predictor: per-set pattern needs a power-of-two PatternSets, got %d", c.PatternSets)
 		}
 	}
+	if err := c.CheckPatternTables(1); err != nil {
+		return err
+	}
 	if c.Preset != nil {
 		if c.Variation.PatternAxis() != AxisGlobal {
 			return fmt.Errorf("predictor: preset pattern tables require a global pattern level (GSg/PSg)")
@@ -214,6 +223,29 @@ func (c TwoLevelConfig) Validate() error {
 			return fmt.Errorf("predictor: preset table has %d entries, a %d-bit history needs %d",
 				len(c.Preset), c.HistoryBits, 1<<c.HistoryBits)
 		}
+	}
+	return nil
+}
+
+// CheckPatternTables reports whether the pattern tables fit
+// MaxPatternEntries over a run that sees at most sites distinct
+// branches. There is one global table, one per set, one per practical
+// BHT entry, or, behind an Ideal BHT, one per branch. Only a caller that
+// knows its trace can bound the last count; Validate checks one table.
+// The history length must already be in range.
+func (c TwoLevelConfig) CheckPatternTables(sites int) error {
+	tables := 1
+	switch {
+	case c.Variation.PatternAxis() == AxisPerSet:
+		tables = c.PatternSets
+	case c.Variation.PatternAxis() == AxisPerAddress && c.Ideal:
+		tables = max(sites, 1)
+	case c.Variation.PatternAxis() == AxisPerAddress:
+		tables = c.Entries
+	}
+	if tables > MaxPatternEntries>>c.HistoryBits {
+		return fmt.Errorf("predictor: %d pattern tables of 2^%d entries exceed the cap of %d entries",
+			tables, c.HistoryBits, MaxPatternEntries)
 	}
 	return nil
 }
@@ -309,17 +341,17 @@ func (p *TwoLevel) slot(pc uint32, count bool) int {
 		}
 		return st.Allocate(pc)
 	case st.BHT == flat.IdealBHT:
-		return st.LookupIdeal(&st.Clock, pc)
+		return st.LookupIdeal(&st.LookupCounts, pc)
 	default:
-		return st.LookupCache(&st.Clock, pc, 1)
+		return st.LookupCache(&st.LookupCounts, pc)
 	}
 }
 
 // register returns the history register consulted for pc by the
 // speculative path. A per-address register lives in pc's BHT entry,
 // which is allocated when allocate is true; otherwise register returns
-// nil for a non-resident branch. Finding a resident entry does not touch
-// its LRU stamp.
+// nil for a non-resident branch. Finding a resident entry leaves the LRU
+// order alone.
 func (p *TwoLevel) register(pc uint32, allocate bool) *uint32 {
 	st := &p.st
 	if st.HistoryAxis != AxisPerAddress {
@@ -415,17 +447,11 @@ func (p *TwoLevel) Update(b trace.Branch, predicted bool) {
 }
 
 // Step is Predict then Update (without speculative history) with one
-// BHT lookup, which advances the LRU clock by flat.BranchTouches as the
-// two calls do. It returns the prediction and the pattern index used.
+// BHT lookup; Update's second touch of the entry would not move it. It
+// returns the prediction and the pattern index used.
 func (p *TwoLevel) Step(b trace.Branch) (pred bool, pat uint32) {
 	st := &p.st
-	j := -1
-	switch st.BHT {
-	case flat.CacheBHT:
-		j = st.LookupCache(&st.Clock, b.PC, flat.BranchTouches)
-	case flat.IdealBHT:
-		j = st.LookupIdeal(&st.Clock, b.PC)
-	}
+	j := p.slot(b.PC, true)
 	states, _ := st.Tables(b.PC, j)
 	pat = *st.History(b.PC, j) & st.HistMask
 	pred = st.Taken(states[pat])

@@ -80,6 +80,36 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigSizeBounds pins the two size limits Validate adds to the
+// geometry checks: a set's ways must fit a 16-bit LRU rank, and the
+// pattern tables together must hold at most MaxPatternEntries entries.
+// Each limit is checked on both sides of its boundary.
+func TestConfigSizeBounds(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  TwoLevelConfig
+		ok   bool
+	}{
+		{"AssocAtRankWidth", TwoLevelConfig{Variation: PAg, HistoryBits: 8, Entries: 1 << 16, Assoc: 1 << 16}, true},
+		{"AssocOverRankWidth", TwoLevelConfig{Variation: PAg, HistoryBits: 8, Entries: 1 << 17, Assoc: 1 << 17}, false},
+		{"GlobalTableAtCap", TwoLevelConfig{Variation: GAg, HistoryBits: 24}, true},
+		{"GlobalTableOverCap", TwoLevelConfig{Variation: GAg, HistoryBits: 25}, false},
+		{"WidestHistoryOverCap", TwoLevelConfig{Variation: GAg, HistoryBits: flat.MaxHistoryBits}, false},
+		{"PerSlotTablesAtCap", TwoLevelConfig{Variation: PAp, HistoryBits: 15, Entries: 512, Assoc: 4}, true},
+		{"PerSlotTablesOverCap", TwoLevelConfig{Variation: PAp, HistoryBits: 16, Entries: 512, Assoc: 4}, false},
+		{"PerSetTablesOverCap", TwoLevelConfig{Variation: GAs, HistoryBits: 20, PatternSets: 32}, false},
+		// Validate bounds one Ideal per-branch table; their count over a
+		// trace is CheckPatternTables' (spec.TestCheckTables).
+		{"IdealPerBranchTables", TwoLevelConfig{Variation: PAp, HistoryBits: 24, Ideal: true}, true},
+		{"IdealPerBranchTableOverCap", TwoLevelConfig{Variation: PAp, HistoryBits: 25, Ideal: true}, false},
+	}
+	for _, c := range cases {
+		if err := c.cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok = %v", c.name, err, c.ok)
+		}
+	}
+}
+
 func TestVariationString(t *testing.T) {
 	if GAg.String() != "GAg" || PAg.String() != "PAg" || PAp.String() != "PAp" {
 		t.Fatal("variation names wrong")
@@ -341,24 +371,24 @@ func TestUpdateCachesTargetAddress(t *testing.T) {
 	}
 }
 
-// TestPredictTargetLeavesLRUAlone pins the clock rule the flat kernel
-// relies on: only Predict and Update touch a BHT entry, so a target read
-// changes no stamp and leaves the clock where it was.
+// TestPredictTargetLeavesLRUAlone pins the rule the flat kernel relies
+// on: only Predict and Update touch a BHT entry, so a target read moves
+// no LRU rank. The reads run in the reverse of the update order, so a
+// read that touched would reorder every set.
 func TestPredictTargetLeavesLRUAlone(t *testing.T) {
 	p := pag(6, 16, 4)
 	for pc := uint32(0x100); pc < 0x140; pc += 4 {
 		b := trace.Branch{PC: pc, Target: pc - 0x40, Class: trace.Cond, Taken: true}
 		p.Update(b, p.Predict(b))
 	}
-	stamps := append([]uint64(nil), p.State().Stamps...)
-	now := p.State().Now
-	for pc := uint32(0x100); pc < 0x140; pc += 4 {
+	ranks := append([]uint16(nil), p.State().Ranks...)
+	for pc := uint32(0x13c); pc >= 0x100; pc -= 4 {
 		if target, ok := p.PredictTarget(pc); !ok || target != pc-0x40 {
 			t.Fatalf("PredictTarget(%#x) = (%#x, %v)", pc, target, ok)
 		}
 	}
-	if p.State().Now != now || !reflect.DeepEqual(p.State().Stamps, stamps) {
-		t.Fatal("PredictTarget moved the LRU clock or a stamp")
+	if !reflect.DeepEqual(p.State().Ranks, ranks) {
+		t.Fatal("PredictTarget moved an LRU rank")
 	}
 }
 
@@ -391,7 +421,7 @@ func BenchmarkPApPredictUpdate(b *testing.B) {
 }
 
 // TestStepMatchesPredictUpdate: Step's single lookup leaves the
-// predictor exactly as Predict then Update do — LRU stamps and miss
+// predictor exactly as Predict then Update do — LRU ranks and miss
 // counters included — and predicts from the same pattern entry, on the
 // practical and the Ideal BHT, under context switches and capacity
 // pressure (a 16-entry table over 64 branch sites).

@@ -236,6 +236,25 @@ func toFront(order []int, w int) {
 	order[0] = w
 }
 
+// Way is one way of a practical table's set: its number within the set,
+// and its validity and tag.
+type Way struct {
+	Way   int
+	Valid bool
+	Tag   uint32
+}
+
+// Order returns the ways of the practical table's given set, most
+// recently used first.
+func (p *Predictor) Order(set int) []Way {
+	var ways []Way
+	for _, w := range p.order[set] {
+		e := p.sets[set][w]
+		ways = append(ways, Way{Way: w, Valid: e.valid, Tag: e.tag})
+	}
+	return ways
+}
+
 // ContextSwitch flushes the first level (§5.1.4).
 func (p *Predictor) ContextSwitch() {
 	p.ghr = p.freshRegister()

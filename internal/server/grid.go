@@ -201,6 +201,14 @@ func (s *Server) prepare(ctx context.Context, t *tenant, req GridRequest, parent
 	if err != nil {
 		return nil, err
 	}
+	// Refuse a spec whose tables are too large for this trace before
+	// training or building it.
+	sites := job.snap.Sites()
+	for i, sp := range specs {
+		if err := sp.CheckTables(sites); err != nil {
+			return nil, badRequest("spec %q: %v", req.Specs[i], err)
+		}
+	}
 
 	trainBudget := req.TrainBranches
 	if trainBudget == 0 {

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 
 	"twolevel/internal/prog"
+	"twolevel/internal/spec"
 	"twolevel/internal/trace"
 )
 
@@ -18,6 +20,50 @@ import (
 
 // trainedSpec needs a training pass over the benchmark's training set.
 const trainedSpec = "PSg(BHT(512,4,12-sr),1xPHT(2^12,PB))"
+
+// hugeSpec parses, and can be costed, but its one pattern table of 2^30
+// entries would hold about a gigabyte; building it is refused.
+const hugeSpec = "GAg(HR(1,,30-sr),1xPHT(2^30,A2))"
+
+// TestHugePatternTableRefused: a spec whose pattern tables exceed
+// predictor.MaxPatternEntries fails spec.Build, and /v1/grid answers it
+// with a client error without allocating the tables. Behind an Ideal BHT
+// every distinct branch of the trace gets a 2^22-entry table, so the
+// eight branches of synthSource's trace go over the cap although one
+// table alone is under it.
+func TestHugePatternTableRefused(t *testing.T) {
+	sp, err := spec.Parse(hugeSpec)
+	if err != nil {
+		t.Fatalf("spec.Parse(%s): %v", hugeSpec, err)
+	}
+	if _, err := spec.Build(sp, nil); err == nil {
+		t.Fatalf("spec.Build(%s) succeeded", sp)
+	}
+	cfg := Config{MaxBranches: 2_000, DefaultBranches: 500, Workers: 1}
+	cfg.openBench = func(*prog.Benchmark, prog.DataSet) (trace.Source, error) { return &synthSource{}, nil }
+	s := New(cfg)
+	for _, raw := range []string{
+		hugeSpec,
+		"PAp(IBHT(inf,,22-sr),infxPHT(2^22,A2))",
+		"GAp(HR(1,,22-sr),infxPHT(2^22,A2))",
+	} {
+		body, err := json.Marshal(GridRequest{Bench: testBench, Specs: []string{raw}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/grid", bytes.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		if rec.Code < 400 || rec.Code >= 500 {
+			t.Fatalf("%s: status %d, want a 4xx: %.600s", raw, rec.Code, rec.Body.String())
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+			t.Fatalf("%s: refusing the request allocated %d MB", raw, grew>>20)
+		}
+	}
+}
 
 func TestTrainBranchesCapped(t *testing.T) {
 	var mu sync.Mutex
@@ -85,6 +131,7 @@ func FuzzGridRequest(f *testing.F) {
 		{Bench: testBench, Specs: testSpecs, Branches: 20_000},
 		{Bench: "nope", Specs: testSpecs},
 		{Trace: "0123456789abcdef", Specs: testSpecs[:1]},
+		{Bench: testBench, Specs: []string{hugeSpec}},
 	} {
 		body, err := json.Marshal(req)
 		if err != nil {
@@ -126,6 +173,58 @@ func FuzzGridRequest(f *testing.F) {
 			if src.conds > maxBranches {
 				t.Fatalf("a capture read %d conditional branches, over the cap of %d (body %q)", src.conds, maxBranches, body)
 			}
+		}
+	})
+}
+
+// FuzzUpload posts arbitrary bodies to /v1/traces on a fresh server with
+// a small upload cap. An upload is untrusted input: every answer must be
+// a success or a client error, and a body over the cap must get 413.
+func FuzzUpload(f *testing.F) {
+	const maxUpload = 512
+	var p trace.Packed
+	for i := uint32(0); i < 6; i++ {
+		p.Append(trace.Event{Instrs: 1 + i, Branch: trace.Branch{
+			PC: 0x1000 + 4*i, Target: 0x1000, Class: trace.Cond, Taken: i%2 == 0}})
+	}
+	p.Append(trace.Event{Instrs: 3, Trap: true})
+	snap := p.View(p.Len())
+	var text, bin bytes.Buffer
+	if err := trace.WriteText(&text, snap.Reader()); err != nil {
+		f.Fatal(err)
+	}
+	w, err := trace.NewWriter(&bin)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := w.WriteAll(snap.Reader()); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(text.Bytes())
+	f.Add(bin.Bytes())
+	f.Add(bin.Bytes()[:bin.Len()/2])
+	f.Add([]byte("TLBPTRC1"))
+	f.Add([]byte("not a trace"))
+	f.Add([]byte{})
+	f.Add(make([]byte, maxUpload))
+	f.Add(make([]byte, maxUpload+1))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := New(Config{MaxUploadBytes: maxUpload})
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/traces", bytes.NewReader(body)))
+		switch code := rec.Code; {
+		case len(body) > maxUpload:
+			if code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d for a %d-byte body over the %d-byte cap, want 413", code, len(body), maxUpload)
+			}
+		case code == http.StatusRequestEntityTooLarge:
+			t.Fatalf("status 413 for a %d-byte body within the %d-byte cap", len(body), maxUpload)
+		case code >= 200 && code < 300, code >= 400 && code < 500:
+		default:
+			t.Fatalf("status %d for body %q: %s", code, body, rec.Body.String())
 		}
 	})
 }

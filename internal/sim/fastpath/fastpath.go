@@ -40,12 +40,12 @@
 //
 // Fidelity: a kernel run is bit-identical to the interpretive runner —
 // the same Result counters and the same final predictor state, LRU
-// stamps included: both paths call the same flat step functions, and the
-// kernel's fused per-branch lookup advances the LRU clock by
-// flat.BranchTouches, the interpretive Predict-plus-Update count. The
-// equivalence suite in package sim deep-equals both paths' Results and
-// predictors across the full spec grid. A sharded run gives each worker
-// its own clock, so its stamps match the serial run's only in order.
+// ranks included: both paths call the same flat step functions, and the
+// kernel's one fused lookup per branch leaves the LRU order as the
+// interpretive Predict-then-Update pair of touches does. A sharded run
+// gives each set to one worker, so it ends in the serial run's state
+// too. The equivalence suite in package sim deep-equals both paths'
+// Results and predictors across the full spec grid.
 package fastpath
 
 import (

@@ -157,7 +157,7 @@ func (k *Kernel) runPAgCache(p *Plan, miss []uint64, j0, j1 int) {
 	w := miss[j0>>6]
 	for j := j0; j < j1; j++ {
 		o := uint32(outs[j])
-		slot := st.LookupCache(&st.Clock, pcs[j], flat.BranchTouches)
+		slot := st.LookupCache(&st.LookupCounts, pcs[j])
 		h := hists[slot]
 		pat := h & histMask
 		s := states[pat]
@@ -197,7 +197,7 @@ func (k *Kernel) runPApCache(p *Plan, miss []uint64, j0, j1 int) {
 	w := miss[j0>>6]
 	for j := j0; j < j1; j++ {
 		o := uint32(outs[j])
-		slot := st.LookupCache(&st.Clock, pcs[j], flat.BranchTouches)
+		slot := st.LookupCache(&st.LookupCounts, pcs[j])
 		states := st.PHTStates[slot]
 		h := hists[slot]
 		pat := h & histMask
@@ -231,7 +231,7 @@ func (k *Kernel) runPApCache(p *Plan, miss []uint64, j0, j1 int) {
 // BHT — resolving the history and pattern levels per branch from the
 // same flat state the specialized loops use. It also serves the Branch
 // Target Buffer designs, whose one level is the practical table: a hit
-// advances the LRU clock by flat.BranchTouches, a miss predicts by the
+// makes the entry its set's most recently used, a miss predicts by the
 // miss policy and allocates only when TrainBTB resolves the branch.
 func (k *Kernel) runGeneric(p *Plan, miss []uint64, j0, j1 int) {
 	st := k.st
@@ -248,7 +248,7 @@ func (k *Kernel) runGeneric(p *Plan, miss []uint64, j0, j1 int) {
 		pc, nt := pcs[j], targets[j]
 		var pred uint32
 		if btb {
-			slot, taken := st.LookupBTB(&st.Clock, pc, nt, flat.BranchTouches)
+			slot, taken := st.LookupBTB(&st.LookupCounts, pc, nt)
 			pred = b2u(taken)
 			if slot >= 0 {
 				t := st.Targets[slot]
@@ -263,9 +263,9 @@ func (k *Kernel) runGeneric(p *Plan, miss []uint64, j0, j1 int) {
 			slot := -1
 			if hasStore {
 				if useCache {
-					slot = st.LookupCache(&st.Clock, pc, flat.BranchTouches)
+					slot = st.LookupCache(&st.LookupCounts, pc)
 				} else {
-					slot = st.LookupIdeal(&st.Clock, pc)
+					slot = st.LookupIdeal(&st.LookupCounts, pc)
 				}
 			}
 			hp := st.History(pc, slot)

@@ -6,6 +6,8 @@ package fastpath
 // count, so partitioning branches by the low bits of pc>>2 gives each
 // worker a disjoint slice of BHT sets, history registers and pattern
 // tables: workers share the predictor's tables but write disjoint indices.
+// A set's LRU ranks change only when one of its own branches is looked
+// up, so each set's ranks end as the serial run leaves them.
 // Every worker walks the plan's whole branch column, flushing its own
 // partition at every context switch, and resolves only its own
 // partition's branches into a private mispredict bitset. The plan
@@ -65,10 +67,10 @@ func (k *Kernel) shardCount() int {
 
 // shardWorker is one partition's private replay state. The predictor's
 // tables are shared (disjoint index sets); everything that must not be
-// shared — the LRU clock, the mispredict bitset, the target counters —
-// lives here.
+// shared — the lookup counters, the mispredict bitset, the target
+// counters — lives here.
 type shardWorker struct {
-	flat.Clock
+	flat.LookupCounts
 	miss   []uint64
 	tp, tc uint64 // target predictions and correct targets
 	// stop is the branch index the worker halted at: the view's end
@@ -97,7 +99,6 @@ func (k *Kernel) runSharded(p *Plan, v *view, miss []uint64) (int, error) {
 	}
 	var wg sync.WaitGroup
 	for w := range workers {
-		workers[w].Now = k.st.Now
 		workers[w].miss = miss
 		if w > 0 {
 			workers[w].miss = make([]uint64, len(miss)) //lint:allow hotalloc per-worker bitset: O(shards) setup, not per-event work
@@ -128,7 +129,6 @@ func (k *Kernel) runSharded(p *Plan, v *view, miss []uint64) (int, error) {
 		}
 	}
 	st := k.st
-	maxClock := st.Now
 	for w := range workers {
 		sw := &workers[w]
 		if w > 0 {
@@ -140,9 +140,7 @@ func (k *Kernel) runSharded(p *Plan, v *view, miss []uint64) (int, error) {
 		k.c.TargetCorrect += sw.tc
 		st.Lookups += sw.Lookups
 		st.Misses += sw.Misses
-		maxClock = max(maxClock, sw.Now)
 	}
-	st.Now = maxClock
 	return stop, err
 }
 
@@ -163,7 +161,7 @@ func (k *Kernel) runShard(sw *shardWorker, w, partMask uint32, p *Plan, j0, j1 i
 			o := uint32(outs[j])
 			slot := -1
 			if useCache {
-				slot = st.LookupCache(&sw.Clock, pc, flat.BranchTouches)
+				slot = st.LookupCache(&sw.LookupCounts, pc)
 			}
 			hp := st.History(pc, slot)
 			states, touched := st.Tables(pc, slot)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"twolevel/internal/automaton"
-	"twolevel/internal/flat"
 	"twolevel/internal/predictor"
 	"twolevel/internal/sim/fastpath"
 	"twolevel/internal/span"
@@ -110,28 +109,21 @@ var kernelEquivSpecs = []string{
 	"BTFN",
 }
 
-// assertSameState fails t unless the two predictors hold the same state.
-// A sharded kernel run keeps a private LRU clock per worker, so with
-// byRank the BHT stamps are compared by their order within each set and
-// the clock's value is ignored.
-func assertSameState(t *testing.T, name string, got, want predictor.Predictor, byRank bool) {
+// assertSameState fails t unless the two predictors hold the same state,
+// unexported fields included. It names the first exported flat.State
+// field that differs.
+func assertSameState(t *testing.T, name string, got, want predictor.Predictor) {
 	t.Helper()
+	if reflect.DeepEqual(got, want) {
+		return
+	}
 	gp, ok := got.(*predictor.TwoLevel)
 	wp, ok2 := want.(*predictor.TwoLevel)
 	if !ok || !ok2 {
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: final predictors differ:\n got %+v\nwant %+v", name, got, want)
-		}
+		t.Errorf("%s: final predictors differ:\n got %+v\nwant %+v", name, got, want)
 		return
 	}
-	gs, ws := *gp.State(), *wp.State()
-	if byRank {
-		gs.Stamps, ws.Stamps = stampRanks(&gs), stampRanks(&ws)
-		gs.Now, ws.Now = 0, 0
-	} else if reflect.DeepEqual(gp, wp) {
-		return
-	}
-	gv, wv := reflect.ValueOf(gs), reflect.ValueOf(ws)
+	gv, wv := reflect.ValueOf(*gp.State()), reflect.ValueOf(*wp.State())
 	for i := 0; i < gv.NumField(); i++ {
 		f := gv.Type().Field(i)
 		if f.IsExported() && !reflect.DeepEqual(gv.Field(i).Interface(), wv.Field(i).Interface()) {
@@ -140,24 +132,7 @@ func assertSameState(t *testing.T, name string, got, want predictor.Predictor, b
 			return
 		}
 	}
-	if !byRank {
-		t.Errorf("%s: final predictors differ in an unexported field", name)
-	}
-}
-
-// stampRanks replaces each practical-BHT slot's LRU stamp with the
-// number of ways in its set holding an older stamp.
-func stampRanks(st *flat.State) []uint64 {
-	ranks := make([]uint64, len(st.Stamps))
-	for i := range st.Stamps {
-		base := i - i%st.Assoc
-		for j := base; j < base+st.Assoc; j++ {
-			if st.Stamps[j] < st.Stamps[i] {
-				ranks[i]++
-			}
-		}
-	}
-	return ranks
+	t.Errorf("%s: final predictors differ in an unexported field", name)
 }
 
 // buildKernelSpec constructs sp's predictor, running a training pass
@@ -241,9 +216,8 @@ func replaySpanAttr(t *testing.T, p predictor.Predictor, snap trace.Snapshot, op
 // TestKernelMatchesInterpretive is the headline bit-identity property:
 // for every flattenable spec, under plain, context-switch, budgeted and
 // sharded options, the fast kernel's Result deep-equals the interpretive
-// runner's, the two paths leave the predictor in the same state (LRU
-// stamps compared by rank after a sharded run), and the replay span
-// proves the kernel actually served the fast leg.
+// runner's, the two paths leave the predictor in the same state, and
+// the replay span proves the kernel actually served the fast leg.
 func TestKernelMatchesInterpretive(t *testing.T) {
 	snap := kernelSnapshot(24_000)
 	conds := uint64(0)
@@ -288,7 +262,7 @@ func TestKernelMatchesInterpretive(t *testing.T) {
 				t.Errorf("%s/%s: kernel result differs from interpretive runner:\n got %+v\nwant %+v",
 					s, os.name, got, want)
 			}
-			assertSameState(t, s+"/"+os.name, p, slowP, os.opts.Shards > 1)
+			assertSameState(t, s+"/"+os.name, p, slowP)
 		}
 	}
 }
@@ -298,7 +272,7 @@ func TestKernelMatchesInterpretive(t *testing.T) {
 // continuation over the same reader must land exactly where two
 // interpretive runs do, with identical predictor state after each leg.
 // Any state the kernel kept to itself (histories, pattern tables, BHT
-// residency and stamps, cached predictions or targets) would diverge.
+// residency and LRU ranks, cached predictions or targets) would diverge.
 func TestKernelWritebackResumes(t *testing.T) {
 	snap := kernelSnapshot(24_000)
 	first := Options{MaxCondBranches: 4000, ContextSwitches: true, CSInterval: 1711}
@@ -318,7 +292,7 @@ func TestKernelWritebackResumes(t *testing.T) {
 		if slowPos, fastPos := slowSrc.Pos(), fastSrc.Pos(); slowPos != fastPos {
 			t.Errorf("%s: kernel consumed %d events, interpretive %d", s, fastPos, slowPos)
 		}
-		assertSameState(t, s+" after leg 1", fastP, slowP, false)
+		assertSameState(t, s+" after leg 1", fastP, slowP)
 
 		want, err := Run(slowP, slowSrc, Options{DisableFastpath: true})
 		if err != nil {
@@ -332,13 +306,14 @@ func TestKernelWritebackResumes(t *testing.T) {
 			t.Errorf("%s: interpretive continuation after kernel leg differs:\n got %+v\nwant %+v",
 				s, got, want)
 		}
-		assertSameState(t, s+" after leg 2", fastP, slowP, false)
+		assertSameState(t, s+" after leg 2", fastP, slowP)
 	}
 }
 
 // TestKernelShardedMatchesSerial pins the PC-partition merge: for the
-// shardable schemes every shard count yields the serial kernel's exact
-// Result.
+// shardable schemes, with and without context switches, every shard
+// count yields the serial kernel's exact Result and final predictor,
+// LRU ranks included.
 func TestKernelShardedMatchesSerial(t *testing.T) {
 	snap := kernelSnapshot(24_000)
 	shardable := []string{
@@ -349,20 +324,25 @@ func TestKernelShardedMatchesSerial(t *testing.T) {
 	}
 	for _, s := range shardable {
 		sp := spec.MustParse(s)
-		serial, err := Run(buildKernelSpec(t, sp, snap), snap.Reader(),
-			Options{ContextSwitches: true, CSInterval: 1009})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{2, 4, 8, 16} {
-			got, err := Run(buildKernelSpec(t, sp, snap), snap.Reader(),
-				Options{ContextSwitches: true, CSInterval: 1009, Shards: shards})
+		for _, opts := range []Options{{}, {ContextSwitches: true, CSInterval: 1009}} {
+			serialP := buildKernelSpec(t, sp, snap)
+			serial, err := Run(serialP, snap.Reader(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, serial) {
-				t.Errorf("%s shards=%d: sharded result differs from serial:\n got %+v\nwant %+v",
-					s, shards, got, serial)
+			for _, shards := range []int{2, 4, 8, 16} {
+				o := opts
+				o.Shards = shards
+				p := buildKernelSpec(t, sp, snap)
+				got, err := Run(p, snap.Reader(), o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s cs=%v shards=%d", s, opts.ContextSwitches, shards)
+				if !reflect.DeepEqual(got, serial) {
+					t.Errorf("%s: sharded result differs from serial:\n got %+v\nwant %+v", name, got, serial)
+				}
+				assertSameState(t, name, p, serialP)
 			}
 		}
 	}
@@ -627,7 +607,7 @@ func TestKernelSupportedCoverage(t *testing.T) {
 // TestSpeculativeDepth0MatchesBase pins the speculative history path
 // against the base model: with branches resolving immediately, a
 // speculative two-level predictor makes the same predictions and ends in
-// the same flat state, LRU stamps and hit counters included, for every
+// the same flat state, LRU ranks and hit counters included, for every
 // two-level equivalence spec. A mispredicted register that still awaits
 // its first outcome must be repaired by smearing, as the base model
 // shifts it. The kernel arm replays the speculative predictor on the

@@ -11,7 +11,7 @@ import (
 // TestKernelSlotRecycleMatchesInterpretive pins the PAp slot-recycle
 // path — a recycled slot's pattern table is reinitialised, or inherited
 // under InheritPHTOnReplace — on the kernel against the interpretive
-// runner, down to every slot's LRU stamp. The
+// runner, down to every slot's LRU rank. The
 // configurations are built from predictor.TwoLevelConfig because spec
 // strings cannot express a non-default PatternInit or
 // InheritPHTOnReplace. A 64-entry, 2-way BHT under the 709-site trace
@@ -68,7 +68,7 @@ func TestKernelSlotRecycleMatchesInterpretive(t *testing.T) {
 				t.Fatalf("%s/%s: %d BHT misses over 709 sites: no slot was recycled",
 					c.name, os.name, misses)
 			}
-			assertSameState(t, c.name+"/"+os.name, fastP, slowP, false)
+			assertSameState(t, c.name+"/"+os.name, fastP, slowP)
 		}
 	}
 }

@@ -171,7 +171,7 @@ func FuzzRunManyVsRunner(f *testing.F) {
 			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Errorf("%s: RunMany result differs from the runner:\n got %+v\nwant %+v", name, got[i], want[i])
 			}
-			assertSameState(t, name, preds[i], wantP[i], c.opts.Shards > 1)
+			assertSameState(t, name, preds[i], wantP[i])
 			if !reflect.DeepEqual(opts[i].Telemetry, wantT[i]) {
 				t.Errorf("%s: RunMany telemetry differs from the runner:\n got %+v\nwant %+v", name, opts[i].Telemetry, wantT[i])
 			}
@@ -212,7 +212,7 @@ func FuzzRunManyVsRunner(f *testing.F) {
 		if res := countersToResult(counters); !reflect.DeepEqual(res, want[ci]) {
 			t.Errorf("%s: result differs from the runner:\n got %+v\nwant %+v", name, res, want[ci])
 		}
-		assertSameState(t, name, p, wantP[ci], c.opts.Shards > 1)
+		assertSameState(t, name, p, wantP[ci])
 		if !reflect.DeepEqual(o.Telemetry, wantT[ci]) {
 			t.Errorf("%s: telemetry differs from the runner:\n got %+v\nwant %+v", name, o.Telemetry, wantT[ci])
 		}

@@ -410,7 +410,9 @@ func call(s string) (name, args string, err error) {
 	return s[:open], s[open+1 : len(s)-1], nil
 }
 
-// Validate checks cross-field consistency.
+// Validate checks cross-field consistency. The predictor's own bounds,
+// such as its pattern-table cap, are left to Build and CheckTables: a
+// spec that is only costed may be larger than one that can be built.
 func (sp Spec) Validate() error {
 	switch sp.Scheme {
 	case SchemeGAg, SchemeGSg:
@@ -478,6 +480,23 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
+// CheckTables reports whether Build's predictor constructor would refuse
+// a two-level sp, and whether its pattern tables stay within
+// predictor.MaxPatternEntries over a run that sees at most sites
+// distinct branches (an Ideal BHT gives each its own table). It
+// allocates nothing, so a server can refuse a spec before it trains or
+// builds it.
+func (sp Spec) CheckTables(sites int) error {
+	cfg, ok := sp.twoLevel()
+	if !ok {
+		return nil
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	return cfg.CheckPatternTables(sites)
+}
+
 // TrainingData carries the training-pass products needed to build the
 // schemes that are preset before execution (GSg, PSg, Profiling).
 type TrainingData struct {
@@ -494,7 +513,6 @@ func Build(sp Spec, td *TrainingData) (predictor.Predictor, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	name := sp.String()
 	switch sp.Scheme {
 	case SchemeAlwaysTaken:
 		return predictor.AlwaysTaken{}, nil
@@ -505,109 +523,64 @@ func Build(sp Spec, td *TrainingData) (predictor.Predictor, error) {
 			return nil, fmt.Errorf("spec: %s requires a profile training pass", sp.Scheme)
 		}
 		return td.Profile.Build(), nil
-	case SchemeGSg:
-		if td == nil || td.Static == nil {
-			return nil, fmt.Errorf("spec: %s requires a static training pass", sp.Scheme)
-		}
-		return predictor.NewTwoLevel(predictor.TwoLevelConfig{
-			Variation:   predictor.GAg,
-			HistoryBits: sp.HistoryBits,
-			Preset:      td.Static.Preset(),
-			DisplayName: name,
-		})
-	case SchemePSg:
-		if td == nil || td.Static == nil {
-			return nil, fmt.Errorf("spec: %s requires a static training pass", sp.Scheme)
-		}
-		return predictor.NewTwoLevel(predictor.TwoLevelConfig{
-			Variation:   predictor.PAg,
-			HistoryBits: sp.HistoryBits,
-			Entries:     sp.HistEntries,
-			Assoc:       sp.HistAssoc,
-			Ideal:       sp.Ideal,
-			Preset:      td.Static.Preset(),
-			DisplayName: name,
-		})
 	case SchemeBTB:
 		return predictor.NewBTB(predictor.BTBConfig{
 			Entries:     sp.HistEntries,
 			Assoc:       sp.HistAssoc,
 			Automaton:   sp.Automaton,
-			DisplayName: name,
+			DisplayName: sp.String(),
 		})
-	case SchemeGAs, SchemePAs, SchemeSAg, SchemeSAs, SchemeSAp:
-		var v predictor.Variation
-		switch sp.Scheme {
-		case SchemeGAs:
-			v = predictor.GAs
-		case SchemePAs:
-			v = predictor.PAs
-		case SchemeSAg:
-			v = predictor.SAg
-		case SchemeSAs:
-			v = predictor.SAs
-		default:
-			v = predictor.SAp
+	}
+	cfg, _ := sp.twoLevel()
+	cfg.DisplayName = sp.String()
+	if sp.NeedsTraining() {
+		if td == nil || td.Static == nil {
+			return nil, fmt.Errorf("spec: %s requires a static training pass", sp.Scheme)
 		}
-		cfg := predictor.TwoLevelConfig{
-			Variation:   v,
-			HistoryBits: sp.HistoryBits,
-			Automaton:   sp.Automaton,
-			HistorySets: sp.HistSets,
-			PatternSets: sp.PHTSets,
-			Entries:     sp.HistEntries,
-			Assoc:       sp.HistAssoc,
-			Ideal:       sp.Ideal,
-			DisplayName: name,
-		}
-		if sp.Scheme == SchemeSAp {
-			// Per-address pattern binding uses a 4-way cache sized by
-			// the pattern set count, as in GAp.
-			cfg.Entries = sp.PHTSets
-			cfg.Assoc = 4
-			cfg.Ideal = sp.PHTSets == 0
-			if cfg.Entries > 0 && cfg.Entries < 4 {
-				cfg.Assoc = cfg.Entries
-			}
-		}
-		return predictor.NewTwoLevel(cfg)
-	case SchemeGAp:
-		// The pattern-table binding cache is 4-way set-associative, a
-		// fixed implementation choice (the naming convention has no
-		// field for it).
-		cfg := predictor.TwoLevelConfig{
-			Variation:   predictor.GAp,
-			HistoryBits: sp.HistoryBits,
-			Automaton:   sp.Automaton,
-			Entries:     sp.PHTSets,
-			Assoc:       4,
-			Ideal:       sp.PHTSets == 0,
-			DisplayName: name,
-		}
+		cfg.Preset = td.Static.Preset()
+	}
+	return predictor.NewTwoLevel(cfg)
+}
+
+// variations maps each two-level scheme to its predictor variation. The
+// Static Training structures GSg and PSg are GAg and PAg whose pattern
+// table Build presets.
+var variations = map[Scheme]predictor.Variation{
+	SchemeGAg: predictor.GAg, SchemeGSg: predictor.GAg,
+	SchemePAg: predictor.PAg, SchemePSg: predictor.PAg,
+	SchemePAp: predictor.PAp, SchemeGAp: predictor.GAp,
+	SchemeGAs: predictor.GAs, SchemePAs: predictor.PAs,
+	SchemeSAg: predictor.SAg, SchemeSAs: predictor.SAs, SchemeSAp: predictor.SAp,
+}
+
+// twoLevel returns the predictor configuration Build constructs for a
+// two-level scheme, less its name and preset; ok is false for BTB and
+// the static schemes.
+func (sp Spec) twoLevel() (cfg predictor.TwoLevelConfig, ok bool) {
+	v, ok := variations[sp.Scheme]
+	if !ok {
+		return cfg, false
+	}
+	cfg = predictor.TwoLevelConfig{
+		Variation:   v,
+		HistoryBits: sp.HistoryBits,
+		Automaton:   sp.Automaton,
+		HistorySets: sp.HistSets,
+		PatternSets: sp.PHTSets,
+		Entries:     sp.HistEntries,
+		Assoc:       sp.HistAssoc,
+		Ideal:       sp.Ideal,
+	}
+	if sp.Scheme == SchemeGAp || sp.Scheme == SchemeSAp {
+		// Per-address pattern binding without a BHT uses a 4-way cache
+		// sized by the pattern set count, a fixed implementation choice
+		// (the naming convention has no field for it).
+		cfg.Entries, cfg.Assoc, cfg.Ideal = sp.PHTSets, 4, sp.PHTSets == 0
 		if cfg.Entries > 0 && cfg.Entries < 4 {
 			cfg.Assoc = cfg.Entries
 		}
-		return predictor.NewTwoLevel(cfg)
-	default:
-		var v predictor.Variation
-		switch sp.Scheme {
-		case SchemeGAg:
-			v = predictor.GAg
-		case SchemePAg:
-			v = predictor.PAg
-		case SchemePAp:
-			v = predictor.PAp
-		}
-		return predictor.NewTwoLevel(predictor.TwoLevelConfig{
-			Variation:   v,
-			HistoryBits: sp.HistoryBits,
-			Automaton:   sp.Automaton,
-			Entries:     sp.HistEntries,
-			Assoc:       sp.HistAssoc,
-			Ideal:       sp.Ideal,
-			DisplayName: name,
-		})
 	}
+	return cfg, true
 }
 
 // NewTrainer returns the pattern trainer matching sp's structure, for

@@ -303,3 +303,33 @@ func TestTaxonomySpecErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckTables: Parse leaves the pattern-table cap to CheckTables and
+// Build, so an oversized spec can still be costed. An Ideal BHT's
+// per-branch tables count once per distinct branch.
+func TestCheckTables(t *testing.T) {
+	cases := []struct {
+		spec  string
+		sites int
+		ok    bool
+	}{
+		{"GAg(HR(1,,24-sr),1xPHT(2^24,A2))", 1 << 20, true},
+		{"GAg(HR(1,,25-sr),1xPHT(2^25,A2))", 1, false},
+		{"PAp(BHT(512,4,15-sr),512xPHT(2^15,A2))", 1 << 20, true},
+		{"PAp(BHT(512,4,16-sr),512xPHT(2^16,A2))", 1, false},
+		{"PAp(IBHT(inf,,22-sr),infxPHT(2^22,A2))", 4, true},
+		{"PAp(IBHT(inf,,22-sr),infxPHT(2^22,A2))", 5, false},
+		{"GAp(HR(1,,8-sr),infxPHT(2^8,A2))", 1 << 16, true},
+		{"GAp(HR(1,,8-sr),infxPHT(2^8,A2))", 1<<16 + 1, false},
+		{"BTB(BHT(512,4,A2),)", 1 << 20, true},
+	}
+	for _, c := range cases {
+		sp, err := Parse(c.spec)
+		if err != nil {
+			t.Fatalf("Parse(%s): %v", c.spec, err)
+		}
+		if err := sp.CheckTables(c.sites); (err == nil) != c.ok {
+			t.Errorf("%s over %d sites: CheckTables = %v, want ok = %v", c.spec, c.sites, err, c.ok)
+		}
+	}
+}

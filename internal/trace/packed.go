@@ -373,6 +373,17 @@ type Snapshot struct {
 // Len returns the number of events in the snapshot.
 func (s Snapshot) Len() int { return len(s.meta) }
 
+// Sites returns an upper bound on the distinct branch addresses in the
+// snapshot: the coded events' site count plus the distinct PCs of the
+// raw events.
+func (s Snapshot) Sites() int {
+	pcs := make(map[uint32]struct{})
+	for _, r := range s.raw {
+		pcs[r.pc] = struct{}{}
+	}
+	return len(s.keys) + len(pcs)
+}
+
 // Conds returns the number of conditional branch events in the
 // snapshot (a meta-column scan, not a stored counter — snapshots are
 // cheap prefix views and do not carry derived state).
