@@ -35,12 +35,16 @@ func (s *allowSet) covers(analyzer, file string, line int) bool {
 
 // collectAllowDirectives scans every comment in files for //lint:allow
 // directives. Malformed directives (missing analyzer or reason, or naming
-// an analyzer that is not in suite) are returned as diagnostics so the
-// suppression surface itself stays under review.
+// an analyzer that is neither registered nor in suite) are returned as
+// diagnostics so the suppression surface itself stays under review. A
+// run restricted to a subset of Analyzers still knows the others' names.
 func collectAllowDirectives(fset *token.FileSet, files []*ast.File, suite []*Analyzer) (*allowSet, []Diagnostic) {
 	set := &allowSet{lines: make(map[allowKey]bool)}
 	var bad []Diagnostic
 	known := func(name string) bool {
+		if ByName(name) != nil {
+			return true
+		}
 		for _, a := range suite {
 			if a.Name == name {
 				return true

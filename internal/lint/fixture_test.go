@@ -154,6 +154,14 @@ func TestHotAllocTraceFixture(t *testing.T) {
 	runFixture(t, HotAlloc, "hotalloc/trace")
 }
 
+func TestFlatLoopTelemetryFixture(t *testing.T) {
+	runFixture(t, FlatLoop, "flatloop/telemetry")
+}
+
+func TestHotAllocTelemetryFixture(t *testing.T) {
+	runFixture(t, HotAlloc, "hotalloc/telemetry")
+}
+
 func TestLockHeldFixture(t *testing.T) {
 	runFixture(t, LockHeld, "lockheld/server")
 }

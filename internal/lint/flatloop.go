@@ -8,7 +8,8 @@ import (
 
 // FlatLoop enforces the fast-path kernel contract: the hot replay
 // functions in the fastpath package (run*, lookup*, flush*, the plan
-// builder's plan* and the telemetry fold's fold*), the
+// builder's plan* and the telemetry fold's fold*), the telemetry
+// package's per-site fold they share with Forensics (Fold*/fold*), the
 // flat state package's step functions they call per event (Lookup*,
 // alloc*/Allocate, Flush) and the trace package's snapshot walks the
 // plan builder calls (Decode*) replay packed traces over flattened state
@@ -22,9 +23,9 @@ import (
 // is part of the hot loop by design (ctxpoll contract).
 var FlatLoop = &Analyzer{
 	Name: "flatloop",
-	Doc: "fastpath/flat/trace hot functions (run*/lookup*/flush*/alloc*/plan*/fold*/decode*) must not call " +
+	Doc: "fastpath/flat/trace/telemetry hot functions (run*/lookup*/flush*/alloc*/plan*/fold*/decode*) must not call " +
 		"interface methods other than context.Context",
-	Packages: []string{"fastpath", "flat", "trace"},
+	Packages: []string{"fastpath", "flat", "trace", "telemetry"},
 	Run:      runFlatLoop,
 }
 

@@ -15,8 +15,9 @@ import (
 // fastpath package (run*/lookup*/flush*, plus the replay plan's
 // snapshot walk plan* and the telemetry fold fold*), in the flat
 // state package whose step functions those loops call
-// (Lookup*/alloc*/Flush) and in the trace package whose snapshot decode
-// the plan walks (Decode*), and flags, inside natural loops only, the
+// (Lookup*/alloc*/Flush), in the trace package whose snapshot decode
+// the plan walks (Decode*) and in the telemetry package's shared
+// per-site fold (Fold*), and flags, inside natural loops only, the
 // constructs that heap-allocate or can: make/new/append, &T{…} and
 // slice or map literals, map inserts, closures, string↔[]byte/[]rune
 // conversions, fmt formatting, and implicit interface boxing. A struct
@@ -29,9 +30,9 @@ import (
 // site, which clears every hot caller at once).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc: "fastpath/flat/trace hot loops (run*/lookup*/flush*/alloc*/plan*/fold*/decode*) must not heap-allocate: " +
+	Doc: "fastpath/flat/trace/telemetry hot loops (run*/lookup*/flush*/alloc*/plan*/fold*/decode*) must not heap-allocate: " +
 		"no make/append/closures/boxing inside the per-event loop",
-	Packages: []string{"fastpath", "flat", "trace"},
+	Packages: []string{"fastpath", "flat", "trace", "telemetry"},
 	Run:      runHotAlloc,
 }
 

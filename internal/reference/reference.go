@@ -3,7 +3,8 @@
 // (the Branch Target Buffer designs, Profiling and Static Training),
 // written from the
 // paper's text alone and imported only by tests, as an oracle that
-// shares no code with the simulator.
+// shares no code with the simulator. Its model of the mispredict
+// forensics report (Forensics) shares only the report types.
 //
 // Everything is the plainest possible data structure: a pattern table is
 // a byte slice, a history register is a shift register with a "not yet

@@ -118,7 +118,9 @@ func (s *synthSource) Next() (trace.Event, error) {
 }
 
 // FuzzGridRequest posts arbitrary bodies to /v1/grid on a fresh server
-// with small caps and a synthetic benchmark source.
+// with small caps and a synthetic benchmark source. Whatever the body
+// asks for, the request must allocate under 64 MB, the bound
+// TestHugePatternTableRefused holds a refused spec to.
 func FuzzGridRequest(f *testing.F) {
 	const maxBranches = 2_000
 	for _, req := range []GridRequest{
@@ -155,7 +157,13 @@ func FuzzGridRequest(f *testing.F) {
 		}
 		s := New(cfg)
 		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/grid", bytes.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<20 {
+			t.Fatalf("a request allocated %d MB, over the bound of 64 MB (body %q)", grew>>20, body)
+		}
 
 		var req GridRequest // decoded as handleGrid decodes it
 		clientDeadline := json.NewDecoder(bytes.NewReader(body)).Decode(&req) == nil && req.TimeoutMS > 0

@@ -88,11 +88,15 @@ type Config struct {
 	// split of the per-PC profile (0 = attribute every miss to steady
 	// state, matching Forensics with an unknown budget).
 	Warmup uint64
-	// Log, when set, keeps the resolved branches' PCs, outcomes and
-	// mispredict bits for Tap.Forensics even when nothing else is
+	// Log, when set, keeps the resolved branches' site ids, outcomes
+	// and mispredict bits for Tap.Forensics even when nothing else is
 	// folded.
 	Log bool
 }
+
+// logged reports whether a replay under c keeps the log of resolved
+// branches, site ids included: for a profile or for Tap.Forensics.
+func (c Config) logged() bool { return c.TopPCs > 0 || c.Log }
 
 // Counters mirrors sim.Result for the depth-0 base model (Repredictions
 // is structurally zero on this path). Package sim converts.
@@ -241,7 +245,7 @@ func (k *Kernel) RunTo(snap trace.Snapshot, start, end int) (Counters, int, erro
 // runOne replays the view key over a plan of this kernel alone. The
 // plan's storage is recycled at once unless the kernel's Tap borrowed it.
 func (k *Kernel) runOne(snap trace.Snapshot, start int, key viewKey) (Counters, int, error) {
-	p := newPlan(snap, start, []viewKey{key}, k.cfg.TopPCs > 0)
+	p := newPlan(snap, start, []viewKey{key}, k.cfg.logged())
 	c, n, err := k.replay(p, p.view(key))
 	if k.tap == nil {
 		p.Release()

@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"twolevel/internal/flat"
+	"twolevel/internal/telemetry"
 	"twolevel/internal/trace"
 )
 
@@ -35,7 +36,8 @@ type Plan struct {
 	outs         []uint8 // outcome: 1 taken, 0 not taken
 
 	// Dense PC ids in first-occurrence order, built only when some
-	// kernel of the plan profiles mispredicts per PC (Tap.Telemetry):
+	// kernel of the plan profiles mispredicts per PC or keeps a log
+	// (Tap.Telemetry, Tap.Forensics):
 	// ids[j] is branch j's site, sites[id] its PC, first[id] the branch
 	// index of its first occurrence (ascending in id).
 	ids   []int32
@@ -51,7 +53,7 @@ type Plan struct {
 	views []view
 
 	mu     sync.Mutex
-	counts map[int]siteCounts // per-site executions over a branch prefix, by prefix length
+	counts map[int]telemetry.SiteCounts // per-site executions over a branch prefix, by prefix length
 }
 
 // viewKey identifies one replay over a plan.
@@ -77,11 +79,6 @@ type view struct {
 	switches []int32
 }
 
-// siteCounts is the per-site execution profile of a branch prefix.
-type siteCounts struct {
-	exec, taken []uint64
-}
-
 // viewKey returns the key of k's replay over events up to end.
 func (k *Kernel) viewKey(end int, budget uint64) viewKey {
 	key := viewKey{end: end, budget: budget}
@@ -100,7 +97,7 @@ func NewPlan(snap trace.Snapshot, start int, ks ...*Kernel) *Plan {
 	withIDs := false
 	for i, k := range ks {
 		keys[i] = k.viewKey(snap.Len(), k.cfg.MaxCondBranches)
-		withIDs = withIDs || k.cfg.TopPCs > 0
+		withIDs = withIDs || k.cfg.logged()
 	}
 	return newPlan(snap, start, keys, withIDs)
 }
@@ -355,25 +352,29 @@ func (p *Plan) seen(n int) int {
 	return sort.Search(len(p.first), func(i int) bool { return int(p.first[i]) >= n })
 }
 
-// siteCounts returns the per-site executions and taken outcomes over
-// branches [0, n). The profile is the same for every kernel that
-// resolved n branches of the plan, so it is computed once per prefix
-// length and shared.
-func (p *Plan) siteCounts(n int) siteCounts {
+// siteLog returns the log of branches [0, n) of the plan, with
+// mispredict bitset miss. A nil plan logs nothing.
+func (p *Plan) siteLog(miss []uint64, n int) telemetry.SiteLog {
+	if p == nil {
+		return telemetry.SiteLog{}
+	}
+	return telemetry.SiteLog{IDs: p.ids[:n], Outs: p.outs[:n], Sites: p.sites[:p.seen(n)], Miss: miss[:(n+63)/64]}
+}
+
+// siteCounts returns the per-site executions and taken outcomes of l, a
+// prefix of the plan's log. The counts are the same for every kernel
+// that resolved that prefix, so they are folded once per prefix length
+// and shared.
+func (p *Plan) siteCounts(l telemetry.SiteLog) telemetry.SiteCounts {
+	n := len(l.IDs)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if sc, ok := p.counts[n]; ok {
 		return sc
 	}
-	m := p.seen(n)
-	sc := siteCounts{exec: make([]uint64, m), taken: make([]uint64, m)}
-	outs := p.outs[:n]
-	for j, id := range p.ids[:n] {
-		sc.exec[id]++
-		sc.taken[id] += uint64(outs[j])
-	}
+	sc := telemetry.FoldCounts(l)
 	if p.counts == nil {
-		p.counts = make(map[int]siteCounts)
+		p.counts = make(map[int]telemetry.SiteCounts)
 	}
 	p.counts[n] = sc
 	return sc

@@ -2,23 +2,18 @@ package fastpath
 
 // Run telemetry: a Tap folds the interval accuracy series and the per-PC
 // mispredict profile out of a replay's mispredict bitset, one bit per
-// resolved conditional branch, and feeds a telemetry.Forensics the
-// resolved branches in order. A kernel replay hands the Tap its plan —
-// whose columns hold every branch's PC and outcome — and the bitset its
-// loops stored; the loops themselves do no telemetry work at all. The
-// interpretive runner feeds the same bitset through the exported Resolve
-// and Switch, plus a small log of PCs and outcomes the Tap owns, so both
-// replay engines share one implementation. Nothing is folded until
-// Telemetry or Forensics is called: the series is a popcount per
-// interval, the profile a walk over the set bits only, so a profile
-// costs work per misprediction, not per branch.
+// resolved conditional branch, and hands a telemetry.Forensics the run's
+// log. A kernel replay hands the Tap its plan — whose columns hold every
+// branch's PC, site id and outcome — and the bitset its loops stored;
+// the loops themselves do no telemetry work at all. The interpretive
+// runner feeds the same bitset through the exported Resolve and Switch,
+// plus a small log of PCs and outcomes the Tap owns, so both replay
+// engines share one implementation. Nothing is folded until Telemetry
+// or Forensics is called: the series is a popcount per interval, the
+// profile telemetry's per-site fold, which walks the set bits only, so
+// a profile costs work per misprediction, not per branch.
 
-import (
-	"container/heap"
-	"math/bits"
-
-	"twolevel/internal/telemetry"
-)
+import "twolevel/internal/telemetry"
 
 // Tap is one replay's telemetry accumulator.
 type Tap struct {
@@ -49,7 +44,7 @@ func NewTap(cfg Config) *Tap {
 		every:          cfg.Interval,
 		warmup:         cfg.Warmup,
 		topk:           cfg.TopPCs,
-		logged:         cfg.TopPCs > 0 || cfg.Log,
+		logged:         cfg.logged(),
 		recordSwitches: cfg.Interval > 0,
 	}
 }
@@ -144,18 +139,15 @@ func (t *Tap) Telemetry() ([]telemetry.Sample, []uint64, []telemetry.PCStats, in
 	return foldSamples(t.miss, t.n, t.every), t.switches, profile, sites
 }
 
-// Forensics feeds f every resolved branch in resolution order: its PC,
-// outcome and whether it was predicted correctly, which is all Forensics
-// reads. The Tap must log (a profile or Config.Log), and a kernel's plan
-// must still be live.
+// Forensics hands f the run's log: every resolved branch's site and
+// outcome, the site PCs and the mispredict bitset, which is all
+// Forensics reads. The Tap must log (a profile or Config.Log), and a
+// kernel's plan must still be live.
 func (t *Tap) Forensics(f *telemetry.Forensics) {
-	if t == nil || t.log == nil {
+	if t == nil || !t.logged {
 		return
 	}
-	outs := t.log.outs[:t.n]
-	for j, pc := range t.log.pcs[:t.n] {
-		f.Resolve(pc, outs[j] != 0, t.miss[j>>6]>>(j&63)&1 == 0)
-	}
+	f.AppendLog(t.log.siteLog(t.miss, t.n))
 }
 
 // foldSamples cuts branches [0, n) into intervals of every and counts
@@ -169,7 +161,7 @@ func foldSamples(miss []uint64, n int, every uint64) []telemetry.Sample {
 		lo := uint64(i) * every
 		hi := lo + min(every, uint64(n)-lo)
 		preds := hi - lo
-		correct := preds - onesIn(miss, int(lo), int(hi))
+		correct := preds - telemetry.OnesIn(miss, int(lo), int(hi))
 		samples[i] = telemetry.Sample{
 			Branches: hi, Predictions: preds, Correct: correct,
 			Accuracy: float64(correct) / float64(preds),
@@ -178,137 +170,17 @@ func foldSamples(miss []uint64, n int, every uint64) []telemetry.Sample {
 	return samples
 }
 
-// onesIn counts the set bits of set in bit range [lo, hi).
-func onesIn(set []uint64, lo, hi int) uint64 {
-	if lo >= hi {
-		return 0
-	}
-	first, last := lo>>6, (hi-1)>>6
-	loMask := ^uint64(0) << (lo & 63)
-	hiMask := ^uint64(0) >> (63 - (hi-1)&63)
-	if first == last {
-		return uint64(bits.OnesCount64(set[first] & loMask & hiMask))
-	}
-	n := bits.OnesCount64(set[first]&loMask) + bits.OnesCount64(set[last]&hiMask)
-	for _, w := range set[first+1 : last] {
-		n += bits.OnesCount64(w)
-	}
-	return uint64(n)
-}
-
-// pcTap is one site's row of the per-PC profile: its mispredicts and the
-// warmup-miss split the streaming verdict classifier consumes.
-type pcTap struct {
-	miss, warmupMiss uint64
-	pc               uint32
-}
-
-// profileRows returns one profile row per site that branches [0, n) of
-// log reach, indexed by site id, with the mispredicts of bitset miss
-// counted by walking only its set bits.
-func profileRows(log *Plan, miss []uint64, n int, warmup uint64) []pcTap {
-	if log == nil {
-		return nil
-	}
-	rows := make([]pcTap, log.seen(n))
-	for i := range rows {
-		rows[i].pc = log.sites[i]
-	}
-	foldMisses(rows, log.ids, miss[:(n+63)/64], warmup)
-	return rows
-}
-
-// foldMisses adds each mispredicted branch of bitset miss to its site's
-// row.
-func foldMisses(rows []pcTap, ids []int32, miss []uint64, warmup uint64) {
-	for wi, w := range miss {
-		for ; w != 0; w &= w - 1 {
-			j := wi<<6 | bits.TrailingZeros64(w)
-			r := &rows[ids[j]]
-			r.miss++
-			if uint64(j) < warmup {
-				r.warmupMiss++
-			}
-		}
-	}
-}
-
-// foldProfile ranks the rows and materialises the topk reported ones,
-// taking their executions and taken counts from the log's per-site
-// profile. It also returns the number of rows ranked.
+// foldProfile ranks the sites that branches [0, n) of log reach by
+// their mispredicts in bitset miss and materialises the topk reported
+// ones, taking their executions and taken counts from the log's shared
+// per-site counts. It also returns the number of sites ranked.
 func foldProfile(log *Plan, miss []uint64, n, topk int, warmup uint64) ([]telemetry.PCStats, int) {
-	rows := profileRows(log, miss, n, warmup)
-	var misses uint64
-	for i := range rows {
-		misses += rows[i].miss
+	l := log.siteLog(miss, n)
+	fold := telemetry.FoldSites(l, warmup)
+	order := fold.Top(topk)
+	var sc telemetry.SiteCounts
+	if len(order) > 0 {
+		sc = log.siteCounts(l)
 	}
-	order := top(rows, topk)
-	profile := make([]telemetry.PCStats, len(order))
-	if len(order) == 0 {
-		return profile, len(rows)
-	}
-	sc := log.siteCounts(n)
-	for i, id := range order {
-		r, row := &rows[id], &profile[i]
-		row.PC, row.Mispredicts, row.WarmupMisses = r.pc, r.miss, r.warmupMiss
-		row.Executions, row.Taken = sc.exec[id], sc.taken[id]
-		if row.Executions > 0 {
-			row.TakenRate = float64(row.Taken) / float64(row.Executions)
-		}
-		if misses > 0 {
-			row.MissShare = float64(r.miss) / float64(misses)
-		}
-	}
-	return profile, len(rows)
-}
-
-// before reports whether row a precedes row b in the profile order:
-// mispredicts descending, then PC ascending. Rows hold distinct PCs, so
-// the order is total.
-func before(a, b *pcTap) bool {
-	if a.miss != b.miss {
-		return a.miss > b.miss
-	}
-	return a.pc < b.pc
-}
-
-// top returns the indices of the first k rows in the profile order, in
-// that order. It is a bounded selection: a heap keeps the best k rows
-// seen so far, so ranking n rows costs O(n log k) rather than a sort of
-// all n.
-func top(rows []pcTap, k int) []int32 {
-	r := &ranking{rows: rows, kept: make([]int32, 0, min(k, len(rows)))}
-	for i := range rows {
-		switch {
-		case r.Len() < k:
-			heap.Push(r, int32(i))
-		case before(&rows[i], &rows[r.kept[0]]):
-			r.kept[0] = int32(i)
-			heap.Fix(r, 0)
-		}
-	}
-	out := make([]int32, r.Len())
-	for j := len(out) - 1; j >= 0; j-- {
-		out[j] = heap.Pop(r).(int32)
-	}
-	return out
-}
-
-// ranking is a heap of row indices whose root is the kept row that comes
-// last in the profile order.
-type ranking struct {
-	rows []pcTap
-	kept []int32
-}
-
-func (r *ranking) Len() int { return len(r.kept) }
-func (r *ranking) Less(i, j int) bool {
-	return before(&r.rows[r.kept[j]], &r.rows[r.kept[i]])
-}
-func (r *ranking) Swap(i, j int) { r.kept[i], r.kept[j] = r.kept[j], r.kept[i] }
-func (r *ranking) Push(x any)    { r.kept = append(r.kept, x.(int32)) }
-func (r *ranking) Pop() any {
-	x := r.kept[len(r.kept)-1]
-	r.kept = r.kept[:len(r.kept)-1]
-	return x
+	return fold.Profile(order, sc), len(l.Sites)
 }

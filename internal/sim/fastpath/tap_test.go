@@ -260,17 +260,17 @@ func TestTapTopPCsMatchesFullSort(t *testing.T) {
 		for _, e := range evs {
 			tap.Resolve(e.pc, e.taken, e.ok)
 		}
-		rows := profileRows(tap.log, tap.miss, tap.n, tap.warmup)
+		fold, rows := siteRows(tap)
 		if len(rows) <= 2000 {
 			t.Fatalf("only %d PCs resolved", len(rows))
 		}
 		want := fullSortTop(rows, k)
-		if got := top(rows, k); !reflect.DeepEqual(got, want) {
+		if got := fold.Top(k); !reflect.DeepEqual(got, want) {
 			t.Errorf("k=%d: bounded selection differs from the full sort", k)
 		}
 		ties := 0
 		for i := 1; i < len(want); i++ {
-			if rows[want[i]].miss == rows[want[i-1]].miss {
+			if rows[want[i]].Mispredicts == rows[want[i-1]].Mispredicts {
 				ties++
 			}
 		}
@@ -280,18 +280,30 @@ func TestTapTopPCsMatchesFullSort(t *testing.T) {
 	}
 }
 
+// siteRows returns the per-site fold of tap's log and every site's
+// profile row, indexed by site id.
+func siteRows(tap *Tap) (telemetry.SiteFold, []telemetry.PCStats) {
+	log := tap.log.siteLog(tap.miss, tap.n)
+	fold := telemetry.FoldSites(log, tap.warmup)
+	all := make([]int32, len(log.Sites))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return fold, fold.Profile(all, telemetry.FoldCounts(log))
+}
+
 // fullSortTop is the reference top-K: a sort of every row, cut to k.
-func fullSortTop(rows []pcTap, k int) []int32 {
+func fullSortTop(rows []telemetry.PCStats, k int) []int32 {
 	all := make([]int32, len(rows))
 	for i := range all {
 		all[i] = int32(i)
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := rows[all[i]], rows[all[j]]
-		if a.miss != b.miss {
-			return a.miss > b.miss
+		if a.Mispredicts != b.Mispredicts {
+			return a.Mispredicts > b.Mispredicts
 		}
-		return a.pc < b.pc
+		return a.PC < b.PC
 	})
 	return all[:min(k, len(all))]
 }
@@ -310,10 +322,10 @@ func BenchmarkTapTopPCs(b *testing.B) {
 			rng ^= rng << 5
 			tap.Resolve(0x1000+4*(rng%sites), rng>>12&1 == 0, rng>>13%4 != 0)
 		}
-		rows := profileRows(tap.log, tap.miss, tap.n, tap.warmup)
+		fold, rows := siteRows(tap)
 		b.Run(fmt.Sprintf("select/pcs=%d", sites), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				top(rows, 8)
+				fold.Top(8)
 			}
 		})
 		b.Run(fmt.Sprintf("fullsort/pcs=%d", sites), func(b *testing.B) {

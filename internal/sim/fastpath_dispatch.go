@@ -129,7 +129,7 @@ func fastpathConfig(opts Options) fastpath.Config {
 		cfg.Interval = t.Interval
 		cfg.TopPCs = t.TopK
 		if t.TopK > 0 {
-			cfg.Warmup = warmupBoundary(opts.MaxCondBranches)
+			cfg.Warmup = telemetry.WarmupBoundary(opts.MaxCondBranches)
 		}
 		cfg.Log = t.Forensics != nil
 	}

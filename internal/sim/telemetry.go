@@ -12,10 +12,6 @@ import (
 	"twolevel/internal/telemetry"
 )
 
-// telemetryWarmupFrac matches ForensicsConfig's default warmup share of
-// the branch budget for the per-PC warmup-miss split.
-const telemetryWarmupFrac = 0.1
-
 // Telemetry requests run telemetry. Unlike Options.Observer it does not
 // forfeit fastpath eligibility: the flat kernel folds the samples from
 // the mispredict bits its loops store, and the interpretive runner feeds
@@ -32,9 +28,9 @@ type Telemetry struct {
 	// worst branches (telemetry.HotBranches order) with the warmup-miss
 	// split the streaming verdict classifier consumes.
 	TopK int
-	// Forensics, when non-nil, is fed every resolved conditional branch
-	// in order when the run returns: the report it would build attached
-	// as an Observer.
+	// Forensics, when non-nil, is handed the replay's log of resolved
+	// conditional branches when the run returns: it then reports as it
+	// would attached as an Observer.
 	Forensics *telemetry.Forensics
 
 	// Samples is the interval accuracy series (nil when Interval == 0).
@@ -47,12 +43,6 @@ type Telemetry struct {
 	// StaticBranches is the number of distinct branch sites the run
 	// resolved (0 when TopK == 0).
 	StaticBranches int
-}
-
-// warmupBoundary is the resolved-branch index bounding the warmup-miss
-// split, mirroring Forensics' default (0 when the budget is unknown).
-func warmupBoundary(budget uint64) uint64 {
-	return uint64(float64(budget) * telemetryWarmupFrac)
 }
 
 // fill materialises tap's outputs into the sink and feeds its Forensics
@@ -68,11 +58,4 @@ func (t *Telemetry) fill(tap *fastpath.Tap) {
 
 // HotBranches renders TopMispredicted as telemetry.HotBranches report
 // rows (nil when the profile is empty).
-func (t *Telemetry) HotBranches() []telemetry.HotBranch {
-	var hot []telemetry.HotBranch
-	for _, p := range t.TopMispredicted {
-		hot = append(hot, telemetry.HotBranch{PC: p.PC, Mispredicts: p.Mispredicts,
-			Executions: p.Executions, TakenRate: p.TakenRate, MissShare: p.MissShare})
-	}
-	return hot
-}
+func (t *Telemetry) HotBranches() []telemetry.HotBranch { return telemetry.HotRows(t.TopMispredicted) }

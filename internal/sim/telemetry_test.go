@@ -9,6 +9,7 @@ import (
 
 	"twolevel/internal/faultinject"
 	"twolevel/internal/predictor"
+	"twolevel/internal/reference"
 	"twolevel/internal/sim/fastpath"
 	"twolevel/internal/spec"
 	"twolevel/internal/telemetry"
@@ -39,8 +40,8 @@ func telemetryOptionSets(conds uint64) []struct {
 // property: for every flattenable spec and option set, the kernel-native
 // interval series equals the legacy IntervalSeries observer's output
 // sample for sample, the context-switch indices match, and the per-PC
-// profile agrees with the legacy HotBranches report and the interpretive
-// sink path.
+// profile agrees with the naive reference forensics model's offenders
+// and the interpretive sink path.
 func TestKernelTelemetryMatchesIntervalSeries(t *testing.T) {
 	snap := kernelSnapshot(24_000)
 	conds := uint64(0)
@@ -55,7 +56,8 @@ func TestKernelTelemetryMatchesIntervalSeries(t *testing.T) {
 		for _, os := range telemetryOptionSets(conds) {
 			// Reference: the legacy observers on the interpretive runner.
 			iv := telemetry.NewIntervalSeries(interval)
-			hot := telemetry.NewHotBranches(topk)
+			hot := referenceForensics{model: reference.NewForensics(telemetry.ForensicsConfig{
+				TopK: topk, Budget: os.opts.MaxCondBranches})}
 			refOpts := os.opts
 			refOpts.DisableFastpath = true
 			refOpts.Observer = telemetry.Multi(iv, hot)
@@ -88,21 +90,21 @@ func TestKernelTelemetryMatchesIntervalSeries(t *testing.T) {
 				t.Errorf("%s/%s: kernel switch indices differ:\n got %v\nwant %v",
 					s, os.name, sink.Switches, iv.Switches())
 			}
-			hotRef := hot.Report()
-			if sink.StaticBranches != hot.StaticBranches() {
-				t.Errorf("%s/%s: sink counts %d static branches, HotBranches %d",
-					s, os.name, sink.StaticBranches, hot.StaticBranches())
+			hotRef := hot.model.Report()
+			if sink.StaticBranches != hotRef.StaticBranches {
+				t.Errorf("%s/%s: sink counts %d static branches, the reference model %d",
+					s, os.name, sink.StaticBranches, hotRef.StaticBranches)
 			}
-			if len(sink.TopMispredicted) != len(hotRef) {
-				t.Errorf("%s/%s: profile has %d rows, HotBranches %d",
-					s, os.name, len(sink.TopMispredicted), len(hotRef))
+			if len(sink.TopMispredicted) != len(hotRef.TopOffenders) {
+				t.Errorf("%s/%s: profile has %d rows, the reference model %d",
+					s, os.name, len(sink.TopMispredicted), len(hotRef.TopOffenders))
 			} else {
 				for i, row := range sink.TopMispredicted {
-					ref := hotRef[i]
+					ref := hotRef.TopOffenders[i]
 					if row.PC != ref.PC || row.Mispredicts != ref.Mispredicts ||
-						row.Executions != ref.Executions ||
+						row.Executions != ref.Executions || row.WarmupMisses != ref.WarmupMisses ||
 						row.TakenRate != ref.TakenRate || row.MissShare != ref.MissShare {
-						t.Errorf("%s/%s: profile row %d = %+v, HotBranches %+v",
+						t.Errorf("%s/%s: profile row %d = %+v, the reference model's %+v",
 							s, os.name, i, row, ref)
 					}
 				}
@@ -200,33 +202,45 @@ func TestRunManyTelemetry(t *testing.T) {
 	}
 }
 
-// foldForensics returns the Forensics the fold oracle compares: a short
-// shadow history and recorder, so bursts are snapshotted on every spec.
-func foldForensics(budget uint64) *telemetry.Forensics {
-	return telemetry.NewForensics(telemetry.ForensicsConfig{
-		TopK: 6, HistoryBits: 6, RecorderSize: 16, Budget: budget,
-	})
+// foldForensicsConfig configures the Forensics the fold oracle
+// compares: a short shadow history and recorder, so bursts are
+// snapshotted on every spec.
+func foldForensicsConfig(budget uint64) telemetry.ForensicsConfig {
+	return telemetry.ForensicsConfig{TopK: 6, HistoryBits: 6, RecorderSize: 16, Budget: budget}
+}
+
+// referenceForensics feeds the naive reference forensics model every
+// resolution the interpretive runner reports to an Observer.
+type referenceForensics struct {
+	telemetry.NopObserver
+	model *reference.Forensics
+}
+
+func (r referenceForensics) OnResolve(b trace.Branch, predicted, correct bool) {
+	r.model.Resolve(b.PC, b.Taken, correct)
 }
 
 // observedForensics replays spec s over src on the interpretive runner
-// with a Forensics attached as an Observer and returns its report.
+// with the reference forensics model attached as an Observer and
+// returns its report.
 func observedForensics(t *testing.T, s string, snap trace.Snapshot, src trace.Source, opts Options) telemetry.ForensicsReport {
 	t.Helper()
-	fo := foldForensics(opts.MaxCondBranches)
-	opts.DisableFastpath, opts.Shards, opts.Observer = true, 0, fo
+	ref := referenceForensics{model: reference.NewForensics(foldForensicsConfig(opts.MaxCondBranches))}
+	opts.DisableFastpath, opts.Shards, opts.Observer = true, 0, ref
 	if _, err := Run(buildEquivSpec(t, s, snap), src, opts); err != nil {
 		t.Fatalf("%s observed: %v", s, err)
 	}
-	return fo.Report()
+	return ref.model.Report()
 }
 
 // TestForensicsFoldMatchesObserver is the oracle of the forensics fold:
 // for every flattenable spec, the report of a Telemetry sink's Forensics,
-// fed from the replay's resolved-branch log, deep-equals the report of a
-// Forensics attached as an Observer to the interpretive runner — on the
-// serial and the sharded kernel, the pipelined runner, a RunMany batch,
-// a kernel resumed by RunTo legs, and a cancelled kernel run (against
-// the runner over the prefix it consumed).
+// handed the replay's resolved-branch log, deep-equals the report of the
+// naive reference model (internal/reference) attached as an Observer to
+// the interpretive runner — on the serial and the sharded kernel, the
+// pipelined runner, a RunMany batch, a kernel resumed by RunTo legs, and
+// a cancelled kernel run (against the runner over the prefix it
+// consumed).
 func TestForensicsFoldMatchesObserver(t *testing.T) {
 	snap := kernelSnapshot(24_000)
 	conds := uint64(0)
@@ -235,7 +249,9 @@ func TestForensicsFoldMatchesObserver(t *testing.T) {
 			conds++
 		}
 	}
-	sinkFor := func(o Options) *Telemetry { return &Telemetry{Forensics: foldForensics(o.MaxCondBranches)} }
+	sinkFor := func(o Options) *Telemetry {
+		return &Telemetry{Forensics: telemetry.NewForensics(foldForensicsConfig(o.MaxCondBranches))}
+	}
 	for _, s := range kernelEquivSpecs {
 		check := func(arm string, sink *Telemetry, want telemetry.ForensicsReport) {
 			t.Helper()
@@ -245,7 +261,7 @@ func TestForensicsFoldMatchesObserver(t *testing.T) {
 					s, arm, got.Resolutions, len(got.Snapshots))
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: folded forensics differ from the observer's:\n got %+v\nwant %+v", s, arm, got, want)
+				t.Errorf("%s/%s: folded forensics differ from the reference model's:\n got %+v\nwant %+v", s, arm, got, want)
 			}
 		}
 

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"twolevel/internal/automaton"
@@ -23,9 +25,10 @@ import (
 // different schemes over the same trace are directly comparable. Miss
 // counts, by contrast, come from the real run (the correct flag of
 // Resolve), so the report attributes the predictor's actual misses to
-// the history patterns they occurred under. The simulator's telemetry
-// sink feeds one on the replay kernel; as an Observer it is that fold's
-// test oracle.
+// the history patterns they occurred under. A Forensics keeps only the
+// run's SiteLog and folds it when asked: counts and offender ranking
+// are the per-site fold of the Tap's hot-branch profile, and the shadow
+// model runs only for the sites a report returns.
 //
 // A bounded flight recorder keeps the last RecorderSize resolutions; when
 // mispredictions cluster (a burst: at least BurstThreshold misses inside
@@ -38,17 +41,8 @@ import (
 type Forensics struct {
 	NopObserver
 	cfg     ForensicsConfig
-	machine *automaton.Machine
-	mask    uint32 // HistoryBits ones
 	warmupN uint64 // resolutions counted as warmup
-
-	seq       uint64 // resolutions so far
-	misses    uint64
-	pcs       map[uint32]*pcForensics
-	ring      []FlightEvent
-	ringMiss  int    // mispredicts currently inside the ring
-	lastSnap  uint64 // seq at the last snapshot (0 = none yet)
-	snapshots []FlightSnapshot
+	siteRecorder
 }
 
 // ForensicsConfig configures a Forensics. The zero value selects
@@ -66,12 +60,10 @@ type ForensicsConfig struct {
 	BurstThreshold int
 	// MaxSnapshots bounds the snapshots kept per run (default 4).
 	MaxSnapshots int
-	// Budget is the run's conditional branch budget; the first
-	// WarmupFrac of it counts as warmup in the miss split. 0 means
+	// Budget is the run's conditional branch budget; its first tenth
+	// (WarmupBoundary) counts as warmup in the miss split. 0 means
 	// unknown: every miss is then counted as steady-state.
 	Budget uint64
-	// WarmupFrac is the warmup share of Budget (default 0.1).
-	WarmupFrac float64
 }
 
 func (c ForensicsConfig) withDefaults() ForensicsConfig {
@@ -93,40 +85,13 @@ func (c ForensicsConfig) withDefaults() ForensicsConfig {
 	if c.MaxSnapshots <= 0 {
 		c.MaxSnapshots = 4
 	}
-	if c.WarmupFrac <= 0 || c.WarmupFrac >= 1 {
-		c.WarmupFrac = 0.1
-	}
 	return c
-}
-
-// pcForensics is the per-static-branch working state.
-type pcForensics struct {
-	exec, taken, miss uint64
-	warmupMiss        uint64
-	hist              uint32 // shadow register, stepped with flat.Shift
-	patterns          map[uint32]*patternCount
-	states            map[uint32]automaton.State
-	transitions       [][2]uint64 // [state][outcome] counts
-}
-
-type patternCount struct {
-	taken, notTaken, miss uint64
 }
 
 // NewForensics returns a forensics observer with cfg's defaults applied.
 func NewForensics(cfg ForensicsConfig) *Forensics {
 	cfg = cfg.withDefaults()
-	f := &Forensics{
-		cfg:     cfg,
-		machine: automaton.New(automaton.A2),
-		mask:    uint32(1)<<cfg.HistoryBits - 1,
-		pcs:     make(map[uint32]*pcForensics),
-		ring:    make([]FlightEvent, 0, cfg.RecorderSize),
-	}
-	if cfg.Budget > 0 {
-		f.warmupN = uint64(float64(cfg.Budget) * cfg.WarmupFrac)
-	}
-	return f
+	return &Forensics{cfg: cfg, warmupN: WarmupBoundary(cfg.Budget)}
 }
 
 // OnResolve implements Observer.
@@ -134,95 +99,144 @@ func (f *Forensics) OnResolve(b trace.Branch, predicted, correct bool) {
 	f.Resolve(b.PC, b.Taken, correct)
 }
 
-// Resolve records one resolved conditional branch: its PC, outcome and
-// whether it was predicted correctly — all a report depends on, so a
-// Forensics fed from a replay's resolved-branch log reports as one fed
-// by OnResolve.
-func (f *Forensics) Resolve(pc uint32, taken, correct bool) {
-	f.seq++
-	p := f.pcs[pc]
-	if p == nil {
-		p = &pcForensics{
-			hist:        f.mask | flat.FreshBit,
-			patterns:    make(map[uint32]*patternCount),
-			states:      make(map[uint32]automaton.State),
-			transitions: make([][2]uint64, f.machine.States()),
-		}
-		f.pcs[pc] = p
-	}
-	pattern := p.hist & f.mask
-	pat := p.patterns[pattern]
-	if pat == nil {
-		pat = &patternCount{}
-		p.patterns[pattern] = pat
-	}
-	st, ok := p.states[pattern]
-	if !ok {
-		st = f.machine.Initial()
-	}
-	outcome := uint32(0)
-	if taken {
-		outcome = 1
-	}
-	p.transitions[st][outcome]++
-	p.states[pattern] = f.machine.Next(st, taken)
+// Resolve appends one resolved conditional branch to the log: its PC,
+// outcome and whether it was predicted correctly — all a report depends
+// on, so a Forensics fed from a replay's log reports as one fed by
+// OnResolve.
+func (f *Forensics) Resolve(pc uint32, taken, correct bool) { f.record(pc, taken, correct) }
 
-	p.exec++
-	if taken {
-		p.taken++
-		pat.taken++
-	} else {
-		pat.notTaken++
-	}
-	if !correct {
-		p.miss++
-		pat.miss++
-		f.misses++
-		if f.warmupN > 0 && f.seq <= f.warmupN {
-			p.warmupMiss++
+// AppendLog appends the resolved branches of a replay's log to f, as if
+// each were passed to Resolve in order. Into an empty Forensics the log
+// is copied whole, so l's columns may be reused once AppendLog returns.
+func (f *Forensics) AppendLog(l SiteLog) {
+	if len(f.log.IDs) > 0 {
+		for j, id := range l.IDs {
+			f.Resolve(l.Sites[id], l.Outs[j] != 0, !l.Missed(j))
 		}
+		return
 	}
-	p.hist = flat.Shift(p.hist, outcome, f.mask)
-
-	f.record(FlightEvent{
-		Seq:       f.seq,
-		PC:        pc,
-		Taken:     taken,
-		Predicted: taken == correct,
-		Correct:   correct,
-	})
+	n := len(l.IDs)
+	f.log = SiteLog{
+		IDs:   slices.Clone(l.IDs),
+		Outs:  slices.Clone(l.Outs[:n]),
+		Sites: slices.Clone(l.Sites),
+		Miss:  slices.Clone(l.Miss[:(n+63)/64]),
+	}
+	for _, pc := range l.Sites {
+		f.dir.Add(pc)
+	}
 }
 
-// record appends to the flight recorder and snapshots mispredict bursts.
-func (f *Forensics) record(e FlightEvent) {
-	if len(f.ring) == f.cfg.RecorderSize {
-		if !f.ring[0].Correct {
-			f.ringMiss--
+// a2 is the shadow automaton.
+var a2 = automaton.New(automaton.A2)
+
+// shadow is the shadow model of one reported site: its local history
+// register, one row per history pattern seen (keyed by pattern through
+// a directory, so storage grows with the patterns seen, not with
+// 2^HistoryBits) and the A2 edge counts.
+type shadow struct {
+	hist        uint32 // stepped with flat.Shift
+	dir         flat.PCIndex
+	patterns    []patternCount
+	transitions [4][2]uint64 // [state][outcome]
+}
+
+// patternCount is one history pattern's row: real outcomes and misses
+// under it, and its A2 state.
+type patternCount struct {
+	pattern uint32
+	outs    [2]uint64 // [outcome]
+	miss    uint64
+	state   automaton.State
+}
+
+// step resolves one branch of the shadow's site: outcome o under the
+// current pattern, mispredicted or not.
+func (s *shadow) step(o uint32, missed bool, mask uint32) {
+	pattern := s.hist & mask
+	i, added := s.dir.Add(pattern)
+	if added {
+		s.patterns = append(s.patterns, patternCount{pattern: pattern, state: a2.Initial()}) //lint:allow hotalloc amortised growth: one row per distinct pattern, not per event
+	}
+	p := &s.patterns[i]
+	s.transitions[p.state][o]++
+	p.state = a2.Next(p.state, o == 1)
+	p.outs[o]++
+	if missed {
+		p.miss++
+	}
+	s.hist = flat.Shift(s.hist, o, mask)
+}
+
+// foldShadows runs the shadow model of each site of ids over the log in
+// one walk, skipping every other site's branches.
+func (f *Forensics) foldShadows(ids []int32) []shadow {
+	mask := uint32(1)<<f.cfg.HistoryBits - 1
+	shadows := make([]shadow, len(ids))
+	slot := make([]int32, len(f.log.Sites)) // site id → shadow index + 1 (0 = not reported)
+	for i, id := range ids {
+		slot[id] = int32(i + 1)
+		shadows[i].hist = mask | flat.FreshBit
+	}
+	outs := f.log.Outs
+	for j, id := range f.log.IDs {
+		if s := slot[id]; s != 0 {
+			shadows[s-1].step(uint32(outs[j]), f.log.Missed(j), mask)
 		}
-		copy(f.ring, f.ring[1:])
-		f.ring = f.ring[:len(f.ring)-1]
 	}
-	f.ring = append(f.ring, e)
-	if !e.Correct {
-		f.ringMiss++
+	return shadows
+}
+
+// foldSnapshots finds the flight-recorder snapshots by walking the set
+// bits of the mispredict bitset: a miss at branch j triggers one when
+// the window of the RecorderSize branches ending at j holds at least
+// BurstThreshold misses and j is at least one window past the last
+// trigger, until MaxSnapshots are taken.
+func (f *Forensics) foldSnapshots() []FlightSnapshot {
+	size, miss := f.cfg.RecorderSize, f.log.Miss
+	var snaps []FlightSnapshot
+	next := 0 // the first branch that may trigger
+	for wi, w := range miss {
+		for ; w != 0; w &= w - 1 {
+			j := wi<<6 | bits.TrailingZeros64(w)
+			if j < next {
+				continue
+			}
+			lo := max(0, j-size+1)
+			m := OnesIn(miss, lo, j+1)
+			if m < uint64(f.cfg.BurstThreshold) {
+				continue
+			}
+			snaps = append(snaps, FlightSnapshot{ //lint:allow hotalloc at most MaxSnapshots appends per report, not per event
+				TriggerSeq:  uint64(j + 1),
+				Mispredicts: int(m),
+				Events:      f.flightEvents(lo, j+1),
+			})
+			if len(snaps) == f.cfg.MaxSnapshots {
+				return snaps
+			}
+			next = j + size
+		}
 	}
-	if e.Correct || f.ringMiss < f.cfg.BurstThreshold {
-		return
+	return snaps
+}
+
+// flightEvents rebuilds the recorder window of branches [lo, hi) from
+// the log's columns.
+func (f *Forensics) flightEvents(lo, hi int) []FlightEvent {
+	evs := make([]FlightEvent, hi-lo) //lint:allow hotalloc one window per snapshot, at most MaxSnapshots per report
+	for i := range evs {
+		j := lo + i
+		taken, correct := f.log.Outs[j] == 1, !f.log.Missed(j)
+		evs[i] = FlightEvent{
+			Seq:       uint64(j + 1),
+			PC:        f.log.Sites[f.log.IDs[j]],
+			Taken:     taken,
+			Predicted: taken == correct,
+			Correct:   correct,
+		}
 	}
-	if len(f.snapshots) >= f.cfg.MaxSnapshots {
-		return
-	}
-	// Space snapshots at least one full window apart so a long burst
-	// yields one picture, not MaxSnapshots copies of the same stretch.
-	if f.lastSnap != 0 && e.Seq-f.lastSnap < uint64(f.cfg.RecorderSize) {
-		return
-	}
-	f.lastSnap = e.Seq
-	f.snapshots = append(f.snapshots, FlightSnapshot{
-		TriggerSeq:  e.Seq,
-		Mispredicts: f.ringMiss,
-		Events:      append([]FlightEvent(nil), f.ring...),
-	})
+	return evs
 }
 
 // FlightEvent is one resolution in the flight recorder.
@@ -299,7 +313,7 @@ type PCForensics struct {
 	TakenRate   float64 `json:"taken_rate"`
 	MissShare   float64 `json:"miss_share"`
 	// WarmupMisses and SteadyMisses split the misses at the warmup
-	// boundary (first WarmupFrac of Budget). With Budget unknown every
+	// boundary (WarmupBoundary of Budget). With Budget unknown every
 	// miss is steady.
 	WarmupMisses uint64 `json:"warmup_misses"`
 	SteadyMisses uint64 `json:"steady_misses"`
@@ -345,162 +359,115 @@ type ForensicsReport struct {
 // patternsPerPC bounds the per-branch histogram rows in a report.
 const patternsPerPC = 16
 
-// stateName names an A2 state for reports.
-func stateName(s automaton.State) string {
-	switch s {
-	case 0:
-		return "SN"
-	case 1:
-		return "WN"
-	case 2:
-		return "WT"
-	case 3:
-		return "ST"
-	}
-	return "S?"
-}
+// stateNames and outcomeNames name an A2 state and an outcome in reports.
+var (
+	stateNames   = [4]string{"SN", "WN", "WT", "ST"}
+	outcomeNames = [2]string{"not-taken", "taken"}
+)
 
 // patternString renders a k-bit pattern as a bit string, oldest first.
 func patternString(pattern uint32, k int) string {
 	buf := make([]byte, k)
-	for i := 0; i < k; i++ {
-		if pattern>>(k-1-i)&1 == 1 {
-			buf[i] = '1'
-		} else {
-			buf[i] = '0'
-		}
+	for i := range buf {
+		buf[i] = '0' + byte(pattern>>(k-1-i)&1)
 	}
 	return string(buf)
 }
 
 // TotalMispredicts returns the run's misprediction count so far.
-func (f *Forensics) TotalMispredicts() uint64 { return f.misses }
+func (f *Forensics) TotalMispredicts() uint64 { return f.misses() }
 
 // Lookup returns the forensic profile of one static branch, or false when
 // the branch was never observed. It is not bounded by TopK.
 func (f *Forensics) Lookup(pc uint32) (PCForensics, bool) {
-	p, ok := f.pcs[pc]
+	id, ok := f.dir.Get(pc)
 	if !ok {
 		return PCForensics{}, false
 	}
-	return f.profile(pc, p), true
+	fold := FoldSites(f.log, f.warmupN)
+	return f.profiles(&fold, []int32{id})[0], true
 }
 
 // Report assembles the forensics report: the TopK worst offenders plus
 // the burst snapshots. Ordering is fully deterministic.
 func (f *Forensics) Report() ForensicsReport {
-	rep := ForensicsReport{
+	fold := FoldSites(f.log, f.warmupN)
+	return ForensicsReport{
 		HistoryBits:       f.cfg.HistoryBits,
-		Resolutions:       f.seq,
-		Mispredicts:       f.misses,
-		StaticBranches:    len(f.pcs),
+		Resolutions:       uint64(len(f.log.IDs)),
+		Mispredicts:       f.misses(),
+		StaticBranches:    len(f.log.Sites),
 		WarmupResolutions: f.warmupN,
-		Snapshots:         f.snapshots,
+		TopOffenders:      f.profiles(&fold, fold.Top(f.cfg.TopK)),
+		Snapshots:         f.foldSnapshots(),
 	}
-	type ranked struct {
-		pc   uint32
-		miss uint64
-	}
-	all := make([]ranked, 0, len(f.pcs))
-	for pc, p := range f.pcs {
-		all = append(all, ranked{pc: pc, miss: p.miss})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].miss != all[j].miss {
-			return all[i].miss > all[j].miss
-		}
-		return all[i].pc < all[j].pc
-	})
-	if len(all) > f.cfg.TopK {
-		all = all[:f.cfg.TopK]
-	}
-	for _, r := range all {
-		rep.TopOffenders = append(rep.TopOffenders, f.profile(r.pc, f.pcs[r.pc]))
-	}
-	return rep
 }
 
-// profile builds the report row for one branch.
-func (f *Forensics) profile(pc uint32, p *pcForensics) PCForensics {
-	out := PCForensics{
-		PC:           pc,
-		Executions:   p.exec,
-		Mispredicts:  p.miss,
-		WarmupMisses: p.warmupMiss,
-		SteadyMisses: p.miss - p.warmupMiss,
-		PatternsSeen: len(p.patterns),
+// profiles builds the report rows of the sites of ids (nil for none):
+// the fold's counters plus each site's shadow model.
+func (f *Forensics) profiles(fold *SiteFold, ids []int32) []PCForensics {
+	if len(ids) == 0 {
+		return nil
 	}
-	if p.exec > 0 {
-		out.TakenRate = float64(p.taken) / float64(p.exec)
+	shadows := f.foldShadows(ids)
+	out := make([]PCForensics, len(ids))
+	for i, st := range fold.Profile(ids, FoldCounts(f.log)) {
+		out[i] = f.profile(st, &shadows[i])
 	}
-	if f.misses > 0 {
-		out.MissShare = float64(p.miss) / float64(f.misses)
-	}
+	return out
+}
 
-	type patRow struct {
-		pattern uint32
-		c       *patternCount
+// profile builds one site's report row.
+func (f *Forensics) profile(st PCStats, s *shadow) PCForensics {
+	out := PCForensics{
+		PC:           st.PC,
+		Executions:   st.Executions,
+		Mispredicts:  st.Mispredicts,
+		TakenRate:    st.TakenRate,
+		MissShare:    st.MissShare,
+		WarmupMisses: st.WarmupMisses,
+		SteadyMisses: st.Mispredicts - st.WarmupMisses,
+		PatternsSeen: len(s.patterns),
 	}
-	rows := make([]patRow, 0, len(p.patterns))
-	for pattern, c := range p.patterns {
-		rows = append(rows, patRow{pattern: pattern, c: c})
-	}
+	rows := s.patterns
 	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].c.miss != rows[j].c.miss {
-			return rows[i].c.miss > rows[j].c.miss
+		if rows[i].miss != rows[j].miss {
+			return rows[i].miss > rows[j].miss
 		}
 		return rows[i].pattern < rows[j].pattern
 	})
-	// Entropy is summed in sorted order so the floating-point result is
-	// identical across runs despite map iteration order.
+	// Entropy is summed in this order, so the floating-point result does
+	// not depend on the order patterns were first seen in.
 	for _, r := range rows {
-		n := r.c.taken + r.c.notTaken
-		if n > 0 {
-			prob := float64(n) / float64(p.exec)
-			out.HistoryEntropyBits -= prob * math.Log2(prob)
-		}
+		prob := float64(r.outs[0]+r.outs[1]) / float64(st.Executions)
+		out.HistoryEntropyBits -= prob * math.Log2(prob)
 	}
 	// Avoid -0 for single-pattern branches.
 	out.HistoryEntropyBits = math.Abs(out.HistoryEntropyBits)
-	if len(rows) > 0 && rows[0].c.miss > 0 {
+	if rows[0].miss > 0 {
 		out.DominantPattern = patternString(rows[0].pattern, f.cfg.HistoryBits)
-		out.DominantPatternMisses = rows[0].c.miss
+		out.DominantPatternMisses = rows[0].miss
 	}
-	if len(rows) > patternsPerPC {
-		rows = rows[:patternsPerPC]
-	}
-	for _, r := range rows {
-		ps := PatternStat{
+	for _, r := range rows[:min(len(rows), patternsPerPC)] {
+		out.Patterns = append(out.Patterns, PatternStat{
 			Pattern:     patternString(r.pattern, f.cfg.HistoryBits),
-			Taken:       r.c.taken,
-			NotTaken:    r.c.notTaken,
-			Mispredicts: r.c.miss,
-		}
-		if n := ps.Occurrences(); n > 0 {
-			ps.MissRate = float64(ps.Mispredicts) / float64(n)
-		}
-		out.Patterns = append(out.Patterns, ps)
+			Taken:       r.outs[1],
+			NotTaken:    r.outs[0],
+			Mispredicts: r.miss,
+			MissRate:    float64(r.miss) / float64(r.outs[0]+r.outs[1]),
+		})
 	}
 
-	for st := range p.transitions {
-		for outcome := 0; outcome < 2; outcome++ {
-			n := p.transitions[st][outcome]
-			if n == 0 {
-				continue
+	for st, edges := range s.transitions {
+		for outcome, n := range edges {
+			if n > 0 {
+				out.Transitions = append(out.Transitions, StateTransition{
+					From:    stateNames[st],
+					Outcome: outcomeNames[outcome],
+					To:      stateNames[a2.Next(automaton.State(st), outcome == 1)],
+					Count:   n,
+				})
 			}
-			from := automaton.State(st)
-			dir := "not-taken"
-			taken := false
-			if outcome == 1 {
-				dir = "taken"
-				taken = true
-			}
-			out.Transitions = append(out.Transitions, StateTransition{
-				From:    stateName(from),
-				Outcome: dir,
-				To:      stateName(f.machine.Next(from, taken)),
-				Count:   n,
-			})
 		}
 	}
 	return out

@@ -70,7 +70,7 @@ func TestForensicsSteadyBranchHasZeroEntropy(t *testing.T) {
 }
 
 func TestForensicsWarmupSplit(t *testing.T) {
-	f := NewForensics(ForensicsConfig{Budget: 100, WarmupFrac: 0.1})
+	f := NewForensics(ForensicsConfig{Budget: 100})
 	for i := 0; i < 100; i++ {
 		// Misses at resolutions 1..5 (warmup covers 1..10) and 51..53.
 		miss := i < 5 || (i >= 50 && i < 53)

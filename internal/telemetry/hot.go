@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"sort"
-
-	"twolevel/internal/trace"
-)
+import "twolevel/internal/trace"
 
 // HotBranch is one row of a hot-branch report: a static conditional branch
 // and its contribution to the run's mispredictions.
@@ -24,83 +20,47 @@ type HotBranch struct {
 // HotBranches is an Observer accumulating a per-PC misprediction table —
 // the "which few static branches dominate the misses" view that makes
 // predictor studies actionable (a handful of hard-to-predict branches
-// typically carry most of the MPKI).
+// typically carry most of the MPKI). It logs each resolution and ranks
+// with the per-site fold of the replay Tap's profile.
 type HotBranches struct {
 	NopObserver
-	k      int
-	counts map[uint32]*hotCount
-	misses uint64 // total mispredictions in the run
-}
-
-type hotCount struct {
-	executions  uint64
-	taken       uint64
-	mispredicts uint64
+	k int
+	siteRecorder
 }
 
 // NewHotBranches returns an observer that reports the top k static
 // branches by misprediction count. k must be positive.
 func NewHotBranches(k int) *HotBranches {
-	if k < 1 {
-		k = 1
-	}
-	return &HotBranches{k: k, counts: make(map[uint32]*hotCount)}
+	return &HotBranches{k: max(k, 1)}
 }
 
 // OnResolve implements Observer.
 func (h *HotBranches) OnResolve(b trace.Branch, predicted, correct bool) {
-	c := h.counts[b.PC]
-	if c == nil {
-		c = &hotCount{}
-		h.counts[b.PC] = c
-	}
-	c.executions++
-	if b.Taken {
-		c.taken++
-	}
-	if !correct {
-		c.mispredicts++
-		h.misses++
-	}
+	h.record(b.PC, b.Taken, correct)
 }
 
 // TotalMispredicts returns the run's total misprediction count.
-func (h *HotBranches) TotalMispredicts() uint64 { return h.misses }
+func (h *HotBranches) TotalMispredicts() uint64 { return h.misses() }
 
 // StaticBranches returns the number of distinct conditional branch sites
 // observed.
-func (h *HotBranches) StaticBranches() int { return len(h.counts) }
+func (h *HotBranches) StaticBranches() int { return len(h.log.Sites) }
 
 // Report returns the top-K branches ordered by mispredictions descending;
-// equal-mispredict rows order by ascending PC. The sort key is exactly
-// (mispredicts desc, PC asc) — a total order over distinct PCs — so two
-// identical workloads always render byte-identical reports regardless of
-// map iteration order.
+// equal-mispredict rows order by ascending PC, a total order over
+// distinct PCs, so two identical workloads always render byte-identical
+// reports.
 func (h *HotBranches) Report() []HotBranch {
-	all := make([]HotBranch, 0, len(h.counts))
-	for pc, c := range h.counts {
-		hb := HotBranch{
-			PC:          pc,
-			Mispredicts: c.mispredicts,
-			Executions:  c.executions,
-		}
-		if c.executions > 0 {
-			hb.TakenRate = float64(c.taken) / float64(c.executions)
-		}
-		if h.misses > 0 {
-			hb.MissShare = float64(c.mispredicts) / float64(h.misses)
-		}
-		all = append(all, hb)
+	fold := FoldSites(h.log, 0)
+	return HotRows(fold.Profile(fold.Top(h.k), FoldCounts(h.log)))
+}
+
+// HotRows renders profile rows as hot-branch report rows (nil for none).
+func HotRows(stats []PCStats) []HotBranch {
+	var hot []HotBranch
+	for _, p := range stats {
+		hot = append(hot, HotBranch{PC: p.PC, Mispredicts: p.Mispredicts,
+			Executions: p.Executions, TakenRate: p.TakenRate, MissShare: p.MissShare})
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Mispredicts != b.Mispredicts {
-			return a.Mispredicts > b.Mispredicts
-		}
-		return a.PC < b.PC
-	})
-	if len(all) > h.k {
-		all = all[:h.k]
-	}
-	return all
+	return hot
 }

@@ -49,7 +49,7 @@ func (s *IntervalSeries) OnResolve(b trace.Branch, predicted, correct bool) {
 		s.cur.Correct++
 	}
 	if s.cur.Predictions >= s.interval {
-		s.flush()
+		s.closeSample()
 	}
 }
 
@@ -63,11 +63,11 @@ func (s *IntervalSeries) OnContextSwitch() {
 // divisible by the interval) is flushed as a short sample.
 func (s *IntervalSeries) Finish() {
 	if s.cur.Predictions > 0 {
-		s.flush()
+		s.closeSample()
 	}
 }
 
-func (s *IntervalSeries) flush() {
+func (s *IntervalSeries) closeSample() {
 	s.cur.Branches = s.total
 	s.cur.Accuracy = float64(s.cur.Correct) / float64(s.cur.Predictions)
 	s.samples = append(s.samples, s.cur)

@@ -13,9 +13,9 @@ type PCStats struct {
 	Taken uint64 `json:"taken"`
 	// Mispredicts counts wrong predictions for this branch.
 	Mispredicts uint64 `json:"mispredicts"`
-	// WarmupMisses counts mispredicts in the run's warmup prefix (the
-	// first tenth of the branch budget, matching ForensicsConfig's
-	// default split; 0 when the budget is unknown).
+	// WarmupMisses counts mispredicts in the run's warmup prefix
+	// (WarmupBoundary of the branch budget, the split Forensics uses;
+	// 0 when the budget is unknown).
 	WarmupMisses uint64 `json:"warmup_misses"`
 	// TakenRate is Taken / Executions.
 	TakenRate float64 `json:"taken_rate"`

@@ -501,8 +501,9 @@ type (
 	// recorder snapshotting mispredict bursts plus per-PC
 	// hard-to-predict profiles (per-history-pattern outcome histograms,
 	// automaton transition counts, warmup-vs-steady miss split, history
-	// entropy). Set one on SimTelemetry.Forensics and the run feeds it
-	// from the replay; it is also an Observer.
+	// entropy), folded on demand from the run's log of resolved
+	// branches. Set one on SimTelemetry.Forensics and the run hands it
+	// the replay's log; as an Observer it appends to that log.
 	Forensics = telemetry.Forensics
 	// ForensicsConfig sizes a Forensics; the zero value gets
 	// sensible defaults.
