@@ -184,8 +184,8 @@ func BenchmarkExtensionResidual(b *testing.B) {
 // BenchmarkFigure6TraceCache is the capture-cache before/after
 // comparison on a multi-spec experiment (nine specs x nine benchmarks):
 //
-//	live        — trace cache disabled: every run re-executes the CPU
-//	              interpreter, as the harness did before the cache existed
+//	live        — trace cache disabled: every replay pass and training
+//	              run re-executes the CPU interpreter
 //	cached-cold — capture cache starts empty each iteration: the
 //	              interpreter runs once per (benchmark, data set) and all
 //	              specs replay the shared capture in batched passes

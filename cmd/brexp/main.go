@@ -31,7 +31,6 @@
 //
 //	brexp -exp all -timeout 10m       # bound the whole run
 //	brexp -exp all -keep-going        # partial tables, failed cells as "-"
-//	brexp -exp all -retries 2         # retry transient cell failures
 //	brexp -exp all -resume run.ckpt   # checkpoint cells; re-run to resume
 //
 // Ctrl-C (SIGINT) or SIGTERM cancels the run promptly; with -resume the
@@ -81,11 +80,9 @@ func run() error {
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file")
 		workersN   = flag.Int("j", 0, "worker-pool size for every experiment's per-benchmark work (0 = GOMAXPROCS)")
-		traceReuse = flag.Bool("trace-reuse", true, "capture each benchmark trace once and replay it (false = live interpreter per run)")
+		traceReuse = flag.Bool("trace-reuse", true, "capture each benchmark trace once and replay it (false = a live interpreter per replay pass)")
 		timeout    = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 		keepGoing  = flag.Bool("keep-going", false, "on cell failure, finish the rest and print partial tables (failed cells as \"-\"); still exits non-zero")
-		retries    = flag.Int("retries", 0, "retry budget per grid cell for transient failures")
-		backoff    = flag.Duration("retry-backoff", 50*time.Millisecond, "wait before the first retry, doubled per attempt")
 		resume     = flag.String("resume", "", "checkpoint manifest path: completed cells are recorded there and restored on re-run")
 		forensics  = flag.String("forensics", "", "write a mispredict-forensics document (forensics.json) to this file")
 		forensicsK = flag.Int("forensics-top", 8, "top-K hard-to-predict branches per run in the forensics document")
@@ -141,8 +138,6 @@ func run() error {
 		DisableTraceCache: !*traceReuse,
 		Context:           ctx,
 		KeepGoing:         *keepGoing,
-		Retries:           *retries,
-		RetryBackoff:      *backoff,
 		Logger:            log,
 	}
 

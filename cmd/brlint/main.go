@@ -1,8 +1,8 @@
 // Command brlint runs the repository's invariant-checker suite
-// (internal/lint): eleven analyzers that mechanically enforce the
+// (internal/lint): ten analyzers that mechanically enforce the
 // determinism, no-panic, observer-nil-guard, span-nil-guard,
-// cancellation-poll, atomic-counter and flat-loop contracts earlier PRs
-// established, plus the CFG/dataflow checkers for allocation-free hot
+// cancellation-poll and flat-loop contracts earlier PRs established,
+// plus the CFG/dataflow checkers for allocation-free hot
 // loops (hotalloc), no blocking under a held mutex (lockheld), join-able
 // goroutines (goroleak) and never-dropped errors (errflow). It is part
 // of tier-1 verification:

@@ -4,8 +4,9 @@ package experiments
 // torn sources, panicking predictors and sources, flaky openers,
 // truncated streams, mid-run cancellation — and asserts the pipeline's
 // fault contract: failures are attributed to exact cells, siblings
-// survive, retries recover transients, cancellation is prompt and
-// resumable, and a resumed suite is bit-identical to a cold one.
+// survive, a failed cell is run alone once and never retried beyond
+// that, cancellation is prompt and resumable, and a resumed suite is
+// bit-identical to a cold one.
 
 import (
 	"context"
@@ -169,45 +170,93 @@ func TestChaosFaultIsAttributedToCell(t *testing.T) {
 	}
 }
 
-func TestChaosRetryRecoversTransientOpen(t *testing.T) {
-	benchmarks := chaosBenchmarks("gamma")
-	unavailable := errors.New("generator busy")
-	o := chaosOptions(benchmarks)
-	o.Retries = 2
-	// Three consecutive failures: one eaten by the batch attempt, two by
-	// the first cell's retry budget — the third attempt succeeds.
-	flaky := faultinject.FlakyOpener(func() (trace.Source, error) {
-		return chaosOpen(benchmarks[0], benchmarks[0].Testing)
-	}, 3, unavailable)
-	o.openSource = func(b *prog.Benchmark, ds prog.DataSet) (trace.Source, error) {
-		return flaky()
-	}
-	grid, err := chaosGrid(t, chaosRows, o)
-	if err != nil {
-		t.Fatalf("retry should have recovered the transient open failure: %v", err)
-	}
-	for ri := range chaosRows {
-		if grid[ri][0].Accuracy.Predictions != o.CondBranches {
-			t.Fatalf("row %d ran %d branches, want %d", ri, grid[ri][0].Accuracy.Predictions, o.CondBranches)
-		}
-	}
-}
-
+// TestChaosNoRetryBudgetFails: a source that will not open fails the
+// shared pass, then each cell once on its own — one open for the pass
+// and one per cell, with nothing retried after that.
 func TestChaosNoRetryBudgetFails(t *testing.T) {
 	benchmarks := chaosBenchmarks("delta")
 	unavailable := errors.New("generator busy")
 	o := chaosOptions(benchmarks)
-	// Enough consecutive failures that the batch attempt and each cell's
-	// single Retries=0 attempt all fail.
-	flaky := faultinject.FlakyOpener(func() (trace.Source, error) {
-		return chaosOpen(benchmarks[0], benchmarks[0].Testing)
-	}, 1+len(chaosRows), unavailable)
+	o.Workers = 1 // one task, so both rows share one pass
+	o.Monitor = NewMonitor()
+	var opens atomic.Int32
 	o.openSource = func(b *prog.Benchmark, ds prog.DataSet) (trace.Source, error) {
-		return flaky()
+		opens.Add(1)
+		return nil, unavailable
 	}
 	_, err := chaosGrid(t, chaosRows, o)
-	if !errors.Is(err, unavailable) {
-		t.Fatalf("with Retries=0 the transient failure must surface, got %v", err)
+	var ge *GridError
+	if !errors.As(err, &ge) || !errors.Is(err, unavailable) {
+		t.Fatalf("err = %v, want a *GridError carrying the open failure", err)
+	}
+	if len(ge.Cells) != len(chaosRows) {
+		t.Fatalf("%d failed cells, want %d", len(ge.Cells), len(chaosRows))
+	}
+	for _, ce := range ge.Cells {
+		if ce.Attempts != 2 {
+			t.Errorf("%s/%s: attempts = %d, want 2 (the shared pass, then alone)", ce.Spec, ce.Benchmark, ce.Attempts)
+		}
+	}
+	if got, want := int(opens.Load()), 1+len(chaosRows); got != want {
+		t.Errorf("source opened %d times, want %d (one shared pass, one run per cell)", got, want)
+	}
+	n := uint64(len(chaosRows))
+	if s := o.Monitor.Snapshot(); s.BatchFallbacks != 1 || s.CellsRetried != n || s.CellsFailed != n {
+		t.Errorf("monitor: fallbacks=%d retried=%d failed=%d, want 1/%d/%d",
+			s.BatchFallbacks, s.CellsRetried, s.CellsFailed, n, n)
+	}
+}
+
+// TestChaosBatchFallbackParity poisons the middle cell of a 3-cell batch
+// and checks what the shared ladder (RunBatch) reports for it under the
+// experiment grid; internal/server's TestChaosPanickingCellIsolated
+// checks the same figures for the same batch shape served by brserve.
+func TestChaosBatchFallbackParity(t *testing.T) {
+	benchmarks := chaosBenchmarks("sigma")
+	rows := mustSpecs(
+		"GAg(HR(1,,6-sr),1xPHT(2^6,A2))",
+		"GAg(HR(1,,8-sr),1xPHT(2^8,A2))", // the poisoned cell
+		"PAg(BHT(64,4,6-sr),1xPHT(2^6,A2))",
+	)
+	poisoned := rows[1].label
+	o := chaosOptions(benchmarks)
+	o.Workers = 1 // one task, so the three rows share one pass
+	o.KeepGoing = true
+	o.Monitor = NewMonitor()
+	o.buildPredictor = wrapBuild(func(sp spec.Spec, p predictor.Predictor) predictor.Predictor {
+		if sp.String() == poisoned {
+			return &panicPredictor{Predictor: p, after: 100, msg: "predictor bug"}
+		}
+		return p
+	})
+	grid, err := chaosGrid(t, rows, o)
+	var ge *GridError
+	if !errors.As(err, &ge) || len(ge.Cells) != 1 {
+		t.Fatalf("err = %v, want exactly the poisoned cell failed", err)
+	}
+	if c := ge.Cells[0]; c.Spec != poisoned || c.Attempts != 2 {
+		t.Errorf("failed cell %s with %d attempts, want %s with 2", c.Spec, c.Attempts, poisoned)
+	}
+	if s := o.Monitor.Snapshot(); s.BatchFallbacks != 1 || s.CellsRetried != 3 || s.CellsFailed != 1 {
+		t.Errorf("monitor: fallbacks=%d retried=%d failed=%d, want 1/3/1", s.BatchFallbacks, s.CellsRetried, s.CellsFailed)
+	}
+	b := benchmarks[0]
+	for ri, row := range rows {
+		if row.label == poisoned {
+			continue
+		}
+		p, err := spec.Build(row.sp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, _ := chaosOpen(b, b.Testing)
+		want, err := sim.Run(p, src, sim.Options{MaxCondBranches: o.CondBranches})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(grid[ri][0], want) {
+			t.Errorf("%s: grid cell differs from a direct sim.Run:\n got %+v\nwant %+v", row.label, grid[ri][0], want)
+		}
 	}
 }
 

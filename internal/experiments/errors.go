@@ -4,8 +4,6 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"strings"
 )
@@ -19,7 +17,10 @@ type CellError struct {
 	Spec string
 	// Benchmark is the benchmark name of the failed cell.
 	Benchmark string
-	// Attempts is how many times the cell was tried (1 = no retry).
+	// Attempts is how many times the cell was tried: 1 when it never
+	// ran alone (cancelled, or lost to a panic that escaped its task), 2
+	// when it failed again run alone after its batched pass failed (see
+	// RunBatch).
 	Attempts int
 	// Err is the final attempt's error.
 	Err error
@@ -38,8 +39,7 @@ func (e *CellError) Unwrap() error { return e.Err }
 
 // PanicError wraps a panic recovered from a predictor, trainer or
 // source inside a grid worker, turning a crash into an attributable
-// per-cell error. Panics are programmer errors, so they are never
-// retried.
+// per-cell error.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
@@ -85,19 +85,4 @@ func (e *GridError) Unwrap() []error {
 		out[i] = ce
 	}
 	return out
-}
-
-// retryable reports whether a cell failure is worth another attempt.
-// Cancellation is intentional and panics are programmer errors; a
-// capture-checksum mismatch is deterministic. Everything else (open
-// failures, torn sources) is treated as transient.
-func retryable(err error) bool {
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return false
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	return !errors.Is(err, ErrCaptureMismatch)
 }

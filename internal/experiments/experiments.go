@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 	"text/tabwriter"
-	"time"
 
 	"twolevel/internal/asm"
 	"twolevel/internal/cpu"
@@ -56,11 +55,11 @@ type Options struct {
 	// ext-interleave (0 = GOMAXPROCS). Reports are byte-identical at any
 	// size; 1 runs everything inline on the calling goroutine.
 	Workers int
-	// DisableTraceCache turns off the capture-once trace cache and the
-	// single-pass multi-predictor batching: every run then re-executes
-	// the CPU interpreter, as the harness did before the cache existed.
-	// Results are identical either way; this exists for benchmarking
-	// the cache itself and as an escape hatch.
+	// DisableTraceCache turns off the capture-once trace cache: every
+	// replay pass and training run then re-executes the CPU interpreter,
+	// as the harness did before the cache existed. Results are identical
+	// either way; this exists for benchmarking the cache itself and as an
+	// escape hatch.
 	DisableTraceCache bool
 	// Context, when non-nil, bounds the whole experiment: trace
 	// captures, training passes and measured runs poll it and the worker
@@ -74,14 +73,6 @@ type Options struct {
 	// whether a partial table is acceptable; the CLIs still exit
 	// non-zero.
 	KeepGoing bool
-	// Retries is the per-cell retry budget for transient failures
-	// (capture errors, source errors). Cancellation and panics are never
-	// retried. 0 disables retry.
-	Retries int
-	// RetryBackoff is the wait before each retry, doubled per attempt
-	// (50ms, 100ms, 200ms, ...). Zero means retry immediately. The
-	// backoff sleep honours Context.
-	RetryBackoff time.Duration
 	// Checkpoint, when non-nil, records every completed grid cell in a
 	// resumable JSON manifest and restores cells already present in it
 	// instead of re-running them. Restored results are bit-identical to
@@ -89,9 +80,9 @@ type Options struct {
 	// renders byte-identical reports. See OpenCheckpoint.
 	Checkpoint *Checkpoint
 	// Logger, when non-nil, receives the scheduler's structured log
-	// events: per-cell completions (debug), retries and batch-isolation
-	// fallbacks (warn), cell failures (error), checkpoint flushes and
-	// restores (debug). Nil discards them.
+	// events: per-cell completions (debug), batch-isolation fallbacks
+	// (warn), cell failures (error), checkpoint flushes and restores
+	// (debug). Nil discards them.
 	Logger *slog.Logger
 	// Monitor, when non-nil, is updated live as the grid executes —
 	// cells planned/done/restored/failed/retried, batch fallbacks,
@@ -103,8 +94,9 @@ type Options struct {
 	// attributed under: Run opens an "exp:<id>" child, the worker pool
 	// opens a task child per unit of work (a grid task, or one benchmark
 	// of table1/fig4/ext-residual/ext-interleave) tagged with benchmark
-	// and worker id, the grid adds cell children tagged with spec and
-	// retry count, and captures, replay passes and
+	// and worker id, the grid adds a cell child per row run alone after
+	// its batch failed (tagged with spec, bench and attempts), and
+	// captures, replay passes and
 	// forensics assembly open phase children below those. A nil Span
 	// disables tracing at zero cost (the telemetry nil-guard contract).
 	// brexp -trace-out / -span-summary wire it to a root "suite" span.
@@ -389,11 +381,7 @@ func RunSpec(sp spec.Spec, b *prog.Benchmark, o Options) (sim.Result, error) {
 }
 
 func runSpec(sp spec.Spec, b *prog.Benchmark, o Options) (sim.Result, error) {
-	td, err := trainingData(sp, b, o)
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("training: %w", err)
-	}
-	p, err := o.build(sp, td)
+	p, opts, record, err := setupCell(sp, b, o)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -401,38 +389,39 @@ func runSpec(sp spec.Spec, b *prog.Benchmark, o Options) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
 	}
-	simOpts := sim.Options{
+	var from CostStamp
+	if record != nil {
+		from = ReadCost()
+	}
+	res, err := sim.Run(p, src, opts)
+	if err == nil && record != nil {
+		record(sp, b, res, from, 1)
+	}
+	return res, err
+}
+
+// setupCell trains and builds sp's predictor for a measured run on b and
+// returns it with the run's simulator options. With o.Telemetry set, the
+// options carry a fresh sink and record lands the finished run in the
+// collector; otherwise record is nil.
+func setupCell(sp spec.Spec, b *prog.Benchmark, o Options) (p predictor.Predictor, opts sim.Options, record recordFunc, err error) {
+	td, err := trainingData(sp, b, o)
+	if err != nil {
+		return nil, opts, nil, fmt.Errorf("training: %w", err)
+	}
+	if p, err = o.build(sp, td); err != nil {
+		return nil, opts, nil, err
+	}
+	opts = sim.Options{
 		ContextSwitches: sp.ContextSwitch,
 		MaxCondBranches: o.CondBranches,
 		Context:         o.Context,
 		Span:            o.Span,
 	}
-	var record recordFunc
 	if o.Telemetry != nil {
-		simOpts.Telemetry, record = o.Telemetry.instrument(p, o.CondBranches)
+		opts.Telemetry, record = o.Telemetry.instrument(p, o.CondBranches)
 	}
-	res, err := sim.Run(p, src, simOpts)
-	if err == nil && record != nil {
-		record(sp, b, res, 1)
-	}
-	return res, err
-}
-
-// joinRunErrors collapses per-benchmark errors into one error carrying
-// every failure (nil when none failed). The per-run errors already carry
-// their "spec/benchmark:" attribution from RunSpec, so a failed fan-out
-// names every run that broke instead of silently dropping all but one.
-func joinRunErrors(errs []error) error {
-	var failed []error
-	for _, err := range errs {
-		if err != nil {
-			failed = append(failed, err)
-		}
-	}
-	if len(failed) == 0 {
-		return nil
-	}
-	return fmt.Errorf("experiments: %w", errors.Join(failed...))
+	return p, opts, record, nil
 }
 
 // Accuracy measures prediction accuracy of sp on b.

@@ -104,17 +104,19 @@ type ForensicsRun struct {
 	Report telemetry.ForensicsReport `json:"report"`
 }
 
-// recordFunc lands one completed run in the collector. batch is the
-// number of predictors that shared the simulation pass (1 for a serial
-// run); batched runs are stamped so per-run timing can be interpreted.
-type recordFunc func(sp spec.Spec, b *prog.Benchmark, res sim.Result, batch int)
+// recordFunc lands one completed run in the collector. from is the cost
+// stamp taken as the run's pass began; batch is the number of
+// predictors that shared the simulation pass (1 for a serial run);
+// batched runs are stamped so per-run timing can be interpreted.
+type recordFunc func(sp spec.Spec, b *prog.Benchmark, res sim.Result, from CostStamp, batch int)
 
 // instrument returns the telemetry sink for one simulation run of p and
 // the record function to call once the run completed. budget is the
 // run's conditional-branch budget; the forensics report uses it for the
 // warmup-vs-steady miss split. Stats are derived from the run's Result,
-// and their time and allocation figures span instrument to record. The
-// record function must only be called once.
+// and their time and allocation figures span the record call's from
+// stamp to the call itself. The record function must only be called
+// once.
 func (t *Telemetry) instrument(p predictor.Predictor, budget uint64) (*sim.Telemetry, recordFunc) {
 	sink := &sim.Telemetry{Interval: t.Interval, TopK: t.HotK}
 	if t.ForensicsTopK > 0 {
@@ -124,13 +126,12 @@ func (t *Telemetry) instrument(p predictor.Predictor, budget uint64) (*sim.Telem
 			Budget:      budget,
 		})
 	}
-	start := ReadCost()
-	record := func(sp spec.Spec, b *prog.Benchmark, res sim.Result, batch int) {
+	record := func(sp spec.Spec, b *prog.Benchmark, res sim.Result, from CostStamp, batch int) {
 		rm := RunMetrics{
 			Spec:      sp.String(),
 			Benchmark: b.Name,
 			Accuracy:  res.Accuracy.Rate(),
-			Stats:     RunStats(res, p, start, ReadCost()),
+			Stats:     RunStats(res, p, from, ReadCost()),
 		}
 		if batch > 1 {
 			rm.Batched = true

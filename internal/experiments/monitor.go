@@ -16,7 +16,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,8 +126,8 @@ func (m *Monitor) observeCells(d time.Duration, n int) {
 // to the grid scheduler.
 func ResultEvents(res sim.Result) uint64 { return resultEvents(res) }
 
-// AddPlanned, CellDone, CellsFailed, CellRetried and ObserveCells are
-// the exported halves of the scheduler hooks, for out-of-package cell
+// AddPlanned, CellDone, CellsFailed and ObserveCells are the exported
+// halves of the scheduler hooks, for out-of-package cell
 // schedulers (the brserve request executor) that drive per-tenant
 // monitors. All are nil-monitor safe, like their unexported twins.
 
@@ -140,12 +139,6 @@ func (m *Monitor) CellDone(events uint64) { m.cellDone(events) }
 
 // CellsFailed records n cells that gave up.
 func (m *Monitor) CellsFailed(n int) { m.cellsFailedAdd(n) }
-
-// CellRetried records one retry attempt.
-func (m *Monitor) CellRetried() { m.cellRetried() }
-
-// BatchFallback records one batched pass falling back to per-cell runs.
-func (m *Monitor) BatchFallback() { m.batchFallback() }
 
 // ObserveCells records n cells completing with per-cell duration d each.
 func (m *Monitor) ObserveCells(d time.Duration, n int) { m.observeCells(d, n) }
@@ -201,8 +194,8 @@ type MonitorSnapshot struct {
 	// CellsPlanned counts grid cells scheduled so far (restored cells
 	// included); CellsDone counts cells measured to completion,
 	// CellsRestored cells served from a checkpoint without running,
-	// CellsFailed cells that gave up (after retries), CellsRetried
-	// individual retry attempts.
+	// CellsFailed cells that failed, CellsRetried cells re-run alone
+	// after their batched pass failed (RunBatch).
 	CellsPlanned  uint64 `json:"cells_planned"`
 	CellsDone     uint64 `json:"cells_done"`
 	CellsRestored uint64 `json:"cells_restored"`
@@ -306,8 +299,8 @@ func (s MonitorSnapshot) Metrics() []telemetry.Metric {
 		telemetry.CounterMetric("twolevel_grid_cells_planned_total", "Grid cells scheduled.", s.CellsPlanned),
 		telemetry.CounterMetric("twolevel_grid_cells_done_total", "Grid cells measured to completion.", s.CellsDone),
 		telemetry.CounterMetric("twolevel_grid_cells_restored_total", "Grid cells restored from a checkpoint.", s.CellsRestored),
-		telemetry.CounterMetric("twolevel_grid_cells_failed_total", "Grid cells that gave up after retries.", s.CellsFailed),
-		telemetry.CounterMetric("twolevel_grid_cells_retried_total", "Individual grid cell retry attempts.", s.CellsRetried),
+		telemetry.CounterMetric("twolevel_grid_cells_failed_total", "Grid cells that failed.", s.CellsFailed),
+		telemetry.CounterMetric("twolevel_grid_cells_retried_total", "Grid cells re-run alone after their batched pass failed.", s.CellsRetried),
 		telemetry.CounterMetric("twolevel_grid_batch_fallbacks_total", "Batched replay passes that fell back to per-cell isolation.", s.BatchFallbacks),
 		telemetry.CounterMetric("twolevel_grid_checkpoint_flushes_total", "Checkpoint manifest writes.", s.CheckpointFlushes),
 		telemetry.CounterMetric("twolevel_sim_events_total", "Simulator events across completed cells.", s.Events),
@@ -349,34 +342,6 @@ func (s MonitorSnapshot) Metrics() []telemetry.Metric {
 func (s MonitorSnapshot) WritePrometheus(w io.Writer) error {
 	telemetry.WriteMetrics(w, "", s.Metrics())
 	return nil
-}
-
-// PrometheusCounters returns the snapshot's counter series (name ->
-// value) exactly as WritePrometheus exposes them — the set the CI smoke
-// check diffs against metrics.json.
-func (s MonitorSnapshot) PrometheusCounters() map[string]uint64 {
-	return map[string]uint64{
-		"twolevel_grid_cells_planned_total":      s.CellsPlanned,
-		"twolevel_grid_cells_done_total":         s.CellsDone,
-		"twolevel_grid_cells_restored_total":     s.CellsRestored,
-		"twolevel_grid_cells_failed_total":       s.CellsFailed,
-		"twolevel_grid_cells_retried_total":      s.CellsRetried,
-		"twolevel_grid_batch_fallbacks_total":    s.BatchFallbacks,
-		"twolevel_grid_checkpoint_flushes_total": s.CheckpointFlushes,
-		"twolevel_sim_events_total":              s.Events,
-		"twolevel_trace_cache_hits_total":        s.TraceCache.Hits,
-		"twolevel_trace_cache_misses_total":      s.TraceCache.Misses,
-	}
-}
-
-// CounterNames returns the counter series names in stable order.
-func (s MonitorSnapshot) CounterNames() []string {
-	names := make([]string, 0, len(s.PrometheusCounters()))
-	for name := range s.PrometheusCounters() {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Handler returns the monitoring mux: /metrics (Prometheus text),

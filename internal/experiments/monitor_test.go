@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"twolevel/internal/span"
+	"twolevel/internal/telemetry"
 )
 
 func TestNilMonitorIsNoop(t *testing.T) {
@@ -194,7 +195,12 @@ func TestMonitorEndToEndMetricsAgree(t *testing.T) {
 	snap := o.Monitor.Snapshot()
 	doc.Monitor = &snap
 
-	want := doc.Monitor.PrometheusCounters()
+	want := map[string]uint64{}
+	for _, m := range doc.Monitor.Metrics() {
+		if m.Kind == telemetry.CounterKind {
+			want[m.Name] = m.Counter
+		}
+	}
 	for name, v := range want {
 		got, ok := scraped[name]
 		if !ok {
@@ -280,8 +286,10 @@ func TestMonitorEndToEndMetricsAgree(t *testing.T) {
 	}
 }
 
-// TestMonitorCountsRestoredAndRetried drives the checkpoint-restore and
-// retry paths and checks the counters the e2e happy path never touches.
+// TestMonitorCountsRestoredAndRetried drives the checkpoint-restore path
+// and checks the counters the e2e happy path never touches; the
+// batch-fallback and retried counters are pinned by the chaos suite
+// (TestChaosBatchFallbackParity, TestChaosNoRetryBudgetFails).
 func TestMonitorCountsRestoredAndRetried(t *testing.T) {
 	benchmarks := chaosBenchmarks("gamma")
 	dir := t.TempDir()

@@ -11,19 +11,17 @@
 // it is a *CellError naming the exact (spec, benchmark) cell: panics in
 // predictors, trainers or sources are recovered into attributed errors
 // instead of crashing the process; a failed batch falls back to running
-// its rows individually so one poisoned cell cannot take down its
-// replay-pass siblings; transient failures retry with exponential
-// backoff; and a cancelled Context stops dispatch, marking undone cells.
+// its rows individually (RunBatch) so one poisoned cell cannot take down
+// its replay-pass siblings; and a cancelled Context stops dispatch,
+// marking undone cells.
 // With a Checkpoint attached, completed cells are recorded (and restored
 // on resume) so interrupted suites pick up where they stopped.
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,6 +32,7 @@ import (
 	"twolevel/internal/sim"
 	"twolevel/internal/span"
 	"twolevel/internal/spec"
+	"twolevel/internal/trace"
 )
 
 // gridTask is one unit of pool work: a set of rows measured on one
@@ -234,7 +233,7 @@ func dispatch(units []unit, o Options) (errs []error, started int) {
 
 // runUnit runs one unit of worker w under its task span, behind a panic
 // fence.
-func runUnit(u unit, w int, o Options) (err error) {
+func runUnit(u unit, w int, o Options) error {
 	if parent := o.Span; parent != nil {
 		attrs := append(u.attrs[:len(u.attrs):len(u.attrs)], span.Int("worker", w))
 		tsp := parent.Child("task", attrs...)
@@ -242,12 +241,7 @@ func runUnit(u unit, w int, o Options) (err error) {
 		o.Span = tsp
 		defer tsp.End()
 	}
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	return u.run(o)
+	return fence(func() error { return u.run(o) })
 }
 
 // runUnits dispatches units and folds the outcome into one error: the
@@ -288,75 +282,68 @@ func perBenchmark(o Options, row func(b *prog.Benchmark, o Options) (Series, err
 	return out, nil
 }
 
-// runTask measures one task's rows on its benchmark: batched replay
-// first, with a per-cell isolation fallback when the batch fails.
+// runTask measures one task's rows on its benchmark through RunBatch:
+// one shared replay pass, and each row run alone if that pass fails.
 func runTask(t gridTask, rows []labeledSpec, grid [][]sim.Result, o Options) []*CellError {
 	log := logx.Or(o.Logger)
 	b := o.Benchmarks[t.bi]
-	if o.Context != nil {
-		if err := o.Context.Err(); err != nil {
-			return taskErrors(t, rows, b, err)
-		}
-	}
-	batch := make([]labeledSpec, len(t.rows))
+	specs := make([]string, len(t.rows))
 	for i, ri := range t.rows {
-		batch[i] = rows[ri]
+		specs[i] = rows[ri].label
 	}
-	start := time.Now() //lint:allow determinism wall-clock cell timing for logs only; never reaches report bytes
-	res, err := runBatchGuarded(batch, b, o)
-	if err == nil {
-		dur := time.Since(start) //lint:allow determinism wall-clock cell timing for logs only; never reaches report bytes
-		// Batched cells share one replay pass, so each is charged an
-		// equal share of the pass for latency percentiles and ETA.
-		o.Monitor.observeCells(dur/time.Duration(len(batch)), len(batch))
-		for i, ri := range t.rows {
-			grid[ri][t.bi] = res[i]
-			recordCell(rows[ri].sp, b, res[i], o)
-			logCellDone(log, rows[ri].label, b, res[i], dur, 1, len(batch))
-		}
-		return nil
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return taskErrors(t, rows, b, err)
-	}
-	// Isolation fallback: the batch shares one replay pass, so a single
-	// poisoned cell (panicking predictor, broken config) fails
-	// every sibling in the pass. Re-run each row on its own — with the
-	// retry budget for transient errors — so the failure attributes to
-	// exactly the broken cell and healthy siblings still yield results.
-	log.Warn("batch failed; isolating cells", "bench", b.Name, "rows", len(t.rows), "err", err)
-	o.Monitor.batchFallback()
-	var errs []*CellError
-	for _, ri := range t.rows {
-		start := time.Now() //lint:allow determinism wall-clock cell timing for logs only; never reaches report bytes
-		co := o
-		var csp *span.Span
-		if o.Span != nil {
-			csp = o.Span.Child("cell",
-				span.Str("spec", rows[ri].label), span.Str("bench", b.Name))
-			co.Span = csp
-		}
-		res, attempts, cerr := runCellAttempts(rows[ri], b, co)
-		if csp != nil {
-			csp.SetAttr(span.Int("attempts", attempts))
-			if cerr != nil {
-				csp.SetAttr(span.Str("error", cerr.Error()))
+	records := make([]recordFunc, len(t.rows))
+	var from CostStamp
+	_, errs := RunBatch(Batch{
+		Bench: b.Name,
+		Specs: specs,
+		Setup: func(i int, parent *span.Span) (predictor.Predictor, sim.Options, error) {
+			co := o
+			co.Span = parent
+			p, opts, record, err := setupCell(rows[t.rows[i]].sp, b, co)
+			records[i] = record
+			return p, opts, err
+		},
+		Open: func() (trace.Source, error) {
+			src, err := o.source(b, b.Testing, o.CondBranches)
+			// Stats start once every cell of the pass is built and the
+			// source is open, so each cell's Stats span the pass, not its
+			// neighbours' training.
+			if o.Telemetry != nil {
+				from = ReadCost()
 			}
-			csp.End()
+			return src, err
+		},
+		Done: func(attempt int, cells []int, res []sim.Result, elapsed time.Duration) {
+			// The cells of a pass share it, so each is charged an equal
+			// share of the pass for latency percentiles and ETA.
+			o.Monitor.observeCells(elapsed/time.Duration(len(cells)), len(cells))
+			var fsp *span.Span
+			if o.Telemetry != nil {
+				fsp = o.Span.Child("forensics", span.Int("batch", len(cells)))
+			}
+			for k, i := range cells {
+				ri := t.rows[i]
+				grid[ri][t.bi] = res[k]
+				recordCell(rows[ri].sp, b, res[k], o)
+				if records[i] != nil {
+					records[i](rows[ri].sp, b, res[k], from, len(cells))
+				}
+				logCellDone(log, specs[i], b, res[k], elapsed, attempt, len(cells))
+			}
+			fsp.End()
+		},
+		Context:  o.Context,
+		Span:     o.Span,
+		Logger:   o.Logger,
+		Monitors: []*Monitor{o.Monitor},
+	})
+	var failed []*CellError
+	for _, ce := range errs {
+		if ce != nil {
+			failed = append(failed, ce)
 		}
-		if cerr != nil {
-			errs = append(errs, &CellError{Spec: rows[ri].label, Benchmark: b.Name, Attempts: attempts, Err: cerr})
-			log.Error("cell failed", "spec", rows[ri].label, "bench", b.Name,
-				"attempt", attempts, "err", cerr)
-			continue
-		}
-		dur := time.Since(start) //lint:allow determinism wall-clock cell timing for logs only; never reaches report bytes
-		o.Monitor.observeCells(dur, 1)
-		grid[ri][t.bi] = res
-		recordCell(rows[ri].sp, b, res, o)
-		logCellDone(log, rows[ri].label, b, res, dur, attempts, 1)
 	}
-	return errs
+	return failed
 }
 
 // logCellDone emits the per-cell completion event with the attrs the
@@ -391,142 +378,4 @@ func recordCell(sp spec.Spec, b *prog.Benchmark, res sim.Result, o Options) {
 	if o.Checkpoint != nil {
 		o.Checkpoint.record(cellKey(sp, b, o), res)
 	}
-}
-
-// runCellAttempts runs one cell with the configured retry budget:
-// transient failures back off and retry, while cancellation, panics and
-// checksum mismatches fail immediately. It reports how many attempts
-// were spent for error attribution.
-func runCellAttempts(row labeledSpec, b *prog.Benchmark, o Options) (sim.Result, int, error) {
-	log := logx.Or(o.Logger)
-	attempts := 0
-	for {
-		attempts++
-		res, err := runCellGuarded(row, b, o)
-		if err == nil {
-			return res, attempts, nil
-		}
-		if attempts > o.Retries || !retryable(err) {
-			return res, attempts, err
-		}
-		o.Monitor.cellRetried()
-		log.Warn("retrying cell", "spec", row.label, "bench", b.Name,
-			"attempt", attempts, "retries", o.Retries, "err", err)
-		if werr := o.backoffWait(attempts); werr != nil {
-			return res, attempts, werr
-		}
-	}
-}
-
-// backoffWait sleeps before retry attempt n (1-based), doubling the
-// configured backoff per prior attempt. The sleep honours Context: a
-// cancellation during backoff returns immediately with ctx.Err().
-func (o Options) backoffWait(attempt int) error {
-	d := o.RetryBackoff
-	for i := 1; i < attempt; i++ {
-		d *= 2
-	}
-	if d <= 0 {
-		if o.Context != nil {
-			return o.Context.Err()
-		}
-		return nil
-	}
-	if o.Context == nil {
-		time.Sleep(d)
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-o.Context.Done():
-		return o.Context.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-// runCellGuarded measures one cell, converting panics from anywhere in
-// the run (predictor, source, trainer) into a *PanicError.
-func runCellGuarded(row labeledSpec, b *prog.Benchmark, o Options) (res sim.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	return runSpec(row.sp, b, o)
-}
-
-// runBatchGuarded is runBatch behind a panic fence; a recovered panic
-// triggers the caller's per-cell isolation fallback.
-func runBatchGuarded(rows []labeledSpec, b *prog.Benchmark, o Options) (res []sim.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	return runBatch(rows, b, o)
-}
-
-// runBatch measures a batch of specs on one benchmark. With the trace
-// cache enabled all specs replay a single pass of the shared capture;
-// with it disabled each spec runs serially over its own live interpreter,
-// exactly as the pre-cache harness did. Both paths produce bit-identical
-// results (see TestGridMatchesSerial).
-func runBatch(rows []labeledSpec, b *prog.Benchmark, o Options) ([]sim.Result, error) {
-	if o.DisableTraceCache {
-		out := make([]sim.Result, len(rows))
-		errs := make([]error, len(rows))
-		for i, row := range rows {
-			out[i], errs[i] = RunSpec(row.sp, b, o)
-		}
-		return out, joinRunErrors(errs)
-	}
-	preds := make([]predictor.Predictor, len(rows))
-	simOpts := make([]sim.Options, len(rows))
-	records := make([]recordFunc, len(rows))
-	for i, row := range rows {
-		td, err := trainingData(row.sp, b, o)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: training: %w", row.sp, b.Name, err)
-		}
-		p, err := o.build(row.sp, td)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", row.sp, b.Name, err)
-		}
-		preds[i] = p
-		simOpts[i] = sim.Options{
-			ContextSwitches: row.sp.ContextSwitch,
-			MaxCondBranches: o.CondBranches,
-			Context:         o.Context,
-			Span:            o.Span,
-		}
-	}
-	src, err := o.source(b, b.Testing, o.CondBranches)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	// Instrument after every predictor is built and the source is open,
-	// so each cell's Stats span the shared pass, not its neighbours'
-	// training.
-	if o.Telemetry != nil {
-		for i := range rows {
-			simOpts[i].Telemetry, records[i] = o.Telemetry.instrument(preds[i], o.CondBranches)
-		}
-	}
-	results, err := sim.RunMany(preds, src, simOpts)
-	if err != nil {
-		return results, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	var fsp *span.Span
-	if o.Telemetry != nil {
-		fsp = o.Span.Child("forensics", span.Int("batch", len(records)))
-	}
-	for i, rec := range records {
-		if rec != nil {
-			rec(rows[i].sp, b, results[i], len(rows))
-		}
-	}
-	fsp.End()
-	return results, nil
 }

@@ -126,10 +126,6 @@ func TestCtxPollFixture(t *testing.T) {
 	runFixture(t, CtxPoll, "ctxpoll/trace")
 }
 
-func TestAtomicCounterFixture(t *testing.T) {
-	runFixture(t, AtomicCounter, "atomiccounter/experiments")
-}
-
 func TestFlatLoopFixture(t *testing.T) {
 	runFixture(t, FlatLoop, "flatloop/fastpath")
 }
@@ -245,12 +241,12 @@ func TestByName(t *testing.T) {
 
 // TestFormatDiagnostic pins the driver's output shape.
 func TestFormatDiagnostic(t *testing.T) {
-	diags, pkg := checkFixture(t, AtomicCounter, "atomiccounter/experiments")
+	diags, pkg := checkFixture(t, Determinism, "determinism/experiments")
 	if len(diags) == 0 {
 		t.Fatal("expected findings")
 	}
 	got := FormatDiagnostic(pkg.Fset, diags[0])
-	if !regexp.MustCompile(`experiments\.go:\d+:\d+: \[atomiccounter\] `).MatchString(got) {
+	if !regexp.MustCompile(`\.go:\d+:\d+: \[determinism\] `).MatchString(got) {
 		t.Errorf("unexpected format: %s", got)
 	}
 	_ = fmt.Sprintf // keep fmt imported alongside future debugging

@@ -1,9 +1,9 @@
-// Package lint is the repository's invariant-checker suite: eleven
-// custom static analyzers that mechanically enforce contracts earlier
-// PRs established by hand — deterministic report output, error-not-panic
+// Package lint is the repository's invariant-checker suite: ten custom
+// static analyzers that mechanically enforce contracts earlier PRs
+// established by hand — deterministic report output, error-not-panic
 // public constructors, nil-guarded observer hooks, nil-guarded span
-// tracing, cancellation-polled event loops, atomics-only monitor
-// counters, and interface-free fast-path hot loops — plus, on the
+// tracing, cancellation-polled event loops and interface-free fast-path
+// hot loops — plus, on the
 // CFG/dataflow layer in cfg.go and dataflow.go, four flow-sensitive
 // checkers: allocation-free fast-path loops (hotalloc), no blocking
 // operations under a held mutex (lockheld), join-able goroutines
@@ -102,7 +102,6 @@ var Analyzers = []*Analyzer{
 	ObsNilGuard,
 	SpanNilGuard,
 	CtxPoll,
-	AtomicCounter,
 	FlatLoop,
 	HotAlloc,
 	LockHeld,

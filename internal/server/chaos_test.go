@@ -56,6 +56,10 @@ func poisonConfig(cfg Config, poison string) Config {
 	return cfg
 }
 
+// TestChaosPanickingCellIsolated poisons the middle cell of a 3-cell
+// batch; internal/experiments' TestChaosBatchFallbackParity checks the
+// same figures for the same batch shape under the experiment grid, since
+// both run it through the one ladder, experiments.RunBatch.
 func TestChaosPanickingCellIsolated(t *testing.T) {
 	specs := []string{
 		testSpecs[0],
@@ -63,7 +67,8 @@ func TestChaosPanickingCellIsolated(t *testing.T) {
 		testSpecs[1],
 	}
 	poison := spec.MustParse(specs[1]).String()
-	s := New(poisonConfig(Config{}, poison))
+	// TenantCells 3: the three cells share one batch on any machine.
+	s := New(poisonConfig(Config{TenantCells: 3}, poison))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -81,15 +86,16 @@ func TestChaosPanickingCellIsolated(t *testing.T) {
 	if !strings.Contains(bad.Error, "panic") || !strings.Contains(bad.Error, "poisoned") {
 		t.Errorf("poisoned cell error = %q, want the recovered panic", bad.Error)
 	}
-	if bad.Attempts < 2 {
-		t.Errorf("poisoned cell attempts = %d, want a fallback retry", bad.Attempts)
+	if bad.Attempts != 2 {
+		t.Errorf("poisoned cell attempts = %d, want 2 (the shared pass, then alone)", bad.Attempts)
 	}
 	// The healthy neighbours are bit-identical to direct runs.
 	assertCellMatches(t, gr.Cells[0], directResult(t, specs[0], testBranches))
 	assertCellMatches(t, gr.Cells[2], directResult(t, specs[2], testBranches))
-	// The batch pass fell back to per-cell isolation.
-	if fb := s.grid.Snapshot().BatchFallbacks; fb == 0 {
-		t.Error("no batch fallback recorded")
+	// The batch pass fell back to per-cell isolation, once, and ran
+	// each of its three cells alone.
+	if g := s.grid.Snapshot(); g.BatchFallbacks != 1 || g.CellsRetried != 3 || g.CellsFailed != 1 {
+		t.Errorf("grid monitor: fallbacks=%d retried=%d failed=%d, want 1/3/1", g.BatchFallbacks, g.CellsRetried, g.CellsFailed)
 	}
 	// The process keeps serving.
 	res, gr = postGrid(t, ts.Client(), ts.URL, "after", GridRequest{

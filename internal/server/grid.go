@@ -1,10 +1,10 @@
 // Grid execution: one admitted request resolves its trace snapshot from
 // the shared capture cache, then runs its spec grid in tenant-bounded
-// batches through sim.RunMany (fastpath kernel included), behind the
-// same two-level panic fence the experiment scheduler uses — a batched
-// pass that panics or errors falls back to per-cell isolated runs, so
-// one poisoned cell costs one cell, not the batch and never the
-// process. Results are bit-identical to running each cell through
+// batches through experiments.RunBatch, the cell-failure ladder the
+// experiment grid uses too: one sim.RunMany pass per batch (fastpath
+// kernel included), and per-cell isolated runs when that pass panics or
+// errors, so one poisoned cell costs one cell, not the batch and never
+// the process. Results are bit-identical to running each cell through
 // sim.Run directly; the chaos suite holds the server to that.
 package server
 
@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"twolevel/internal/cost"
@@ -133,8 +132,9 @@ type gridJob struct {
 	span     *span.Span // per-request root span; nil-safe everywhere
 	// tel holds one kernel telemetry sink per cell when the request
 	// streams intervals or verdicts (nil otherwise). simOptions plants a
-	// fresh sink at the cell's index on every (re)build, so a per-cell
-	// fallback retry never mixes samples from the failed batch pass.
+	// fresh sink at the cell's index on every (re)build, so a cell run
+	// alone after its batch failed never mixes in samples from the failed
+	// pass.
 	tel []*sim.Telemetry
 }
 
@@ -351,7 +351,7 @@ func (s *Server) execute(ctx context.Context, job *gridJob, emit func(idx int, c
 		}
 
 		began := s.cfg.clock()
-		results, errs := s.runBatchGuarded(ctx, job, batch)
+		results, errs := s.runBatch(ctx, job, batch)
 		elapsed := s.cfg.clock().Sub(began)
 		releaseWork()
 		releaseTenant()
@@ -375,17 +375,14 @@ func (s *Server) execute(ctx context.Context, job *gridJob, emit func(idx int, c
 }
 
 // settleCell folds one finished cell into monitors and its wire form.
-func (s *Server) settleCell(t *tenant, c gridCell, res sim.Result, err error, batchDur time.Duration, batchLen int) Cell {
+func (s *Server) settleCell(t *tenant, c gridCell, res sim.Result, ce *experiments.CellError, batchDur time.Duration, batchLen int) Cell {
 	cell := Cell{Spec: c.sp.String(), Attempts: 1}
 	if bd, cerr := cost.EstimateSpec(c.sp); cerr == nil {
 		cell.CostBits = bd.Total()
 	}
-	if err != nil {
-		var ce *experiments.CellError
-		if errors.As(err, &ce) {
-			cell.Attempts = ce.Attempts
-		}
-		cell.Error = err.Error()
+	if ce != nil {
+		cell.Attempts = ce.Attempts
+		cell.Error = ce.Error()
 		s.grid.CellsFailed(1)
 		t.grid.CellsFailed(1)
 		return cell
@@ -428,82 +425,42 @@ func (s *Server) acquireWork(n int, done <-chan struct{}) (func(), bool) {
 	return s.workSem.acquire(min(n, s.cfg.Workers), done)
 }
 
-// runBatchGuarded runs one batch through sim.RunMany behind a recover
-// fence. A panic or batch error falls back to per-cell isolated runs,
-// so the blast radius of a poisoned cell is that cell.
-func (s *Server) runBatchGuarded(ctx context.Context, job *gridJob, batch []gridCell) (results []sim.Result, errs []error) {
-	results = make([]sim.Result, len(batch))
-	errs = make([]error, len(batch))
-
-	batchResults, batchErr := func() (res []sim.Result, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = &experiments.PanicError{Value: r, Stack: debug.Stack()}
-			}
-		}()
-		preds := make([]predictor.Predictor, len(batch))
-		opts := make([]sim.Options, len(batch))
-		for i, c := range batch {
-			p, berr := s.cfg.buildPredictor(c.sp, c.td)
-			if berr != nil {
-				return nil, berr
-			}
-			preds[i] = p
-			opts[i] = s.simOptions(ctx, job, c)
-		}
-		return sim.RunMany(preds, job.snap.Reader(), opts)
-	}()
-	if batchErr == nil {
-		copy(results, batchResults)
-		return results, errs
+// runBatch runs one batch of cells through the shared cell-failure
+// ladder, each cell set up from its training data and simOptions.
+func (s *Server) runBatch(ctx context.Context, job *gridJob, batch []gridCell) ([]sim.Result, []*experiments.CellError) {
+	where := job.req.Bench
+	if where == "" {
+		where = job.req.Trace
 	}
-	if ctx.Err() != nil {
-		// Cancellation is intentional; don't burn the deadline retrying.
-		for i := range errs {
-			errs[i] = s.cellError(job, batch[i], 1, ctx.Err())
-		}
-		return results, errs
-	}
-
-	// Per-cell isolation: rebuild each predictor and run it alone, each
-	// behind its own fence. Unaffected cells still land.
-	s.grid.BatchFallback()
-	job.tenant.grid.BatchFallback()
+	specs := make([]string, len(batch))
 	for i, c := range batch {
-		s.grid.CellRetried()
-		job.tenant.grid.CellRetried()
-		res, err := s.runCellGuarded(ctx, job, c)
-		results[i] = res
-		if err != nil {
-			errs[i] = s.cellError(job, c, 2, err)
-		}
+		specs[i] = c.sp.String()
 	}
-	return results, errs
+	return experiments.RunBatch(experiments.Batch{
+		Bench: where,
+		Specs: specs,
+		Setup: func(i int, parent *span.Span) (predictor.Predictor, sim.Options, error) {
+			p, err := s.cfg.buildPredictor(batch[i].sp, batch[i].td)
+			return p, s.simOptions(ctx, job, batch[i], parent), err
+		},
+		Open:     func() (trace.Source, error) { return job.snap.Reader(), nil },
+		Context:  ctx,
+		Span:     job.span,
+		Logger:   s.log,
+		Monitors: []*experiments.Monitor{s.grid, job.tenant.grid},
+	})
 }
 
-// runCellGuarded runs one cell interpretively behind its own fence.
-func (s *Server) runCellGuarded(ctx context.Context, job *gridJob, c gridCell) (res sim.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &experiments.PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	p, err := s.cfg.buildPredictor(c.sp, c.td)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	return sim.Run(p, job.snap.Reader(), s.simOptions(ctx, job, c))
-}
-
-// simOptions builds one cell's simulation options. Streaming requests
-// get a fresh kernel telemetry sink per build — the sink does not cost
-// fastpath eligibility, so sampled cells still replay on the kernel.
-func (s *Server) simOptions(ctx context.Context, job *gridJob, c gridCell) sim.Options {
+// simOptions builds one cell's simulation options, attributed under
+// parent. Streaming requests get a fresh kernel telemetry sink per
+// build — the sink does not cost fastpath eligibility, so sampled cells
+// still replay on the kernel.
+func (s *Server) simOptions(ctx context.Context, job *gridJob, c gridCell, parent *span.Span) sim.Options {
 	o := sim.Options{
 		ContextSwitches: c.sp.ContextSwitch,
 		MaxCondBranches: job.branches,
 		Context:         ctx,
-		Span:            job.span,
+		Span:            parent,
 	}
 	if job.tel != nil {
 		sink := &sim.Telemetry{
@@ -514,13 +471,4 @@ func (s *Server) simOptions(ctx context.Context, job *gridJob, c gridCell) sim.O
 		o.Telemetry = sink
 	}
 	return o
-}
-
-// cellError attributes one failed cell.
-func (s *Server) cellError(job *gridJob, c gridCell, attempts int, err error) error {
-	where := job.req.Bench
-	if where == "" {
-		where = job.req.Trace
-	}
-	return &experiments.CellError{Spec: c.sp.String(), Benchmark: where, Attempts: attempts, Err: err}
 }

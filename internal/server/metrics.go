@@ -4,9 +4,9 @@
 // progress; the /metrics endpoint renders both.
 //
 // Every counter is a sync/atomic value: handler goroutines bump them
-// concurrently with scrapes, and the atomiccounter analyzer enforces
-// that no plain-integer field sneaks in (the same PR-4 contract the
-// grid monitor carries).
+// concurrently with scrapes (the same lock-free contract the grid
+// monitor carries). go vet's copylocks check and the race-detector test
+// run cover these types.
 package server
 
 import (

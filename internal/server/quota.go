@@ -138,7 +138,7 @@ func (s *semaphore) grant() {
 type tenant struct {
 	name   string
 	mon    *Monitor             // request-level counters for this tenant
-	grid   *experiments.Monitor // cell-level counters (progress, events, retries)
+	grid   *experiments.Monitor // cell-level counters (progress, events, fallbacks)
 	bucket *tokenBucket
 	cells  *semaphore // concurrent-cell slots
 

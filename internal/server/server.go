@@ -11,9 +11,9 @@
 //	validation    -> 4xx for malformed, oversized or over-budget grids
 //
 // Admitted grids run through sim.RunMany and the fastpath kernel on a
-// worker pool sized to GOMAXPROCS, behind the same recover-fence /
-// per-cell-isolation ladder the experiment scheduler uses, so one
-// poisoned cell degrades one response instead of the process. All
+// worker pool sized to GOMAXPROCS, through the experiment scheduler's
+// own recover-fence / per-cell-isolation ladder (experiments.RunBatch),
+// so one poisoned cell degrades one response instead of the process. All
 // tenants share one trace.CaptureCache: identical uploads and repeated
 // benchmark grids are captured once and replayed by everyone.
 package server
