@@ -1,10 +1,10 @@
 // Command brlint runs the repository's invariant-checker suite
-// (internal/lint): ten analyzers that mechanically enforce the
-// determinism, no-panic, observer-nil-guard, span-nil-guard,
-// cancellation-poll and flat-loop contracts earlier PRs established,
-// plus the CFG/dataflow checkers for allocation-free hot
-// loops (hotalloc), no blocking under a held mutex (lockheld), join-able
-// goroutines (goroleak) and never-dropped errors (errflow). It is part
+// (internal/lint): nine analyzers that mechanically enforce the
+// determinism, no-panic, observer-nil-guard, span-nil-guard and
+// cancellation-poll contracts earlier PRs established, plus the
+// CFG/dataflow checkers for flat, allocation-free hot loops (hotalloc),
+// no blocking under a held mutex (lockheld), join-able goroutines
+// (goroleak) and never-dropped errors (errflow). It is part
 // of tier-1 verification:
 //
 //	go run ./cmd/brlint ./...

@@ -5,7 +5,9 @@
 // alone, so one poisoned cell costs that cell while its healthy siblings
 // still land. Replay is deterministic — the same capture, spec and
 // budget always give the same result — so a cell that fails alone would
-// fail the same way again, and nothing is retried beyond that.
+// fail the same way again, and nothing is retried beyond that. For the
+// same reason a one-cell batch is not isolated: its shared pass already
+// was the cell run alone.
 package experiments
 
 import (
@@ -51,16 +53,20 @@ type Batch struct {
 	// Logger receives the fallback warning and the isolated failures
 	// (nil discards them).
 	Logger *slog.Logger
-	// Monitors each count the fallback and every cell run alone.
+	// Monitors each count the fallback and every cell run alone. A
+	// one-cell batch is never isolated, so it counts neither.
 	Monitors []*Monitor
 }
 
 // RunBatch runs b's cells in one shared sim.RunMany pass. If the pass
-// fails and the batch is not cancelled, each cell is set up again and
-// run alone with sim.Run; every pass runs behind a recover fence, so a
-// panic fails its pass with a *PanicError. It returns each cell's result
-// and, for each failed cell, a *CellError whose Attempts is 1 when the
-// cell never ran alone (the batch was cancelled) and 2 when it failed
+// fails, the batch is not cancelled and it holds more than one cell,
+// each cell is set up again and run alone with sim.Run; every pass runs
+// behind a recover fence, so a panic fails its pass with a *PanicError.
+// A one-cell batch whose pass fails reports that failure as the cell's
+// only attempt: the source is opened once and no fallback or retried
+// cell is counted. It returns each cell's result and, for each failed
+// cell, a *CellError whose Attempts is 1 when the cell never ran alone
+// (the batch was cancelled, or held that one cell) and 2 when it failed
 // again alone.
 func RunBatch(b Batch) ([]sim.Result, []*CellError) {
 	n := len(b.Specs)
@@ -111,8 +117,12 @@ func RunBatch(b Batch) ([]sim.Result, []*CellError) {
 	if cerr := b.cancelled(err); cerr != nil {
 		return failAll(cerr)
 	}
-
 	log := logx.Or(b.Logger)
+	if n == 1 {
+		log.Error("cell failed", "spec", b.Specs[0], "bench", b.Bench, "attempt", 1, "err", err)
+		return failAll(err)
+	}
+
 	log.Warn("batch failed; isolating cells", "bench", b.Bench, "cells", n, "err", err)
 	for _, m := range b.Monitors {
 		m.batchFallback()

@@ -5,8 +5,8 @@ package experiments
 // truncated streams, mid-run cancellation — and asserts the pipeline's
 // fault contract: failures are attributed to exact cells, siblings
 // survive, a failed cell is run alone once and never retried beyond
-// that, cancellation is prompt and resumable, and a resumed suite is
-// bit-identical to a cold one.
+// that (a one-cell batch not even once), cancellation is prompt and
+// resumable, and a resumed suite is bit-identical to a cold one.
 
 import (
 	"context"
@@ -204,6 +204,39 @@ func TestChaosNoRetryBudgetFails(t *testing.T) {
 	if s := o.Monitor.Snapshot(); s.BatchFallbacks != 1 || s.CellsRetried != n || s.CellsFailed != n {
 		t.Errorf("monitor: fallbacks=%d retried=%d failed=%d, want 1/%d/%d",
 			s.BatchFallbacks, s.CellsRetried, s.CellsFailed, n, n)
+	}
+}
+
+// TestChaosOneCellBatchNotIsolated: a one-cell batch whose shared pass
+// fails has already run that cell alone, so the failure is its only
+// attempt — one open, no fallback, nothing retried.
+// internal/server's TestChaosOneCellBatchNotIsolated checks the same
+// figures under brserve.
+func TestChaosOneCellBatchNotIsolated(t *testing.T) {
+	benchmarks := chaosBenchmarks("delta")
+	unavailable := errors.New("generator busy")
+	o := chaosOptions(benchmarks)
+	o.Workers = 1
+	o.Monitor = NewMonitor()
+	var opens atomic.Int32
+	o.openSource = func(b *prog.Benchmark, ds prog.DataSet) (trace.Source, error) {
+		opens.Add(1)
+		return nil, unavailable
+	}
+	_, err := chaosGrid(t, chaosRows[:1], o)
+	var ge *GridError
+	if !errors.As(err, &ge) || !errors.Is(err, unavailable) || len(ge.Cells) != 1 {
+		t.Fatalf("err = %v, want a *GridError carrying the one cell's open failure", err)
+	}
+	if c := ge.Cells[0]; c.Attempts != 1 {
+		t.Errorf("%s/%s: attempts = %d, want 1 (the shared pass was the cell alone)", c.Spec, c.Benchmark, c.Attempts)
+	}
+	if got := opens.Load(); got != 1 {
+		t.Errorf("source opened %d times, want 1", got)
+	}
+	if s := o.Monitor.Snapshot(); s.BatchFallbacks != 0 || s.CellsRetried != 0 || s.CellsFailed != 1 {
+		t.Errorf("monitor: fallbacks=%d retried=%d failed=%d, want 0/0/1",
+			s.BatchFallbacks, s.CellsRetried, s.CellsFailed)
 	}
 }
 

@@ -195,7 +195,8 @@ type MonitorSnapshot struct {
 	// included); CellsDone counts cells measured to completion,
 	// CellsRestored cells served from a checkpoint without running,
 	// CellsFailed cells that failed, CellsRetried cells re-run alone
-	// after their batched pass failed (RunBatch).
+	// after their batched pass failed (RunBatch; a one-cell batch is
+	// never re-run, so its failure is not counted here).
 	CellsPlanned  uint64 `json:"cells_planned"`
 	CellsDone     uint64 `json:"cells_done"`
 	CellsRestored uint64 `json:"cells_restored"`
@@ -300,7 +301,7 @@ func (s MonitorSnapshot) Metrics() []telemetry.Metric {
 		telemetry.CounterMetric("twolevel_grid_cells_done_total", "Grid cells measured to completion.", s.CellsDone),
 		telemetry.CounterMetric("twolevel_grid_cells_restored_total", "Grid cells restored from a checkpoint.", s.CellsRestored),
 		telemetry.CounterMetric("twolevel_grid_cells_failed_total", "Grid cells that failed.", s.CellsFailed),
-		telemetry.CounterMetric("twolevel_grid_cells_retried_total", "Grid cells re-run alone after their batched pass failed.", s.CellsRetried),
+		telemetry.CounterMetric("twolevel_grid_cells_retried_total", "Grid cells re-run alone after their batched pass of two or more cells failed; a one-cell batch is not re-run.", s.CellsRetried),
 		telemetry.CounterMetric("twolevel_grid_batch_fallbacks_total", "Batched replay passes that fell back to per-cell isolation.", s.BatchFallbacks),
 		telemetry.CounterMetric("twolevel_grid_checkpoint_flushes_total", "Checkpoint manifest writes.", s.CheckpointFlushes),
 		telemetry.CounterMetric("twolevel_sim_events_total", "Simulator events across completed cells.", s.Events),

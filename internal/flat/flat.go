@@ -30,7 +30,7 @@
 //
 // The hot step functions (Lookup*, alloc*/Allocate, Flush) are held to
 // the same no-interface-call, no-allocation-in-loops contract as the
-// kernel's loops by the flatloop and hotalloc analyzers.
+// kernel's loops by the hotalloc analyzer.
 package flat
 
 import (

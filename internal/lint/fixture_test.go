@@ -126,32 +126,35 @@ func TestCtxPollFixture(t *testing.T) {
 	runFixture(t, CtxPoll, "ctxpoll/trace")
 }
 
+// The flatloop fixtures hold only dispatch cases, no allocation, so they
+// pin hotalloc's no-dispatch rule on its own: a dispatch finding must not
+// depend on a loop or on an allocation beside it.
 func TestFlatLoopFixture(t *testing.T) {
-	runFixture(t, FlatLoop, "flatloop/fastpath")
+	runFixture(t, HotAlloc, "flatloop/fastpath")
+}
+
+func TestFlatLoopFlatFixture(t *testing.T) {
+	runFixture(t, HotAlloc, "flatloop/flat")
+}
+
+func TestFlatLoopTraceFixture(t *testing.T) {
+	runFixture(t, HotAlloc, "flatloop/trace")
+}
+
+func TestFlatLoopTelemetryFixture(t *testing.T) {
+	runFixture(t, HotAlloc, "flatloop/telemetry")
 }
 
 func TestHotAllocFixture(t *testing.T) {
 	runFixture(t, HotAlloc, "hotalloc/fastpath")
 }
 
-func TestFlatLoopFlatFixture(t *testing.T) {
-	runFixture(t, FlatLoop, "flatloop/flat")
-}
-
 func TestHotAllocFlatFixture(t *testing.T) {
 	runFixture(t, HotAlloc, "hotalloc/flat")
 }
 
-func TestFlatLoopTraceFixture(t *testing.T) {
-	runFixture(t, FlatLoop, "flatloop/trace")
-}
-
 func TestHotAllocTraceFixture(t *testing.T) {
 	runFixture(t, HotAlloc, "hotalloc/trace")
-}
-
-func TestFlatLoopTelemetryFixture(t *testing.T) {
-	runFixture(t, FlatLoop, "flatloop/telemetry")
 }
 
 func TestHotAllocTelemetryFixture(t *testing.T) {

@@ -5,35 +5,67 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// HotAlloc is the static counterpart to BenchmarkKernelVsRunner: the
-// fast-path kernel's throughput (~67M events/sec) depends on its hot
-// loops being allocation-free, and a heap allocation smuggled into a
-// replay loop would erode events/sec without failing any correctness
-// test. The analyzer builds the CFG of every hot function in the
-// fastpath package (run*/lookup*/flush*, plus the replay plan's
-// snapshot walk plan* and the telemetry fold fold*), in the flat
-// state package whose step functions those loops call
-// (Lookup*/alloc*/Flush), in the trace package whose snapshot decode
-// the plan walks (Decode*) and in the telemetry package's shared
-// per-site fold (Fold*), and flags, inside natural loops only, the
-// constructs that heap-allocate or can: make/new/append, &T{…} and
-// slice or map literals, map inserts, closures, string↔[]byte/[]rune
-// conversions, fmt formatting, and implicit interface boxing. A struct
-// or array value literal is a plain value and passes unless it is boxed
-// into an interface. Calls from a hot loop
-// to a same-package helper are checked one level deep: the call is
-// flagged if the helper's body contains an allocation site that does
-// not carry its own //lint:allow hotalloc justification (amortised
+// HotAlloc is the static counterpart to BenchmarkKernelVsRunner: it
+// holds the kernel's hot functions to the two rules its throughput
+// depends on, and a break of either would erode events/sec without
+// failing any correctness test. The hot functions are those named by
+// hotPrefixes in the fastpath package (the loops, the replay plan's
+// snapshot walk plan* and the telemetry fold fold*), the flat state
+// package's step functions those loops call (Lookup*/alloc*/Flush), the
+// trace package's snapshot decode the plan walks (Decode*) and the
+// telemetry package's per-site fold shared with Forensics (Fold*).
+//
+// No dispatch: a hot function's body, closures included (the lane
+// goroutines runLanes spawns run on the hot path too), must not call an
+// interface method — a predictor.Predictor or trace.Source call per
+// event would reintroduce exactly the indirection the kernel exists to
+// eliminate. Interface work belongs in cold setup (New). The one
+// sanctioned exception is context.Context: the amortised ctx.Err()
+// cancellation poll is part of the hot loop by design (ctxpoll
+// contract).
+//
+// No allocation: the analyzer builds the CFG of every hot function and
+// flags, inside natural loops only, the constructs that heap-allocate
+// or can: make/new/append, &T{…} and slice or map literals, map inserts,
+// closures, string↔[]byte/[]rune conversions, fmt formatting, and
+// implicit interface boxing. A struct or array value literal is a plain
+// value and passes unless it is boxed into an interface. Calls from a
+// hot loop to a same-package helper are checked one level deep: the
+// call is flagged if the helper's body contains an allocation site that
+// does not carry its own //lint:allow hotalloc justification (amortised
 // growth like the replay plan's site directory is annotated at the
 // site, which clears every hot caller at once).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc: "fastpath/flat/trace/telemetry hot loops (run*/lookup*/flush*/alloc*/plan*/fold*/decode*) must not heap-allocate: " +
-		"no make/append/closures/boxing inside the per-event loop",
+	Doc: "fastpath/flat/trace/telemetry hot functions (run*/lookup*/flush*/alloc*/plan*/fold*/decode*) must not call " +
+		"interface methods other than context.Context, nor heap-allocate in their per-event loops " +
+		"(no make/append/closures/boxing)",
 	Packages: []string{"fastpath", "flat", "trace", "telemetry"},
 	Run:      runHotAlloc,
+}
+
+// hotPrefixes marks the function-name prefixes that form the kernel's
+// per-event replay path: the loops and step functions, the replay plan's
+// snapshot walk (plan*) and the trace decode it runs on (decode*), and
+// the telemetry fold over mispredict bits (fold*). The first letter
+// matches in either case, so the exported step functions (LookupCache,
+// Flush, Allocate, DecodeTally) count too.
+var hotPrefixes = []string{"run", "lookup", "flush", "alloc", "plan", "fold", "decode"}
+
+func isHotFuncName(name string) bool {
+	if name == "" {
+		return false
+	}
+	name = strings.ToLower(name[:1]) + name[1:]
+	for _, p := range hotPrefixes {
+		if strings.HasPrefix(name, p) {
+			return true
+		}
+	}
+	return false
 }
 
 func runHotAlloc(pass *Pass) []Diagnostic {
@@ -58,6 +90,7 @@ func runHotAlloc(pass *Pass) []Diagnostic {
 			if !ok || fd.Body == nil || !isHotFuncName(fd.Name.Name) {
 				continue
 			}
+			diags = append(diags, h.checkDispatch(fd)...)
 			diags = append(diags, h.checkHotFunc(fd)...)
 		}
 	}
@@ -70,6 +103,49 @@ type hotAllocPass struct {
 	// callee caches, per same-package helper, the positions of its
 	// unjustified allocation sites (empty = clean or fully annotated).
 	callee map[*types.Func][]token.Pos
+}
+
+// checkDispatch flags every interface method call other than
+// context.Context's anywhere in one hot function's body, closures
+// included.
+func (h *hotAllocPass) checkDispatch(fd *ast.FuncDecl) []Diagnostic {
+	var diags []Diagnostic
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		fn := funcObj(h.pass.TypesInfo, call)
+		if fn == nil {
+			return true
+		}
+		sig, ok := fn.Type().(*types.Signature)
+		if !ok || sig.Recv() == nil {
+			return true
+		}
+		recv := sig.Recv().Type()
+		if _, isIface := recv.Underlying().(*types.Interface); !isIface || isContextType(recv) {
+			return true
+		}
+		diags = append(diags, Diagnostic{
+			Pos: call.Pos(),
+			Message: "interface method call " + types.TypeString(recv, types.RelativeTo(h.pass.Pkg)) +
+				"." + fn.Name() + " in fast-path hot function " + fd.Name.Name +
+				"; flatten the state into arrays or move the dispatch to setup/teardown",
+		})
+		return true
+	})
+	return diags
+}
+
+// isContextType reports whether t is context.Context.
+func isContextType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
 }
 
 // checkHotFunc flags allocation constructs in the loop blocks of one

@@ -102,7 +102,6 @@ var Analyzers = []*Analyzer{
 	ObsNilGuard,
 	SpanNilGuard,
 	CtxPoll,
-	FlatLoop,
 	HotAlloc,
 	LockHeld,
 	GoroLeak,

@@ -1,4 +1,4 @@
-// Fixture for the flatloop analyzer: the fast-path kernel's hot replay
+// Dispatch-only fixture for the hotalloc analyzer: the fast-path kernel's hot replay
 // functions must not dispatch through interfaces (except context.Context).
 package fastpath
 
@@ -111,7 +111,7 @@ func (k *Kernel) writeback() {
 
 // runAllowed shows the audited escape hatch.
 func (k *Kernel) runAllowed(pc uint32) bool {
-	//lint:allow flatloop fixture: deliberate slow-path probe
+	//lint:allow hotalloc fixture: deliberate slow-path probe
 	return k.pred.Predict(pc)
 }
 

@@ -1,4 +1,4 @@
-// Fixture for the flatloop analyzer in the flat state package: the step
+// Dispatch-only fixture for the hotalloc analyzer in the flat state package: the step
 // functions the kernel calls per event (Lookup*, alloc*/Allocate, Flush*)
 // must not dispatch through interfaces, whatever the case of their first
 // letter.

@@ -1,4 +1,4 @@
-// Fixture for the flatloop analyzer in the telemetry package: the
+// Dispatch-only fixture for the hotalloc analyzer in the telemetry package: the
 // per-site fold over a replay's log (Fold*, fold*) must not dispatch
 // through interfaces.
 package telemetry

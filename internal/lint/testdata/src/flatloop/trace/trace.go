@@ -1,4 +1,4 @@
-// Fixture for the flatloop analyzer in the trace package: the snapshot
+// Dispatch-only fixture for the hotalloc analyzer in the trace package: the snapshot
 // walks the replay plan runs per event (Decode*, decode*) must not
 // dispatch through interfaces.
 package trace

@@ -1,11 +1,12 @@
-// Fixture for the hotalloc analyzer: hot functions (run*/lookup*/flush*)
-// in the fastpath package must not heap-allocate inside their loops.
+// Fixture for the hotalloc analyzer in the fastpath package.
 package fastpath
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 type event struct{ pc uint32 }
-
 type kernel struct {
 	preds []uint64
 	pcm   map[uint32]uint64
@@ -15,8 +16,7 @@ type kernel struct {
 // sink has an interface parameter: passing a concrete value boxes it.
 func sink(v any) { _ = v }
 
-// grow is a cold helper with an unjustified allocation: calls from hot
-// loops are findings citing this site.
+// grow is a cold helper whose unjustified allocation hot callers cite.
 func (k *kernel) grow() {
 	k.preds = append(k.preds, 0)
 }
@@ -101,4 +101,120 @@ func (k *kernel) merge(o *kernel) {
 	for i := range o.preds {
 		k.preds = append(k.preds, o.preds[i])
 	}
+}
+
+// Predictor mirrors the interpretive predictor interface the kernel is
+// supposed to have flattened away. The hot functions below must not
+// dispatch through it (context.Context alone is exempt) anywhere in
+// their bodies, closures included.
+type Predictor interface {
+	Predict(pc uint32) bool
+	Update(pc uint32, taken bool)
+}
+
+// dispatcher is a stand-in for a kernel that kept an interface value.
+type dispatcher struct {
+	delta [4]uint8
+	state uint8
+	pred  Predictor
+}
+
+// runFlat is a hot function leaking interface dispatch back into the
+// per-event loop: both calls are findings.
+func (k *dispatcher) runFlat(pcs []uint32, taken []bool) int {
+	correct := 0
+	for i, pc := range pcs {
+		if k.pred.Predict(pc) == taken[i] { // want "interface method call Predictor.Predict"
+			correct++
+		}
+		k.pred.Update(pc, taken[i]) // want "interface method call Predictor.Update"
+	}
+	return correct
+}
+
+// runTables is the sanctioned shape: flat array state plus the amortised
+// context.Context cancellation poll.
+func (k *dispatcher) runTables(ctx context.Context, meta []uint8) (int, error) {
+	correct := 0
+	var sinceCheck uint32
+	for _, m := range meta {
+		if sinceCheck++; sinceCheck >= 4096 {
+			sinceCheck = 0
+			if err := ctx.Err(); err != nil {
+				return correct, err
+			}
+		}
+		o := m & 1
+		pred := k.state >> 1
+		k.state = k.delta[k.state<<1|o]
+		if uint8(pred) == o {
+			correct++
+		}
+	}
+	return correct, nil
+}
+
+// runShardedFixture spawns goroutines; their bodies are hot too, though
+// the spawn itself sits outside any loop.
+func (k *dispatcher) runShardedFixture(pcs []uint32) {
+	done := make(chan struct{})
+	go func() {
+		for _, pc := range pcs {
+			k.pred.Predict(pc) // want "interface method call Predictor.Predict"
+		}
+		close(done)
+	}()
+	<-done
+}
+
+// lookupSlot is a hot lookup helper: interface dispatch is a finding.
+func (k *dispatcher) lookupSlot(pc uint32) bool {
+	return k.pred.Predict(pc) // want "interface method call Predictor.Predict"
+}
+
+// flushMirror is a hot flush helper: interface dispatch is a finding.
+func (k *dispatcher) flushMirror() {
+	k.pred.Update(0, false) // want "interface method call Predictor.Update"
+}
+
+// planColumns is a plan builder, hot by prefix: it walks every event of
+// the snapshot once per batch, so interface dispatch is a finding.
+func (k *dispatcher) planColumns(meta []uint8) int {
+	n := 0
+	for _, m := range meta {
+		if k.pred.Predict(uint32(m)) { // want "interface method call Predictor.Predict"
+			n++
+		}
+	}
+	return n
+}
+
+// foldMisses is a telemetry fold, hot by prefix: it walks a replay's
+// mispredict bits, so interface dispatch is a finding.
+func (k *dispatcher) foldMisses(miss []uint64) {
+	for i := range miss {
+		k.pred.Update(uint32(i), miss[i] != 0) // want "interface method call Predictor.Update"
+	}
+}
+
+// seed is cold setup: interface dispatch outside the replay path is not
+// a finding.
+func (k *dispatcher) seed() {
+	for pc := uint32(0); pc < 16; pc += 4 {
+		k.pred.Update(pc, true)
+	}
+}
+
+// writeback is cold teardown, exempt like seed.
+func (k *dispatcher) writeback() {
+	k.pred.Update(0, true)
+}
+
+// runConcrete calls only concrete methods: not a finding.
+func (k *dispatcher) runConcrete(meta []uint8) int {
+	return k.step(meta)
+}
+
+func (k *dispatcher) step(meta []uint8) int {
+	return len(meta)
 }

@@ -1,7 +1,19 @@
 // Fixture for the hotalloc analyzer in the telemetry package: the
-// per-site fold over a replay's log (Fold*, fold*) must not
-// heap-allocate inside its loops.
+// per-site fold over a replay's log (Fold*, fold*) must not dispatch
+// through interfaces nor heap-allocate inside its loops.
 package telemetry
+
+// Observer stands in for the per-event telemetry callback interface.
+type Observer interface {
+	OnResolve(pc uint32, correct bool)
+}
+
+// SiteLog is a stand-in for a replay's resolved-branch log.
+type SiteLog struct {
+	IDs  []int32
+	Miss []uint64
+	obs  Observer
+}
 
 // shadow is a stand-in for one site's shadow model.
 type shadow struct {
@@ -29,6 +41,17 @@ func FoldCounts(ids []int32, sites int) []uint64 {
 	return exec
 }
 
+// FoldSites is an exported fold: interface dispatch per branch is a
+// finding.
+func FoldSites(l SiteLog) []uint64 {
+	rows := make([]uint64, len(l.IDs))
+	for j, id := range l.IDs {
+		rows[id]++
+		l.obs.OnResolve(uint32(id), l.Miss[j>>6]>>(j&63)&1 == 0) // want "interface method call Observer.OnResolve"
+	}
+	return rows
+}
+
 // foldShadows allocates per branch: findings.
 func foldShadows(ids []int32, s *shadow) [][]int32 {
 	var windows [][]int32
@@ -38,4 +61,9 @@ func foldShadows(ids []int32, s *shadow) [][]int32 {
 		s.grow(uint32(id))
 	}
 	return windows
+}
+
+// Report is cold: interface dispatch is not a finding.
+func (l *SiteLog) Report() {
+	l.obs.OnResolve(0, true)
 }

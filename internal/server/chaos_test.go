@@ -17,6 +17,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,6 +104,41 @@ func TestChaosPanickingCellIsolated(t *testing.T) {
 	})
 	if res.StatusCode != http.StatusOK || gr.Failed != 0 {
 		t.Fatalf("post-chaos request: status=%d failed=%d", res.StatusCode, gr.Failed)
+	}
+}
+
+// TestChaosOneCellBatchNotIsolated is the brserve half of
+// internal/experiments' test of the same name: at TenantCells 1 every
+// batch holds one cell, so a poisoned cell's failed shared pass is its
+// only attempt — its predictor is built once, and no fallback or
+// retried cell is counted.
+func TestChaosOneCellBatchNotIsolated(t *testing.T) {
+	poison := spec.MustParse(testSpecs[0]).String()
+	cfg := poisonConfig(Config{TenantCells: 1}, poison)
+	build := cfg.buildPredictor
+	var builds atomic.Int32
+	cfg.buildPredictor = func(sp spec.Spec, td *spec.TrainingData) (predictor.Predictor, error) {
+		builds.Add(1)
+		return build(sp, td)
+	}
+	s := New(cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	res, gr := postGrid(t, ts.Client(), ts.URL, "single", GridRequest{
+		Bench: testBench, Specs: testSpecs[:1], Branches: testBranches,
+	})
+	if res.StatusCode != http.StatusOK || gr.Failed != 1 {
+		t.Fatalf("status=%d failed=%d, want 200 with the one cell failed", res.StatusCode, gr.Failed)
+	}
+	if c := gr.Cells[0]; c.Attempts != 1 || !strings.Contains(c.Error, "poisoned") {
+		t.Errorf("cell attempts=%d error=%q, want 1 attempt failing with the recovered panic", c.Attempts, c.Error)
+	}
+	if got := builds.Load(); got != 1 {
+		t.Errorf("predictor built %d times, want 1", got)
+	}
+	if g := s.grid.Snapshot(); g.BatchFallbacks != 0 || g.CellsRetried != 0 || g.CellsFailed != 1 {
+		t.Errorf("grid monitor: fallbacks=%d retried=%d failed=%d, want 0/0/1", g.BatchFallbacks, g.CellsRetried, g.CellsFailed)
 	}
 }
 

@@ -35,15 +35,19 @@
 // hot loop does only its predictor step, stores one bit in the cell's
 // mispredict bitset and keeps its target counters — no event decode, no
 // interface calls, no telemetry work. Correct is the bitset's zeros;
-// telemetry (tap.go) is folded from the bitset after the replay. There
-// is one loop body per loop shape, with or without telemetry.
+// telemetry (tap.go) is folded from the bitset after the replay. Four
+// loop bodies (loops.go) serve every scheme, with or without telemetry:
+// runStatic, runGAg, runCache for PAg/PAp on the practical BHT, and
+// runGeneric for the rest. A replay runs them in lanes (shard.go): a
+// serial replay is one lane over every branch, a sharded one several
+// lanes of runGeneric over disjoint PC partitions.
 //
 // Fidelity: a kernel run is bit-identical to the interpretive runner —
 // the same Result counters and the same final predictor state, LRU
 // ranks included: both paths call the same flat step functions, and the
 // kernel's one fused lookup per branch leaves the LRU order as the
 // interpretive Predict-then-Update pair of touches does. A sharded run
-// gives each set to one worker, so it ends in the serial run's state
+// gives each set to one lane, so it ends in the serial run's state
 // too. The equivalence suite in package sim deep-equals both paths'
 // Results and predictors across the full spec grid.
 package fastpath
@@ -157,14 +161,14 @@ const (
 	kindBTB
 )
 
-// loopShape selects the serial hot loop.
+// loopShape selects the hot loop of a serial replay; every lane of a
+// sharded one runs loopGeneric.
 type loopShape uint8
 
 const (
 	loopStatic loopShape = iota
 	loopGAg
-	loopPAgCache
-	loopPApCache
+	loopCache
 	loopGeneric
 )
 
@@ -209,16 +213,14 @@ func New(p predictor.Predictor, cfg Config) (*Kernel, bool) {
 }
 
 // shapeOf picks the serial loop for a two-level predictor's state:
-// specialized loops for the paper's three implementations on the
-// practical BHT, the generic one for the rest.
+// specialized loops for the paper's three implementations (GAg, and
+// PAg/PAp on the practical BHT), the generic one for the rest.
 func shapeOf(st *flat.State) loopShape {
 	switch {
 	case st.HistoryAxis == flat.Global && st.PatternAxis == flat.Global:
 		return loopGAg
-	case st.BHT == flat.CacheBHT && st.HistoryAxis == flat.PerAddress && st.PatternAxis == flat.Global:
-		return loopPAgCache
-	case st.BHT == flat.CacheBHT && st.HistoryAxis == flat.PerAddress && st.PatternAxis == flat.PerAddress:
-		return loopPApCache
+	case st.BHT == flat.CacheBHT && st.HistoryAxis == flat.PerAddress && st.PatternAxis != flat.PerSet:
+		return loopCache
 	}
 	return loopGeneric
 }
@@ -270,13 +272,7 @@ func (k *Kernel) Replay(p *Plan) (Counters, int, error) {
 func (k *Kernel) replay(p *Plan, v *view) (Counters, int, error) {
 	bits := getBitset(v.conds)
 	miss := *bits
-	var n int
-	var err error
-	if k.shardable() && k.shardCount() > 1 {
-		n, err = k.runSharded(p, v, miss)
-	} else {
-		n, err = k.runSerial(p, v, miss)
-	}
+	n, err := k.runLanes(p, v, miss)
 	done := *v
 	if n < v.conds {
 		done = p.prefix(v, n)

@@ -1,18 +1,20 @@
 package fastpath
 
 // The hot loops. Each run* loop walks a stretch of a plan's
-// conditional-branch columns with the predict→verify→update step fused
-// into straight-line array code: the plan has already decoded the
-// events and counted everything that does not depend on the predictor,
-// so per branch a loop does its predictor step, stores one mispredict
-// bit and keeps its target counters. runSegments cuts a replay into the
-// stretches between context switches and cancellation polls. The
-// flatloop analyzer in cmd/brlint enforces that no interface method
-// other than context.Context cancellation polling is called from these
-// functions. Specialized loops cover the paper's three implementations
-// (GAg, PAg, PAp on the practical BHT); runGeneric covers the taxonomy
-// extensions, the Ideal table and the BTB designs with the same flat
-// state, trading a few predictable branches for generality.
+// conditional-branch columns for one lane (shard.go) with the
+// predict→verify→update step fused into straight-line array code: the
+// plan has already decoded the events and counted everything that does
+// not depend on the predictor, so per branch a loop does its predictor
+// step, stores one mispredict bit in the lane's bitset and keeps the
+// lane's target counters. runSegments cuts a replay into the stretches
+// between context switches and cancellation polls. The hotalloc
+// analyzer in cmd/brlint enforces that these functions call no
+// interface method other than context.Context cancellation polling and
+// allocate nothing per branch. Four bodies serve every scheme: runStatic
+// the static schemes, runGAg the global/global variations, runCache
+// PAg/PAp on the practical BHT, and runGeneric every other two-level
+// variation, the BTB designs and every lane of a sharded replay,
+// trading a few predictable branches for generality.
 //
 // Mispredict bits: a loop accumulates the bits of one 64-branch word in
 // a register and stores the word when it fills or the stretch ends, so
@@ -23,30 +25,6 @@ import (
 
 	"twolevel/internal/flat"
 )
-
-// runSerial resolves view v's branches with the kernel's serial loop.
-func (k *Kernel) runSerial(p *Plan, v *view, miss []uint64) (int, error) {
-	seg := func(j0, j1 int) {
-		switch k.loop {
-		case loopStatic:
-			k.runStatic(p, miss, j0, j1)
-		case loopGAg:
-			k.runGAg(p, miss, j0, j1)
-		case loopPAgCache:
-			k.runPAgCache(p, miss, j0, j1)
-		case loopPApCache:
-			k.runPApCache(p, miss, j0, j1)
-		default:
-			k.runGeneric(p, miss, j0, j1)
-		}
-	}
-	flush := func() {
-		if k.st != nil {
-			k.st.Flush()
-		}
-	}
-	return runSegments(p, v, 0, v.conds, k.cfg.Context, seg, flush)
-}
 
 // runSegments drives branches [j0, j1) of view v: it runs seg over each
 // stretch between the view's context switches (calling flush at each)
@@ -92,9 +70,10 @@ func runSegments(p *Plan, v *view, j0, j1 int, ctx context.Context, seg func(j0,
 
 // runStatic resolves the static schemes: AlwaysTaken, BTFN and
 // Profiling, whose per-branch directions are fixed before the run.
-func (k *Kernel) runStatic(p *Plan, miss []uint64, j0, j1 int) {
+func (k *Kernel) runStatic(sw *shardWorker, p *Plan, j0, j1 int) {
 	btfn, prof := k.kind == kindBTFN, k.prof
 	pcs, targets, outs := p.pcs, p.targets, p.outs
+	miss := sw.miss
 	w := miss[j0>>6]
 	for j := j0; j < j1; j++ {
 		pred := uint32(1)
@@ -117,13 +96,14 @@ func (k *Kernel) runStatic(p *Plan, miss []uint64, j0, j1 int) {
 // runGAg resolves the global/global variations (GAg, GSg presets): one
 // shared history register, one shared pattern table — the entire
 // predictor state is a uint32 and two slices.
-func (k *Kernel) runGAg(p *Plan, miss []uint64, j0, j1 int) {
+func (k *Kernel) runGAg(sw *shardWorker, p *Plan, j0, j1 int) {
 	st := k.st
 	histMask := st.HistMask
 	delta, predMask := st.Delta, st.PredMask
 	states, touched := st.GStates, st.GTouched
 	ghr := st.GHR
 	outs := p.outs
+	miss := sw.miss
 	w := miss[j0>>6]
 	for j := j0; j < j1; j++ {
 		o := uint32(outs[j])
@@ -144,20 +124,26 @@ func (k *Kernel) runGAg(p *Plan, miss []uint64, j0, j1 int) {
 	st.GHR = ghr
 }
 
-// runPAgCache resolves PAg/PSg on the practical BHT: per-address history
-// registers in the practical BHT, one global pattern table.
-func (k *Kernel) runPAgCache(p *Plan, miss []uint64, j0, j1 int) {
+// runCache resolves PAg/PSg and PAp on the practical BHT: per-address
+// history registers in the BHT's slots, stepping one global pattern
+// table (PAg) or the slot's own (PAp, perSlot).
+func (k *Kernel) runCache(sw *shardWorker, p *Plan, j0, j1 int) {
 	st := k.st
 	histMask := st.HistMask
 	delta, predMask := st.Delta, st.PredMask
-	states, touched := st.GStates, st.GTouched
+	perSlot := st.PatternAxis == flat.PerAddress
 	hists, preds, tgts := st.Hists, st.Preds, st.Targets
 	pcs, targets, outs := p.pcs, p.targets, p.outs
+	miss := sw.miss
 	var tp, tc uint64
 	w := miss[j0>>6]
 	for j := j0; j < j1; j++ {
 		o := uint32(outs[j])
-		slot := st.LookupCache(&st.LookupCounts, pcs[j])
+		slot := st.LookupCache(&sw.LookupCounts, pcs[j])
+		states, touched := st.GStates, st.GTouched
+		if perSlot {
+			states, touched = st.PHTStates[slot], st.PHTTouched[slot]
+		}
 		h := hists[slot]
 		pat := h & histMask
 		s := states[pat]
@@ -181,49 +167,8 @@ func (k *Kernel) runPAgCache(p *Plan, miss []uint64, j0, j1 int) {
 	if j1&63 != 0 {
 		miss[j1>>6] = w
 	}
-	k.c.TargetPredictions += tp
-	k.c.TargetCorrect += tc
-}
-
-// runPApCache resolves PAp on the practical BHT: per-address history and
-// a per-slot pattern table, both bound to the practical BHT's slots.
-func (k *Kernel) runPApCache(p *Plan, miss []uint64, j0, j1 int) {
-	st := k.st
-	histMask := st.HistMask
-	delta, predMask := st.Delta, st.PredMask
-	hists, preds, tgts := st.Hists, st.Preds, st.Targets
-	pcs, targets, outs := p.pcs, p.targets, p.outs
-	var tp, tc uint64
-	w := miss[j0>>6]
-	for j := j0; j < j1; j++ {
-		o := uint32(outs[j])
-		slot := st.LookupCache(&st.LookupCounts, pcs[j])
-		states := st.PHTStates[slot]
-		h := hists[slot]
-		pat := h & histMask
-		s := states[pat]
-		pred := uint32(predMask >> (s & 63) & 1)
-		w |= uint64(pred^o) << (j & 63)
-		if j&63 == 63 {
-			miss[j>>6] = w
-			w = 0
-		}
-		t, nt := tgts[slot], targets[j]
-		both := pred & o
-		tp += uint64(both)
-		tc += uint64(both & b2u(t != 0) & b2u(t == nt))
-		tgts[slot] = pick(o, nt, t)
-		states[pat] = delta[uint32(s)<<1|o]
-		touch(st.PHTTouched[slot], pat)
-		h = flat.Shift(h, o, histMask)
-		hists[slot] = h
-		preds[slot] = predMask>>(states[h]&63)&1 != 0
-	}
-	if j1&63 != 0 {
-		miss[j1>>6] = w
-	}
-	k.c.TargetPredictions += tp
-	k.c.TargetCorrect += tc
+	sw.tp += tp
+	sw.tc += tc
 }
 
 // runGeneric resolves every remaining flattened variation — the taxonomy
@@ -232,8 +177,10 @@ func (k *Kernel) runPApCache(p *Plan, miss []uint64, j0, j1 int) {
 // same flat state the specialized loops use. It also serves the Branch
 // Target Buffer designs, whose one level is the practical table: a hit
 // makes the entry its set's most recently used, a miss predicts by the
-// miss policy and allocates only when TrainBTB resolves the branch.
-func (k *Kernel) runGeneric(p *Plan, miss []uint64, j0, j1 int) {
+// miss policy and allocates only when TrainBTB resolves the branch. It
+// resolves only the lane's partition, the branches whose pc>>2&mask is
+// part, and leaves the others' mispredict bits clear.
+func (k *Kernel) runGeneric(sw *shardWorker, p *Plan, j0, j1 int) {
 	st := k.st
 	histMask := st.HistMask
 	delta, predMask := st.Delta, st.PredMask
@@ -241,53 +188,56 @@ func (k *Kernel) runGeneric(p *Plan, miss []uint64, j0, j1 int) {
 	useCache := st.BHT == flat.CacheBHT
 	btb := k.kind == kindBTB
 	pcs, targets, outs := p.pcs, p.targets, p.outs
+	miss, part, mask := sw.miss, sw.part, sw.mask
+	lc := &sw.LookupCounts
 	var tp, tc uint64
 	w := miss[j0>>6]
 	for j := j0; j < j1; j++ {
-		o := uint32(outs[j])
-		pc, nt := pcs[j], targets[j]
-		var pred uint32
-		if btb {
-			slot, taken := st.LookupBTB(&st.LookupCounts, pc, nt)
-			pred = b2u(taken)
-			if slot >= 0 {
-				t := st.Targets[slot]
-				both := pred & o
-				tp += uint64(both)
-				tc += uint64(both & b2u(t != 0) & b2u(t == nt))
-			} else {
-				tp += uint64(pred & o)
-			}
-			st.TrainBTB(slot, pc, o, nt)
-		} else {
-			slot := -1
-			if hasStore {
-				if useCache {
-					slot = st.LookupCache(&st.LookupCounts, pc)
+		if pc := pcs[j]; pc>>2&mask == part {
+			o, nt := uint32(outs[j]), targets[j]
+			var pred uint32
+			if btb {
+				slot, taken := st.LookupBTB(lc, pc, nt)
+				pred = b2u(taken)
+				if slot >= 0 {
+					t := st.Targets[slot]
+					both := pred & o
+					tp += uint64(both)
+					tc += uint64(both & b2u(t != 0) & b2u(t == nt))
 				} else {
-					slot = st.LookupIdeal(&st.LookupCounts, pc)
+					tp += uint64(pred & o)
+				}
+				st.TrainBTB(slot, pc, o, nt)
+			} else {
+				slot := -1
+				if hasStore {
+					if useCache {
+						slot = st.LookupCache(lc, pc)
+					} else {
+						slot = st.LookupIdeal(lc, pc)
+					}
+				}
+				hp := st.History(pc, slot)
+				states, touched := st.Tables(pc, slot)
+				h := *hp
+				pat := h & histMask
+				s := states[pat]
+				pred = uint32(predMask >> (s & 63) & 1)
+				states[pat] = delta[uint32(s)<<1|o]
+				touch(touched, pat)
+				h = flat.Shift(h, o, histMask)
+				*hp = h
+				if slot >= 0 {
+					t := st.Targets[slot]
+					both := pred & o
+					tp += uint64(both)
+					tc += uint64(both & b2u(t != 0) & b2u(t == nt))
+					st.Targets[slot] = pick(o, nt, t)
+					st.Preds[slot] = predMask>>(states[h]&63)&1 != 0
 				}
 			}
-			hp := st.History(pc, slot)
-			states, touched := st.Tables(pc, slot)
-			h := *hp
-			pat := h & histMask
-			s := states[pat]
-			pred = uint32(predMask >> (s & 63) & 1)
-			states[pat] = delta[uint32(s)<<1|o]
-			touch(touched, pat)
-			h = flat.Shift(h, o, histMask)
-			*hp = h
-			if slot >= 0 {
-				t := st.Targets[slot]
-				both := pred & o
-				tp += uint64(both)
-				tc += uint64(both & b2u(t != 0) & b2u(t == nt))
-				st.Targets[slot] = pick(o, nt, t)
-				st.Preds[slot] = predMask>>(states[h]&63)&1 != 0
-			}
+			w |= uint64(pred^o) << (j & 63)
 		}
-		w |= uint64(pred^o) << (j & 63)
 		if j&63 == 63 {
 			miss[j>>6] = w
 			w = 0
@@ -296,8 +246,8 @@ func (k *Kernel) runGeneric(p *Plan, miss []uint64, j0, j1 int) {
 	if j1&63 != 0 {
 		miss[j1>>6] = w
 	}
-	k.c.TargetPredictions += tp
-	k.c.TargetCorrect += tc
+	sw.tp += tp
+	sw.tc += tc
 }
 
 // b2u converts a bool to a 0/1 bit without a branch.

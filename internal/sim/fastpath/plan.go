@@ -7,8 +7,8 @@ package fastpath
 // the context switches fall. A Plan computes all of that once; the
 // kernel loops then walk the plan's conditional-branch columns and step
 // only the predictor. The functions that walk the snapshot here (plan*)
-// are held to the hot-loop contract by the flatloop and hotalloc
-// analyzers, like the loops themselves.
+// are held to the hot-loop contract by the hotalloc analyzer, like the
+// loops themselves.
 
 import (
 	"math"

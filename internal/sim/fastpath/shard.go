@@ -1,18 +1,25 @@
 package fastpath
 
-// PC-partitioned parallel replay. For variations whose first AND second
-// levels are both non-global (PAp, PAs, SAs, SAp on the practical BHT),
-// every mutable structure is indexed by pc>>2 modulo a power-of-two set
-// count, so partitioning branches by the low bits of pc>>2 gives each
-// worker a disjoint slice of BHT sets, history registers and pattern
-// tables: workers share the predictor's tables but write disjoint indices.
-// A set's LRU ranks change only when one of its own branches is looked
-// up, so each set's ranks end as the serial run leaves them.
-// Every worker walks the plan's whole branch column, flushing its own
-// partition at every context switch, and resolves only its own
-// partition's branches into a private mispredict bitset. The plan
-// already holds every predictor-independent counter, so the merge is an
-// OR of the bitsets plus sums of the target and lookup counters —
+// Lanes and PC-partitioned parallel replay. A replay resolves its
+// branches in lanes: a lane is partition part under mask, the branches
+// whose pc>>2&mask is part, with its own mispredict bitset, target
+// counters and lookup counters. A serial replay is one lane, partition
+// 0 under mask 0, run with the kernel's loop shape on the calling
+// goroutine.
+//
+// For variations whose first AND second levels are both non-global
+// (PAp, PAs, SAs, SAp on the practical BHT), every mutable structure is
+// indexed by pc>>2 modulo a power-of-two set count, so partitioning
+// branches by the low bits of pc>>2 gives each lane a disjoint slice of
+// BHT sets, history registers and pattern tables: lanes share the
+// predictor's tables but write disjoint indices, and a sharded replay
+// runs one lane of runGeneric per partition, each but lane 0 on a
+// goroutine of its own. A set's LRU ranks change only when one of its
+// own branches is looked up, so each set's ranks end as the serial run
+// leaves them. Every lane walks the plan's whole branch column,
+// flushing its own partition at every context switch. The plan already
+// holds every predictor-independent counter, so settle's fold is an OR
+// of the bitsets plus sums of the target and lookup counters —
 // deterministic regardless of scheduling — and equals the serial
 // kernel's result bit for bit.
 
@@ -35,12 +42,13 @@ func (k *Kernel) shardable() bool {
 		st.BHT != flat.IdealBHT
 }
 
-// shardCount resolves the partition count: the largest power of two not
-// exceeding the requested shards or any per-PC structure's set count
-// (so branches sharing a set always share a partition).
+// shardCount resolves the partition count: 1 unless the kernel is
+// shardable, else the largest power of two not exceeding the requested
+// shards or any per-PC structure's set count (so branches sharing a set
+// always share a partition).
 func (k *Kernel) shardCount() int {
 	n := k.cfg.Shards
-	if n < 2 {
+	if n < 2 || !k.shardable() {
 		return 1
 	}
 	lim := func(v int) {
@@ -65,151 +73,130 @@ func (k *Kernel) shardCount() int {
 	return g
 }
 
-// shardWorker is one partition's private replay state. The predictor's
+// shardWorker is one lane's private replay state. The predictor's
 // tables are shared (disjoint index sets); everything that must not be
 // shared — the lookup counters, the mispredict bitset, the target
-// counters — lives here.
+// counters — lives here until settle folds it.
 type shardWorker struct {
 	flat.LookupCounts
-	miss   []uint64
-	tp, tc uint64 // target predictions and correct targets
-	// stop is the branch index the worker halted at: the view's end
-	// after a full pass, the poll where cancellation was observed
-	// otherwise. Every worker polls at the plan's poll indices, so the
-	// catch-up phase can align every worker to the furthest stop.
+	miss       []uint64
+	tp, tc     uint64 // target predictions and correct targets
+	part, mask uint32 // the lane resolves branches with pc>>2&mask == part
+	// stop is the branch index the lane halted at: the view's end after
+	// a full pass, the poll where cancellation was observed otherwise.
+	// Every lane polls at the plan's poll indices, so the catch-up phase
+	// can align every lane to the furthest stop.
 	stop int
 	err  error
 }
 
-// runSharded resolves view v with shardCount workers and merges their
-// bitsets into miss. A cancelled pass still yields a well-defined
-// prefix: workers observe cancellation at poll indices, and the catch-up
-// phase below advances every worker to the furthest stop, so the
-// resolved count and the predictor's state describe the exact prefix of
-// branches [0, stop) — an interpretive continuation from there is
-// bit-identical to a run that was never sharded.
-func (k *Kernel) runSharded(p *Plan, v *view, miss []uint64) (int, error) {
+// runLanes resolves view v into miss with shardCount lanes: one with
+// the kernel's loop shape, or several of runGeneric in parallel. Lane 0
+// runs on the calling goroutine, every other lane on its own. A
+// cancelled pass still yields a well-defined prefix: lanes observe
+// cancellation at poll indices, and the catch-up phase below advances
+// every lane to the furthest stop, so the resolved count and the
+// predictor's state describe the exact prefix of branches [0, stop) —
+// an interpretive continuation from there is bit-identical to a run
+// that was never sharded.
+func (k *Kernel) runLanes(p *Plan, v *view, miss []uint64) (int, error) {
 	g := k.shardCount()
-	workers := make([]shardWorker, g)
-	work := func(w, j0, j1 int, ctx context.Context) {
-		sw := &workers[w]
-		seg := func(j0, j1 int) { k.runShard(sw, uint32(w), uint32(g-1), p, j0, j1) }
-		flush := func() { k.flushShard(uint32(w), uint32(g)) }
+	shape := k.loop
+	if g > 1 {
+		shape = loopGeneric
+	}
+	lanes := make([]shardWorker, g)
+	work := func(sw *shardWorker, j0, j1 int, ctx context.Context) {
+		seg := func(j0, j1 int) {
+			switch shape {
+			case loopStatic:
+				k.runStatic(sw, p, j0, j1)
+			case loopGAg:
+				k.runGAg(sw, p, j0, j1)
+			case loopCache:
+				k.runCache(sw, p, j0, j1)
+			default:
+				k.runGeneric(sw, p, j0, j1)
+			}
+		}
+		flush := func() { k.flushLane(sw) }
 		sw.stop, sw.err = runSegments(p, v, j0, j1, ctx, seg, flush)
 	}
 	var wg sync.WaitGroup
-	for w := range workers {
-		workers[w].miss = miss
-		if w > 0 {
-			workers[w].miss = make([]uint64, len(miss)) //lint:allow hotalloc per-worker bitset: O(shards) setup, not per-event work
+	for w := range lanes {
+		sw := &lanes[w]
+		sw.part, sw.mask, sw.miss = uint32(w), uint32(g-1), miss
+		if w == 0 {
+			continue // lane 0 runs on the calling goroutine, below
 		}
+		sw.miss = make([]uint64, len(miss)) //lint:allow hotalloc per-lane bitset: O(shards) setup, not per-event work
 		wg.Add(1)
-		go func(w int) { //lint:allow hotalloc per-worker spawn: O(shards) setup, not per-event work
+		go func() { //lint:allow hotalloc per-lane spawn: O(shards) setup, not per-event work
 			defer wg.Done()
-			work(w, 0, v.conds, k.cfg.Context)
-		}(w)
+			work(sw, 0, v.conds, k.cfg.Context)
+		}()
 	}
+	work(&lanes[0], 0, v.conds, k.cfg.Context)
 	wg.Wait()
 	var err error
 	stop := 0
-	for w := range workers {
-		stop = max(stop, workers[w].stop)
-		if err == nil && workers[w].err != nil {
-			err = workers[w].err
+	for w := range lanes {
+		stop = max(stop, lanes[w].stop)
+		if err == nil && lanes[w].err != nil {
+			err = lanes[w].err
 		}
 	}
-	if err != nil {
-		// Catch-up: workers behind the furthest poll index resolve their
-		// own partition (disjoint state, no polling) up to it. At most
-		// one poll window of branches per worker, run serially.
-		for w := range workers {
-			if workers[w].stop < stop {
-				work(w, workers[w].stop, stop, nil)
-			}
+	for w := range lanes {
+		sw := &lanes[w]
+		if sw.stop < stop {
+			// Catch-up: a lane behind the furthest poll index resolves
+			// its own partition (disjoint state, no polling) up to it. At
+			// most one poll window of branches per lane, run serially.
+			work(sw, sw.stop, stop, nil)
 		}
-	}
-	st := k.st
-	for w := range workers {
-		sw := &workers[w]
-		if w > 0 {
-			for i, x := range sw.miss {
-				miss[i] |= x
-			}
-		}
-		k.c.TargetPredictions += sw.tp
-		k.c.TargetCorrect += sw.tc
-		st.Lookups += sw.Lookups
-		st.Misses += sw.Misses
+		k.settle(sw, miss)
 	}
 	return stop, err
 }
 
-// runShard is the per-worker loop: the generic flat branch step applied
-// only to branches whose pc>>2 low bits select partition w, over branches
-// [j0, j1) of the plan.
-func (k *Kernel) runShard(sw *shardWorker, w, partMask uint32, p *Plan, j0, j1 int) {
-	st := k.st
-	histMask := st.HistMask
-	delta, predMask := st.Delta, st.PredMask
-	useCache := st.BHT == flat.CacheBHT
-	pcs, targets, outs := p.pcs, p.targets, p.outs
-	miss := sw.miss
-	var tp, tc uint64
-	wd := miss[j0>>6]
-	for j := j0; j < j1; j++ {
-		if pc := pcs[j]; pc>>2&partMask == w {
-			o := uint32(outs[j])
-			slot := -1
-			if useCache {
-				slot = st.LookupCache(&sw.LookupCounts, pc)
-			}
-			hp := st.History(pc, slot)
-			states, touched := st.Tables(pc, slot)
-			h := *hp
-			pat := h & histMask
-			s := states[pat]
-			pred := uint32(predMask >> s & 1)
-			wd |= uint64(pred^o) << (j & 63)
-			if useCache && pred&o != 0 {
-				tp++
-				if t := st.Targets[slot]; t != 0 && t == targets[j] {
-					tc++
-				}
-			}
-			states[pat] = delta[uint32(s)<<1|o]
-			touched[pat>>6] |= 1 << (pat & 63)
-			h = flat.Shift(h, o, histMask)
-			*hp = h
-			if slot >= 0 {
-				st.Preds[slot] = predMask>>states[h]&1 != 0
-				if o != 0 {
-					st.Targets[slot] = targets[j]
-				}
-			}
-		}
-		if j&63 == 63 {
-			miss[j>>6] = wd
-			wd = 0
+// settle folds one lane into the replay: its mispredict bits into miss
+// (lane 0 resolves into miss itself), its target counters into the
+// kernel's and its lookup counters into the predictor's state.
+func (k *Kernel) settle(sw *shardWorker, miss []uint64) {
+	if sw.part != 0 {
+		for i, x := range sw.miss {
+			miss[i] |= x
 		}
 	}
-	if j1&63 != 0 {
-		miss[j1>>6] = wd
+	k.c.TargetPredictions += sw.tp
+	k.c.TargetCorrect += sw.tc
+	if st := k.st; st != nil {
+		st.Lookups += sw.Lookups
+		st.Misses += sw.Misses
 	}
-	sw.tp += tp
-	sw.tc += tc
 }
 
-// flushShard invalidates the worker's partition of the BHT and
-// reinitialises its history registers (context switch, §5.1.4).
-func (k *Kernel) flushShard(w, g uint32) {
+// flushLane applies a context switch (§5.1.4) to the lane's partition:
+// it invalidates the partition's BHT sets and reinitialises its history
+// registers. A lane under mask 0 owns the whole predictor and flushes
+// all of it.
+func (k *Kernel) flushLane(sw *shardWorker) {
 	st := k.st
+	if st == nil {
+		return
+	}
+	if sw.mask == 0 {
+		st.Flush()
+		return
+	}
+	w, g := int(sw.part), int(sw.mask)+1
 	if st.BHT == flat.CacheBHT {
 		sets := int(st.SetMask) + 1
-		for set := int(w); set < sets; set += int(g) {
+		for set := w; set < sets; set += g {
 			clear(st.Valid[set*st.Assoc : (set+1)*st.Assoc])
 		}
 	}
-	for i := int(w); i < len(st.SetHists); i += int(g) {
+	for i := w; i < len(st.SetHists); i += g {
 		st.SetHists[i] = st.ResetHist
 	}
 }

@@ -2,7 +2,7 @@ package telemetry
 
 // The per-site fold the replay Tap's hot-branch profile and Forensics
 // share. The fold* functions are held to the kernel's loop contract by
-// the hotalloc and flatloop analyzers.
+// the hotalloc analyzer.
 
 import (
 	"container/heap"
