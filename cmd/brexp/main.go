@@ -49,13 +49,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
 
 	"twolevel"
+	"twolevel/internal/profile"
 )
 
 func main() {
@@ -119,17 +118,11 @@ func run() error {
 		return nil
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stopCPU, err := profile.StartCPU(*cpuProf)
+	if err != nil {
+		return err
 	}
+	defer stopCPU()
 
 	opts := twolevel.ExperimentOptions{
 		CondBranches:      *branches,
@@ -152,44 +145,6 @@ func run() error {
 		rootSpan = tracer.Root("suite")
 		opts.Span = rootSpan
 	}
-	// flushSpans closes the root span and writes the requested exports;
-	// call it once after the run body finishes.
-	flushSpans := func() error {
-		if tracer == nil {
-			return nil
-		}
-		rootSpan.End()
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return err
-			}
-			if err := tracer.WriteChromeTrace(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			log.Debug("trace written", "path", *traceOut)
-		}
-		if *spanSum != "" {
-			w := io.Writer(os.Stderr)
-			if *spanSum != "-" {
-				f, err := os.Create(*spanSum)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := tracer.Summary().WriteText(w); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	// -listen serves the live monitoring endpoints for the whole run; the
 	// monitor's final snapshot lands in the metrics document so the last
 	// scrape and metrics.json agree.
@@ -289,7 +244,8 @@ func run() error {
 			reports = append(reports, r)
 		}
 	}
-	if err := flushSpans(); err != nil {
+	rootSpan.End()
+	if err := tracer.WriteFiles(*traceOut, *spanSum); err != nil {
 		return err
 	}
 
@@ -357,16 +313,8 @@ func run() error {
 		log.Debug("forensics written", "path", *forensics, "runs", len(opts.Telemetry.ForensicsRuns()))
 	}
 
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
+	if err := profile.WriteHeap(*memProf); err != nil {
+		return err
 	}
 	if len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "brexp: %d experiment(s) had failed cells (tables show \"-\"):\n", len(failures))

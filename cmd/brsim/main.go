@@ -1,6 +1,13 @@
 // Command brsim runs branch predictor configurations over one or more
 // benchmarks and reports accuracy.
 //
+// Each benchmark's testing data (or the -trace file) is captured once, up
+// to the -branches budget. A scheme whose pattern tables that capture
+// would oversize is refused before anything is trained or built; the
+// training-based schemes train on one capture of the benchmark's
+// training data; then every scheme replays the capture in one
+// experiments.RunBatch pass, the cell path brexp and brserve take too.
+//
 // Usage:
 //
 //	brsim -scheme 'PAg(BHT(512,4,12-sr),1xPHT(2^12,A2))'
@@ -8,7 +15,7 @@
 //	brsim -scheme Profiling -bench li            # trains on li's training set
 //	brsim -scheme 'PAg(BHT(512,4,12-sr),1xPHT(2^12,A2))' -pipeline 8
 //	brsim -scheme GAg'(HR(1,,8-sr),1xPHT(2^8,A2))' -scheme AlwaysTaken
-//	                                             # batched: one decode pass feeds both
+//	                                             # batched: both replay one capture
 //	brsim -scheme AlwaysTaken -trace trace.bin   # simulate from a trace file
 //	brsim -bench gcc -hot 10                     # worst-predicted branches
 //	brsim -bench gcc -explain 0x1a2c             # why does this branch mispredict?
@@ -22,18 +29,20 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"text/tabwriter"
+	"time"
 
 	"twolevel"
+	"twolevel/internal/experiments"
+	"twolevel/internal/profile"
+	"twolevel/internal/spec"
 )
 
 const defaultScheme = "PAg(BHT(512,4,12-sr),1xPHT(2^12,A2))"
@@ -56,27 +65,26 @@ func main() {
 
 func run() error {
 	var schemes schemeList
-	flag.Var(&schemes, "scheme", "predictor specification (repeatable: all schemes replay one shared decode pass per benchmark; default "+defaultScheme+")")
+	flag.Var(&schemes, "scheme", "predictor specification (repeatable: all schemes replay one shared pass per benchmark; default "+defaultScheme+")")
 	var (
-		benchCSV   = flag.String("bench", "", "comma-separated benchmarks (default: all nine)")
-		branches   = flag.Uint64("branches", 100_000, "conditional branches per benchmark")
-		trainN     = flag.Uint64("train", 0, "training branches for GSg/PSg/Profiling (0 = same as -branches)")
-		pipeline   = flag.Int("pipeline", 0, "pipeline depth (0 = resolve immediately)")
-		traceFile  = flag.String("trace", "", "simulate a binary trace file instead of benchmarks")
-		hotK       = flag.Int("hot", 0, "print the top-K static branches by mispredictions per run")
-		interval   = flag.Uint64("interval", 0, "sample accuracy every N resolved branches (metrics file only)")
-		metrics    = flag.String("metrics", "", "write per-run telemetry as JSON to this file")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile to this file")
-		workersN   = flag.Int("j", 0, "benchmarks simulated in parallel (0 = GOMAXPROCS)")
-		traceReuse = flag.Bool("trace-reuse", true, "capture each training trace once and replay it for every training-based scheme")
-		timeout    = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
-		explainPC  = flag.String("explain", "", "diagnose why this branch PC (hex or decimal) mispredicts: collect a forensics report on each run and print a post-mortem")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace-event JSON (chrome://tracing, Perfetto) of the run's spans to this file")
-		spanSum    = flag.String("span-summary", "", "write the aggregated span-latency summary tree to this file (\"-\" = stderr)")
-		logFormat  = flag.String("log-format", "text", "log encoding: text or json")
-		logLevel   = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
-		version    = flag.Bool("version", false, "print build provenance and exit")
+		benchCSV  = flag.String("bench", "", "comma-separated benchmarks (default: all nine)")
+		branches  = flag.Uint64("branches", 100_000, "conditional branches per benchmark")
+		trainN    = flag.Uint64("train", 0, "training branches for GSg/PSg/Profiling (0 = same as -branches)")
+		pipeline  = flag.Int("pipeline", 0, "pipeline depth (0 = resolve immediately)")
+		traceFile = flag.String("trace", "", "simulate a binary trace file instead of benchmarks")
+		hotK      = flag.Int("hot", 0, "print the top-K static branches by mispredictions per run")
+		interval  = flag.Uint64("interval", 0, "sample accuracy every N resolved branches (metrics file only)")
+		metrics   = flag.String("metrics", "", "write per-run telemetry as JSON to this file")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf   = flag.String("memprofile", "", "write a heap profile to this file")
+		workersN  = flag.Int("j", 0, "benchmarks simulated in parallel (0 = GOMAXPROCS)")
+		timeout   = flag.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
+		explainPC = flag.String("explain", "", "diagnose why this branch PC (hex or decimal) mispredicts: collect a forensics report on each run and print a post-mortem")
+		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON (chrome://tracing, Perfetto) of the run's spans to this file")
+		spanSum   = flag.String("span-summary", "", "write the aggregated span-latency summary tree to this file (\"-\" = stderr)")
+		logFormat = flag.String("log-format", "text", "log encoding: text or json")
+		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn or error")
+		version   = flag.Bool("version", false, "print build provenance and exit")
 	)
 	flag.Parse()
 
@@ -95,6 +103,9 @@ func run() error {
 			return fmt.Errorf("-explain: %w", err)
 		}
 		explain = uint32(pc)
+	}
+	if *branches == 0 && *traceFile == "" {
+		return fmt.Errorf("-branches must be positive: benchmark sources never end")
 	}
 
 	// Ctrl-C / SIGTERM (and -timeout) cancel every simulation promptly;
@@ -122,17 +133,11 @@ func run() error {
 		*trainN = *branches
 	}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+	stopCPU, err := profile.StartCPU(*cpuProf)
+	if err != nil {
+		return err
 	}
+	defer stopCPU()
 
 	// -trace-out / -span-summary attach a span tracer; each batched replay
 	// pass lands on one "replay" span under the suite root. Absent, the
@@ -142,40 +147,6 @@ func run() error {
 	if *traceOut != "" || *spanSum != "" {
 		tracer = twolevel.NewSpanTracer()
 		rootSpan = tracer.Root("suite")
-	}
-	flushSpans := func() error {
-		if tracer == nil {
-			return nil
-		}
-		rootSpan.End()
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return err
-			}
-			if err := tracer.WriteChromeTrace(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-		if *spanSum != "" {
-			w := io.Writer(os.Stderr)
-			if *spanSum != "-" {
-				f, err := os.Create(*spanSum)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := tracer.Summary().WriteText(w); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 
 	// schemeOut is one (scheme, source) run's harvest; done folds it into
@@ -215,51 +186,97 @@ func run() error {
 			"accuracy", out.res.Accuracy.Rate(), "instructions", out.res.Instructions)
 	}
 
-	// runBatch builds one predictor per scheme (training as needed via
-	// trainSource) and replays all of them down a single pass of src.
-	runBatch := func(src twolevel.Source, trainSource func() (twolevel.Source, error)) ([]schemeOut, error) {
-		preds := make([]twolevel.Predictor, len(schemes))
-		optsList := make([]twolevel.SimOptions, len(schemes))
-		outs := make([]schemeOut, len(schemes))
-		for i, s := range schemes {
-			var err error
-			if sps[i].NeedsTraining() {
-				if trainSource == nil {
-					return nil, fmt.Errorf("training-based schemes need benchmark training data, not a raw trace")
-				}
-				tsrc, err2 := trainSource()
-				if err2 != nil {
-					return nil, err2
-				}
-				preds[i], err = twolevel.NewTrainedPredictor(s, tsrc)
-			} else {
-				preds[i], err = twolevel.NewPredictor(s)
-			}
-			if err != nil {
-				return nil, err
-			}
-			outs[i].sink = &twolevel.SimTelemetry{Interval: *interval, TopK: max(*hotK, 0)}
-			if *explainPC != "" {
-				outs[i].sink.Forensics = twolevel.NewForensics(twolevel.ForensicsConfig{Budget: *branches})
-			}
-			optsList[i] = twolevel.SimOptions{
-				ContextSwitches: sps[i].ContextSwitch,
-				MaxCondBranches: *branches,
-				PipelineDepth:   *pipeline,
-				Context:         ctx,
-				Span:            rootSpan,
-				Telemetry:       outs[i].sink,
-			}
+	// runCells measures every scheme on one capture of test, the cell
+	// path brexp and brserve share: refuse a scheme whose tables the
+	// capture would oversize, train the schemes that need it over
+	// openTrain's first -train conditional branches (nil for a trace
+	// file, which has no training data), then replay all of them in one
+	// experiments.RunBatch pass over the capture.
+	runCells := func(where string, test twolevel.Source, openTrain func() (twolevel.Source, error)) ([]schemeOut, error) {
+		if *branches > 0 {
+			test = twolevel.LimitConditional(test, *branches)
 		}
-		start := twolevel.ReadCost()
-		results, err := twolevel.SimulateMany(preds, src, optsList)
+		snap, err := twolevel.PackTrace(test)
 		if err != nil {
 			return nil, err
 		}
-		end := twolevel.ReadCost()
-		for i := range outs {
-			outs[i].res = results[i]
-			outs[i].stats = twolevel.RunStatsFor(results[i], preds[i], start, end)
+		for i, sp := range sps {
+			if err := sp.CheckTables(snap.Sites()); err != nil {
+				return nil, fmt.Errorf("scheme %s: %w", schemes[i], err)
+			}
+		}
+		tds := make([]*spec.TrainingData, len(sps))
+		var train twolevel.TraceSnapshot
+		for i, sp := range sps {
+			if !sp.NeedsTraining() {
+				continue
+			}
+			if openTrain == nil {
+				return nil, fmt.Errorf("training-based schemes need benchmark training data, not a raw trace")
+			}
+			if train.Len() == 0 {
+				src, err := openTrain()
+				if err != nil {
+					return nil, err
+				}
+				if train, err = twolevel.PackTrace(twolevel.LimitConditional(src, *trainN)); err != nil {
+					return nil, err
+				}
+			}
+			if tds[i], err = spec.Train(sp, train.Reader()); err != nil {
+				return nil, err
+			}
+		}
+
+		outs := make([]schemeOut, len(sps))
+		preds := make([]twolevel.Predictor, len(sps))
+		names := make([]string, len(sps))
+		for i, sp := range sps {
+			names[i] = sp.String()
+		}
+		var from experiments.CostStamp
+		_, errs := experiments.RunBatch(experiments.Batch{
+			Bench: where,
+			Specs: names,
+			Setup: func(i int, parent *twolevel.Span) (twolevel.Predictor, twolevel.SimOptions, error) {
+				// A fresh sink per setup: a cell run alone after its batch
+				// failed never mixes in the failed pass's samples.
+				sink := &twolevel.SimTelemetry{Interval: *interval, TopK: max(*hotK, 0)}
+				if *explainPC != "" {
+					sink.Forensics = twolevel.NewForensics(twolevel.ForensicsConfig{Budget: *branches})
+				}
+				outs[i].sink = sink
+				var err error
+				preds[i], err = spec.Build(sps[i], tds[i])
+				return preds[i], twolevel.SimOptions{
+					ContextSwitches: sps[i].ContextSwitch,
+					MaxCondBranches: *branches,
+					PipelineDepth:   *pipeline,
+					Context:         ctx,
+					Span:            parent,
+					Telemetry:       sink,
+				}, err
+			},
+			Open: func() (twolevel.Source, error) {
+				// Stats start once every cell of the pass is built.
+				from = experiments.ReadCost()
+				return snap.Reader(), nil
+			},
+			Done: func(_ int, cells []int, res []twolevel.SimResult, _ time.Duration) {
+				to := experiments.ReadCost()
+				for k, i := range cells {
+					outs[i].res = res[k]
+					outs[i].stats = experiments.RunStats(res[k], preds[i], from, to)
+				}
+			},
+			Context: ctx,
+			Span:    rootSpan,
+			Logger:  log,
+		})
+		for _, ce := range errs {
+			if ce != nil {
+				return nil, ce
+			}
 		}
 		return outs, nil
 	}
@@ -274,7 +291,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		outs, err := runBatch(src, nil)
+		outs, err := runCells(*traceFile, src, nil)
 		if err != nil {
 			return err
 		}
@@ -282,10 +299,7 @@ func run() error {
 			fmt.Printf("%s on %s: %s\n", sps[i].String(), *traceFile, out.res.Accuracy)
 			done(sps[i], *traceFile, out)
 		}
-		if err := flushSpans(); err != nil {
-			return err
-		}
-		return finish(*metrics, *memProf, &doc)
+		return finish(rootSpan, tracer, *traceOut, *spanSum, *metrics, *memProf, &doc)
 	}
 
 	benchmarks := twolevel.Benchmarks()
@@ -297,33 +311,6 @@ func run() error {
 				return err
 			}
 			benchmarks = append(benchmarks, b)
-		}
-	}
-
-	// trainSource builds per-benchmark training streams. With -trace-reuse
-	// the training events are captured once and every training-based
-	// scheme replays the same in-memory trace; without it each scheme
-	// re-runs the interpreter.
-	trainSourceFor := func(b *twolevel.Benchmark) func() (twolevel.Source, error) {
-		var captured *twolevel.TraceSnapshot
-		return func() (twolevel.Source, error) {
-			if captured != nil {
-				return captured.Reader(), nil
-			}
-			src, err := b.NewSource(b.Training)
-			if err != nil {
-				return nil, err
-			}
-			limited := twolevel.LimitConditional(src, *trainN)
-			if !*traceReuse {
-				return limited, nil
-			}
-			snap, err := twolevel.PackTrace(limited)
-			if err != nil {
-				return nil, err
-			}
-			captured = &snap
-			return snap.Reader(), nil
 		}
 	}
 
@@ -352,7 +339,9 @@ func run() error {
 					results[i] = benchOut{err: err}
 					continue
 				}
-				outs, err := runBatch(src, trainSourceFor(b))
+				outs, err := runCells(b.Name, src, func() (twolevel.Source, error) {
+					return b.NewSource(b.Training)
+				})
 				results[i] = benchOut{outs: outs, err: err}
 			}
 		}()
@@ -391,10 +380,7 @@ func run() error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	if err := flushSpans(); err != nil {
-		return err
-	}
-	return finish(*metrics, *memProf, &doc)
+	return finish(rootSpan, tracer, *traceOut, *spanSum, *metrics, *memProf, &doc)
 }
 
 // printExplanation renders the -explain post-mortem for one run: the
@@ -426,8 +412,13 @@ func printHot(name string, res twolevel.SimResult, sink *twolevel.SimTelemetry) 
 	tw.Flush()
 }
 
-// finish writes the metrics document and heap profile, if requested.
-func finish(metrics, memProf string, doc *twolevel.MetricsDocument) error {
+// finish closes the root span and writes the span exports, the metrics
+// document and the heap profile that were asked for.
+func finish(root *twolevel.Span, tracer *twolevel.SpanTracer, traceOut, spanSum, metrics, memProf string, doc *twolevel.MetricsDocument) error {
+	root.End()
+	if err := tracer.WriteFiles(traceOut, spanSum); err != nil {
+		return err
+	}
 	if metrics != "" {
 		f, err := os.Create(metrics)
 		if err != nil {
@@ -441,16 +432,5 @@ func finish(metrics, memProf string, doc *twolevel.MetricsDocument) error {
 			return err
 		}
 	}
-	if memProf != "" {
-		f, err := os.Create(memProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
-	}
-	return nil
+	return profile.WriteHeap(memProf)
 }

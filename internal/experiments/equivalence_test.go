@@ -45,11 +45,11 @@ func TestCachedReplayMatchesLive(t *testing.T) {
 	for _, s := range equivalenceSpecs {
 		sp := spec.MustParse(s)
 		for _, b := range equivalenceBenchmarks(t) {
-			live, err := RunSpec(sp, b, Options{CondBranches: budget, DisableTraceCache: true})
+			live, err := runCell(sp, b, Options{CondBranches: budget, DisableTraceCache: true})
 			if err != nil {
 				t.Fatalf("%s/%s live: %v", s, b.Name, err)
 			}
-			cached, err := RunSpec(sp, b, Options{CondBranches: budget})
+			cached, err := runCell(sp, b, Options{CondBranches: budget})
 			if err != nil {
 				t.Fatalf("%s/%s cached: %v", s, b.Name, err)
 			}
@@ -75,7 +75,7 @@ func TestGridMatchesSerialLive(t *testing.T) {
 	}
 	for ri, row := range rows {
 		for bi, b := range benchmarks {
-			live, err := RunSpec(row.sp, b, Options{CondBranches: budget, DisableTraceCache: true})
+			live, err := runCell(row.sp, b, Options{CondBranches: budget, DisableTraceCache: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,8 +88,8 @@ func TestGridMatchesSerialLive(t *testing.T) {
 }
 
 // TestPipelinedReplayMatchesLive covers the §3.1 timing model: a pipelined
-// run resolves its budget only after consuming PipelineDepth extra
-// conditional branches, so replay needs a capture sized budget+depth.
+// run fetches no branch past its budget, so a capture sized to the budget
+// replays it exactly like the live interpreter.
 func TestPipelinedReplayMatchesLive(t *testing.T) {
 	const budget, depth = 4000, 5
 	sp := spec.MustParse("PAg(BHT(512,4,10-sr),1xPHT(2^10,A2))")
@@ -117,7 +117,7 @@ func TestPipelinedReplayMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := o.source(b, b.Testing, budget+depth)
+	src, err := o.source(b, b.Testing, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -348,56 +348,7 @@ func trainingData(sp spec.Spec, b *prog.Benchmark, o Options) (*spec.TrainingDat
 			span.Str("bench", b.Name), span.Uint64("budget", budget))
 		defer tsp.End()
 	}
-	limited := &trace.LimitSource{Src: src, N: budget}
-	td := &spec.TrainingData{}
-	switch sp.Scheme {
-	case spec.SchemeProfiling:
-		td.Profile = predictor.NewProfileTrainer()
-		err = td.Profile.ObserveTrace(limited)
-	default:
-		td.Static, err = spec.NewTrainer(sp)
-		if err == nil {
-			err = td.Static.ObserveTrace(limited)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return td, nil
-}
-
-// RunSpec measures one predictor specification on one benchmark's testing
-// data set and returns the full simulation result. Every error is wrapped
-// with the spec and benchmark it belongs to, so failures surfacing from
-// the experiment fan-out stay attributable. When o.Telemetry is set the
-// run carries its telemetry sink and is recorded in the collector.
-func RunSpec(sp spec.Spec, b *prog.Benchmark, o Options) (sim.Result, error) {
-	o = o.withDefaults()
-	res, err := runSpec(sp, b, o)
-	if err != nil {
-		return res, fmt.Errorf("%s/%s: %w", sp, b.Name, err)
-	}
-	return res, nil
-}
-
-func runSpec(sp spec.Spec, b *prog.Benchmark, o Options) (sim.Result, error) {
-	p, opts, record, err := setupCell(sp, b, o)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	src, err := o.source(b, b.Testing, o.CondBranches)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	var from CostStamp
-	if record != nil {
-		from = ReadCost()
-	}
-	res, err := sim.Run(p, src, opts)
-	if err == nil && record != nil {
-		record(sp, b, res, from, 1)
-	}
-	return res, err
+	return spec.Train(sp, &trace.LimitSource{Src: src, N: budget})
 }
 
 // setupCell trains and builds sp's predictor for a measured run on b and
@@ -422,15 +373,6 @@ func setupCell(sp spec.Spec, b *prog.Benchmark, o Options) (p predictor.Predicto
 		opts.Telemetry, record = o.Telemetry.instrument(p, o.CondBranches)
 	}
 	return p, opts, record, nil
-}
-
-// Accuracy measures prediction accuracy of sp on b.
-func Accuracy(sp spec.Spec, b *prog.Benchmark, o Options) (float64, error) {
-	res, err := RunSpec(sp, b, o)
-	if err != nil {
-		return 0, err
-	}
-	return res.Accuracy.Rate(), nil
 }
 
 // benchColumns is the column layout shared by the accuracy figures:

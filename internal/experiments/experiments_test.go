@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"twolevel/internal/prog"
+	"twolevel/internal/sim"
 	"twolevel/internal/spec"
 )
 
@@ -360,12 +361,20 @@ func TestExtResidualSharesSum(t *testing.T) {
 	}
 }
 
+// runCell measures sp on b through the grid scheduler: a grid of one row
+// and one benchmark.
+func runCell(sp spec.Spec, b *prog.Benchmark, o Options) (sim.Result, error) {
+	o.Benchmarks = []*prog.Benchmark{b}
+	grid, err := runGrid([]labeledSpec{{label: sp.String(), sp: sp}}, o.withDefaults())
+	return grid[0][0], err
+}
+
 func TestRunSpecResultFields(t *testing.T) {
 	b, err := prog.ByName("espresso")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSpec(spec.MustParse("PAg(BHT(512,4,8-sr),1xPHT(2^8,A2),c)"), b, Options{CondBranches: 5000})
+	res, err := runCell(spec.MustParse("PAg(BHT(512,4,8-sr),1xPHT(2^8,A2),c)"), b, Options{CondBranches: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,10 +108,9 @@ type ForensicsDocument struct {
 func (t *Telemetry) ForensicsDocument() *ForensicsDocument {
 	runs := t.ForensicsRuns()
 	doc := &ForensicsDocument{
-		Version:     buildinfo.Read(),
-		TopK:        t.ForensicsTopK,
-		HistoryBits: t.ForensicsHistoryBits,
-		Runs:        runs,
+		Version: buildinfo.Read(),
+		TopK:    t.ForensicsTopK,
+		Runs:    runs,
 	}
 	if len(runs) > 0 {
 		doc.HistoryBits = runs[0].Report.HistoryBits

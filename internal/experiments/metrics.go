@@ -18,7 +18,7 @@ import (
 // measured on one benchmark, with the telemetry Telemetry collected.
 type RunMetrics struct {
 	// Experiment is the experiment ID the run belongs to (empty for
-	// direct RunSpec calls outside an experiment).
+	// runs outside an experiment).
 	Experiment string `json:"experiment,omitempty"`
 	// Spec is the predictor configuration in the paper's naming
 	// convention.
@@ -80,9 +80,6 @@ type Telemetry struct {
 	// report (flight recorder + H2P profiles) for every run, for
 	// ForensicsDocument.
 	ForensicsTopK int
-	// ForensicsHistoryBits overrides the forensic shadow history length
-	// (default per telemetry.ForensicsConfig).
-	ForensicsHistoryBits int
 
 	mu          sync.Mutex
 	current     string // experiment ID runs are stamped with
@@ -95,7 +92,7 @@ type Telemetry struct {
 // ForensicsRun is one run's forensics report with its grid coordinates.
 type ForensicsRun struct {
 	// Experiment is the experiment ID the run belongs to (empty for
-	// direct RunSpec calls outside an experiment).
+	// runs outside an experiment).
 	Experiment string `json:"experiment,omitempty"`
 	// Spec and Benchmark name the grid cell.
 	Spec      string `json:"spec"`
@@ -121,9 +118,8 @@ func (t *Telemetry) instrument(p predictor.Predictor, budget uint64) (*sim.Telem
 	sink := &sim.Telemetry{Interval: t.Interval, TopK: t.HotK}
 	if t.ForensicsTopK > 0 {
 		sink.Forensics = telemetry.NewForensics(telemetry.ForensicsConfig{
-			TopK:        t.ForensicsTopK,
-			HistoryBits: t.ForensicsHistoryBits,
-			Budget:      budget,
+			TopK:   t.ForensicsTopK,
+			Budget: budget,
 		})
 	}
 	record := func(sp spec.Spec, b *prog.Benchmark, res sim.Result, from CostStamp, batch int) {
@@ -195,7 +191,7 @@ func RunStats(res sim.Result, p predictor.Predictor, from, to CostStamp) telemet
 // alone, so collecting them costs the run no observer.
 func resultCounts(res sim.Result, p predictor.Predictor) telemetry.RunMetrics {
 	m := telemetry.RunMetrics{
-		Events:          resultEvents(res),
+		Events:          ResultEvents(res),
 		Predictions:     res.Accuracy.Predictions + res.Repredictions,
 		Resolutions:     res.Accuracy.Predictions,
 		Mispredictions:  res.Accuracy.Predictions - res.Accuracy.Correct,

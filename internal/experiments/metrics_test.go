@@ -15,7 +15,7 @@ import (
 	"twolevel/internal/trace"
 )
 
-// observedRun replays sp on b's testing capture as RunSpec does, with
+// observedRun replays sp on b's testing capture as the grid does, with
 // obs attached: the Observer-fed oracle of the telemetry sink.
 func observedRun(t *testing.T, sp spec.Spec, b *prog.Benchmark, budget uint64, obs telemetry.Observer) sim.Result {
 	t.Helper()
@@ -54,7 +54,7 @@ func TestTelemetryReplaysOnKernel(t *testing.T) {
 	tel := &Telemetry{HotK: hotK, Interval: interval}
 	tracer := span.New()
 	root := tracer.Root("test")
-	res, err := RunSpec(sp, b, Options{CondBranches: budget, Telemetry: tel, Span: root})
+	res, err := runCell(sp, b, Options{CondBranches: budget, Telemetry: tel, Span: root})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestTelemetryForensicsOnKernel(t *testing.T) {
 	tel := &Telemetry{ForensicsTopK: 2, Interval: 500}
 	tracer := span.New()
 	root := tracer.Root("test")
-	res, err := RunSpec(sp, b, Options{CondBranches: budget, Telemetry: tel, Span: root})
+	res, err := runCell(sp, b, Options{CondBranches: budget, Telemetry: tel, Span: root})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,37 +57,19 @@ type Monitor struct {
 // NewMonitor returns a monitor with its clock started.
 func NewMonitor() *Monitor { return &Monitor{start: time.Now()} } //lint:allow determinism live-monitoring clock; /metrics and /progress are not byte-identical surfaces
 
-// resultEvents is the simulator-event count of one completed run, defined
+// ResultEvents is the simulator-event count of one completed run, defined
 // to match exactly what a RunStats observer counts for the same run
 // (predictions incl. repredictions + resolutions + traps + context
 // switches), so the monitor's event total agrees with the per-run Events
-// sums in metrics.json.
-func resultEvents(res sim.Result) uint64 {
+// sums in metrics.json. The grid scheduler and brserve's request executor
+// both charge cells with it.
+func ResultEvents(res sim.Result) uint64 {
 	return 2*res.Accuracy.Predictions + res.Repredictions + res.Traps + res.ContextSwitches
-}
-
-func (m *Monitor) addPlanned(n int) {
-	if m != nil && n > 0 {
-		m.cellsPlanned.Add(uint64(n))
-	}
-}
-
-func (m *Monitor) cellDone(events uint64) {
-	if m != nil {
-		m.cellsDone.Add(1)
-		m.events.Add(events)
-	}
 }
 
 func (m *Monitor) cellRestored() {
 	if m != nil {
 		m.cellsRestored.Add(1)
-	}
-}
-
-func (m *Monitor) cellsFailedAdd(n int) {
-	if m != nil && n > 0 {
-		m.cellsFailed.Add(uint64(n))
 	}
 }
 
@@ -109,9 +91,31 @@ func (m *Monitor) checkpointFlush() {
 	}
 }
 
-// observeCells records n cells completing with per-cell duration d each
+// AddPlanned records n newly scheduled cells.
+func (m *Monitor) AddPlanned(n int) {
+	if m != nil && n > 0 {
+		m.cellsPlanned.Add(uint64(n))
+	}
+}
+
+// CellDone records one completed cell and its simulator events.
+func (m *Monitor) CellDone(events uint64) {
+	if m != nil {
+		m.cellsDone.Add(1)
+		m.events.Add(events)
+	}
+}
+
+// CellsFailed records n cells that gave up.
+func (m *Monitor) CellsFailed(n int) {
+	if m != nil && n > 0 {
+		m.cellsFailed.Add(uint64(n))
+	}
+}
+
+// ObserveCells records n cells completing with per-cell duration d each
 // (a batched pass charges every member an equal share of the pass).
-func (m *Monitor) observeCells(d time.Duration, n int) {
+func (m *Monitor) ObserveCells(d time.Duration, n int) {
 	if m == nil {
 		return
 	}
@@ -119,29 +123,6 @@ func (m *Monitor) observeCells(d time.Duration, n int) {
 		m.cellTimes.Observe(d)
 	}
 }
-
-// ResultEvents returns the simulator-event count of one completed run —
-// the unit the monitor's Events counter accumulates. Exported so
-// out-of-package schedulers (internal/server) charge cells identically
-// to the grid scheduler.
-func ResultEvents(res sim.Result) uint64 { return resultEvents(res) }
-
-// AddPlanned, CellDone, CellsFailed and ObserveCells are the exported
-// halves of the scheduler hooks, for out-of-package cell
-// schedulers (the brserve request executor) that drive per-tenant
-// monitors. All are nil-monitor safe, like their unexported twins.
-
-// AddPlanned records n newly scheduled cells.
-func (m *Monitor) AddPlanned(n int) { m.addPlanned(n) }
-
-// CellDone records one completed cell and its simulator events.
-func (m *Monitor) CellDone(events uint64) { m.cellDone(events) }
-
-// CellsFailed records n cells that gave up.
-func (m *Monitor) CellsFailed(n int) { m.cellsFailedAdd(n) }
-
-// ObserveCells records n cells completing with per-cell duration d each.
-func (m *Monitor) ObserveCells(d time.Duration, n int) { m.observeCells(d, n) }
 
 // AttachTracer publishes tr on the monitor's /spans endpoint. Safe to
 // call on a nil monitor or with a nil tracer (detaches).

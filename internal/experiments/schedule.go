@@ -57,7 +57,7 @@ func runGrid(rows []labeledSpec, o Options) ([][]sim.Result, error) {
 		return grid, nil
 	}
 	log := logx.Or(o.Logger)
-	o.Monitor.addPlanned(len(rows) * len(o.Benchmarks))
+	o.Monitor.AddPlanned(len(rows) * len(o.Benchmarks))
 	// Restore checkpointed cells; only the remainder is scheduled.
 	pending := make([][]int, len(o.Benchmarks))
 	for bi, b := range o.Benchmarks {
@@ -98,7 +98,7 @@ func runGrid(rows []labeledSpec, o Options) ([][]sim.Result, error) {
 				cellErrs[ti] = runTask(t, rows, grid, uo)
 				var err error
 				if len(cellErrs[ti]) > 0 {
-					o.Monitor.cellsFailedAdd(len(cellErrs[ti]))
+					o.Monitor.CellsFailed(len(cellErrs[ti]))
 					err = &GridError{Cells: cellErrs[ti]}
 				}
 				if o.Checkpoint != nil {
@@ -138,7 +138,7 @@ func runGrid(rows []labeledSpec, o Options) ([][]sim.Result, error) {
 		default:
 			continue
 		}
-		o.Monitor.cellsFailedAdd(len(cellErrs[ti]))
+		o.Monitor.CellsFailed(len(cellErrs[ti]))
 	}
 	if undispatched > 0 {
 		log.Warn("grid cancelled before dispatch completed",
@@ -316,7 +316,7 @@ func runTask(t gridTask, rows []labeledSpec, grid [][]sim.Result, o Options) []*
 		Done: func(attempt int, cells []int, res []sim.Result, elapsed time.Duration) {
 			// The cells of a pass share it, so each is charged an equal
 			// share of the pass for latency percentiles and ETA.
-			o.Monitor.observeCells(elapsed/time.Duration(len(cells)), len(cells))
+			o.Monitor.ObserveCells(elapsed/time.Duration(len(cells)), len(cells))
 			var fsp *span.Span
 			if o.Telemetry != nil {
 				fsp = o.Span.Child("forensics", span.Int("batch", len(cells)))
@@ -351,7 +351,7 @@ func runTask(t gridTask, rows []labeledSpec, grid [][]sim.Result, o Options) []*
 // events/sec. Batched cells share their pass's duration, so their
 // events/sec figure measures the pass, not the cell alone.
 func logCellDone(log *slog.Logger, label string, b *prog.Benchmark, res sim.Result, dur time.Duration, attempt, batch int) {
-	events := resultEvents(res)
+	events := ResultEvents(res)
 	eps := 0.0
 	if s := dur.Seconds(); s > 0 {
 		eps = float64(events) / s
@@ -374,7 +374,7 @@ func taskErrors(t gridTask, rows []labeledSpec, b *prog.Benchmark, err error) []
 // recordCell stores a completed cell in the checkpoint, if one is
 // attached, and lands its event count in the monitor.
 func recordCell(sp spec.Spec, b *prog.Benchmark, res sim.Result, o Options) {
-	o.Monitor.cellDone(resultEvents(res))
+	o.Monitor.CellDone(ResultEvents(res))
 	if o.Checkpoint != nil {
 		o.Checkpoint.record(cellKey(sp, b, o), res)
 	}

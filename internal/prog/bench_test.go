@@ -17,7 +17,7 @@ func BenchmarkCaptureCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, bm := range All {
 			for _, ds := range []DataSet{bm.Testing, bm.Training} {
-				snap, err := trace.NewCaptureCache().Capture(context.Background(), "cold", digestConds, func() (trace.Source, error) {
+				snap, _, err := trace.NewCaptureCache().CaptureWithStatus(context.Background(), "cold", digestConds, func() (trace.Source, error) {
 					return bm.NewSource(ds)
 				})
 				if err != nil {

@@ -26,7 +26,7 @@ func TestCaptureColumnsBounded(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			snap, err := cache.Capture(context.Background(), "cold", digestConds, func() (trace.Source, error) { return src, nil })
+			snap, _, err := cache.CaptureWithStatus(context.Background(), "cold", digestConds, func() (trace.Source, error) { return src, nil })
 			if err != nil {
 				t.Fatalf("%s/%s: %v", bm.Name, ds.Name, err)
 			}
@@ -48,7 +48,7 @@ func TestCaptureColumnsBounded(t *testing.T) {
 func TestCaptureFootprint(t *testing.T) {
 	cache := trace.NewCaptureCache()
 	for _, bm := range All {
-		if _, err := cache.Capture(context.Background(), bm.Name, 100_000, func() (trace.Source, error) { return bm.NewSource(bm.Testing) }); err != nil {
+		if _, _, err := cache.CaptureWithStatus(context.Background(), bm.Name, 100_000, func() (trace.Source, error) { return bm.NewSource(bm.Testing) }); err != nil {
 			t.Fatalf("%s: %v", bm.Name, err)
 		}
 	}

@@ -62,7 +62,7 @@ func digest(t testing.TB, b *Benchmark, ds DataSet) pinnedDigest {
 		t.Fatal(err)
 	}
 	src := cpu.NewSource(c, true)
-	snap, err := trace.NewCaptureCache().Capture(context.Background(), "digest", digestConds, func() (trace.Source, error) {
+	snap, _, err := trace.NewCaptureCache().CaptureWithStatus(context.Background(), "digest", digestConds, func() (trace.Source, error) {
 		return src, nil
 	})
 	if err != nil {

@@ -289,33 +289,17 @@ func (s *Server) train(ctx context.Context, t *tenant, sp spec.Spec, req GridReq
 	if !sp.NeedsTraining() {
 		return nil, nil
 	}
-	var src trace.Source
-	if req.Bench != "" {
-		snap, err := s.benchSnapshot(ctx, t, req.Bench, "training", budget, parent)
-		if err != nil {
-			return nil, err
-		}
-		src = snap.Reader()
-	} else {
-		snap, err := s.uploadSnapshot(ctx, t, req.Trace)
-		if err != nil {
-			return nil, err
-		}
-		src = snap.Reader()
-	}
-	limited := &trace.LimitSource{Src: src, N: budget}
-	td := &spec.TrainingData{}
+	var snap trace.Snapshot
 	var err error
-	switch sp.Scheme {
-	case spec.SchemeProfiling:
-		td.Profile = predictor.NewProfileTrainer()
-		err = td.Profile.ObserveTrace(limited)
-	default:
-		td.Static, err = spec.NewTrainer(sp)
-		if err == nil {
-			err = td.Static.ObserveTrace(limited)
-		}
+	if req.Bench != "" {
+		snap, err = s.benchSnapshot(ctx, t, req.Bench, "training", budget, parent)
+	} else {
+		snap, err = s.uploadSnapshot(ctx, t, req.Trace)
 	}
+	if err != nil {
+		return nil, err
+	}
+	td, err := spec.Train(sp, &trace.LimitSource{Src: snap.Reader(), N: budget})
 	if err != nil {
 		return nil, &httpError{status: 500, msg: fmt.Sprintf("training %s: %v", sp, err)}
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"twolevel/internal/telemetry"
 	"twolevel/internal/trace"
 )
 
@@ -26,15 +25,9 @@ type Multiplex struct {
 	quantum uint64
 	current int
 	used    uint64
-	// Switches counts the quantum expirations so far.
+	// Switches counts the quantum expirations so far; each one reaches
+	// the simulator as a trap event.
 	Switches uint64
-	// Observer, when non-nil, is notified (OnContextSwitch) at every
-	// quantum expiration — the multiplexer's switches are genuine
-	// context switches even though the simulator's flush model is
-	// usually disabled for multiplexed runs. Attach the same observer
-	// via sim.Options to get run-scoped Start/Finish; the multiplexer
-	// itself never calls them.
-	Observer telemetry.Observer
 }
 
 // NewMultiplex interleaves sources round-robin every quantum instructions
@@ -78,9 +71,6 @@ func (m *Multiplex) Next() (trace.Event, error) {
 		m.used = 0
 		m.current = (m.current + 1) % len(m.sources)
 		m.Switches++
-		if m.Observer != nil {
-			m.Observer.OnContextSwitch()
-		}
 		return trace.Event{Trap: true, Instrs: 0}, nil
 	}
 	m.used += uint64(e.Instrs)

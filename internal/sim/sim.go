@@ -40,7 +40,10 @@ type Options struct {
 	// CSInterval overrides the instruction quantum (default 500,000).
 	CSInterval uint64
 	// MaxCondBranches stops the run after this many conditional
-	// branches (0 = drain the source).
+	// branches have been fetched (0 = drain the source). A pipelined run
+	// fetches no further branch once the budget is reached and resolves
+	// the ones in flight, so every run resolves exactly the branches a
+	// source cut at the budget would give it.
 	MaxCondBranches uint64
 	// PipelineDepth, when > 0, models the §3.1 pipeline: a branch
 	// resolves (updates the predictor) only after PipelineDepth further
@@ -261,13 +264,14 @@ func newRunner(p predictor.Predictor, opts Options) runner {
 }
 
 // ready reports whether the runner still wants events. When the branch
-// budget has been reached it retires the in-flight queue and marks the
-// runner done — the top-of-loop budget check of the serial simulator.
+// budget has been fetched — resolved plus in flight — it retires the
+// in-flight queue and marks the runner done: the top-of-loop budget
+// check of the serial simulator.
 func (r *runner) ready() bool {
 	if r.done {
 		return false
 	}
-	if r.max > 0 && r.res.Accuracy.Predictions >= r.max {
+	if r.max > 0 && r.res.Accuracy.Predictions+uint64(r.qlen) >= r.max {
 		r.drain()
 		r.done = true
 		return false

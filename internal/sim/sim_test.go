@@ -216,6 +216,67 @@ func TestPipelinedDepthZeroEquivalence(t *testing.T) {
 	}
 }
 
+// mixedTrace builds n events over a few dozen branch sites: mostly
+// conditional branches with data-dependent outcomes, plus calls and the
+// occasional trap, so a budget cut lands mid-stream with more to come.
+func mixedTrace(n int) *trace.Trace {
+	tr := &trace.Trace{}
+	x := uint32(12345)
+	for i := 0; i < n; i++ {
+		x = x*1103515245 + 12345
+		switch {
+		case x>>28 == 0:
+			tr.Append(trace.Event{Trap: true, Instrs: 2})
+		case x>>27 == 2:
+			tr.Append(trace.Event{Instrs: 3, Branch: trace.Branch{PC: 0x2000, Target: 0x3000, Class: trace.Call, Taken: true}})
+		default:
+			tr.Append(condEvent(0x100+4*(x>>20&31), x>>8&3 != 0, 1+x>>16&7))
+		}
+	}
+	return tr
+}
+
+// TestPipelinedBudgetMatchesCutSource pins the budget of a pipelined run
+// to the branches it fetches: over a source that continues past the
+// budget, Run and RunMany at every depth resolve exactly MaxCondBranches
+// branches and equal the same runs over the source cut at the budget.
+func TestPipelinedBudgetMatchesCutSource(t *testing.T) {
+	const budget = 700
+	tr := mixedTrace(4000)
+	var preds []predictor.Predictor
+	var opts []Options
+	var want []Result
+	for depth := 1; depth <= 8; depth++ {
+		o := Options{MaxCondBranches: budget, PipelineDepth: depth, ContextSwitches: depth%2 == 0}
+		cut, err := Run(pagA2(6), &trace.LimitSource{Src: tr.Reader(), N: budget}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cut.Accuracy.Predictions != budget {
+			t.Fatalf("depth %d over the cut source: %d predictions, want %d", depth, cut.Accuracy.Predictions, budget)
+		}
+		got, err := Run(pagA2(6), tr.Reader(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != cut {
+			t.Errorf("depth %d: Run past the budget differs from the cut source:\n got %+v\nwant %+v", depth, got, cut)
+		}
+		preds = append(preds, pagA2(6))
+		opts = append(opts, o)
+		want = append(want, cut)
+	}
+	got, err := RunMany(preds, tr.Reader(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("depth %d: RunMany past the budget differs from the cut source:\n got %+v\nwant %+v", i+1, got[i], want[i])
+		}
+	}
+}
+
 func TestPipelinedStaleHistoryHurts(t *testing.T) {
 	// With deep in-flight branches and non-speculative history, the
 	// alternating branch is predicted from stale history: accuracy

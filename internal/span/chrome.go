@@ -3,6 +3,7 @@ package span
 import (
 	"encoding/json"
 	"io"
+	"os"
 )
 
 // chromeEvent is one complete ("ph":"X") event of the Chrome trace-event
@@ -59,4 +60,36 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(doc)
+}
+
+// WriteFiles writes the tracer's exports behind the binaries'
+// -trace-out and -span-summary flags: the Chrome trace-event JSON to
+// chromePath and the summary tree to summaryPath, where "-" means
+// stderr. An empty path skips its export.
+func (t *Tracer) WriteFiles(chromePath, summaryPath string) error {
+	if chromePath != "" {
+		if err := writeFile(chromePath, t.WriteChromeTrace); err != nil {
+			return err
+		}
+	}
+	switch summaryPath {
+	case "":
+		return nil
+	case "-":
+		return t.Summary().WriteText(os.Stderr)
+	}
+	return writeFile(summaryPath, t.Summary().WriteText)
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

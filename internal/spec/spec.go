@@ -27,6 +27,7 @@ import (
 	"twolevel/internal/automaton"
 	"twolevel/internal/flat"
 	"twolevel/internal/predictor"
+	"twolevel/internal/trace"
 )
 
 // Scheme is the outer scheme name of a specification.
@@ -581,6 +582,29 @@ func (sp Spec) twoLevel() (cfg predictor.TwoLevelConfig, ok bool) {
 		}
 	}
 	return cfg, true
+}
+
+// Train runs the training pass sp requires over every conditional branch
+// of src: a per-branch profile for Profiling, a pattern trainer for the
+// Static Training schemes GSg and PSg. It returns nil, nil for schemes
+// that need no training; bound src (trace.LimitSource) to set the
+// training budget.
+func Train(sp Spec, src trace.Source) (*TrainingData, error) {
+	if !sp.NeedsTraining() {
+		return nil, nil
+	}
+	td := &TrainingData{}
+	var err error
+	if sp.Scheme == SchemeProfiling {
+		td.Profile = predictor.NewProfileTrainer()
+		err = td.Profile.ObserveTrace(src)
+	} else if td.Static, err = NewTrainer(sp); err == nil {
+		err = td.Static.ObserveTrace(src)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return td, nil
 }
 
 // NewTrainer returns the pattern trainer matching sp's structure, for

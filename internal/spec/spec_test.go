@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -222,6 +223,65 @@ func TestBuildTrainedSchemes(t *testing.T) {
 	}
 	if !prof.Predict(trace.Branch{PC: 0x100}) {
 		t.Fatal("profile tie should predict taken")
+	}
+}
+
+// TestTrain: Train runs the training pass each scheme needs, building
+// the trainer the experiment harness, the server and the facade each
+// built by hand before; a scheme that needs none gets nil, nil.
+func TestTrain(t *testing.T) {
+	tr := &trace.Trace{}
+	for i := 0; i < 3000; i++ {
+		pc := uint32(0x1000 + 4*(i%17))
+		if i%41 == 40 {
+			tr.Append(trace.Event{Trap: true, Instrs: 2})
+			continue
+		}
+		tr.Append(trace.Event{Instrs: 3, Branch: trace.Branch{
+			PC: pc, Target: pc - 32, Class: trace.Cond, Taken: (i/(1+i%5))%3 != 0,
+		}})
+	}
+	for _, tc := range []struct {
+		spec string
+		want func(trace.Source) (*TrainingData, error)
+	}{
+		{"Profiling", func(src trace.Source) (*TrainingData, error) {
+			p := predictor.NewProfileTrainer()
+			return &TrainingData{Profile: p}, p.ObserveTrace(src)
+		}},
+		{"GSg(HR(1,,10-sr),1xPHT(2^10,PB))", func(src trace.Source) (*TrainingData, error) {
+			s := predictor.NewStaticTrainer(10, false)
+			return &TrainingData{Static: s}, s.ObserveTrace(src)
+		}},
+		{"PSg(BHT(512,4,8-sr),1xPHT(2^8,PB))", func(src trace.Source) (*TrainingData, error) {
+			s := predictor.NewStaticTrainer(8, true)
+			return &TrainingData{Static: s}, s.ObserveTrace(src)
+		}},
+		{"PAg(BHT(512,4,8-sr),1xPHT(2^8,A2))", nil},
+		{"AlwaysTaken", nil},
+	} {
+		sp := MustParse(tc.spec)
+		const budget = 2000
+		got, err := Train(sp, &trace.LimitSource{Src: tr.Reader(), N: budget})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		if tc.want == nil {
+			if got != nil {
+				t.Errorf("%s needs no training, got %+v", tc.spec, got)
+			}
+			continue
+		}
+		want, err := tc.want(&trace.LimitSource{Src: tr.Reader(), N: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Train built %+v, want %+v", tc.spec, got, want)
+		}
+		if _, err := Build(sp, got); err != nil {
+			t.Errorf("%s: Build on the trained data: %v", tc.spec, err)
+		}
 	}
 }
 

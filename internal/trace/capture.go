@@ -17,22 +17,22 @@ import (
 // the expensive generator runs at most once per key no matter how many
 // budgets or goroutines ask.
 //
-// Concurrent Capture calls on one key are single-flighted: the first
+// Concurrent capture calls on one key are single-flighted: the first
 // caller opens the source and captures while the rest block on the entry
 // lock, then reuse the stored events.
 //
 // Errors are NOT sticky: a failed open or a mid-capture source error is
-// returned to the caller and the entry is reset, so a later Capture on
+// returned to the caller and the entry is reset, so a later capture on
 // the same key re-opens the source and re-captures from scratch — a
 // transient failure never poisons the key. A cancelled context leaves
-// the partial capture in place; the next Capture resumes extending it.
+// the partial capture in place; the next capture resumes extending it.
 type CaptureCache struct {
 	mu      sync.Mutex
 	entries map[string]*captureEntry
 
-	// hits counts Capture calls served entirely from stored events;
+	// hits counts capture calls served entirely from stored events;
 	// misses counts calls that had to open or extend a capture. Atomics:
-	// Stats reads them without the entry locks Capture holds.
+	// Stats reads them without the entry locks a capture holds.
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
@@ -64,25 +64,18 @@ func NewCaptureCache() *CaptureCache {
 	return &CaptureCache{entries: map[string]*captureEntry{}}
 }
 
-// Capture returns an immutable snapshot of key's event stream covering
-// the first conds conditional branches (fewer if the source ends early).
+// CaptureWithStatus returns an immutable snapshot of key's event stream
+// covering the first conds conditional branches (fewer if the source
+// ends early), and whether the request was a cache hit: true when it was
+// served entirely from stored events, false when the capture had to open
+// or extend (or failed). The same outcome feeds the Stats counters.
 // open creates the generating source; it is invoked once per successful
 // capture lifetime (a failed open or source error resets the entry, so
-// the next Capture calls open again — see the poisoning note on
-// CaptureCache).
+// the next call opens again — see the poisoning note on CaptureCache).
 //
 // ctx, when non-nil, bounds the capture: cancellation returns ctx.Err()
 // and keeps the partial capture, so a resumed call continues where the
 // cancelled one stopped. A nil ctx is context.Background().
-func (c *CaptureCache) Capture(ctx context.Context, key string, conds uint64, open func() (Source, error)) (Snapshot, error) {
-	snap, _, err := c.CaptureWithStatus(ctx, key, conds, open)
-	return snap, err
-}
-
-// CaptureWithStatus is Capture plus whether the request was a cache hit:
-// true when it was served entirely from stored events, false when the
-// capture had to open or extend (or failed). Callers logging per-capture
-// cache behaviour use this; the same outcome feeds the Stats counters.
 func (c *CaptureCache) CaptureWithStatus(ctx context.Context, key string, conds uint64, open func() (Source, error)) (Snapshot, bool, error) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
@@ -173,14 +166,14 @@ type CaptureStats struct {
 	Conds int `json:"conds"`
 	// Bytes is the approximate heap footprint of the stored columns.
 	Bytes int64 `json:"bytes"`
-	// Hits counts Capture calls served entirely from stored events;
+	// Hits counts capture calls served entirely from stored events;
 	// Misses counts calls that had to open or extend a capture (a failed
 	// open or torn capture counts as a miss too).
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
 }
 
-// HitRatio returns Hits over all Capture calls (0 before the first call).
+// HitRatio returns Hits over all capture calls (0 before the first call).
 func (s CaptureStats) HitRatio() float64 {
 	if n := s.Hits + s.Misses; n > 0 {
 		return float64(s.Hits) / float64(n)
@@ -207,7 +200,7 @@ func (c *CaptureCache) Stats() CaptureStats {
 }
 
 // Reset drops every captured stream and zeroes the hit/miss counters.
-// In-flight snapshots remain valid; subsequent Capture calls re-open
+// In-flight snapshots remain valid; subsequent capture calls re-open
 // their sources.
 func (c *CaptureCache) Reset() {
 	c.mu.Lock()

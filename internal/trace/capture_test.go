@@ -118,15 +118,15 @@ func TestCaptureCacheExtendsOneSource(t *testing.T) {
 		return tr.Reader(), nil
 	}
 	c := NewCaptureCache()
-	s1, err := c.Capture(nil, "k", 50, open)
+	s1, _, err := c.CaptureWithStatus(nil, "k", 50, open)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := c.Capture(nil, "k", 200, open)
+	s2, _, err := c.CaptureWithStatus(nil, "k", 200, open)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3, err := c.Capture(nil, "k", 50, open)
+	s3, _, err := c.CaptureWithStatus(nil, "k", 50, open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,17 +177,17 @@ func TestCaptureCacheHitMissStats(t *testing.T) {
 	c := NewCaptureCache()
 	// Cold capture, extension, and a second cold key are misses; repeat
 	// captures within the stored prefix are hits.
-	if _, err := c.Capture(nil, "a", 50, open); err != nil {
+	if _, _, err := c.CaptureWithStatus(nil, "a", 50, open); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Capture(nil, "a", 200, open); err != nil {
+	if _, _, err := c.CaptureWithStatus(nil, "a", 200, open); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Capture(nil, "b", 50, open); err != nil {
+	if _, _, err := c.CaptureWithStatus(nil, "b", 50, open); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Capture(nil, "a", 100, open); err != nil {
+		if _, _, err := c.CaptureWithStatus(nil, "a", 100, open); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +203,7 @@ func TestCaptureCacheHitMissStats(t *testing.T) {
 	if fresh.Stats().HitRatio() != 0 {
 		t.Fatal("empty cache hit ratio must be 0")
 	}
-	if _, err := fresh.Capture(nil, "x", 1, func() (Source, error) {
+	if _, _, err := fresh.CaptureWithStatus(nil, "x", 1, func() (Source, error) {
 		return nil, errors.New("boom")
 	}); err == nil {
 		t.Fatal("failed open not reported")
@@ -228,7 +228,7 @@ func TestCaptureCacheNoStampede(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			snaps[w], errs[w] = c.Capture(nil, "k", 500, func() (Source, error) {
+			snaps[w], _, errs[w] = c.CaptureWithStatus(nil, "k", 500, func() (Source, error) {
 				opens.Add(1)
 				tr := &Trace{Events: events}
 				return tr.Reader(), nil
@@ -252,7 +252,7 @@ func TestCaptureCacheNoStampede(t *testing.T) {
 func TestCaptureCacheExhaustedSource(t *testing.T) {
 	events := randomEvents(100, 5)
 	c := NewCaptureCache()
-	s, err := c.Capture(nil, "k", 1_000_000, func() (Source, error) {
+	s, _, err := c.CaptureWithStatus(nil, "k", 1_000_000, func() (Source, error) {
 		tr := &Trace{Events: events}
 		return tr.Reader(), nil
 	})
@@ -263,7 +263,7 @@ func TestCaptureCacheExhaustedSource(t *testing.T) {
 		t.Fatalf("exhausted capture has %d events, want all %d", s.Len(), len(events))
 	}
 	// A second, smaller request still slices correctly.
-	s2, err := c.Capture(nil, "k", 1, nil) // open must not be called again
+	s2, _, err := c.CaptureWithStatus(nil, "k", 1, nil) // open must not be called again
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,10 +289,10 @@ func TestCaptureCacheRetriesFailedOpen(t *testing.T) {
 		tr := &Trace{Events: events}
 		return tr.Reader(), nil
 	}
-	if _, err := c.Capture(nil, "k", 10, open); !errors.Is(err, boom) {
+	if _, _, err := c.CaptureWithStatus(nil, "k", 10, open); !errors.Is(err, boom) {
 		t.Fatalf("first err = %v, want %v", err, boom)
 	}
-	s, err := c.Capture(nil, "k", 10, open)
+	s, _, err := c.CaptureWithStatus(nil, "k", 10, open)
 	if err != nil {
 		t.Fatalf("retry after transient open failure: %v", err)
 	}
@@ -321,17 +321,17 @@ func TestCaptureCacheRetriesMidStreamError(t *testing.T) {
 		}
 		return rd, nil
 	}
-	if _, err := c.Capture(nil, "k", 500, open); !errors.Is(err, boom) {
+	if _, _, err := c.CaptureWithStatus(nil, "k", 500, open); !errors.Is(err, boom) {
 		t.Fatalf("first err = %v, want %v", err, boom)
 	}
-	s, err := c.Capture(nil, "k", 500, open)
+	s, _, err := c.CaptureWithStatus(nil, "k", 500, open)
 	if err != nil {
 		t.Fatalf("retry after mid-stream error: %v", err)
 	}
 	// The retried capture must be identical to a clean one — no leftover
 	// prefix from the torn first attempt.
 	clean := NewCaptureCache()
-	want, err := clean.Capture(nil, "k", 500, func() (Source, error) {
+	want, _, err := clean.CaptureWithStatus(nil, "k", 500, func() (Source, error) {
 		tr := &Trace{Events: events}
 		return tr.Reader(), nil
 	})
@@ -491,7 +491,7 @@ func TestPackedBytesExact(t *testing.T) {
 
 	c := NewCaptureCache()
 	for _, conds := range []uint64{1, 5_000, 80_000, 200_000} {
-		if _, err := c.Capture(nil, "k", conds, func() (Source, error) { return &phasedSource{}, nil }); err != nil {
+		if _, _, err := c.CaptureWithStatus(nil, "k", conds, func() (Source, error) { return &phasedSource{}, nil }); err != nil {
 			t.Fatal(err)
 		}
 		e := c.entries["k"]
@@ -532,7 +532,7 @@ func TestPackedAllocationBounded(t *testing.T) {
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			for _, conds := range tc.budgets {
-				if _, err := c.Capture(nil, "k", conds, func() (Source, error) { return src, nil }); err != nil {
+				if _, _, err := c.CaptureWithStatus(nil, "k", conds, func() (Source, error) { return src, nil }); err != nil {
 					t.Fatal(err)
 				}
 			}

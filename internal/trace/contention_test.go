@@ -68,7 +68,7 @@ func TestCaptureCacheMixedReadWriteContention(t *testing.T) {
 				for r := 0; r < rounds; r++ {
 					conds := uint64(50 * (w*rounds + r + 1))
 					calls.Add(1)
-					snap, err := c.Capture(nil, key(k), conds, open(k))
+					snap, _, err := c.CaptureWithStatus(nil, key(k), conds, open(k))
 					if err != nil {
 						errc <- err
 						return
@@ -83,7 +83,7 @@ func TestCaptureCacheMixedReadWriteContention(t *testing.T) {
 				defer wg.Done()
 				for r := 0; r < rounds; r++ {
 					calls.Add(1)
-					snap, err := c.Capture(nil, key(k), 25, open(k))
+					snap, _, err := c.CaptureWithStatus(nil, key(k), 25, open(k))
 					if err != nil {
 						errc <- err
 						return
@@ -104,7 +104,7 @@ func TestCaptureCacheMixedReadWriteContention(t *testing.T) {
 			t.Errorf("key %d: source opened %d times, want 1 (singleflight)", k, n)
 		}
 		// The settled capture equals a clean one bit for bit.
-		final, err := c.Capture(nil, key(k), uint64(len(canon[k])), open(k))
+		final, _, err := c.CaptureWithStatus(nil, key(k), uint64(len(canon[k])), open(k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestCaptureCacheCancelledUploadDoesNotPoison(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			snaps[w], errs[w] = c.Capture(nil, "big", 100, open)
+			snaps[w], _, errs[w] = c.CaptureWithStatus(nil, "big", 100, open)
 		}(w)
 	}
 	wg.Wait()
@@ -175,7 +175,7 @@ func TestCaptureCacheCancelledUploadDoesNotPoison(t *testing.T) {
 	}
 
 	// The retry resumes the same source — no reopen — and completes.
-	full, err := c.Capture(nil, "big", uint64(len(events)), open)
+	full, _, err := c.CaptureWithStatus(nil, "big", uint64(len(events)), open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCaptureCacheCancelledUploadDoesNotPoison(t *testing.T) {
 		t.Fatalf("source opened %d times, want 1 (cancelled capture must stay resumable)", opens.Load())
 	}
 	clean := NewCaptureCache()
-	want, err := clean.Capture(nil, "big", uint64(len(events)), func() (Source, error) {
+	want, _, err := clean.CaptureWithStatus(nil, "big", uint64(len(events)), func() (Source, error) {
 		tr := &Trace{Events: events}
 		return tr.Reader(), nil
 	})

@@ -168,20 +168,9 @@ func NewTrainedPredictor(s string, training Source) (Predictor, error) {
 	if !sp.NeedsTraining() {
 		return nil, fmt.Errorf("twolevel: %s takes no training pass; use NewPredictor", sp.Scheme)
 	}
-	td := &spec.TrainingData{}
-	if sp.Scheme == spec.SchemeProfiling {
-		td.Profile = predictor.NewProfileTrainer()
-		if err := td.Profile.ObserveTrace(training); err != nil {
-			return nil, err
-		}
-	} else {
-		td.Static, err = spec.NewTrainer(sp)
-		if err != nil {
-			return nil, err
-		}
-		if err := td.Static.ObserveTrace(training); err != nil {
-			return nil, err
-		}
+	td, err := spec.Train(sp, training)
+	if err != nil {
+		return nil, err
 	}
 	return spec.Build(sp, td)
 }
