@@ -474,7 +474,7 @@ func BenchmarkRunManyShared(b *testing.B) {
 // BenchmarkSimObserverOverhead measures the telemetry hook cost in the
 // simulator loop over a prerecorded trace: the nil-observer arm is the
 // baseline the hooks must not slow down (and must not allocate); the
-// runstats arm carries a full RunStats observer.
+// counting arm carries an observer counting every callback.
 func BenchmarkSimObserverOverhead(b *testing.B) {
 	src, err := twolevel.NewBenchmarkSource("espresso", false)
 	if err != nil {
@@ -501,7 +501,7 @@ func BenchmarkSimObserverOverhead(b *testing.B) {
 		}
 	}
 	b.Run("nil", func(b *testing.B) { run(b, nil) })
-	b.Run("runstats", func(b *testing.B) { run(b, twolevel.NewRunStats()) })
+	b.Run("counting", func(b *testing.B) { run(b, &countingObserver{}) })
 }
 
 // BenchmarkSimSpanOverhead measures the span-tracing cost in the

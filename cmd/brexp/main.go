@@ -42,6 +42,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -64,7 +65,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		exp        = flag.String("exp", "all", "experiment ID (table1..table3, fig4..fig11) or 'all'")
 		branches   = flag.Uint64("branches", 0, "conditional branches per benchmark (0 = default)")
@@ -122,7 +123,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer stopCPU()
+	defer func() { err = errors.Join(err, stopCPU()) }()
 
 	opts := twolevel.ExperimentOptions{
 		CondBranches:      *branches,

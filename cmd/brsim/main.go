@@ -27,6 +27,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -42,6 +43,7 @@ import (
 	"twolevel"
 	"twolevel/internal/experiments"
 	"twolevel/internal/profile"
+	"twolevel/internal/span"
 	"twolevel/internal/spec"
 )
 
@@ -63,7 +65,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var schemes schemeList
 	flag.Var(&schemes, "scheme", "predictor specification (repeatable: all schemes replay one shared pass per benchmark; default "+defaultScheme+")")
 	var (
@@ -137,11 +139,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer stopCPU()
+	defer func() { err = errors.Join(err, stopCPU()) }()
 
-	// -trace-out / -span-summary attach a span tracer; each batched replay
-	// pass lands on one "replay" span under the suite root. Absent, the
-	// Span option stays nil and the replay loop pays nothing.
+	// -trace-out / -span-summary attach a span tracer; each capture,
+	// training pass and batched replay pass lands on a "capture", "train"
+	// or "replay" span under the suite root, brexp's phase names. Absent,
+	// the spans are nil and the run pays nothing.
 	var tracer *twolevel.SpanTracer
 	var rootSpan *twolevel.Span
 	if *traceOut != "" || *spanSum != "" {
@@ -186,17 +189,24 @@ func run() error {
 			"accuracy", out.res.Accuracy.Rate(), "instructions", out.res.Instructions)
 	}
 
-	// runCells measures every scheme on one capture of test, the cell
-	// path brexp and brserve share: refuse a scheme whose tables the
-	// capture would oversize, train the schemes that need it over
-	// openTrain's first -train conditional branches (nil for a trace
-	// file, which has no training data), then replay all of them in one
-	// experiments.RunBatch pass over the capture.
-	runCells := func(where string, test twolevel.Source, openTrain func() (twolevel.Source, error)) ([]schemeOut, error) {
-		if *branches > 0 {
-			test = twolevel.LimitConditional(test, *branches)
+	// runCells measures every scheme on one capture of openTest's
+	// source, the cell path brexp and brserve share: refuse a scheme
+	// whose tables the capture would oversize, train the schemes that
+	// need it over openTrain's first -train conditional branches (nil for
+	// a trace file, which has no training data), then replay all of them
+	// in one experiments.RunBatch pass over the capture. The capture span
+	// covers opening the source, as brexp's does.
+	runCells := func(where string, openTest, openTrain func() (twolevel.Source, error)) ([]schemeOut, error) {
+		csp := rootSpan.Child("capture", span.Str("bench", where), span.Uint64("conds", *branches))
+		var snap twolevel.TraceSnapshot
+		test, err := openTest()
+		if err == nil {
+			if *branches > 0 {
+				test = twolevel.LimitConditional(test, *branches)
+			}
+			snap, err = twolevel.PackTrace(test)
 		}
-		snap, err := twolevel.PackTrace(test)
+		csp.End()
 		if err != nil {
 			return nil, err
 		}
@@ -214,16 +224,18 @@ func run() error {
 			if openTrain == nil {
 				return nil, fmt.Errorf("training-based schemes need benchmark training data, not a raw trace")
 			}
+			tsp := rootSpan.Child("train", span.Str("bench", where), span.Uint64("budget", *trainN))
 			if train.Len() == 0 {
-				src, err := openTrain()
-				if err != nil {
-					return nil, err
-				}
-				if train, err = twolevel.PackTrace(twolevel.LimitConditional(src, *trainN)); err != nil {
-					return nil, err
+				var src twolevel.Source
+				if src, err = openTrain(); err == nil {
+					train, err = twolevel.PackTrace(twolevel.LimitConditional(src, *trainN))
 				}
 			}
-			if tds[i], err = spec.Train(sp, train.Reader()); err != nil {
+			if err == nil {
+				tds[i], err = spec.Train(sp, train.Reader())
+			}
+			tsp.End()
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -291,7 +303,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		outs, err := runCells(*traceFile, src, nil)
+		outs, err := runCells(*traceFile, func() (twolevel.Source, error) { return src, nil }, nil)
 		if err != nil {
 			return err
 		}
@@ -334,12 +346,9 @@ func run() error {
 			defer wg.Done()
 			for i := range work {
 				b := benchmarks[i]
-				src, err := b.NewSource(b.Testing)
-				if err != nil {
-					results[i] = benchOut{err: err}
-					continue
-				}
-				outs, err := runCells(b.Name, src, func() (twolevel.Source, error) {
+				outs, err := runCells(b.Name, func() (twolevel.Source, error) {
+					return b.NewSource(b.Testing)
+				}, func() (twolevel.Source, error) {
 					return b.NewSource(b.Training)
 				})
 				results[i] = benchOut{outs: outs, err: err}

@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -169,5 +170,27 @@ func TestBatchedSchemesMatchSingle(t *testing.T) {
 func TestBadSchemeRejected(t *testing.T) {
 	if out, err := exec.Command(binary, "-scheme", "Nope(1)").CombinedOutput(); err == nil {
 		t.Fatalf("bad scheme accepted:\n%s", out)
+	}
+}
+
+// TestSpanSummaryCoversPhases: -span-summary of a training scheme lists
+// the capture, the training pass and the replay under the suite root,
+// each once per benchmark.
+func TestSpanSummaryCoversPhases(t *testing.T) {
+	sum := filepath.Join(t.TempDir(), "spans.txt")
+	out, err := exec.Command(binary, "-scheme", "Profiling", "-bench", "eqntott,li",
+		"-branches", "5000", "-span-summary", sum).CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	text, err := os.ReadFile(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, phase := range []string{"capture", "train", "replay"} {
+		// A child of the root, indented one level, counted twice.
+		if !regexp.MustCompile(`(?m)^  ` + phase + ` +2x `).Match(text) {
+			t.Errorf("span summary has no %q span per benchmark under the suite root:\n%s", phase, text)
+		}
 	}
 }

@@ -5,12 +5,7 @@ import (
 	"testing"
 
 	"twolevel/internal/telemetry"
-	"twolevel/internal/trace"
 )
-
-func branchAt(pc uint32, taken bool) trace.Branch {
-	return trace.Branch{PC: pc, Class: trace.Cond, Taken: taken}
-}
 
 func TestExplainWellPredicted(t *testing.T) {
 	e := Explain(telemetry.PCForensics{PC: 0x10, Executions: 10_000, Mispredicts: 5})
@@ -81,18 +76,26 @@ func TestExplainDiffuseHistory(t *testing.T) {
 	}
 }
 
-// TestExplainNamesDominantPatternFromRealRun closes the loop with the
-// forensics observer: an alternating H2P branch fed through Forensics must
-// come out of Explain with its dominant miss pattern named in the output.
+// TestExplainNamesDominantPatternFromRealRun closes the loop with
+// Forensics: an alternating H2P branch folded by Forensics must come out
+// of Explain with its dominant miss pattern named in the output.
 func TestExplainNamesDominantPatternFromRealRun(t *testing.T) {
-	f := telemetry.NewForensics(telemetry.ForensicsConfig{HistoryBits: 2})
-	for i := 0; i < 200; i++ {
-		taken := i%2 == 0
-		// The predictor under test always predicts taken: every
-		// not-taken execution is a miss.
-		b := branchAt(0x4000, taken)
-		f.OnResolve(b, true, taken)
+	// 200 resolutions of one site, alternating taken and not taken. The
+	// predictor under test always predicts taken: every not-taken
+	// execution is a miss.
+	l := telemetry.SiteLog{IDs: make([]int32, 200), Outs: make([]uint8, 200), Sites: []uint32{0x4000}}
+	for i := range l.IDs {
+		if i%64 == 0 {
+			l.Miss = append(l.Miss, 0)
+		}
+		if i%2 == 0 {
+			l.Outs[i] = 1
+		} else {
+			l.Miss[i/64] |= 1 << (i % 64)
+		}
 	}
+	f := telemetry.NewForensics(telemetry.ForensicsConfig{HistoryBits: 2})
+	f.AppendLog(l)
 	pcf, ok := f.Lookup(0x4000)
 	if !ok {
 		t.Fatal("branch not tracked")

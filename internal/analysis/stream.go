@@ -13,7 +13,7 @@ import (
 // shared with Explain; two verdicts degrade without pattern evidence:
 //
 //   - DiffuseHistory is unreachable (it needs the per-pattern miss
-//     attribution only the Forensics observer computes);
+//     attribution only the Forensics report computes);
 //   - InherentlyVariable tests the branch's overall taken rate instead
 //     of the rate under its dominant miss pattern.
 //

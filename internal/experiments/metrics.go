@@ -169,10 +169,9 @@ func ReadCost() CostStamp {
 	}
 }
 
-// RunStats builds the Stats of a completed run of p: the counts a
-// telemetry.RunStats observer would report, derived from its Result
-// (resultCounts), and the time and allocation figures between two cost
-// stamps taken around the run.
+// RunStats builds the Stats of a completed run of p: the counts derived
+// from its Result (resultCounts), and the time and allocation figures
+// between two cost stamps taken around the run.
 func RunStats(res sim.Result, p predictor.Predictor, from, to CostStamp) telemetry.RunMetrics {
 	m := resultCounts(res, p)
 	m.WallClockSeconds = to.at.Sub(from.at).Seconds()
@@ -184,8 +183,8 @@ func RunStats(res sim.Result, p predictor.Predictor, from, to CostStamp) telemet
 	return m
 }
 
-// resultCounts derives the count fields a telemetry.RunStats observer
-// would report for a completed run of p — events, predictions (squashed
+// resultCounts derives the count fields of a completed run of p —
+// events, predictions (squashed
 // re-predictions included), resolutions, mispredictions, traps, context
 // switches and the predictor's final table occupancy — from its Result
 // alone, so collecting them costs the run no observer.

@@ -8,12 +8,76 @@ import (
 
 	"twolevel/internal/predictor"
 	"twolevel/internal/prog"
+	"twolevel/internal/reference"
 	"twolevel/internal/sim"
 	"twolevel/internal/span"
 	"twolevel/internal/spec"
 	"twolevel/internal/telemetry"
 	"twolevel/internal/trace"
 )
+
+// runLog is an Observer counting every callback of a run and logging
+// its resolutions and context switches: the ground truth the telemetry
+// sink and the Stats derived from a Result are checked against.
+type runLog struct {
+	counts         telemetry.RunMetrics
+	info           telemetry.RunInfo
+	pcs            []uint32
+	taken, correct []bool
+	switches       []uint64
+}
+
+func (r *runLog) Start(info telemetry.RunInfo) { r.info = info }
+func (r *runLog) OnPredict(trace.Branch, bool) { r.counts.Predictions++ }
+func (r *runLog) OnTrap()                      { r.counts.Traps++ }
+func (r *runLog) OnResolve(b trace.Branch, _, correct bool) {
+	r.counts.Resolutions++
+	if !correct {
+		r.counts.Mispredictions++
+	}
+	r.pcs = append(r.pcs, b.PC)
+	r.taken = append(r.taken, b.Taken)
+	r.correct = append(r.correct, correct)
+}
+func (r *runLog) OnContextSwitch() {
+	r.counts.ContextSwitches++
+	r.switches = append(r.switches, uint64(len(r.pcs)))
+}
+func (r *runLog) Finish() {
+	c := &r.counts
+	c.Events = c.Predictions + c.Resolutions + c.Traps + c.ContextSwitches
+	if insp, ok := r.info.Predictor.(predictor.Inspector); ok {
+		occ := insp.Inspect()
+		c.Occupancy = &occ
+	}
+}
+
+// samples counts the correct predictions of each window of every
+// resolutions, the last window possibly short.
+func (r *runLog) samples(every int) []telemetry.Sample {
+	var out []telemetry.Sample
+	for lo := 0; lo < len(r.correct); lo += every {
+		hi := min(lo+every, len(r.correct))
+		s := telemetry.Sample{Branches: uint64(hi), Predictions: uint64(hi - lo)}
+		for _, c := range r.correct[lo:hi] {
+			if c {
+				s.Correct++
+			}
+		}
+		s.Accuracy = float64(s.Correct) / float64(s.Predictions)
+		out = append(out, s)
+	}
+	return out
+}
+
+// forensics folds the log into the naive reference forensics model.
+func (r *runLog) forensics(cfg telemetry.ForensicsConfig) telemetry.ForensicsReport {
+	f := reference.NewForensics(cfg)
+	for j, pc := range r.pcs {
+		f.Resolve(pc, r.taken[j], r.correct[j])
+	}
+	return f.Report()
+}
 
 // observedRun replays sp on b's testing capture as the grid does, with
 // obs attached: the Observer-fed oracle of the telemetry sink.
@@ -41,7 +105,8 @@ func observedRun(t *testing.T, sp spec.Spec, b *prog.Benchmark, budget uint64, o
 // TestTelemetryReplaysOnKernel pins the -metrics contract: a run with
 // hot-branch and interval telemetry stays on the replay kernel, its
 // interval series, context-switch marks and hot-branch table equal
-// hand-attached IntervalSeries and HotBranches observers, and it still
+// per-window counts and the naive reference forensics model's offenders
+// over the resolutions an Observer logs on the same run, and it still
 // carries Stats.
 func TestTelemetryReplaysOnKernel(t *testing.T) {
 	const budget, interval, hotK = 4000, 500, 4
@@ -74,20 +139,24 @@ func TestTelemetryReplaysOnKernel(t *testing.T) {
 	}
 	run := runs[0]
 
-	iv := telemetry.NewIntervalSeries(interval)
-	hot := telemetry.NewHotBranches(hotK)
-	ref := observedRun(t, sp, b, budget, telemetry.Multi(iv, hot))
+	log := &runLog{}
+	ref := observedRun(t, sp, b, budget, log)
 	if !reflect.DeepEqual(res, ref) {
 		t.Errorf("result differs from the observed run:\n got %+v\nwant %+v", res, ref)
 	}
-	if len(run.Intervals) == 0 || !reflect.DeepEqual(run.Intervals, iv.Samples()) {
-		t.Errorf("interval series differ:\n got %+v\nwant %+v", run.Intervals, iv.Samples())
+	if want := log.samples(interval); len(run.Intervals) == 0 || !reflect.DeepEqual(run.Intervals, want) {
+		t.Errorf("interval series differ:\n got %+v\nwant %+v", run.Intervals, want)
 	}
-	if !reflect.DeepEqual(run.Switches, iv.Switches()) {
-		t.Errorf("switch marks differ: got %v, want %v", run.Switches, iv.Switches())
+	if !reflect.DeepEqual(run.Switches, log.switches) {
+		t.Errorf("switch marks differ: got %v, want %v", run.Switches, log.switches)
 	}
-	if len(run.HotBranches) == 0 || !reflect.DeepEqual(run.HotBranches, hot.Report()) {
-		t.Errorf("hot branches differ:\n got %+v\nwant %+v", run.HotBranches, hot.Report())
+	var hot []telemetry.HotBranch
+	for _, o := range log.forensics(telemetry.ForensicsConfig{TopK: hotK}).TopOffenders {
+		hot = append(hot, telemetry.HotBranch{PC: o.PC, Mispredicts: o.Mispredicts,
+			Executions: o.Executions, TakenRate: o.TakenRate, MissShare: o.MissShare})
+	}
+	if len(run.HotBranches) == 0 || !reflect.DeepEqual(run.HotBranches, hot) {
+		t.Errorf("hot branches differ:\n got %+v\nwant %+v", run.HotBranches, hot)
 	}
 	if run.Stats.Events == 0 || run.Stats.WallClockSeconds <= 0 || run.Stats.Occupancy == nil {
 		t.Errorf("run lost its stats: %+v", run.Stats)
@@ -96,8 +165,8 @@ func TestTelemetryReplaysOnKernel(t *testing.T) {
 
 // TestTelemetryForensicsOnKernel: ForensicsTopK rides the telemetry
 // sink, so a forensics run stays on the replay kernel, and its report
-// equals a hand-attached Forensics observer's over the same run; the
-// interval series is collected alongside.
+// equals the naive reference model's over the resolutions an Observer
+// logs on the same run; the interval series is collected alongside.
 func TestTelemetryForensicsOnKernel(t *testing.T) {
 	const budget = 4000
 	sp := spec.MustParse("GAg(HR(1,,8-sr),1xPHT(2^8,A2))")
@@ -129,12 +198,13 @@ func TestTelemetryForensicsOnKernel(t *testing.T) {
 	if len(fr) != 1 {
 		t.Fatalf("forensics not collected: %d reports", len(fr))
 	}
-	fo := telemetry.NewForensics(telemetry.ForensicsConfig{TopK: 2, Budget: budget})
-	if ref := observedRun(t, sp, b, budget, fo); !reflect.DeepEqual(res, ref) {
+	log := &runLog{}
+	if ref := observedRun(t, sp, b, budget, log); !reflect.DeepEqual(res, ref) {
 		t.Errorf("result differs from the observed run:\n got %+v\nwant %+v", res, ref)
 	}
-	if want := fo.Report(); len(want.TopOffenders) == 0 || !reflect.DeepEqual(fr[0].Report, want) {
-		t.Errorf("forensics report differs from the observer's:\n got %+v\nwant %+v", fr[0].Report, want)
+	want := log.forensics(telemetry.ForensicsConfig{TopK: 2, Budget: budget})
+	if len(want.TopOffenders) == 0 || !reflect.DeepEqual(fr[0].Report, want) {
+		t.Errorf("forensics report differs from the reference model's:\n got %+v\nwant %+v", fr[0].Report, want)
 	}
 }
 
@@ -214,18 +284,10 @@ var statsSpecs = []string{
 	"BTFN",
 }
 
-// observedCounts clears the time and allocation fields of a RunStats
-// observer's metrics, leaving the counts resultCounts derives.
-func observedCounts(rs *telemetry.RunStats) telemetry.RunMetrics {
-	m := rs.Metrics()
-	m.WallClockSeconds, m.EventsPerSec, m.AllocBytes, m.Mallocs = 0, 0, 0, 0
-	return m
-}
-
-// TestResultCountsMatchRunStats: the Stats counts derived from a Result
-// equal what a RunStats observer counts on the interpretive runner —
-// events, predictions, resolutions, mispredictions, traps, context
-// switches and occupancy — for every spec under the plain,
+// TestResultCountsMatchRunStats: the Stats counts RunStats derives from
+// a Result equal what a counting Observer counts on the interpretive
+// runner — events, predictions, resolutions, mispredictions, traps,
+// context switches and occupancy — for every spec under the plain,
 // context-switch, budgeted and pipelined option sets, serially and in a
 // RunMany batch.
 func TestResultCountsMatchRunStats(t *testing.T) {
@@ -262,12 +324,12 @@ func TestResultCountsMatchRunStats(t *testing.T) {
 	var (
 		batchPreds []predictor.Predictor
 		batchOpts  []sim.Options
-		batchStats []*telemetry.RunStats
+		batchStats []*runLog
 	)
 	for _, s := range statsSpecs {
 		sp := spec.MustParse(s)
 		for _, os := range optionSets {
-			rs := telemetry.NewRunStats()
+			rs := &runLog{}
 			opts := os.opts
 			opts.DisableFastpath = true
 			opts.Observer = rs
@@ -276,11 +338,11 @@ func TestResultCountsMatchRunStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := resultCounts(res, p), observedCounts(rs); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: derived counts differ from RunStats:\n got %+v\nwant %+v", s, os.name, got, want)
+			if got, want := resultCounts(res, p), rs.counts; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: derived counts differ from the observer's:\n got %+v\nwant %+v", s, os.name, got, want)
 			}
 			if s == statsSpecs[3] {
-				bs := telemetry.NewRunStats()
+				bs := &runLog{}
 				bo := os.opts
 				bo.Observer = bs
 				batchPreds = append(batchPreds, build(sp))
@@ -294,8 +356,8 @@ func TestResultCountsMatchRunStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, res := range results {
-		if got, want := resultCounts(res, batchPreds[i]), observedCounts(batchStats[i]); !reflect.DeepEqual(got, want) {
-			t.Errorf("batch cell %s: derived counts differ from RunStats:\n got %+v\nwant %+v", optionSets[i].name, got, want)
+		if got, want := resultCounts(res, batchPreds[i]), batchStats[i].counts; !reflect.DeepEqual(got, want) {
+			t.Errorf("batch cell %s: derived counts differ from the observer's:\n got %+v\nwant %+v", optionSets[i].name, got, want)
 		}
 	}
 }

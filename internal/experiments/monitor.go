@@ -58,7 +58,7 @@ type Monitor struct {
 func NewMonitor() *Monitor { return &Monitor{start: time.Now()} } //lint:allow determinism live-monitoring clock; /metrics and /progress are not byte-identical surfaces
 
 // ResultEvents is the simulator-event count of one completed run, defined
-// to match exactly what a RunStats observer counts for the same run
+// to match exactly what an Observer's callbacks count for the same run
 // (predictions incl. repredictions + resolutions + traps + context
 // switches), so the monitor's event total agrees with the per-run Events
 // sums in metrics.json. The grid scheduler and brserve's request executor

@@ -15,7 +15,7 @@ import (
 // sorted, and wall-clock / nondeterministic randomness sources
 // (time.Now, time.Since, math/rand) are banned — internal/rng is the
 // deterministic generator. The handful of legitimate wall-clock spots
-// (run timing in runstats.go/metrics.go/monitor.go/schedule.go, and the
+// (run timing in metrics.go/monitor.go/schedule.go, and the
 // serving daemon's single clock seam in server.go) carry
 // //lint:allow determinism annotations.
 var Determinism = &Analyzer{

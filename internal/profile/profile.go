@@ -9,10 +9,11 @@ import (
 )
 
 // StartCPU starts a CPU profile written to path and returns the function
-// that stops it and closes the file. An empty path profiles nothing.
-func StartCPU(path string) (stop func(), err error) {
+// that stops it and closes the file, returning the close error: the
+// profile's last write can fail there. An empty path profiles nothing.
+func StartCPU(path string) (stop func() error, err error) {
 	if path == "" {
-		return func() {}, nil
+		return func() error { return nil }, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -22,9 +23,9 @@ func StartCPU(path string) (stop func(), err error) {
 		f.Close()
 		return nil, err
 	}
-	return func() {
+	return func() error {
 		pprof.StopCPUProfile()
-		f.Close()
+		return f.Close()
 	}, nil
 }
 

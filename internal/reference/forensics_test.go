@@ -93,8 +93,8 @@ func siteLogOf(evs []forensicsEvent) telemetry.SiteLog {
 // reference model over random PC pools, outcomes, miss bits and
 // configurations: its report, and its Lookup of every PC and of one PC
 // that never ran, must deep-equal the model's. Forensics is fed three
-// ways — one Resolve per branch, one log handed over whole, and a log
-// handed over in two parts (the second appended branch by branch).
+// ways — one log per branch, one log handed over whole, and a log handed
+// over in two parts.
 func FuzzForensicsVsReference(f *testing.F) {
 	for seed := uint64(0); seed < 32; seed++ {
 		f.Add(seed)
@@ -102,10 +102,10 @@ func FuzzForensicsVsReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		cfg, evs := drawForensicsCase(rng.New(seed))
 		ref := NewForensics(cfg)
-		resolved := telemetry.NewForensics(cfg)
-		for _, e := range evs {
+		perBranch := telemetry.NewForensics(cfg)
+		for j, e := range evs {
 			ref.Resolve(e.pc, e.taken, e.correct)
-			resolved.Resolve(e.pc, e.taken, e.correct)
+			perBranch.AppendLog(siteLogOf(evs[j : j+1]))
 		}
 		whole := telemetry.NewForensics(cfg)
 		whole.AppendLog(siteLogOf(evs))
@@ -132,7 +132,7 @@ func FuzzForensicsVsReference(f *testing.F) {
 			fo   *telemetry.Forensics
 			pcs  []uint32 // PCs to look up: every one once, a prefix for the log arms
 		}{
-			{"resolve", resolved, pcs},
+			{"log per branch", perBranch, pcs},
 			{"log", whole, pcs[:min(len(pcs), 64)]},
 			{"split log", split, pcs[:min(len(pcs), 64)]},
 		} {

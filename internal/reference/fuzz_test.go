@@ -144,13 +144,17 @@ func randomTrace(r *rng.RNG) trace.Snapshot {
 // resolutions records per-branch predictions from the interpretive
 // runner.
 type resolutions struct {
-	telemetry.NopObserver
 	preds []bool
 }
 
+func (o *resolutions) Start(telemetry.RunInfo)      {}
+func (o *resolutions) OnPredict(trace.Branch, bool) {}
 func (o *resolutions) OnResolve(_ trace.Branch, predicted, _ bool) {
 	o.preds = append(o.preds, predicted)
 }
+func (o *resolutions) OnContextSwitch() {}
+func (o *resolutions) OnTrap()          {}
+func (o *resolutions) Finish()          {}
 
 // model is a reference predictor driven one conditional branch at a
 // time: step predicts, trains and returns the prediction.
@@ -159,37 +163,50 @@ type model struct {
 	contextSwitch func()
 }
 
+// replay is a reference run: every conditional branch's PC, prediction
+// and outcome in resolution order, and the number of branches resolved
+// before each context switch.
+type replay struct {
+	pcs             []uint32
+	preds, outcomes []bool
+	switches        []uint64
+}
+
 // replayReference drives the reference over snap with the simulator's
 // schedule: a trap switches context when switching is on, otherwise a
 // switch comes before the first event that completes the quantum, and
 // the run stops once budget conditional branches have been predicted.
-// It returns every prediction and outcome in resolution order.
-func replayReference(m model, snap trace.Snapshot, opts sim.Options) (preds, outcomes []bool) {
+func replayReference(m model, snap trace.Snapshot, opts sim.Options) replay {
+	var run replay
 	var sinceCS uint64
+	contextSwitch := func() {
+		m.contextSwitch()
+		run.switches = append(run.switches, uint64(len(run.preds)))
+		sinceCS = 0
+	}
 	for i := 0; i < snap.Len(); i++ {
-		if opts.MaxCondBranches > 0 && uint64(len(preds)) >= opts.MaxCondBranches {
+		if opts.MaxCondBranches > 0 && uint64(len(run.preds)) >= opts.MaxCondBranches {
 			break
 		}
 		e := snap.At(i)
 		sinceCS += uint64(e.Instrs)
 		if e.Trap {
 			if opts.ContextSwitches {
-				m.contextSwitch()
-				sinceCS = 0
+				contextSwitch()
 			}
 			continue
 		}
 		if opts.ContextSwitches && sinceCS >= opts.CSInterval {
-			m.contextSwitch()
-			sinceCS = 0
+			contextSwitch()
 		}
 		if e.Branch.Class != trace.Cond {
 			continue
 		}
-		preds = append(preds, m.step(e.Branch.PC, e.Branch.Target, e.Branch.Taken))
-		outcomes = append(outcomes, e.Branch.Taken)
+		run.pcs = append(run.pcs, e.Branch.PC)
+		run.preds = append(run.preds, m.step(e.Branch.PC, e.Branch.Target, e.Branch.Taken))
+		run.outcomes = append(run.outcomes, e.Branch.Taken)
 	}
-	return preds, outcomes
+	return run
 }
 
 // randomShape draws a practical table shape: 1 to 64 entries, from
@@ -350,7 +367,8 @@ func FuzzPredictorVsReference(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		name, snap, opts, ref, build := drawCase(t, rng.New(seed))
-		want, outcomes := replayReference(ref, snap, opts)
+		run := replayReference(ref, snap, opts)
+		want, outcomes := run.preds, run.outcomes
 
 		check := func(path string, got []bool) {
 			t.Helper()

@@ -81,12 +81,10 @@ type Config struct {
 	// kernel silently runs serial otherwise.
 	Shards int
 	// Interval, when > 0, folds an accuracy sample every Interval
-	// resolved conditional branches — the kernel-native equivalent of
-	// the telemetry.IntervalSeries observer, bit-identical by the
-	// equivalence suite.
+	// resolved conditional branches.
 	Interval uint64
 	// TopPCs, when > 0, folds a per-PC mispredict profile and reports
-	// the TopPCs worst branches (telemetry.HotBranches order).
+	// the TopPCs worst branches (telemetry.SiteFold.Top order).
 	TopPCs int
 	// Warmup is the resolved-branch index bounding the warmup-miss
 	// split of the per-PC profile (0 = attribute every miss to steady

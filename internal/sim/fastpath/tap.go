@@ -122,11 +122,11 @@ func (t *Tap) bind(p *Plan, miss []uint64, n int, switches []int32) {
 func (k *Kernel) Tap() *Tap { return k.tap }
 
 // Telemetry materialises the tap's outputs: the interval accuracy series
-// (bit-identical to telemetry.IntervalSeries over the same run), the
+// (a sample per Interval resolutions, the last one possibly partial), the
 // context-switch resolution indices, the top-K per-PC mispredict profile
-// ordered like telemetry.HotBranches.Report (mispredicts descending, PC
-// ascending) and the number of branch sites it ranked. Each is nil or 0
-// when its mode was off.
+// in telemetry.SiteFold.Top order (mispredicts descending, PC ascending)
+// and the number of branch sites it ranked. Each is nil or 0 when its
+// mode was off.
 func (t *Tap) Telemetry() ([]telemetry.Sample, []uint64, []telemetry.PCStats, int) {
 	if t == nil {
 		return nil, nil, nil, 0

@@ -169,29 +169,28 @@ func TestMultiplexNotifiesObserver(t *testing.T) {
 	}
 }
 
-// TestIntervalSeriesThroughBatchedReplay threads per-predictor
-// IntervalSeries observers through one RunMany pass with branch budgets
-// NOT divisible by the sampling interval, and checks that each series
-// ends in the correct partial sample — and is bit-identical to the same
-// predictor run serially over its own copy of the stream.
+// TestIntervalSeriesThroughBatchedReplay collects per-cell interval
+// series through one RunMany pass with branch budgets NOT divisible by
+// the sampling interval, and checks that each series ends in the
+// correct partial sample and equals the per-window counts of the
+// resolutions a serial interpretive run of the same predictor reports to
+// an Observer.
 func TestIntervalSeriesThroughBatchedReplay(t *testing.T) {
 	tr := observerTrace(4000)
 	const interval = 100
 	budgets := []uint64{250, 330} // 2 full + partial 50, 3 full + partial 30
 	preds := make([]predictor.Predictor, len(budgets))
-	series := make([]*telemetry.IntervalSeries, len(budgets))
 	opts := make([]Options, len(budgets))
 	for i, budget := range budgets {
 		preds[i] = observerTestPredictor(t)
-		series[i] = telemetry.NewIntervalSeries(interval)
-		opts[i] = Options{MaxCondBranches: budget, Observer: series[i]}
+		opts[i] = Options{MaxCondBranches: budget, Telemetry: &Telemetry{Interval: interval}}
 	}
 	results, err := RunMany(preds, tr.Reader(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, budget := range budgets {
-		samples := series[i].Samples()
+		samples := opts[i].Telemetry.Samples
 		wantN := int(budget/interval) + 1
 		if len(samples) != wantN {
 			t.Fatalf("budget %d: %d samples, want %d (full intervals + final partial)", budget, len(samples), wantN)
@@ -205,51 +204,15 @@ func TestIntervalSeriesThroughBatchedReplay(t *testing.T) {
 			t.Errorf("budget %d: run resolved %d branches", budget, results[i].Accuracy.Predictions)
 		}
 
-		// The batched pass must produce the exact series a serial run does.
-		serial := telemetry.NewIntervalSeries(interval)
+		serial := &resolutionLog{}
 		if _, err := Run(observerTestPredictor(t), tr.Reader(), Options{
 			MaxCondBranches: budget, Observer: serial,
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(samples, serial.Samples()) {
-			t.Errorf("budget %d: batched series diverges from serial:\n%v\n%v",
-				budget, samples, serial.Samples())
+		if want := serial.samples(interval); !reflect.DeepEqual(samples, want) {
+			t.Errorf("budget %d: batched series diverges from the serial run's resolutions:\n%v\n%v",
+				budget, samples, want)
 		}
-	}
-}
-
-// TestRunStatsEndToEnd drives the RunStats observer through a real run and
-// checks occupancy via the predictor.Inspector interface.
-func TestRunStatsEndToEnd(t *testing.T) {
-	tr := observerTrace(3000)
-	p := observerTestPredictor(t)
-	rs := telemetry.NewRunStats()
-	res, err := Run(p, tr.Reader(), Options{Observer: rs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := rs.Metrics()
-	if m.Resolutions != res.Accuracy.Predictions {
-		t.Errorf("resolutions = %d, want %d", m.Resolutions, res.Accuracy.Predictions)
-	}
-	if m.Mispredictions != res.Accuracy.Predictions-res.Accuracy.Correct {
-		t.Errorf("mispredictions = %d", m.Mispredictions)
-	}
-	if m.WallClockSeconds <= 0 || m.EventsPerSec <= 0 {
-		t.Errorf("throughput not measured: %+v", m)
-	}
-	if m.Occupancy == nil {
-		t.Fatal("TwoLevel implements Inspector; occupancy must be reported")
-	}
-	occ := m.Occupancy
-	if occ.BHTCapacity != 64 || occ.BHTTouched != 13 {
-		t.Errorf("BHT occupancy = %d/%d, want 13/64", occ.BHTTouched, occ.BHTCapacity)
-	}
-	if occ.PHTTables != 1 || occ.PHTEntriesPerTable != 256 {
-		t.Errorf("PHT shape = %d tables x %d, want 1 x 256", occ.PHTTables, occ.PHTEntriesPerTable)
-	}
-	if occ.PHTTouched == 0 || occ.PHTTouched > 256 {
-		t.Errorf("PHT touched = %d out of range", occ.PHTTouched)
 	}
 }

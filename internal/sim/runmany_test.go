@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"twolevel/internal/predictor"
-	"twolevel/internal/telemetry"
 	"twolevel/internal/trace"
 )
 
@@ -108,23 +107,24 @@ func TestRunManyMatchesSerialRuns(t *testing.T) {
 	}
 }
 
-// TestRunManyObserversMatchSerial checks the observer path: per-run
-// telemetry collected during a batched pass equals the serial run's.
+// TestRunManyObserversMatchSerial checks the observer path: an observer
+// attached to one cell of a batched pass sees the same resolutions and
+// context switches as on the serial run.
 func TestRunManyObserversMatchSerial(t *testing.T) {
 	tr := syntheticTrace(20_000, 7)
 	o := Options{MaxCondBranches: 4000, ContextSwitches: true, CSInterval: 9000}
 
-	serialHot := telemetry.NewHotBranches(5)
+	serialLog := &resolutionLog{}
 	serialOpts := o
-	serialOpts.Observer = serialHot
+	serialOpts.Observer = serialLog
 	serialRes, err := Run(mkTwoLevel(t, predictor.PAg, 6), tr.Reader(), serialOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	batchHot := telemetry.NewHotBranches(5)
+	batchLog := &resolutionLog{}
 	batchOpts := o
-	batchOpts.Observer = batchHot
+	batchOpts.Observer = batchLog
 	plain := o
 	res, err := RunMany(
 		[]predictor.Predictor{mkTwoLevel(t, predictor.PAg, 6), mkTwoLevel(t, predictor.GAg, 8)},
@@ -137,8 +137,8 @@ func TestRunManyObserversMatchSerial(t *testing.T) {
 	if !reflect.DeepEqual(res[0], serialRes) {
 		t.Fatalf("instrumented batched run differs from serial:\n got %+v\nwant %+v", res[0], serialRes)
 	}
-	if !reflect.DeepEqual(batchHot.Report(), serialHot.Report()) {
-		t.Fatalf("hot-branch telemetry differs:\n got %+v\nwant %+v", batchHot.Report(), serialHot.Report())
+	if len(serialLog.pcs) == 0 || !reflect.DeepEqual(batchLog, serialLog) {
+		t.Fatalf("observed resolutions differ:\n got %+v\nwant %+v", batchLog, serialLog)
 	}
 }
 

@@ -21,16 +21,15 @@ import (
 // single-use; attach a fresh one per run.
 type Telemetry struct {
 	// Interval, when > 0, samples prediction accuracy every Interval
-	// resolved conditional branches (telemetry.IntervalSeries
-	// semantics, bit-identical by the equivalence suite).
+	// resolved conditional branches; a budget not divisible by it ends
+	// the series in a partial sample.
 	Interval uint64
 	// TopK, when > 0, profiles per-PC mispredicts and reports the TopK
-	// worst branches (telemetry.HotBranches order) with the warmup-miss
+	// worst branches (telemetry.SiteFold.Top order) with the warmup-miss
 	// split the streaming verdict classifier consumes.
 	TopK int
 	// Forensics, when non-nil, is handed the replay's log of resolved
-	// conditional branches when the run returns: it then reports as it
-	// would attached as an Observer.
+	// conditional branches when the run returns.
 	Forensics *telemetry.Forensics
 
 	// Samples is the interval accuracy series (nil when Interval == 0).
@@ -56,6 +55,6 @@ func (t *Telemetry) fill(tap *fastpath.Tap) {
 	}
 }
 
-// HotBranches renders TopMispredicted as telemetry.HotBranches report
-// rows (nil when the profile is empty).
+// HotBranches renders TopMispredicted as hot-branch report rows (nil
+// when the profile is empty).
 func (t *Telemetry) HotBranches() []telemetry.HotBranch { return telemetry.HotRows(t.TopMispredicted) }

@@ -36,12 +36,12 @@ func telemetryOptionSets(conds uint64) []struct {
 	}
 }
 
-// TestKernelTelemetryMatchesIntervalSeries is the telemetry bit-identity
-// property: for every flattenable spec and option set, the kernel-native
-// interval series equals the legacy IntervalSeries observer's output
-// sample for sample, the context-switch indices match, and the per-PC
-// profile agrees with the naive reference forensics model's offenders
-// and the interpretive sink path.
+// TestKernelTelemetryMatchesIntervalSeries is the telemetry property of
+// the kernel: for every flattenable spec and option set, the sink's
+// interval series equals a per-window count over the resolutions the
+// interpretive runner reports to an Observer, the context-switch indices
+// match, and the per-PC profile agrees with the naive reference
+// forensics model's offenders and with the interpretive sink path.
 func TestKernelTelemetryMatchesIntervalSeries(t *testing.T) {
 	snap := kernelSnapshot(24_000)
 	conds := uint64(0)
@@ -54,17 +54,16 @@ func TestKernelTelemetryMatchesIntervalSeries(t *testing.T) {
 	const interval, topk = 512, 8
 	for _, s := range kernelEquivSpecs {
 		for _, os := range telemetryOptionSets(conds) {
-			// Reference: the legacy observers on the interpretive runner.
-			iv := telemetry.NewIntervalSeries(interval)
-			hot := referenceForensics{model: reference.NewForensics(telemetry.ForensicsConfig{
-				TopK: topk, Budget: os.opts.MaxCondBranches})}
+			// Reference: the runner's resolutions, logged by an Observer.
+			log := &resolutionLog{}
 			refOpts := os.opts
 			refOpts.DisableFastpath = true
-			refOpts.Observer = telemetry.Multi(iv, hot)
+			refOpts.Observer = log
 			refRes, err := Run(buildEquivSpec(t, s, snap), snap.Reader(), refOpts)
 			if err != nil {
 				t.Fatalf("%s/%s reference: %v", s, os.name, err)
 			}
+			hot := log.forensics(telemetry.ForensicsConfig{TopK: topk, Budget: os.opts.MaxCondBranches})
 
 			// Kernel path: the Telemetry sink must not cost eligibility.
 			sink := &Telemetry{Interval: interval, TopK: topk}
@@ -82,15 +81,15 @@ func TestKernelTelemetryMatchesIntervalSeries(t *testing.T) {
 				t.Errorf("%s/%s: kernel Result differs under telemetry:\n got %+v\nwant %+v",
 					s, os.name, fastRes, refRes)
 			}
-			if !reflect.DeepEqual(sink.Samples, iv.Samples()) {
-				t.Errorf("%s/%s: kernel samples differ from IntervalSeries:\n got %+v\nwant %+v",
-					s, os.name, sink.Samples, iv.Samples())
+			if want := log.samples(interval); !reflect.DeepEqual(sink.Samples, want) {
+				t.Errorf("%s/%s: kernel samples differ from the runner's per-window counts:\n got %+v\nwant %+v",
+					s, os.name, sink.Samples, want)
 			}
-			if !reflect.DeepEqual(sink.Switches, iv.Switches()) {
+			if !reflect.DeepEqual(sink.Switches, log.switches) {
 				t.Errorf("%s/%s: kernel switch indices differ:\n got %v\nwant %v",
-					s, os.name, sink.Switches, iv.Switches())
+					s, os.name, sink.Switches, log.switches)
 			}
-			hotRef := hot.model.Report()
+			hotRef := hot.Report()
 			if sink.StaticBranches != hotRef.StaticBranches {
 				t.Errorf("%s/%s: sink counts %d static branches, the reference model %d",
 					s, os.name, sink.StaticBranches, hotRef.StaticBranches)
@@ -111,8 +110,7 @@ func TestKernelTelemetryMatchesIntervalSeries(t *testing.T) {
 			}
 
 			// Interpretive sink path: the runner feeding the same Tap
-			// must agree with the kernel field for field (including the
-			// warmup-miss split the legacy observers lack).
+			// must agree with the kernel field for field.
 			slowSink := &Telemetry{Interval: interval, TopK: topk}
 			slowOpts := os.opts
 			slowOpts.DisableFastpath = true
@@ -209,38 +207,74 @@ func foldForensicsConfig(budget uint64) telemetry.ForensicsConfig {
 	return telemetry.ForensicsConfig{TopK: 6, HistoryBits: 6, RecorderSize: 16, Budget: budget}
 }
 
-// referenceForensics feeds the naive reference forensics model every
-// resolution the interpretive runner reports to an Observer.
-type referenceForensics struct {
-	telemetry.NopObserver
-	model *reference.Forensics
+// resolutionLog is an Observer logging every resolution the
+// interpretive runner reports and the resolution index of every context
+// switch: the ground truth the sink's outputs are folded from.
+type resolutionLog struct {
+	pcs            []uint32
+	taken, correct []bool
+	switches       []uint64
 }
 
-func (r referenceForensics) OnResolve(b trace.Branch, predicted, correct bool) {
-	r.model.Resolve(b.PC, b.Taken, correct)
+func (r *resolutionLog) Start(telemetry.RunInfo)      {}
+func (r *resolutionLog) OnPredict(trace.Branch, bool) {}
+func (r *resolutionLog) OnResolve(b trace.Branch, _, correct bool) {
+	r.pcs = append(r.pcs, b.PC)
+	r.taken = append(r.taken, b.Taken)
+	r.correct = append(r.correct, correct)
+}
+func (r *resolutionLog) OnContextSwitch() { r.switches = append(r.switches, uint64(len(r.pcs))) }
+func (r *resolutionLog) OnTrap()          {}
+func (r *resolutionLog) Finish()          {}
+
+// samples counts the correct predictions of each window of every
+// resolutions, the last window possibly short.
+func (r *resolutionLog) samples(every int) []telemetry.Sample {
+	var out []telemetry.Sample
+	for lo := 0; lo < len(r.correct); lo += every {
+		hi := min(lo+every, len(r.correct))
+		s := telemetry.Sample{Branches: uint64(hi), Predictions: uint64(hi - lo)}
+		for _, c := range r.correct[lo:hi] {
+			if c {
+				s.Correct++
+			}
+		}
+		s.Accuracy = float64(s.Correct) / float64(s.Predictions)
+		out = append(out, s)
+	}
+	return out
+}
+
+// forensics folds the log into the naive reference forensics model.
+func (r *resolutionLog) forensics(cfg telemetry.ForensicsConfig) *reference.Forensics {
+	f := reference.NewForensics(cfg)
+	for j, pc := range r.pcs {
+		f.Resolve(pc, r.taken[j], r.correct[j])
+	}
+	return f
 }
 
 // observedForensics replays spec s over src on the interpretive runner
-// with the reference forensics model attached as an Observer and
-// returns its report.
+// with a resolutionLog attached and returns the reference forensics
+// model's report over it.
 func observedForensics(t *testing.T, s string, snap trace.Snapshot, src trace.Source, opts Options) telemetry.ForensicsReport {
 	t.Helper()
-	ref := referenceForensics{model: reference.NewForensics(foldForensicsConfig(opts.MaxCondBranches))}
-	opts.DisableFastpath, opts.Shards, opts.Observer = true, 0, ref
+	log := &resolutionLog{}
+	opts.DisableFastpath, opts.Shards, opts.Observer = true, 0, log
 	if _, err := Run(buildEquivSpec(t, s, snap), src, opts); err != nil {
 		t.Fatalf("%s observed: %v", s, err)
 	}
-	return ref.model.Report()
+	return log.forensics(foldForensicsConfig(opts.MaxCondBranches)).Report()
 }
 
 // TestForensicsFoldMatchesObserver is the oracle of the forensics fold:
 // for every flattenable spec, the report of a Telemetry sink's Forensics,
 // handed the replay's resolved-branch log, deep-equals the report of the
-// naive reference model (internal/reference) attached as an Observer to
-// the interpretive runner — on the serial and the sharded kernel, the
-// pipelined runner, a RunMany batch, a kernel resumed by RunTo legs, and
-// a cancelled kernel run (against the runner over the prefix it
-// consumed).
+// naive reference model (internal/reference) over the resolutions the
+// interpretive runner reports to an Observer — on the serial and the
+// sharded kernel, the pipelined runner, a RunMany batch, a kernel
+// resumed by RunTo legs, and a cancelled kernel run (against the runner
+// over the prefix it consumed).
 func TestForensicsFoldMatchesObserver(t *testing.T) {
 	snap := kernelSnapshot(24_000)
 	conds := uint64(0)

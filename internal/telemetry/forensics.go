@@ -8,7 +8,6 @@ import (
 
 	"twolevel/internal/automaton"
 	"twolevel/internal/flat"
-	"twolevel/internal/trace"
 )
 
 // Forensics is the mispredict flight recorder and hard-to-predict (H2P)
@@ -23,12 +22,13 @@ import (
 // automaton per (branch, pattern). It deliberately does not mirror the
 // predictor under test: it is a fixed forensic reference, so reports from
 // different schemes over the same trace are directly comparable. Miss
-// counts, by contrast, come from the real run (the correct flag of
-// Resolve), so the report attributes the predictor's actual misses to
-// the history patterns they occurred under. A Forensics keeps only the
-// run's SiteLog and folds it when asked: counts and offender ranking
-// are the per-site fold of the Tap's hot-branch profile, and the shadow
-// model runs only for the sites a report returns.
+// counts, by contrast, come from the real run (the replay's mispredict
+// bits), so the report attributes the predictor's actual misses to the
+// history patterns they occurred under. A Forensics keeps only the run's
+// SiteLog, handed over by AppendLog, and folds it when asked: counts and
+// offender ranking are the per-site fold of the Tap's hot-branch
+// profile, and the shadow model runs only for the sites a report
+// returns.
 //
 // A bounded flight recorder keeps the last RecorderSize resolutions; when
 // mispredictions cluster (a burst: at least BurstThreshold misses inside
@@ -39,10 +39,10 @@ import (
 // Everything Forensics collects is a pure function of the event sequence:
 // two identical runs produce identical (and identically ordered) reports.
 type Forensics struct {
-	NopObserver
 	cfg     ForensicsConfig
 	warmupN uint64 // resolutions counted as warmup
-	siteRecorder
+	log     SiteLog
+	dir     flat.PCIndex // log.Sites' directory
 }
 
 // ForensicsConfig configures a Forensics. The zero value selects
@@ -88,42 +88,39 @@ func (c ForensicsConfig) withDefaults() ForensicsConfig {
 	return c
 }
 
-// NewForensics returns a forensics observer with cfg's defaults applied.
+// NewForensics returns a Forensics with cfg's defaults applied. Attach
+// it to a run through sim.Telemetry.Forensics.
 func NewForensics(cfg ForensicsConfig) *Forensics {
 	cfg = cfg.withDefaults()
 	return &Forensics{cfg: cfg, warmupN: WarmupBoundary(cfg.Budget)}
 }
 
-// OnResolve implements Observer.
-func (f *Forensics) OnResolve(b trace.Branch, predicted, correct bool) {
-	f.Resolve(b.PC, b.Taken, correct)
-}
-
-// Resolve appends one resolved conditional branch to the log: its PC,
-// outcome and whether it was predicted correctly — all a report depends
-// on, so a Forensics fed from a replay's log reports as one fed by
-// OnResolve.
-func (f *Forensics) Resolve(pc uint32, taken, correct bool) { f.record(pc, taken, correct) }
-
-// AppendLog appends the resolved branches of a replay's log to f, as if
-// each were passed to Resolve in order. Into an empty Forensics the log
-// is copied whole, so l's columns may be reused once AppendLog returns.
+// AppendLog appends the resolved branches of a replay's log to f, in
+// resolution order, renumbering l's sites into f's. The columns are
+// copied, so l's may be reused once AppendLog returns.
 func (f *Forensics) AppendLog(l SiteLog) {
-	if len(f.log.IDs) > 0 {
-		for j, id := range l.IDs {
-			f.Resolve(l.Sites[id], l.Outs[j] != 0, !l.Missed(j))
+	remap := make([]int32, len(l.Sites)) // l's site id → f's
+	for i, pc := range l.Sites {
+		id, added := f.dir.Add(pc)
+		if added {
+			f.log.Sites = append(f.log.Sites, pc)
 		}
-		return
+		remap[i] = id
 	}
-	n := len(l.IDs)
-	f.log = SiteLog{
-		IDs:   slices.Clone(l.IDs),
-		Outs:  slices.Clone(l.Outs[:n]),
-		Sites: slices.Clone(l.Sites),
-		Miss:  slices.Clone(l.Miss[:(n+63)/64]),
+	base, n := len(f.log.IDs), len(l.IDs)
+	f.log.IDs = slices.Grow(f.log.IDs, n)
+	for _, id := range l.IDs {
+		f.log.IDs = append(f.log.IDs, remap[id])
 	}
-	for _, pc := range l.Sites {
-		f.dir.Add(pc)
+	f.log.Outs = append(f.log.Outs, l.Outs[:n]...)
+	for len(f.log.Miss) < (base+n+63)/64 {
+		f.log.Miss = append(f.log.Miss, 0)
+	}
+	for wi, w := range l.Miss[:(n+63)/64] {
+		for ; w != 0; w &= w - 1 {
+			j := base + (wi<<6 | bits.TrailingZeros64(w))
+			f.log.Miss[j>>6] |= 1 << (j & 63)
+		}
 	}
 }
 
@@ -374,9 +371,6 @@ func patternString(pattern uint32, k int) string {
 	return string(buf)
 }
 
-// TotalMispredicts returns the run's misprediction count so far.
-func (f *Forensics) TotalMispredicts() uint64 { return f.misses() }
-
 // Lookup returns the forensic profile of one static branch, or false when
 // the branch was never observed. It is not bounded by TopK.
 func (f *Forensics) Lookup(pc uint32) (PCForensics, bool) {
@@ -395,7 +389,7 @@ func (f *Forensics) Report() ForensicsReport {
 	return ForensicsReport{
 		HistoryBits:       f.cfg.HistoryBits,
 		Resolutions:       uint64(len(f.log.IDs)),
-		Mispredicts:       f.misses(),
+		Mispredicts:       OnesIn(f.log.Miss, 0, len(f.log.IDs)),
 		StaticBranches:    len(f.log.Sites),
 		WarmupResolutions: f.warmupN,
 		TopOffenders:      f.profiles(&fold, fold.Top(f.cfg.TopK)),

@@ -4,14 +4,14 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
-
-	"twolevel/internal/trace"
 )
 
-// feed delivers one resolution of pc with the given outcome/correctness.
+// feed appends one resolution of pc with the given outcome and
+// correctness to f, as a log of one branch.
 func feed(f *Forensics, pc uint32, taken, correct bool) {
-	b := trace.Branch{PC: pc, Class: trace.Cond, Taken: taken}
-	f.OnResolve(b, taken == correct, correct)
+	var b logBuilder
+	b.add(pc, taken, correct)
+	f.AppendLog(b.SiteLog)
 }
 
 func TestForensicsPatternHistogram(t *testing.T) {
@@ -200,5 +200,33 @@ func TestForensicsTopKBoundAndLookupBeyondIt(t *testing.T) {
 	}
 	if _, ok := f.Lookup(0x100); !ok {
 		t.Fatal("Lookup must reach branches outside TopK")
+	}
+}
+
+// TestAppendLogTwiceEqualsConcatenated: appending a log in two parts,
+// each numbering its own sites and cut off a word boundary, leaves a
+// Forensics exactly as one append of the whole log does.
+func TestAppendLogTwiceEqualsConcatenated(t *testing.T) {
+	var whole, head, tail logBuilder
+	for i := 0; i < 300; i++ {
+		pc := uint32(0x100 + 4*(i*7%13))
+		taken, correct := i%3 != 0, i%5 != 0 && i%11 != 3
+		whole.add(pc, taken, correct)
+		if i < 100 {
+			head.add(pc, taken, correct)
+		} else {
+			tail.add(pc, taken, correct)
+		}
+	}
+	one := NewForensics(ForensicsConfig{Budget: 300})
+	one.AppendLog(whole.SiteLog)
+	two := NewForensics(ForensicsConfig{Budget: 300})
+	two.AppendLog(head.SiteLog)
+	two.AppendLog(tail.SiteLog)
+	if !reflect.DeepEqual(two, one) {
+		t.Fatalf("two appends differ from one:\n got %+v\nwant %+v", two.log, one.log)
+	}
+	if rep := one.Report(); rep.Resolutions != 300 || rep.Mispredicts == 0 {
+		t.Fatalf("report of the whole log: %d resolutions, %d mispredicts", rep.Resolutions, rep.Mispredicts)
 	}
 }

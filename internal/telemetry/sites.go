@@ -7,8 +7,6 @@ package telemetry
 import (
 	"container/heap"
 	"math/bits"
-
-	"twolevel/internal/flat"
 )
 
 // SiteLog is one run's resolved conditional branches in resolution
@@ -28,38 +26,6 @@ type SiteLog struct {
 
 // Missed reports whether branch j was mispredicted.
 func (l *SiteLog) Missed(j int) bool { return l.Miss[j>>6]>>(j&63)&1 != 0 }
-
-// siteRecorder builds a SiteLog one resolution at a time: the Observer
-// feed of Forensics and HotBranches.
-type siteRecorder struct {
-	log SiteLog
-	dir flat.PCIndex // log.Sites' directory
-}
-
-// record appends one resolved conditional branch to the log.
-func (r *siteRecorder) record(pc uint32, taken, correct bool) {
-	l := &r.log
-	id, added := r.dir.Add(pc)
-	if added {
-		l.Sites = append(l.Sites, pc)
-	}
-	j := len(l.IDs)
-	if j&63 == 0 {
-		l.Miss = append(l.Miss, 0)
-	}
-	if !correct {
-		l.Miss[j>>6] |= 1 << (j & 63)
-	}
-	var o uint8
-	if taken {
-		o = 1
-	}
-	l.IDs = append(l.IDs, id)
-	l.Outs = append(l.Outs, o)
-}
-
-// misses returns the log's mispredicts.
-func (r *siteRecorder) misses() uint64 { return OnesIn(r.log.Miss, 0, len(r.log.IDs)) }
 
 // WarmupBoundary is the number of resolutions a run of budget
 // conditional branches attributes to warmup in its miss split: the first

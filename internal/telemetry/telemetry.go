@@ -1,12 +1,14 @@
-// Package telemetry is the observability layer of the simulator: observer
-// hooks threaded through the prediction hot loop, plus concrete observers
-// for the dynamics the end-of-run accuracy numbers hide — which static
-// branches dominate mispredictions (HotBranches), how accuracy evolves
-// through warm-up and context-switch recovery (IntervalSeries), and what a
-// run cost in wall-clock, allocations and table occupancy (RunStats).
+// Package telemetry is the observability layer of the simulator: the
+// folds behind the dynamics the end-of-run accuracy numbers hide — which
+// static branches dominate mispredictions (the per-site fold, HotRows),
+// how accuracy evolves through warm-up and context-switch recovery
+// (Sample), why a branch mispredicts (Forensics) and what a run cost
+// (RunMetrics) — plus the metrics registry and the Observer hook.
 //
-// Observers attach to a run via sim.Options.Observer. A nil observer adds
-// no allocations and no measurable work to the hot loop; the simulator
+// The replay's fastpath.Tap produces the series and profiles from the
+// mispredict bits of either replay engine. The Observer hook stays for
+// custom per-branch callbacks (sim.Options.Observer). A nil observer adds
+// no allocations and no measurable work to the hot loop: the simulator
 // guards every callback behind a nil check, and the guarantee is enforced
 // by an allocation test in package sim and the BenchmarkSimObserverOverhead
 // pair at the repository root.
@@ -49,72 +51,3 @@ type Observer interface {
 	// on both normal and error returns.
 	Finish()
 }
-
-// multi fans callbacks out to several observers in order.
-type multi []Observer
-
-// Multi combines observers into one. Nil elements are dropped; with zero
-// survivors it returns nil (the simulator's fast path), and with one it
-// returns that observer unwrapped.
-func Multi(obs ...Observer) Observer {
-	var m multi
-	for _, o := range obs {
-		if o != nil {
-			m = append(m, o)
-		}
-	}
-	switch len(m) {
-	case 0:
-		return nil
-	case 1:
-		return m[0]
-	}
-	return m
-}
-
-func (m multi) Start(info RunInfo) {
-	for _, o := range m {
-		o.Start(info)
-	}
-}
-
-func (m multi) OnPredict(b trace.Branch, predicted bool) {
-	for _, o := range m {
-		o.OnPredict(b, predicted)
-	}
-}
-
-func (m multi) OnResolve(b trace.Branch, predicted, correct bool) {
-	for _, o := range m {
-		o.OnResolve(b, predicted, correct)
-	}
-}
-
-func (m multi) OnContextSwitch() {
-	for _, o := range m {
-		o.OnContextSwitch()
-	}
-}
-
-func (m multi) OnTrap() {
-	for _, o := range m {
-		o.OnTrap()
-	}
-}
-
-func (m multi) Finish() {
-	for _, o := range m {
-		o.Finish()
-	}
-}
-
-// NopObserver implements Observer with no-ops; embed it to implement only
-// the callbacks an observer cares about.
-type NopObserver struct{}
-
-func (NopObserver) Start(RunInfo)                      {}
-func (NopObserver) OnPredict(trace.Branch, bool)       {}
-func (NopObserver) OnResolve(trace.Branch, bool, bool) {}
-func (NopObserver) OnContextSwitch()                   {}
-func (NopObserver) OnTrap()                            {}
-func (NopObserver) Finish()                            {}

@@ -5,29 +5,64 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
-
-	"twolevel/internal/trace"
 )
 
-// resolve feeds n resolutions of branch pc, miss of them incorrect and
-// takenN of them taken, into obs.
-func resolve(obs Observer, pc uint32, n, miss, takenN int) {
+// logBuilder builds a SiteLog one resolution at a time, numbering sites
+// in order of first occurrence.
+type logBuilder struct {
+	SiteLog
+	ids map[uint32]int32
+}
+
+// add appends one resolved conditional branch.
+func (b *logBuilder) add(pc uint32, taken, correct bool) {
+	id, ok := b.ids[pc]
+	if !ok {
+		if b.ids == nil {
+			b.ids = map[uint32]int32{}
+		}
+		id = int32(len(b.Sites))
+		b.ids[pc] = id
+		b.Sites = append(b.Sites, pc)
+	}
+	j := len(b.IDs)
+	if j%64 == 0 {
+		b.Miss = append(b.Miss, 0)
+	}
+	if !correct {
+		b.Miss[j/64] |= 1 << (j % 64)
+	}
+	var o uint8
+	if taken {
+		o = 1
+	}
+	b.IDs = append(b.IDs, id)
+	b.Outs = append(b.Outs, o)
+}
+
+// resolve appends n resolutions of branch pc, the first miss of them
+// mispredicted and the first takenN of them taken.
+func (b *logBuilder) resolve(pc uint32, n, miss, takenN int) {
 	for i := 0; i < n; i++ {
-		b := trace.Branch{PC: pc, Class: trace.Cond, Taken: i < takenN}
-		obs.OnResolve(b, true, i >= miss)
+		b.add(pc, i < takenN, i >= miss)
 	}
 }
 
-func TestHotBranchesTopKOrdering(t *testing.T) {
-	h := NewHotBranches(3)
-	h.Start(RunInfo{})
-	resolve(h, 0x100, 10, 5, 10) // 5 misses
-	resolve(h, 0x200, 10, 9, 0)  // 9 misses
-	resolve(h, 0x300, 10, 1, 5)  // 1 miss
-	resolve(h, 0x400, 10, 7, 10) // 7 misses
-	h.Finish()
+// hotRows ranks l's sites with the per-site fold and renders the top k
+// as hot-branch rows, as the Tap's profile does.
+func hotRows(l SiteLog, k int) []HotBranch {
+	fold := FoldSites(l, 0)
+	return HotRows(fold.Profile(fold.Top(k), FoldCounts(l)))
+}
 
-	rep := h.Report()
+func TestHotBranchesTopKOrdering(t *testing.T) {
+	var b logBuilder
+	b.resolve(0x100, 10, 5, 10) // 5 misses
+	b.resolve(0x200, 10, 9, 0)  // 9 misses
+	b.resolve(0x300, 10, 1, 5)  // 1 miss
+	b.resolve(0x400, 10, 7, 10) // 7 misses
+
+	rep := hotRows(b.SiteLog, 3)
 	if len(rep) != 3 {
 		t.Fatalf("top-3 of 4 branches: got %d rows", len(rep))
 	}
@@ -46,25 +81,25 @@ func TestHotBranchesTopKOrdering(t *testing.T) {
 	if rep[2].TakenRate != 1 {
 		t.Errorf("0x100 taken rate = %v, want 1", rep[2].TakenRate)
 	}
-	total := h.TotalMispredicts()
-	if total != 22 {
+	if total := OnesIn(b.Miss, 0, len(b.IDs)); total != 22 {
 		t.Fatalf("total mispredicts = %d, want 22", total)
 	}
 	if got, want := rep[0].MissShare, 9.0/22.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("miss share = %v, want %v", got, want)
 	}
-	if h.StaticBranches() != 4 {
-		t.Errorf("static branches = %d, want 4", h.StaticBranches())
+	if len(b.Sites) != 4 {
+		t.Errorf("static branches = %d, want 4", len(b.Sites))
 	}
 }
 
 func TestHotBranchesTieBreaking(t *testing.T) {
-	h := NewHotBranches(4)
-	// Equal mispredicts order by ascending PC, regardless of executions.
-	resolve(h, 0x30, 20, 5, 0)
-	resolve(h, 0x20, 10, 5, 0)
-	resolve(h, 0x50, 10, 5, 0)
-	rep := h.Report()
+	var b logBuilder
+	// Equal mispredicts order by ascending PC, regardless of executions
+	// and of the order the sites first resolved in.
+	b.resolve(0x30, 20, 5, 0)
+	b.resolve(0x20, 10, 5, 0)
+	b.resolve(0x50, 10, 5, 0)
+	rep := hotRows(b.SiteLog, 4)
 	want := []uint32{0x20, 0x30, 0x50}
 	if len(rep) != 3 {
 		t.Fatalf("rows = %d", len(rep))
@@ -76,25 +111,25 @@ func TestHotBranchesTieBreaking(t *testing.T) {
 	}
 }
 
-// TestHotBranchesTiedReportDeterministic feeds the same fully-tied
-// workload into two independent observers and requires byte-identical
-// rendered reports: the sort key (mispredicts desc, PC asc) is a total
-// order, so map iteration cannot leak into the output.
+// TestHotBranchesTiedReportDeterministic folds the same fully-tied
+// workload twice and requires byte-identical rendered reports: the rank
+// order (mispredicts desc, PC asc) is total, so the heap's internal
+// order cannot leak into the output.
 func TestHotBranchesTiedReportDeterministic(t *testing.T) {
-	feed := func() *HotBranches {
-		h := NewHotBranches(8)
+	feed := func() []HotBranch {
+		var b logBuilder
 		// Every PC: identical executions, misses and taken counts — the
-		// sort sees nothing but PC to separate them.
+		// ranking sees nothing but PC to separate them.
 		for _, pc := range []uint32{0x700, 0x100, 0x500, 0x300, 0x600, 0x200, 0x400} {
-			resolve(h, pc, 12, 4, 6)
+			b.resolve(pc, 12, 4, 6)
 		}
-		return h
+		return hotRows(b.SiteLog, 8)
 	}
-	a, err := json.Marshal(feed().Report())
+	a, err := json.Marshal(feed())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(feed().Report())
+	b, err := json.Marshal(feed())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +140,9 @@ func TestHotBranchesTiedReportDeterministic(t *testing.T) {
 	if err := json.Unmarshal(a, &rep); err != nil {
 		t.Fatal(err)
 	}
+	if len(rep) != 7 {
+		t.Fatalf("top-8 of 7 sites: %d rows", len(rep))
+	}
 	for i := 1; i < len(rep); i++ {
 		if rep[i-1].PC >= rep[i].PC {
 			t.Fatalf("tied rows out of PC order: %#x before %#x", rep[i-1].PC, rep[i].PC)
@@ -113,128 +151,11 @@ func TestHotBranchesTiedReportDeterministic(t *testing.T) {
 }
 
 func TestHotBranchesKSmallerThanSites(t *testing.T) {
-	h := NewHotBranches(1)
-	resolve(h, 1, 4, 2, 2)
-	resolve(h, 2, 4, 3, 2)
-	rep := h.Report()
+	var b logBuilder
+	b.resolve(1, 4, 2, 2)
+	b.resolve(2, 4, 3, 2)
+	rep := hotRows(b.SiteLog, 1)
 	if len(rep) != 1 || rep[0].PC != 2 {
 		t.Fatalf("top-1 = %+v", rep)
-	}
-}
-
-func TestIntervalSeriesExactMultiple(t *testing.T) {
-	s := NewIntervalSeries(100)
-	s.Start(RunInfo{})
-	resolve(s, 1, 200, 40, 100) // first 40 of each PC stream are misses
-	s.Finish()
-	samples := s.Samples()
-	if len(samples) != 2 {
-		t.Fatalf("samples = %d, want 2", len(samples))
-	}
-	if samples[0].Branches != 100 || samples[1].Branches != 200 {
-		t.Errorf("cumulative branch marks: %+v", samples)
-	}
-	if samples[0].Predictions != 100 || samples[1].Predictions != 100 {
-		t.Errorf("interval widths: %+v", samples)
-	}
-	// Misses land in the first interval: 40 wrong of 100, then all right.
-	if samples[0].Accuracy != 0.6 || samples[1].Accuracy != 1.0 {
-		t.Errorf("accuracies: %v, %v", samples[0].Accuracy, samples[1].Accuracy)
-	}
-}
-
-func TestIntervalSeriesPartialFinalInterval(t *testing.T) {
-	s := NewIntervalSeries(100)
-	s.Start(RunInfo{})
-	resolve(s, 1, 250, 0, 0) // budget not divisible by interval
-	s.Finish()
-	samples := s.Samples()
-	if len(samples) != 3 {
-		t.Fatalf("samples = %d, want 3 (two full + one partial)", len(samples))
-	}
-	last := samples[2]
-	if last.Predictions != 50 || last.Branches != 250 {
-		t.Errorf("partial sample = %+v", last)
-	}
-	if last.Accuracy != 1.0 {
-		t.Errorf("partial accuracy = %v", last.Accuracy)
-	}
-	// Finish again must not emit an empty duplicate.
-	s.Finish()
-	if len(s.Samples()) != 3 {
-		t.Errorf("double Finish added samples: %d", len(s.Samples()))
-	}
-}
-
-func TestIntervalSeriesSwitchMarks(t *testing.T) {
-	s := NewIntervalSeries(10)
-	resolve(s, 1, 25, 0, 0)
-	s.OnContextSwitch()
-	resolve(s, 1, 5, 0, 0)
-	s.OnContextSwitch()
-	s.Finish()
-	sw := s.Switches()
-	if len(sw) != 2 || sw[0] != 25 || sw[1] != 30 {
-		t.Fatalf("switch marks = %v, want [25 30]", sw)
-	}
-}
-
-func TestIntervalSeriesZeroClamped(t *testing.T) {
-	s := NewIntervalSeries(0)
-	if s.Interval() != 1 {
-		t.Fatalf("interval = %d, want clamp to 1", s.Interval())
-	}
-}
-
-func TestMultiCombinesAndFiltersNil(t *testing.T) {
-	if Multi() != nil || Multi(nil, nil) != nil {
-		t.Fatal("empty Multi should be nil")
-	}
-	h := NewHotBranches(1)
-	if Multi(nil, h) != Observer(h) {
-		t.Fatal("single survivor should be returned unwrapped")
-	}
-	s := NewIntervalSeries(10)
-	m := Multi(h, s)
-	m.Start(RunInfo{})
-	resolve(m, 7, 12, 3, 6)
-	m.OnContextSwitch()
-	m.OnTrap()
-	m.Finish()
-	if h.TotalMispredicts() != 3 {
-		t.Errorf("hot observer missed callbacks: %d", h.TotalMispredicts())
-	}
-	if len(s.Samples()) != 2 || len(s.Switches()) != 1 {
-		t.Errorf("interval observer missed callbacks: %d samples, %d switches",
-			len(s.Samples()), len(s.Switches()))
-	}
-}
-
-func TestRunStatsCountsAndThroughput(t *testing.T) {
-	rs := NewRunStats()
-	rs.Start(RunInfo{})
-	b := trace.Branch{PC: 4, Class: trace.Cond}
-	for i := 0; i < 50; i++ {
-		rs.OnPredict(b, true)
-		rs.OnResolve(b, true, i%2 == 0)
-	}
-	rs.OnTrap()
-	rs.OnContextSwitch()
-	rs.Finish()
-	m := rs.Metrics()
-	if m.Predictions != 50 || m.Resolutions != 50 || m.Mispredictions != 25 {
-		t.Errorf("counts: %+v", m)
-	}
-	if m.Traps != 1 || m.ContextSwitches != 1 {
-		t.Errorf("trap/switch counts: %+v", m)
-	}
-	if m.Events != 102 {
-		t.Errorf("events = %d, want 102", m.Events)
-	}
-	if m.WallClockSeconds <= 0 || m.EventsPerSec <= 0 {
-		t.Errorf("timing not recorded: %+v", m)
-	}
-	if m.Occupancy != nil {
-		t.Errorf("no predictor attached, occupancy should be nil")
 	}
 }

@@ -399,10 +399,11 @@ func NewTwoLevel(cfg TwoLevelConfig) (*predictor.TwoLevel, error) {
 	return predictor.NewTwoLevel(cfg)
 }
 
-// Telemetry vocabulary: observers hook the simulator's event loop
-// (SimOptions.Observer) without touching the nil-observer hot path, at
-// the price of the replay kernel. The SimTelemetry sink collects the
-// same series, profiles and forensics on the kernel.
+// Telemetry vocabulary: the SimTelemetry sink collects interval series,
+// hot-branch profiles and forensics on the replay kernel, and RunStatsFor
+// derives a run's cost summary from its result. A custom Observer hooks
+// the simulator's event loop (SimOptions.Observer) without touching the
+// nil-observer hot path, at the price of the replay kernel.
 type (
 	// Observer receives simulator callbacks for one run: Start/Finish
 	// around the run, OnPredict/OnResolve per conditional branch,
@@ -410,20 +411,14 @@ type (
 	Observer = telemetry.Observer
 	// ObserverRunInfo describes the run an observer is attached to.
 	ObserverRunInfo = telemetry.RunInfo
-	// HotBranches is an Observer ranking static branches by
-	// mispredictions.
-	HotBranches = telemetry.HotBranches
-	// HotBranch is one row of a HotBranches report.
+	// HotBranch is one row of a hot-branch report
+	// (SimTelemetry.HotBranches).
 	HotBranch = telemetry.HotBranch
-	// IntervalSeries is an Observer sampling accuracy every N resolved
-	// conditional branches (warm-up and context-switch recovery curves).
-	IntervalSeries = telemetry.IntervalSeries
-	// IntervalSample is one point of an IntervalSeries.
+	// IntervalSample is one point of an interval accuracy series
+	// (SimTelemetry.Samples): warm-up and context-switch recovery curves.
 	IntervalSample = telemetry.Sample
-	// RunStats is an Observer measuring wall-clock, throughput,
-	// allocation deltas and predictor table occupancy.
-	RunStats = telemetry.RunStats
-	// RunMetrics is the summary a RunStats observer produces.
+	// RunMetrics is a run's wall-clock, throughput, allocation and
+	// table-occupancy summary (RunStatsFor).
 	RunMetrics = telemetry.RunMetrics
 	// PredictorOccupancy reports how much of a predictor's tables a run
 	// actually touched.
@@ -452,35 +447,19 @@ type (
 // branch budget of the experiments.
 const DefaultExperimentBranches = experiments.DefaultCondBranches
 
-// NewHotBranches returns a hot-branch observer keeping the top k static
-// branches by mispredictions.
-func NewHotBranches(k int) *HotBranches { return telemetry.NewHotBranches(k) }
-
-// NewIntervalSeries returns an observer sampling accuracy every interval
-// resolved conditional branches.
-func NewIntervalSeries(interval uint64) *IntervalSeries {
-	return telemetry.NewIntervalSeries(interval)
-}
-
-// NewRunStats returns an observer measuring run timing, throughput,
-// allocations and predictor occupancy.
-func NewRunStats() *RunStats { return telemetry.NewRunStats() }
-
 // CostStamp is one reading of the clock and the allocation counters.
 type CostStamp = experiments.CostStamp
 
 // ReadCost reads the clock and the allocation counters.
 func ReadCost() CostStamp { return experiments.ReadCost() }
 
-// RunStatsFor builds what a RunStats observer reports for a completed
-// run of p from its result and two cost stamps taken around it.
+// RunStatsFor builds the RunMetrics of a completed run of p from its
+// result and two cost stamps taken around it (ReadCost before the run,
+// ReadCost after it): the event counts, occupancy, time and allocations
+// metrics.json records.
 func RunStatsFor(res SimResult, p Predictor, from, to CostStamp) RunMetrics {
 	return experiments.RunStats(res, p, from, to)
 }
-
-// MultiObserver fans callbacks out to several observers (nils are
-// dropped; the result is nil when none remain).
-func MultiObserver(obs ...Observer) Observer { return telemetry.Multi(obs...) }
 
 // Mispredict forensics, live monitoring and structured logging: the
 // observability vocabulary behind brexp -forensics / -listen and
@@ -492,7 +471,7 @@ type (
 	// automaton transition counts, warmup-vs-steady miss split, history
 	// entropy), folded on demand from the run's log of resolved
 	// branches. Set one on SimTelemetry.Forensics and the run hands it
-	// the replay's log; as an Observer it appends to that log.
+	// the replay's log.
 	Forensics = telemetry.Forensics
 	// ForensicsConfig sizes a Forensics; the zero value gets
 	// sensible defaults.
@@ -546,7 +525,7 @@ type (
 )
 
 // NewForensics returns a mispredict-forensics recorder for a
-// SimTelemetry sink (or as an observer).
+// SimTelemetry sink.
 func NewForensics(cfg ForensicsConfig) *Forensics { return telemetry.NewForensics(cfg) }
 
 // ExplainBranch diagnoses why one static branch mispredicts from its
